@@ -33,7 +33,13 @@ from .fields import (
     triple_cross,
     zero_field,
 )
-from .limit import LimitParams, explicit_form_residual, limit_rhs, mobility_apply_inverse
+from .limit import (
+    LimitParams,
+    explicit_form_residual,
+    limit_rhs,
+    mobility_apply_inverse,
+    solve_limit,
+)
 from .noise import apply_noise, build_basis, derive_stream, sample_increment, strat_correction
 from .spde import SpdeParams, SpdeStepper, State, functional_j, simulate
 
@@ -237,7 +243,7 @@ def _check_mobility(rng) -> CheckResult:
 def _check_formulation(rng) -> CheckResult:
     grid = _grid()
     basis = build_basis(grid, 12, 2.0)
-    params = LimitParams.auto(grid, 0.1, basis=basis)
+    params = LimitParams.auto(grid, 0.1)
     worst = 0.0
     for _ in range(100):
         u = normalize_sphere(grid, _random_field(grid, rng))
@@ -253,7 +259,7 @@ def _check_sphere_generator(rng) -> CheckResult:
     basis = build_basis(grid, 12, 2.0)
     worst = 0.0
     for gamma in (1.0, 2.5):
-        params = LimitParams.auto(grid, 0.1, gamma=gamma, basis=basis)
+        params = LimitParams.auto(grid, 0.1, gamma=gamma)
         for _ in range(50):
             u = _random_field(grid, rng) * 0.5
             lhs = inner_l2(grid, u, limit_rhs(u, basis, params))
@@ -291,14 +297,8 @@ def _check_equilibrium(rng, correction_scale: float) -> CheckResult:
         stepper.step(state, w)
         drift_sup = max(drift_sup, float(np.abs(state.u - u0).max()),
                         float(np.abs(state.v).max()))
-    lp = LimitParams.auto(grid, 0.1, basis=basis)
-    from .limit import _Rk4Flow
-    flow = _Rk4Flow(u0, lp, basis)
-    limit_drift = 0.0
-    for _ in range(10):
-        prev = flow.u.copy()
-        flow.advance()
-        limit_drift = max(limit_drift, float(np.abs(flow.u - prev).max()))
+    traj = solve_limit(u0, LimitParams.auto(grid, 0.1), basis, stride=1)
+    limit_drift = float(np.abs(np.diff(traj.u_fields, axis=0)).max())
     passed = drift_sup <= 1e-12 and limit_drift <= 1e-12
     return CheckResult("equilibrium-fixed-point", passed,
                        f"stepper drift {drift_sup:.2e}, limit per-step drift {limit_drift:.2e}")

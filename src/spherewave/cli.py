@@ -95,10 +95,11 @@ def cmd_limit(args) -> int:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     out = output_directory(cfg)
-    header = ["t", "u_h1", "u_h2", "ut_h", "sphere_residual", "energy_lhs", "energy_rhs"]
+    header = ["t", "u_h1", "u_h2", "ut_h", "sphere_residual", "projection_defect",
+              "energy_lhs", "energy_rhs"]
     rows = len(traj.t)
     columns = [traj.t, traj.u_h1, traj.u_h2, traj.ut_h, traj.sphere_residual,
-               traj.energy_lhs, np.full(rows, traj.energy_rhs)]
+               traj.projection_defect, traj.energy_lhs, np.full(rows, traj.energy_rhs)]
     write_csv(out / "limit.csv", header, columns)
     write_json(out / "limit.manifest.json",
                _manifest(cfg, {}, time.perf_counter() - start, ["limit.csv"]))

@@ -255,14 +255,13 @@ def spde_params_from(cfg: dict, grid: Grid1D) -> SpdeParams:
 
 
 def limit_params_from(cfg: dict, grid: Grid1D, basis) -> LimitParams:
+    """Limit-solver parameters; the step rule does not depend on the kernel of `basis`."""
     phys, time = cfg["physics"], cfg["time"]
-    parabolic = phys["parabolic"]
     if time["dt"] == "auto":
-        return LimitParams.auto(grid, time["T"], gamma=phys["gamma"], basis=basis,
-                                parabolic=parabolic, n_out=1)
-    phi_max = 0.0 if (parabolic or basis.m == 0) else float(basis.phi.max())
+        return LimitParams.auto(grid, time["T"], gamma=phys["gamma"],
+                                parabolic=phys["parabolic"], n_out=1)
     return LimitParams(grid=grid, dt=time["dt"], T=time["T"], gamma=phys["gamma"],
-                       parabolic=parabolic, phi_max=phi_max)
+                       parabolic=phys["parabolic"])
 
 
 def output_directory(cfg: dict) -> Path:

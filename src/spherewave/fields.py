@@ -23,6 +23,7 @@ from .errors import DegenerateFieldError, ParameterError, ShapeError
 
 __all__ = [
     "Grid1D",
+    "step_count",
     "SineSpectrum",
     "zero_field",
     "sine_field",
@@ -35,6 +36,7 @@ __all__ = [
     "h2_norm_sq",
     "eigenvalue",
     "eigenvalues",
+    "dst_ortho",
     "sine_transform",
     "inverse_sine_transform",
     "sobolev_norm",
@@ -74,6 +76,19 @@ class Grid1D:
     def x_mid(self) -> np.ndarray:
         """Midpoints of the n+1 cells, including the two boundary cells."""
         return (np.arange(self.n + 1) + 0.5) * self.h
+
+
+def step_count(dt: float, T: float) -> int:
+    """Number of steps of size dt from 0 to T; dt must divide T.
+
+    A dt that does not divide T would silently end the run at
+    round(T/dt)*dt instead of T, so it is rejected.
+    """
+    n = max(1, int(round(T / dt)))
+    if abs(n * dt - T) > 1e-9 * T:
+        raise ParameterError(
+            f"dt={dt!r} does not divide T={T!r}: {n} steps would end at t={n * dt!r}")
+    return n
 
 
 def _check_field(grid: Grid1D, f: np.ndarray) -> np.ndarray:
@@ -160,19 +175,21 @@ class SineSpectrum:
     coeffs: np.ndarray
 
 
-_ORTHO = {"type": 1, "axis": 0, "norm": "ortho"}
+def dst_ortho(f: np.ndarray) -> np.ndarray:
+    """Orthonormal DST-I along the node axis; it is its own inverse."""
+    return dst(f, type=1, axis=0, norm="ortho")
 
 
 def sine_transform(grid: Grid1D, f: np.ndarray) -> SineSpectrum:
     f = _check_field(grid, f)
     scale = np.sqrt(2.0 / (grid.n + 1))
-    return SineSpectrum(grid, dst(f, **_ORTHO) * scale)
+    return SineSpectrum(grid, dst_ortho(f) * scale)
 
 
 def inverse_sine_transform(spectrum: SineSpectrum) -> np.ndarray:
     grid = spectrum.grid
     scale = np.sqrt(2.0 / (grid.n + 1))
-    return dst(spectrum.coeffs / scale, **_ORTHO)
+    return dst_ortho(spectrum.coeffs / scale)
 
 
 def sobolev_norm(grid: Grid1D, f: np.ndarray, delta: float) -> float:
@@ -185,7 +202,7 @@ def sobolev_norm(grid: Grid1D, f: np.ndarray, delta: float) -> float:
     if not 0.0 <= delta <= 2.0:
         raise ParameterError(f"sobolev order must lie in [0, 2], got {delta}")
     f = _check_field(grid, f)
-    coeffs = dst(f, **_ORTHO)
+    coeffs = dst_ortho(f)
     weights = eigenvalues(grid) ** delta if delta > 0 else np.ones(grid.n)
     return float(np.sqrt(grid.h * np.einsum("k,kd,kd->", weights, coeffs, coeffs)))
 

@@ -43,6 +43,7 @@ from .fields import (
     normalize_sphere,
     norm_l2_sq,
     project_tangent,
+    step_count,
 )
 from .noise import NoiseBasis, WienerIncrement, noise_field, strat_correction
 
@@ -101,10 +102,11 @@ class SpdeParams:
                 f"dt={self.dt} violates the wave CFL bound {bound:.3e}"
                 f" (0.5 sqrt(mu) h) for mu={self.mu}"
             )
+        step_count(self.dt, self.T)
 
     @property
     def n_steps(self) -> int:
-        return max(1, int(round(self.T / self.dt)))
+        return step_count(self.dt, self.T)
 
     @classmethod
     def auto(cls, grid: Grid1D, mu: float, T: float, *, gamma: float = 1.0,

@@ -285,7 +285,7 @@ def _solve_targets(config: StudyConfig, grid: Grid1D, basis: NoiseBasis,
                    u0: np.ndarray, names: tuple) -> dict:
     fields = {}
     for name in names:
-        lp = LimitParams.auto(grid, config.T, gamma=config.gamma, basis=basis,
+        lp = LimitParams.auto(grid, config.T, gamma=config.gamma,
                               parabolic=(name == "parabolic"), n_out=config.n_out)
         traj = solve_limit(u0, lp, basis, stride=lp.n_steps // config.n_out,
                            keep_fields=True)

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import spherewave as sw
-from spherewave.limit import LimitParams, _Rk4Flow
+from spherewave.limit import LimitParams
 from spherewave.spde import SpdeStepper
 from spherewave.study import (
     StudyConfig,
@@ -123,7 +123,7 @@ def test_criterion_1_algebraic_oracles(grid, basis):
         back = (gamma + 0.5 * phi[:, None] * uu) * x - 0.5 * phi[:, None] * ux * u
         worst_mob = max(worst_mob, np.abs(back - r).max() / (1.0 + np.abs(r).max()))
 
-    params = LimitParams.auto(grid, 0.25, basis=basis, n_out=64)
+    params = LimitParams.auto(grid, 0.25, n_out=64)
     worst_form = 0.0
     for _ in range(100):
         u = sw.normalize_sphere(grid, rng.standard_normal((grid.n, 3)))
@@ -184,15 +184,10 @@ def test_criterion_4_exact_equilibria(grid, basis):
         prev = state.u.copy()
     spde_total = float(np.abs(state.u - u0).max())
 
-    lp = LimitParams.auto(grid, 1.0, basis=basis, n_out=256)
-    flow = _Rk4Flow(u0, lp, basis)
-    limit_step = 0.0
-    prev = flow.u.copy()
-    for _ in range(lp.n_steps):
-        flow.advance()
-        limit_step = max(limit_step, float(np.abs(flow.u - prev).max()))
-        prev = flow.u.copy()
-    limit_total = float(np.abs(flow.u - u0).max())
+    lp = LimitParams.auto(grid, 1.0, n_out=256)
+    limit_u = sw.solve_limit(u0, lp, basis, stride=1).u_fields
+    limit_step = float(np.abs(np.diff(limit_u, axis=0)).max())
+    limit_total = float(np.abs(limit_u[-1] - u0).max())
 
     ok = (per_step <= 1e-12 and limit_step <= 1e-12
           and spde_total <= 1e-10 and limit_total <= 1e-10)
@@ -209,7 +204,7 @@ def test_criterion_5_limit_solver_structure(grid, basis):
         b = sw.build_basis(g, 16, 2.0)
         u0 = sw.normalize_sphere(g, sw.sine_field(g, 1, 1)
                                  + sw.sine_field(g, 2, 2, 0.1))
-        lp = LimitParams.auto(g, 1.0, basis=b, n_out=128)
+        lp = LimitParams.auto(g, 1.0, n_out=128)
         traj = sw.solve_limit(u0, lp, b, stride=lp.n_steps // 128,
                               keep_fields=False)
         sphere_sups.append(float(traj.sphere_residual.max()))
@@ -224,7 +219,7 @@ def test_criterion_5_limit_solver_structure(grid, basis):
     w = sw.field_from_modes(grid, [(k, d, rng.standard_normal())
                                    for k in range(1, 9) for d in (1, 2, 3)])
     w /= sw.norm_l2(grid, w)
-    lp = LimitParams.auto(grid, 0.25, basis=basis, n_out=64)
+    lp = LimitParams.auto(grid, 0.25, n_out=64)
     curves = {}
     for eps in (1e-2, 1e-3):
         u20 = sw.normalize_sphere(grid, u10 + eps * w)

@@ -21,7 +21,31 @@ def basis(grid):
 
 @pytest.fixture(scope="module")
 def params(grid, basis):
-    return LimitParams.auto(grid, 0.25, basis=basis, n_out=128)
+    return LimitParams.auto(grid, 0.25, n_out=128)
+
+
+def rk4_oracle(u0, params, basis, n_out):
+    """Classical RK4 on limit_rhs, as the solver ran before the exponential
+    stepper, under its diffusive bound 0.9 h^2 gamma / (2 (gamma + max phi / 2)).
+    Returns u at n_out + 1 equally spaced times."""
+    grid, gamma = params.grid, params.gamma
+    phi_max = 0.0 if params.parabolic else float(basis.phi.max())
+    bound = 0.9 * grid.h ** 2 * gamma / (2.0 * (gamma + 0.5 * phi_max))
+    n_steps = n_out * int(np.ceil(params.T / (bound * n_out)))
+    rk = LimitParams(grid=grid, dt=params.T / n_steps, T=params.T, gamma=gamma,
+                     parabolic=params.parabolic)
+    dt, stride = rk.dt, n_steps // n_out
+    u = sw.normalize_sphere(grid, u0)
+    out = [u]
+    for k in range(1, n_steps + 1):
+        k1 = sw.limit_rhs(u, basis, rk)
+        k2 = sw.limit_rhs(u + 0.5 * dt * k1, basis, rk)
+        k3 = sw.limit_rhs(u + 0.5 * dt * k2, basis, rk)
+        k4 = sw.limit_rhs(u + dt * k3, basis, rk)
+        u = u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if k % stride == 0:
+            out.append(u)
+    return np.array(out)
 
 
 def random_field(grid, rng=RNG):
@@ -69,8 +93,8 @@ class TestLimitRhs:
 
     def test_parabolic_flag_matches_zero_kernel(self, grid):
         silent = sw.build_basis(grid, 0, 2.0)
-        pa = LimitParams.auto(grid, 0.25, basis=silent, parabolic=False, n_out=128)
-        pb = LimitParams.auto(grid, 0.25, basis=silent, parabolic=True, n_out=128)
+        pa = LimitParams.auto(grid, 0.25, parabolic=False, n_out=128)
+        pb = LimitParams.auto(grid, 0.25, parabolic=True, n_out=128)
         u = sw.normalize_sphere(grid, random_field(grid))
         a = sw.limit_rhs(u, silent, pa)
         b = sw.limit_rhs(u, silent, pb)
@@ -83,7 +107,7 @@ class TestLimitRhs:
     def test_sphere_invariance_generator(self, grid, basis):
         # <u, du/dt> = |u|_{H1}^2 (|u|_H^2 - 1) / gamma, exactly in the algebra
         for gamma in (1.0, 2.5):
-            p = LimitParams.auto(grid, 0.25, gamma=gamma, basis=basis, n_out=128)
+            p = LimitParams.auto(grid, 0.25, gamma=gamma, n_out=128)
             for _ in range(30):
                 u = 0.7 * random_field(grid)
                 lhs = sw.inner_l2(grid, u, sw.limit_rhs(u, basis, p))
@@ -114,45 +138,82 @@ class TestFormulationEquivalence:
 class TestSolveLimit:
     def test_eigenfield_is_stationary(self, grid, basis):
         u0 = sw.normalize_sphere(grid, sw.sine_field(grid, 1, 3))
-        p = LimitParams.auto(grid, 1.0, basis=basis, n_out=128)
+        p = LimitParams.auto(grid, 1.0, n_out=128)
         traj = sw.solve_limit(u0, p, basis, stride=p.n_steps // 128)
         assert np.abs(traj.u_fields[-1] - u0).max() <= 1e-10
         assert traj.ut_h.max() <= 1e-10
 
     def test_sphere_residual_small_and_energy_inequality(self, grid, basis):
+        # every step is projected, so the recorded states sit on the sphere;
+        # the parabolic branch has no dissipative slack, so its energy rows
+        # hold only at a step the auto rule resolves
         u0 = sw.normalize_sphere(grid, sw.sine_field(grid, 1, 1)
                                  + sw.sine_field(grid, 2, 2, 0.1))
-        p = LimitParams.auto(grid, 0.5, basis=basis, n_out=128)
-        traj = sw.solve_limit(u0, p, basis, stride=p.n_steps // 128, keep_fields=False)
-        assert traj.sphere_residual.max() <= 1e-5
-        assert np.all(traj.energy_lhs <= traj.energy_rhs * (1.0 + 1e-6))
+        for parabolic in (False, True):
+            p = LimitParams.auto(grid, 0.5, parabolic=parabolic, n_out=128)
+            traj = sw.solve_limit(u0, p, basis, stride=p.n_steps // 128, keep_fields=False)
+            assert traj.sphere_residual.max() <= 1e-13
+            assert np.all(traj.energy_lhs <= traj.energy_rhs * (1.0 + 1e-6))
 
     def test_h1_norm_nonincreasing(self, grid, basis):
         u0 = sw.normalize_sphere(grid, sw.sine_field(grid, 1, 1)
                                  + sw.sine_field(grid, 3, 2, 0.2))
-        p = LimitParams.auto(grid, 0.5, basis=basis, n_out=128)
+        p = LimitParams.auto(grid, 0.5, n_out=128)
         traj = sw.solve_limit(u0, p, basis, stride=p.n_steps // 128, keep_fields=False)
         h1_sq = traj.u_h1 ** 2
         assert np.all(np.diff(h1_sq) <= 1e-8 * h1_sq[0])
 
-    def test_renormalize_option(self, grid, basis):
+    def test_projection_defect_resolves_the_step(self, grid, basis):
+        # the defect before projection is the step's normal local error,
+        # O(dt^3): nonzero at the default step and ~64x larger at 4x the step
         u0 = sw.normalize_sphere(grid, sw.sine_field(grid, 1, 1)
                                  + sw.sine_field(grid, 2, 2, 0.1))
-        p = LimitParams.auto(grid, 0.1, basis=basis, renormalize=True, n_out=64)
-        traj = sw.solve_limit(u0, p, basis, stride=p.n_steps // 64, keep_fields=False)
-        assert traj.sphere_residual.max() <= 1e-13
+        fine = LimitParams.auto(grid, 1.0, n_out=4)   # 4 | n_steps, so 4 dt divides T
+        coarse = LimitParams(grid=grid, dt=4.0 * fine.dt, T=1.0)
+        d_fine, d_coarse = (
+            sw.solve_limit(u0, p, basis, stride=p.n_steps, keep_fields=False)
+            .projection_defect for p in (fine, coarse))
+        assert d_fine[0] == 0.0 and d_fine[-1] > 0.0
+        assert d_coarse[-1] > 20.0 * d_fine[-1]
 
     def test_rough_initial_data_rejected(self, grid, basis):
         rough = random_field(grid)
-        p = LimitParams.auto(grid, 0.1, basis=basis, n_out=64, h2_cap=10.0)
+        p = LimitParams.auto(grid, 0.1, n_out=64, h2_cap=10.0)
         with pytest.raises(sw.ParameterError):
             sw.solve_limit(rough, p, basis)
 
-    def test_stability_guard(self, grid, basis):
-        bound = LimitParams.stability_bound(grid, 1.0, float(basis.phi.max()), 1.0)
-        with pytest.raises(sw.ParameterError):
-            LimitParams(grid=grid, dt=3.0 * bound, T=1.0,
-                        phi_max=float(basis.phi.max()))
+    def test_coarse_step_stays_stable(self, grid, basis):
+        # 100x the diffusive bound h^2 gamma / (2 (gamma + max phi / 2)) that
+        # explicit RK4 needed: no step bound applies to the exponential stepper
+        u0 = sw.normalize_sphere(grid, sw.sine_field(grid, 1, 1)
+                                 + sw.sine_field(grid, 3, 2, 0.2))
+        explicit_bound = grid.h ** 2 / (2.0 * (1.0 + 0.5 * basis.phi.max()))
+        T = 0.5
+        p = LimitParams(grid=grid, dt=T / int(T / (100.0 * explicit_bound)), T=T)
+        assert p.dt >= 100.0 * explicit_bound
+        traj = sw.solve_limit(u0, p, basis, keep_fields=False)
+        assert np.isfinite(traj.u_h2).all()
+        assert traj.sphere_residual.max() <= 1e-13
+        h1_sq = traj.u_h1 ** 2
+        assert np.all(np.diff(h1_sq) <= 1e-12 * h1_sq[0])
+
+    def test_final_time_must_be_reached(self, grid):
+        with pytest.raises(sw.ParameterError, match=r"dt=0\.0007.*T=1\.0.*t=1\.0003"):
+            LimitParams(grid=grid, dt=7e-4, T=1.0)
+        assert LimitParams(grid=grid, dt=1e-3, T=1.0).n_steps == 1000
+
+    def test_matches_rk4_oracle(self):
+        # sup-in-time H1 distance to the explicit RK4 solution on both branches
+        g = sw.Grid1D(1.0, 63)
+        b = sw.build_basis(g, 16, 2.0)
+        u0 = sw.normalize_sphere(g, sw.sine_field(g, 1, 1)
+                                 + sw.sine_field(g, 2, 2, 0.1))
+        for parabolic in (False, True):
+            p = LimitParams.auto(g, 0.25, parabolic=parabolic, n_out=64)
+            traj = sw.solve_limit(u0, p, b, stride=p.n_steps // 64)
+            ref = rk4_oracle(u0, p, b, 64)
+            err = max(sw.sobolev_norm(g, a - r, 1.0) for a, r in zip(traj.u_fields, ref))
+            assert err <= 1e-3
 
 
 class TestComparison:
@@ -168,7 +229,7 @@ class TestComparison:
         u10 = sw.normalize_sphere(grid, sw.sine_field(grid, 1, 1)
                                   + sw.sine_field(grid, 2, 2, 0.1))
         w = smooth_perturbation(grid, np.random.default_rng(3))
-        p = LimitParams.auto(grid, 0.25, basis=basis, n_out=64)
+        p = LimitParams.auto(grid, 0.25, n_out=64)
         results = {}
         for eps in (1e-2, 1e-3):
             u20 = sw.normalize_sphere(grid, u10 + eps * w)

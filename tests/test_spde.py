@@ -42,6 +42,12 @@ class TestParams:
         with pytest.raises(sw.ParameterError):
             sw.SpdeParams(grid=grid, mu=0.0, dt=1e-5, T=1.0)
 
+    def test_final_time_must_be_reached(self, grid):
+        # 1429 steps of 7e-4 would end at t=1.0003, not T
+        with pytest.raises(sw.ParameterError, match=r"dt=0\.0007.*T=1\.0.*t=1\.0003"):
+            sw.SpdeParams(grid=grid, mu=0.1, dt=7e-4, T=1.0)
+        assert sw.SpdeParams(grid=grid, mu=0.1, dt=5e-4, T=1.0).n_steps == 2000
+
     def test_auto_alignment(self, grid):
         params = sw.SpdeParams.auto(grid, 0.05, 1.0, n_out=256)
         assert params.n_steps % 256 == 0
