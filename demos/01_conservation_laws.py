@@ -51,9 +51,9 @@ def main():
     print(f"\nwith per-step projection: sup |theta| = {np.abs(traj.theta).max():.2e},"
           f" sup |eta| = {np.abs(traj.eta).max():.2e}")
 
-    state = sw.State.initial(grid, u0, v0)
+    energy0 = sw.SpdeStepper(params, basis, u0, v0).energy()[0]
     print(f"\nenergy at t=0 reproduces |u0|_H1^2 + mu |v0|_H^2:"
-          f" {sw.energy(state, params):.6f} vs"
+          f" {energy0:.6f} vs"
           f" {sw.h1_seminorm_sq(grid, u0) + mu * sw.norm_l2_sq(grid, v0):.6f}")
 
 

@@ -21,6 +21,8 @@ from .fields import (
     eigenvalue,
     eigenvalues,
     field_from_modes,
+    initial_pair,
+    inner_each,
     h1_seminorm_sq,
     h2_norm_sq,
     inner_l2,
@@ -33,6 +35,7 @@ from .fields import (
     sine_field,
     sine_transform,
     sobolev_norm,
+    spectral_norm,
     triple_cross,
     zero_field,
 )
@@ -60,22 +63,17 @@ from .spde import (
     SpdeStepper,
     SpdeTrajectory,
     State,
-    StepDiagnostics,
-    constraint_residuals,
-    diagnostics,
     drift,
-    energy,
     functional_g_norm,
     functional_j,
     simulate,
-    step,
-    weighted_h2_energy,
 )
 from .study import (
     RemainderSeries,
     SampleRow,
     StudyConfig,
     StudyResult,
+    remainder_norms,
     remainder_terms,
     run_study,
     scaling_experiment,

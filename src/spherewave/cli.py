@@ -40,8 +40,8 @@ EXIT_ACCEPTANCE = 3
 
 
 def _manifest(cfg: dict, seeds: dict, wall: float, outputs: list[str],
-              checks: dict | None = None) -> dict:
-    return {
+              checks: dict | None = None, work: dict | None = None) -> dict:
+    doc = {
         "config": cfg,
         "config_hash": config_hash(cfg),
         "code_version": __version__,
@@ -50,6 +50,9 @@ def _manifest(cfg: dict, seeds: dict, wall: float, outputs: list[str],
         "outputs": outputs,
         "checks": checks or {},
     }
+    if work is not None:
+        doc["work"] = work   # deterministic counters only: reruns stay byte-identical
+    return doc
 
 
 def cmd_simulate(args) -> int:
@@ -142,7 +145,7 @@ def cmd_study(args) -> int:
     checks = {"trend": trend_check(result)} if args.check else {}
     write_json(out / "study.manifest.json",
                _manifest(cfg, result.provenance, time.perf_counter() - start,
-                         ["study.json", "study_samples.csv"], checks))
+                         ["study.json", "study_samples.csv"], checks, result.work))
     if result.failed_checks:
         for name in result.failed_checks:
             print(f"numerical failure: {name}", file=sys.stderr)

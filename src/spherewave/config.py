@@ -17,7 +17,7 @@ from pathlib import Path
 import jsonschema
 
 from .errors import ConfigError
-from .fields import Grid1D, field_from_modes, normalize_sphere, project_tangent, zero_field
+from .fields import Grid1D, initial_pair
 from .limit import LimitParams
 from .noise import build_basis
 from .spde import SpdeParams
@@ -235,23 +235,16 @@ def study_config_from(cfg: dict) -> StudyConfig:
 
 def initial_fields_from(cfg: dict, grid: Grid1D):
     """Initial pair (u0, v0): u0 normalised, v0 projected onto the tangent."""
-    u0 = normalize_sphere(grid, field_from_modes(grid, cfg["initial_data"]["u_modes"]))
-    if cfg["initial_data"]["v_modes"]:
-        v0 = project_tangent(grid, u0, field_from_modes(grid, cfg["initial_data"]["v_modes"]))
-    else:
-        v0 = zero_field(grid)
-    return u0, v0
+    return initial_pair(grid, cfg["initial_data"]["u_modes"], cfg["initial_data"]["v_modes"])
 
 
 def spde_params_from(cfg: dict, grid: Grid1D) -> SpdeParams:
+    """Parameters of the single trajectory; time.dt is the exact step, as in study."""
     phys, time = cfg["physics"], cfg["time"]
-    if time["dt"] == "auto":
-        return SpdeParams.auto(grid, phys["mu"], time["T"], gamma=phys["gamma"],
-                               alpha=phys["alpha"], projection=time["projection"],
-                               cfl=cfg["study"]["cfl"], n_out=1)
-    return SpdeParams(grid=grid, mu=phys["mu"], dt=time["dt"], T=time["T"],
-                      gamma=phys["gamma"], alpha=phys["alpha"],
-                      projection=time["projection"])
+    return SpdeParams.auto(grid, phys["mu"], time["T"], gamma=phys["gamma"],
+                           alpha=phys["alpha"], projection=time["projection"],
+                           cfl=cfg["study"]["cfl"], n_out=1,
+                           dt=None if time["dt"] == "auto" else time["dt"])
 
 
 def limit_params_from(cfg: dict, grid: Grid1D, basis) -> LimitParams:

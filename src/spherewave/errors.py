@@ -24,12 +24,15 @@ class AliasingError(ParameterError):
 class BlowUpError(RuntimeError):
     """A trajectory produced a non-finite field.
 
-    Carries the step index at which the blow-up was detected.
+    Carries the step index at which the blow-up was detected and, for a
+    sample of an ensemble block, the sample's index.
     """
 
-    def __init__(self, step: int, message: str = ""):
+    def __init__(self, step: int, message: str = "", *, sample: int | None = None):
         self.step = step
-        super().__init__(message or f"non-finite field at step {step}")
+        self.sample = sample
+        where = "" if sample is None else f" of sample {sample}"
+        super().__init__(message or f"non-finite field at step {step}{where}")
 
 
 class ConfigError(ValueError):

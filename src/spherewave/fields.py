@@ -2,7 +2,9 @@
 
 Fields are plain numpy arrays of shape (n, 3): the values of an R^3-valued
 function at the interior nodes x_j = j*h of (0, L), with homogeneous
-Dirichlet values at x = 0 and x = L understood everywhere.
+Dirichlet values at x = 0 and x = L understood everywhere.  The pointwise
+algebra, the second difference and the sine spectrum also act on blocks of
+fields, arrays of shape (..., n, 3), one field per leading index.
 
 The discrete H^1 seminorm is defined through the second-difference operator,
 |f|_{H^1}^2 = <-A_h f, f>, so that discrete sine eigenfields satisfy
@@ -17,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 from scipy.fft import dst
-from scipy.linalg import cho_solve_banded, cholesky_banded
+from scipy.linalg import cholesky_banded, get_lapack_funcs
 
 from .errors import DegenerateFieldError, ParameterError, ShapeError
 
@@ -29,6 +31,8 @@ __all__ = [
     "sine_field",
     "field_from_modes",
     "inner_l2",
+    "inner_each",
+    "pointwise_dot",
     "norm_l2",
     "norm_l2_sq",
     "laplacian",
@@ -39,11 +43,13 @@ __all__ = [
     "dst_ortho",
     "sine_transform",
     "inverse_sine_transform",
+    "spectral_norm",
     "sobolev_norm",
     "cross",
     "triple_cross",
     "project_tangent",
     "normalize_sphere",
+    "initial_pair",
     "forward_diff",
     "midpoint_average",
     "HelmholtzSolver",
@@ -98,6 +104,13 @@ def _check_field(grid: Grid1D, f: np.ndarray) -> np.ndarray:
     return f
 
 
+def _check_block(grid: Grid1D, f: np.ndarray) -> np.ndarray:
+    f = np.asarray(f, dtype=float)
+    if f.shape[-2:] != (grid.n, 3):
+        raise ShapeError(f"expected fields of shape (..., {grid.n}, 3), got {f.shape}")
+    return f
+
+
 def zero_field(grid: Grid1D) -> np.ndarray:
     return np.zeros((grid.n, 3))
 
@@ -128,6 +141,16 @@ def inner_l2(grid: Grid1D, f: np.ndarray, g: np.ndarray) -> float:
     return grid.h * float(np.einsum("ij,ij->", f, g))
 
 
+def inner_each(grid: Grid1D, f: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """inner_l2 of each pair of fields in two blocks (..., n, 3); shape (...)."""
+    return grid.h * np.einsum("...ij,...ij->...", f, g)
+
+
+def pointwise_dot(f: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """f.g at every node of fields or blocks (..., n, 3), shape (..., n, 1)."""
+    return np.einsum("...j,...j->...", f, g)[..., None]
+
+
 def norm_l2_sq(grid: Grid1D, f: np.ndarray) -> float:
     f = _check_field(grid, f)
     return grid.h * float(np.einsum("ij,ij->", f, f))
@@ -138,11 +161,11 @@ def norm_l2(grid: Grid1D, f: np.ndarray) -> float:
 
 
 def laplacian(grid: Grid1D, f: np.ndarray) -> np.ndarray:
-    """Second central difference with homogeneous Dirichlet neighbours."""
-    f = _check_field(grid, f)
+    """Second central difference with homogeneous Dirichlet neighbours (fields or blocks)."""
+    f = _check_block(grid, f)
     out = -2.0 * f
-    out[1:] += f[:-1]
-    out[:-1] += f[1:]
+    out[..., 1:, :] += f[..., :-1, :]
+    out[..., :-1, :] += f[..., 1:, :]
     out /= grid.h ** 2
     return out
 
@@ -176,8 +199,8 @@ class SineSpectrum:
 
 
 def dst_ortho(f: np.ndarray) -> np.ndarray:
-    """Orthonormal DST-I along the node axis; it is its own inverse."""
-    return dst(f, type=1, axis=0, norm="ortho")
+    """Orthonormal DST-I along the node axis (second to last); it is its own inverse."""
+    return dst(f, type=1, axis=-2, norm="ortho")
 
 
 def sine_transform(grid: Grid1D, f: np.ndarray) -> SineSpectrum:
@@ -192,23 +215,34 @@ def inverse_sine_transform(spectrum: SineSpectrum) -> np.ndarray:
     return dst_ortho(spectrum.coeffs / scale)
 
 
-def sobolev_norm(grid: Grid1D, f: np.ndarray, delta: float) -> float:
-    """Fractional Sobolev norm of order delta in [0, 2] via the sine spectrum.
+def spectral_norm(grid: Grid1D, coeffs: np.ndarray, delta: float) -> np.ndarray:
+    """Fractional Sobolev norms of fields given by their dst_ortho coefficients.
 
     Mode k is weighted by lambda_{h,k}^delta with lambda_{h,k} the discrete
     Dirichlet eigenvalue, so delta = 0 reproduces the L^2 norm and delta = 1
-    the summation-by-parts H^1 seminorm exactly.
+    the summation-by-parts H^1 seminorm exactly.  coeffs has shape
+    (..., n, 3); the result has the leading shape.
     """
     if not 0.0 <= delta <= 2.0:
         raise ParameterError(f"sobolev order must lie in [0, 2], got {delta}")
-    f = _check_field(grid, f)
-    coeffs = dst_ortho(f)
     weights = eigenvalues(grid) ** delta if delta > 0 else np.ones(grid.n)
-    return float(np.sqrt(grid.h * np.einsum("k,kd,kd->", weights, coeffs, coeffs)))
+    return np.sqrt(grid.h * np.einsum("k,...kd,...kd->...", weights, coeffs, coeffs))
+
+
+def sobolev_norm(grid: Grid1D, f: np.ndarray, delta: float) -> float:
+    """Fractional Sobolev norm of order delta in [0, 2] via the sine spectrum."""
+    return float(spectral_norm(grid, dst_ortho(_check_field(grid, f)), delta))
 
 
 def cross(f: np.ndarray, g: np.ndarray) -> np.ndarray:
-    return np.cross(f, g)
+    """Pointwise f x g on (..., 3) arrays, written out (the same roundoff as np.cross)."""
+    f0, f1, f2 = f[..., 0], f[..., 1], f[..., 2]
+    g0, g1, g2 = g[..., 0], g[..., 1], g[..., 2]
+    out = np.empty(np.broadcast_shapes(f.shape, g.shape))
+    np.subtract(f1 * g2, f2 * g1, out=out[..., 0])
+    np.subtract(f2 * g0, f0 * g2, out=out[..., 1])
+    np.subtract(f0 * g1, f1 * g0, out=out[..., 2])
+    return out
 
 
 def triple_cross(h: np.ndarray, k: np.ndarray) -> np.ndarray:
@@ -234,6 +268,16 @@ def normalize_sphere(grid: Grid1D, u: np.ndarray) -> np.ndarray:
     if nrm <= 0.0:
         raise DegenerateFieldError("cannot normalise a zero field")
     return u / nrm
+
+
+def initial_pair(grid: Grid1D, u_modes, v_modes):
+    """Initial pair (u0, v0) from sine modes: u0 on the unit sphere, v0 tangent to it."""
+    u0 = normalize_sphere(grid, field_from_modes(grid, u_modes))
+    if v_modes:
+        v0 = project_tangent(grid, u0, field_from_modes(grid, v_modes))
+    else:
+        v0 = zero_field(grid)
+    return u0, v0
 
 
 def forward_diff(grid: Grid1D, f: np.ndarray) -> np.ndarray:
@@ -266,7 +310,9 @@ class HelmholtzSolver:
 
     c0 > 0 and c2 >= 0 make the tridiagonal matrix symmetric positive
     definite; the banded Cholesky factor is computed once and reused for
-    every right-hand side (columns of shape (n,) or (n, k)).
+    every right-hand side (columns of shape (n,) or (n, k)).  Columns are
+    solved independently, so a non-finite column leaves the others intact;
+    callers detect blow-ups themselves.
     """
 
     def __init__(self, grid: Grid1D, c0: float, c2: float):
@@ -278,6 +324,11 @@ class HelmholtzSolver:
         ab[0, 1:] = -c2 / h2
         ab[1, :] = c0 + 2.0 * c2 / h2
         self._factor = cholesky_banded(ab, lower=False)
+        self._pbtrs, = get_lapack_funcs(("pbtrs",), (self._factor,))
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        return cho_solve_banded((self._factor, False), b)
+        """Solution for the columns of b; a Fortran-ordered b is overwritten, not copied."""
+        x, info = self._pbtrs(self._factor, b, lower=0, overwrite_b=1)
+        if info:
+            raise ParameterError(f"banded solve failed (LAPACK pbtrs info={info})")
+        return x

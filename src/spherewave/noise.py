@@ -24,13 +24,14 @@ import numpy as np
 from scipy.special import zeta
 
 from .errors import AliasingError, HypothesisViolationError, ParameterError, ShapeError
-from .fields import Grid1D, cross
+from .fields import Grid1D, cross, pointwise_dot
 
 __all__ = [
     "NoiseBasis",
     "WienerIncrement",
     "build_basis",
     "strat_correction",
+    "noise_field",
     "apply_noise",
     "sample_increment",
     "derive_stream",
@@ -151,27 +152,38 @@ def sample_increment(basis: NoiseBasis, dt: float, stream: np.random.Generator,
     return WienerIncrement(dt, np.sqrt(dt) * stream.standard_normal(basis.m), stream_key)
 
 
-def strat_correction(u: np.ndarray, v: np.ndarray, basis: NoiseBasis) -> np.ndarray:
+def strat_correction(u: np.ndarray, v: np.ndarray, basis: NoiseBasis, *,
+                     dots: tuple | None = None) -> np.ndarray:
     """Trace field phi * (u x (u x v)) = phi * (-(u.u) v + (u.v) u).
 
-    This is the full trace; the caller applies the Stratonovich 1/2.
+    This is the full trace; the caller applies the Stratonovich 1/2.  u and
+    v are fields (n, 3) or blocks of fields (S, n, 3); dots may pass the
+    pointwise (u.u, u.v) when the caller already holds them.
     """
     grid = basis.grid
-    if u.shape != (grid.n, 3) or v.shape != (grid.n, 3):
-        raise ShapeError(f"fields must have shape ({grid.n}, 3)")
-    uu = np.einsum("ij,ij->i", u, u)
-    uv = np.einsum("ij,ij->i", u, v)
-    return basis.phi[:, None] * (uv[:, None] * u - uu[:, None] * v)
+    if u.shape[-2:] != (grid.n, 3) or v.shape != u.shape:
+        raise ShapeError(f"fields must have matching shapes (..., {grid.n}, 3)")
+    uu, uv = dots if dots is not None else (pointwise_dot(u, u), pointwise_dot(u, v))
+    return basis.phi[:, None] * (uv * u - uu * v)
 
 
 def noise_field(u: np.ndarray, v: np.ndarray, basis: NoiseBasis, values: np.ndarray) -> np.ndarray:
-    """(u x v)(x) * sum_i xi_i(x) dB_i for raw increment values."""
-    if values.shape != (basis.m,):
-        raise ShapeError(f"expected {basis.m} increments, got shape {values.shape}")
+    """(u x v)(x) * sum_i xi_i(x) dB_i for raw increment values.
+
+    values has shape (m,) for a field (n, 3), or (S, m) for a block (S, n, 3).
+    The noise sum takes one matrix-vector product per field, as for a lone
+    field: a matrix product over the block rounds differently, and a
+    sample's noise must depend neither on its block nor on the block size.
+    """
+    if values.shape[-1:] != (basis.m,) or values.shape[:-1] != u.shape[:-2]:
+        raise ShapeError(f"expected {basis.m} increments per field, got shape {values.shape}")
     if basis.m == 0:
         return np.zeros_like(u)
-    scalar = basis.xi.T @ values
-    return cross(u, v) * scalar[:, None]
+    rows = np.atleast_2d(values)
+    scalar = np.empty((len(rows), basis.grid.n))
+    for row, out in zip(rows, scalar):
+        np.matmul(basis.xi.T, row, out=out)
+    return cross(u, v) * scalar.reshape(u.shape[:-1])[..., None]
 
 
 def apply_noise(u: np.ndarray, v: np.ndarray, basis: NoiseBasis, dw: WienerIncrement) -> np.ndarray:

@@ -12,15 +12,22 @@ correction coefficient reduces to 1/2).  The linear stiff part (A_h and the
 damping) is treated implicitly through one tridiagonal solve per component;
 nonlinearities, the trace correction, and the noise are explicit.
 
+SpdeStepper is a batched engine: it advances a block of S independent
+samples held as (S, n, 3) arrays, with one banded solve on all 3S columns
+per step.  A single trajectory (simulate) is the block S = 1.  Every
+operation acts on each sample separately, so a sample's numbers do not
+depend on the block it shares; a sample that goes non-finite leaves its
+block as a BlowUpError and the others step on.
+
 Structure diagnostics: the pathwise energy
 
     E(t) = |u|_{H1}^2 + mu |v|_H^2 + 2 gamma int_0^t |v|_H^2 ds
 
 is conserved by the continuous dynamics; the tangent-bundle residuals
-theta = (|u|_H^2 - 1)/2 and eta = <u, v>_H vanish identically on it.  Both
-are tracked along every trajectory, together with the accumulated integrals
-needed to evaluate the six-term remainder of the integrated identity used
-in the small-mass comparison.
+theta = (|u|_H^2 - 1)/2 and eta = <u, v>_H vanish identically on it.  The
+engine evaluates both per sample (SpdeStepper.energy, .constraints,
+.diagnostics) and accumulates the integrals needed to evaluate the six-term
+remainder of the integrated identity used in the small-mass comparison.
 """
 
 from __future__ import annotations
@@ -36,35 +43,32 @@ from .fields import (
     HelmholtzSolver,
     cross,
     forward_diff,
-    h1_seminorm_sq,
-    inner_l2,
+    inner_each,
     laplacian,
     midpoint_average,
-    normalize_sphere,
-    norm_l2_sq,
-    project_tangent,
+    pointwise_dot,
     step_count,
 )
-from .noise import NoiseBasis, WienerIncrement, noise_field, strat_correction
+from .noise import NoiseBasis, noise_field, strat_correction
 
 __all__ = [
     "SpdeParams",
     "State",
-    "StepDiagnostics",
     "SpdeTrajectory",
     "SpdeStepper",
-    "diagnostics",
+    "REMAINDER_KEYS",
     "drift",
-    "step",
     "simulate",
-    "energy",
-    "constraint_residuals",
-    "weighted_h2_energy",
     "functional_j",
     "functional_g_norm",
 ]
 
 CFL_LIMIT = 0.5  # dt <= CFL_LIMIT * sqrt(mu) * h
+
+# trapezoid-accumulated integrands of the integrated identity; "j6", the Ito
+# sum mu^alpha int (u x v) dw, is accumulated with the noise kick
+REMAINDER_KEYS = ("iA", "iN", "iC", "iD", "j2", "j3", "j4", "j5")
+DIAGNOSTICS = ("energy", "theta", "eta", "u_h1", "u_h2", "v_h", "v_h1", "weighted_h2")
 
 
 @dataclass(frozen=True)
@@ -111,23 +115,31 @@ class SpdeParams:
     @classmethod
     def auto(cls, grid: Grid1D, mu: float, T: float, *, gamma: float = 1.0,
              alpha: float = 0.5, projection: bool = False, cfl: float = 0.25,
-             n_out: int = 256, dt_cap: float | None = None,
+             n_out: int = 256, dt: float | None = None,
              correction_scale: float = 1.0) -> "SpdeParams":
-        """Pick dt from the CFL bound, aligned with an n_out output grid."""
+        """Resolve the step on an n_out output grid; every configured dt is read here.
+
+        dt=None takes the largest step under cfl * sqrt(mu) h whose step count
+        is a multiple of n_out.  A given dt is the exact step: it must divide
+        T into a multiple of n_out steps.
+        """
         if not 0.0 < cfl <= CFL_LIMIT:
             raise ParameterError(f"cfl fraction must lie in (0, {CFL_LIMIT}], got {cfl}")
-        dt_max = cfl * np.sqrt(mu) * grid.h
-        if dt_cap is not None:
-            dt_max = min(dt_max, dt_cap)
-        n_steps = ceil(T / dt_max)
-        n_steps = ((n_steps + n_out - 1) // n_out) * n_out
-        return cls(grid=grid, mu=mu, dt=T / n_steps, T=T, gamma=gamma, alpha=alpha,
+        if dt is None:
+            n_steps = ceil(T / (cfl * np.sqrt(mu) * grid.h))
+            n_steps = ((n_steps + n_out - 1) // n_out) * n_out
+            dt = T / n_steps
+        elif step_count(dt, T) % n_out:
+            raise ParameterError(
+                f"dt={dt!r} takes {step_count(dt, T)} steps to T={T!r},"
+                f" not a multiple of the {n_out} output rows")
+        return cls(grid=grid, mu=mu, dt=dt, T=T, gamma=gamma, alpha=alpha,
                    projection=projection, correction_scale=correction_scale)
 
 
 @dataclass
 class State:
-    """Trajectory state: the field pair plus clock and running integrals.
+    """End state of one trajectory: the field pair plus clock and running integrals.
 
     acc_v2 is the trapezoidal accumulation of int |v|_H^2 ds; acc_noise is
     the Ito-sum accumulation of mu^alpha int (u x v) dw as a field.
@@ -136,224 +148,232 @@ class State:
     grid: Grid1D
     u: np.ndarray
     v: np.ndarray
-    t: float = 0.0
-    acc_v2: float = 0.0
-    acc_noise: np.ndarray = None
-    step_index: int = 0
-
-    @classmethod
-    def initial(cls, grid: Grid1D, u0: np.ndarray, v0: np.ndarray) -> "State":
-        if u0.shape != (grid.n, 3) or v0.shape != (grid.n, 3):
-            raise ShapeError(f"initial fields must have shape ({grid.n}, 3)")
-        return cls(grid=grid, u=u0.copy(), v=v0.copy(),
-                   acc_noise=np.zeros((grid.n, 3)))
-
-
-@dataclass(frozen=True)
-class StepDiagnostics:
-    """Scalar diagnostics of one state (all must be finite)."""
-
     t: float
-    energy: float
-    theta: float
-    eta: float
-    u_h1: float
-    u_h2: float
-    v_h: float
-    v_h1: float
-    weighted_h2: float
+    acc_v2: float
+    acc_noise: np.ndarray
+    step_index: int
 
 
-def diagnostics(state: State, params: SpdeParams, weight_a: float = 1.0) -> StepDiagnostics:
-    """Scalar diagnostics of the current state (raises on non-finite values)."""
-    grid = state.grid
-    lap = laplacian(grid, state.u)
-    h1 = -inner_l2(grid, lap, state.u)
-    vh2 = norm_l2_sq(grid, state.v)
-    row = StepDiagnostics(
-        t=state.t,
-        energy=h1 + params.mu * vh2 + 2.0 * params.gamma * state.acc_v2,
-        theta=0.5 * (norm_l2_sq(grid, state.u) - 1.0),
-        eta=inner_l2(grid, state.u, state.v),
-        u_h1=np.sqrt(max(h1, 0.0)),
-        u_h2=np.sqrt(norm_l2_sq(grid, lap)),
-        v_h=np.sqrt(vh2),
-        v_h1=np.sqrt(max(h1_seminorm_sq(grid, state.v), 0.0)),
-        weighted_h2=weighted_h2_energy(state, params, weight_a),
-    )
-    values = [row.energy, row.theta, row.eta, row.u_h1, row.u_h2,
-              row.v_h, row.v_h1, row.weighted_h2]
-    if not np.isfinite(values).all():
-        raise BlowUpError(state.step_index)
-    return row
+def _explicit_force(params: SpdeParams, basis: NoiseBasis, u, v, h1, vh2, *,
+                    dots: tuple | None = None) -> np.ndarray:
+    """|u|_{H1}^2 u - mu |v|_H^2 u + (1/2) mu^(2a-1) phi u x (u x v), explicit in every scheme."""
+    coeff = 0.5 * params.mu ** (2.0 * params.alpha - 1.0) * params.correction_scale
+    return h1 * u - params.mu * vh2 * u + coeff * strat_correction(u, v, basis, dots=dots)
 
 
 def drift(u: np.ndarray, v: np.ndarray, params: SpdeParams, basis: NoiseBasis):
     """Deterministic Ito drift (du, dv) of the pair system."""
     grid = params.grid
     lap = laplacian(grid, u)
-    h1 = -inner_l2(grid, lap, u)
-    vh2 = norm_l2_sq(grid, v)
-    corr = strat_correction(u, v, basis)
-    coeff = 0.5 * params.mu ** (2.0 * params.alpha - 1.0) * params.correction_scale
-    dv = (lap + h1 * u - params.mu * vh2 * u - params.gamma * v + coeff * corr) / params.mu
+    h1 = -inner_each(grid, lap, u)
+    vh2 = inner_each(grid, v, v)
+    force = _explicit_force(params, basis, u, v, h1, vh2)
+    dv = (lap + force - params.gamma * v) / params.mu
     return v.copy(), dv
 
 
-def _integrands(u, v, lap, h1, vh2):
-    """Pointwise integrand fields entering the integrated-identity remainder."""
-    uu = np.einsum("ij,ij->i", u, u)[:, None]
-    uv = np.einsum("ij,ij->i", u, v)[:, None]
-    vv = np.einsum("ij,ij->i", v, v)[:, None]
-    lap_u = np.einsum("ij,ij->i", lap, u)[:, None]
-    return {
-        "iA": lap,
-        "iN": h1 * u,
-        "iC": lap_u * u,
-        "iD": h1 * uu * u,
-        "j2": vh2 * u,
-        "j3": uv * v,
-        "j4": vv * u,
-        "j5": vh2 * uu * u,
-    }
-
-
 class SpdeStepper:
-    """Prefactored semi-implicit Euler-Maruyama stepper.
+    """Prefactored semi-implicit Euler-Maruyama engine for a block of samples.
 
     One step: (1) solve (I + (gamma dt/mu) I - (dt^2/mu) A_h) v* = v +
     (dt/mu)(A_h u + N(u, v)) with N the explicit nonlinear drift plus the
     halved trace correction; (2) add the noise kick mu^(alpha-1) (u x v) dW;
     (3) u <- u + dt v*; (4) optionally re-project onto the constraint
-    manifold; (5) update the running integrals (trapezoid for int |v|^2,
-    left-point Ito sum for the noise accumulator, matching the kick).
+    manifold; (5) update the running integrals (trapezoid for int |v|^2 and
+    the remainder integrands, left-point Ito sum for the noise accumulator,
+    matching the kick).
+
+    u0 and v0 are one field (n, 3) or a block (S, n, 3).  Block arrays have
+    shape (S, n, 3), per-sample scalars shape (S,); `samples` labels the
+    block's samples (0..S-1 by default) and shrinks as samples blow up.
+    Each step does one banded solve on all 3S columns, with the factor
+    computed here.
     """
 
-    def __init__(self, params: SpdeParams, basis: NoiseBasis,
-                 track_remainder: bool = False):
+    def __init__(self, params: SpdeParams, basis: NoiseBasis, u0: np.ndarray,
+                 v0: np.ndarray, *, track_remainder: bool = False, samples=None):
         grid = params.grid
         if basis.grid is not grid and basis.grid != grid:
             raise ShapeError("noise basis and parameters use different grids")
+        # C order throughout: a reduction's summation order follows the layout
+        u0 = np.array(u0, dtype=float, order="C", ndmin=3)
+        v0 = np.array(v0, dtype=float, order="C", ndmin=3)
+        if u0.ndim != 3 or u0.shape[1:] != (grid.n, 3) or v0.shape != u0.shape:
+            raise ShapeError(f"initial fields must have shape ({grid.n}, 3) or (S, {grid.n}, 3)")
+        self.samples = np.arange(len(u0)) if samples is None else np.array(samples)
+        if self.samples.shape != (len(u0),):
+            raise ShapeError(f"need one label per sample, got {self.samples.shape}")
+        finite = np.isfinite(u0).all(axis=(1, 2)) & np.isfinite(v0).all(axis=(1, 2))
+        if not finite.all():
+            raise BlowUpError(0, sample=int(self.samples[~finite][0]))
         self.params = params
         self.basis = basis
         dt, mu = params.dt, params.mu
         self.solver = HelmholtzSolver(grid, 1.0 + params.gamma * dt / mu, dt ** 2 / mu)
         self.kick_scale = mu ** (params.alpha - 1.0)
         self.acc_scale = mu ** params.alpha
-        self.corr_scale = 0.5 * mu ** (2.0 * params.alpha - 1.0) * params.correction_scale
         self.track_remainder = track_remainder
-        self.lap = None
-        self.h1 = None
-        self.vh2 = None
-        self.remainder_acc = None
-        self._prev = None
+        self.step_index = 0
+        self.sample_steps = 0
+        self.lost: list[BlowUpError] = []
+        self.u0, self.v0 = u0, v0
+        self.acc_v2 = np.zeros(len(u0))
+        self.acc_noise = np.zeros_like(u0)
+        if track_remainder:
+            self._acc = np.zeros((len(REMAINDER_KEYS),) + u0.shape)
+            self._prev, self._spare = np.empty_like(self._acc), np.empty_like(self._acc)
+        self._bind(u0.copy(), v0.copy())
 
-    def bind(self, state: State) -> None:
-        """Cache the derived quantities of the current state."""
+    def _bind(self, u: np.ndarray, v: np.ndarray) -> None:
+        """Make (u, v) the block's state and cache what the next step and the rows need."""
         grid = self.params.grid
-        self.lap = laplacian(grid, state.u)
-        self.h1 = -inner_l2(grid, self.lap, state.u)
-        self.vh2 = norm_l2_sq(grid, state.v)
+        self.u, self.v = u, v
+        self.lap = laplacian(grid, u)
+        self.h1 = -inner_each(grid, self.lap, u)
+        self.vh2 = inner_each(grid, v, v)
+        self._dots = (pointwise_dot(u, u), pointwise_dot(u, v))
         if self.track_remainder:
-            self.remainder_acc = {k: np.zeros((grid.n, 3)) for k in
-                                  ("iA", "iN", "iC", "iD", "j2", "j3", "j4", "j5")}
-            self._prev = _integrands(state.u, state.v, self.lap, self.h1, self.vh2)
+            self._integrands(self._spare)
+            self._prev, self._spare = self._spare, self._prev
 
-    def step(self, state: State, dw_values: np.ndarray | None) -> State:
-        params, basis, grid = self.params, self.basis, self.params.grid
+    @property
+    def t(self) -> float:
+        return self.step_index * self.params.dt
+
+    def _integrands(self, out: np.ndarray) -> None:
+        """Pointwise integrands of the integrated-identity remainder, stacked as REMAINDER_KEYS."""
+        u, v = self.u, self.v
+        h1, vh2 = self.h1[:, None, None], self.vh2[:, None, None]
+        uu, uv = self._dots
+        out[0] = self.lap
+        np.multiply(h1, u, out=out[1])
+        np.multiply(pointwise_dot(self.lap, u), u, out=out[2])
+        np.multiply(h1 * uu, u, out=out[3])
+        np.multiply(vh2, u, out=out[4])
+        np.multiply(uv, v, out=out[5])
+        np.multiply(pointwise_dot(v, v), u, out=out[6])
+        np.multiply(vh2 * uu, u, out=out[7])
+
+    def step(self, dw: np.ndarray | None = None) -> list[BlowUpError]:
+        """Advance the block one step with raw increments dw (S, m); None means no noise.
+
+        Returns the blow-ups of this step: those samples went non-finite and
+        have left the block (they are also collected in `lost`).
+        """
+        params, grid = self.params, self.params.grid
         dt, mu = params.dt, params.mu
-        u, v = state.u, state.v
-        if self.lap is None:
-            self.bind(state)
-        lap, h1, vh2 = self.lap, self.h1, self.vh2
+        u, v, S = self.u, self.v, len(self.u)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            force = _explicit_force(params, self.basis, u, v, self.h1[:, None, None],
+                                    self.vh2[:, None, None], dots=self._dots)
+            rhs = v + (dt / mu) * (self.lap + force)
+            # the 3S columns in Fortran order, so the solve works in place
+            cols = np.empty((S, 3, grid.n))
+            cols[...] = rhs.transpose(0, 2, 1)
+            cols = self.solver.solve(cols.reshape(3 * S, grid.n).T)
+            # a view: each sample keeps the Fortran layout of a lone (n, 3)
+            # solve, and with it the summation order of every later reduction
+            v_star = cols.T.reshape(S, 3, grid.n).transpose(0, 2, 1)
+            if dw is not None and self.basis.m > 0:
+                kick = noise_field(u, v, self.basis, dw)
+                v_star += self.kick_scale * kick
+                self.acc_noise += self.acc_scale * kick
+            u_new = u + dt * v_star
+            if params.projection:
+                u_new /= np.sqrt(inner_each(grid, u_new, u_new))[:, None, None]
+                tangent = inner_each(grid, u_new, v_star) / inner_each(grid, u_new, u_new)
+                v_new = v_star - tangent[:, None, None] * u_new
+            else:
+                v_new = v_star
+        self.step_index += 1
+        self.sample_steps += S
 
-        with np.errstate(over="ignore", invalid="ignore"):
-            nonlinear = (h1 * u - mu * vh2 * u
-                         + self.corr_scale * strat_correction(u, v, basis))
-            rhs = v + (dt / mu) * (lap + nonlinear)
-        if not np.isfinite(rhs).all():
-            raise BlowUpError(state.step_index + 1)
-        v_star = self.solver.solve(rhs)
-
-        if dw_values is not None and basis.m > 0:
-            kick = noise_field(u, v, basis, dw_values)
-            v_star += self.kick_scale * kick
-            state.acc_noise += self.acc_scale * kick
-
-        u_new = u + dt * v_star
-        if params.projection:
-            u_new = normalize_sphere(grid, u_new)
-            v_new = project_tangent(grid, u_new, v_star)
-        else:
-            v_new = v_star
-
+        lost = []
         if not (np.isfinite(u_new).all() and np.isfinite(v_new).all()):
-            raise BlowUpError(state.step_index + 1)
+            keep = np.isfinite(u_new).all(axis=(1, 2)) & np.isfinite(v_new).all(axis=(1, 2))
+            lost = [BlowUpError(self.step_index, sample=int(s)) for s in self.samples[~keep]]
+            self.lost += lost
+            for name in ("samples", "u0", "v0", "vh2", "acc_v2", "acc_noise"):
+                setattr(self, name, getattr(self, name)[keep])
+            u_new, v_new = u_new[keep], v_new[keep]
+            if self.track_remainder:
+                self._acc, self._prev, self._spare = (
+                    a[:, keep] for a in (self._acc, self._prev, self._spare))
 
-        lap_new = laplacian(grid, u_new)
-        h1_new = -inner_l2(grid, lap_new, u_new)
-        vh2_new = norm_l2_sq(grid, v_new)
-
-        state.acc_v2 += 0.5 * dt * (vh2 + vh2_new)
+        vh2_old = self.vh2
+        self._bind(u_new, v_new)
+        self.acc_v2 += 0.5 * dt * (vh2_old + self.vh2)
         if self.track_remainder:
-            new = _integrands(u_new, v_new, lap_new, h1_new, vh2_new)
-            acc = self.remainder_acc
-            for key, val in new.items():
-                acc[key] += 0.5 * dt * (self._prev[key] + val)
-            self._prev = new
+            # trapezoid: acc += dt/2 (previous + current), with no temporaries
+            prev, current = self._spare, self._prev
+            np.add(prev, current, out=prev)
+            prev *= 0.5 * dt
+            self._acc += prev
+        return lost
 
-        state.u, state.v = u_new, v_new
-        state.step_index += 1
-        state.t = state.step_index * dt
-        self.lap, self.h1, self.vh2 = lap_new, h1_new, vh2_new
-        return state
+    def run(self, increments: np.ndarray | None, rows: list, on_row) -> None:
+        """Step to rows[-1], calling on_row(r) once step rows[r] is reached.
 
+        rows starts at 0 (on_row(0) sees the initial block); increments has
+        shape (n_steps, S, m), or is None for a noise-free run.  Stops early
+        once every sample has blown up.
+        """
+        on_row(0)
+        r = 1
+        for k in range(1, rows[-1] + 1):
+            before = self.samples
+            if self.step(None if increments is None else increments[k - 1]):
+                if not len(self.samples):
+                    return
+                if increments is not None:
+                    increments = increments[:, np.isin(before, self.samples)]
+            if rows[r] == k:
+                on_row(r)
+                r += 1
 
-def step(state: State, params: SpdeParams, basis: NoiseBasis,
-         rng: np.random.Generator | None = None,
-         dw: WienerIncrement | np.ndarray | None = None) -> State:
-    """Advance one step (convenience wrapper; simulate() drives loops)."""
-    stepper = SpdeStepper(params, basis)
-    if dw is None and rng is not None:
-        values = np.sqrt(params.dt) * rng.standard_normal(basis.m)
-    elif dw is None:
-        values = None
-    else:
-        values = dw.values if isinstance(dw, WienerIncrement) else np.asarray(dw, float)
-    return stepper.step(state, values)
+    def energy(self) -> np.ndarray:
+        """Pathwise energy |u|_{H1}^2 + mu |v|_H^2 + 2 gamma int |v|_H^2 ds, per sample."""
+        p = self.params
+        return self.h1 + p.mu * self.vh2 + 2.0 * p.gamma * self.acc_v2
 
+    def constraints(self) -> tuple[np.ndarray, np.ndarray]:
+        """(theta, eta) = ((|u|_H^2 - 1)/2, <u, v>_H), per sample."""
+        grid = self.params.grid
+        return 0.5 * (inner_each(grid, self.u, self.u) - 1.0), inner_each(grid, self.u, self.v)
 
-def energy(state: State, params: SpdeParams) -> float:
-    """Pathwise energy |u|_{H1}^2 + mu |v|_H^2 + 2 gamma int |v|_H^2 ds."""
-    grid = state.grid
-    return (h1_seminorm_sq(grid, state.u)
-            + params.mu * norm_l2_sq(grid, state.v)
-            + 2.0 * params.gamma * state.acc_v2)
+    def diagnostics(self, weight_a: float = 1.0) -> dict:
+        """Every scalar diagnostic of DIAGNOSTICS, per sample.
 
+        weighted_h2 = exp(-a int |v|^2 ds) (|u|_{H2}^2 + mu |v|_{H1}^2
+        + mu |u|_{H1}^2 |v|_H^2) with a = weight_a is a boundedness monitor
+        only; never fed back into the dynamics.
+        """
+        if weight_a < 0:
+            raise ParameterError(f"weight exponent must be nonnegative, got {weight_a}")
+        grid, mu = self.params.grid, self.params.mu
+        theta, eta = self.constraints()
+        u_h2_sq = inner_each(grid, self.lap, self.lap)
+        v_h1_sq = -inner_each(grid, laplacian(grid, self.v), self.v)
+        return {
+            "energy": self.energy(),
+            "theta": theta,
+            "eta": eta,
+            "u_h1": np.sqrt(np.maximum(self.h1, 0.0)),
+            "u_h2": np.sqrt(u_h2_sq),
+            "v_h": np.sqrt(self.vh2),
+            "v_h1": np.sqrt(np.maximum(v_h1_sq, 0.0)),
+            "weighted_h2": np.exp(-weight_a * self.acc_v2) * (
+                u_h2_sq + mu * v_h1_sq + mu * self.h1 * self.vh2),
+        }
 
-def constraint_residuals(state: State) -> tuple[float, float]:
-    """(theta, eta) = ((|u|_H^2 - 1)/2, <u, v>_H)."""
-    grid = state.grid
-    theta = 0.5 * (norm_l2_sq(grid, state.u) - 1.0)
-    eta = inner_l2(grid, state.u, state.v)
-    return theta, eta
-
-
-def weighted_h2_energy(state: State, params: SpdeParams, a: float) -> float:
-    """exp(-a int |v|^2 ds) (|u|_{H2}^2 + mu |v|_{H1}^2 + mu |u|_{H1}^2 |v|_H^2).
-
-    A boundedness monitor only; never fed back into the dynamics.
-    """
-    if a < 0:
-        raise ParameterError(f"weight exponent must be nonnegative, got {a}")
-    grid = state.grid
-    lap_u = laplacian(grid, state.u)
-    u_h2_sq = norm_l2_sq(grid, lap_u)
-    u_h1_sq = -inner_l2(grid, lap_u, state.u)
-    v_h1_sq = h1_seminorm_sq(grid, state.v)
-    v_sq = norm_l2_sq(grid, state.v)
-    return np.exp(-a * state.acc_v2) * (
-        u_h2_sq + params.mu * v_h1_sq + params.mu * u_h1_sq * v_sq)
+    @property
+    def remainder(self) -> dict:
+        """The remainder accumulators by name (REMAINDER_KEYS and "j6"), each (S, n, 3)."""
+        if not self.track_remainder:
+            raise ParameterError("the engine was built without remainder tracking")
+        acc = dict(zip(REMAINDER_KEYS, self._acc))
+        acc["j6"] = self.acc_noise
+        return acc
 
 
 # -- H^1-level functionals (noise-interaction diagnostics) -------------------
@@ -453,13 +473,15 @@ def simulate(u0: np.ndarray, v0: np.ndarray, params: SpdeParams, basis: NoiseBas
              track_remainder: bool = False,
              keep_fields: bool = False,
              weight_a: float = 1.0) -> SpdeTrajectory:
-    """Integrate one trajectory and record diagnostics every `stride` steps.
+    """Integrate one trajectory (the engine's block S = 1) and record diagnostics.
 
     The Brownian path comes from `increments` (shape (n_steps, m)) when
-    given, else from `rng`; with neither, the run is noise-free.  Rows are
+    given, else from `rng`, drawn as one (n_steps, m) block (the same numbers
+    as n_steps draws of m); with neither, the run is noise-free.  Rows are
     recorded at steps 0, stride, 2*stride, ... and always at the final step.
     track_remainder additionally snapshots the accumulated integrals needed
     by the integrated-identity remainder (this implies field snapshots).
+    A blow-up raises BlowUpError.
     """
     grid = params.grid
     n_steps = params.n_steps
@@ -470,6 +492,8 @@ def simulate(u0: np.ndarray, v0: np.ndarray, params: SpdeParams, basis: NoiseBas
         if increments.shape != (n_steps, basis.m):
             raise ShapeError(
                 f"increments must have shape ({n_steps}, {basis.m}), got {increments.shape}")
+    elif rng is not None and basis.m > 0:
+        increments = np.sqrt(params.dt) * rng.standard_normal((n_steps, basis.m))
 
     rows = list(range(0, n_steps + 1, stride))
     if rows[-1] != n_steps:
@@ -477,62 +501,36 @@ def simulate(u0: np.ndarray, v0: np.ndarray, params: SpdeParams, basis: NoiseBas
     n_rows = len(rows)
     keep_fields = keep_fields or track_remainder
 
-    state = State.initial(grid, u0, v0)
-    stepper = SpdeStepper(params, basis, track_remainder=track_remainder)
-    stepper.bind(state)
-
-    scalars = {name: np.empty(n_rows) for name in
-               ("t", "energy", "theta", "eta", "u_h1", "u_h2", "v_h", "v_h1", "weighted_h2")}
+    engine = SpdeStepper(params, basis, u0, v0, track_remainder=track_remainder)
+    scalars = {name: np.empty(n_rows) for name in ("t",) + DIAGNOSTICS}
     u_rows = np.empty((n_rows, grid.n, 3)) if keep_fields else None
     v_rows = np.empty((n_rows, grid.n, 3)) if keep_fields else None
-    snaps = ({key: np.empty((n_rows, grid.n, 3)) for key in
-              ("iA", "iN", "iC", "iD", "j2", "j3", "j4", "j5", "j6")}
+    snaps = ({key: np.empty((n_rows, grid.n, 3)) for key in REMAINDER_KEYS + ("j6",)}
              if track_remainder else None)
 
     def record(r: int):
-        u, v = state.u, state.v
-        h1, vh2 = stepper.h1, stepper.vh2
-        scalars["t"][r] = state.t
-        scalars["energy"][r] = h1 + params.mu * vh2 + 2.0 * params.gamma * state.acc_v2
-        scalars["theta"][r] = 0.5 * (norm_l2_sq(grid, u) - 1.0)
-        scalars["eta"][r] = inner_l2(grid, u, v)
-        scalars["u_h1"][r] = np.sqrt(max(h1, 0.0))
-        scalars["u_h2"][r] = np.sqrt(norm_l2_sq(grid, stepper.lap))
-        scalars["v_h"][r] = np.sqrt(vh2)
-        scalars["v_h1"][r] = np.sqrt(max(h1_seminorm_sq(grid, v), 0.0))
-        scalars["weighted_h2"][r] = weighted_h2_energy(state, params, weight_a)
+        scalars["t"][r] = engine.t
+        for name, values in engine.diagnostics(weight_a).items():
+            scalars[name][r] = values[0]
         if keep_fields:
-            u_rows[r] = u
-            v_rows[r] = v
+            u_rows[r] = engine.u[0]
+            v_rows[r] = engine.v[0]
         if track_remainder:
-            for key in ("iA", "iN", "iC", "iD"):
-                snaps[key][r] = stepper.remainder_acc[key]
-            for key in ("j2", "j3", "j4", "j5"):
-                snaps[key][r] = stepper.remainder_acc[key]
-            snaps["j6"][r] = state.acc_noise
+            for key, acc in engine.remainder.items():
+                snaps[key][r] = acc[0]
 
-    record(0)
-    next_row = 1
-    draw = increments is None and rng is not None and basis.m > 0
-    sqrt_dt = np.sqrt(params.dt)
-    for k in range(1, n_steps + 1):
-        if increments is not None:
-            w = increments[k - 1]
-        elif draw:
-            w = sqrt_dt * rng.standard_normal(basis.m)
-        else:
-            w = None
-        stepper.step(state, w)
-        if next_row < n_rows and rows[next_row] == k:
-            record(next_row)
-            next_row += 1
-
+    engine.run(None if increments is None else increments[:, None, :], rows, record)
+    if engine.lost:
+        raise engine.lost[0]
+    final_state = State(grid=grid, u=engine.u[0], v=engine.v[0], t=engine.t,
+                        acc_v2=float(engine.acc_v2[0]), acc_noise=engine.acc_noise[0],
+                        step_index=engine.step_index)
     return SpdeTrajectory(
         params=params,
         weight_a=weight_a,
         u_fields=u_rows,
         v_fields=v_rows,
         remainder=snaps,
-        final_state=state,
+        final_state=final_state,
         **scalars,
     )

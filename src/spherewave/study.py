@@ -16,28 +16,28 @@ The six-term remainder of the integrated identity,
 
 is evaluated along every trajectory together with the residual of the full
 identity, which is a pure time-discretisation quantity.
+
+The ensemble runs on the batched engine of spde: each mass level is split
+into near-equal contiguous blocks of at most BLOCK_SIZE samples, and a block
+is stepped as one (S, n, 3) array.  At each output row the block is reduced
+in place to running per-sample maxima (Sobolev errors against every target,
+the six J norms, the identity residual, energy and constraint residuals), so
+no field snapshots are kept.  The split depends only on the configuration,
+so every worker count gives the same bytes.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import BlowUpError, ConfigError, ParameterError
-from .fields import (
-    Grid1D,
-    field_from_modes,
-    normalize_sphere,
-    norm_l2,
-    project_tangent,
-    sobolev_norm,
-    zero_field,
-)
+from .errors import ConfigError, ParameterError
+from .fields import Grid1D, dst_ortho, initial_pair, inner_each, pointwise_dot, spectral_norm
 from .limit import LimitParams, solve_limit
 from .noise import NoiseBasis, build_basis, derive_stream
-from .spde import SpdeParams, SpdeTrajectory, simulate
+from .spde import SpdeParams, SpdeStepper, SpdeTrajectory
 
 __all__ = [
     "StudyConfig",
@@ -45,6 +45,7 @@ __all__ = [
     "LevelSummary",
     "StudyResult",
     "RemainderSeries",
+    "remainder_norms",
     "remainder_terms",
     "run_study",
     "scaling_experiment",
@@ -52,6 +53,8 @@ __all__ = [
 ]
 
 TARGET_NAMES = ("corrected", "parabolic")
+BLOCK_SIZE = 8           # most samples of one level stepped together
+REMAINDER_CHUNK = 64     # rows per evaluation of a stored trajectory's remainder
 
 
 @dataclass(frozen=True)
@@ -100,6 +103,12 @@ class StudyConfig:
             raise ConfigError("initial data needs at least one mode")
         if not 0.0 < self.failure_budget <= 1.0:
             raise ConfigError(f"failure budget must lie in (0, 1], got {self.failure_budget}")
+        grid = self.grid()
+        for mu in mus:
+            try:
+                self.spde_params(mu, grid)
+            except ParameterError as exc:
+                raise ConfigError(f"mass {mu}: {exc}") from exc
 
     def grid(self) -> Grid1D:
         return Grid1D(self.L, self.n)
@@ -108,13 +117,13 @@ class StudyConfig:
         return build_basis(grid or self.grid(), self.m, self.p)
 
     def initial_data(self, grid: Grid1D | None = None):
-        grid = grid or self.grid()
-        u0 = normalize_sphere(grid, field_from_modes(grid, self.u_modes))
-        if self.v_modes:
-            v0 = project_tangent(grid, u0, field_from_modes(grid, self.v_modes))
-        else:
-            v0 = zero_field(grid)
-        return u0, v0
+        return initial_pair(grid or self.grid(), self.u_modes, self.v_modes)
+
+    def spde_params(self, mu: float, grid: Grid1D | None = None) -> SpdeParams:
+        """Step parameters of one mass level; dt, when set, is the exact step."""
+        return SpdeParams.auto(grid or self.grid(), mu, self.T, gamma=self.gamma,
+                               alpha=self.alpha, projection=self.projection, cfl=self.cfl,
+                               n_out=self.n_out, dt=self.dt)
 
     def child_key(self, mu_index: int, sample: int) -> tuple:
         level_key = 0 if self.crn else mu_index
@@ -130,52 +139,56 @@ class RemainderSeries:
     residual: np.ndarray   # (rows,)
 
 
-def remainder_terms(traj: SpdeTrajectory, basis: NoiseBasis) -> RemainderSeries:
-    """Evaluate J_1..J_6 and the integrated-identity residual along a run.
+def remainder_norms(params: SpdeParams, basis: NoiseBasis, u0, v0, u, v,
+                    acc: dict) -> tuple[np.ndarray, np.ndarray]:
+    """H-norms of J_1..J_6, shape (..., 6), and the identity residual, shape (...).
 
-    Every kernel term carries the correction weight mu^(2 alpha - 1) of the
-    simulated dynamics (1 at the reference exponent alpha = 1/2, where the
-    identity takes its standard form), so the residual measures pure time
-    discretisation error at any exponent.
+    u, v and the accumulators of spde.REMAINDER_KEYS + ("j6",) hold fields
+    (..., n, 3): rows of one trajectory or the samples of a block.  u0, v0
+    broadcast against them.  Every kernel term carries the correction weight
+    mu^(2 alpha - 1) of the simulated dynamics (1 at the reference exponent
+    alpha = 1/2, where the identity takes its standard form), so the
+    residual measures pure time discretisation error at any exponent.
     """
-    if traj.remainder is None or traj.u_fields is None:
-        raise ConfigError("trajectory was recorded without remainder accumulators")
-    params = traj.params
     grid, mu, gamma = params.grid, params.mu, params.gamma
     weight = params.correction_scale * mu ** (2.0 * params.alpha - 1.0)
     phi = weight * basis.phi[:, None]
     c = 1.5 * mu / gamma
-    snaps = traj.remainder
-    u, v = traj.u_fields, traj.v_fields
 
-    u0, v0 = u[0], v[0]
-    uu0 = np.einsum("ij,ij->i", u0, u0)[:, None]
-    uv0 = np.einsum("ij,ij->i", u0, v0)[:, None]
-    base = gamma * u0 + 0.5 * phi * uu0 * u0 + mu * v0
-    const = c * phi * uv0 * u0
+    base = gamma * u0 + 0.5 * phi * pointwise_dot(u0, u0) * u0 + mu * v0
+    const = c * phi * pointwise_dot(u0, v0) * u0
 
+    uu, uv = pointwise_dot(u, u), pointwise_dot(u, v)
+    j_fields = (
+        -c * phi * uv * u,
+        -mu * acc["j2"],
+        c * phi * acc["j3"],
+        c * phi * acc["j4"],
+        -c * phi * acc["j5"],
+        acc["j6"],
+    )
+    norms = np.stack([np.sqrt(inner_each(grid, jf, jf)) for jf in j_fields], axis=-1)
+    lhs = gamma * u + 0.5 * phi * uu * u + mu * v
+    rhs = (base + acc["iA"] + acc["iN"]
+           + (1.5 / gamma) * phi * (acc["iC"] + acc["iD"])
+           + const + sum(j_fields))
+    gap = lhs - rhs
+    return norms, np.sqrt(inner_each(grid, gap, gap))
+
+
+def remainder_terms(traj: SpdeTrajectory, basis: NoiseBasis) -> RemainderSeries:
+    """Evaluate J_1..J_6 and the integrated-identity residual along a stored run."""
+    if traj.remainder is None or traj.u_fields is None:
+        raise ConfigError("trajectory was recorded without remainder accumulators")
+    u, v, snaps = traj.u_fields, traj.v_fields, traj.remainder
     rows = len(traj.t)
     norms = np.empty((rows, 6))
     residual = np.empty(rows)
-    for r in range(rows):
-        ur, vr = u[r], v[r]
-        uur = np.einsum("ij,ij->i", ur, ur)[:, None]
-        uvr = np.einsum("ij,ij->i", ur, vr)[:, None]
-        j_fields = (
-            -c * phi * uvr * ur,
-            -mu * snaps["j2"][r],
-            c * phi * snaps["j3"][r],
-            c * phi * snaps["j4"][r],
-            -c * phi * snaps["j5"][r],
-            snaps["j6"][r],
-        )
-        for i, jf in enumerate(j_fields):
-            norms[r, i] = norm_l2(grid, jf)
-        lhs = gamma * ur + 0.5 * phi * uur * ur + mu * vr
-        rhs = (base + snaps["iA"][r] + snaps["iN"][r]
-               + (1.5 / gamma) * phi * (snaps["iC"][r] + snaps["iD"][r])
-               + const + sum(j_fields))
-        residual[r] = norm_l2(grid, lhs - rhs)
+    for lo in range(0, rows, REMAINDER_CHUNK):
+        part = slice(lo, lo + REMAINDER_CHUNK)
+        norms[part], residual[part] = remainder_norms(
+            traj.params, basis, u[0], v[0], u[part], v[part],
+            {key: acc[part] for key, acc in snaps.items()})
     return RemainderSeries(t=traj.t.copy(), norms=norms, residual=residual)
 
 
@@ -223,6 +236,7 @@ class StudyResult:
     levels: list
     provenance: dict
     failed_checks: tuple = ()
+    work: dict = field(default_factory=dict)
 
     def mean_error_curve(self, target: str | None = None) -> np.ndarray:
         name = target or self.target
@@ -282,77 +296,109 @@ def _resolve_targets(config: StudyConfig, target: str, extra_targets) -> tuple[s
 
 
 def _solve_targets(config: StudyConfig, grid: Grid1D, basis: NoiseBasis,
-                   u0: np.ndarray, names: tuple) -> dict:
-    fields = {}
+                   u0: np.ndarray, names: tuple) -> tuple[dict, int]:
+    """Fields (rows, n, 3) of every target at the output rows, and the limit steps."""
+    fields, steps = {}, 0
     for name in names:
         lp = LimitParams.auto(grid, config.T, gamma=config.gamma,
                               parabolic=(name == "parabolic"), n_out=config.n_out)
         traj = solve_limit(u0, lp, basis, stride=lp.n_steps // config.n_out,
                            keep_fields=True)
         fields[name] = traj.u_fields
-    return fields
+        steps += lp.n_steps
+    return fields, steps
 
 
-def _spde_params(config: StudyConfig, grid: Grid1D, mu: float) -> SpdeParams:
-    return SpdeParams.auto(grid, mu, config.T, gamma=config.gamma, alpha=config.alpha,
-                           projection=config.projection, cfl=config.cfl,
-                           n_out=config.n_out, dt_cap=config.dt)
+def _blocks(config: StudyConfig, grid: Grid1D) -> list[tuple[int, range]]:
+    """(mass index, samples) of every block, costliest first.
+
+    Each level is split into near-equal contiguous blocks of at most
+    BLOCK_SIZE samples; the split depends on the configuration only.
+    """
+    count = -(-config.ensemble // BLOCK_SIZE)
+    bounds = [config.ensemble * b // count for b in range(count + 1)]
+    steps = [config.spde_params(mu, grid).n_steps for mu in config.mu_values]
+    blocks = [(i, range(lo, hi)) for i in range(len(config.mu_values))
+              for lo, hi in zip(bounds, bounds[1:])]
+    return sorted(blocks, key=lambda block: -steps[block[0]] * len(block[1]))
 
 
-def _run_sample(config: StudyConfig, grid: Grid1D, basis: NoiseBasis,
-                u0: np.ndarray, v0: np.ndarray, targets: dict,
-                mu_index: int, sample: int) -> SampleRow:
+def _run_block(config: StudyConfig, grid: Grid1D, basis: NoiseBasis,
+               u0: np.ndarray, v0: np.ndarray, targets: dict,
+               mu_index: int, samples: range) -> tuple[list, dict]:
+    """Step one block of a mass level and reduce it to one SampleRow per sample."""
     mu = config.mu_values[mu_index]
-    params = _spde_params(config, grid, mu)
-    key = config.child_key(mu_index, sample)
-    rng = derive_stream(*key)
+    params = config.spde_params(mu, grid)
+    size = len(samples)
+    increments = np.empty((params.n_steps, size, basis.m))
+    for pos, sample in enumerate(samples):
+        key = config.child_key(mu_index, sample)
+        increments[:, pos] = derive_stream(*key).standard_normal((params.n_steps, basis.m))
+    increments *= np.sqrt(params.dt)
+    engine = SpdeStepper(params, basis, np.broadcast_to(u0, (size,) + u0.shape),
+                         np.broadcast_to(v0, (size,) + v0.shape),
+                         track_remainder=True, samples=samples)
+
+    errors = {name: np.zeros(size) for name in targets}
+    energy0 = engine.energy()
+    energy_dev, theta_sup, eta_sup = np.zeros(size), np.zeros(size), np.zeros(size)
+    j_sup, identity_sup = np.zeros((size, 6)), np.zeros(size)
+
+    def reduce_row(r: int):
+        live = engine.samples - samples.start
+        for name, fields in targets.items():
+            err = spectral_norm(grid, dst_ortho(engine.u - fields[r]), config.delta)
+            errors[name][live] = np.maximum(errors[name][live], err)
+        dev = np.abs(engine.energy() - energy0[live])
+        energy_dev[live] = np.maximum(energy_dev[live], dev)
+        theta, eta = engine.constraints()
+        theta_sup[live] = np.maximum(theta_sup[live], np.abs(theta))
+        eta_sup[live] = np.maximum(eta_sup[live], np.abs(eta))
+        norms, residual = remainder_norms(params, basis, engine.u0, engine.v0,
+                                          engine.u, engine.v, engine.remainder)
+        j_sup[live] = np.maximum(j_sup[live], norms)
+        identity_sup[live] = np.maximum(identity_sup[live], residual)
+
     stride = params.n_steps // config.n_out
-    try:
-        traj = simulate(u0, v0, params, basis, rng=rng, stride=stride,
-                        track_remainder=True, keep_fields=True)
-    except BlowUpError as exc:
-        return SampleRow(mu_index=mu_index, mu=mu, sample=sample, seed_key=key,
-                         dt=params.dt, errors={}, energy_residual=float("nan"),
-                         theta_sup=float("nan"), eta_sup=float("nan"),
-                         j_sups=(float("nan"),) * 6, identity_sup=float("nan"),
-                         blowup_step=exc.step)
+    engine.run(increments, list(range(0, params.n_steps + 1, stride)), reduce_row)
 
-    errors = {
-        name: float(max(
-            sobolev_norm(grid, traj.u_fields[r] - fields[r], config.delta)
-            for r in range(len(traj.t))
+    blowups = {err.sample: err.step for err in engine.lost}
+    rows = []
+    for pos, sample in enumerate(samples):
+        common = dict(mu_index=mu_index, mu=mu, sample=sample,
+                      seed_key=config.child_key(mu_index, sample), dt=params.dt)
+        if sample in blowups:
+            nan = float("nan")
+            rows.append(SampleRow(**common, errors={}, energy_residual=nan, theta_sup=nan,
+                                  eta_sup=nan, j_sups=(nan,) * 6, identity_sup=nan,
+                                  blowup_step=blowups[sample]))
+            continue
+        energy_residual = float(energy_dev[pos] / energy0[pos])
+        rows.append(SampleRow(
+            **common,
+            errors={name: float(sup[pos]) for name, sup in errors.items()},
+            energy_residual=energy_residual,
+            theta_sup=float(theta_sup[pos]),
+            eta_sup=float(eta_sup[pos]),
+            j_sups=tuple(float(x) for x in j_sup[pos]),
+            identity_sup=float(identity_sup[pos]),
+            gates=("energy-residual",) if energy_residual > config.max_energy_drift else (),
         ))
-        for name, fields in targets.items()
-    }
-    e0 = traj.energy[0]
-    energy_residual = float(np.abs(traj.energy - e0).max() / e0)
-    rem = remainder_terms(traj, basis)
-    gates = ("energy-residual",) if energy_residual > config.max_energy_drift else ()
-    return SampleRow(
-        mu_index=mu_index,
-        mu=mu,
-        sample=sample,
-        seed_key=key,
-        dt=params.dt,
-        errors=errors,
-        energy_residual=energy_residual,
-        theta_sup=float(np.abs(traj.theta).max()),
-        eta_sup=float(np.abs(traj.eta).max()),
-        j_sups=tuple(float(x) for x in rem.norms.max(axis=0)),
-        identity_sup=float(rem.residual.max()),
-        gates=gates,
-    )
+    work = {"block_steps": engine.step_index, "sample_steps": engine.sample_steps}
+    return rows, work
 
 
-def _run_sample_job(args):
-    return _run_sample(*args)
+def _run_block_job(args):
+    return _run_block(*args)
 
 
 def run_study(config: StudyConfig, *, target: str = "auto", extra_targets=(),
               workers: int = 1) -> StudyResult:
     """Run the mass sweep against one or more limit targets.
 
-    Per-trajectory blow-ups and gate violations are recorded, not fatal;
+    The blocks of every level go to `workers` processes, costliest first;
+    the rows do not depend on the worker count.  Per-trajectory blow-ups
+    and gate violations are recorded, not fatal;
     a failed check is raised into StudyResult.failed_checks when any mass
     level exceeds the failure budget.
     """
@@ -360,17 +406,25 @@ def run_study(config: StudyConfig, *, target: str = "auto", extra_targets=(),
     grid = config.grid()
     basis = config.basis(grid)
     u0, v0 = config.initial_data(grid)
-    targets = _solve_targets(config, grid, basis, u0, names)
+    targets, limit_steps = _solve_targets(config, grid, basis, u0, names)
 
-    jobs = [(config, grid, basis, u0, v0, targets, i, j)
-            for i in range(len(config.mu_values))
-            for j in range(config.ensemble)]
+    blocks = _blocks(config, grid)
+    jobs = [(config, grid, basis, u0, v0, targets, i, samples) for i, samples in blocks]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_run_sample_job, jobs))
+            done = list(pool.map(_run_block_job, jobs))
     else:
-        rows = [_run_sample(*job) for job in jobs]
-    rows.sort(key=lambda row: (row.mu_index, row.sample))
+        done = [_run_block(*job) for job in jobs]
+    rows = sorted((row for block_rows, _ in done for row in block_rows),
+                  key=lambda row: (row.mu_index, row.sample))
+    work = {
+        "blocks": len(blocks),
+        "block_size": BLOCK_SIZE,
+        "sample_steps": sum(counts["sample_steps"] for _, counts in done),
+        # one banded solve on all columns of a block per step
+        "helmholtz_solves": sum(counts["block_steps"] for _, counts in done),
+        "limit_steps": limit_steps,
+    }
 
     levels = []
     failed_checks = []
@@ -403,7 +457,7 @@ def run_study(config: StudyConfig, *, target: str = "auto", extra_targets=(),
     }
     return StudyResult(config=asdict(config), target=primary, targets=names,
                        rows=rows, levels=levels, provenance=provenance,
-                       failed_checks=tuple(failed_checks))
+                       failed_checks=tuple(failed_checks), work=work)
 
 
 def scaling_experiment(config: StudyConfig, *, target: str = "auto", extra_targets=(),

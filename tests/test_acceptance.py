@@ -172,17 +172,15 @@ def test_criterion_3_tangent_bundle(conservation_runs):
 def test_criterion_4_exact_equilibria(grid, basis):
     u0 = sw.normalize_sphere(grid, sw.sine_field(grid, 3, 2))
     params = sw.SpdeParams(grid=grid, mu=0.1, dt=1e-4, T=1.0)
-    state = sw.State.initial(grid, u0, sw.zero_field(grid))
-    stepper = SpdeStepper(params, basis)
-    stepper.bind(state)
+    stepper = SpdeStepper(params, basis, u0, sw.zero_field(grid))
     rng = sw.derive_stream(404, 0)
     per_step = 0.0
-    prev = state.u.copy()
+    prev = stepper.u[0]
     for _ in range(params.n_steps):
-        stepper.step(state, np.sqrt(params.dt) * rng.standard_normal(basis.m))
-        per_step = max(per_step, float(np.abs(state.u - prev).max()))
-        prev = state.u.copy()
-    spde_total = float(np.abs(state.u - u0).max())
+        stepper.step(np.sqrt(params.dt) * rng.standard_normal((1, basis.m)))
+        per_step = max(per_step, float(np.abs(stepper.u[0] - prev).max()))
+        prev = stepper.u[0]
+    spde_total = float(np.abs(stepper.u[0] - u0).max())
 
     lp = LimitParams.auto(grid, 1.0, n_out=256)
     limit_u = sw.solve_limit(u0, lp, basis, stride=1).u_fields

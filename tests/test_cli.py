@@ -7,7 +7,7 @@ import pytest
 
 from spherewave import cli
 from spherewave.checks import CHECK_NAMES
-from spherewave.config import config_hash, load_config, resolve_config
+from spherewave.config import config_hash, load_config, resolve_config, study_config_from
 from spherewave.errors import ConfigError
 
 
@@ -174,16 +174,38 @@ class TestStudyCommand:
         assert cli.main(["study", "-c", cfg]) == 0
         assert (out / "study.json").read_bytes() == first
 
+    def test_manifest_work_counters(self, tmp_path):
+        cfg = self.study_config(tmp_path)
+        assert cli.main(["study", "-c", cfg, "--workers", "2"]) == 0
+        out = tmp_path / "study-out"
+        work = json.loads((out / "study.manifest.json").read_text())["work"]
+        study = study_config_from(load_config(cfg))
+        steps = [study.spde_params(mu).n_steps for mu in study.mu_values]
+        assert work["blocks"] == 2 and work["block_size"] == 8
+        assert work["sample_steps"] == 2 * sum(steps)
+        assert work["helmholtz_solves"] == sum(steps)
+        assert work["limit_steps"] > 0
+
     def test_energy_gate_exit_code(self, tmp_path):
         # deliberately coarse explicit step with a tight energy gate
         cfg = self.study_config(
             tmp_path,
             physics={"mu_list": [0.2]},
-            time={"dt": 1.5e-3, "T": 0.5},
+            time={"dt": 0.5 / 384, "T": 0.5},
             study={"ensemble": 1, "n_out": 64, "master_seed": 99,
                    "max_energy_drift": 1e-8, "projection": False},
         )
         assert cli.main(["study", "-c", cfg]) == 2
+
+    def test_dt_must_fill_the_output_grid(self, tmp_path, capsys):
+        # time.dt is the exact step in study as in simulate: 1.5e-3 does not
+        # divide T = 0.5, and 0.5/100 gives 100 steps for 64 output rows
+        for dt, reason in ((1.5e-3, "does not divide"), (0.5 / 100, "not a multiple")):
+            cfg = self.study_config(tmp_path, time={"dt": dt, "T": 0.5})
+            assert cli.main(["study", "-c", cfg]) == 1
+            assert reason in capsys.readouterr().err
+            with pytest.raises(ConfigError, match=reason):
+                study_config_from(load_config(cfg))
 
     def test_acceptance_trend_exit_code(self, tmp_path):
         # comparing against the wrong target gives a plateau, failing --check

@@ -53,6 +53,13 @@ class TestParams:
         assert params.n_steps % 256 == 0
         assert params.dt <= 0.25 * np.sqrt(0.05) * grid.h * (1 + 1e-12)
 
+    def test_auto_takes_a_given_dt_exactly(self, grid):
+        params = sw.SpdeParams.auto(grid, 0.05, 1.0, n_out=256, dt=1.0 / 2048)
+        assert params.dt == 1.0 / 2048 and params.n_steps == 2048
+        # 2000 steps do not fill a 256-row output grid
+        with pytest.raises(sw.ParameterError, match="not a multiple of the 256 output rows"):
+            sw.SpdeParams.auto(grid, 0.05, 1.0, n_out=256, dt=5e-4)
+
 
 class TestDrift:
     def test_eigenfield_equilibrium(self, grid, basis):
@@ -92,15 +99,13 @@ class TestStep:
     def test_equilibrium_fixed_point_per_step(self, grid, basis):
         u0 = sw.normalize_sphere(grid, sw.sine_field(grid, 3, 1))
         params = sw.SpdeParams(grid=grid, mu=0.1, dt=1e-4, T=1.0)
-        state = sw.State.initial(grid, u0, sw.zero_field(grid))
-        stepper = SpdeStepper(params, basis)
-        stepper.bind(state)
+        stepper = SpdeStepper(params, basis, u0, sw.zero_field(grid))
         rng = sw.derive_stream(1, 0)
         for _ in range(20):
-            u_prev = state.u.copy()
-            stepper.step(state, np.sqrt(params.dt) * rng.standard_normal(basis.m))
-            assert np.abs(state.u - u_prev).max() <= 1e-12
-            assert np.abs(state.v).max() <= 1e-12
+            u_prev = stepper.u.copy()
+            stepper.step(np.sqrt(params.dt) * rng.standard_normal((1, basis.m)))
+            assert np.abs(stepper.u - u_prev).max() <= 1e-12
+            assert np.abs(stepper.v).max() <= 1e-12
 
     def test_strong_self_convergence(self, grid, basis, gentle_data):
         # same Brownian path, halved step: the endpoint error must shrink
@@ -138,14 +143,36 @@ class TestStep:
 
     def test_blowup_reports_step(self, grid, basis, gentle_data):
         u0, v0 = gentle_data
-        params = sw.SpdeParams(grid=grid, mu=0.1, dt=1e-4, T=1.0)
-        state = sw.State.initial(grid, 1e200 * u0, v0)
-        stepper = SpdeStepper(params, basis)
-        stepper.bind(state)
+        params = sw.SpdeParams(grid=grid, mu=0.1, dt=1e-4, T=1e-3)
         with pytest.raises(sw.BlowUpError) as err:
-            for _ in range(10):
-                stepper.step(state, None)
-        assert err.value.step >= 1
+            sw.simulate(1e200 * u0, v0, params, basis)
+        assert err.value.step >= 1 and err.value.sample == 0
+
+    def test_blowup_leaves_the_block(self, grid, basis, gentle_data):
+        # one sample of three blows up; the other two step on, bit for bit as
+        # in a block without it, and the step matches the lone trajectory's
+        u0, v0 = gentle_data
+        params = sw.SpdeParams(grid=grid, mu=0.1, dt=1e-4, T=2e-3)
+        rng = sw.derive_stream(3, 0)
+        incs = np.sqrt(params.dt) * rng.standard_normal((params.n_steps, 3, basis.m))
+        incs[4, 1] = 1e200
+        with pytest.raises(sw.BlowUpError) as err:
+            sw.simulate(u0, v0, params, basis, increments=incs[:, 1])
+        rows = list(range(params.n_steps + 1))
+        trio = SpdeStepper(params, basis, np.stack([u0] * 3), np.stack([v0] * 3),
+                           track_remainder=True, samples=[7, 8, 9])
+        pair = SpdeStepper(params, basis, np.stack([u0] * 2), np.stack([v0] * 2),
+                           track_remainder=True, samples=[7, 9])
+        trio.run(incs, rows, lambda r: None)
+        pair.run(incs[:, [0, 2]], rows, lambda r: None)
+        # step 5 takes the kick and stays finite (unprojected); step 6 overflows
+        assert [(e.sample, e.step) for e in trio.lost] == [(8, err.value.step)]
+        assert err.value.step == 6 and err.value.sample == 0
+        assert trio.samples.tolist() == [7, 9] and not pair.lost
+        assert np.array_equal(trio.u, pair.u) and np.array_equal(trio.v, pair.v)
+        for key, acc in trio.remainder.items():
+            assert np.array_equal(acc, pair.remainder[key])
+        assert np.array_equal(trio.energy(), pair.energy())
 
     def test_determinism(self, grid, basis, gentle_data):
         u0, v0 = gentle_data
@@ -161,32 +188,36 @@ class TestDiagnostics:
         u0, _ = gentle_data
         v0 = sw.project_tangent(grid, u0, random_field(grid))
         params = sw.SpdeParams(grid=grid, mu=0.37, dt=1e-4, T=1.0)
-        state = sw.State.initial(grid, u0, v0)
         expected = sw.h1_seminorm_sq(grid, u0) + 0.37 * sw.norm_l2_sq(grid, v0)
-        assert sw.energy(state, params) == pytest.approx(expected, rel=1e-14)
+        energy = SpdeStepper(params, basis, u0, v0).energy()
+        assert energy.shape == (1,)
+        assert energy[0] == pytest.approx(expected, rel=1e-14)
 
-    def test_constraint_residuals_on_manifold(self, grid, gentle_data):
+    def test_constraint_residuals_on_manifold(self, grid, basis, gentle_data):
         u0, v0 = gentle_data
-        state = sw.State.initial(grid, u0, v0)
-        theta, eta = sw.constraint_residuals(state)
-        assert abs(theta) <= 1e-14 and abs(eta) <= 1e-14
+        params = sw.SpdeParams(grid=grid, mu=0.1, dt=1e-4, T=1.0)
+        theta, eta = SpdeStepper(params, basis, u0, v0).constraints()
+        assert abs(theta[0]) <= 1e-14 and abs(eta[0]) <= 1e-14
 
-    def test_constraint_residuals_scaled_field(self, grid, gentle_data):
+    def test_constraint_residuals_scaled_field(self, grid, basis, gentle_data):
         u0, v0 = gentle_data
-        state = sw.State.initial(grid, np.sqrt(3.0) * u0, v0)
-        theta, _ = sw.constraint_residuals(state)
-        assert theta == pytest.approx(1.0, rel=1e-12)
+        params = sw.SpdeParams(grid=grid, mu=0.1, dt=1e-4, T=1.0)
+        theta, _ = SpdeStepper(params, basis, np.sqrt(3.0) * u0, v0).constraints()
+        assert theta[0] == pytest.approx(1.0, rel=1e-12)
 
     def test_weighted_h2_initial_value(self, grid, basis, gentle_data):
         u0, _ = gentle_data
         v0 = sw.project_tangent(grid, u0, random_field(grid))
         mu = 0.2
         params = sw.SpdeParams(grid=grid, mu=mu, dt=1e-4, T=1.0)
-        state = sw.State.initial(grid, u0, v0)
         expected = (sw.h2_norm_sq(grid, u0) + mu * sw.h1_seminorm_sq(grid, v0)
                     + mu * sw.h1_seminorm_sq(grid, u0) * sw.norm_l2_sq(grid, v0))
-        assert sw.weighted_h2_energy(state, params, 0.0) == pytest.approx(expected, rel=1e-13)
-        assert sw.weighted_h2_energy(state, params, 10.0) == pytest.approx(expected, rel=1e-13)
+        stepper = SpdeStepper(params, basis, u0, v0)
+        for weight_a in (0.0, 10.0):
+            weighted = stepper.diagnostics(weight_a)["weighted_h2"][0]
+            assert weighted == pytest.approx(expected, rel=1e-13)
+        with pytest.raises(sw.ParameterError):
+            stepper.diagnostics(-1.0)
 
     def test_weighted_h2_constant_on_equilibrium(self, grid, basis):
         u0 = sw.normalize_sphere(grid, sw.sine_field(grid, 2, 3))
@@ -218,16 +249,16 @@ class TestDiagnostics:
         expected = list(range(0, 101, 7)) + [100]
         assert ks.tolist() == expected
 
-    def test_diagnostics_row(self, grid, gentle_data):
+    def test_diagnostics_row(self, grid, basis, gentle_data):
         u0, v0 = gentle_data
         params = sw.SpdeParams(grid=grid, mu=0.1, dt=1e-4, T=1.0)
-        row = sw.diagnostics(sw.State.initial(grid, u0, v0), params)
-        assert row.t == 0.0
-        assert row.energy == pytest.approx(sw.h1_seminorm_sq(grid, u0), rel=1e-13)
-        assert abs(row.theta) <= 1e-14 and row.v_h == 0.0
-        bad = sw.State.initial(grid, np.full((grid.n, 3), np.nan), v0)
+        stepper = SpdeStepper(params, basis, u0, v0)
+        row = stepper.diagnostics()
+        assert stepper.t == 0.0
+        assert row["energy"][0] == pytest.approx(sw.h1_seminorm_sq(grid, u0), rel=1e-13)
+        assert abs(row["theta"][0]) <= 1e-14 and row["v_h"][0] == 0.0
         with pytest.raises(sw.BlowUpError):
-            sw.diagnostics(bad, params)
+            SpdeStepper(params, basis, np.full((grid.n, 3), np.nan), v0)
 
     def test_acc_v2_nondecreasing(self, grid, basis, gentle_data):
         u0, v0 = gentle_data

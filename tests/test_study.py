@@ -205,3 +205,110 @@ class TestScaling:
             scaling_experiment(cfg)
         res = scaling_experiment(cfg, exploratory=True, target="parabolic")
         assert res.rows[0].errors["parabolic"] >= 0.0
+
+
+class TestBlockEngine:
+    """The batched ensemble path against single trajectories and other blocks."""
+
+    @pytest.fixture(scope="class")
+    def config(self):
+        return StudyConfig(n=63, m=8, ensemble=3, mu_values=(0.2, 0.05), T=0.5,
+                           n_out=64, master_seed=321)
+
+    @pytest.fixture(scope="class")
+    def result(self, config):
+        return run_study(config, extra_targets=("parabolic",))
+
+    def test_rows_match_single_trajectory_oracle(self, config, result):
+        grid = config.grid()
+        basis = config.basis(grid)
+        u0, v0 = config.initial_data(grid)
+        targets = {}
+        for name in ("corrected", "parabolic"):
+            lp = sw.LimitParams.auto(grid, config.T, parabolic=(name == "parabolic"),
+                                     n_out=config.n_out)
+            targets[name] = sw.solve_limit(u0, lp, basis, stride=lp.n_steps // config.n_out,
+                                           keep_fields=True).u_fields
+        for row in result.rows:
+            params = config.spde_params(row.mu, grid)
+            traj = sw.simulate(u0, v0, params, basis, rng=sw.derive_stream(*row.seed_key),
+                               stride=params.n_steps // config.n_out, track_remainder=True)
+            rem = remainder_terms(traj, basis)
+            expected = {
+                "energy_residual": np.abs(traj.energy - traj.energy[0]).max() / traj.energy[0],
+                "identity_sup": rem.residual.max(),
+            }
+            for name, fields in targets.items():
+                expected[name] = max(sw.sobolev_norm(grid, traj.u_fields[r] - fields[r],
+                                                     config.delta) for r in range(len(traj.t)))
+            got = dict(row.errors, energy_residual=row.energy_residual,
+                       identity_sup=row.identity_sup)
+            for key, value in expected.items():
+                assert got[key] == pytest.approx(value, rel=1e-12, abs=0.0), key
+            assert np.allclose(row.j_sups, rem.norms.max(axis=0), rtol=1e-12, atol=0.0)
+            assert row.theta_sup == pytest.approx(np.abs(traj.theta).max(), abs=1e-14)
+            assert row.eta_sup == pytest.approx(np.abs(traj.eta).max(), abs=1e-14)
+
+    def test_row_independent_of_block(self, config, result):
+        # 3 samples form one block; 9 split into blocks [0, 4) and [4, 9);
+        # 1 sample is a block of its own
+        wider = run_study(StudyConfig(**{**vars(config), "ensemble": 9}),
+                          extra_targets=("parabolic",))
+        alone = run_study(StudyConfig(**{**vars(config), "ensemble": 1}),
+                          extra_targets=("parabolic",))
+        assert wider.work["blocks"] == 4 and result.work["blocks"] == 2
+        by_key = {(r.mu_index, r.sample): r for r in wider.rows + alone.rows}
+        for row in result.rows:
+            assert by_key[(row.mu_index, row.sample)] == row
+        assert [r.sample for r in alone.rows] == [0, 0]
+        assert alone.rows == [r for r in result.rows if r.sample == 0]
+
+    def test_blowup_is_per_sample(self, config, result, monkeypatch):
+        # crafted increments: sample 1 gets one 1e200 kick (at every level,
+        # since common random numbers share its stream)
+        import spherewave.study as study_module
+
+        real = study_module.derive_stream
+        bad_key = config.child_key(0, 1)
+
+        class Crafted:
+            def __init__(self, key):
+                self.gen, self.key = real(*key), key
+
+            def standard_normal(self, shape):
+                draws = self.gen.standard_normal(shape)
+                if self.key == bad_key:
+                    draws[40] = 1e200
+                return draws
+
+        monkeypatch.setattr(study_module, "derive_stream", lambda *key: Crafted(key))
+        crafted = run_study(config, extra_targets=("parabolic",))
+        grid = config.grid()
+        basis = config.basis(grid)
+        u0, v0 = config.initial_data(grid)
+        for row in crafted.rows:
+            if row.seed_key != bad_key:
+                continue
+            params = config.spde_params(row.mu, grid)
+            incs = np.sqrt(params.dt) * Crafted(bad_key).standard_normal(
+                (params.n_steps, basis.m))
+            with pytest.raises(sw.BlowUpError) as err:
+                sw.simulate(u0, v0, params, basis, increments=incs)
+            # step 41 takes the kick; its projection divides by an infinite norm
+            assert row.blowup_step == err.value.step == 41
+            assert row.failed and not row.errors
+        others = [r for r in crafted.rows if r.seed_key != bad_key]
+        assert others == [r for r in result.rows if r.seed_key != bad_key]
+        assert [lev.failures for lev in crafted.levels] == [1, 1]
+        assert not crafted.failed_checks
+
+    def test_work_counters(self, config, result):
+        steps = [config.spde_params(mu).n_steps for mu in config.mu_values]
+        assert result.work == {
+            "blocks": 2,
+            "block_size": 8,
+            "sample_steps": config.ensemble * sum(steps),
+            "helmholtz_solves": sum(steps),
+            "limit_steps": 2 * sw.LimitParams.auto(config.grid(), config.T,
+                                                   n_out=config.n_out).n_steps,
+        }
