@@ -12,7 +12,7 @@ vanishing at first order under step refinement at fixed mass.
 import numpy as np
 
 import spherewave as sw
-from spherewave.study import StudyConfig, remainder_terms
+from spherewave.study import StudyConfig
 
 
 def main():
@@ -30,8 +30,7 @@ def main():
                            rng=sw.derive_stream(*config.child_key(0, 0)),
                            stride=params.n_steps // config.n_out,
                            track_remainder=True)
-        rem = remainder_terms(traj, basis)
-        sups = rem.norms.max(axis=0)
+        sups = traj.j_norms.max(axis=0)
         print(f"{mu:7.3f} " + " ".join(f"{s:9.4f}" for s in sups))
 
     print("\nidentity residual under step refinement (fixed mass 0.1, one path):")
@@ -50,7 +49,7 @@ def main():
         params = sw.SpdeParams(grid=grid, mu=mu, dt=dt, T=T, gamma=gamma)
         traj = sw.simulate(u0, v0, params, basis, increments=incs[dt],
                            stride=params.n_steps // 128, track_remainder=True)
-        sups.append(remainder_terms(traj, basis).residual.max())
+        sups.append(traj.identity_residual.max())
         print(f"  dt={dt:7.1e}: sup residual = {sups[-1]:.3e}")
     slope = np.polyfit(np.log2(dts), np.log2(sups), 1)[0]
     print(f"empirical order in dt: {slope:.2f}")

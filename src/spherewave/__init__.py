@@ -17,7 +17,6 @@ from .errors import (
 )
 from .fields import (
     Grid1D,
-    SineSpectrum,
     eigenvalue,
     eigenvalues,
     field_from_modes,
@@ -26,14 +25,12 @@ from .fields import (
     h1_seminorm_sq,
     h2_norm_sq,
     inner_l2,
-    inverse_sine_transform,
     laplacian,
     norm_l2,
     norm_l2_sq,
     normalize_sphere,
     project_tangent,
     sine_field,
-    sine_transform,
     sobolev_norm,
     spectral_norm,
     triple_cross,
@@ -51,30 +48,24 @@ from .limit import (
 )
 from .noise import (
     NoiseBasis,
-    WienerIncrement,
-    apply_noise,
     build_basis,
     derive_stream,
-    sample_increment,
     strat_correction,
 )
 from .spde import (
     SpdeParams,
     SpdeStepper,
     SpdeTrajectory,
-    State,
     drift,
     functional_g_norm,
     functional_j,
+    remainder_norms,
     simulate,
 )
 from .study import (
-    RemainderSeries,
     SampleRow,
     StudyConfig,
     StudyResult,
-    remainder_norms,
-    remainder_terms,
     run_study,
     scaling_experiment,
     trend_check,

@@ -18,17 +18,16 @@ import numpy as np
 from .fields import (
     Grid1D,
     cross,
+    dst_ortho,
     eigenvalue,
     h1_seminorm_sq,
     inner_l2,
-    inverse_sine_transform,
     laplacian,
     norm_l2,
     norm_l2_sq,
     normalize_sphere,
     project_tangent,
     sine_field,
-    sine_transform,
     sobolev_norm,
     triple_cross,
     zero_field,
@@ -40,7 +39,7 @@ from .limit import (
     mobility_apply_inverse,
     solve_limit,
 )
-from .noise import apply_noise, build_basis, derive_stream, sample_increment, strat_correction
+from .noise import build_basis, derive_stream, noise_field, strat_correction
 from .spde import SpdeParams, SpdeStepper, functional_j, simulate
 
 __all__ = ["CheckResult", "run_all", "CHECK_NAMES"]
@@ -108,7 +107,7 @@ def _check_triple_cross(rng) -> CheckResult:
 def _check_spectrum_roundtrip(rng) -> CheckResult:
     grid = _grid()
     f = _random_field(grid, rng)
-    back = inverse_sine_transform(sine_transform(grid, f))
+    back = dst_ortho(dst_ortho(f))
     err = float(np.abs(back - f).max() / np.abs(f).max())
     return CheckResult("sine-spectrum-roundtrip", err <= 1e-12, f"relative error {err:.2e}")
 
@@ -187,8 +186,7 @@ def _check_noise_orthogonality(rng) -> CheckResult:
     worst = 0.0
     for _ in range(20):
         u, v = _random_field(grid, rng), _random_field(grid, rng)
-        dw = sample_increment(basis, 1e-3, rng)
-        kick = apply_noise(u, v, basis, dw)
+        kick = noise_field(u, v, basis, np.sqrt(1e-3) * rng.standard_normal(basis.m))
         scale = 1.0 + float(np.abs(kick).max())
         worst = max(worst,
                     float(np.abs(np.einsum("ij,ij->i", u, kick)).max() / scale),
@@ -210,8 +208,7 @@ def _check_increments(rng) -> CheckResult:
     dt = 2.5e-3
     s1 = derive_stream(99, 0, 1)
     s2 = derive_stream(99, 0, 1)
-    same = np.array_equal(sample_increment(basis, dt, s1).values,
-                          sample_increment(basis, dt, s2).values)
+    same = np.array_equal(s1.standard_normal(basis.m), s2.standard_normal(basis.m))
     draws = derive_stream(99, 0, 2).standard_normal(100_000) * np.sqrt(dt)
     mean_ok = abs(draws.mean()) <= 4.0 * np.sqrt(dt / len(draws))
     var_ok = abs(draws.var() / dt - 1.0) <= 0.05

@@ -31,7 +31,7 @@ from .errors import BlowUpError, ConfigError, ParameterError
 from .limit import solve_limit
 from .noise import derive_stream
 from .spde import simulate
-from .study import remainder_terms, run_study, scaling_experiment, trend_check
+from .study import run_study, scaling_experiment, trend_check
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -70,13 +70,12 @@ def cmd_simulate(args) -> int:
     except BlowUpError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    rem = remainder_terms(traj, basis)
     out = output_directory(cfg)
     header = ["t", "energy", "theta", "eta", "u_h1", "u_h2", "v_h", "v_h1",
               "weighted_h2", "j1", "j2", "j3", "j4", "j5", "j6"]
     columns = [traj.t, traj.energy, traj.theta, traj.eta, traj.u_h1, traj.u_h2,
                traj.v_h, traj.v_h1, traj.weighted_h2]
-    columns += [rem.norms[:, i] for i in range(6)]
+    columns += [traj.j_norms[:, i] for i in range(6)]
     write_csv(out / "simulate.csv", header, columns)
     write_json(out / "simulate.manifest.json",
                _manifest(cfg, {"master_seed": seed, "stream_key": [seed, 0, 0]},

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from math import ceil
 
 import numpy as np
 from scipy.fft import dst
@@ -26,7 +27,8 @@ from .errors import DegenerateFieldError, ParameterError, ShapeError
 __all__ = [
     "Grid1D",
     "step_count",
-    "SineSpectrum",
+    "fitted_step",
+    "output_rows",
     "zero_field",
     "sine_field",
     "field_from_modes",
@@ -41,8 +43,6 @@ __all__ = [
     "eigenvalue",
     "eigenvalues",
     "dst_ortho",
-    "sine_transform",
-    "inverse_sine_transform",
     "spectral_norm",
     "sobolev_norm",
     "cross",
@@ -95,6 +95,23 @@ def step_count(dt: float, T: float) -> int:
         raise ParameterError(
             f"dt={dt!r} does not divide T={T!r}: {n} steps would end at t={n * dt!r}")
     return n
+
+
+def fitted_step(dt_max: float, T: float, n_out: int) -> float:
+    """The step T / n_steps, with n_steps >= T / dt_max rounded up to a multiple of n_out."""
+    n_steps = ceil(T / dt_max)
+    n_steps = ((n_steps + n_out - 1) // n_out) * n_out
+    return T / n_steps
+
+
+def output_rows(n_steps: int, stride: int) -> list[int]:
+    """Step indices recorded at `stride`, plus the last step."""
+    if stride < 1:
+        raise ParameterError(f"stride must be >= 1, got {stride}")
+    rows = list(range(0, n_steps + 1, stride))
+    if rows[-1] != n_steps:
+        rows.append(n_steps)
+    return rows
 
 
 def _check_field(grid: Grid1D, f: np.ndarray) -> np.ndarray:
@@ -190,29 +207,9 @@ def eigenvalues(grid: Grid1D) -> np.ndarray:
     return (2.0 / grid.h ** 2) * (1.0 - np.cos(k * np.pi * grid.h / grid.L))
 
 
-@dataclass(frozen=True)
-class SineSpectrum:
-    """Coefficients c[k-1, d] of f(x) = sum_k c_k sin(k pi x / L) per component."""
-
-    grid: Grid1D
-    coeffs: np.ndarray
-
-
 def dst_ortho(f: np.ndarray) -> np.ndarray:
     """Orthonormal DST-I along the node axis (second to last); it is its own inverse."""
     return dst(f, type=1, axis=-2, norm="ortho")
-
-
-def sine_transform(grid: Grid1D, f: np.ndarray) -> SineSpectrum:
-    f = _check_field(grid, f)
-    scale = np.sqrt(2.0 / (grid.n + 1))
-    return SineSpectrum(grid, dst_ortho(f) * scale)
-
-
-def inverse_sine_transform(spectrum: SineSpectrum) -> np.ndarray:
-    grid = spectrum.grid
-    scale = np.sqrt(2.0 / (grid.n + 1))
-    return dst_ortho(spectrum.coeffs / scale)
 
 
 def spectral_norm(grid: Grid1D, coeffs: np.ndarray, delta: float) -> np.ndarray:

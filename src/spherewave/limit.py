@@ -31,7 +31,6 @@ projection defect.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil
 
 import numpy as np
 
@@ -41,12 +40,14 @@ from .fields import (
     dst_ortho,
     eigenvalue,
     eigenvalues,
+    fitted_step,
     h1_seminorm_sq,
     inner_l2,
     laplacian,
     norm_l2,
     norm_l2_sq,
     normalize_sphere,
+    output_rows,
     step_count,
 )
 from .noise import NoiseBasis
@@ -101,11 +102,8 @@ class LimitParams:
     def auto(cls, grid: Grid1D, T: float, *, gamma: float = 1.0,
              parabolic: bool = False, n_out: int = 256,
              h2_cap: float = 1.0e6) -> "LimitParams":
-        dt_max = gamma / (_RELAXATION_STEPS * eigenvalue(grid, 1))
-        n_steps = ceil(T / dt_max)
-        n_steps = ((n_steps + n_out - 1) // n_out) * n_out
-        return cls(grid=grid, dt=T / n_steps, T=T, gamma=gamma, parabolic=parabolic,
-                   h2_cap=h2_cap)
+        dt = fitted_step(gamma / (_RELAXATION_STEPS * eigenvalue(grid, 1)), T, n_out)
+        return cls(grid=grid, dt=dt, T=T, gamma=gamma, parabolic=parabolic, h2_cap=h2_cap)
 
 
 def mobility_apply_inverse(u: np.ndarray, phi, gamma: float, r: np.ndarray) -> np.ndarray:
@@ -254,21 +252,11 @@ class LimitTrajectory:
     ut_fields: np.ndarray | None = None
 
 
-def _output_rows(n_steps: int, stride: int) -> list[int]:
-    """Step indices recorded at `stride`, plus the last step."""
-    if stride < 1:
-        raise ParameterError(f"stride must be >= 1, got {stride}")
-    rows = list(range(0, n_steps + 1, stride))
-    if rows[-1] != n_steps:
-        rows.append(n_steps)
-    return rows
-
-
 def solve_limit(u0: np.ndarray, params: LimitParams, basis: NoiseBasis, *,
                 stride: int = 1, keep_fields: bool = True) -> LimitTrajectory:
     """Run the limit flow to T, recording every `stride` steps plus the end."""
     grid = params.grid
-    rows = _output_rows(params.n_steps, stride)
+    rows = output_rows(params.n_steps, stride)
     n_rows = len(rows)
 
     flow = _Etd2Flow(u0, params, basis)
@@ -333,7 +321,7 @@ def comparison_experiment(u10: np.ndarray, u20: np.ndarray, params: LimitParams,
     constants are NaN.
     """
     grid = params.grid
-    rows = _output_rows(params.n_steps, stride)
+    rows = output_rows(params.n_steps, stride)
     n_rows = len(rows)
 
     f1 = _Etd2Flow(u10, params, basis)

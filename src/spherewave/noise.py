@@ -28,12 +28,9 @@ from .fields import Grid1D, cross, pointwise_dot
 
 __all__ = [
     "NoiseBasis",
-    "WienerIncrement",
     "build_basis",
     "strat_correction",
     "noise_field",
-    "apply_noise",
-    "sample_increment",
     "derive_stream",
 ]
 
@@ -126,15 +123,6 @@ def build_basis(grid: Grid1D, m: int, p: float) -> NoiseBasis:
     )
 
 
-@dataclass(frozen=True)
-class WienerIncrement:
-    """One vector of independent N(0, dt) increments, one entry per mode."""
-
-    dt: float
-    values: np.ndarray
-    stream_key: tuple = ()
-
-
 def derive_stream(master_seed: int, *key: int) -> np.random.Generator:
     """Deterministic child generator for (master seed, key...).
 
@@ -142,14 +130,6 @@ def derive_stream(master_seed: int, *key: int) -> np.random.Generator:
     statistically independent streams.
     """
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence((int(master_seed),) + tuple(int(k) for k in key))))
-
-
-def sample_increment(basis: NoiseBasis, dt: float, stream: np.random.Generator,
-                     stream_key: tuple = ()) -> WienerIncrement:
-    """Draw the next m independent N(0, dt) increments from the stream."""
-    if dt <= 0:
-        raise ParameterError(f"time step must be positive, got {dt}")
-    return WienerIncrement(dt, np.sqrt(dt) * stream.standard_normal(basis.m), stream_key)
 
 
 def strat_correction(u: np.ndarray, v: np.ndarray, basis: NoiseBasis, *,
@@ -184,12 +164,3 @@ def noise_field(u: np.ndarray, v: np.ndarray, basis: NoiseBasis, values: np.ndar
     for row, out in zip(rows, scalar):
         np.matmul(basis.xi.T, row, out=out)
     return cross(u, v) * scalar.reshape(u.shape[:-1])[..., None]
-
-
-def apply_noise(u: np.ndarray, v: np.ndarray, basis: NoiseBasis, dw: WienerIncrement) -> np.ndarray:
-    """Multiplicative noise increment; pointwise orthogonal to u and to v."""
-    grid = basis.grid
-    if u.shape != (grid.n, 3) or v.shape != (grid.n, 3):
-        raise ShapeError(f"fields must have shape ({grid.n}, 3)")
-    values = dw.values if isinstance(dw, WienerIncrement) else np.asarray(dw, dtype=float)
-    return noise_field(u, v, basis, values)

@@ -26,14 +26,21 @@ Structure diagnostics: the pathwise energy
 is conserved by the continuous dynamics; the tangent-bundle residuals
 theta = (|u|_H^2 - 1)/2 and eta = <u, v>_H vanish identically on it.  The
 engine evaluates both per sample (SpdeStepper.energy, .constraints,
-.diagnostics) and accumulates the integrals needed to evaluate the six-term
-remainder of the integrated identity used in the small-mass comparison.
+.diagnostics) and accumulates the integrals of the integrated identity used
+in the small-mass comparison.  Its six-term remainder,
+
+    R(t) = (3 mu / 2 gamma) phi (u0.v0) u0 + sum_i J_i(t),
+    J1 = -(3 mu/2 gamma) phi (u.v) u            J4 = (3 mu/2 gamma) phi int |v|^2 u ds
+    J2 = -mu int |v|_H^2 u ds                   J5 = -(3 mu/2 gamma) phi int |v|_H^2 |u|^2 u ds
+    J3 = (3 mu/2 gamma) phi int (u.v) v ds      J6 = mu^alpha int (u x v) dw
+
+and the residual of the full identity, a pure time-discretisation quantity,
+are evaluated by remainder_norms from those accumulators.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil
 
 import numpy as np
 
@@ -42,10 +49,12 @@ from .fields import (
     Grid1D,
     HelmholtzSolver,
     cross,
+    fitted_step,
     forward_diff,
     inner_each,
     laplacian,
     midpoint_average,
+    output_rows,
     pointwise_dot,
     step_count,
 )
@@ -53,10 +62,10 @@ from .noise import NoiseBasis, noise_field, strat_correction
 
 __all__ = [
     "SpdeParams",
-    "State",
     "SpdeTrajectory",
     "SpdeStepper",
     "REMAINDER_KEYS",
+    "remainder_norms",
     "drift",
     "simulate",
     "functional_j",
@@ -68,6 +77,9 @@ CFL_LIMIT = 0.5  # dt <= CFL_LIMIT * sqrt(mu) * h
 # trapezoid-accumulated integrands of the integrated identity; "j6", the Ito
 # sum mu^alpha int (u x v) dw, is accumulated with the noise kick
 REMAINDER_KEYS = ("iA", "iN", "iC", "iD", "j2", "j3", "j4", "j5")
+# rows per remainder_norms call along one trajectory: a call per row costs
+# about five times as much per row, the call overhead dominating
+REMAINDER_CHUNK = 64
 DIAGNOSTICS = ("energy", "theta", "eta", "u_h1", "u_h2", "v_h", "v_h1", "weighted_h2")
 
 
@@ -126,32 +138,13 @@ class SpdeParams:
         if not 0.0 < cfl <= CFL_LIMIT:
             raise ParameterError(f"cfl fraction must lie in (0, {CFL_LIMIT}], got {cfl}")
         if dt is None:
-            n_steps = ceil(T / (cfl * np.sqrt(mu) * grid.h))
-            n_steps = ((n_steps + n_out - 1) // n_out) * n_out
-            dt = T / n_steps
+            dt = fitted_step(cfl * np.sqrt(mu) * grid.h, T, n_out)
         elif step_count(dt, T) % n_out:
             raise ParameterError(
                 f"dt={dt!r} takes {step_count(dt, T)} steps to T={T!r},"
                 f" not a multiple of the {n_out} output rows")
         return cls(grid=grid, mu=mu, dt=dt, T=T, gamma=gamma, alpha=alpha,
                    projection=projection, correction_scale=correction_scale)
-
-
-@dataclass
-class State:
-    """End state of one trajectory: the field pair plus clock and running integrals.
-
-    acc_v2 is the trapezoidal accumulation of int |v|_H^2 ds; acc_noise is
-    the Ito-sum accumulation of mu^alpha int (u x v) dw as a field.
-    """
-
-    grid: Grid1D
-    u: np.ndarray
-    v: np.ndarray
-    t: float
-    acc_v2: float
-    acc_noise: np.ndarray
-    step_index: int
 
 
 def _explicit_force(params: SpdeParams, basis: NoiseBasis, u, v, h1, vh2, *,
@@ -376,6 +369,43 @@ class SpdeStepper:
         return acc
 
 
+def remainder_norms(params: SpdeParams, basis: NoiseBasis, u0, v0, u, v,
+                    acc: dict) -> tuple[np.ndarray, np.ndarray]:
+    """H-norms of J_1..J_6, shape (..., 6), and the identity residual, shape (...).
+
+    u, v and the accumulators of REMAINDER_KEYS + ("j6",) hold fields
+    (..., n, 3): rows of one trajectory or the samples of a block.  u0, v0
+    broadcast against them.  Every kernel term carries the correction weight
+    mu^(2 alpha - 1) of the simulated dynamics (1 at the reference exponent
+    alpha = 1/2, where the identity takes its standard form), so the
+    residual measures pure time discretisation error at any exponent.
+    """
+    grid, mu, gamma = params.grid, params.mu, params.gamma
+    weight = params.correction_scale * mu ** (2.0 * params.alpha - 1.0)
+    phi = weight * basis.phi[:, None]
+    c = 1.5 * mu / gamma
+
+    base = gamma * u0 + 0.5 * phi * pointwise_dot(u0, u0) * u0 + mu * v0
+    const = c * phi * pointwise_dot(u0, v0) * u0
+
+    uu, uv = pointwise_dot(u, u), pointwise_dot(u, v)
+    j_fields = (
+        -c * phi * uv * u,
+        -mu * acc["j2"],
+        c * phi * acc["j3"],
+        c * phi * acc["j4"],
+        -c * phi * acc["j5"],
+        acc["j6"],
+    )
+    norms = np.stack([np.sqrt(inner_each(grid, jf, jf)) for jf in j_fields], axis=-1)
+    lhs = gamma * u + 0.5 * phi * uu * u + mu * v
+    rhs = (base + acc["iA"] + acc["iN"]
+           + (1.5 / gamma) * phi * (acc["iC"] + acc["iD"])
+           + const + sum(j_fields))
+    gap = lhs - rhs
+    return norms, np.sqrt(inner_each(grid, gap, gap))
+
+
 # -- H^1-level functionals (noise-interaction diagnostics) -------------------
 #
 # Both are evaluated on the staggered midpoint grid: forward differences are
@@ -447,7 +477,12 @@ def functional_g_norm(u: np.ndarray, v: np.ndarray, basis: NoiseBasis) -> float:
 
 @dataclass
 class SpdeTrajectory:
-    """Strided diagnostics (and optional field/accumulator snapshots)."""
+    """Strided diagnostics, optional field snapshots and the remainder series.
+
+    j_norms (rows, 6) holds the H-norms of J_1..J_6 and identity_residual
+    (rows,) the residual of the integrated identity; both are None unless
+    the run tracked the remainder.
+    """
 
     params: SpdeParams
     t: np.ndarray
@@ -462,8 +497,8 @@ class SpdeTrajectory:
     weight_a: float
     u_fields: np.ndarray | None = None
     v_fields: np.ndarray | None = None
-    remainder: dict | None = None
-    final_state: State | None = None
+    j_norms: np.ndarray | None = None
+    identity_residual: np.ndarray | None = None
 
 
 def simulate(u0: np.ndarray, v0: np.ndarray, params: SpdeParams, basis: NoiseBasis, *,
@@ -479,14 +514,14 @@ def simulate(u0: np.ndarray, v0: np.ndarray, params: SpdeParams, basis: NoiseBas
     given, else from `rng`, drawn as one (n_steps, m) block (the same numbers
     as n_steps draws of m); with neither, the run is noise-free.  Rows are
     recorded at steps 0, stride, 2*stride, ... and always at the final step.
-    track_remainder additionally snapshots the accumulated integrals needed
-    by the integrated-identity remainder (this implies field snapshots).
+    track_remainder also evaluates the remainder series while the run
+    goes: each row's fields and accumulators are copied into a buffer of
+    REMAINDER_CHUNK rows that remainder_norms reduces whenever it fills.
     A blow-up raises BlowUpError.
     """
     grid = params.grid
     n_steps = params.n_steps
-    if stride < 1:
-        raise ParameterError(f"stride must be >= 1, got {stride}")
+    rows = output_rows(n_steps, stride)
     if increments is not None:
         increments = np.asarray(increments, dtype=float)
         if increments.shape != (n_steps, basis.m):
@@ -495,18 +530,16 @@ def simulate(u0: np.ndarray, v0: np.ndarray, params: SpdeParams, basis: NoiseBas
     elif rng is not None and basis.m > 0:
         increments = np.sqrt(params.dt) * rng.standard_normal((n_steps, basis.m))
 
-    rows = list(range(0, n_steps + 1, stride))
-    if rows[-1] != n_steps:
-        rows.append(n_steps)
     n_rows = len(rows)
-    keep_fields = keep_fields or track_remainder
-
     engine = SpdeStepper(params, basis, u0, v0, track_remainder=track_remainder)
     scalars = {name: np.empty(n_rows) for name in ("t",) + DIAGNOSTICS}
     u_rows = np.empty((n_rows, grid.n, 3)) if keep_fields else None
     v_rows = np.empty((n_rows, grid.n, 3)) if keep_fields else None
-    snaps = ({key: np.empty((n_rows, grid.n, 3)) for key in REMAINDER_KEYS + ("j6",)}
-             if track_remainder else None)
+    j_norms = residual = None
+    if track_remainder:
+        j_norms, residual = np.empty((n_rows, 6)), np.empty(n_rows)
+        chunk = {key: np.empty((REMAINDER_CHUNK, grid.n, 3))
+                 for key in ("u", "v") + REMAINDER_KEYS + ("j6",)}
 
     def record(r: int):
         scalars["t"][r] = engine.t
@@ -516,21 +549,25 @@ def simulate(u0: np.ndarray, v0: np.ndarray, params: SpdeParams, basis: NoiseBas
             u_rows[r] = engine.u[0]
             v_rows[r] = engine.v[0]
         if track_remainder:
-            for key, acc in engine.remainder.items():
-                snaps[key][r] = acc[0]
+            i = r % REMAINDER_CHUNK
+            for key, values in dict(engine.remainder, u=engine.u, v=engine.v).items():
+                chunk[key][i] = values[0]
+            if i == REMAINDER_CHUNK - 1 or r == n_rows - 1:
+                acc = {key: buf[:i + 1] for key, buf in chunk.items()}
+                u, v = acc.pop("u"), acc.pop("v")
+                part = slice(r - i, r + 1)
+                j_norms[part], residual[part] = remainder_norms(
+                    params, basis, engine.u0[0], engine.v0[0], u, v, acc)
 
     engine.run(None if increments is None else increments[:, None, :], rows, record)
     if engine.lost:
         raise engine.lost[0]
-    final_state = State(grid=grid, u=engine.u[0], v=engine.v[0], t=engine.t,
-                        acc_v2=float(engine.acc_v2[0]), acc_noise=engine.acc_noise[0],
-                        step_index=engine.step_index)
     return SpdeTrajectory(
         params=params,
         weight_a=weight_a,
         u_fields=u_rows,
         v_fields=v_rows,
-        remainder=snaps,
-        final_state=final_state,
+        j_norms=j_norms,
+        identity_residual=residual,
         **scalars,
     )

@@ -7,14 +7,8 @@ are coupled across mass levels by common random numbers: the child stream
 of sample j is derived from (master seed, 0, j) so the same increments
 drive every level (set crn=False to key streams by level as well).
 
-The six-term remainder of the integrated identity,
-
-    R(t) = (3 mu / 2 gamma) phi (u0.v0) u0 + sum_i J_i(t),
-    J1 = -(3 mu/2 gamma) phi (u.v) u            J4 = (3 mu/2 gamma) phi int |v|^2 u ds
-    J2 = -mu int |v|_H^2 u ds                   J5 = -(3 mu/2 gamma) phi int |v|_H^2 |u|^2 u ds
-    J3 = (3 mu/2 gamma) phi int (u.v) v ds      J6 = mu^alpha int (u x v) dw
-
-is evaluated along every trajectory together with the residual of the full
+The six-term remainder of the integrated identity (spde.remainder_norms) is
+evaluated along every trajectory together with the residual of the full
 identity, which is a pure time-discretisation quantity.
 
 The ensemble runs on the batched engine of spde: each mass level is split
@@ -34,19 +28,16 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import ConfigError, ParameterError
-from .fields import Grid1D, dst_ortho, initial_pair, inner_each, pointwise_dot, spectral_norm
+from .fields import Grid1D, dst_ortho, initial_pair, spectral_norm
 from .limit import LimitParams, solve_limit
 from .noise import NoiseBasis, build_basis, derive_stream
-from .spde import SpdeParams, SpdeStepper, SpdeTrajectory
+from .spde import SpdeParams, SpdeStepper, remainder_norms
 
 __all__ = [
     "StudyConfig",
     "SampleRow",
     "LevelSummary",
     "StudyResult",
-    "RemainderSeries",
-    "remainder_norms",
-    "remainder_terms",
     "run_study",
     "scaling_experiment",
     "trend_check",
@@ -54,7 +45,6 @@ __all__ = [
 
 TARGET_NAMES = ("corrected", "parabolic")
 BLOCK_SIZE = 8           # most samples of one level stepped together
-REMAINDER_CHUNK = 64     # rows per evaluation of a stored trajectory's remainder
 
 
 @dataclass(frozen=True)
@@ -128,68 +118,6 @@ class StudyConfig:
     def child_key(self, mu_index: int, sample: int) -> tuple:
         level_key = 0 if self.crn else mu_index
         return (self.master_seed, level_key, sample)
-
-
-@dataclass(frozen=True)
-class RemainderSeries:
-    """H-norm series of the six remainder terms plus the identity residual."""
-
-    t: np.ndarray
-    norms: np.ndarray      # (rows, 6)
-    residual: np.ndarray   # (rows,)
-
-
-def remainder_norms(params: SpdeParams, basis: NoiseBasis, u0, v0, u, v,
-                    acc: dict) -> tuple[np.ndarray, np.ndarray]:
-    """H-norms of J_1..J_6, shape (..., 6), and the identity residual, shape (...).
-
-    u, v and the accumulators of spde.REMAINDER_KEYS + ("j6",) hold fields
-    (..., n, 3): rows of one trajectory or the samples of a block.  u0, v0
-    broadcast against them.  Every kernel term carries the correction weight
-    mu^(2 alpha - 1) of the simulated dynamics (1 at the reference exponent
-    alpha = 1/2, where the identity takes its standard form), so the
-    residual measures pure time discretisation error at any exponent.
-    """
-    grid, mu, gamma = params.grid, params.mu, params.gamma
-    weight = params.correction_scale * mu ** (2.0 * params.alpha - 1.0)
-    phi = weight * basis.phi[:, None]
-    c = 1.5 * mu / gamma
-
-    base = gamma * u0 + 0.5 * phi * pointwise_dot(u0, u0) * u0 + mu * v0
-    const = c * phi * pointwise_dot(u0, v0) * u0
-
-    uu, uv = pointwise_dot(u, u), pointwise_dot(u, v)
-    j_fields = (
-        -c * phi * uv * u,
-        -mu * acc["j2"],
-        c * phi * acc["j3"],
-        c * phi * acc["j4"],
-        -c * phi * acc["j5"],
-        acc["j6"],
-    )
-    norms = np.stack([np.sqrt(inner_each(grid, jf, jf)) for jf in j_fields], axis=-1)
-    lhs = gamma * u + 0.5 * phi * uu * u + mu * v
-    rhs = (base + acc["iA"] + acc["iN"]
-           + (1.5 / gamma) * phi * (acc["iC"] + acc["iD"])
-           + const + sum(j_fields))
-    gap = lhs - rhs
-    return norms, np.sqrt(inner_each(grid, gap, gap))
-
-
-def remainder_terms(traj: SpdeTrajectory, basis: NoiseBasis) -> RemainderSeries:
-    """Evaluate J_1..J_6 and the integrated-identity residual along a stored run."""
-    if traj.remainder is None or traj.u_fields is None:
-        raise ConfigError("trajectory was recorded without remainder accumulators")
-    u, v, snaps = traj.u_fields, traj.v_fields, traj.remainder
-    rows = len(traj.t)
-    norms = np.empty((rows, 6))
-    residual = np.empty(rows)
-    for lo in range(0, rows, REMAINDER_CHUNK):
-        part = slice(lo, lo + REMAINDER_CHUNK)
-        norms[part], residual[part] = remainder_norms(
-            traj.params, basis, u[0], v[0], u[part], v[part],
-            {key: acc[part] for key, acc in snaps.items()})
-    return RemainderSeries(t=traj.t.copy(), norms=norms, residual=residual)
 
 
 @dataclass

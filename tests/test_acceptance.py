@@ -18,7 +18,6 @@ from spherewave.limit import LimitParams
 from spherewave.spde import SpdeStepper
 from spherewave.study import (
     StudyConfig,
-    remainder_terms,
     run_study,
     scaling_experiment,
     trend_check,
@@ -269,7 +268,7 @@ def test_criterion_7_remainder_decay(default_study, grid, basis, gentle_data):
         params = sw.SpdeParams(grid=grid, mu=mu, dt=dt, T=T, gamma=gamma)
         traj = sw.simulate(u0, v0, params, basis, increments=incs[dt],
                            stride=params.n_steps // 128, track_remainder=True)
-        sups.append(float(remainder_terms(traj, basis).residual.max()))
+        sups.append(float(traj.identity_residual.max()))
     slope = np.polyfit(np.log2(dts), np.log2(sups), 1)[0]
     ok = slack_ok and slope >= 1.0
     report(7, "remainder decay", ok,

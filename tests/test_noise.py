@@ -111,25 +111,24 @@ class TestStratCorrection:
 class TestApplyNoise:
     def test_zero_increment(self, grid, basis):
         u, v = random_field(grid), random_field(grid)
-        dw = sw.WienerIncrement(1e-3, np.zeros(basis.m))
-        assert np.all(sw.apply_noise(u, v, basis, dw) == 0.0)
+        assert np.all(noise_field(u, v, basis, np.zeros(basis.m)) == 0.0)
 
     def test_parallel_fields(self, grid, basis):
         u = random_field(grid)
-        dw = sw.sample_increment(basis, 1e-3, sw.derive_stream(3, 0))
-        assert np.abs(sw.apply_noise(u, 0.5 * u, basis, dw)).max() <= 1e-13
+        dw = np.sqrt(1e-3) * sw.derive_stream(3, 0).standard_normal(basis.m)
+        assert np.abs(noise_field(u, 0.5 * u, basis, dw)).max() <= 1e-13
 
     def test_single_mode_unit_increment(self, grid):
         b = sw.build_basis(grid, 1, 2.0)
         u, v = random_field(grid), random_field(grid)
-        out = sw.apply_noise(u, v, b, np.array([1.0]))
+        out = noise_field(u, v, b, np.array([1.0]))
         expected = np.cross(u, v) * b.xi[0][:, None]
         assert np.abs(out - expected).max() <= 1e-14
 
     def test_pointwise_orthogonality(self, grid, basis):
         u, v = random_field(grid), random_field(grid)
-        dw = sw.sample_increment(basis, 1e-3, sw.derive_stream(4, 0))
-        out = sw.apply_noise(u, v, basis, dw)
+        dw = np.sqrt(1e-3) * sw.derive_stream(4, 0).standard_normal(basis.m)
+        out = noise_field(u, v, basis, dw)
         assert np.abs(np.einsum("ij,ij->i", u, out)).max() <= 1e-12
         assert np.abs(np.einsum("ij,ij->i", v, out)).max() <= 1e-12
 
@@ -141,9 +140,9 @@ class TestApplyNoise:
 
 class TestIncrements:
     def test_replay_determinism(self, basis):
-        a = sw.sample_increment(basis, 1e-3, sw.derive_stream(11, 2, 5))
-        b = sw.sample_increment(basis, 1e-3, sw.derive_stream(11, 2, 5))
-        assert np.array_equal(a.values, b.values)
+        a = sw.derive_stream(11, 2, 5).standard_normal(basis.m)
+        b = sw.derive_stream(11, 2, 5).standard_normal(basis.m)
+        assert np.array_equal(a, b)
 
     def test_variance_matches_dt(self, basis):
         dt = 4e-3
@@ -155,7 +154,3 @@ class TestIncrements:
         a = sw.derive_stream(13, 0).standard_normal(10_000)
         b = sw.derive_stream(13, 1).standard_normal(10_000)
         assert abs(np.corrcoef(a, b)[0, 1]) < 0.05
-
-    def test_nonpositive_dt_rejected(self, basis):
-        with pytest.raises(sw.ParameterError):
-            sw.sample_increment(basis, 0.0, sw.derive_stream(1))

@@ -123,8 +123,8 @@ class TestStep:
         finals = []
         for dt in dts:
             params = sw.SpdeParams(grid=grid, mu=mu, dt=dt, T=T, gamma=5.0)
-            traj = sw.simulate(u0, v0, params, basis, increments=incs[dt])
-            finals.append(traj.final_state.u.copy())
+            traj = sw.simulate(u0, v0, params, basis, increments=incs[dt], keep_fields=True)
+            finals.append(traj.u_fields[-1])
         d_coarse = sw.norm_l2(grid, finals[0] - finals[2])
         d_mid = sw.norm_l2(grid, finals[1] - finals[2])
         assert d_mid < d_coarse
@@ -177,10 +177,12 @@ class TestStep:
     def test_determinism(self, grid, basis, gentle_data):
         u0, v0 = gentle_data
         params = sw.SpdeParams(grid=grid, mu=0.1, dt=1e-4, T=0.05)
-        a = sw.simulate(u0, v0, params, basis, rng=sw.derive_stream(8, 1), stride=10)
-        b = sw.simulate(u0, v0, params, basis, rng=sw.derive_stream(8, 1), stride=10)
+        a = sw.simulate(u0, v0, params, basis, rng=sw.derive_stream(8, 1), stride=10,
+                        keep_fields=True)
+        b = sw.simulate(u0, v0, params, basis, rng=sw.derive_stream(8, 1), stride=10,
+                        keep_fields=True)
         assert np.array_equal(a.energy, b.energy)
-        assert np.array_equal(a.final_state.u, b.final_state.u)
+        assert np.array_equal(a.u_fields[-1], b.u_fields[-1])
 
 
 class TestDiagnostics:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import spherewave as sw
-from spherewave.study import StudyConfig, remainder_terms, run_study, scaling_experiment, trend_check
+from spherewave.study import StudyConfig, run_study, scaling_experiment, trend_check
 
 
 @pytest.fixture(scope="module")
@@ -61,9 +61,8 @@ class TestRemainderTerms:
         params = sw.SpdeParams(grid=grid, mu=0.1, dt=1e-4, T=0.02)
         traj = sw.simulate(u0, sw.zero_field(grid), params, basis,
                            rng=sw.derive_stream(1, 0), stride=20, track_remainder=True)
-        rem = remainder_terms(traj, basis)
-        assert rem.norms.max() <= 1e-12
-        assert rem.residual.max() <= 1e-10
+        assert traj.j_norms.max() <= 1e-12
+        assert traj.identity_residual.max() <= 1e-10
 
     def test_missing_accumulators_rejected(self):
         grid = sw.Grid1D(1.0, 63)
@@ -71,8 +70,38 @@ class TestRemainderTerms:
         u0 = sw.normalize_sphere(grid, sw.sine_field(grid, 1, 1))
         params = sw.SpdeParams(grid=grid, mu=0.1, dt=1e-4, T=0.01)
         traj = sw.simulate(u0, sw.zero_field(grid), params, basis, stride=10)
-        with pytest.raises(sw.ConfigError):
-            remainder_terms(traj, basis)
+        assert traj.j_norms is None and traj.identity_residual is None
+
+    def test_streamed_rows_independent_of_stride(self):
+        # 151 rows at stride 1 span three remainder chunks, the last one partial
+        grid = sw.Grid1D(1.0, 63)
+        basis = sw.build_basis(grid, 8, 2.0)
+        u0 = sw.normalize_sphere(grid, sw.sine_field(grid, 1, 1)
+                                 + sw.sine_field(grid, 2, 2, 0.1))
+        params = sw.SpdeParams(grid=grid, mu=0.1, dt=1e-4, T=0.015)
+        runs = {stride: sw.simulate(u0, sw.zero_field(grid), params, basis,
+                                    rng=sw.derive_stream(5, 0), stride=stride,
+                                    track_remainder=True)
+                for stride in (1, 3)}
+        assert len(runs[1].t) == 151 and len(runs[3].t) == 51
+        fine, coarse = runs[1], runs[3]
+        np.testing.assert_allclose(fine.j_norms[::3], coarse.j_norms, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(fine.identity_residual[::3], coarse.identity_residual,
+                                   rtol=1e-12, atol=0.0)
+        assert fine.j_norms[-1, 5] > 0.0 and fine.identity_residual[-1] > 0.0
+
+    def test_remainder_keeps_no_fields(self):
+        grid = sw.Grid1D(1.0, 63)
+        basis = sw.build_basis(grid, 8, 2.0)
+        u0 = sw.normalize_sphere(grid, sw.sine_field(grid, 1, 1))
+        params = sw.SpdeParams(grid=grid, mu=0.1, dt=1e-4, T=0.01)
+        runs = [sw.simulate(u0, sw.zero_field(grid), params, basis, rng=sw.derive_stream(6, 0),
+                            stride=10, track_remainder=True, keep_fields=keep)
+                for keep in (False, True)]
+        assert runs[0].u_fields is None and runs[0].v_fields is None
+        assert runs[1].u_fields.shape == (11, grid.n, 3)
+        assert np.array_equal(runs[0].j_norms, runs[1].j_norms)
+        assert np.array_equal(runs[0].identity_residual, runs[1].identity_residual)
 
     def test_instantaneous_term_halves_with_mass(self):
         # fixed path: the leading remainder term carries an explicit mass factor
@@ -88,8 +117,7 @@ class TestRemainderTerms:
                                rng=sw.derive_stream(*cfg.child_key(0, 0)),
                                stride=params.n_steps // cfg.n_out,
                                track_remainder=True)
-            rem = remainder_terms(traj, basis)
-            sups.append(rem.norms[:, 0].max())
+            sups.append(traj.j_norms[:, 0].max())
         ratio = sups[0] / sups[1]
         assert 1.5 <= ratio <= 2.7
 
@@ -111,7 +139,7 @@ class TestRemainderTerms:
             traj = sw.simulate(u0, v0, params, basis, increments=inc,
                                stride=params.n_steps // 50,
                                track_remainder=True)
-            sups.append(remainder_terms(traj, basis).residual.max())
+            sups.append(traj.identity_residual.max())
         assert sups[1] < 0.75 * sups[0]
 
     def test_identity_residual_refines_with_dt(self):
@@ -131,7 +159,7 @@ class TestRemainderTerms:
             params = sw.SpdeParams(grid=grid, mu=mu, dt=dt, T=T, gamma=5.0)
             traj = sw.simulate(u0, v0, params, basis, increments=incs[dt],
                                stride=params.n_steps // 50, track_remainder=True)
-            sups.append(remainder_terms(traj, basis).residual.max())
+            sups.append(traj.identity_residual.max())
         assert sups[1] < 0.75 * sups[0]
 
 
@@ -232,11 +260,11 @@ class TestBlockEngine:
         for row in result.rows:
             params = config.spde_params(row.mu, grid)
             traj = sw.simulate(u0, v0, params, basis, rng=sw.derive_stream(*row.seed_key),
-                               stride=params.n_steps // config.n_out, track_remainder=True)
-            rem = remainder_terms(traj, basis)
+                               stride=params.n_steps // config.n_out, track_remainder=True,
+                               keep_fields=True)
             expected = {
                 "energy_residual": np.abs(traj.energy - traj.energy[0]).max() / traj.energy[0],
-                "identity_sup": rem.residual.max(),
+                "identity_sup": traj.identity_residual.max(),
             }
             for name, fields in targets.items():
                 expected[name] = max(sw.sobolev_norm(grid, traj.u_fields[r] - fields[r],
@@ -245,7 +273,7 @@ class TestBlockEngine:
                        identity_sup=row.identity_sup)
             for key, value in expected.items():
                 assert got[key] == pytest.approx(value, rel=1e-12, abs=0.0), key
-            assert np.allclose(row.j_sups, rem.norms.max(axis=0), rtol=1e-12, atol=0.0)
+            assert np.allclose(row.j_sups, traj.j_norms.max(axis=0), rtol=1e-12, atol=0.0)
             assert row.theta_sup == pytest.approx(np.abs(traj.theta).max(), abs=1e-14)
             assert row.eta_sup == pytest.approx(np.abs(traj.eta).max(), abs=1e-14)
 
