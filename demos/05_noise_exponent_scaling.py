@@ -9,7 +9,7 @@ phi-corrected flow bottoms out at the fixed separation between the two
 candidates - a negative control telling the limits apart.
 """
 
-from spherewave.study import StudyConfig, scaling_experiment
+from spherewave.study import StudyConfig, run_study
 
 
 def main():
@@ -17,7 +17,7 @@ def main():
                          mu_values=(0.2, 0.1, 0.05, 0.025, 0.0125, 0.00625))
     print(f"alpha = {config.alpha}, gamma = {config.gamma}, "
           f"mass grid {config.mu_values}")
-    result = scaling_experiment(config, extra_targets=("corrected",))
+    result = run_study(config, extra_targets=("corrected",))
 
     print(f"\n{'mu':>9} {'vs parabolic':>13} {'vs corrected':>13} {'ratio':>7}")
     for lev in result.levels:

@@ -67,7 +67,6 @@ from .study import (
     StudyConfig,
     StudyResult,
     run_study,
-    scaling_experiment,
     trend_check,
 )
 

@@ -31,7 +31,7 @@ from .errors import BlowUpError, ConfigError, ParameterError
 from .limit import solve_limit
 from .noise import derive_stream
 from .spde import simulate
-from .study import run_study, scaling_experiment, trend_check
+from .study import run_study, trend_check
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -64,12 +64,8 @@ def cmd_simulate(args) -> int:
     seed = cfg["study"]["master_seed"]
     rng = derive_stream(seed, 0, 0)
     start = time.perf_counter()
-    try:
-        traj = simulate(u0, v0, params, basis, rng=rng,
-                        stride=cfg["output"]["stride"], track_remainder=True)
-    except BlowUpError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    traj = simulate(u0, v0, params, basis, rng=rng,
+                    stride=cfg["output"]["stride"], track_remainder=True)
     out = output_directory(cfg)
     header = ["t", "energy", "theta", "eta", "u_h1", "u_h2", "v_h", "v_h1",
               "weighted_h2", "j1", "j2", "j3", "j4", "j5", "j6"]
@@ -90,12 +86,8 @@ def cmd_limit(args) -> int:
     params = limit_params_from(cfg, grid, basis)
     u0, _ = initial_fields_from(cfg, grid)
     start = time.perf_counter()
-    try:
-        traj = solve_limit(u0, params, basis, stride=cfg["output"]["stride"],
-                           keep_fields=False)
-    except BlowUpError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    traj = solve_limit(u0, params, basis, stride=cfg["output"]["stride"],
+                       keep_fields=False)
     out = output_directory(cfg)
     header = ["t", "u_h1", "u_h2", "ut_h", "sphere_residual", "projection_defect",
               "energy_lhs", "energy_rhs"]
@@ -135,8 +127,7 @@ def cmd_study(args) -> int:
     cfg = load_config(args.config)
     study_cfg = study_config_from(cfg)
     start = time.perf_counter()
-    runner = scaling_experiment if study_cfg.alpha != 0.5 else run_study
-    result = runner(study_cfg, target=args.target, workers=args.workers)
+    result = run_study(study_cfg, target=args.target, workers=args.workers)
     out = output_directory(cfg)
     write_json(out / "study.json", result.to_json_dict())
     header, columns = _study_csv(result)

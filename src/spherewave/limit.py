@@ -245,11 +245,9 @@ class LimitTrajectory:
     ut_h: np.ndarray
     sphere_residual: np.ndarray
     projection_defect: np.ndarray
-    int_ut_sq: np.ndarray
     energy_lhs: np.ndarray
     energy_rhs: float
     u_fields: np.ndarray | None = None
-    ut_fields: np.ndarray | None = None
 
 
 def solve_limit(u0: np.ndarray, params: LimitParams, basis: NoiseBasis, *,
@@ -266,10 +264,8 @@ def solve_limit(u0: np.ndarray, params: LimitParams, basis: NoiseBasis, *,
     ut_h = np.empty(n_rows)
     sphere = np.empty(n_rows)
     defect = np.empty(n_rows)
-    int_ut = np.empty(n_rows)
     energy_lhs = np.empty(n_rows)
     u_fields = np.empty((n_rows, grid.n, 3)) if keep_fields else None
-    ut_fields = np.empty((n_rows, grid.n, 3)) if keep_fields else None
     energy_rhs = float(flow.h1)
 
     def record(r: int, worst_defect: float):
@@ -279,11 +275,9 @@ def solve_limit(u0: np.ndarray, params: LimitParams, basis: NoiseBasis, *,
         ut_h[r] = np.sqrt(flow.ut_sq)
         sphere[r] = abs(norm_l2(grid, flow.u) - 1.0)
         defect[r] = worst_defect
-        int_ut[r] = flow.int_ut_sq
         energy_lhs[r] = flow.h1 + 2.0 * params.gamma * flow.int_ut_sq
         if keep_fields:
             u_fields[r] = flow.u
-            ut_fields[r] = flow.ut
 
     record(0, 0.0)
     for r in range(1, n_rows):
@@ -295,8 +289,8 @@ def solve_limit(u0: np.ndarray, params: LimitParams, basis: NoiseBasis, *,
 
     return LimitTrajectory(params=params, t=t, u_h1=u_h1, u_h2=u_h2, ut_h=ut_h,
                            sphere_residual=sphere, projection_defect=defect,
-                           int_ut_sq=int_ut, energy_lhs=energy_lhs,
-                           energy_rhs=energy_rhs, u_fields=u_fields, ut_fields=ut_fields)
+                           energy_lhs=energy_lhs, energy_rhs=energy_rhs,
+                           u_fields=u_fields)
 
 
 @dataclass

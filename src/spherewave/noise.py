@@ -37,9 +37,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class NoiseBasis:
-    """Sampled sine basis, its derivatives, and the kernel fields phi, phi1.
+    """Sampled sine basis and the kernel fields phi, phi1 it induces.
 
-    Node arrays drive the dynamics; midpoint arrays (staggered grid) serve
+    Node arrays drive the dynamics; midpoint kernels (staggered grid) serve
     the H^1-level diagnostic functionals.  The sup bounds are the truncated
     closed forms (2/L) sum a_i^2 and (2/L) sum a_i^2 (i pi/L)^2; the tails
     are the zeta-function remainders of the untruncated series.
@@ -50,11 +50,8 @@ class NoiseBasis:
     p: float
     amplitudes: np.ndarray        # (m,)   a_i = i^-p
     xi: np.ndarray                # (m, n) xi_i(x_j)
-    dxi: np.ndarray               # (m, n) xi_i'(x_j)
     phi: np.ndarray               # (n,)
     phi1: np.ndarray              # (n,)
-    xi_mid: np.ndarray            # (m, n+1)
-    dxi_mid: np.ndarray           # (m, n+1)
     phi_mid: np.ndarray           # (n+1,)
     phi1_mid: np.ndarray          # (n+1,)
     xi_dxi_mid: np.ndarray        # (n+1,) sum_i xi_i xi_i' at midpoints
@@ -108,11 +105,8 @@ def build_basis(grid: Grid1D, m: int, p: float) -> NoiseBasis:
         p=p,
         amplitudes=amp,
         xi=xi,
-        dxi=dxi,
         phi=(xi ** 2).sum(axis=0) if m else np.zeros(grid.n),
         phi1=(dxi ** 2).sum(axis=0) if m else np.zeros(grid.n),
-        xi_mid=xi_mid,
-        dxi_mid=dxi_mid,
         phi_mid=(xi_mid ** 2).sum(axis=0) if m else np.zeros(grid.n + 1),
         phi1_mid=(dxi_mid ** 2).sum(axis=0) if m else np.zeros(grid.n + 1),
         xi_dxi_mid=(xi_mid * dxi_mid).sum(axis=0) if m else np.zeros(grid.n + 1),

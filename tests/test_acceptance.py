@@ -16,12 +16,7 @@ import pytest
 import spherewave as sw
 from spherewave.limit import LimitParams
 from spherewave.spde import SpdeStepper
-from spherewave.study import (
-    StudyConfig,
-    run_study,
-    scaling_experiment,
-    trend_check,
-)
+from spherewave.study import StudyConfig, run_study, trend_check
 
 
 def report(num, name, ok, detail):
@@ -85,7 +80,7 @@ def default_study():
 def scaling_study():
     cfg = StudyConfig(gamma=5.0, alpha=1.0, v_modes=(), ensemble=8,
                       mu_values=(0.2, 0.1, 0.05, 0.025, 0.0125, 0.00625))
-    return scaling_experiment(cfg, extra_targets=("corrected",))
+    return run_study(cfg, extra_targets=("corrected",))
 
 
 def test_criterion_1_algebraic_oracles(grid, basis):

@@ -8,7 +8,7 @@ import pytest
 from spherewave import cli
 from spherewave.checks import CHECK_NAMES
 from spherewave.config import config_hash, load_config, resolve_config, study_config_from
-from spherewave.errors import ConfigError
+from spherewave.errors import BlowUpError, ConfigError
 
 
 def write_config(path, payload):
@@ -149,6 +149,17 @@ class TestLimitCommand:
             assert float(vals[il]) <= float(vals[ir]) * (1 + 1e-6)
 
 
+@pytest.mark.parametrize("command, solver", [("simulate", "simulate"),
+                                             ("limit", "solve_limit")])
+def test_blowup_exit_code(tmp_path, monkeypatch, capsys, command, solver):
+    def blow_up(*args, **kwargs):
+        raise BlowUpError(5)
+
+    monkeypatch.setattr(cli, solver, blow_up)
+    assert cli.main([command, "-c", sim_config(tmp_path)]) == 2
+    assert capsys.readouterr().err == "numerical failure: non-finite field at step 5\n"
+
+
 class TestStudyCommand:
     def study_config(self, tmp_path, **overrides):
         payload = {
@@ -206,6 +217,13 @@ class TestStudyCommand:
             assert reason in capsys.readouterr().err
             with pytest.raises(ConfigError, match=reason):
                 study_config_from(load_config(cfg))
+
+    def test_small_alpha_needs_exploratory(self, tmp_path, capsys):
+        # below 1/2 no limit is proven: the CLI refuses before any output
+        cfg = self.study_config(tmp_path, physics={"alpha": 0.25})
+        assert cli.main(["study", "-c", cfg]) == 1
+        assert "exploratory" in capsys.readouterr().err
+        assert not (tmp_path / "study-out" / "study.json").exists()
 
     def test_acceptance_trend_exit_code(self, tmp_path):
         # comparing against the wrong target gives a plateau, failing --check

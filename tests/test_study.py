@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import spherewave as sw
-from spherewave.study import StudyConfig, run_study, scaling_experiment, trend_check
+from spherewave.study import StudyConfig, run_study, trend_check
 
 
 @pytest.fixture(scope="module")
@@ -216,22 +216,18 @@ class TestRunStudy:
 
 
 class TestScaling:
-    def test_alpha_half_same_code_path(self, small_config, small_result):
-        b = scaling_experiment(small_config)
-        assert b.to_json_dict() == small_result.to_json_dict()
-
     def test_alpha_above_half_targets_parabolic(self):
         cfg = StudyConfig(n=63, m=8, ensemble=1, mu_values=(0.1,), T=0.25,
                           n_out=32, alpha=1.0)
-        res = scaling_experiment(cfg)
+        res = run_study(cfg)
         assert res.target == "parabolic"
 
     def test_small_alpha_needs_exploratory_flag(self):
         cfg = StudyConfig(n=63, m=8, ensemble=1, mu_values=(0.1,), T=0.25,
                           n_out=32, alpha=0.25)
         with pytest.raises(sw.ParameterError):
-            scaling_experiment(cfg)
-        res = scaling_experiment(cfg, exploratory=True, target="parabolic")
+            run_study(cfg)
+        res = run_study(cfg, exploratory=True, target="parabolic")
         assert res.rows[0].errors["parabolic"] >= 0.0
 
 
