@@ -27,7 +27,7 @@ def main():
         params = sw.SpdeParams.auto(grid, mu, config.T, projection=True,
                                     n_out=config.n_out)
         traj = sw.simulate(u0, v0, params, basis,
-                           rng=sw.derive_stream(*config.child_key(0, 0)),
+                           rng=sw.derive_stream(*config.child_key(0)),
                            stride=params.n_steps // config.n_out,
                            track_remainder=True)
         sups = traj.j_norms.max(axis=0)

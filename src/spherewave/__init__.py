@@ -56,7 +56,6 @@ from .spde import (
     SpdeParams,
     SpdeStepper,
     SpdeTrajectory,
-    drift,
     functional_g_norm,
     functional_j,
     remainder_norms,

@@ -112,12 +112,9 @@ CONFIG_SCHEMA = {
                 "ensemble": {"type": "integer", "minimum": 1},
                 "delta": {"type": "number", "minimum": 0, "exclusiveMaximum": 2},
                 "master_seed": {"type": "integer", "minimum": 0},
-                "crn": {"type": "boolean"},
                 "projection": {"type": "boolean"},
                 "cfl": {"type": "number", "exclusiveMinimum": 0, "maximum": 0.5},
                 "n_out": {"type": "integer", "minimum": 1},
-                "max_energy_drift": {"type": "number", "exclusiveMinimum": 0},
-                "failure_budget": {"type": "number", "exclusiveMinimum": 0, "maximum": 1},
             },
         },
         "output": {
@@ -141,8 +138,7 @@ DEFAULT_CONFIG = {
     "initial_data": {"u_modes": [[1, 1, 1.0], [2, 2, 0.1]],
                      "v_modes": [[1, 2, 2.0], [2, 3, 1.0]]},
     "study": {"ensemble": 16, "delta": 1.0, "master_seed": 20240811,
-              "crn": True, "projection": True, "cfl": 0.25, "n_out": 256,
-              "max_energy_drift": 0.1, "failure_budget": 0.5},
+              "projection": True, "cfl": 0.25, "n_out": 256},
     "output": {"directory": "spherewave-out", "stride": 1},
 }
 
@@ -223,9 +219,6 @@ def study_config_from(cfg: dict) -> StudyConfig:
             cfl=cfg["study"]["cfl"],
             dt=None if cfg["time"]["dt"] == "auto" else cfg["time"]["dt"],
             projection=cfg["study"]["projection"],
-            crn=cfg["study"]["crn"],
-            max_energy_drift=cfg["study"]["max_energy_drift"],
-            failure_budget=cfg["study"]["failure_budget"],
         )
     except ConfigError:
         raise

@@ -69,6 +69,8 @@ __all__ = [
 # inside it with a margin of about 1.6.
 _RELAXATION_STEPS = 400
 _CONTOUR_POINTS = 32
+# largest |A_h u0|_H accepted as initial data
+_H2_CAP = 1.0e6
 
 
 @dataclass(frozen=True)
@@ -85,7 +87,6 @@ class LimitParams:
     T: float
     gamma: float = 1.0
     parabolic: bool = False
-    h2_cap: float = 1.0e6
 
     def __post_init__(self):
         if self.gamma <= 0.0:
@@ -100,10 +101,9 @@ class LimitParams:
 
     @classmethod
     def auto(cls, grid: Grid1D, T: float, *, gamma: float = 1.0,
-             parabolic: bool = False, n_out: int = 256,
-             h2_cap: float = 1.0e6) -> "LimitParams":
+             parabolic: bool = False, n_out: int = 256) -> "LimitParams":
         dt = fitted_step(gamma / (_RELAXATION_STEPS * eigenvalue(grid, 1)), T, n_out)
-        return cls(grid=grid, dt=dt, T=T, gamma=gamma, parabolic=parabolic, h2_cap=h2_cap)
+        return cls(grid=grid, dt=dt, T=T, gamma=gamma, parabolic=parabolic)
 
 
 def mobility_apply_inverse(u: np.ndarray, phi, gamma: float, r: np.ndarray) -> np.ndarray:
@@ -159,12 +159,12 @@ def explicit_form_residual(u: np.ndarray, ut: np.ndarray, basis: NoiseBasis,
     return norm_l2(grid, lhs - rhs)
 
 
-def _repair_initial(grid: Grid1D, u0: np.ndarray, cap: float) -> np.ndarray:
+def _repair_initial(grid: Grid1D, u0: np.ndarray) -> np.ndarray:
     u0 = normalize_sphere(grid, u0)
     h2 = np.sqrt(norm_l2_sq(grid, laplacian(grid, u0)))
-    if h2 > cap:
+    if h2 > _H2_CAP:
         raise ParameterError(
-            f"initial field is too rough: |A_h u0|_H = {h2:.3e} exceeds the cap {cap:.3e}")
+            f"initial field is too rough: |A_h u0|_H = {h2:.3e} exceeds the cap {_H2_CAP:.3e}")
     return u0
 
 
@@ -201,7 +201,7 @@ class _Etd2Flow:
         self._decay = np.exp(z)[:, None]
         self._phi1 = params.dt * phi1[:, None]
         self._phi2 = params.dt * phi2[:, None]
-        self.u = _repair_initial(params.grid, u0, params.h2_cap)
+        self.u = _repair_initial(params.grid, u0)
         self.ut, self.lap, self.h1 = _rhs_with_extras(self.u, basis, params)
         self.ut_sq = norm_l2_sq(params.grid, self.ut)
         self.int_ut_sq = 0.0

@@ -66,7 +66,6 @@ __all__ = [
     "SpdeStepper",
     "REMAINDER_KEYS",
     "remainder_norms",
-    "drift",
     "simulate",
     "functional_j",
     "functional_g_norm",
@@ -127,8 +126,7 @@ class SpdeParams:
     @classmethod
     def auto(cls, grid: Grid1D, mu: float, T: float, *, gamma: float = 1.0,
              alpha: float = 0.5, projection: bool = False, cfl: float = 0.25,
-             n_out: int = 256, dt: float | None = None,
-             correction_scale: float = 1.0) -> "SpdeParams":
+             n_out: int = 256, dt: float | None = None) -> "SpdeParams":
         """Resolve the step on an n_out output grid; every configured dt is read here.
 
         dt=None takes the largest step under cfl * sqrt(mu) h whose step count
@@ -144,7 +142,7 @@ class SpdeParams:
                 f"dt={dt!r} takes {step_count(dt, T)} steps to T={T!r},"
                 f" not a multiple of the {n_out} output rows")
         return cls(grid=grid, mu=mu, dt=dt, T=T, gamma=gamma, alpha=alpha,
-                   projection=projection, correction_scale=correction_scale)
+                   projection=projection)
 
 
 def _explicit_force(params: SpdeParams, basis: NoiseBasis, u, v, h1, vh2, *,
@@ -152,17 +150,6 @@ def _explicit_force(params: SpdeParams, basis: NoiseBasis, u, v, h1, vh2, *,
     """|u|_{H1}^2 u - mu |v|_H^2 u + (1/2) mu^(2a-1) phi u x (u x v), explicit in every scheme."""
     coeff = 0.5 * params.mu ** (2.0 * params.alpha - 1.0) * params.correction_scale
     return h1 * u - params.mu * vh2 * u + coeff * strat_correction(u, v, basis, dots=dots)
-
-
-def drift(u: np.ndarray, v: np.ndarray, params: SpdeParams, basis: NoiseBasis):
-    """Deterministic Ito drift (du, dv) of the pair system."""
-    grid = params.grid
-    lap = laplacian(grid, u)
-    h1 = -inner_each(grid, lap, u)
-    vh2 = inner_each(grid, v, v)
-    force = _explicit_force(params, basis, u, v, h1, vh2)
-    dv = (lap + force - params.gamma * v) / params.mu
-    return v.copy(), dv
 
 
 class SpdeStepper:
@@ -216,6 +203,10 @@ class SpdeStepper:
             self._acc = np.zeros((len(REMAINDER_KEYS),) + u0.shape)
             self._prev, self._spare = np.empty_like(self._acc), np.empty_like(self._acc)
         self._bind(u0.copy(), v0.copy())
+        # finite fields can still overflow their norms, which every step reads
+        finite = np.isfinite(self.h1) & np.isfinite(self.vh2)
+        if not finite.all():
+            raise BlowUpError(0, sample=int(self.samples[~finite][0]))
 
     def _bind(self, u: np.ndarray, v: np.ndarray) -> None:
         """Make (u, v) the block's state and cache what the next step and the rows need."""

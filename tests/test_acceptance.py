@@ -80,7 +80,7 @@ def default_study():
 def scaling_study():
     cfg = StudyConfig(gamma=5.0, alpha=1.0, v_modes=(), ensemble=8,
                       mu_values=(0.2, 0.1, 0.05, 0.025, 0.0125, 0.00625))
-    return run_study(cfg, extra_targets=("corrected",))
+    return run_study(cfg, extra_targets=("corrected",), workers=2)
 
 
 def test_criterion_1_algebraic_oracles(grid, basis):
@@ -287,10 +287,11 @@ def test_criterion_8_alpha_scaling_control(scaling_study):
 
 def test_criterion_9_reproducibility(default_study):
     result, _ = default_study
-    rerun = run_study(StudyConfig())
+    # the reruns use two workers, so this also compares them with the serial run
+    rerun = run_study(StudyConfig(), workers=2)
     identical = rerun.to_json_dict() == result.to_json_dict()
 
-    other = run_study(StudyConfig(master_seed=777))
+    other = run_study(StudyConfig(master_seed=777), workers=2)
     overlap = True
     n = StudyConfig().ensemble
     for lev_a, lev_b in zip(result.levels, other.levels):

@@ -197,16 +197,25 @@ class TestStudyCommand:
         assert work["helmholtz_solves"] == sum(steps)
         assert work["limit_steps"] > 0
 
-    def test_energy_gate_exit_code(self, tmp_path):
+    def test_energy_gate_exit_code(self, tmp_path, monkeypatch):
         # deliberately coarse explicit step with a tight energy gate
+        monkeypatch.setattr("spherewave.study.MAX_ENERGY_DRIFT", 1e-8)
         cfg = self.study_config(
             tmp_path,
             physics={"mu_list": [0.2]},
             time={"dt": 0.5 / 384, "T": 0.5},
-            study={"ensemble": 1, "n_out": 64, "master_seed": 99,
-                   "max_energy_drift": 1e-8, "projection": False},
+            study={"ensemble": 1, "n_out": 64, "master_seed": 99, "projection": False},
         )
         assert cli.main(["study", "-c", cfg]) == 2
+
+    @pytest.mark.parametrize("key, value", [("crn", False), ("failure_budget", 0.9),
+                                            ("max_energy_drift", 0.5)])
+    def test_removed_keys_rejected(self, tmp_path, capsys, key, value):
+        # the CRN pairing, the energy gate and the failure budget are constants
+        cfg = self.study_config(tmp_path, study={key: value})
+        assert cli.main(["study", "-c", cfg]) == 1
+        assert repr(key) in capsys.readouterr().err
+        assert not (tmp_path / "study-out" / "study.json").exists()
 
     def test_dt_must_fill_the_output_grid(self, tmp_path, capsys):
         # time.dt is the exact step in study as in simulate: 1.5e-3 does not

@@ -44,13 +44,14 @@ class TestConfig:
         assert sw.norm_l2(grid, u0) == pytest.approx(1.0, abs=1e-13)
         assert abs(sw.inner_l2(grid, u0, v0)) <= 1e-12 * sw.norm_l2(grid, v0)
 
-    def test_crn_child_keys(self):
-        cfg = StudyConfig(crn=True)
-        assert cfg.child_key(0, 3) == cfg.child_key(2, 3)
-        keys = {cfg.child_key(0, j) for j in range(cfg.ensemble)}
-        assert len(keys) == cfg.ensemble
-        uncoupled = StudyConfig(crn=False)
-        assert uncoupled.child_key(0, 3) != uncoupled.child_key(2, 3)
+    def test_levels_share_each_samples_stream(self, small_config, small_result):
+        # common random numbers: every level steps sample j on one stream
+        for row in small_result.rows:
+            assert row.seed_key == (small_config.master_seed, 0, row.sample)
+        keys = {row.seed_key for row in small_result.rows}
+        assert len(keys) == small_config.ensemble
+        assert small_result.provenance["child_keys"] == [
+            list(row.seed_key) for row in small_result.rows]
 
 
 class TestRemainderTerms:
@@ -114,7 +115,7 @@ class TestRemainderTerms:
             params = sw.SpdeParams.auto(grid, mu, cfg.T, projection=True,
                                         n_out=cfg.n_out)
             traj = sw.simulate(u0, v0, params, basis,
-                               rng=sw.derive_stream(*cfg.child_key(0, 0)),
+                               rng=sw.derive_stream(*cfg.child_key(0)),
                                stride=params.n_steps // cfg.n_out,
                                track_remainder=True)
             sups.append(traj.j_norms[:, 0].max())
@@ -293,7 +294,7 @@ class TestBlockEngine:
         import spherewave.study as study_module
 
         real = study_module.derive_stream
-        bad_key = config.child_key(0, 1)
+        bad_key = config.child_key(1)
 
         class Crafted:
             def __init__(self, key):
