@@ -9,11 +9,13 @@ obtained by inverting the pointwise 3x3 matrix
 The solver steps the mobility form with ETDRK2: A_h/gamma exactly in the
 sine basis, the rest explicitly, each step projected back onto the sphere.
 There is no step bound; dt follows the accuracy rule
-dt <= gamma / (400 lambda_{h,1}).  The divergence form is kept as a residual
-oracle.  This script demonstrates: the equivalence of the two forms, exact
-equilibria at discrete sine eigenfields, sphere invariance and the
-projection defect, the energy inequality, and the two-solution comparison
-bound.
+dt <= gamma / (200 lambda_{h,1}), which the energy inequality's row gate
+sets: its dissipation integral int |u_t|^2 is taken to fourth order (the
+trapezoid plus the Euler-Maclaurin end correction).  The divergence form is
+kept as a residual oracle.  This script demonstrates: the equivalence of the
+two forms, exact equilibria at discrete sine eigenfields, sphere invariance
+and the projection defect, the energy inequality, and the two-solution
+comparison bound.
 """
 
 import numpy as np

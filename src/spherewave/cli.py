@@ -96,7 +96,8 @@ def cmd_limit(args) -> int:
                traj.projection_defect, traj.energy_lhs, np.full(rows, traj.energy_rhs)]
     write_csv(out / "limit.csv", header, columns)
     write_json(out / "limit.manifest.json",
-               _manifest(cfg, {}, time.perf_counter() - start, ["limit.csv"]))
+               _manifest(cfg, {}, time.perf_counter() - start, ["limit.csv"],
+                         work={"limit_steps": params.n_steps}))
     return EXIT_OK
 
 

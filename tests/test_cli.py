@@ -9,6 +9,7 @@ from spherewave import cli
 from spherewave.checks import CHECK_NAMES
 from spherewave.config import config_hash, load_config, resolve_config, study_config_from
 from spherewave.errors import BlowUpError, ConfigError
+from spherewave.limit import LimitParams
 
 
 def write_config(path, payload):
@@ -138,6 +139,13 @@ class TestLimitCommand:
         ut = np.array([float(l.split(",")[idx]) for l in lines[1:]])
         assert ut.max() <= 1e-10
 
+    def test_manifest_work_counter(self, tmp_path):
+        # 200 steps per relaxation time 1/lambda_{h,1}: ceil(200 * 9.8676 * 0.2)
+        cfg = sim_config(tmp_path, time={"dt": "auto", "T": 0.2})
+        assert cli.main(["limit", "-c", cfg]) == 0
+        manifest = json.loads((tmp_path / "out" / "limit.manifest.json").read_text())
+        assert manifest["work"] == {"limit_steps": 395}
+
     def test_energy_inequality_rowwise(self, tmp_path):
         cfg = sim_config(tmp_path, time={"dt": "auto", "T": 0.2})
         assert cli.main(["limit", "-c", cfg]) == 0
@@ -195,7 +203,11 @@ class TestStudyCommand:
         assert work["blocks"] == 2 and work["block_size"] == 8
         assert work["sample_steps"] == 2 * sum(steps)
         assert work["helmholtz_solves"] == sum(steps)
-        assert work["limit_steps"] > 0
+        targets = json.loads((out / "study.json").read_text())["targets"]
+        assert work["limit_steps"] == sum(
+            LimitParams.auto(study.grid(), study.T, gamma=study.gamma,
+                             parabolic=(name == "parabolic"), n_out=study.n_out).n_steps
+            for name in targets)
 
     def test_energy_gate_exit_code(self, tmp_path, monkeypatch):
         # deliberately coarse explicit step with a tight energy gate

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import spherewave as sw
-from spherewave.limit import LimitParams
+from spherewave.limit import LimitParams, _RunningIntegral
 
 RNG = np.random.default_rng(55)
 
@@ -155,6 +155,27 @@ class TestSolveLimit:
             assert traj.sphere_residual.max() <= 1e-13
             assert np.all(traj.energy_lhs <= traj.energy_rhs * (1.0 + 1e-6))
 
+    def test_step_rule_is_set_by_the_energy_quadrature(self, grid, basis):
+        # the parabolic branch has no dissipative slack: with the default
+        # initial data its energy rows hold at the auto step and fail at twice
+        # it, and the plain trapezoid of |u_t|^2 fails them at the auto step
+        u0 = sw.normalize_sphere(grid, sw.sine_field(grid, 1, 1)
+                                 + sw.sine_field(grid, 2, 2, 0.1))
+        auto = LimitParams.auto(grid, 0.5, parabolic=True, n_out=2)
+        double = LimitParams(grid=grid, dt=2.0 * auto.dt, T=0.5, parabolic=True)
+        fine, coarse = (sw.solve_limit(u0, p, basis, keep_fields=False)
+                        for p in (auto, double))
+
+        def worst(energy_lhs, traj):
+            return (energy_lhs / traj.energy_rhs - 1.0).max()
+
+        assert worst(fine.energy_lhs, fine) <= 1e-6
+        assert worst(coarse.energy_lhs, coarse) > 1e-6
+        ut_sq = fine.ut_h ** 2
+        trapezoid = np.concatenate(
+            [[0.0], np.cumsum(0.5 * auto.dt * (ut_sq[1:] + ut_sq[:-1]))])
+        assert worst(fine.u_h1 ** 2 + 2.0 * auto.gamma * trapezoid, fine) > 1e-6
+
     def test_h1_norm_nonincreasing(self, grid, basis):
         u0 = sw.normalize_sphere(grid, sw.sine_field(grid, 1, 1)
                                  + sw.sine_field(grid, 3, 2, 0.2))
@@ -216,6 +237,41 @@ class TestSolveLimit:
             ref = rk4_oracle(u0, p, b, 64)
             err = max(sw.sobolev_norm(g, a - r, 1.0) for a, r in zip(traj.u_fields, ref))
             assert err <= 1e-3
+
+
+class TestRunningIntegral:
+    @staticmethod
+    def running(samples, dt):
+        quadrature = _RunningIntegral(dt)
+        return np.array([quadrature.add(f) for f in samples])
+
+    def test_fourth_order(self):
+        # int_0^t e^{-3s} cos 5s ds at t = 1/4, 1/2, 1: the error falls about
+        # 16x per halving of dt, against 4x for the trapezoid
+        def exact(t):
+            return (3.0 + np.exp(-3.0 * t) * (5.0 * np.sin(5.0 * t) - 3.0 * np.cos(5.0 * t))) / 34.0
+
+        errors = []
+        for n in (32, 64, 128, 256):
+            t = np.linspace(0.0, 1.0, n + 1)
+            values = self.running(np.exp(-3.0 * t) * np.cos(5.0 * t), 1.0 / n)
+            at = [n // 4, n // 2, n]
+            errors.append(np.abs(values[at] - exact(t[at])))
+        for coarse, fine in zip(errors, errors[1:]):
+            assert np.all(coarse >= 12.0 * fine)
+
+    def test_value_after_every_sample(self):
+        # 0 after the first sample, the trapezoid after the second, Simpson
+        # after the third
+        dt, samples = 0.1, [1.0, 2.0, 5.0, 3.0]
+        values = self.running(samples, dt)
+        assert len(values) == len(samples)
+        assert values[0] == 0.0
+        assert values[1] == pytest.approx(0.15, rel=1e-15)
+        assert values[2] == pytest.approx(dt / 3.0 * (1.0 + 8.0 + 5.0), rel=1e-14)
+
+    def test_zero_samples_give_zero(self):
+        assert np.all(self.running(np.zeros(50), 0.01) == 0.0)
 
 
 class TestComparison:
