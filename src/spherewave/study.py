@@ -18,11 +18,13 @@ identity, which is a pure time-discretisation quantity.
 
 The ensemble runs on the batched engine of spde: each mass level is split
 into near-equal contiguous blocks of at most BLOCK_SIZE samples, and a block
-is stepped as one (S, n, 3) array.  At each output row the block is reduced
-in place to running per-sample maxima (Sobolev errors against every target,
-the six J norms, the identity residual, energy and constraint residuals), so
-no field snapshots are kept.  The split depends only on the configuration,
-so every worker count gives the same bytes.
+is stepped as one (S, n, 3) array; a level of the default 16-sample
+ensemble is one block, so the pool gets one job per level.  At each output
+row the block is reduced in place to running per-sample maxima (Sobolev
+errors against every target, the six J norms, the identity residual, energy
+and constraint residuals), so no field snapshots are kept.  The split
+depends only on the configuration, so every worker count gives the same
+bytes.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ __all__ = [
 ]
 
 TARGET_NAMES = ("corrected", "parabolic")
-BLOCK_SIZE = 8           # most samples of one level stepped together
+BLOCK_SIZE = 16          # most samples of one level stepped together
 MAX_ENERGY_DRIFT = 0.1   # relative energy deviation that gates a sample out
 FAILURE_BUDGET = 0.5     # share of failed samples a level may have
 

@@ -10,6 +10,7 @@ from spherewave.checks import CHECK_NAMES
 from spherewave.config import config_hash, load_config, resolve_config, study_config_from
 from spherewave.errors import BlowUpError, ConfigError
 from spherewave.limit import LimitParams
+from spherewave.study import BLOCK_SIZE
 
 
 def write_config(path, payload):
@@ -200,7 +201,7 @@ class TestStudyCommand:
         work = json.loads((out / "study.manifest.json").read_text())["work"]
         study = study_config_from(load_config(cfg))
         steps = [study.spde_params(mu).n_steps for mu in study.mu_values]
-        assert work["blocks"] == 2 and work["block_size"] == 8
+        assert work["blocks"] == 2 and work["block_size"] == BLOCK_SIZE
         assert work["sample_steps"] == 2 * sum(steps)
         assert work["helmholtz_solves"] == sum(steps)
         targets = json.loads((out / "study.json").read_text())["targets"]

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.fft
 
 import spherewave as sw
 from spherewave.fields import HelmholtzSolver, dst_ortho, forward_diff, midpoint_average
@@ -136,6 +137,17 @@ class TestH1Seminorm:
 
 
 class TestSpectrum:
+    def test_matches_scipy_dst(self, grid):
+        # dst_ortho calls pocketfft's private binding; a scipy upgrade that
+        # changes it must fail here, not shift every output by roundoff
+        rng = np.random.default_rng(7)
+        for f in (rng.standard_normal((grid.n, 3)),
+                  rng.standard_normal((16, grid.n, 3)),
+                  rng.standard_normal((16, 3, grid.n)).transpose(0, 2, 1)):
+            before = f.copy()
+            assert np.array_equal(dst_ortho(f), scipy.fft.dst(f, type=1, axis=-2, norm="ortho"))
+            assert np.array_equal(f, before)
+
     def test_roundtrip(self, grid):
         f = random_field(grid)
         back = dst_ortho(dst_ortho(f))

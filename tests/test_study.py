@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import spherewave as sw
-from spherewave.study import StudyConfig, run_study, trend_check
+from spherewave.study import BLOCK_SIZE, StudyConfig, _blocks, run_study, trend_check
 
 
 @pytest.fixture(scope="module")
@@ -274,14 +274,15 @@ class TestBlockEngine:
             assert row.theta_sup == pytest.approx(np.abs(traj.theta).max(), abs=1e-14)
             assert row.eta_sup == pytest.approx(np.abs(traj.eta).max(), abs=1e-14)
 
-    def test_row_independent_of_block(self, config, result):
-        # 3 samples form one block; 9 split into blocks [0, 4) and [4, 9);
-        # 1 sample is a block of its own
+    def test_row_independent_of_block(self, config, result, monkeypatch):
+        # 3 samples form one block; under a cap of 4, 9 split into blocks
+        # [0, 3), [3, 6) and [6, 9); 1 sample is a block of its own
+        monkeypatch.setattr("spherewave.study.BLOCK_SIZE", 4)
         wider = run_study(StudyConfig(**{**vars(config), "ensemble": 9}),
                           extra_targets=("parabolic",))
         alone = run_study(StudyConfig(**{**vars(config), "ensemble": 1}),
                           extra_targets=("parabolic",))
-        assert wider.work["blocks"] == 4 and result.work["blocks"] == 2
+        assert wider.work["blocks"] == 6 and result.work["blocks"] == 2
         by_key = {(r.mu_index, r.sample): r for r in wider.rows + alone.rows}
         for row in result.rows:
             assert by_key[(row.mu_index, row.sample)] == row
@@ -331,9 +332,30 @@ class TestBlockEngine:
         steps = [config.spde_params(mu).n_steps for mu in config.mu_values]
         assert result.work == {
             "blocks": 2,
-            "block_size": 8,
+            "block_size": BLOCK_SIZE,
             "sample_steps": config.ensemble * sum(steps),
             "helmholtz_solves": sum(steps),
             "limit_steps": 2 * sw.LimitParams.auto(config.grid(), config.T,
                                                    n_out=config.n_out).n_steps,
         }
+
+    def test_default_levels_are_whole_blocks(self):
+        config = StudyConfig()
+        grid = config.grid()
+        blocks = _blocks(config, grid)
+        steps = [config.spde_params(mu, grid).n_steps for mu in config.mu_values]
+        assert blocks == [(i, range(0, 16)) for i in (3, 2, 1, 0)]
+        assert [steps[i] for i, _ in blocks] == sorted(steps, reverse=True)
+
+    def test_large_ensemble_splits_near_equal(self):
+        config = StudyConfig(ensemble=40)
+        grid = config.grid()
+        blocks = _blocks(config, grid)
+        steps = [config.spde_params(mu, grid).n_steps for mu in config.mu_values]
+        costs = [steps[i] * len(samples) for i, samples in blocks]
+        assert costs == sorted(costs, reverse=True)
+        for level in range(len(config.mu_values)):
+            mine = sorted((s for i, s in blocks if i == level), key=lambda s: s.start)
+            assert [len(s) for s in mine] == [13, 13, 14]
+            assert all(len(s) <= BLOCK_SIZE for s in mine)
+            assert [x for s in mine for x in s] == list(range(40))
