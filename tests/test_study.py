@@ -275,14 +275,14 @@ class TestBlockEngine:
             assert row.eta_sup == pytest.approx(np.abs(traj.eta).max(), abs=1e-14)
 
     def test_row_independent_of_block(self, config, result, monkeypatch):
-        # 3 samples form one block; under a cap of 4, 9 split into blocks
-        # [0, 3), [3, 6) and [6, 9); 1 sample is a block of its own
-        monkeypatch.setattr("spherewave.study.BLOCK_SIZE", 4)
+        # 3 samples form one block; under a cap of 5, 9 split into blocks
+        # [0, 4) and [4, 9); 1 sample is a block of its own
+        monkeypatch.setattr("spherewave.study.BLOCK_SIZE", 5)
         wider = run_study(StudyConfig(**{**vars(config), "ensemble": 9}),
                           extra_targets=("parabolic",))
         alone = run_study(StudyConfig(**{**vars(config), "ensemble": 1}),
                           extra_targets=("parabolic",))
-        assert wider.work["blocks"] == 6 and result.work["blocks"] == 2
+        assert wider.work["blocks"] == 4 and result.work["blocks"] == 2
         by_key = {(r.mu_index, r.sample): r for r in wider.rows + alone.rows}
         for row in result.rows:
             assert by_key[(row.mu_index, row.sample)] == row
