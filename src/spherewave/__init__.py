@@ -65,6 +65,7 @@ from .study import (
     SampleRow,
     StudyConfig,
     StudyResult,
+    refinement_bias,
     run_study,
     trend_check,
 )

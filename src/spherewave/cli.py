@@ -103,7 +103,8 @@ def cmd_limit(args) -> int:
 
 def _study_csv(result) -> tuple[list[str], list]:
     header = ["mu", "sample", "dt", "energy_residual", "theta_sup", "eta_sup",
-              "identity_sup", "blowup_step", "failed"]
+              "norm_defect_sup", "tangent_defect_sup", "identity_sup", "blowup_step",
+              "failed"]
     header += [f"j{i}_sup" for i in range(1, 7)]
     header += [f"error_{name}" for name in result.targets]
     rows = result.rows
@@ -114,6 +115,8 @@ def _study_csv(result) -> tuple[list[str], list]:
         [row.energy_residual for row in rows],
         [row.theta_sup for row in rows],
         [row.eta_sup for row in rows],
+        [row.norm_defect_sup for row in rows],
+        [row.tangent_defect_sup for row in rows],
         [row.identity_sup for row in rows],
         [-1 if row.blowup_step is None else row.blowup_step for row in rows],
         [1.0 if row.failed else 0.0 for row in rows],

@@ -71,7 +71,12 @@ __all__ = [
     "functional_g_norm",
 ]
 
-CFL_LIMIT = 0.5  # dt <= CFL_LIMIT * sqrt(mu) * h
+# dt <= CFL_LIMIT * sqrt(mu) * h.  An accuracy bound, not a stability bound:
+# the wave operator is implicit in the banded solve, and the default study ran
+# at 4x this bound without a blow-up (ROADMAP item 3(b)).
+CFL_LIMIT = 0.5
+# the step fraction of every auto step (StudyConfig.cfl, study.cfl, SpdeParams.auto)
+DEFAULT_CFL = 0.5
 
 # trapezoid-accumulated integrands of the integrated identity; "j6", the Ito
 # sum mu^alpha int (u x v) dw, is accumulated with the noise kick
@@ -114,8 +119,8 @@ class SpdeParams:
         bound = CFL_LIMIT * np.sqrt(self.mu) * self.grid.h
         if self.dt > bound * (1.0 + 1e-12):
             raise ParameterError(
-                f"dt={self.dt} violates the wave CFL bound {bound:.3e}"
-                f" (0.5 sqrt(mu) h) for mu={self.mu}"
+                f"dt={self.dt} exceeds the wave accuracy bound {bound:.3e}"
+                f" ({CFL_LIMIT} sqrt(mu) h) for mu={self.mu}"
             )
         step_count(self.dt, self.T)
 
@@ -125,7 +130,7 @@ class SpdeParams:
 
     @classmethod
     def auto(cls, grid: Grid1D, mu: float, T: float, *, gamma: float = 1.0,
-             alpha: float = 0.5, projection: bool = False, cfl: float = 0.25,
+             alpha: float = 0.5, projection: bool = False, cfl: float = DEFAULT_CFL,
              n_out: int = 256, dt: float | None = None) -> "SpdeParams":
         """Resolve the step on an n_out output grid; every configured dt is read here.
 
@@ -159,9 +164,11 @@ class SpdeStepper:
     (dt/mu)(A_h u + N(u, v)) with N the explicit nonlinear drift plus the
     halved trace correction; (2) add the noise kick mu^(alpha-1) (u x v) dW;
     (3) u <- u + dt v*; (4) optionally re-project onto the constraint
-    manifold; (5) update the running integrals (trapezoid for int |v|^2 and
-    the remainder integrands, left-point Ito sum for the noise accumulator,
-    matching the kick).
+    manifold, keeping per sample the sup over steps of what the projection
+    removes, | |u*|_H - 1 | in `norm_defect` and |<u*, v*>_H| in
+    `tangent_defect` (NaN without projection); (5) update the running
+    integrals (trapezoid for int |v|^2 and the remainder integrands,
+    left-point Ito sum for the noise accumulator, matching the kick).
 
     u0 and v0 are one field (n, 3) or a block (S, n, 3).  Block arrays have
     shape (S, n, 3), per-sample scalars shape (S,); `samples` labels the
@@ -198,6 +205,9 @@ class SpdeStepper:
         self.lost: list[BlowUpError] = []
         self.u0, self.v0 = u0, v0
         self.acc_v2 = np.zeros(len(u0))
+        # nothing is projected without projection, so there is no defect to record
+        self.norm_defect = np.full(len(u0), 0.0 if params.projection else np.nan)
+        self.tangent_defect = self.norm_defect.copy()
         self.acc_noise = np.zeros_like(u0)
         if track_remainder:
             self._acc = np.zeros((len(REMAINDER_KEYS),) + u0.shape)
@@ -264,9 +274,14 @@ class SpdeStepper:
                 self.acc_noise += self.acc_scale * kick
             u_new = u + dt * v_star
             if params.projection:
-                u_new /= np.sqrt(inner_each(grid, u_new, u_new))[:, None, None]
-                tangent = inner_each(grid, u_new, v_star) / inner_each(grid, u_new, u_new)
+                norm = np.sqrt(inner_each(grid, u_new, u_new))
+                u_new /= norm[:, None, None]
+                dot = inner_each(grid, u_new, v_star)
+                tangent = dot / inner_each(grid, u_new, u_new)
                 v_new = v_star - tangent[:, None, None] * u_new
+                # what the projection removes: |u*|_H - 1 and <u*, v*>_H = |u*|_H <u, v*>_H
+                np.maximum(self.norm_defect, np.abs(norm - 1.0), out=self.norm_defect)
+                np.maximum(self.tangent_defect, np.abs(dot) * norm, out=self.tangent_defect)
             else:
                 v_new = v_star
         self.step_index += 1
@@ -277,7 +292,8 @@ class SpdeStepper:
             keep = np.isfinite(u_new).all(axis=(1, 2)) & np.isfinite(v_new).all(axis=(1, 2))
             lost = [BlowUpError(self.step_index, sample=int(s)) for s in self.samples[~keep]]
             self.lost += lost
-            for name in ("samples", "u0", "v0", "vh2", "acc_v2", "acc_noise"):
+            for name in ("samples", "u0", "v0", "vh2", "acc_v2", "acc_noise",
+                         "norm_defect", "tangent_defect"):
                 setattr(self, name, getattr(self, name)[keep])
             u_new, v_new = u_new[keep], v_new[keep]
             if self.track_remainder:

@@ -10,7 +10,7 @@ under this pairing.  Each level consumes that sequence on its own time
 grid, one number per step and mode scaled by sqrt(dt), so the Brownian path
 W(t) of sample j differs between levels and the coupling is partial: in
 the default study the per-sample errors of level 0 correlate with those of
-levels 1-3 at 0.62, 0.11 and -0.21.
+levels 1-3 at 0.41, -0.15 and -0.29.
 
 The six-term remainder of the integrated identity (spde.remainder_norms) is
 evaluated along every trajectory together with the residual of the full
@@ -30,7 +30,7 @@ bytes.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -38,7 +38,7 @@ from .errors import ConfigError, ParameterError
 from .fields import Grid1D, dst_ortho, initial_pair, spectral_norm
 from .limit import LimitParams, solve_limit
 from .noise import NoiseBasis, build_basis, derive_stream
-from .spde import SpdeParams, SpdeStepper, remainder_norms
+from .spde import DEFAULT_CFL, SpdeParams, SpdeStepper, remainder_norms
 
 __all__ = [
     "StudyConfig",
@@ -47,12 +47,15 @@ __all__ = [
     "StudyResult",
     "run_study",
     "trend_check",
+    "refinement_bias",
 ]
 
 TARGET_NAMES = ("corrected", "parabolic")
 BLOCK_SIZE = 16          # most samples of one level stepped together
 MAX_ENERGY_DRIFT = 0.1   # relative energy deviation that gates a sample out
 FAILURE_BUDGET = 0.5     # share of failed samples a level may have
+REFINEMENT_STREAM = 1    # stream of the refinement_bias paths; the study draws stream 0
+BIAS_SHARE = 0.02        # share of the level mean the bias gate admits beyond 2 SE
 
 
 @dataclass(frozen=True)
@@ -75,7 +78,7 @@ class StudyConfig:
     v_modes: tuple = ((1, 2, 2.0), (2, 3, 1.0))
     master_seed: int = 20240811
     n_out: int = 256
-    cfl: float = 0.25
+    cfl: float = DEFAULT_CFL
     dt: float | None = None
     # long-horizon production default: re-project each step so the unstable
     # transverse direction of the constraint manifold cannot amplify scheme
@@ -118,9 +121,9 @@ class StudyConfig:
                                alpha=self.alpha, projection=self.projection, cfl=self.cfl,
                                n_out=self.n_out, dt=self.dt)
 
-    def child_key(self, sample: int) -> tuple:
-        """Stream key of sample j, the same at every mass level."""
-        return (self.master_seed, 0, sample)
+    def child_key(self, sample: int, stream: int = 0) -> tuple:
+        """Stream key of sample j, the same at every mass level; the study's paths are stream 0."""
+        return (self.master_seed, stream, sample)
 
 
 @dataclass
@@ -136,6 +139,10 @@ class SampleRow:
     energy_residual: float
     theta_sup: float
     eta_sup: float
+    # sups over steps of what the projection removed, | |u*|_H - 1 | and
+    # |<u*, v*>_H| before projection; NaN when the study does not project
+    norm_defect_sup: float
+    tangent_defect_sup: float
     j_sups: tuple
     identity_sup: float
     blowup_step: int | None = None
@@ -227,18 +234,36 @@ def _blocks(config: StudyConfig, grid: Grid1D) -> list[tuple[int, range]]:
     return sorted(blocks, key=lambda block: -steps[block[0]] * len(block[1]))
 
 
-def _run_block(config: StudyConfig, grid: Grid1D, basis: NoiseBasis,
-               u0: np.ndarray, v0: np.ndarray, targets: dict,
-               mu_index: int, samples: range) -> tuple[list, dict]:
-    """Step one block of a mass level and reduce it to one SampleRow per sample."""
-    mu = config.mu_values[mu_index]
-    params = config.spde_params(mu, grid)
-    size = len(samples)
-    increments = np.empty((params.n_steps, size, basis.m))
+def _increments(config: StudyConfig, params: SpdeParams, m: int, samples: range,
+                stream: int, draws_per_step: int) -> np.ndarray:
+    """Brownian increments (n_steps, S, m) of a block.
+
+    Each sample's stream is drawn as one N(0, 1) per mode on the grid of
+    step dt / draws_per_step, and draws_per_step consecutive draws are
+    summed onto each step.
+    """
+    draws = np.empty((params.n_steps * draws_per_step, len(samples), m))
     for pos, sample in enumerate(samples):
-        key = config.child_key(sample)
-        increments[:, pos] = derive_stream(*key).standard_normal((params.n_steps, basis.m))
-    increments *= np.sqrt(params.dt)
+        key = config.child_key(sample, stream)
+        draws[:, pos] = derive_stream(*key).standard_normal((len(draws), m))
+    draws *= np.sqrt(params.dt / draws_per_step)
+    if draws_per_step > 1:
+        draws = draws.reshape(params.n_steps, draws_per_step, len(samples), m).sum(axis=1)
+    return draws
+
+
+def _run_block(config: StudyConfig, params: SpdeParams, basis: NoiseBasis,
+               u0: np.ndarray, v0: np.ndarray, targets: dict,
+               mu_index: int, samples: range, stream: int = 0,
+               draws_per_step: int = 1) -> tuple[list, dict]:
+    """Step one block of a mass level and reduce it to one SampleRow per sample.
+
+    The increments are drawn here, in the worker, from the samples' keys
+    (master_seed, stream, j); see _increments.
+    """
+    grid, mu = params.grid, params.mu
+    size = len(samples)
+    increments = _increments(config, params, basis.m, samples, stream, draws_per_step)
     engine = SpdeStepper(params, basis, np.broadcast_to(u0, (size,) + u0.shape),
                          np.broadcast_to(v0, (size,) + v0.shape),
                          track_remainder=True, samples=samples)
@@ -270,13 +295,15 @@ def _run_block(config: StudyConfig, grid: Grid1D, basis: NoiseBasis,
     rows = []
     for pos, sample in enumerate(samples):
         common = dict(mu_index=mu_index, mu=mu, sample=sample,
-                      seed_key=config.child_key(sample), dt=params.dt)
+                      seed_key=config.child_key(sample, stream), dt=params.dt)
         if sample in blowups:
             nan = float("nan")
             rows.append(SampleRow(**common, errors={}, energy_residual=nan, theta_sup=nan,
-                                  eta_sup=nan, j_sups=(nan,) * 6, identity_sup=nan,
+                                  eta_sup=nan, norm_defect_sup=nan, tangent_defect_sup=nan,
+                                  j_sups=(nan,) * 6, identity_sup=nan,
                                   blowup_step=blowups[sample]))
             continue
+        live = np.flatnonzero(engine.samples == sample)[0]
         energy_residual = float(energy_dev[pos] / energy0[pos])
         rows.append(SampleRow(
             **common,
@@ -284,12 +311,22 @@ def _run_block(config: StudyConfig, grid: Grid1D, basis: NoiseBasis,
             energy_residual=energy_residual,
             theta_sup=float(theta_sup[pos]),
             eta_sup=float(eta_sup[pos]),
+            norm_defect_sup=float(engine.norm_defect[live]),
+            tangent_defect_sup=float(engine.tangent_defect[live]),
             j_sups=tuple(float(x) for x in j_sup[pos]),
             identity_sup=float(identity_sup[pos]),
             gates=("energy-residual",) if energy_residual > MAX_ENERGY_DRIFT else (),
         ))
     work = {"block_steps": engine.step_index, "sample_steps": engine.sample_steps}
     return rows, work
+
+
+def _map_blocks(jobs: list, workers: int) -> list:
+    """_run_block on every job, in `workers` processes when more than one."""
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(_run_block, *zip(*jobs)))
+    return [_run_block(*job) for job in jobs]
 
 
 def run_study(config: StudyConfig, *, target: str = "auto", extra_targets=(),
@@ -316,12 +353,9 @@ def run_study(config: StudyConfig, *, target: str = "auto", extra_targets=(),
     targets, limit_steps = _solve_targets(config, grid, basis, u0, names)
 
     blocks = _blocks(config, grid)
-    jobs = [(config, grid, basis, u0, v0, targets, i, samples) for i, samples in blocks]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            done = list(pool.map(_run_block, *zip(*jobs)))
-    else:
-        done = [_run_block(*job) for job in jobs]
+    params = [config.spde_params(mu, grid) for mu in config.mu_values]
+    done = _map_blocks([(config, params[i], basis, u0, v0, targets, i, samples)
+                        for i, samples in blocks], workers)
     rows = sorted((row for block_rows, _ in done for row in block_rows),
                   key=lambda row: (row.mu_index, row.sample))
     work = {
@@ -380,3 +414,49 @@ def trend_check(result: StudyResult, *, target: str | None = None,
         "decay_factor": float(means[-1] / means[0]) if means[0] > 0 else float("nan"),
         "passed": decreasing and decayed,
     }
+
+
+def refinement_bias(config: StudyConfig, *, target: str = "auto", workers: int = 1) -> list[dict]:
+    """Bias of each level's step against half of it, on coupled Brownian paths.
+
+    Sample j's path is drawn once, on the grid of half the level's step,
+    from the stream (master_seed, REFINEMENT_STREAM, j), which no study
+    draws, and summed onto the level's own grid.  Both grids run through
+    the study's block engine against the target.  Per level: the mean
+    sup error at the fine step, the paired mean of coarse minus fine
+    errors (the bias), its standard error, and whether
+    |bias| <= 2 SE + BIAS_SHARE x fine mean.  Pairs with a failed sample
+    are left out.
+    """
+    primary, names = _resolve_targets(config, target, ())
+    grid = config.grid()
+    basis = config.basis(grid)
+    u0, v0 = config.initial_data(grid)
+    targets, _ = _solve_targets(config, grid, basis, u0, names)
+
+    jobs = []
+    for i, samples in _blocks(config, grid):
+        coarse = config.spde_params(config.mu_values[i], grid)
+        fine = replace(coarse, dt=coarse.dt / 2)
+        jobs += [(config, fine, basis, u0, v0, targets, i, samples, REFINEMENT_STREAM, 1),
+                 (config, coarse, basis, u0, v0, targets, i, samples, REFINEMENT_STREAM, 2)]
+    jobs.sort(key=lambda job: -job[1].n_steps * len(job[7]))   # costliest first
+    errors = {}   # (draws per step, mass index, sample) -> sup error
+    for job, (rows, _) in zip(jobs, _map_blocks(jobs, workers)):
+        for row in rows:
+            errors[job[-1], row.mu_index, row.sample] = (
+                float("nan") if row.failed else row.errors[primary])
+
+    levels = []
+    for i, mu in enumerate(config.mu_values):
+        fine_err, coarse_err = (np.array([errors[per_step, i, j] for j in range(config.ensemble)])
+                                for per_step in (1, 2))
+        paired = np.isfinite(fine_err) & np.isfinite(coarse_err)
+        diff = coarse_err[paired] - fine_err[paired]
+        count = len(diff)
+        fine_mean = float(fine_err[paired].mean()) if count else float("nan")
+        bias = float(diff.mean()) if count else float("nan")
+        se = float(diff.std(ddof=1) / np.sqrt(count)) if count > 1 else float("nan")
+        levels.append({"mu": mu, "pairs": count, "fine_mean": fine_mean, "bias": bias,
+                       "se": se, "passed": bool(abs(bias) <= 2.0 * se + BIAS_SHARE * fine_mean)})
+    return levels

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import spherewave as sw
-from spherewave.spde import SpdeStepper, _explicit_force
+from spherewave.spde import DEFAULT_CFL, SpdeStepper, _explicit_force
 
 RNG = np.random.default_rng(9)
 
@@ -51,7 +51,7 @@ class TestParams:
     def test_auto_alignment(self, grid):
         params = sw.SpdeParams.auto(grid, 0.05, 1.0, n_out=256)
         assert params.n_steps % 256 == 0
-        assert params.dt <= 0.25 * np.sqrt(0.05) * grid.h * (1 + 1e-12)
+        assert params.dt <= DEFAULT_CFL * np.sqrt(0.05) * grid.h * (1 + 1e-12)
 
     def test_auto_takes_a_given_dt_exactly(self, grid):
         params = sw.SpdeParams.auto(grid, 0.05, 1.0, n_out=256, dt=1.0 / 2048)

@@ -1,10 +1,24 @@
 """Mass-sweep orchestration: remainder terms, coupling, determinism."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import spherewave as sw
-from spherewave.study import BLOCK_SIZE, StudyConfig, _blocks, run_study, trend_check
+import spherewave.study as study_module
+from spherewave.config import build_grid, resolve_config, spde_params_from
+from spherewave.study import (
+    BLOCK_SIZE,
+    REFINEMENT_STREAM,
+    StudyConfig,
+    _blocks,
+    _increments,
+    _run_block,
+    refinement_bias,
+    run_study,
+    trend_check,
+)
 
 
 @pytest.fixture(scope="module")
@@ -347,6 +361,20 @@ class TestBlockEngine:
         assert blocks == [(i, range(0, 16)) for i in (3, 2, 1, 0)]
         assert [steps[i] for i, _ in blocks] == sorted(steps, reverse=True)
 
+    def test_default_schedule(self):
+        # the step counts and work of the default study, read off its parameters
+        config = StudyConfig()
+        grid = config.grid()
+        steps = [config.spde_params(mu, grid).n_steps for mu in config.mu_values]
+        assert steps == [768, 1024, 1280, 1792]
+        blocks = _blocks(config, grid)
+        assert [i for i, _ in blocks] == [3, 2, 1, 0]
+        assert sum(steps[i] * len(samples) for i, samples in blocks) == 77_824
+        assert sum(steps[i] for i, _ in blocks) == 4_864   # helmholtz_solves
+        # simulate's auto step reads study.cfl too
+        cfg = resolve_config({})
+        assert spde_params_from(cfg, build_grid(cfg)).n_steps == 810
+
     def test_large_ensemble_splits_near_equal(self):
         config = StudyConfig(ensemble=40)
         grid = config.grid()
@@ -359,3 +387,64 @@ class TestBlockEngine:
             assert [len(s) for s in mine] == [13, 13, 14]
             assert all(len(s) <= BLOCK_SIZE for s in mine)
             assert [x for s in mine for x in s] == list(range(40))
+
+
+class TestConstraintDefects:
+    """What the per-step projection removes: | |u*|_H - 1 | and |<u*, v*>_H|."""
+
+    @pytest.mark.parametrize("mu", [0.2, 0.025])
+    def test_defects_resolve_the_step(self, mu):
+        # one path per sample, drawn at dt/4 and summed onto dt, dt/2 and dt/4
+        config = StudyConfig(ensemble=4)
+        grid = config.grid()
+        basis = config.basis(grid)
+        u0, v0 = config.initial_data(grid)
+        params = config.spde_params(mu, grid)
+        sups = []
+        for k in (1, 2, 4):
+            rows, _ = _run_block(config, replace(params, dt=params.dt / k), basis, u0, v0,
+                                 {}, 0, range(config.ensemble), 0, 4 // k)
+            sups.append([np.mean([row.norm_defect_sup for row in rows]),
+                         np.mean([row.tangent_defect_sup for row in rows])])
+        norm_order, tangent_order = np.polyfit(np.log2([1.0, 0.5, 0.25]), np.log2(sups), 1)[0]
+        assert norm_order >= 1.8 and tangent_order >= 1.0, sups
+
+    def test_nothing_recorded_without_projection(self):
+        config = StudyConfig(n=63, m=8, ensemble=1, mu_values=(0.2,), T=0.5, n_out=64,
+                             projection=False)
+        row = run_study(config).rows[0]
+        assert np.isnan(row.norm_defect_sup) and np.isnan(row.tangent_defect_sup)
+        assert row.theta_sup > 1e-6   # the drift off the sphere shows in theta instead
+
+
+class TestRefinementBias:
+    def test_coarse_path_sums_the_fine_one(self, small_config):
+        grid = small_config.grid()
+        params = small_config.spde_params(0.2, grid)
+        fine = _increments(small_config, replace(params, dt=params.dt / 2), 8, range(2),
+                           REFINEMENT_STREAM, 1)
+        coarse = _increments(small_config, params, 8, range(2), REFINEMENT_STREAM, 2)
+        assert np.array_equal(coarse, fine[0::2] + fine[1::2])
+        # the study's own paths are another stream
+        study = _increments(small_config, params, 8, range(2), 0, 1)
+        assert not np.any(study == coarse)
+
+    def test_default_step_passes(self):
+        # the stream is REFINEMENT_STREAM at the default master seed, fixed beforehand
+        levels = refinement_bias(StudyConfig(), workers=2)
+        assert [lev["pairs"] for lev in levels] == [16] * 4
+        assert all(lev["passed"] for lev in levels), levels
+
+    def test_inflated_coarse_increments_fail(self, small_config, monkeypatch):
+        # 16 samples: with 2 the SE is too wide to resolve a 10% louder noise
+        config = replace(small_config, ensemble=16)
+        assert all(lev["passed"] for lev in refinement_bias(config))
+        real = study_module._increments
+
+        def inflated(config, params, m, samples, stream, draws_per_step):
+            increments = real(config, params, m, samples, stream, draws_per_step)
+            return 1.1 * increments if draws_per_step > 1 else increments
+
+        monkeypatch.setattr(study_module, "_increments", inflated)
+        levels = refinement_bias(config)
+        assert not any(lev["passed"] for lev in levels), levels
