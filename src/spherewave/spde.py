@@ -72,8 +72,8 @@ __all__ = [
 ]
 
 # dt <= CFL_LIMIT * sqrt(mu) * h.  An accuracy bound, not a stability bound:
-# the wave operator is implicit in the banded solve, and the default study ran
-# at 4x this bound without a blow-up (ROADMAP item 3(b)).
+# the wave operator is implicit in the banded solve, and with the bound lifted
+# the default study ran at 4x it without a blow-up (ROADMAP item 3(b)).
 CFL_LIMIT = 0.5
 # the step fraction of every auto step (StudyConfig.cfl, study.cfl, SpdeParams.auto)
 DEFAULT_CFL = 0.5
