@@ -65,7 +65,6 @@ from .study import (
     SampleRow,
     StudyConfig,
     StudyResult,
-    refinement_bias,
     run_study,
     trend_check,
 )

@@ -416,19 +416,23 @@ def trend_check(result: StudyResult, *, target: str | None = None,
     }
 
 
-def refinement_bias(config: StudyConfig, *, target: str = "auto", workers: int = 1) -> list[dict]:
+def refinement_bias(config: StudyConfig, *, workers: int = 1) -> list[dict]:
     """Bias of each level's step against half of it, on coupled Brownian paths.
 
     Sample j's path is drawn once, on the grid of half the level's step,
     from the stream (master_seed, REFINEMENT_STREAM, j), which no study
     draws, and summed onto the level's own grid.  Both grids run through
-    the study's block engine against the target.  Per level: the mean
+    the study's block engine against the study's primary target, so
+    alpha < 1/2, which has no proven limit, is refused.  Per level: the mean
     sup error at the fine step, the paired mean of coarse minus fine
     errors (the bias), its standard error, and whether
     |bias| <= 2 SE + BIAS_SHARE x fine mean.  Pairs with a failed sample
     are left out.
     """
-    primary, names = _resolve_targets(config, target, ())
+    if config.alpha < 0.5:
+        raise ParameterError(
+            "noise exponents below 1/2 have no proven limit to measure the bias against")
+    primary, names = _resolve_targets(config, "auto", ())
     grid = config.grid()
     basis = config.basis(grid)
     u0, v0 = config.initial_data(grid)

@@ -51,7 +51,11 @@ class TestParams:
     def test_auto_alignment(self, grid):
         params = sw.SpdeParams.auto(grid, 0.05, 1.0, n_out=256)
         assert params.n_steps % 256 == 0
-        assert params.dt <= DEFAULT_CFL * np.sqrt(0.05) * grid.h * (1 + 1e-12)
+        bound = DEFAULT_CFL * np.sqrt(0.05) * grid.h
+        assert params.dt <= bound * (1 + 1e-12)
+        # the largest aligned step: 256 steps fewer would overshoot the bound
+        assert 1.0 / (params.n_steps - 256) > bound
+        assert params.n_steps == 1280
 
     def test_auto_takes_a_given_dt_exactly(self, grid):
         params = sw.SpdeParams.auto(grid, 0.05, 1.0, n_out=256, dt=1.0 / 2048)

@@ -448,3 +448,7 @@ class TestRefinementBias:
         monkeypatch.setattr(study_module, "_increments", inflated)
         levels = refinement_bias(config)
         assert not any(lev["passed"] for lev in levels), levels
+
+    def test_small_alpha_refused(self, small_config):
+        with pytest.raises(sw.ParameterError, match="no proven limit"):
+            refinement_bias(replace(small_config, alpha=0.25))
