@@ -75,7 +75,8 @@ def cmd_simulate(args) -> int:
     write_csv(out / "simulate.csv", header, columns)
     write_json(out / "simulate.manifest.json",
                _manifest(cfg, {"master_seed": seed, "stream_key": [seed, 0, 0]},
-                         time.perf_counter() - start, ["simulate.csv"]))
+                         time.perf_counter() - start, ["simulate.csv"],
+                         work={"steps": params.n_steps, "helmholtz_solves": params.n_steps}))
     return EXIT_OK
 
 

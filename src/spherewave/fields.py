@@ -20,7 +20,7 @@ from math import ceil
 
 import numpy as np
 from scipy.fft._pocketfft.pypocketfft import dst
-from scipy.linalg import cholesky_banded, get_lapack_funcs
+from scipy.linalg import get_lapack_funcs
 
 from .errors import DegenerateFieldError, ParameterError, ShapeError
 
@@ -314,10 +314,11 @@ class HelmholtzSolver:
     """Prefactored solver for (c0 I - c2 A_h) x = b with Dirichlet A_h.
 
     c0 > 0 and c2 >= 0 make the tridiagonal matrix symmetric positive
-    definite; the banded Cholesky factor is computed once and reused for
+    definite; its LDL^T factor (LAPACK pttrf) is computed once and reused for
     every right-hand side (columns of shape (n,) or (n, k)).  Columns are
-    solved independently, so a non-finite column leaves the others intact;
-    callers detect blow-ups themselves.
+    solved independently, each with the arithmetic of a lone-column solve,
+    so a non-finite column leaves the others intact; callers detect
+    blow-ups themselves.
     """
 
     def __init__(self, grid: Grid1D, c0: float, c2: float):
@@ -325,15 +326,15 @@ class HelmholtzSolver:
             raise ParameterError(f"need c0 > 0 and c2 >= 0, got c0={c0}, c2={c2}")
         self.grid = grid
         h2 = grid.h ** 2
-        ab = np.zeros((2, grid.n))
-        ab[0, 1:] = -c2 / h2
-        ab[1, :] = c0 + 2.0 * c2 / h2
-        self._factor = cholesky_banded(ab, lower=False)
-        self._pbtrs, = get_lapack_funcs(("pbtrs",), (self._factor,))
+        pttrf, self._pttrs = get_lapack_funcs(("pttrf", "pttrs"), dtype=float)
+        self._d, self._e, info = pttrf(np.full(grid.n, c0 + 2.0 * c2 / h2),
+                                       np.full(grid.n - 1, -c2 / h2))
+        if info:
+            raise ParameterError(f"tridiagonal factorisation failed (LAPACK pttrf info={info})")
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """Solution for the columns of b; a Fortran-ordered b is overwritten, not copied."""
-        x, info = self._pbtrs(self._factor, b, lower=0, overwrite_b=1)
+        x, info = self._pttrs(self._d, self._e, b, overwrite_b=1)
         if info:
-            raise ParameterError(f"banded solve failed (LAPACK pbtrs info={info})")
+            raise ParameterError(f"tridiagonal solve failed (LAPACK pttrs info={info})")
         return x

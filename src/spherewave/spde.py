@@ -13,11 +13,11 @@ damping) is treated implicitly through one tridiagonal solve per component;
 nonlinearities, the trace correction, and the noise are explicit.
 
 SpdeStepper is a batched engine: it advances a block of S independent
-samples held as (S, n, 3) arrays, with one banded solve on all 3S columns
-per step.  A single trajectory (simulate) is the block S = 1.  Every
-operation acts on each sample separately, so a sample's numbers do not
-depend on the block it shares; a sample that goes non-finite leaves its
-block as a BlowUpError and the others step on.
+samples held as C-ordered (S, n, 3) arrays, with one tridiagonal LDL^T solve
+on all 3S columns per step.  A single trajectory (simulate) is the block
+S = 1.  Every operation acts on each sample separately, so a sample's numbers
+do not depend on the block it shares; a sample that goes non-finite leaves
+its block as a BlowUpError and the others step on.
 
 Structure diagnostics: the pathwise energy
 
@@ -27,7 +27,8 @@ is conserved by the continuous dynamics; the tangent-bundle residuals
 theta = (|u|_H^2 - 1)/2 and eta = <u, v>_H vanish identically on it.  The
 engine evaluates both per sample (SpdeStepper.energy, .constraints,
 .diagnostics) and accumulates the integrals of the integrated identity used
-in the small-mass comparison.  Its six-term remainder,
+in the small-mass comparison: six trapezoid sums (REMAINDER_KEYS) and the Ito
+sum of J6.  Its six-term remainder,
 
     R(t) = (3 mu / 2 gamma) phi (u0.v0) u0 + sum_i J_i(t),
     J1 = -(3 mu/2 gamma) phi (u.v) u            J4 = (3 mu/2 gamma) phi int |v|^2 u ds
@@ -72,15 +73,17 @@ __all__ = [
 ]
 
 # dt <= CFL_LIMIT * sqrt(mu) * h.  An accuracy bound, not a stability bound:
-# the wave operator is implicit in the banded solve, and with the bound lifted
-# the default study ran at 4x it without a blow-up (ROADMAP item 3(b)).
+# the wave operator is implicit in the tridiagonal solve, and with the bound
+# lifted the default study ran at 4x it without a blow-up (ROADMAP item 3(b)).
 CFL_LIMIT = 0.5
 # the step fraction of every auto step (StudyConfig.cfl, study.cfl, SpdeParams.auto)
 DEFAULT_CFL = 0.5
 
-# trapezoid-accumulated integrands of the integrated identity; "j6", the Ito
-# sum mu^alpha int (u x v) dw, is accumulated with the noise kick
-REMAINDER_KEYS = ("iA", "iN", "iC", "iD", "j2", "j3", "j4", "j5")
+# trapezoid-accumulated integrands of the integrated identity: "iAN" is
+# A_h u + |u|_{H1}^2 u and "iCD" is ((A_h u).u + |u|_{H1}^2 |u|^2) u, the two
+# sums remainder_norms reads; "j6", the Ito sum mu^alpha int (u x v) dw, is
+# accumulated with the noise kick
+REMAINDER_KEYS = ("iAN", "iCD", "j2", "j3", "j4", "j5")
 # rows per remainder_norms call along one trajectory: a call per row costs
 # about five times as much per row, the call overhead dominating
 REMAINDER_CHUNK = 64
@@ -171,10 +174,11 @@ class SpdeStepper:
     left-point Ito sum for the noise accumulator, matching the kick).
 
     u0 and v0 are one field (n, 3) or a block (S, n, 3).  Block arrays have
-    shape (S, n, 3), per-sample scalars shape (S,); `samples` labels the
-    block's samples (0..S-1 by default) and shrinks as samples blow up.
-    Each step does one banded solve on all 3S columns, with the factor
-    computed here.
+    shape (S, n, 3) in C order, per-sample scalars shape (S,); `samples`
+    labels the block's samples (0..S-1 by default) and shrinks as samples
+    blow up.  Each step does one tridiagonal LDL^T solve on all 3S columns,
+    with the factor computed here, and copies its output back to C order
+    once.
     """
 
     def __init__(self, params: SpdeParams, basis: NoiseBasis, u0: np.ndarray,
@@ -239,14 +243,13 @@ class SpdeStepper:
         u, v = self.u, self.v
         h1, vh2 = self.h1[:, None, None], self.vh2[:, None, None]
         uu, uv = self._dots
-        out[0] = self.lap
-        np.multiply(h1, u, out=out[1])
-        np.multiply(pointwise_dot(self.lap, u), u, out=out[2])
-        np.multiply(h1 * uu, u, out=out[3])
-        np.multiply(vh2, u, out=out[4])
-        np.multiply(uv, v, out=out[5])
-        np.multiply(pointwise_dot(v, v), u, out=out[6])
-        np.multiply(vh2 * uu, u, out=out[7])
+        np.multiply(h1, u, out=out[0])
+        out[0] += self.lap
+        np.multiply(pointwise_dot(self.lap, u) + h1 * uu, u, out=out[1])
+        np.multiply(vh2, u, out=out[2])
+        np.multiply(uv, v, out=out[3])
+        np.multiply(pointwise_dot(v, v), u, out=out[4])
+        np.multiply(vh2 * uu, u, out=out[5])
 
     def step(self, dw: np.ndarray | None = None) -> list[BlowUpError]:
         """Advance the block one step with raw increments dw (S, m); None means no noise.
@@ -265,9 +268,8 @@ class SpdeStepper:
             cols = np.empty((S, 3, grid.n))
             cols[...] = rhs.transpose(0, 2, 1)
             cols = self.solver.solve(cols.reshape(3 * S, grid.n).T)
-            # a view: each sample keeps the Fortran layout of a lone (n, 3)
-            # solve, and with it the summation order of every later reduction
-            v_star = cols.T.reshape(S, 3, grid.n).transpose(0, 2, 1)
+            # back to C order once, so every later op on the block sees one layout
+            v_star = np.ascontiguousarray(cols.T.reshape(S, 3, grid.n).transpose(0, 2, 1))
             if dw is not None and self.basis.m > 0:
                 kick = noise_field(u, v, self.basis, dw)
                 v_star += self.kick_scale * kick
@@ -406,8 +408,7 @@ def remainder_norms(params: SpdeParams, basis: NoiseBasis, u0, v0, u, v,
     )
     norms = np.stack([np.sqrt(inner_each(grid, jf, jf)) for jf in j_fields], axis=-1)
     lhs = gamma * u + 0.5 * phi * uu * u + mu * v
-    rhs = (base + acc["iA"] + acc["iN"]
-           + (1.5 / gamma) * phi * (acc["iC"] + acc["iD"])
+    rhs = (base + acc["iAN"] + (1.5 / gamma) * phi * acc["iCD"]
            + const + sum(j_fields))
     gap = lhs - rhs
     return norms, np.sqrt(inner_each(grid, gap, gap))

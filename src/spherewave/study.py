@@ -362,7 +362,7 @@ def run_study(config: StudyConfig, *, target: str = "auto", extra_targets=(),
         "blocks": len(blocks),
         "block_size": BLOCK_SIZE,
         "sample_steps": sum(counts["sample_steps"] for _, counts in done),
-        # one banded solve on all columns of a block per step
+        # one tridiagonal solve on all columns of a block per step
         "helmholtz_solves": sum(counts["block_steps"] for _, counts in done),
         "limit_steps": limit_steps,
     }

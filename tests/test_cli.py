@@ -92,6 +92,13 @@ class TestSimulateCommand:
         assert cli.main(["simulate", "-c", replay]) == 0
         assert (out / "simulate.csv").read_bytes() == first
 
+    def test_manifest_work_counters(self, tmp_path):
+        # 500 steps of 1e-4 to T = 0.05, one tridiagonal solve each
+        cfg = sim_config(tmp_path)
+        assert cli.main(["simulate", "-c", cfg]) == 0
+        manifest = json.loads((tmp_path / "out" / "simulate.manifest.json").read_text())
+        assert manifest["work"] == {"steps": 500, "helmholtz_solves": 500}
+
     def test_float_round_trip_and_stride(self, tmp_path):
         cfg = sim_config(tmp_path)
         cli.main(["simulate", "-c", cfg])

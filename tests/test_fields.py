@@ -279,3 +279,23 @@ class TestStaggeredOperators:
         dense = c0 * np.eye(grid.n) - c2 * dense_second_difference(grid)
         expected = np.linalg.solve(dense, b)
         assert np.abs(solver.solve(b) - expected).max() <= 1e-11
+
+    def test_helmholtz_columns_solved_alone(self, grid):
+        # the block step's right-hand side: 3 columns for each of 16 samples,
+        # in the Fortran order the step passes, at a step's c0 and c2
+        c0, c2 = 1.0 + 1.2e-3 / 0.1, 1.2e-3 ** 2 / 0.1
+        solver = HelmholtzSolver(grid, c0, c2)
+        b = np.asfortranarray(RNG.standard_normal((grid.n, 48)))
+        dense = c0 * np.eye(grid.n) - c2 * dense_second_difference(grid)
+        expected = np.linalg.solve(dense, b)
+        x = solver.solve(b.copy(order="F"))
+        assert np.abs(x - expected).max() <= 1e-13 * np.abs(expected).max()
+        # each column gets the arithmetic of its lone solve ...
+        for j in range(b.shape[1]):
+            assert np.array_equal(x[:, j], solver.solve(b[:, [j]])[:, 0])
+        # ... so a non-finite column cannot reach the others
+        poisoned = b.copy(order="F")
+        poisoned[60, 17] = np.nan
+        y = solver.solve(poisoned)
+        assert np.isnan(y[:, 17]).all()
+        assert np.array_equal(np.delete(y, 17, axis=1), np.delete(x, 17, axis=1))

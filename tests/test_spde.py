@@ -182,6 +182,46 @@ class TestStep:
             assert np.array_equal(acc, pair.remainder[key])
         assert np.array_equal(trio.energy(), pair.energy())
 
+    def test_fused_accumulators_match_trapezoid(self, grid, basis):
+        # "iAN" and "iCD" against this test's own trapezoid sums of
+        # A_h u + |u|_{H1}^2 u and ((A_h u).u + |u|_{H1}^2 |u|^2) u, from data
+        # far from an eigenfield, where the first would cancel to roundoff
+        u0 = sw.normalize_sphere(grid, sw.field_from_modes(
+            grid, [(1, 1, 1.0), (2, 2, 0.6), (3, 3, 0.4)]))
+        v0 = sw.project_tangent(grid, u0, sw.sine_field(grid, 2, 1))
+        params = sw.SpdeParams(grid=grid, mu=0.1, dt=1e-4, T=3e-3)
+        rng = sw.derive_stream(4, 0)
+        engine = SpdeStepper(params, basis, np.stack([u0] * 2), np.stack([v0] * 2),
+                             track_remainder=True)
+        states = [engine.u.copy()]
+        for _ in range(params.n_steps):
+            engine.step(np.sqrt(params.dt) * rng.standard_normal((2, basis.m)))
+            states.append(engine.u.copy())
+        u = np.stack(states)                      # (steps + 1, 2, n, 3)
+        lap = np.stack([sw.laplacian(grid, f) for f in u])
+        lap_u = (lap * u).sum(axis=-1, keepdims=True)
+        h1 = -grid.h * lap_u.sum(axis=(-2, -1), keepdims=True)
+        uu = (u * u).sum(axis=-1, keepdims=True)
+        integrands = {"iAN": lap + h1 * u, "iCD": (lap_u + h1 * uu) * u}
+        assert not np.allclose(u[-1, 0], u[-1, 1])   # the two samples differ
+        for key, values in integrands.items():
+            expected = 0.5 * params.dt * (values[1:] + values[:-1]).sum(axis=0)
+            got = engine.remainder[key]
+            assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max(), key
+
+    @pytest.mark.parametrize("size", [1, 16])
+    def test_block_state_is_c_ordered(self, grid, basis, gentle_data, size):
+        # one layout per block: the solver's Fortran-ordered output is copied back
+        u0, v0 = gentle_data
+        params = sw.SpdeParams(grid=grid, mu=0.1, dt=1e-4, T=1e-3)
+        rng = sw.derive_stream(5, 0)
+        engine = SpdeStepper(params, basis, np.stack([u0] * size), np.stack([v0] * size),
+                             track_remainder=True)
+        for _ in range(3):
+            engine.step(np.sqrt(params.dt) * rng.standard_normal((size, basis.m)))
+        for key, field in dict(engine.remainder, u=engine.u, v=engine.v).items():
+            assert field.flags.c_contiguous, key
+
     def test_determinism(self, grid, basis, gentle_data):
         u0, v0 = gentle_data
         params = sw.SpdeParams(grid=grid, mu=0.1, dt=1e-4, T=0.05)
