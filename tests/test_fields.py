@@ -283,7 +283,8 @@ class TestStaggeredOperators:
     def test_helmholtz_columns_solved_alone(self, grid):
         # the block step's right-hand side: 3 columns for each of 16 samples,
         # in the Fortran order the step passes, at a step's c0 and c2
-        c0, c2 = 1.0 + 1.2e-3 / 0.1, 1.2e-3 ** 2 / 0.1
+        dt, mu = 1.2e-3, 0.1
+        c0, c2 = 1.0 + dt / mu, dt ** 2 / mu
         solver = HelmholtzSolver(grid, c0, c2)
         b = np.asfortranarray(RNG.standard_normal((grid.n, 48)))
         dense = c0 * np.eye(grid.n) - c2 * dense_second_difference(grid)
