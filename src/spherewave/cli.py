@@ -103,9 +103,8 @@ def cmd_limit(args) -> int:
 
 
 def _study_csv(result) -> tuple[list[str], list]:
-    header = ["mu", "sample", "dt", "energy_residual", "theta_sup", "eta_sup",
-              "norm_defect_sup", "tangent_defect_sup", "identity_sup", "blowup_step",
-              "failed"]
+    header = ["mu", "sample", "dt", "energy_residual", "norm_defect_sup",
+              "tangent_defect_sup", "identity_sup", "blowup_step", "failed"]
     header += [f"j{i}_sup" for i in range(1, 7)]
     header += [f"error_{name}" for name in result.targets]
     rows = result.rows
@@ -114,8 +113,6 @@ def _study_csv(result) -> tuple[list[str], list]:
         [row.sample for row in rows],
         [row.dt for row in rows],
         [row.energy_residual for row in rows],
-        [row.theta_sup for row in rows],
-        [row.eta_sup for row in rows],
         [row.norm_defect_sup for row in rows],
         [row.tangent_defect_sup for row in rows],
         [row.identity_sup for row in rows],

@@ -166,10 +166,11 @@ class SpdeStepper:
     One step: (1) solve (I + (gamma dt/mu) I - (dt^2/mu) A_h) v* = v +
     (dt/mu)(A_h u + N(u, v)) with N the explicit nonlinear drift plus the
     halved trace correction; (2) add the noise kick mu^(alpha-1) (u x v) dW;
-    (3) u <- u + dt v*; (4) optionally re-project onto the constraint
-    manifold, keeping per sample the sup over steps of what the projection
-    removes, | |u*|_H - 1 | in `norm_defect` and |<u*, v*>_H| in
-    `tangent_defect` (NaN without projection); (5) update the running
+    (3) u* = u + dt v*; keep per sample the sup over steps of the step
+    result's constraint residuals, | |u*|_H - 1 | in `norm_defect` and
+    |<u*, v*>_H| in `tangent_defect`; (4) optionally re-project (u*, v*)
+    onto the constraint manifold, which removes exactly those residuals,
+    else take (u*, v*) as the new state; (5) update the running
     integrals (trapezoid for int |v|^2 and the remainder integrands,
     left-point Ito sum for the noise accumulator, matching the kick).
 
@@ -209,9 +210,7 @@ class SpdeStepper:
         self.lost: list[BlowUpError] = []
         self.u0, self.v0 = u0, v0
         self.acc_v2 = np.zeros(len(u0))
-        # nothing is projected without projection, so there is no defect to record
-        self.norm_defect = np.full(len(u0), 0.0 if params.projection else np.nan)
-        self.tangent_defect = self.norm_defect.copy()
+        self.norm_defect, self.tangent_defect = np.zeros(len(u0)), np.zeros(len(u0))
         self.acc_noise = np.zeros_like(u0)
         if track_remainder:
             self._acc = np.zeros((len(REMAINDER_KEYS),) + u0.shape)
@@ -275,17 +274,19 @@ class SpdeStepper:
                 v_star += self.kick_scale * kick
                 self.acc_noise += self.acc_scale * kick
             u_new = u + dt * v_star
+            norm = np.sqrt(inner_each(grid, u_new, u_new))
             if params.projection:
-                norm = np.sqrt(inner_each(grid, u_new, u_new))
                 u_new /= norm[:, None, None]
                 dot = inner_each(grid, u_new, v_star)
                 tangent = dot / inner_each(grid, u_new, u_new)
                 v_new = v_star - tangent[:, None, None] * u_new
-                # what the projection removes: |u*|_H - 1 and <u*, v*>_H = |u*|_H <u, v*>_H
-                np.maximum(self.norm_defect, np.abs(norm - 1.0), out=self.norm_defect)
-                np.maximum(self.tangent_defect, np.abs(dot) * norm, out=self.tangent_defect)
+                # <u*, v*>_H = |u*|_H <u, v*>_H
+                tangent_defect = np.abs(dot) * norm
             else:
                 v_new = v_star
+                tangent_defect = np.abs(inner_each(grid, u_new, v_star))
+            np.maximum(self.norm_defect, np.abs(norm - 1.0), out=self.norm_defect)
+            np.maximum(self.tangent_defect, tangent_defect, out=self.tangent_defect)
         self.step_index += 1
         self.sample_steps += S
 

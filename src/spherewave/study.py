@@ -21,10 +21,10 @@ into near-equal contiguous blocks of at most BLOCK_SIZE samples, and a block
 is stepped as one (S, n, 3) array; a level of the default 16-sample
 ensemble is one block, so the pool gets one job per level.  At each output
 row the block is reduced in place to running per-sample maxima (Sobolev
-errors against every target, the six J norms, the identity residual, energy
-and constraint residuals), so no field snapshots are kept.  The split
-depends only on the configuration, so every worker count gives the same
-bytes.
+errors against every target, the six J norms, the identity residual and the
+energy; the engine keeps the constraint residuals' sups over every step), so
+no field snapshots are kept.  The split depends only on the configuration,
+so every worker count gives the same bytes.
 """
 
 from __future__ import annotations
@@ -137,10 +137,9 @@ class SampleRow:
     dt: float
     errors: dict
     energy_residual: float
-    theta_sup: float
-    eta_sup: float
-    # sups over steps of what the projection removed, | |u*|_H - 1 | and
-    # |<u*, v*>_H| before projection; NaN when the study does not project
+    # sups over steps of | |u*|_H - 1 | and |<u*, v*>_H| of each step result
+    # (u*, v*): what the projection removes, or the state's own residuals
+    # when the study does not project
     norm_defect_sup: float
     tangent_defect_sup: float
     j_sups: tuple
@@ -270,7 +269,7 @@ def _run_block(config: StudyConfig, params: SpdeParams, basis: NoiseBasis,
 
     errors = {name: np.zeros(size) for name in targets}
     energy0 = engine.energy()
-    energy_dev, theta_sup, eta_sup = np.zeros(size), np.zeros(size), np.zeros(size)
+    energy_dev = np.zeros(size)
     j_sup, identity_sup = np.zeros((size, 6)), np.zeros(size)
 
     def reduce_row(r: int):
@@ -280,9 +279,6 @@ def _run_block(config: StudyConfig, params: SpdeParams, basis: NoiseBasis,
             errors[name][live] = np.maximum(errors[name][live], err)
         dev = np.abs(engine.energy() - energy0[live])
         energy_dev[live] = np.maximum(energy_dev[live], dev)
-        theta, eta = engine.constraints()
-        theta_sup[live] = np.maximum(theta_sup[live], np.abs(theta))
-        eta_sup[live] = np.maximum(eta_sup[live], np.abs(eta))
         norms, residual = remainder_norms(params, basis, engine.u0, engine.v0,
                                           engine.u, engine.v, engine.remainder)
         j_sup[live] = np.maximum(j_sup[live], norms)
@@ -298,8 +294,8 @@ def _run_block(config: StudyConfig, params: SpdeParams, basis: NoiseBasis,
                       seed_key=config.child_key(sample, stream), dt=params.dt)
         if sample in blowups:
             nan = float("nan")
-            rows.append(SampleRow(**common, errors={}, energy_residual=nan, theta_sup=nan,
-                                  eta_sup=nan, norm_defect_sup=nan, tangent_defect_sup=nan,
+            rows.append(SampleRow(**common, errors={}, energy_residual=nan,
+                                  norm_defect_sup=nan, tangent_defect_sup=nan,
                                   j_sups=(nan,) * 6, identity_sup=nan,
                                   blowup_step=blowups[sample]))
             continue
@@ -309,8 +305,6 @@ def _run_block(config: StudyConfig, params: SpdeParams, basis: NoiseBasis,
             **common,
             errors={name: float(sup[pos]) for name, sup in errors.items()},
             energy_residual=energy_residual,
-            theta_sup=float(theta_sup[pos]),
-            eta_sup=float(eta_sup[pos]),
             norm_defect_sup=float(engine.norm_defect[live]),
             tangent_defect_sup=float(engine.tangent_defect[live]),
             j_sups=tuple(float(x) for x in j_sup[pos]),
@@ -389,12 +383,9 @@ def run_study(config: StudyConfig, *, target: str = "auto", extra_targets=(),
                                    mean_errors=mean_errors, std_errors=std_errors,
                                    max_j_sup=float(max_j)))
 
-    provenance = {
-        "master_seed": config.master_seed,
-        "child_keys": [list(row.seed_key) for row in rows],
-    }
-    return StudyResult(config=asdict(config), target=primary, targets=names,
-                       rows=rows, levels=levels, provenance=provenance,
+    # each row carries its own seed_key
+    return StudyResult(config=asdict(config), target=primary, targets=names, rows=rows,
+                       levels=levels, provenance={"master_seed": config.master_seed},
                        failed_checks=tuple(failed_checks), work=work)
 
 

@@ -9,6 +9,7 @@ mu, dt, T and the tolerances but not the friction.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -189,7 +190,10 @@ def test_criterion_4_exact_equilibria(grid, basis):
 
 
 def test_criterion_5_limit_solver_structure(grid, basis):
-    sphere_sups = []
+    # the solver projects every step, so the recorded state sits on the sphere
+    # to roundoff; the defect before projection is the step's normal local
+    # error, O(dt^3), so twice the step must multiply its sup by about 8
+    defect_ratios = []
     energy_ok = True
     for n in (31, 63, 127):
         g = sw.Grid1D(1.0, n)
@@ -197,13 +201,13 @@ def test_criterion_5_limit_solver_structure(grid, basis):
         u0 = sw.normalize_sphere(g, sw.sine_field(g, 1, 1)
                                  + sw.sine_field(g, 2, 2, 0.1))
         lp = LimitParams.auto(g, 1.0, n_out=128)
-        traj = sw.solve_limit(u0, lp, b, stride=lp.n_steps // 128,
-                              keep_fields=False)
-        sphere_sups.append(float(traj.sphere_residual.max()))
+        traj, coarse = (sw.solve_limit(u0, p, b, stride=lp.n_steps // 128, keep_fields=False)
+                        for p in (lp, replace(lp, dt=2.0 * lp.dt)))
+        defect_ratios.append(float(coarse.projection_defect.max()
+                                   / traj.projection_defect.max()))
         energy_ok &= bool(np.all(traj.energy_lhs
                                  <= traj.energy_rhs * (1.0 + 1e-6)))
-    refinement_ok = (all(b < a for a, b in zip(sphere_sups, sphere_sups[1:]))
-                     or max(sphere_sups) <= 1e-12)
+    refinement_ok = min(defect_ratios) >= 6.0
 
     u10 = sw.normalize_sphere(grid, sw.sine_field(grid, 1, 1)
                               + sw.sine_field(grid, 2, 2, 0.1))
@@ -224,7 +228,8 @@ def test_criterion_5_limit_solver_structure(grid, basis):
     c2_rel = abs(c2a - c2b) / abs(c2a)
     ok = refinement_ok and energy_ok and overlay <= 0.10 and c2_rel <= 0.20
     report(5, "limit-solver structure", ok,
-           f"sphere sups {['%.2e' % s for s in sphere_sups]} (n=31/63/127), "
+           f"projection defect at 2 dt over dt {['%.1f' % r for r in defect_ratios]}"
+           f" (n=31/63/127), "
            f"energy inequality {energy_ok}, overlay {overlay:.2%}, "
            f"c2 stability {c2_rel:.2%}")
 

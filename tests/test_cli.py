@@ -201,6 +201,24 @@ class TestStudyCommand:
         assert cli.main(["study", "-c", cfg]) == 0
         assert (out / "study.json").read_bytes() == first
 
+    def test_output_schema(self, tmp_path):
+        # study.SampleRow and cli._study_csv must agree on the row format
+        cfg = self.study_config(tmp_path)
+        assert cli.main(["study", "-c", cfg]) == 0
+        out = tmp_path / "study-out"
+        header = (out / "study_samples.csv").read_text().splitlines()[0]
+        assert header.split(",") == [
+            "mu", "sample", "dt", "energy_residual", "norm_defect_sup", "tangent_defect_sup",
+            "identity_sup", "blowup_step", "failed", "j1_sup", "j2_sup", "j3_sup", "j4_sup",
+            "j5_sup", "j6_sup", "error_corrected"]
+        rows = json.loads((out / "study.json").read_text())["rows"]
+        assert {frozenset(row) for row in rows} == {frozenset({
+            "mu_index", "mu", "sample", "seed_key", "dt", "errors", "energy_residual",
+            "norm_defect_sup", "tangent_defect_sup", "j_sups", "identity_sup", "blowup_step",
+            "gates"})}
+        manifest = json.loads((out / "study.manifest.json").read_text())
+        assert manifest["seeds"] == {"master_seed": 99}
+
     def test_manifest_work_counters(self, tmp_path):
         cfg = self.study_config(tmp_path)
         assert cli.main(["study", "-c", cfg, "--workers", "2"]) == 0
