@@ -24,10 +24,11 @@ Structure diagnostics: the pathwise energy
     E(t) = |u|_{H1}^2 + mu |v|_H^2 + 2 gamma int_0^t |v|_H^2 ds
 
 is conserved by the continuous dynamics; the tangent-bundle residuals
-theta = (|u|_H^2 - 1)/2 and eta = <u, v>_H vanish identically on it.  The
-engine evaluates both per sample (SpdeStepper.energy, .constraints,
-.diagnostics) and accumulates the integrals of the integrated identity used
-in the small-mass comparison: six trapezoid sums (REMAINDER_KEYS) and the Ito
+theta = (|u|_H^2 - 1)/2 and eta = <u, v>_H vanish identically on it.  One
+function evaluates both, with the norms of DIAGNOSTICS, on any stack of
+states (SpdeStepper.diagnostics on the block, simulate on a chunk of rows).
+The engine accumulates the integrals of the integrated identity used in the
+small-mass comparison: six trapezoid sums (REMAINDER_KEYS) and the Ito
 sum of J6.  Its six-term remainder,
 
     R(t) = (3 mu / 2 gamma) phi (u0.v0) u0 + sum_i J_i(t),
@@ -84,9 +85,11 @@ DEFAULT_CFL = 0.5
 # sums remainder_norms reads; "j6", the Ito sum mu^alpha int (u x v) dw, is
 # accumulated with the noise kick
 REMAINDER_KEYS = ("iAN", "iCD", "j2", "j3", "j4", "j5")
-# rows per remainder_norms call along one trajectory: a call per row costs
-# about five times as much per row, the call overhead dominating
-REMAINDER_CHUNK = 64
+# rows per evaluation of every row quantity along one trajectory: simulate
+# buffers each row's state and reduces DIAGNOSTICS and the remainder series
+# once per chunk on (rows, n, 3) stacks; a reduction per row costs several
+# times as much, the numpy call overhead dominating at S = 1
+ROW_CHUNK = 64
 DIAGNOSTICS = ("energy", "theta", "eta", "u_h1", "u_h2", "v_h", "v_h1", "weighted_h2")
 
 
@@ -151,6 +154,47 @@ class SpdeParams:
                 f" not a multiple of the {n_out} output rows")
         return cls(grid=grid, mu=mu, dt=dt, T=T, gamma=gamma, alpha=alpha,
                    projection=projection)
+
+
+def _check_weight(weight_a: float) -> None:
+    if weight_a < 0:
+        raise ParameterError(f"weight exponent must be nonnegative, got {weight_a}")
+
+
+def _state_norms(grid: Grid1D, u: np.ndarray, v: np.ndarray):
+    """A_h u, |u|_{H1}^2 and |v|_H^2 of states (..., n, 3)."""
+    lap = laplacian(grid, u)
+    return lap, -inner_each(grid, lap, u), inner_each(grid, v, v)
+
+
+def _energy(params: SpdeParams, h1, vh2, acc_v2):
+    """Pathwise energy |u|_{H1}^2 + mu |v|_H^2 + 2 gamma int |v|_H^2 ds."""
+    return h1 + params.mu * vh2 + 2.0 * params.gamma * acc_v2
+
+
+def _diagnostics(params: SpdeParams, u: np.ndarray, v: np.ndarray, acc_v2,
+                 weight_a: float) -> dict:
+    """Every scalar of DIAGNOSTICS for states (..., n, 3) and their int |v|_H^2 ds (...).
+
+    weighted_h2 = exp(-a int |v|^2 ds) (|u|_{H2}^2 + mu |v|_{H1}^2
+    + mu |u|_{H1}^2 |v|_H^2) with a = weight_a is a boundedness monitor
+    only; never fed back into the dynamics.
+    """
+    _check_weight(weight_a)
+    grid, mu = params.grid, params.mu
+    lap, h1, vh2 = _state_norms(grid, u, v)
+    u_h2_sq = inner_each(grid, lap, lap)
+    v_h1_sq = -inner_each(grid, laplacian(grid, v), v)
+    return {
+        "energy": _energy(params, h1, vh2, acc_v2),
+        "theta": 0.5 * (inner_each(grid, u, u) - 1.0),
+        "eta": inner_each(grid, u, v),
+        "u_h1": np.sqrt(np.maximum(h1, 0.0)),
+        "u_h2": np.sqrt(u_h2_sq),
+        "v_h": np.sqrt(vh2),
+        "v_h1": np.sqrt(np.maximum(v_h1_sq, 0.0)),
+        "weighted_h2": np.exp(-weight_a * acc_v2) * (u_h2_sq + mu * v_h1_sq + mu * h1 * vh2),
+    }
 
 
 def _explicit_force(params: SpdeParams, basis: NoiseBasis, u, v, h1, vh2, *,
@@ -223,11 +267,8 @@ class SpdeStepper:
 
     def _bind(self, u: np.ndarray, v: np.ndarray) -> None:
         """Make (u, v) the block's state and cache what the next step and the rows need."""
-        grid = self.params.grid
         self.u, self.v = u, v
-        self.lap = laplacian(grid, u)
-        self.h1 = -inner_each(grid, self.lap, u)
-        self.vh2 = inner_each(grid, v, v)
+        self.lap, self.h1, self.vh2 = _state_norms(self.params.grid, u, v)
         self._dots = (pointwise_dot(u, u), pointwise_dot(u, v))
         if self.track_remainder:
             self._integrands(self._spare)
@@ -336,38 +377,11 @@ class SpdeStepper:
 
     def energy(self) -> np.ndarray:
         """Pathwise energy |u|_{H1}^2 + mu |v|_H^2 + 2 gamma int |v|_H^2 ds, per sample."""
-        p = self.params
-        return self.h1 + p.mu * self.vh2 + 2.0 * p.gamma * self.acc_v2
-
-    def constraints(self) -> tuple[np.ndarray, np.ndarray]:
-        """(theta, eta) = ((|u|_H^2 - 1)/2, <u, v>_H), per sample."""
-        grid = self.params.grid
-        return 0.5 * (inner_each(grid, self.u, self.u) - 1.0), inner_each(grid, self.u, self.v)
+        return _energy(self.params, self.h1, self.vh2, self.acc_v2)
 
     def diagnostics(self, weight_a: float = 1.0) -> dict:
-        """Every scalar diagnostic of DIAGNOSTICS, per sample.
-
-        weighted_h2 = exp(-a int |v|^2 ds) (|u|_{H2}^2 + mu |v|_{H1}^2
-        + mu |u|_{H1}^2 |v|_H^2) with a = weight_a is a boundedness monitor
-        only; never fed back into the dynamics.
-        """
-        if weight_a < 0:
-            raise ParameterError(f"weight exponent must be nonnegative, got {weight_a}")
-        grid, mu = self.params.grid, self.params.mu
-        theta, eta = self.constraints()
-        u_h2_sq = inner_each(grid, self.lap, self.lap)
-        v_h1_sq = -inner_each(grid, laplacian(grid, self.v), self.v)
-        return {
-            "energy": self.energy(),
-            "theta": theta,
-            "eta": eta,
-            "u_h1": np.sqrt(np.maximum(self.h1, 0.0)),
-            "u_h2": np.sqrt(u_h2_sq),
-            "v_h": np.sqrt(self.vh2),
-            "v_h1": np.sqrt(np.maximum(v_h1_sq, 0.0)),
-            "weighted_h2": np.exp(-weight_a * self.acc_v2) * (
-                u_h2_sq + mu * v_h1_sq + mu * self.h1 * self.vh2),
-        }
+        """Every scalar diagnostic of DIAGNOSTICS, per sample (see _diagnostics)."""
+        return _diagnostics(self.params, self.u, self.v, self.acc_v2, weight_a)
 
     @property
     def remainder(self) -> dict:
@@ -523,11 +537,13 @@ def simulate(u0: np.ndarray, v0: np.ndarray, params: SpdeParams, basis: NoiseBas
     given, else from `rng`, drawn as one (n_steps, m) block (the same numbers
     as n_steps draws of m); with neither, the run is noise-free.  Rows are
     recorded at steps 0, stride, 2*stride, ... and always at the final step.
-    track_remainder also evaluates the remainder series while the run
-    goes: each row's fields and accumulators are copied into a buffer of
-    REMAINDER_CHUNK rows that remainder_norms reduces whenever it fills.
-    A blow-up raises BlowUpError.
+    Each row's fields, its int |v|_H^2 ds and, with track_remainder, its
+    remainder accumulators are copied into a buffer of ROW_CHUNK rows; every
+    row quantity (DIAGNOSTICS, and the remainder series) is evaluated on the
+    buffer whenever it fills and at the final row, with the numbers of a
+    per-row evaluation.  A blow-up raises BlowUpError.
     """
+    _check_weight(weight_a)  # rows are evaluated per chunk, after the steps
     grid = params.grid
     n_steps = params.n_steps
     rows = output_rows(n_steps, stride)
@@ -545,28 +561,33 @@ def simulate(u0: np.ndarray, v0: np.ndarray, params: SpdeParams, basis: NoiseBas
     u_rows = np.empty((n_rows, grid.n, 3)) if keep_fields else None
     v_rows = np.empty((n_rows, grid.n, 3)) if keep_fields else None
     j_norms = residual = None
+    keys = ("u", "v")
     if track_remainder:
         j_norms, residual = np.empty((n_rows, 6)), np.empty(n_rows)
-        chunk = {key: np.empty((REMAINDER_CHUNK, grid.n, 3))
-                 for key in ("u", "v") + REMAINDER_KEYS + ("j6",)}
+        keys += REMAINDER_KEYS + ("j6",)
+    chunk = {key: np.empty((ROW_CHUNK, grid.n, 3)) for key in keys}
+    acc_v2 = np.empty(ROW_CHUNK)
 
     def record(r: int):
         scalars["t"][r] = engine.t
-        for name, values in engine.diagnostics(weight_a).items():
-            scalars[name][r] = values[0]
-        if keep_fields:
-            u_rows[r] = engine.u[0]
-            v_rows[r] = engine.v[0]
+        i = r % ROW_CHUNK
+        acc_v2[i] = engine.acc_v2[0]
+        chunk["u"][i], chunk["v"][i] = engine.u[0], engine.v[0]
         if track_remainder:
-            i = r % REMAINDER_CHUNK
-            for key, values in dict(engine.remainder, u=engine.u, v=engine.v).items():
+            for key, values in engine.remainder.items():
                 chunk[key][i] = values[0]
-            if i == REMAINDER_CHUNK - 1 or r == n_rows - 1:
-                acc = {key: buf[:i + 1] for key, buf in chunk.items()}
-                u, v = acc.pop("u"), acc.pop("v")
-                part = slice(r - i, r + 1)
-                j_norms[part], residual[part] = remainder_norms(
-                    params, basis, engine.u0[0], engine.v0[0], u, v, acc)
+        if i < ROW_CHUNK - 1 and r < n_rows - 1:
+            return
+        part = slice(r - i, r + 1)
+        acc = {key: buf[:i + 1] for key, buf in chunk.items()}
+        u, v = acc.pop("u"), acc.pop("v")
+        for name, values in _diagnostics(params, u, v, acc_v2[:i + 1], weight_a).items():
+            scalars[name][part] = values
+        if keep_fields:
+            u_rows[part], v_rows[part] = u, v
+        if track_remainder:
+            j_norms[part], residual[part] = remainder_norms(
+                params, basis, engine.u0[0], engine.v0[0], u, v, acc)
 
     engine.run(None if increments is None else increments[:, None, :], rows, record)
     if engine.lost:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import spherewave as sw
-from spherewave.spde import DEFAULT_CFL, SpdeStepper, _explicit_force
+from spherewave.spde import DEFAULT_CFL, DIAGNOSTICS, SpdeStepper, _explicit_force
 
 RNG = np.random.default_rng(9)
 
@@ -246,16 +246,16 @@ class TestDiagnostics:
     def test_constraint_residuals_on_manifold(self, grid, basis, gentle_data):
         u0, v0 = gentle_data
         params = sw.SpdeParams(grid=grid, mu=0.1, dt=1e-4, T=1.0)
-        theta, eta = SpdeStepper(params, basis, u0, v0).constraints()
-        assert abs(theta[0]) <= 1e-14 and abs(eta[0]) <= 1e-14
+        row = SpdeStepper(params, basis, u0, v0).diagnostics()
+        assert abs(row["theta"][0]) <= 1e-14 and abs(row["eta"][0]) <= 1e-14
 
     def test_constraint_residuals_scaled_field(self, grid, basis, gentle_data):
         u0, v0 = gentle_data
         params = sw.SpdeParams(grid=grid, mu=0.1, dt=1e-4, T=1.0)
-        theta, _ = SpdeStepper(params, basis, np.sqrt(3.0) * u0, v0).constraints()
+        theta = SpdeStepper(params, basis, np.sqrt(3.0) * u0, v0).diagnostics()["theta"]
         assert theta[0] == pytest.approx(1.0, rel=1e-12)
 
-    def test_weighted_h2_initial_value(self, grid, basis, gentle_data):
+    def test_weighted_h2_initial_value(self, grid, basis, gentle_data, monkeypatch):
         u0, _ = gentle_data
         v0 = sw.project_tangent(grid, u0, random_field(grid))
         mu = 0.2
@@ -268,6 +268,14 @@ class TestDiagnostics:
             assert weighted == pytest.approx(expected, rel=1e-13)
         with pytest.raises(sw.ParameterError):
             stepper.diagnostics(-1.0)
+        # simulate evaluates its rows a chunk at a time, so it must refuse first
+        steps = []
+        step = SpdeStepper.step
+        monkeypatch.setattr(SpdeStepper, "step",
+                            lambda self, dw=None: steps.append(dw) or step(self, dw))
+        with pytest.raises(sw.ParameterError):
+            sw.simulate(u0, v0, params, basis, weight_a=-1.0)
+        assert not steps
 
     def test_weighted_h2_constant_on_equilibrium(self, grid, basis):
         u0 = sw.normalize_sphere(grid, sw.sine_field(grid, 2, 3))
@@ -316,6 +324,50 @@ class TestDiagnostics:
         traj = sw.simulate(u0, v0, params, basis, rng=sw.derive_stream(31, 0), stride=10)
         backed_out = (traj.energy - traj.u_h1 ** 2 - params.mu * traj.v_h ** 2) / (2 * params.gamma)
         assert np.all(np.diff(backed_out) >= -1e-14)
+
+
+class TestRowChunks:
+    @pytest.mark.parametrize("projection", [False, True])
+    @pytest.mark.parametrize("track", [False, True])
+    @pytest.mark.parametrize("n_rows", [63, 64, 65, 129])
+    def test_rows_equal_a_per_row_evaluation(self, n_rows, track, projection):
+        # simulate reduces its rows ROW_CHUNK at a time; the oracle evaluates
+        # each row alone, on the engine's state as the row is reached
+        grid = sw.Grid1D(1.0, 31)
+        basis = sw.build_basis(grid, 8, 2.0)
+        u0 = sw.normalize_sphere(grid, sw.sine_field(grid, 1, 1)
+                                 + sw.sine_field(grid, 2, 2, 0.1))
+        v0 = sw.project_tangent(grid, u0, sw.sine_field(grid, 3, 3, 0.5))
+        dt = 2.0 ** -10
+        params = sw.SpdeParams(grid=grid, mu=0.1, dt=dt, T=(n_rows - 1) * dt,
+                               projection=projection)
+        dw = np.sqrt(dt) * sw.derive_stream(3, n_rows).standard_normal((n_rows - 1, basis.m))
+        traj = sw.simulate(u0, v0, params, basis, increments=dw, track_remainder=track,
+                           keep_fields=True, weight_a=3.0)
+
+        engine = SpdeStepper(params, basis, u0, v0, track_remainder=track)
+        rows = []
+
+        def on_row(r):
+            row = dict(engine.diagnostics(3.0), u=engine.u.copy(), v=engine.v.copy())
+            if track:
+                acc = {key: a[0] for key, a in engine.remainder.items()}
+                row["j"], row["res"] = sw.remainder_norms(
+                    params, basis, engine.u0[0], engine.v0[0], engine.u[0], engine.v[0], acc)
+            rows.append(row)
+
+        engine.run(dw[:, None, :], list(range(n_rows)), on_row)
+        assert len(rows) == len(traj.t) == n_rows
+        oracle = {key: np.array([row[key] for row in rows]) for key in rows[0]}
+        for name in DIAGNOSTICS:
+            assert np.array_equal(getattr(traj, name), oracle[name][:, 0]), name
+        assert np.array_equal(traj.u_fields, oracle["u"][:, 0])
+        assert np.array_equal(traj.v_fields, oracle["v"][:, 0])
+        if track:
+            assert np.array_equal(traj.j_norms, oracle["j"])
+            assert np.array_equal(traj.identity_residual, oracle["res"])
+        else:
+            assert traj.j_norms is None and traj.identity_residual is None
 
 
 class TestFunctionals:
