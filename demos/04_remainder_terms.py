@@ -28,8 +28,7 @@ def main():
                                     n_out=config.n_out)
         traj = sw.simulate(u0, v0, params, basis,
                            rng=sw.derive_stream(*config.child_key(0)),
-                           stride=params.n_steps // config.n_out,
-                           track_remainder=True)
+                           stride=params.n_steps // config.n_out)
         sups = traj.j_norms.max(axis=0)
         print(f"{mu:7.3f} " + " ".join(f"{s:9.4f}" for s in sups))
 
@@ -48,7 +47,7 @@ def main():
     for dt in dts:
         params = sw.SpdeParams(grid=grid, mu=mu, dt=dt, T=T, gamma=gamma)
         traj = sw.simulate(u0, v0, params, basis, increments=incs[dt],
-                           stride=params.n_steps // 128, track_remainder=True)
+                           stride=params.n_steps // 128)
         sups.append(traj.identity_residual.max())
         print(f"  dt={dt:7.1e}: sup residual = {sups[-1]:.3e}")
     slope = np.polyfit(np.log2(dts), np.log2(sups), 1)[0]

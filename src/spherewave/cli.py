@@ -65,7 +65,7 @@ def cmd_simulate(args) -> int:
     rng = derive_stream(seed, 0, 0)
     start = time.perf_counter()
     traj = simulate(u0, v0, params, basis, rng=rng,
-                    stride=cfg["output"]["stride"], track_remainder=True)
+                    stride=cfg["output"]["stride"])
     out = output_directory(cfg)
     header = ["t", "energy", "theta", "eta", "u_h1", "u_h2", "v_h", "v_h1",
               "weighted_h2", "j1", "j2", "j3", "j4", "j5", "j6"]

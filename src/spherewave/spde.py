@@ -27,8 +27,8 @@ is conserved by the continuous dynamics; the tangent-bundle residuals
 theta = (|u|_H^2 - 1)/2 and eta = <u, v>_H vanish identically on it.  One
 function evaluates both, with the norms of DIAGNOSTICS, on any stack of
 states (SpdeStepper.diagnostics on the block, simulate on a chunk of rows).
-The engine accumulates the integrals of the integrated identity used in the
-small-mass comparison: six trapezoid sums (REMAINDER_KEYS) and the Ito
+Every engine accumulates the integrals of the integrated identity used in
+the small-mass comparison: six trapezoid sums (REMAINDER_KEYS) and the Ito
 sum of J6.  Its six-term remainder,
 
     R(t) = (3 mu / 2 gamma) phi (u0.v0) u0 + sum_i J_i(t),
@@ -90,6 +90,8 @@ REMAINDER_KEYS = ("iAN", "iCD", "j2", "j3", "j4", "j5")
 # once per chunk on (rows, n, 3) stacks; a reduction per row costs several
 # times as much, the numpy call overhead dominating at S = 1
 ROW_CHUNK = 64
+# the exponent a of the weighted-H2 monitor's factor exp(-a int |v|_H^2 ds)
+WEIGHT_A = 1.0
 DIAGNOSTICS = ("energy", "theta", "eta", "u_h1", "u_h2", "v_h", "v_h1", "weighted_h2")
 
 
@@ -156,11 +158,6 @@ class SpdeParams:
                    projection=projection)
 
 
-def _check_weight(weight_a: float) -> None:
-    if weight_a < 0:
-        raise ParameterError(f"weight exponent must be nonnegative, got {weight_a}")
-
-
 def _state_norms(grid: Grid1D, u: np.ndarray, v: np.ndarray):
     """A_h u, |u|_{H1}^2 and |v|_H^2 of states (..., n, 3)."""
     lap = laplacian(grid, u)
@@ -172,15 +169,13 @@ def _energy(params: SpdeParams, h1, vh2, acc_v2):
     return h1 + params.mu * vh2 + 2.0 * params.gamma * acc_v2
 
 
-def _diagnostics(params: SpdeParams, u: np.ndarray, v: np.ndarray, acc_v2,
-                 weight_a: float) -> dict:
+def _diagnostics(params: SpdeParams, u: np.ndarray, v: np.ndarray, acc_v2) -> dict:
     """Every scalar of DIAGNOSTICS for states (..., n, 3) and their int |v|_H^2 ds (...).
 
     weighted_h2 = exp(-a int |v|^2 ds) (|u|_{H2}^2 + mu |v|_{H1}^2
-    + mu |u|_{H1}^2 |v|_H^2) with a = weight_a is a boundedness monitor
+    + mu |u|_{H1}^2 |v|_H^2) with a = WEIGHT_A is a boundedness monitor
     only; never fed back into the dynamics.
     """
-    _check_weight(weight_a)
     grid, mu = params.grid, params.mu
     lap, h1, vh2 = _state_norms(grid, u, v)
     u_h2_sq = inner_each(grid, lap, lap)
@@ -193,7 +188,7 @@ def _diagnostics(params: SpdeParams, u: np.ndarray, v: np.ndarray, acc_v2,
         "u_h2": np.sqrt(u_h2_sq),
         "v_h": np.sqrt(vh2),
         "v_h1": np.sqrt(np.maximum(v_h1_sq, 0.0)),
-        "weighted_h2": np.exp(-weight_a * acc_v2) * (u_h2_sq + mu * v_h1_sq + mu * h1 * vh2),
+        "weighted_h2": np.exp(-WEIGHT_A * acc_v2) * (u_h2_sq + mu * v_h1_sq + mu * h1 * vh2),
     }
 
 
@@ -215,8 +210,9 @@ class SpdeStepper:
     |<u*, v*>_H| in `tangent_defect`; (4) optionally re-project (u*, v*)
     onto the constraint manifold, which removes exactly those residuals,
     else take (u*, v*) as the new state; (5) update the running
-    integrals (trapezoid for int |v|^2 and the remainder integrands,
+    integrals (trapezoid for int |v|^2 and the six remainder integrands,
     left-point Ito sum for the noise accumulator, matching the kick).
+    Every engine keeps those accumulators; `remainder` reads them.
 
     u0 and v0 are one field (n, 3) or a block (S, n, 3).  Block arrays have
     shape (S, n, 3) in C order, per-sample scalars shape (S,); `samples`
@@ -227,7 +223,7 @@ class SpdeStepper:
     """
 
     def __init__(self, params: SpdeParams, basis: NoiseBasis, u0: np.ndarray,
-                 v0: np.ndarray, *, track_remainder: bool = False, samples=None):
+                 v0: np.ndarray, *, samples=None):
         grid = params.grid
         if basis.grid is not grid and basis.grid != grid:
             raise ShapeError("noise basis and parameters use different grids")
@@ -248,7 +244,6 @@ class SpdeStepper:
         self.solver = HelmholtzSolver(grid, 1.0 + params.gamma * dt / mu, dt ** 2 / mu)
         self.kick_scale = mu ** (params.alpha - 1.0)
         self.acc_scale = mu ** params.alpha
-        self.track_remainder = track_remainder
         self.step_index = 0
         self.sample_steps = 0
         self.lost: list[BlowUpError] = []
@@ -256,23 +251,21 @@ class SpdeStepper:
         self.acc_v2 = np.zeros(len(u0))
         self.norm_defect, self.tangent_defect = np.zeros(len(u0)), np.zeros(len(u0))
         self.acc_noise = np.zeros_like(u0)
-        if track_remainder:
-            self._acc = np.zeros((len(REMAINDER_KEYS),) + u0.shape)
-            self._prev, self._spare = np.empty_like(self._acc), np.empty_like(self._acc)
+        self._acc = np.zeros((len(REMAINDER_KEYS),) + u0.shape)
+        self._prev, self._spare = np.empty_like(self._acc), np.empty_like(self._acc)
         self._bind(u0.copy(), v0.copy())
-        # finite fields can still overflow their norms, which every step reads
+        # finite fields can still overflow their norms, which every step and
+        # the integrands read: refuse the start before evaluating those
         finite = np.isfinite(self.h1) & np.isfinite(self.vh2)
         if not finite.all():
             raise BlowUpError(0, sample=int(self.samples[~finite][0]))
+        self._integrands(self._prev)
 
     def _bind(self, u: np.ndarray, v: np.ndarray) -> None:
         """Make (u, v) the block's state and cache what the next step and the rows need."""
         self.u, self.v = u, v
         self.lap, self.h1, self.vh2 = _state_norms(self.params.grid, u, v)
         self._dots = (pointwise_dot(u, u), pointwise_dot(u, v))
-        if self.track_remainder:
-            self._integrands(self._spare)
-            self._prev, self._spare = self._spare, self._prev
 
     @property
     def t(self) -> float:
@@ -340,19 +333,19 @@ class SpdeStepper:
                          "norm_defect", "tangent_defect"):
                 setattr(self, name, getattr(self, name)[keep])
             u_new, v_new = u_new[keep], v_new[keep]
-            if self.track_remainder:
-                self._acc, self._prev, self._spare = (
-                    a[:, keep] for a in (self._acc, self._prev, self._spare))
+            self._acc, self._prev, self._spare = (
+                a[:, keep] for a in (self._acc, self._prev, self._spare))
 
         vh2_old = self.vh2
         self._bind(u_new, v_new)
         self.acc_v2 += 0.5 * dt * (vh2_old + self.vh2)
-        if self.track_remainder:
-            # trapezoid: acc += dt/2 (previous + current), with no temporaries
-            prev, current = self._spare, self._prev
-            np.add(prev, current, out=prev)
-            prev *= 0.5 * dt
-            self._acc += prev
+        # trapezoid: acc += dt/2 (previous + current), with no temporaries
+        prev, current = self._prev, self._spare
+        self._integrands(current)
+        np.add(prev, current, out=prev)
+        prev *= 0.5 * dt
+        self._acc += prev
+        self._prev, self._spare = current, prev
         return lost
 
     def run(self, increments: np.ndarray | None, rows: list, on_row) -> None:
@@ -379,15 +372,13 @@ class SpdeStepper:
         """Pathwise energy |u|_{H1}^2 + mu |v|_H^2 + 2 gamma int |v|_H^2 ds, per sample."""
         return _energy(self.params, self.h1, self.vh2, self.acc_v2)
 
-    def diagnostics(self, weight_a: float = 1.0) -> dict:
+    def diagnostics(self) -> dict:
         """Every scalar diagnostic of DIAGNOSTICS, per sample (see _diagnostics)."""
-        return _diagnostics(self.params, self.u, self.v, self.acc_v2, weight_a)
+        return _diagnostics(self.params, self.u, self.v, self.acc_v2)
 
     @property
     def remainder(self) -> dict:
         """The remainder accumulators by name (REMAINDER_KEYS and "j6"), each (S, n, 3)."""
-        if not self.track_remainder:
-            raise ParameterError("the engine was built without remainder tracking")
         acc = dict(zip(REMAINDER_KEYS, self._acc))
         acc["j6"] = self.acc_noise
         return acc
@@ -500,11 +491,10 @@ def functional_g_norm(u: np.ndarray, v: np.ndarray, basis: NoiseBasis) -> float:
 
 @dataclass
 class SpdeTrajectory:
-    """Strided diagnostics, optional field snapshots and the remainder series.
+    """Strided diagnostics, the remainder series and optional field snapshots.
 
     j_norms (rows, 6) holds the H-norms of J_1..J_6 and identity_residual
-    (rows,) the residual of the integrated identity; both are None unless
-    the run tracked the remainder.
+    (rows,) the residual of the integrated identity.
     """
 
     params: SpdeParams
@@ -517,33 +507,29 @@ class SpdeTrajectory:
     v_h: np.ndarray
     v_h1: np.ndarray
     weighted_h2: np.ndarray
-    weight_a: float
+    j_norms: np.ndarray
+    identity_residual: np.ndarray
     u_fields: np.ndarray | None = None
     v_fields: np.ndarray | None = None
-    j_norms: np.ndarray | None = None
-    identity_residual: np.ndarray | None = None
 
 
 def simulate(u0: np.ndarray, v0: np.ndarray, params: SpdeParams, basis: NoiseBasis, *,
              rng: np.random.Generator | None = None,
              increments: np.ndarray | None = None,
              stride: int = 1,
-             track_remainder: bool = False,
-             keep_fields: bool = False,
-             weight_a: float = 1.0) -> SpdeTrajectory:
+             keep_fields: bool = False) -> SpdeTrajectory:
     """Integrate one trajectory (the engine's block S = 1) and record diagnostics.
 
     The Brownian path comes from `increments` (shape (n_steps, m)) when
     given, else from `rng`, drawn as one (n_steps, m) block (the same numbers
     as n_steps draws of m); with neither, the run is noise-free.  Rows are
     recorded at steps 0, stride, 2*stride, ... and always at the final step.
-    Each row's fields, its int |v|_H^2 ds and, with track_remainder, its
-    remainder accumulators are copied into a buffer of ROW_CHUNK rows; every
-    row quantity (DIAGNOSTICS, and the remainder series) is evaluated on the
-    buffer whenever it fills and at the final row, with the numbers of a
-    per-row evaluation.  A blow-up raises BlowUpError.
+    Each row's fields, its int |v|_H^2 ds and its remainder accumulators
+    are copied into a buffer of ROW_CHUNK rows; every row quantity
+    (DIAGNOSTICS, and the remainder series) is evaluated on the buffer
+    whenever it fills and at the final row, with the numbers of a per-row
+    evaluation.  A blow-up raises BlowUpError.
     """
-    _check_weight(weight_a)  # rows are evaluated per chunk, after the steps
     grid = params.grid
     n_steps = params.n_steps
     rows = output_rows(n_steps, stride)
@@ -556,16 +542,13 @@ def simulate(u0: np.ndarray, v0: np.ndarray, params: SpdeParams, basis: NoiseBas
         increments = np.sqrt(params.dt) * rng.standard_normal((n_steps, basis.m))
 
     n_rows = len(rows)
-    engine = SpdeStepper(params, basis, u0, v0, track_remainder=track_remainder)
+    engine = SpdeStepper(params, basis, u0, v0)
     scalars = {name: np.empty(n_rows) for name in ("t",) + DIAGNOSTICS}
     u_rows = np.empty((n_rows, grid.n, 3)) if keep_fields else None
     v_rows = np.empty((n_rows, grid.n, 3)) if keep_fields else None
-    j_norms = residual = None
-    keys = ("u", "v")
-    if track_remainder:
-        j_norms, residual = np.empty((n_rows, 6)), np.empty(n_rows)
-        keys += REMAINDER_KEYS + ("j6",)
-    chunk = {key: np.empty((ROW_CHUNK, grid.n, 3)) for key in keys}
+    j_norms, residual = np.empty((n_rows, 6)), np.empty(n_rows)
+    chunk = {key: np.empty((ROW_CHUNK, grid.n, 3))
+             for key in ("u", "v") + REMAINDER_KEYS + ("j6",)}
     acc_v2 = np.empty(ROW_CHUNK)
 
     def record(r: int):
@@ -573,28 +556,25 @@ def simulate(u0: np.ndarray, v0: np.ndarray, params: SpdeParams, basis: NoiseBas
         i = r % ROW_CHUNK
         acc_v2[i] = engine.acc_v2[0]
         chunk["u"][i], chunk["v"][i] = engine.u[0], engine.v[0]
-        if track_remainder:
-            for key, values in engine.remainder.items():
-                chunk[key][i] = values[0]
+        for key, values in engine.remainder.items():
+            chunk[key][i] = values[0]
         if i < ROW_CHUNK - 1 and r < n_rows - 1:
             return
         part = slice(r - i, r + 1)
         acc = {key: buf[:i + 1] for key, buf in chunk.items()}
         u, v = acc.pop("u"), acc.pop("v")
-        for name, values in _diagnostics(params, u, v, acc_v2[:i + 1], weight_a).items():
+        for name, values in _diagnostics(params, u, v, acc_v2[:i + 1]).items():
             scalars[name][part] = values
         if keep_fields:
             u_rows[part], v_rows[part] = u, v
-        if track_remainder:
-            j_norms[part], residual[part] = remainder_norms(
-                params, basis, engine.u0[0], engine.v0[0], u, v, acc)
+        j_norms[part], residual[part] = remainder_norms(
+            params, basis, engine.u0[0], engine.v0[0], u, v, acc)
 
     engine.run(None if increments is None else increments[:, None, :], rows, record)
     if engine.lost:
         raise engine.lost[0]
     return SpdeTrajectory(
         params=params,
-        weight_a=weight_a,
         u_fields=u_rows,
         v_fields=v_rows,
         j_norms=j_norms,

@@ -264,8 +264,7 @@ def _run_block(config: StudyConfig, params: SpdeParams, basis: NoiseBasis,
     size = len(samples)
     increments = _increments(config, params, basis.m, samples, stream, draws_per_step)
     engine = SpdeStepper(params, basis, np.broadcast_to(u0, (size,) + u0.shape),
-                         np.broadcast_to(v0, (size,) + v0.shape),
-                         track_remainder=True, samples=samples)
+                         np.broadcast_to(v0, (size,) + v0.shape), samples=samples)
 
     errors = {name: np.zeros(size) for name in targets}
     energy0 = engine.energy()

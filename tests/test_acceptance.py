@@ -267,7 +267,7 @@ def test_criterion_7_remainder_decay(default_study, grid, basis, gentle_data):
     for dt in dts:
         params = sw.SpdeParams(grid=grid, mu=mu, dt=dt, T=T, gamma=gamma)
         traj = sw.simulate(u0, v0, params, basis, increments=incs[dt],
-                           stride=params.n_steps // 128, track_remainder=True)
+                           stride=params.n_steps // 128)
         sups.append(float(traj.identity_residual.max()))
     slope = np.polyfit(np.log2(dts), np.log2(sups), 1)[0]
     ok = slack_ok and slope >= 1.0

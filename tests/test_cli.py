@@ -1,6 +1,7 @@
 """Command-line layer: config validation, file emission, exit codes."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from spherewave.checks import CHECK_NAMES
 from spherewave.config import config_hash, load_config, resolve_config, study_config_from
 from spherewave.errors import BlowUpError, ConfigError
 from spherewave.limit import LimitParams
-from spherewave.study import BLOCK_SIZE
+from spherewave.study import BLOCK_SIZE, StudyConfig
 
 
 def write_config(path, payload):
@@ -51,6 +52,11 @@ class TestConfigResolution:
     def test_mode_indices_validated(self):
         with pytest.raises(ConfigError):
             resolve_config({"grid": {"n": 15}, "initial_data": {"u_modes": [[16, 1, 1.0]]}})
+
+    def test_default_study_is_the_api_default(self):
+        # the CLI's defaults (config.DEFAULT_CONFIG) and StudyConfig's fields
+        # state every default twice; the default study must be one study
+        assert study_config_from(resolve_config({})) == StudyConfig()
 
     def test_defaults_filled(self):
         cfg = resolve_config({})
@@ -126,6 +132,16 @@ class TestSimulateCommand:
     def test_config_error_exit_code(self, tmp_path):
         cfg = write_config(tmp_path / "bad.json", {"grid": {"n": 1}})
         assert cli.main(["simulate", "-c", cfg]) == 1
+
+    def test_overflowing_start_refused_cleanly(self, tmp_path, capsys):
+        # finite modes whose norm overflows: one line on stderr, no RuntimeWarning first
+        cfg = sim_config(tmp_path, initial_data={"v_modes": [[1, 2, 1e200]]})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main(["simulate", "-c", cfg]) == 2
+        assert [str(w.message) for w in caught] == []
+        assert capsys.readouterr().err == (
+            "numerical failure: non-finite field at step 0 of sample 0\n")
 
     def test_env_output_override(self, tmp_path, monkeypatch):
         cfg = sim_config(tmp_path)

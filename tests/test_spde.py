@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import spherewave as sw
-from spherewave.spde import DEFAULT_CFL, DIAGNOSTICS, SpdeStepper, _explicit_force
+from spherewave.spde import DEFAULT_CFL, DIAGNOSTICS, WEIGHT_A, SpdeStepper, _explicit_force
 
 RNG = np.random.default_rng(9)
 
@@ -149,12 +149,15 @@ class TestStep:
         assert np.all(np.diff(tail) <= 1e-10 + 1e-3 * tail[:-1])
 
     def test_blowup_reports_step(self, grid, basis, gentle_data):
-        u0, v0 = gentle_data
+        u0, _ = gentle_data
+        v0 = sw.project_tangent(grid, u0, sw.sine_field(grid, 2, 1))
         params = sw.SpdeParams(grid=grid, mu=0.1, dt=1e-4, T=1e-3)
-        with pytest.raises(sw.BlowUpError) as err:
-            sw.simulate(1e200 * u0, v0, params, basis)
-        # the field is finite but its H1 norm overflows, so no step is taken
-        assert err.value.step == 0 and err.value.sample == 0
+        # the fields are finite but a norm overflows, so no step is taken and
+        # no remainder integrand is evaluated (the suite errors on its warnings)
+        for start in ((1e200 * u0, v0), (1e200 * u0, sw.zero_field(grid)), (u0, 1e200 * v0)):
+            with pytest.raises(sw.BlowUpError) as err:
+                sw.simulate(*start, params, basis)
+            assert err.value.step == 0 and err.value.sample == 0
 
     def test_blowup_leaves_the_block(self, grid, basis, gentle_data):
         # one sample of three blows up; the other two step on, bit for bit as
@@ -168,9 +171,9 @@ class TestStep:
             sw.simulate(u0, v0, params, basis, increments=incs[:, 1])
         rows = list(range(params.n_steps + 1))
         trio = SpdeStepper(params, basis, np.stack([u0] * 3), np.stack([v0] * 3),
-                           track_remainder=True, samples=[7, 8, 9])
+                           samples=[7, 8, 9])
         pair = SpdeStepper(params, basis, np.stack([u0] * 2), np.stack([v0] * 2),
-                           track_remainder=True, samples=[7, 9])
+                           samples=[7, 9])
         trio.run(incs, rows, lambda r: None)
         pair.run(incs[:, [0, 2]], rows, lambda r: None)
         # step 5 takes the kick and stays finite (unprojected); step 6 overflows
@@ -191,8 +194,7 @@ class TestStep:
         v0 = sw.project_tangent(grid, u0, sw.sine_field(grid, 2, 1))
         params = sw.SpdeParams(grid=grid, mu=0.1, dt=1e-4, T=3e-3)
         rng = sw.derive_stream(4, 0)
-        engine = SpdeStepper(params, basis, np.stack([u0] * 2), np.stack([v0] * 2),
-                             track_remainder=True)
+        engine = SpdeStepper(params, basis, np.stack([u0] * 2), np.stack([v0] * 2))
         states = [engine.u.copy()]
         for _ in range(params.n_steps):
             engine.step(np.sqrt(params.dt) * rng.standard_normal((2, basis.m)))
@@ -215,8 +217,7 @@ class TestStep:
         u0, v0 = gentle_data
         params = sw.SpdeParams(grid=grid, mu=0.1, dt=1e-4, T=1e-3)
         rng = sw.derive_stream(5, 0)
-        engine = SpdeStepper(params, basis, np.stack([u0] * size), np.stack([v0] * size),
-                             track_remainder=True)
+        engine = SpdeStepper(params, basis, np.stack([u0] * size), np.stack([v0] * size))
         for _ in range(3):
             engine.step(np.sqrt(params.dt) * rng.standard_normal((size, basis.m)))
         for key, field in dict(engine.remainder, u=engine.u, v=engine.v).items():
@@ -255,27 +256,25 @@ class TestDiagnostics:
         theta = SpdeStepper(params, basis, np.sqrt(3.0) * u0, v0).diagnostics()["theta"]
         assert theta[0] == pytest.approx(1.0, rel=1e-12)
 
-    def test_weighted_h2_initial_value(self, grid, basis, gentle_data, monkeypatch):
+    def test_weighted_h2_initial_value(self, grid, basis, gentle_data):
+        # exp(-WEIGHT_A int |v|_H^2 ds) (|u|_{H2}^2 + mu |v|_{H1}^2 + mu |u|_{H1}^2 |v|_H^2),
+        # at t = 0 and after steps that make int |v|_H^2 ds positive
         u0, _ = gentle_data
         v0 = sw.project_tangent(grid, u0, random_field(grid))
         mu = 0.2
         params = sw.SpdeParams(grid=grid, mu=mu, dt=1e-4, T=1.0)
-        expected = (sw.h2_norm_sq(grid, u0) + mu * sw.h1_seminorm_sq(grid, v0)
-                    + mu * sw.h1_seminorm_sq(grid, u0) * sw.norm_l2_sq(grid, v0))
         stepper = SpdeStepper(params, basis, u0, v0)
-        for weight_a in (0.0, 10.0):
-            weighted = stepper.diagnostics(weight_a)["weighted_h2"][0]
+        rng = sw.derive_stream(12, 0)
+        for steps in (0, 5):
+            for _ in range(steps):
+                stepper.step(np.sqrt(params.dt) * rng.standard_normal((1, basis.m)))
+            u, v = stepper.u[0], stepper.v[0]
+            expected = np.exp(-WEIGHT_A * stepper.acc_v2[0]) * (
+                sw.h2_norm_sq(grid, u) + mu * sw.h1_seminorm_sq(grid, v)
+                + mu * sw.h1_seminorm_sq(grid, u) * sw.norm_l2_sq(grid, v))
+            weighted = stepper.diagnostics()["weighted_h2"][0]
             assert weighted == pytest.approx(expected, rel=1e-13)
-        with pytest.raises(sw.ParameterError):
-            stepper.diagnostics(-1.0)
-        # simulate evaluates its rows a chunk at a time, so it must refuse first
-        steps = []
-        step = SpdeStepper.step
-        monkeypatch.setattr(SpdeStepper, "step",
-                            lambda self, dw=None: steps.append(dw) or step(self, dw))
-        with pytest.raises(sw.ParameterError):
-            sw.simulate(u0, v0, params, basis, weight_a=-1.0)
-        assert not steps
+        assert stepper.acc_v2[0] > 0.0
 
     def test_weighted_h2_constant_on_equilibrium(self, grid, basis):
         u0 = sw.normalize_sphere(grid, sw.sine_field(grid, 2, 3))
@@ -288,7 +287,7 @@ class TestDiagnostics:
         u0, v0 = gentle_data
         params = sw.SpdeParams(grid=grid, mu=0.1, dt=1e-4, T=0.5, gamma=5.0)
         traj = sw.simulate(u0, v0, params, basis, rng=sw.derive_stream(14, 0),
-                           stride=100, weight_a=10.0)
+                           stride=100)
         assert np.isfinite(traj.weighted_h2).all()
         assert traj.weighted_h2.max() <= 10.0 * traj.weighted_h2[0]
 
@@ -328,9 +327,8 @@ class TestDiagnostics:
 
 class TestRowChunks:
     @pytest.mark.parametrize("projection", [False, True])
-    @pytest.mark.parametrize("track", [False, True])
     @pytest.mark.parametrize("n_rows", [63, 64, 65, 129])
-    def test_rows_equal_a_per_row_evaluation(self, n_rows, track, projection):
+    def test_rows_equal_a_per_row_evaluation(self, n_rows, projection):
         # simulate reduces its rows ROW_CHUNK at a time; the oracle evaluates
         # each row alone, on the engine's state as the row is reached
         grid = sw.Grid1D(1.0, 31)
@@ -342,18 +340,16 @@ class TestRowChunks:
         params = sw.SpdeParams(grid=grid, mu=0.1, dt=dt, T=(n_rows - 1) * dt,
                                projection=projection)
         dw = np.sqrt(dt) * sw.derive_stream(3, n_rows).standard_normal((n_rows - 1, basis.m))
-        traj = sw.simulate(u0, v0, params, basis, increments=dw, track_remainder=track,
-                           keep_fields=True, weight_a=3.0)
+        traj = sw.simulate(u0, v0, params, basis, increments=dw, keep_fields=True)
 
-        engine = SpdeStepper(params, basis, u0, v0, track_remainder=track)
+        engine = SpdeStepper(params, basis, u0, v0)
         rows = []
 
         def on_row(r):
-            row = dict(engine.diagnostics(3.0), u=engine.u.copy(), v=engine.v.copy())
-            if track:
-                acc = {key: a[0] for key, a in engine.remainder.items()}
-                row["j"], row["res"] = sw.remainder_norms(
-                    params, basis, engine.u0[0], engine.v0[0], engine.u[0], engine.v[0], acc)
+            row = dict(engine.diagnostics(), u=engine.u.copy(), v=engine.v.copy())
+            acc = {key: a[0] for key, a in engine.remainder.items()}
+            row["j"], row["res"] = sw.remainder_norms(
+                params, basis, engine.u0[0], engine.v0[0], engine.u[0], engine.v[0], acc)
             rows.append(row)
 
         engine.run(dw[:, None, :], list(range(n_rows)), on_row)
@@ -363,11 +359,8 @@ class TestRowChunks:
             assert np.array_equal(getattr(traj, name), oracle[name][:, 0]), name
         assert np.array_equal(traj.u_fields, oracle["u"][:, 0])
         assert np.array_equal(traj.v_fields, oracle["v"][:, 0])
-        if track:
-            assert np.array_equal(traj.j_norms, oracle["j"])
-            assert np.array_equal(traj.identity_residual, oracle["res"])
-        else:
-            assert traj.j_norms is None and traj.identity_residual is None
+        assert np.array_equal(traj.j_norms, oracle["j"])
+        assert np.array_equal(traj.identity_residual, oracle["res"])
 
 
 class TestFunctionals:

@@ -73,17 +73,9 @@ class TestRemainderTerms:
         u0 = sw.normalize_sphere(grid, sw.sine_field(grid, 2, 1))
         params = sw.SpdeParams(grid=grid, mu=0.1, dt=1e-4, T=0.02)
         traj = sw.simulate(u0, sw.zero_field(grid), params, basis,
-                           rng=sw.derive_stream(1, 0), stride=20, track_remainder=True)
+                           rng=sw.derive_stream(1, 0), stride=20)
         assert traj.j_norms.max() <= 1e-12
         assert traj.identity_residual.max() <= 1e-10
-
-    def test_missing_accumulators_rejected(self):
-        grid = sw.Grid1D(1.0, 63)
-        basis = sw.build_basis(grid, 8, 2.0)
-        u0 = sw.normalize_sphere(grid, sw.sine_field(grid, 1, 1))
-        params = sw.SpdeParams(grid=grid, mu=0.1, dt=1e-4, T=0.01)
-        traj = sw.simulate(u0, sw.zero_field(grid), params, basis, stride=10)
-        assert traj.j_norms is None and traj.identity_residual is None
 
     def test_streamed_rows_independent_of_stride(self):
         # 151 rows at stride 1 span three remainder chunks, the last one partial
@@ -93,8 +85,7 @@ class TestRemainderTerms:
                                  + sw.sine_field(grid, 2, 2, 0.1))
         params = sw.SpdeParams(grid=grid, mu=0.1, dt=1e-4, T=0.015)
         runs = {stride: sw.simulate(u0, sw.zero_field(grid), params, basis,
-                                    rng=sw.derive_stream(5, 0), stride=stride,
-                                    track_remainder=True)
+                                    rng=sw.derive_stream(5, 0), stride=stride)
                 for stride in (1, 3)}
         assert len(runs[1].t) == 151 and len(runs[3].t) == 51
         fine, coarse = runs[1], runs[3]
@@ -109,7 +100,7 @@ class TestRemainderTerms:
         u0 = sw.normalize_sphere(grid, sw.sine_field(grid, 1, 1))
         params = sw.SpdeParams(grid=grid, mu=0.1, dt=1e-4, T=0.01)
         runs = [sw.simulate(u0, sw.zero_field(grid), params, basis, rng=sw.derive_stream(6, 0),
-                            stride=10, track_remainder=True, keep_fields=keep)
+                            stride=10, keep_fields=keep)
                 for keep in (False, True)]
         assert runs[0].u_fields is None and runs[0].v_fields is None
         assert runs[1].u_fields.shape == (11, grid.n, 3)
@@ -128,8 +119,7 @@ class TestRemainderTerms:
                                         n_out=cfg.n_out)
             traj = sw.simulate(u0, v0, params, basis,
                                rng=sw.derive_stream(*cfg.child_key(0)),
-                               stride=params.n_steps // cfg.n_out,
-                               track_remainder=True)
+                               stride=params.n_steps // cfg.n_out)
             sups.append(traj.j_norms[:, 0].max())
         ratio = sups[0] / sups[1]
         assert 1.5 <= ratio <= 2.7
@@ -150,8 +140,7 @@ class TestRemainderTerms:
             params = sw.SpdeParams(grid=grid, mu=0.1, dt=dt, T=0.25,
                                    gamma=5.0, alpha=1.0)
             traj = sw.simulate(u0, v0, params, basis, increments=inc,
-                               stride=params.n_steps // 50,
-                               track_remainder=True)
+                               stride=params.n_steps // 50)
             sups.append(traj.identity_residual.max())
         assert sups[1] < 0.75 * sups[0]
 
@@ -171,7 +160,7 @@ class TestRemainderTerms:
         for dt in dts:
             params = sw.SpdeParams(grid=grid, mu=mu, dt=dt, T=T, gamma=5.0)
             traj = sw.simulate(u0, v0, params, basis, increments=incs[dt],
-                               stride=params.n_steps // 50, track_remainder=True)
+                               stride=params.n_steps // 50)
             sups.append(traj.identity_residual.max())
         assert sups[1] < 0.75 * sups[0]
 
@@ -271,8 +260,7 @@ class TestBlockEngine:
         for row in result.rows:
             params = config.spde_params(row.mu, grid)
             traj = sw.simulate(u0, v0, params, basis, rng=sw.derive_stream(*row.seed_key),
-                               stride=params.n_steps // config.n_out, track_remainder=True,
-                               keep_fields=True)
+                               stride=params.n_steps // config.n_out, keep_fields=True)
             expected = {
                 "energy_residual": np.abs(traj.energy - traj.energy[0]).max() / traj.energy[0],
                 "identity_sup": traj.identity_residual.max(),
