@@ -19,6 +19,9 @@ from functools import cached_property
 from math import ceil
 
 import numpy as np
+# numpy's C einsum: np.einsum without `optimize` calls exactly this, and its
+# Python wrapper costs more than the contraction on one field
+from numpy._core._multiarray_umath import c_einsum
 from scipy.fft._pocketfft.pypocketfft import dst
 from scipy.linalg import get_lapack_funcs
 
@@ -69,7 +72,7 @@ class Grid1D:
         if self.n < 2:
             raise ParameterError(f"need at least 2 interior nodes, got {self.n}")
 
-    @property
+    @cached_property
     def h(self) -> float:
         return self.L / (self.n + 1)
 
@@ -155,22 +158,22 @@ def inner_l2(grid: Grid1D, f: np.ndarray, g: np.ndarray) -> float:
     """Trapezoidal L^2 inner product; boundary nodes contribute zero."""
     f = _check_field(grid, f)
     g = _check_field(grid, g)
-    return grid.h * float(np.einsum("ij,ij->", f, g))
+    return grid.h * float(c_einsum("ij,ij->", f, g))
 
 
 def inner_each(grid: Grid1D, f: np.ndarray, g: np.ndarray) -> np.ndarray:
     """inner_l2 of each pair of fields in two blocks (..., n, 3); shape (...)."""
-    return grid.h * np.einsum("...ij,...ij->...", f, g)
+    return grid.h * c_einsum("...ij,...ij->...", f, g)
 
 
 def pointwise_dot(f: np.ndarray, g: np.ndarray) -> np.ndarray:
     """f.g at every node of fields or blocks (..., n, 3), shape (..., n, 1)."""
-    return np.einsum("...j,...j->...", f, g)[..., None]
+    return c_einsum("...j,...j->...", f, g)[..., None]
 
 
 def norm_l2_sq(grid: Grid1D, f: np.ndarray) -> float:
     f = _check_field(grid, f)
-    return grid.h * float(np.einsum("ij,ij->", f, f))
+    return grid.h * float(c_einsum("ij,ij->", f, f))
 
 
 def norm_l2(grid: Grid1D, f: np.ndarray) -> float:
@@ -231,7 +234,7 @@ def spectral_norm(grid: Grid1D, coeffs: np.ndarray, delta: float) -> np.ndarray:
     if not 0.0 <= delta <= 2.0:
         raise ParameterError(f"sobolev order must lie in [0, 2], got {delta}")
     weights = eigenvalues(grid) ** delta if delta > 0 else np.ones(grid.n)
-    return np.sqrt(grid.h * np.einsum("k,...kd,...kd->...", weights, coeffs, coeffs))
+    return np.sqrt(grid.h * c_einsum("k,...kd,...kd->...", weights, coeffs, coeffs))
 
 
 def sobolev_norm(grid: Grid1D, f: np.ndarray, delta: float) -> float:
@@ -243,7 +246,8 @@ def cross(f: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Pointwise f x g on (..., 3) arrays, written out (the same roundoff as np.cross)."""
     f0, f1, f2 = f[..., 0], f[..., 1], f[..., 2]
     g0, g1, g2 = g[..., 0], g[..., 1], g[..., 2]
-    out = np.empty(np.broadcast_shapes(f.shape, g.shape))
+    shape = f.shape if f.shape == g.shape else np.broadcast_shapes(f.shape, g.shape)
+    out = np.empty(shape)
     np.subtract(f1 * g2, f2 * g1, out=out[..., 0])
     np.subtract(f2 * g0, f0 * g2, out=out[..., 1])
     np.subtract(f0 * g1, f1 * g0, out=out[..., 2])
@@ -254,8 +258,8 @@ def triple_cross(h: np.ndarray, k: np.ndarray) -> np.ndarray:
     """h x (h x k) evaluated as -|h|^2 k + (h.k) h, on any (..., 3) shape."""
     h = np.asarray(h, dtype=float)
     k = np.asarray(k, dtype=float)
-    hh = np.einsum("...i,...i->...", h, h)[..., None]
-    hk = np.einsum("...i,...i->...", h, k)[..., None]
+    hh = c_einsum("...i,...i->...", h, h)[..., None]
+    hk = c_einsum("...i,...i->...", h, k)[..., None]
     return hk * h - hh * k
 
 

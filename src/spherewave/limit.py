@@ -33,6 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy._core._multiarray_umath import c_einsum
 
 from .errors import BlowUpError, DegenerateFieldError, ParameterError
 from .fields import (
@@ -115,13 +116,37 @@ def mobility_apply_inverse(u: np.ndarray, phi, gamma: float, r: np.ndarray) -> n
     Uses the closed form M^{-1} = (1/a)[I + (phi/2 gamma) u u^T] with
     a = gamma + phi |u|^2 / 2, valid for every gamma > 0 and phi >= 0.
     """
+    return _mobility_solve(u, r, gamma, _mobility_constants(phi, gamma))
+
+
+def _mobility_constants(phi, gamma: float) -> tuple:
+    """The node constants phi/2 and phi/(2 gamma) of the mobility inverse, as (n, 1) columns."""
     phi = np.asarray(phi, dtype=float)
     if phi.ndim == 1:
         phi = phi[:, None]
-    uu = np.einsum("ij,ij->i", u, u)[:, None]
-    ur = np.einsum("ij,ij->i", u, r)[:, None]
-    a = gamma + 0.5 * phi * uu
-    return (r + (phi / (2.0 * gamma)) * ur * u) / a
+    return 0.5 * phi, phi / (2.0 * gamma)
+
+
+# the mobility constants of the last (basis, gamma) pair, so a solve builds them
+# once, not twice a step; keeping the basis alive means the identity test cannot
+# match a new basis at a freed address (a basis is never written after build_basis)
+_last_mobility: tuple = (None, None, None)
+
+
+def _basis_mobility(basis: NoiseBasis, gamma: float) -> tuple:
+    global _last_mobility
+    last_basis, last_gamma, constants = _last_mobility
+    if last_basis is not basis or last_gamma != gamma:
+        constants = _mobility_constants(basis.phi, gamma)
+        _last_mobility = (basis, gamma, constants)
+    return constants
+
+
+def _mobility_solve(u: np.ndarray, r: np.ndarray, gamma: float, constants: tuple) -> np.ndarray:
+    half_phi, phi_over_2gamma = constants
+    uu = c_einsum("ij,ij->i", u, u)[:, None]
+    ur = c_einsum("ij,ij->i", u, r)[:, None]
+    return (r + phi_over_2gamma * ur * u) / (gamma + half_phi * uu)
 
 
 def limit_rhs(u: np.ndarray, basis: NoiseBasis, params: LimitParams) -> np.ndarray:
@@ -139,7 +164,7 @@ def _rhs_with_extras(u: np.ndarray, basis: NoiseBasis, params: LimitParams):
     r = lap + h1 * u
     if params.parabolic:
         return r / params.gamma, lap, h1
-    return mobility_apply_inverse(u, basis.phi, params.gamma, r), lap, h1
+    return _mobility_solve(u, r, params.gamma, _basis_mobility(basis, params.gamma)), lap, h1
 
 
 def explicit_form_residual(u: np.ndarray, ut: np.ndarray, basis: NoiseBasis,
@@ -154,10 +179,10 @@ def explicit_form_residual(u: np.ndarray, ut: np.ndarray, basis: NoiseBasis,
     h1 = -inner_l2(grid, lap, u)
     r = lap + h1 * u
     phi = np.zeros(grid.n) if params.parabolic else basis.phi
-    uu = np.einsum("ij,ij->i", u, u)
-    u_ut = np.einsum("ij,ij->i", u, ut)
+    uu = c_einsum("ij,ij->i", u, u)
+    u_ut = c_einsum("ij,ij->i", u, ut)
     lhs = (params.gamma + 0.5 * phi * uu)[:, None] * ut + (phi * u_ut)[:, None] * u
-    ru = np.einsum("ij,ij->i", r, u)
+    ru = c_einsum("ij,ij->i", r, u)
     rhs = r + (1.5 / params.gamma) * (phi * ru)[:, None] * u
     return norm_l2(grid, lhs - rhs)
 

@@ -153,8 +153,11 @@ def noise_field(u: np.ndarray, v: np.ndarray, basis: NoiseBasis, values: np.ndar
         raise ShapeError(f"expected {basis.m} increments per field, got shape {values.shape}")
     if basis.m == 0:
         return np.zeros_like(u)
-    rows = np.atleast_2d(values)
-    scalar = np.empty((len(rows), basis.grid.n))
-    for row, out in zip(rows, scalar):
-        np.matmul(basis.xi.T, row, out=out)
-    return cross(u, v) * scalar.reshape(u.shape[:-1])[..., None]
+    xi_t = basis.xi.T
+    scalar = np.empty(u.shape[:-1] + (1,))
+    if values.ndim == 1:
+        np.matmul(xi_t, values, out=scalar[:, 0])
+    else:
+        for j in range(len(values)):
+            np.matmul(xi_t, values[j], out=scalar[j, :, 0])
+    return cross(u, v) * scalar

@@ -1,11 +1,16 @@
 """Grid, quadrature, difference operators, spectrum, and vector algebra."""
 
+import pickle
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.fft
 
 import spherewave as sw
-from spherewave.fields import HelmholtzSolver, dst_ortho, forward_diff, midpoint_average
+from spherewave.fields import (HelmholtzSolver, c_einsum, dst_ortho, forward_diff,
+                               midpoint_average)
 
 RNG = np.random.default_rng(1234)
 
@@ -41,6 +46,22 @@ class TestGrid:
             sw.Grid1D(-1.0, 16)
         with pytest.raises(sw.ParameterError):
             sw.Grid1D(1.0, 1)
+
+    @pytest.mark.parametrize("read", [(), ("h",), ("x",), ("x_mid",), ("h", "x", "x_mid")])
+    def test_cached_attributes_leave_identity_alone(self, read):
+        # h, x and x_mid are cached on first read; the study pickles grids
+        # into its workers and SpdeStepper compares them, so neither may see it
+        fresh, used = sw.Grid1D(1.0, 127), sw.Grid1D(1.0, 127)
+        for name in read:
+            getattr(used, name)
+        assert used == fresh and hash(used) == hash(fresh)
+        assert used != sw.Grid1D(1.0, 63)
+        for g in (fresh, used):
+            back = pickle.loads(pickle.dumps(g))
+            assert back == fresh and hash(back) == hash(fresh)
+            assert back.h == 1.0 / 128
+            assert np.array_equal(back.x, np.arange(1, 128) / 128)
+            assert np.array_equal(back.x_mid, (np.arange(128) + 0.5) / 128)
 
 
 class TestInnerProduct:
@@ -147,6 +168,29 @@ class TestSpectrum:
             before = f.copy()
             assert np.array_equal(dst_ortho(f), scipy.fft.dst(f, type=1, axis=-2, norm="ortho"))
             assert np.array_equal(f, before)
+
+    def test_c_einsum_matches_numpy_einsum(self, grid):
+        # the package calls numpy's C einsum directly; a numpy upgrade that
+        # changes it must fail here, not shift every output by roundoff
+        source = "".join(p.read_text() for p in Path(sw.__file__).parent.glob("*.py"))
+        subscripts = set(re.findall(r'c_einsum\("([^"]+)"', source))
+        assert {"ij,ij->", "ij,ij->i", "...ij,...ij->...", "...j,...j->..."} <= subscripts
+        rng = np.random.default_rng(8)
+        blocks = [rng.standard_normal(shape) for shape in
+                  ((grid.n, 3), (16, grid.n, 3), (64, grid.n, 3))]
+        blocks += [rng.standard_normal((3, grid.n)).T,
+                   rng.standard_normal((16, 3, grid.n)).transpose(0, 2, 1)]
+        weights = rng.random(grid.n)
+        for spec in sorted(subscripts):
+            terms = spec.split("->")[0].split(",")
+            for f in blocks:
+                if f.ndim > 2 and "..." not in spec:
+                    continue
+                g = rng.standard_normal(f.shape)
+                for pair in ((f, g), (f, f)):
+                    it = iter(pair)
+                    ops = [weights if len(t) == 1 else next(it) for t in terms]
+                    assert np.array_equal(c_einsum(spec, *ops), np.einsum(spec, *ops)), spec
 
     def test_roundtrip(self, grid):
         f = random_field(grid)

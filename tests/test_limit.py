@@ -100,6 +100,20 @@ class TestLimitRhs:
         b = sw.limit_rhs(u, silent, pb)
         assert np.array_equal(a, b)
 
+    def test_rhs_is_the_public_mobility_solve(self, grid, basis):
+        # limit_rhs reuses the mobility constants of the last (basis, gamma):
+        # alternating either must never hand one flow the other's constants
+        other = sw.build_basis(grid, 4, 3.0)
+        u = sw.normalize_sphere(grid, random_field(grid))
+        lap = sw.laplacian(grid, u)
+        r = lap + sw.h1_seminorm_sq(grid, u) * u
+        for _ in range(2):
+            for b in (basis, other):
+                for gamma in (1.0, 2.5):
+                    p = LimitParams.auto(grid, 0.25, gamma=gamma, n_out=128)
+                    assert np.array_equal(sw.limit_rhs(u, b, p),
+                                          sw.mobility_apply_inverse(u, b.phi, gamma, r))
+
     def test_zero_field_rejected(self, grid, basis, params):
         with pytest.raises(sw.DegenerateFieldError):
             sw.limit_rhs(sw.zero_field(grid), basis, params)

@@ -137,6 +137,19 @@ class TestApplyNoise:
         with pytest.raises(sw.ShapeError):
             noise_field(u, v, basis, np.zeros(basis.m + 1))
 
+    @pytest.mark.parametrize("S", [1, 3, 16])
+    def test_block_kick_is_lone_kick(self, grid, basis, S):
+        # a sample's kick depends neither on its block nor on the block size
+        rng = np.random.default_rng(S)
+        u, v = rng.standard_normal((2, S, grid.n, 3))
+        dw = rng.standard_normal((S, basis.m))
+        kick = noise_field(u, v, basis, dw)
+        assert kick.shape == u.shape
+        for j in range(S):
+            assert np.array_equal(kick[j], noise_field(u[j], v[j], basis, dw[j]))
+        with pytest.raises(sw.ShapeError):
+            noise_field(u, v, basis, rng.standard_normal((S + 1, basis.m)))
+
 
 class TestIncrements:
     def test_replay_determinism(self, basis):
