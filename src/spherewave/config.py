@@ -20,7 +20,7 @@ from .errors import ConfigError
 from .fields import Grid1D, initial_pair
 from .limit import LimitParams
 from .noise import build_basis
-from .spde import CFL_LIMIT, DEFAULT_CFL, SpdeParams
+from .spde import SpdeParams
 from .study import StudyConfig
 
 __all__ = [
@@ -113,7 +113,6 @@ CONFIG_SCHEMA = {
                 "delta": {"type": "number", "minimum": 0, "exclusiveMaximum": 2},
                 "master_seed": {"type": "integer", "minimum": 0},
                 "projection": {"type": "boolean"},
-                "cfl": {"type": "number", "exclusiveMinimum": 0, "maximum": CFL_LIMIT},
                 "n_out": {"type": "integer", "minimum": 1},
             },
         },
@@ -138,7 +137,7 @@ DEFAULT_CONFIG = {
     "initial_data": {"u_modes": [[1, 1, 1.0], [2, 2, 0.1]],
                      "v_modes": [[1, 2, 2.0], [2, 3, 1.0]]},
     "study": {"ensemble": 16, "delta": 1.0, "master_seed": 20240811,
-              "projection": True, "cfl": DEFAULT_CFL, "n_out": 256},
+              "projection": True, "n_out": 256},
     "output": {"directory": "spherewave-out", "stride": 1},
 }
 
@@ -216,7 +215,6 @@ def study_config_from(cfg: dict) -> StudyConfig:
             v_modes=tuple(tuple(mode) for mode in cfg["initial_data"]["v_modes"]),
             master_seed=cfg["study"]["master_seed"],
             n_out=cfg["study"]["n_out"],
-            cfl=cfg["study"]["cfl"],
             dt=None if cfg["time"]["dt"] == "auto" else cfg["time"]["dt"],
             projection=cfg["study"]["projection"],
         )
@@ -234,12 +232,11 @@ def initial_fields_from(cfg: dict, grid: Grid1D):
 def spde_params_from(cfg: dict, grid: Grid1D) -> SpdeParams:
     """Parameters of the single trajectory; time.dt is the exact step, as in study.
 
-    The auto step takes the step fraction study.cfl, as every study level does.
+    The auto step is the one every study level takes (SpdeParams.auto).
     """
     phys, time = cfg["physics"], cfg["time"]
     return SpdeParams.auto(grid, phys["mu"], time["T"], gamma=phys["gamma"],
-                           alpha=phys["alpha"], projection=time["projection"],
-                           cfl=cfg["study"]["cfl"], n_out=1,
+                           alpha=phys["alpha"], projection=time["projection"], n_out=1,
                            dt=None if time["dt"] == "auto" else time["dt"])
 
 

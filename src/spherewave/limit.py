@@ -116,37 +116,19 @@ def mobility_apply_inverse(u: np.ndarray, phi, gamma: float, r: np.ndarray) -> n
     Uses the closed form M^{-1} = (1/a)[I + (phi/2 gamma) u u^T] with
     a = gamma + phi |u|^2 / 2, valid for every gamma > 0 and phi >= 0.
     """
-    return _mobility_solve(u, r, gamma, _mobility_constants(phi, gamma))
-
-
-def _mobility_constants(phi, gamma: float) -> tuple:
-    """The node constants phi/2 and phi/(2 gamma) of the mobility inverse, as (n, 1) columns."""
     phi = np.asarray(phi, dtype=float)
-    if phi.ndim == 1:
-        phi = phi[:, None]
-    return 0.5 * phi, phi / (2.0 * gamma)
+    return _mobility_solve(u, r, gamma, 0.5 * (phi[:, None] if phi.ndim == 1 else phi))
 
 
-# the mobility constants of the last (basis, gamma) pair, so a solve builds them
-# once, not twice a step; keeping the basis alive means the identity test cannot
-# match a new basis at a freed address (a basis is never written after build_basis)
-_last_mobility: tuple = (None, None, None)
+def _mobility_solve(u: np.ndarray, r: np.ndarray, gamma: float,
+                    half_phi: np.ndarray) -> np.ndarray:
+    """mobility_apply_inverse given the (n, 1) column phi/2.
 
-
-def _basis_mobility(basis: NoiseBasis, gamma: float) -> tuple:
-    global _last_mobility
-    last_basis, last_gamma, constants = _last_mobility
-    if last_basis is not basis or last_gamma != gamma:
-        constants = _mobility_constants(basis.phi, gamma)
-        _last_mobility = (basis, gamma, constants)
-    return constants
-
-
-def _mobility_solve(u: np.ndarray, r: np.ndarray, gamma: float, constants: tuple) -> np.ndarray:
-    half_phi, phi_over_2gamma = constants
+    Halving is exact, so half_phi / gamma is phi / (2 gamma) bit for bit.
+    """
     uu = c_einsum("ij,ij->i", u, u)[:, None]
     ur = c_einsum("ij,ij->i", u, r)[:, None]
-    return (r + phi_over_2gamma * ur * u) / (gamma + half_phi * uu)
+    return (r + (half_phi / gamma) * ur * u) / (gamma + half_phi * uu)
 
 
 def limit_rhs(u: np.ndarray, basis: NoiseBasis, params: LimitParams) -> np.ndarray:
@@ -164,7 +146,7 @@ def _rhs_with_extras(u: np.ndarray, basis: NoiseBasis, params: LimitParams):
     r = lap + h1 * u
     if params.parabolic:
         return r / params.gamma, lap, h1
-    return _mobility_solve(u, r, params.gamma, _basis_mobility(basis, params.gamma)), lap, h1
+    return _mobility_solve(u, r, params.gamma, basis.half_phi), lap, h1
 
 
 def explicit_form_residual(u: np.ndarray, ut: np.ndarray, basis: NoiseBasis,

@@ -51,6 +51,7 @@ class NoiseBasis:
     amplitudes: np.ndarray        # (m,)   a_i = i^-p
     xi: np.ndarray                # (m, n) xi_i(x_j)
     phi: np.ndarray               # (n,)
+    half_phi: np.ndarray          # (n, 1) the column phi/2 of the limit's mobility solve
     phi1: np.ndarray              # (n,)
     phi_mid: np.ndarray           # (n+1,)
     phi1_mid: np.ndarray          # (n+1,)
@@ -99,13 +100,15 @@ def build_basis(grid: Grid1D, m: int, p: float) -> NoiseBasis:
     full_phi1 = (2.0 / grid.L) * (np.pi / grid.L) ** 2 * float(zeta(2.0 * p - 2.0, 1))
     phi1_partial = float((2.0 / grid.L) * (np.pi / grid.L) ** 2 * (i ** (2.0 - 2.0 * p)).sum())
 
+    phi = (xi ** 2).sum(axis=0) if m else np.zeros(grid.n)
     return NoiseBasis(
         grid=grid,
         m=m,
         p=p,
         amplitudes=amp,
         xi=xi,
-        phi=(xi ** 2).sum(axis=0) if m else np.zeros(grid.n),
+        phi=phi,
+        half_phi=0.5 * phi[:, None],
         phi1=(dxi ** 2).sum(axis=0) if m else np.zeros(grid.n),
         phi_mid=(xi_mid ** 2).sum(axis=0) if m else np.zeros(grid.n + 1),
         phi1_mid=(dxi_mid ** 2).sum(axis=0) if m else np.zeros(grid.n + 1),

@@ -16,8 +16,9 @@ SpdeStepper is a batched engine: it advances a block of S independent
 samples held as C-ordered (S, n, 3) arrays, with one tridiagonal LDL^T solve
 on all 3S columns per step.  A single trajectory (simulate) is the block
 S = 1.  Every operation acts on each sample separately, so a sample's numbers
-do not depend on the block it shares; a sample that goes non-finite leaves
-its block as a BlowUpError and the others step on.
+do not depend on the block it shares.  A block keeps its shape: a sample
+that goes non-finite is recorded as a BlowUpError and steps on as NaN, which
+leaves the other samples' numbers as they were.
 
 Structure diagnostics: the pathwise energy
 
@@ -76,9 +77,8 @@ __all__ = [
 # dt <= CFL_LIMIT * sqrt(mu) * h.  An accuracy bound, not a stability bound:
 # the wave operator is implicit in the tridiagonal solve, and with the bound
 # lifted the default study ran at 4x it without a blow-up (ROADMAP item 3(b)).
+# It is also the step fraction of every auto step (SpdeParams.auto).
 CFL_LIMIT = 0.5
-# the step fraction of every auto step (StudyConfig.cfl, study.cfl, SpdeParams.auto)
-DEFAULT_CFL = 0.5
 
 # trapezoid-accumulated integrands of the integrated identity: "iAN" is
 # A_h u + |u|_{H1}^2 u and "iCD" is ((A_h u).u + |u|_{H1}^2 |u|^2) u, the two
@@ -138,18 +138,16 @@ class SpdeParams:
 
     @classmethod
     def auto(cls, grid: Grid1D, mu: float, T: float, *, gamma: float = 1.0,
-             alpha: float = 0.5, projection: bool = False, cfl: float = DEFAULT_CFL,
-             n_out: int = 256, dt: float | None = None) -> "SpdeParams":
+             alpha: float = 0.5, projection: bool = False, n_out: int = 256,
+             dt: float | None = None) -> "SpdeParams":
         """Resolve the step on an n_out output grid; every configured dt is read here.
 
-        dt=None takes the largest step under cfl * sqrt(mu) h whose step count
-        is a multiple of n_out.  A given dt is the exact step: it must divide
-        T into a multiple of n_out steps.
+        dt=None takes the largest step under CFL_LIMIT * sqrt(mu) h whose step
+        count is a multiple of n_out.  A given dt is the exact step: it must
+        divide T into a multiple of n_out steps.
         """
-        if not 0.0 < cfl <= CFL_LIMIT:
-            raise ParameterError(f"cfl fraction must lie in (0, {CFL_LIMIT}], got {cfl}")
         if dt is None:
-            dt = fitted_step(cfl * np.sqrt(mu) * grid.h, T, n_out)
+            dt = fitted_step(CFL_LIMIT * np.sqrt(mu) * grid.h, T, n_out)
         elif step_count(dt, T) % n_out:
             raise ParameterError(
                 f"dt={dt!r} takes {step_count(dt, T)} steps to T={T!r},"
@@ -216,10 +214,11 @@ class SpdeStepper:
 
     u0 and v0 are one field (n, 3) or a block (S, n, 3).  Block arrays have
     shape (S, n, 3) in C order, per-sample scalars shape (S,); `samples`
-    labels the block's samples (0..S-1 by default) and shrinks as samples
-    blow up.  Each step does one tridiagonal LDL^T solve on all 3S columns,
-    with the factor computed here, and copies its output back to C order
-    once.
+    labels the block's samples (0..S-1 by default).  The block keeps its
+    shape: `alive` marks the samples that have not blown up, and a lost
+    sample's fields are NaN from its blow-up step on.  Each step does one
+    tridiagonal LDL^T solve on all 3S columns, with the factor computed here,
+    and copies its output back to C order once.
     """
 
     def __init__(self, params: SpdeParams, basis: NoiseBasis, u0: np.ndarray,
@@ -246,6 +245,7 @@ class SpdeStepper:
         self.acc_scale = mu ** params.alpha
         self.step_index = 0
         self.sample_steps = 0
+        self.alive = np.ones(len(u0), dtype=bool)
         self.lost: list[BlowUpError] = []
         self.u0, self.v0 = u0, v0
         self.acc_v2 = np.zeros(len(u0))
@@ -288,7 +288,8 @@ class SpdeStepper:
         """Advance the block one step with raw increments dw (S, m); None means no noise.
 
         Returns the blow-ups of this step: those samples went non-finite and
-        have left the block (they are also collected in `lost`).
+        step on as NaN (they are also collected in `lost`, and `alive` turns
+        False for them).
         """
         params, grid = self.params, self.params.grid
         dt, mu = params.dt, params.mu
@@ -322,19 +323,16 @@ class SpdeStepper:
             np.maximum(self.norm_defect, np.abs(norm - 1.0), out=self.norm_defect)
             np.maximum(self.tangent_defect, tangent_defect, out=self.tangent_defect)
         self.step_index += 1
-        self.sample_steps += S
+        self.sample_steps += int(np.count_nonzero(self.alive))
 
         lost = []
         if not (np.isfinite(u_new).all() and np.isfinite(v_new).all()):
             keep = np.isfinite(u_new).all(axis=(1, 2)) & np.isfinite(v_new).all(axis=(1, 2))
-            lost = [BlowUpError(self.step_index, sample=int(s)) for s in self.samples[~keep]]
+            new = self.alive & ~keep
+            lost = [BlowUpError(self.step_index, sample=int(s)) for s in self.samples[new]]
             self.lost += lost
-            for name in ("samples", "u0", "v0", "vh2", "acc_v2", "acc_noise",
-                         "norm_defect", "tangent_defect"):
-                setattr(self, name, getattr(self, name)[keep])
-            u_new, v_new = u_new[keep], v_new[keep]
-            self._acc, self._prev, self._spare = (
-                a[:, keep] for a in (self._acc, self._prev, self._spare))
+            self.alive &= keep
+            u_new[new] = v_new[new] = np.nan
 
         vh2_old = self.vh2
         self._bind(u_new, v_new)
@@ -352,18 +350,15 @@ class SpdeStepper:
         """Step to rows[-1], calling on_row(r) once step rows[r] is reached.
 
         rows starts at 0 (on_row(0) sees the initial block); increments has
-        shape (n_steps, S, m), or is None for a noise-free run.  Stops early
-        once every sample has blown up.
+        shape (n_steps, S, m), or is None for a noise-free run.  Stops early,
+        without calling on_row, once every sample has blown up.
         """
         on_row(0)
         r = 1
         for k in range(1, rows[-1] + 1):
-            before = self.samples
-            if self.step(None if increments is None else increments[k - 1]):
-                if not len(self.samples):
-                    return
-                if increments is not None:
-                    increments = increments[:, np.isin(before, self.samples)]
+            lost = self.step(None if increments is None else increments[k - 1])
+            if lost and not self.alive.any():
+                return
             if rows[r] == k:
                 on_row(r)
                 r += 1

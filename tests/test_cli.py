@@ -263,9 +263,10 @@ class TestStudyCommand:
         assert cli.main(["study", "-c", cfg]) == 2
 
     @pytest.mark.parametrize("key, value", [("crn", False), ("failure_budget", 0.9),
-                                            ("max_energy_drift", 0.5)])
+                                            ("max_energy_drift", 0.5), ("cfl", 0.25)])
     def test_removed_keys_rejected(self, tmp_path, capsys, key, value):
-        # the CRN pairing, the energy gate and the failure budget are constants
+        # the CRN pairing, the energy gate, the failure budget and the step
+        # fraction are constants
         cfg = self.study_config(tmp_path, study={key: value})
         assert cli.main(["study", "-c", cfg]) == 1
         assert repr(key) in capsys.readouterr().err

@@ -101,8 +101,8 @@ class TestLimitRhs:
         assert np.array_equal(a, b)
 
     def test_rhs_is_the_public_mobility_solve(self, grid, basis):
-        # limit_rhs reuses the mobility constants of the last (basis, gamma):
-        # alternating either must never hand one flow the other's constants
+        # limit_rhs reads the basis's phi/2 column; alternating the basis and
+        # gamma must give each flow the public solve of its own phi and gamma
         other = sw.build_basis(grid, 4, 3.0)
         u = sw.normalize_sphere(grid, random_field(grid))
         lap = sw.laplacian(grid, u)

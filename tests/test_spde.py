@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import spherewave as sw
-from spherewave.spde import DEFAULT_CFL, DIAGNOSTICS, WEIGHT_A, SpdeStepper, _explicit_force
+from spherewave.spde import CFL_LIMIT, DIAGNOSTICS, WEIGHT_A, SpdeStepper, _explicit_force
 
 RNG = np.random.default_rng(9)
 
@@ -51,7 +51,7 @@ class TestParams:
     def test_auto_alignment(self, grid):
         params = sw.SpdeParams.auto(grid, 0.05, 1.0, n_out=256)
         assert params.n_steps % 256 == 0
-        bound = DEFAULT_CFL * np.sqrt(0.05) * grid.h
+        bound = CFL_LIMIT * np.sqrt(0.05) * grid.h
         assert params.dt <= bound * (1 + 1e-12)
         # the largest aligned step: 256 steps fewer would overshoot the bound
         assert 1.0 / (params.n_steps - 256) > bound
@@ -159,9 +159,10 @@ class TestStep:
                 sw.simulate(*start, params, basis)
             assert err.value.step == 0 and err.value.sample == 0
 
-    def test_blowup_leaves_the_block(self, grid, basis, gentle_data):
-        # one sample of three blows up; the other two step on, bit for bit as
-        # in a block without it, and the step matches the lone trajectory's
+    def test_blowup_stays_in_the_block_as_nan(self, grid, basis, gentle_data):
+        # one sample of three blows up and steps on as NaN; the other two step
+        # on bit for bit as in a block without it, and the blow-up step
+        # matches the lone trajectory's
         u0, v0 = gentle_data
         params = sw.SpdeParams(grid=grid, mu=0.1, dt=1e-4, T=2e-3)
         rng = sw.derive_stream(3, 0)
@@ -179,11 +180,31 @@ class TestStep:
         # step 5 takes the kick and stays finite (unprojected); step 6 overflows
         assert [(e.sample, e.step) for e in trio.lost] == [(8, err.value.step)]
         assert err.value.step == 6 and err.value.sample == 0
-        assert trio.samples.tolist() == [7, 9] and not pair.lost
-        assert np.array_equal(trio.u, pair.u) and np.array_equal(trio.v, pair.v)
+        assert trio.alive.tolist() == [True, False, True] and not pair.lost
+        assert trio.samples.tolist() == [7, 8, 9]
+        assert np.isnan(trio.u[1]).all() and np.isnan(trio.v[1]).all()
+        assert np.array_equal(trio.u[[0, 2]], pair.u) and np.array_equal(trio.v[[0, 2]], pair.v)
         for key, acc in trio.remainder.items():
-            assert np.array_equal(acc, pair.remainder[key])
-        assert np.array_equal(trio.energy(), pair.energy())
+            assert np.array_equal(acc[[0, 2]], pair.remainder[key])
+        assert np.array_equal(trio.energy()[[0, 2]], pair.energy())
+        # samples alive at the start of each step: the pair's 2 x 20, and the
+        # lost sample's 6 up to and including its blow-up step
+        assert pair.sample_steps == 40 and trio.sample_steps == 46
+
+    def test_block_stops_when_every_sample_is_lost(self, grid, basis, gentle_data):
+        # both samples blow up at step 6, so run stops there, short of T
+        u0, v0 = gentle_data
+        params = sw.SpdeParams(grid=grid, mu=0.1, dt=1e-4, T=2e-3)
+        incs = np.sqrt(params.dt) * sw.derive_stream(3, 0).standard_normal(
+            (params.n_steps, 2, basis.m))
+        incs[4] = 1e200
+        seen = []
+        duo = SpdeStepper(params, basis, np.stack([u0] * 2), np.stack([v0] * 2))
+        duo.run(incs, list(range(params.n_steps + 1)), seen.append)
+        assert [(e.sample, e.step) for e in duo.lost] == [(0, 6), (1, 6)]
+        assert not duo.alive.any()
+        assert duo.step_index == 6 < params.n_steps and seen == list(range(6))
+        assert duo.sample_steps == 12
 
     def test_fused_accumulators_match_trapezoid(self, grid, basis):
         # "iAN" and "iCD" against this test's own trapezoid sums of
