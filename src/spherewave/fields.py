@@ -46,6 +46,8 @@ __all__ = [
     "eigenvalue",
     "eigenvalues",
     "dst_ortho",
+    "spectral_weights",
+    "weighted_norm",
     "spectral_norm",
     "sobolev_norm",
     "cross",
@@ -223,18 +225,29 @@ def dst_ortho(f: np.ndarray) -> np.ndarray:
     return dst(f, 1, (f.ndim - 2,), 1, None, 1, None)
 
 
-def spectral_norm(grid: Grid1D, coeffs: np.ndarray, delta: float) -> np.ndarray:
-    """Fractional Sobolev norms of fields given by their dst_ortho coefficients.
+def spectral_weights(grid: Grid1D, delta: float) -> np.ndarray:
+    """Mode weights lambda_{h,k}^delta, k = 1..n, of the order-delta spectral norm.
 
-    Mode k is weighted by lambda_{h,k}^delta with lambda_{h,k} the discrete
-    Dirichlet eigenvalue, so delta = 0 reproduces the L^2 norm and delta = 1
-    the summation-by-parts H^1 seminorm exactly.  coeffs has shape
-    (..., n, 3); the result has the leading shape.
+    lambda_{h,k} is the discrete Dirichlet eigenvalue, so delta = 0 gives
+    the L^2 norm and delta = 1 the summation-by-parts H^1 seminorm exactly.
     """
     if not 0.0 <= delta <= 2.0:
         raise ParameterError(f"sobolev order must lie in [0, 2], got {delta}")
-    weights = eigenvalues(grid) ** delta if delta > 0 else np.ones(grid.n)
-    return np.sqrt(grid.h * c_einsum("k,...kd,...kd->...", weights, coeffs, coeffs))
+    return eigenvalues(grid) ** delta if delta > 0 else np.ones(grid.n)
+
+
+def weighted_norm(grid: Grid1D, weights: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """sqrt(h sum_k w_k |f_k|^2) of each field of a block (..., n, 3); shape (...)."""
+    return np.sqrt(grid.h * c_einsum("k,...kd,...kd->...", weights, f, f))
+
+
+def spectral_norm(grid: Grid1D, coeffs: np.ndarray, delta: float) -> np.ndarray:
+    """Fractional Sobolev norms of fields given by their dst_ortho coefficients.
+
+    Mode k is weighted by spectral_weights(grid, delta).  coeffs has shape
+    (..., n, 3); the result has the leading shape.
+    """
+    return weighted_norm(grid, spectral_weights(grid, delta), coeffs)
 
 
 def sobolev_norm(grid: Grid1D, f: np.ndarray, delta: float) -> float:

@@ -148,19 +148,14 @@ def noise_field(u: np.ndarray, v: np.ndarray, basis: NoiseBasis, values: np.ndar
     """(u x v)(x) * sum_i xi_i(x) dB_i for raw increment values.
 
     values has shape (m,) for a field (n, 3), or (S, m) for a block (S, n, 3).
-    The noise sum takes one matrix-vector product per field, as for a lone
-    field: a matrix product over the block rounds differently, and a
-    sample's noise must depend neither on its block nor on the block size.
+    The noise sums are one stacked matmul of xi^T (n, m) with the columns
+    values[..., None]; numpy runs it as one matrix-vector product per field,
+    the product a lone field takes.  A matrix-matrix product over the block
+    would round differently, and a sample's noise must depend neither on its
+    block nor on the block size.
     """
     if values.shape[-1:] != (basis.m,) or values.shape[:-1] != u.shape[:-2]:
         raise ShapeError(f"expected {basis.m} increments per field, got shape {values.shape}")
     if basis.m == 0:
         return np.zeros_like(u)
-    xi_t = basis.xi.T
-    scalar = np.empty(u.shape[:-1] + (1,))
-    if values.ndim == 1:
-        np.matmul(xi_t, values, out=scalar[:, 0])
-    else:
-        for j in range(len(values)):
-            np.matmul(xi_t, values[j], out=scalar[j, :, 0])
-    return cross(u, v) * scalar
+    return cross(u, v) * np.matmul(basis.xi.T, values[..., None])

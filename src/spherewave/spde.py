@@ -29,8 +29,11 @@ theta = (|u|_H^2 - 1)/2 and eta = <u, v>_H vanish identically on it.  One
 function evaluates both, with the norms of DIAGNOSTICS, on any stack of
 states (SpdeStepper.diagnostics on the block, simulate on a chunk of rows).
 Every engine accumulates the integrals of the integrated identity used in
-the small-mass comparison: six trapezoid sums (REMAINDER_KEYS) and the Ito
-sum of J6.  Its six-term remainder,
+the small-mass comparison: six trapezoid integrals (REMAINDER_KEYS), kept as
+left sums of their integrands with one add per step and given their end
+correction only when `remainder` reads them, and the Ito sum of J6, whose
+kick comes from one stacked matrix-vector product per step.  Its six-term
+remainder,
 
     R(t) = (3 mu / 2 gamma) phi (u0.v0) u0 + sum_i J_i(t),
     J1 = -(3 mu/2 gamma) phi (u.v) u            J4 = (3 mu/2 gamma) phi int |v|^2 u ds
@@ -38,7 +41,7 @@ sum of J6.  Its six-term remainder,
     J3 = (3 mu/2 gamma) phi int (u.v) v ds      J6 = mu^alpha int (u x v) dw
 
 and the residual of the full identity, a pure time-discretisation quantity,
-are evaluated by remainder_norms from those accumulators.
+are evaluated by RemainderIdentity (remainder_norms) from those accumulators.
 """
 
 from __future__ import annotations
@@ -51,6 +54,7 @@ from .errors import BlowUpError, ParameterError, ShapeError
 from .fields import (
     Grid1D,
     HelmholtzSolver,
+    c_einsum,
     cross,
     fitted_step,
     forward_diff,
@@ -60,6 +64,7 @@ from .fields import (
     output_rows,
     pointwise_dot,
     step_count,
+    weighted_norm,
 )
 from .noise import NoiseBasis, noise_field, strat_correction
 
@@ -68,6 +73,7 @@ __all__ = [
     "SpdeTrajectory",
     "SpdeStepper",
     "REMAINDER_KEYS",
+    "RemainderIdentity",
     "remainder_norms",
     "simulate",
     "functional_j",
@@ -80,7 +86,7 @@ __all__ = [
 # It is also the step fraction of every auto step (SpdeParams.auto).
 CFL_LIMIT = 0.5
 
-# trapezoid-accumulated integrands of the integrated identity: "iAN" is
+# trapezoid integrals of the integrated identity: "iAN" is
 # A_h u + |u|_{H1}^2 u and "iCD" is ((A_h u).u + |u|_{H1}^2 |u|^2) u, the two
 # sums remainder_norms reads; "j6", the Ito sum mu^alpha int (u x v) dw, is
 # accumulated with the noise kick
@@ -208,9 +214,15 @@ class SpdeStepper:
     |<u*, v*>_H| in `tangent_defect`; (4) optionally re-project (u*, v*)
     onto the constraint manifold, which removes exactly those residuals,
     else take (u*, v*) as the new state; (5) update the running
-    integrals (trapezoid for int |v|^2 and the six remainder integrands,
-    left-point Ito sum for the noise accumulator, matching the kick).
-    Every engine keeps those accumulators; `remainder` reads them.
+    integrals: the trapezoid for int |v|^2, one add of the six remainder
+    integrands f_k onto their left sum, which starts at f_0 / 2 so that
+    `remainder` reads the trapezoid integral as dt (sum - f_k / 2), and the
+    left-point Ito sum for the noise accumulator, matching the kick, whose
+    noise sums are one stacked matrix-vector product (noise_field).  Every
+    engine keeps those accumulators, and `identity` evaluates the remainder
+    from them.  The whole step runs under one np.errstate, as do `run`
+    with its rows and the `remainder` read: a huge but finite sample may
+    overflow there, and it is recorded as a blow-up, not warned about.
 
     u0 and v0 are one field (n, 3) or a block (S, n, 3).  Block arrays have
     shape (S, n, 3) in C order, per-sample scalars shape (S,); `samples`
@@ -251,15 +263,19 @@ class SpdeStepper:
         self.acc_v2 = np.zeros(len(u0))
         self.norm_defect, self.tangent_defect = np.zeros(len(u0)), np.zeros(len(u0))
         self.acc_noise = np.zeros_like(u0)
-        self._acc = np.zeros((len(REMAINDER_KEYS),) + u0.shape)
-        self._prev, self._spare = np.empty_like(self._acc), np.empty_like(self._acc)
         self._bind(u0.copy(), v0.copy())
         # finite fields can still overflow their norms, which every step and
         # the integrands read: refuse the start before evaluating those
         finite = np.isfinite(self.h1) & np.isfinite(self.vh2)
         if not finite.all():
             raise BlowUpError(0, sample=int(self.samples[~finite][0]))
-        self._integrands(self._prev)
+        # the latest integrands f_k, and their left sum from f_0 / 2 on; a
+        # huge start may overflow in them, and is lost at its first step
+        self._last = np.empty((len(REMAINDER_KEYS),) + u0.shape)
+        with np.errstate(all="ignore"):
+            self._integrands(self._last)
+            self._sums = 0.5 * self._last
+            self.identity = RemainderIdentity(params, basis, u0, v0)
 
     def _bind(self, u: np.ndarray, v: np.ndarray) -> None:
         """Make (u, v) the block's state and cache what the next step and the rows need."""
@@ -291,10 +307,10 @@ class SpdeStepper:
         step on as NaN (they are also collected in `lost`, and `alive` turns
         False for them).
         """
-        params, grid = self.params, self.params.grid
-        dt, mu = params.dt, params.mu
-        u, v, S = self.u, self.v, len(self.u)
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        with np.errstate(all="ignore"):
+            params, grid = self.params, self.params.grid
+            dt, mu = params.dt, params.mu
+            u, v, S = self.u, self.v, len(self.u)
             force = _explicit_force(params, self.basis, u, v, self.h1[:, None, None],
                                     self.vh2[:, None, None], dots=self._dots)
             rhs = v + (dt / mu) * (self.lap + force)
@@ -322,29 +338,24 @@ class SpdeStepper:
                 tangent_defect = np.abs(inner_each(grid, u_new, v_star))
             np.maximum(self.norm_defect, np.abs(norm - 1.0), out=self.norm_defect)
             np.maximum(self.tangent_defect, tangent_defect, out=self.tangent_defect)
-        self.step_index += 1
-        self.sample_steps += int(np.count_nonzero(self.alive))
+            self.step_index += 1
+            self.sample_steps += int(np.count_nonzero(self.alive))
 
-        lost = []
-        if not (np.isfinite(u_new).all() and np.isfinite(v_new).all()):
-            keep = np.isfinite(u_new).all(axis=(1, 2)) & np.isfinite(v_new).all(axis=(1, 2))
-            new = self.alive & ~keep
-            lost = [BlowUpError(self.step_index, sample=int(s)) for s in self.samples[new]]
-            self.lost += lost
-            self.alive &= keep
-            u_new[new] = v_new[new] = np.nan
+            lost = []
+            if not (np.isfinite(u_new).all() and np.isfinite(v_new).all()):
+                keep = np.isfinite(u_new).all(axis=(1, 2)) & np.isfinite(v_new).all(axis=(1, 2))
+                new = self.alive & ~keep
+                lost = [BlowUpError(self.step_index, sample=int(s)) for s in self.samples[new]]
+                self.lost += lost
+                self.alive &= keep
+                u_new[new] = v_new[new] = np.nan
 
-        vh2_old = self.vh2
-        self._bind(u_new, v_new)
-        self.acc_v2 += 0.5 * dt * (vh2_old + self.vh2)
-        # trapezoid: acc += dt/2 (previous + current), with no temporaries
-        prev, current = self._prev, self._spare
-        self._integrands(current)
-        np.add(prev, current, out=prev)
-        prev *= 0.5 * dt
-        self._acc += prev
-        self._prev, self._spare = current, prev
-        return lost
+            vh2_old = self.vh2
+            self._bind(u_new, v_new)
+            self.acc_v2 += 0.5 * dt * (vh2_old + self.vh2)
+            self._integrands(self._last)
+            self._sums += self._last
+            return lost
 
     def run(self, increments: np.ndarray | None, rows: list, on_row) -> None:
         """Step to rows[-1], calling on_row(r) once step rows[r] is reached.
@@ -353,15 +364,16 @@ class SpdeStepper:
         shape (n_steps, S, m), or is None for a noise-free run.  Stops early,
         without calling on_row, once every sample has blown up.
         """
-        on_row(0)
-        r = 1
-        for k in range(1, rows[-1] + 1):
-            lost = self.step(None if increments is None else increments[k - 1])
-            if lost and not self.alive.any():
-                return
-            if rows[r] == k:
-                on_row(r)
-                r += 1
+        with np.errstate(all="ignore"):
+            on_row(0)
+            r = 1
+            for k in range(1, rows[-1] + 1):
+                lost = self.step(None if increments is None else increments[k - 1])
+                if lost and not self.alive.any():
+                    return
+                if rows[r] == k:
+                    on_row(r)
+                    r += 1
 
     def energy(self) -> np.ndarray:
         """Pathwise energy |u|_{H1}^2 + mu |v|_H^2 + 2 gamma int |v|_H^2 ds, per sample."""
@@ -373,46 +385,103 @@ class SpdeStepper:
 
     @property
     def remainder(self) -> dict:
-        """The remainder accumulators by name (REMAINDER_KEYS and "j6"), each (S, n, 3)."""
-        acc = dict(zip(REMAINDER_KEYS, self._acc))
-        acc["j6"] = self.acc_noise
-        return acc
+        """The remainder accumulators by name (REMAINDER_KEYS and "j6"), each (S, n, 3).
+
+        Each read gives the six trapezoid integrals their end correction,
+        dt (sum - f_k / 2) from the left sums started at f_0 / 2, in new
+        arrays; the step itself only adds f_k to the sums.
+        """
+        with np.errstate(all="ignore"):
+            return _accumulators(self._sums, self._last, self.params.dt, self.acc_noise)
+
+    def remainder_norms(self) -> tuple[np.ndarray, np.ndarray]:
+        """The J norms (S, 6) and identity residuals (S,) of the block (RemainderIdentity.norms)."""
+        return self.identity.norms(self.u, self.v, self.remainder, dots=self._dots)
+
+
+def _accumulators(sums: np.ndarray, last: np.ndarray, dt: float, j6: np.ndarray) -> dict:
+    """The remainder accumulators by name from the left sums of the integrands.
+
+    sums and last stack REMAINDER_KEYS on their first axis; each trapezoid
+    integral is dt (sum - f_k / 2), its sum started at f_0 / 2 and f_k the
+    latest integrand.
+    """
+    trapezoid = 0.5 * last
+    np.subtract(sums, trapezoid, out=trapezoid)
+    trapezoid *= dt
+    acc = dict(zip(REMAINDER_KEYS, trapezoid))
+    acc["j6"] = j6
+    return acc
+
+
+class RemainderIdentity:
+    """The integrated identity from one initial state (u0, v0).
+
+    Holds what every evaluation shares: the kernel weight phi, scaled by
+    the correction weight mu^(2 alpha - 1) of the simulated dynamics (1 at
+    the reference exponent alpha = 1/2, where the identity takes its
+    standard form), so the residual measures pure time discretisation
+    error at any exponent; and the identity's constant part, base + const,
+    from u0 and v0.  u0 and v0 are fields (n, 3) or blocks that broadcast
+    against the states evaluated.
+    """
+
+    def __init__(self, params: SpdeParams, basis: NoiseBasis, u0: np.ndarray, v0: np.ndarray):
+        mu, gamma = params.mu, params.gamma
+        self.params = params
+        self.c = 1.5 * mu / gamma
+        phi = params.correction_scale * mu ** (2.0 * params.alpha - 1.0) * basis.phi
+        self.phi = phi[:, None]
+        self.phi_sq = phi * phi
+        # (1.5 / gamma) phi on every component: a product with it broadcasts
+        # over the leading axes only, which numpy runs as contiguous loops
+        self.phi_drift = np.repeat((1.5 / gamma) * self.phi, 3, axis=1)
+        self.offset = (gamma * u0 + 0.5 * self.phi * pointwise_dot(u0, u0) * u0 + mu * v0
+                       + self.c * self.phi * pointwise_dot(u0, v0) * u0)
+
+    def norms(self, u: np.ndarray, v: np.ndarray, acc: dict, *,
+              dots: tuple | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """H-norms of J_1..J_6, shape (..., 6), and the identity residual, shape (...).
+
+        u, v and the accumulators of REMAINDER_KEYS + ("j6",) hold fields
+        (..., n, 3): rows of one trajectory or the samples of a block; dots
+        may pass the pointwise (u.u, u.v) when the caller already holds
+        them.  The kernel terms' norms are |c| sqrt(h sum phi^2 |f|^2),
+        with no scaled copy of a field; the gap lhs - rhs of the identity is
+        assembled in one array.
+        """
+        grid, mu, c = self.params.grid, self.params.mu, self.c
+        uu, uv = dots if dots is not None else (pointwise_dot(u, u), pointwise_dot(u, v))
+        norms = np.empty(u.shape[:-2] + (6,))
+        uv_n, uu_n = uv[..., 0], uu[..., 0]
+        norms[..., 0] = c * np.sqrt(grid.h * c_einsum("...j,...j->...", self.phi_sq * uv_n,
+                                                      uv_n * uu_n))
+        norms[..., 1] = mu * np.sqrt(inner_each(grid, acc["j2"], acc["j2"]))
+        for i, key in enumerate(("j3", "j4", "j5"), start=2):
+            norms[..., i] = c * weighted_norm(grid, self.phi_sq, acc[key])
+        norms[..., 5] = np.sqrt(inner_each(grid, acc["j6"], acc["j6"]))
+        # gap = (gamma + phi (uu / 2 + c uv)) u + mu (v + j2) - offset - iAN - j6
+        #       - (1.5 / gamma) phi (iCD + mu (j3 + j4 - j5))
+        gap = (self.params.gamma + self.phi * (0.5 * uu + c * uv)) * u
+        part = v + acc["j2"]
+        part *= mu
+        gap += part
+        np.add(acc["j3"], acc["j4"], out=part)
+        part -= acc["j5"]
+        part *= mu
+        part += acc["iCD"]
+        part *= self.phi_drift
+        gap -= part
+        gap -= acc["iAN"]
+        gap -= acc["j6"]
+        gap -= self.offset
+        return norms, np.sqrt(inner_each(grid, gap, gap))
 
 
 def remainder_norms(params: SpdeParams, basis: NoiseBasis, u0, v0, u, v,
                     acc: dict) -> tuple[np.ndarray, np.ndarray]:
-    """H-norms of J_1..J_6, shape (..., 6), and the identity residual, shape (...).
-
-    u, v and the accumulators of REMAINDER_KEYS + ("j6",) hold fields
-    (..., n, 3): rows of one trajectory or the samples of a block.  u0, v0
-    broadcast against them.  Every kernel term carries the correction weight
-    mu^(2 alpha - 1) of the simulated dynamics (1 at the reference exponent
-    alpha = 1/2, where the identity takes its standard form), so the
-    residual measures pure time discretisation error at any exponent.
-    """
-    grid, mu, gamma = params.grid, params.mu, params.gamma
-    weight = params.correction_scale * mu ** (2.0 * params.alpha - 1.0)
-    phi = weight * basis.phi[:, None]
-    c = 1.5 * mu / gamma
-
-    base = gamma * u0 + 0.5 * phi * pointwise_dot(u0, u0) * u0 + mu * v0
-    const = c * phi * pointwise_dot(u0, v0) * u0
-
-    uu, uv = pointwise_dot(u, u), pointwise_dot(u, v)
-    j_fields = (
-        -c * phi * uv * u,
-        -mu * acc["j2"],
-        c * phi * acc["j3"],
-        c * phi * acc["j4"],
-        -c * phi * acc["j5"],
-        acc["j6"],
-    )
-    norms = np.stack([np.sqrt(inner_each(grid, jf, jf)) for jf in j_fields], axis=-1)
-    lhs = gamma * u + 0.5 * phi * uu * u + mu * v
-    rhs = (base + acc["iAN"] + (1.5 / gamma) * phi * acc["iCD"]
-           + const + sum(j_fields))
-    gap = lhs - rhs
-    return norms, np.sqrt(inner_each(grid, gap, gap))
+    """RemainderIdentity(params, basis, u0, v0).norms(u, v, acc), for one evaluation."""
+    return RemainderIdentity(params, basis, u0, v0).norms(u, v, acc)
 
 
 # -- H^1-level functionals (noise-interaction diagnostics) -------------------
@@ -542,8 +611,9 @@ def simulate(u0: np.ndarray, v0: np.ndarray, params: SpdeParams, basis: NoiseBas
     u_rows = np.empty((n_rows, grid.n, 3)) if keep_fields else None
     v_rows = np.empty((n_rows, grid.n, 3)) if keep_fields else None
     j_norms, residual = np.empty((n_rows, 6)), np.empty(n_rows)
-    chunk = {key: np.empty((ROW_CHUNK, grid.n, 3))
-             for key in ("u", "v") + REMAINDER_KEYS + ("j6",)}
+    chunk = {key: np.empty((ROW_CHUNK, grid.n, 3)) for key in ("u", "v", "j6")}
+    # the integrands' left sums and latest values, read off as on the engine
+    sums, last = (np.empty((len(REMAINDER_KEYS), ROW_CHUNK, grid.n, 3)) for _ in range(2))
     acc_v2 = np.empty(ROW_CHUNK)
 
     def record(r: int):
@@ -551,19 +621,18 @@ def simulate(u0: np.ndarray, v0: np.ndarray, params: SpdeParams, basis: NoiseBas
         i = r % ROW_CHUNK
         acc_v2[i] = engine.acc_v2[0]
         chunk["u"][i], chunk["v"][i] = engine.u[0], engine.v[0]
-        for key, values in engine.remainder.items():
-            chunk[key][i] = values[0]
+        chunk["j6"][i] = engine.acc_noise[0]
+        sums[:, i], last[:, i] = engine._sums[:, 0], engine._last[:, 0]
         if i < ROW_CHUNK - 1 and r < n_rows - 1:
             return
         part = slice(r - i, r + 1)
-        acc = {key: buf[:i + 1] for key, buf in chunk.items()}
-        u, v = acc.pop("u"), acc.pop("v")
+        u, v = chunk["u"][:i + 1], chunk["v"][:i + 1]
+        acc = _accumulators(sums[:, :i + 1], last[:, :i + 1], params.dt, chunk["j6"][:i + 1])
         for name, values in _diagnostics(params, u, v, acc_v2[:i + 1]).items():
             scalars[name][part] = values
         if keep_fields:
             u_rows[part], v_rows[part] = u, v
-        j_norms[part], residual[part] = remainder_norms(
-            params, basis, engine.u0[0], engine.v0[0], u, v, acc)
+        j_norms[part], residual[part] = engine.identity.norms(u, v, acc)
 
     engine.run(None if increments is None else increments[:, None, :], rows, record)
     if engine.lost:

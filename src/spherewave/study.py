@@ -12,7 +12,7 @@ W(t) of sample j differs between levels and the coupling is partial: in
 the default study the per-sample errors of level 0 correlate with those of
 levels 1-3 at 0.41, -0.15 and -0.29.
 
-The six-term remainder of the integrated identity (spde.remainder_norms) is
+The six-term remainder of the integrated identity (spde.RemainderIdentity) is
 evaluated along every trajectory together with the residual of the full
 identity, which is a pure time-discretisation quantity.
 
@@ -37,10 +37,10 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .errors import ConfigError, ParameterError
-from .fields import Grid1D, dst_ortho, initial_pair, output_rows, spectral_norm
+from .fields import Grid1D, dst_ortho, initial_pair, output_rows, spectral_weights, weighted_norm
 from .limit import LimitParams, solve_limit
 from .noise import NoiseBasis, build_basis, derive_stream
-from .spde import SpdeParams, SpdeStepper, remainder_norms
+from .spde import SpdeParams, SpdeStepper
 
 __all__ = [
     "StudyConfig",
@@ -260,7 +260,9 @@ def _run_block(config: StudyConfig, params: SpdeParams, basis: NoiseBasis,
     """Step one block of a mass level and reduce it to one SampleRow per sample.
 
     The increments are drawn here, in the worker, from the samples' keys
-    (master_seed, stream, j); see _increments.
+    (master_seed, stream, j); see _increments.  The error norms' mode
+    weights are computed once here, and the engine's RemainderIdentity holds
+    the identity's constant part, so a row recomputes neither.
     """
     grid, mu = params.grid, params.mu
     size = len(samples)
@@ -268,6 +270,7 @@ def _run_block(config: StudyConfig, params: SpdeParams, basis: NoiseBasis,
     engine = SpdeStepper(params, basis, np.broadcast_to(u0, (size,) + u0.shape),
                          np.broadcast_to(v0, (size,) + v0.shape), samples=samples)
 
+    weights = spectral_weights(grid, config.delta)
     errors = {name: np.zeros(size) for name in targets}
     energy0 = engine.energy()
     energy_dev = np.zeros(size)
@@ -275,11 +278,10 @@ def _run_block(config: StudyConfig, params: SpdeParams, basis: NoiseBasis,
 
     def reduce_row(r: int):
         for name, fields in targets.items():
-            err = spectral_norm(grid, dst_ortho(engine.u - fields[r]), config.delta)
+            err = weighted_norm(grid, weights, dst_ortho(engine.u - fields[r]))
             np.maximum(errors[name], err, out=errors[name])
         np.maximum(energy_dev, np.abs(engine.energy() - energy0), out=energy_dev)
-        norms, residual = remainder_norms(params, basis, engine.u0, engine.v0,
-                                          engine.u, engine.v, engine.remainder)
+        norms, residual = engine.remainder_norms()
         np.maximum(j_sup, norms, out=j_sup)
         np.maximum(identity_sup, residual, out=identity_sup)
 

@@ -1,7 +1,11 @@
 """Command-line layer: config validation, file emission, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -297,6 +301,22 @@ class TestStudyCommand:
             initial_data={"v_modes": []},
         )
         assert cli.main(["study", "-c", cfg, "--check", "--target", "corrected"]) == 3
+
+    def test_unprojected_blowups_exit_without_traceback(self, tmp_path):
+        # every sample of this level blows up; with RuntimeWarnings as errors
+        # the run must still record them and exit with the failed check
+        cfg = write_config(tmp_path / "blowup.json", {
+            "physics": {"mu_list": [0.025]},
+            "study": {"ensemble": 5, "projection": False},
+            "output": {"directory": str(tmp_path / "out")}})
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        done = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "spherewave.cli", "study",
+             "-c", cfg], capture_output=True, text=True, env=env, timeout=300)
+        assert done.returncode == 2, done.stderr
+        assert "Traceback" not in done.stderr
+        assert done.stderr == "numerical failure: mu=0.025: 5/5 failures (blow-up)\n"
 
 
 class TestCheckCommand:

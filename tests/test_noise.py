@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import spherewave as sw
+from spherewave.fields import cross
 from spherewave.noise import noise_field
 
 RNG = np.random.default_rng(77)
@@ -149,6 +150,18 @@ class TestApplyNoise:
             assert np.array_equal(kick[j], noise_field(u[j], v[j], basis, dw[j]))
         with pytest.raises(sw.ShapeError):
             noise_field(u, v, basis, rng.standard_normal((S + 1, basis.m)))
+
+    @pytest.mark.parametrize("S", [1, 3, 16])
+    def test_block_noise_is_one_gemv_per_sample(self, grid, basis, S):
+        # the stacked matmul must keep the rounding of one matrix-vector
+        # product per sample; a matrix-matrix product over the block would not
+        rng = np.random.default_rng(10 + S)
+        u, v = rng.standard_normal((2, S, grid.n, 3))
+        dw = rng.standard_normal((S, basis.m))
+        scalar = np.empty((S, grid.n, 1))
+        for j in range(S):
+            scalar[j, :, 0] = np.matmul(basis.xi.T, dw[j])
+        assert np.array_equal(noise_field(u, v, basis, dw), cross(u, v) * scalar)
 
 
 class TestIncrements:

@@ -159,6 +159,19 @@ class TestStep:
                 sw.simulate(*start, params, basis)
             assert err.value.step == 0 and err.value.sample == 0
 
+    @pytest.mark.parametrize("projection", [False, True])
+    def test_overflowing_start_is_lost_not_warned(self, grid, basis, gentle_data, projection):
+        # finite norms, but the remainder integrands and the identity's
+        # constant part overflow at the start: the sample is lost at its
+        # first steps, with no RuntimeWarning (the suite errors on them)
+        u0, _ = gentle_data
+        v0 = sw.project_tangent(grid, u0, sw.sine_field(grid, 2, 1))
+        params = sw.SpdeParams(grid=grid, mu=0.1, dt=1e-4, T=1e-3, projection=projection)
+        for scale in (1e80, 1e110):
+            with pytest.raises(sw.BlowUpError) as err:
+                sw.simulate(scale * u0, v0, params, basis, rng=sw.derive_stream(1, 0))
+            assert err.value.step in (1, 2) and err.value.sample == 0
+
     def test_blowup_stays_in_the_block_as_nan(self, grid, basis, gentle_data):
         # one sample of three blows up and steps on as NaN; the other two step
         # on bit for bit as in a block without it, and the blow-up step

@@ -421,6 +421,19 @@ class TestConstraintDefects:
                                                            rel=0.01)
             assert row.norm_defect_sup > 1e-6   # the drift off the sphere shows
 
+    def test_unprojected_blowups_are_recorded_not_warned(self):
+        # huge but finite states overflow in the remainder integrands, their
+        # left sums and the row reduction before they go non-finite; under
+        # the suite's error::RuntimeWarning any warning there would raise
+        config = StudyConfig(ensemble=5, projection=False, mu_values=(0.05, 0.025))
+        result = run_study(config)
+        blowups = [(row.mu, row.sample, row.blowup_step) for row in result.rows
+                   if row.blowup_step is not None]
+        assert blowups == [(0.05, 0, 1266), (0.05, 1, 1244), (0.025, 0, 1382),
+                           (0.025, 1, 1357), (0.025, 2, 1389), (0.025, 3, 1408),
+                           (0.025, 4, 1388)]
+        assert len(result.failed_checks) == 2
+
 
 class TestRefinementBias:
     def test_coarse_path_sums_the_fine_one(self, small_config):
