@@ -56,8 +56,6 @@ from .spde import (
     SpdeParams,
     SpdeStepper,
     SpdeTrajectory,
-    functional_g_norm,
-    functional_j,
     remainder_norms,
     simulate,
 )

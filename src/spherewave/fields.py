@@ -55,8 +55,6 @@ __all__ = [
     "project_tangent",
     "normalize_sphere",
     "initial_pair",
-    "forward_diff",
-    "midpoint_average",
     "HelmholtzSolver",
 ]
 
@@ -82,11 +80,6 @@ class Grid1D:
     def x(self) -> np.ndarray:
         """Interior node coordinates x_j = j*h, j = 1..n."""
         return np.arange(1, self.n + 1) * self.h
-
-    @cached_property
-    def x_mid(self) -> np.ndarray:
-        """Midpoints of the n+1 cells, including the two boundary cells."""
-        return (np.arange(self.n + 1) + 0.5) * self.h
 
 
 def step_count(dt: float, T: float) -> int:
@@ -300,31 +293,6 @@ def initial_pair(grid: Grid1D, u_modes, v_modes):
     else:
         v0 = zero_field(grid)
     return u0, v0
-
-
-def forward_diff(grid: Grid1D, f: np.ndarray) -> np.ndarray:
-    """Forward differences (f_{j+1} - f_j)/h at the n+1 cell midpoints.
-
-    These are exactly the gradients appearing in the summation-by-parts
-    identity <-A_h f, g> = h * sum_mid Df . Dg.
-    """
-    f = _check_field(grid, f)
-    out = np.zeros((grid.n + 1, 3))
-    out[:-1] = f
-    out[1:-1] -= f[:-1]
-    out[-1] = -f[-1]
-    out /= grid.h
-    return out
-
-
-def midpoint_average(grid: Grid1D, f: np.ndarray) -> np.ndarray:
-    """Node averages (f_j + f_{j+1})/2 at the n+1 cell midpoints."""
-    f = _check_field(grid, f)
-    out = np.zeros((grid.n + 1, 3))
-    out[1:] = f
-    out[:-1] += f
-    out *= 0.5
-    return out
 
 
 class HelmholtzSolver:

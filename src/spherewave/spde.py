@@ -55,12 +55,9 @@ from .fields import (
     Grid1D,
     HelmholtzSolver,
     c_einsum,
-    cross,
     fitted_step,
-    forward_diff,
     inner_each,
     laplacian,
-    midpoint_average,
     output_rows,
     pointwise_dot,
     step_count,
@@ -76,8 +73,6 @@ __all__ = [
     "RemainderIdentity",
     "remainder_norms",
     "simulate",
-    "functional_j",
-    "functional_g_norm",
 ]
 
 # dt <= CFL_LIMIT * sqrt(mu) * h.  An accuracy bound, not a stability bound:
@@ -482,73 +477,6 @@ def remainder_norms(params: SpdeParams, basis: NoiseBasis, u0, v0, u, v,
                     acc: dict) -> tuple[np.ndarray, np.ndarray]:
     """RemainderIdentity(params, basis, u0, v0).norms(u, v, acc), for one evaluation."""
     return RemainderIdentity(params, basis, u0, v0).norms(u, v, acc)
-
-
-# -- H^1-level functionals (noise-interaction diagnostics) -------------------
-#
-# Both are evaluated on the staggered midpoint grid: forward differences are
-# exactly the summation-by-parts gradients of <-A_h f, g>, field values are
-# node averages, and derivatives of products are expanded by the product
-# rule.  Under that convention the expanded form of the functional below is
-# an exact pointwise-algebra consequence of its definition, so the two code
-# paths must agree to roundoff.
-
-def _midpoint_data(grid: Grid1D, u: np.ndarray, v: np.ndarray):
-    return (midpoint_average(grid, u), midpoint_average(grid, v),
-            forward_diff(grid, u), forward_diff(grid, v))
-
-
-def functional_j(u: np.ndarray, v: np.ndarray, basis: NoiseBasis,
-                 form: str = "expanded") -> float:
-    """Noise-interaction functional <v, phi u x (u x v)>_{H1} + |u x v|^2 at H^1 level.
-
-    form="expanded" evaluates the closed form in phi, phi1 and sum xi xi';
-    form="definition" evaluates the defining pairing plus Hilbert-Schmidt
-    sum directly.  The two agree to roundoff by construction.
-    """
-    grid = basis.grid
-    um, vm, du, dv = _midpoint_data(grid, u, v)
-    phi, phi1, s = basis.phi_mid, basis.phi1_mid, basis.xi_dxi_mid
-    uxv = cross(um, vm)
-    duxv = cross(du, vm)
-    if form == "expanded":
-        dot = np.einsum("ij,ij->i", uxv, duxv)
-        term = (np.einsum("ij,ij->i", uxv, uxv) * phi1
-                + 2.0 * dot * s
-                + (np.einsum("ij,ij->i", duxv, duxv)
-                   - np.einsum("ij,ij->i", cross(du, um), cross(dv, vm))) * phi)
-        return grid.h * float(term.sum())
-    if form == "definition":
-        uu = np.einsum("ij,ij->i", um, um)[:, None]
-        uv = np.einsum("ij,ij->i", um, vm)[:, None]
-        duu = np.einsum("ij,ij->i", du, um)[:, None]
-        duv = np.einsum("ij,ij->i", du, vm)[:, None]
-        udv = np.einsum("ij,ij->i", um, dv)[:, None]
-        dtrace = ((uv * um - uu * vm) * (2.0 * s)[:, None]
-                  + (-2.0 * duu * vm - uu * dv + duv * um + udv * um + uv * du)
-                  * phi[:, None])
-        pairing = grid.h * float(np.einsum("ij,ij->", dv, dtrace))
-        w2 = duxv + cross(um, dv)
-        hs = grid.h * float(
-            (np.einsum("ij,ij->i", uxv, uxv) * phi1
-             + 2.0 * np.einsum("ij,ij->i", uxv, w2) * s
-             + np.einsum("ij,ij->i", w2, w2) * phi).sum())
-        return pairing + hs
-    raise ParameterError(f"unknown form {form!r}; use 'expanded' or 'definition'")
-
-
-def functional_g_norm(u: np.ndarray, v: np.ndarray, basis: NoiseBasis) -> float:
-    """sum_i <v, (u x v) xi_i>_{H1}^2, with the pairing <-A_h v, .>.
-
-    Vanishes exactly whenever u and v are pointwise parallel.
-    """
-    grid = basis.grid
-    lap_v = laplacian(grid, v)
-    q = np.einsum("ij,ij->i", lap_v, cross(u, v))
-    if basis.m == 0:
-        return 0.0
-    g = -grid.h * (basis.xi @ q)
-    return float(g @ g)
 
 
 # -- trajectory driver --------------------------------------------------------

@@ -1,7 +1,9 @@
-"""Every public name a module exports resolves."""
+"""Every public name a module exports resolves; every name a module imports is used."""
 
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -20,3 +22,20 @@ def test_all_entries_resolve(name):
     exported = getattr(module, "__all__", ())
     missing = [entry for entry in exported if not hasattr(module, entry)]
     assert not missing, f"spherewave.{name}.__all__ names undefined {missing}"
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_unused_imports(name):
+    # a name a module imports is read in it or re-exported through __all__;
+    # deleting the last reader of an import must delete the import too
+    tree = ast.parse(Path(spherewave.__path__[0], f"{name}.py").read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update((alias.asname or alias.name).split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    exported = set(getattr(importlib.import_module(f"spherewave.{name}"), "__all__", ()))
+    unused = sorted(imported - used - exported)
+    assert not unused, f"spherewave.{name} imports unused names {unused}"

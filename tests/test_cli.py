@@ -1,17 +1,19 @@
 """Command-line layer: config validation, file emission, exit codes."""
 
+import io
 import json
 import os
 import subprocess
 import sys
 import warnings
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from spherewave import cli
-from spherewave.checks import CHECK_NAMES
+from spherewave.checks import CHECK_NAMES, CheckResult, run_check
 from spherewave.config import config_hash, load_config, resolve_config, study_config_from
 from spherewave.errors import BlowUpError, ConfigError
 from spherewave.limit import LimitParams
@@ -320,14 +322,31 @@ class TestStudyCommand:
 
 
 class TestCheckCommand:
-    def test_all_pass(self, capsys):
-        assert cli.main(["check"]) == 0
-        lines = capsys.readouterr().out.strip().split("\n")
+    @pytest.fixture(scope="class")
+    def check_lines(self):
+        # one run of the full suite, shared by the tests that read it
+        out = io.StringIO()
+        with redirect_stdout(out):
+            code = cli.main(["check"])
+        return code, out.getvalue().strip().split("\n")
+
+    def test_all_pass(self, check_lines):
+        code, lines = check_lines
+        assert code == 0
         names = [line.split("\t")[1] for line in lines]
         assert names == list(CHECK_NAMES)
         assert all(line.startswith("PASS") for line in lines)
 
     def test_mutated_correction_detected(self, capsys):
         assert cli.main(["check", "--mutate-correction-sign"]) == 2
-        out = capsys.readouterr().out
-        assert "FAIL\tenergy-identity" in out
+        lines = capsys.readouterr().out.strip().split("\n")
+        failed = [line.split("\t")[1] for line in lines if not line.startswith("PASS")]
+        assert failed == ["energy-identity"]
+
+    def test_each_check_runs_alone_on_its_own_stream(self, check_lines):
+        # no check shares a stream with another, so each check run alone, in
+        # reverse order, repeats the result run_all gave it in the full suite
+        alone = [run_check(name) for name in reversed(CHECK_NAMES)][::-1]
+        suite = [CheckResult(name, verdict == "PASS", detail)
+                 for verdict, name, detail in (line.split("\t") for line in check_lines[1])]
+        assert suite == alone

@@ -9,8 +9,7 @@ import pytest
 import scipy.fft
 
 import spherewave as sw
-from spherewave.fields import (HelmholtzSolver, c_einsum, dst_ortho, forward_diff,
-                               midpoint_average)
+from spherewave.fields import HelmholtzSolver, c_einsum, dst_ortho
 
 RNG = np.random.default_rng(1234)
 
@@ -47,9 +46,9 @@ class TestGrid:
         with pytest.raises(sw.ParameterError):
             sw.Grid1D(1.0, 1)
 
-    @pytest.mark.parametrize("read", [(), ("h",), ("x",), ("x_mid",), ("h", "x", "x_mid")])
+    @pytest.mark.parametrize("read", [(), ("h",), ("x",), ("h", "x")])
     def test_cached_attributes_leave_identity_alone(self, read):
-        # h, x and x_mid are cached on first read; the study pickles grids
+        # h and x are cached on first read; the study pickles grids
         # into its workers and SpdeStepper compares them, so neither may see it
         fresh, used = sw.Grid1D(1.0, 127), sw.Grid1D(1.0, 127)
         for name in read:
@@ -61,7 +60,6 @@ class TestGrid:
             assert back == fresh and hash(back) == hash(fresh)
             assert back.h == 1.0 / 128
             assert np.array_equal(back.x, np.arange(1, 128) / 128)
-            assert np.array_equal(back.x_mid, (np.arange(128) + 0.5) / 128)
 
 
 class TestInnerProduct:
@@ -150,9 +148,10 @@ class TestH1Seminorm:
             assert defect <= 1.1 * target * (np.pi * grid.h / grid.L) ** 2 / 12.0
 
     def test_summation_by_parts_gradient_form(self, grid):
-        # <-A f, f> equals h * sum over midpoints of |Df|^2 exactly
+        # <-A f, f> equals h * sum over the n+1 cells of |Df|^2 exactly, with
+        # Df the forward differences against the Dirichlet zeros
         f = random_field(grid)
-        df = forward_diff(grid, f)
+        df = np.diff(f, axis=0, prepend=0.0, append=0.0) / grid.h
         grad_form = grid.h * np.einsum("ij,ij->", df, df)
         assert sw.h1_seminorm_sq(grid, f) == pytest.approx(grad_form, rel=1e-12)
 
@@ -301,21 +300,7 @@ class TestNormalization:
             sw.normalize_sphere(grid, sw.zero_field(grid))
 
 
-class TestStaggeredOperators:
-    def test_forward_diff_of_linear_profile(self, grid):
-        f = sw.zero_field(grid)
-        f[:, 1] = 2.0 * grid.x
-        df = forward_diff(grid, f)
-        # interior cells see slope 2; the boundary cells see the Dirichlet jump
-        assert np.abs(df[1:-1, 1] - 2.0).max() <= 1e-10
-        assert df[0, 1] == pytest.approx(2.0, rel=1e-12)
-
-    def test_midpoint_average_endpoints(self, grid):
-        f = random_field(grid)
-        fm = midpoint_average(grid, f)
-        assert np.allclose(fm[0], 0.5 * f[0])
-        assert np.allclose(fm[-1], 0.5 * f[-1])
-
+class TestHelmholtzSolver:
     def test_helmholtz_solver_vs_dense(self, grid):
         c0, c2 = 1.7, 3e-4
         solver = HelmholtzSolver(grid, c0, c2)

@@ -34,25 +34,8 @@ class TestBuildBasis:
         assert b.phi[mid] == pytest.approx(2.0, rel=1e-13)
         assert b.phi.max() == pytest.approx(2.0, rel=1e-13)
 
-    def test_single_mode_phi1_closed_form(self, grid):
-        b = sw.build_basis(grid, 1, 2.0)
-        expected = 2.0 * np.pi ** 2 * np.cos(np.pi * grid.x) ** 2
-        assert np.abs(b.phi1 - expected).max() <= 1e-11
-
     def test_kernels_nonnegative(self, basis):
         assert np.all(basis.phi >= 0.0)
-        assert np.all(basis.phi1 >= 0.0)
-
-    def test_sup_bounds(self, grid):
-        for m in (1, 4, 16):
-            b = sw.build_basis(grid, m, 2.0)
-            assert b.phi.max() <= b.phi_sup_bound * (1 + 1e-12)
-            assert b.phi1.max() <= b.phi1_sup_bound * (1 + 1e-12)
-
-    def test_tails_positive_and_shrinking(self, grid):
-        tails = [sw.build_basis(grid, m, 2.0).phi_tail for m in (1, 4, 16)]
-        assert all(t > 0 for t in tails)
-        assert tails == sorted(tails, reverse=True)
 
     def test_decay_exponent_guard(self, grid):
         with pytest.raises(sw.HypothesisViolationError):
@@ -65,7 +48,7 @@ class TestBuildBasis:
     def test_silent_basis(self, grid):
         b = sw.build_basis(grid, 0, 2.0)
         assert b.m == 0
-        assert np.all(b.phi == 0.0) and np.all(b.phi1 == 0.0)
+        assert np.all(b.phi == 0.0)
 
     def test_phi_monotone_in_mode_count(self, grid):
         phis = [sw.build_basis(grid, m, 2.0).phi for m in (1, 2, 4, 8, 16)]

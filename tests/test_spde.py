@@ -395,30 +395,3 @@ class TestRowChunks:
         assert np.array_equal(traj.v_fields, oracle["v"][:, 0])
         assert np.array_equal(traj.j_norms, oracle["j"])
         assert np.array_equal(traj.identity_residual, oracle["res"])
-
-
-class TestFunctionals:
-    def test_two_code_paths_agree(self, grid, basis):
-        for _ in range(50):
-            u, v = random_field(grid), random_field(grid)
-            a = sw.functional_j(u, v, basis, form="definition")
-            b = sw.functional_j(u, v, basis, form="expanded")
-            assert a == pytest.approx(b, rel=1e-10, abs=1e-12)
-
-    def test_parallel_fields_reduce(self, grid, basis):
-        u = random_field(grid)
-        a = sw.functional_j(u, 3.0 * u, basis, form="definition")
-        b = sw.functional_j(u, 3.0 * u, basis, form="expanded")
-        scale = sw.h1_seminorm_sq(grid, u) ** 2
-        assert abs(a) <= 1e-10 * scale and abs(b) <= 1e-10 * scale
-
-    def test_g_norm_vanishes_for_parallel(self, grid, basis):
-        u = random_field(grid)
-        lam = RNG.standard_normal(grid.n)[:, None]
-        # u x (lam u) is zero up to the rounding of the scaled components
-        assert sw.functional_g_norm(u, lam * u, basis) <= 1e-20
-
-    def test_g_norm_silent_basis(self, grid):
-        silent = sw.build_basis(grid, 0, 2.0)
-        u, v = random_field(grid), random_field(grid)
-        assert sw.functional_g_norm(u, v, silent) == 0.0
