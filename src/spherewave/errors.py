@@ -34,6 +34,10 @@ class BlowUpError(RuntimeError):
         where = "" if sample is None else f" of sample {sample}"
         super().__init__(message or f"non-finite field at step {step}{where}")
 
+    def __reduce__(self):
+        # the default would call __init__ with args, which hold only the message
+        return type(self), (self.step, str(self)), vars(self)
+
 
 class ConfigError(ValueError):
     """A run configuration failed schema or constraint validation."""

@@ -295,8 +295,12 @@ class LimitTrajectory:
 
 
 def solve_limit(u0: np.ndarray, params: LimitParams, basis: NoiseBasis, *,
-                stride: int = 1, keep_fields: bool = True) -> LimitTrajectory:
-    """Run the limit flow to T, recording every `stride` steps plus the end."""
+                stride: int = 1, keep_fields: bool = True, on_row=None) -> LimitTrajectory:
+    """Run the limit flow to T, recording every `stride` steps plus the end.
+
+    on_row, when given, is called as on_row(r, u) once row r is recorded,
+    with u the state there, so a caller can use each row before the solve ends.
+    """
     grid = params.grid
     rows = output_rows(params.n_steps, stride)
     n_rows = len(rows)
@@ -322,6 +326,8 @@ def solve_limit(u0: np.ndarray, params: LimitParams, basis: NoiseBasis, *,
         energy_lhs[r] = flow.h1 + 2.0 * params.gamma * flow.int_ut_sq
         if keep_fields:
             u_fields[r] = flow.u
+        if on_row is not None:
+            on_row(r, flow.u)
 
     record(0, 0.0)
     for r in range(1, n_rows):

@@ -2,7 +2,8 @@
 
 For a decreasing grid of masses and an ensemble of Brownian paths, each
 stochastic trajectory is compared against the deterministic limit flow
-(solved once per target) in the sup-in-time fractional Sobolev norm.  Mass
+(solved once per target, by one job of the run) in the sup-in-time
+fractional Sobolev norm.  Mass
 levels share random numbers: the child stream of sample j is derived from
 (master seed, 0, j), so every level draws the same N(0, 1) sequence for
 sample j; criterion 7 compares each sample's remainder sups across levels
@@ -19,18 +20,24 @@ identity, which is a pure time-discretisation quantity.
 The ensemble runs on the batched engine of spde: each mass level is split
 into near-equal contiguous blocks of at most BLOCK_SIZE samples, and a block
 is stepped as one (S, n, 3) array; a level of the default 16-sample
-ensemble is one block, so the pool gets one job per level.  At each output
-row the block is reduced in place to running per-sample maxima (Sobolev
-errors against every target, the six J norms, the identity residual and the
-energy; the engine keeps the constraint residuals' sups over every step), so
-no field snapshots are kept.  A block keeps its shape when a sample blows
-up: the sample steps on as NaN, and its row records the blow-up step in
-place of its maxima.  The split depends only on the configuration, so every
-worker count gives the same bytes.
+ensemble is one block.  A run is one job list: a job per limit target
+first, then the blocks, costliest first, so the default study gives the
+pool one target job and four block jobs.  A target job publishes each
+output row of its target into memory shared with the pool as soon as it is
+recorded, and a block reads row r only when it reaches it, so the targets
+are solved alongside the first blocks.  At each output row the block is
+reduced in place to running per-sample maxima (Sobolev errors against
+every target, the six J norms, the identity residual and the energy; the
+engine keeps the constraint residuals' sups over every step), so no field
+snapshots are kept.  A block keeps its shape when a sample blows up: the
+sample steps on as NaN, and its row records the blow-up step in place of
+its maxima.  The split depends only on the configuration, so every worker
+count gives the same bytes.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 
@@ -192,6 +199,7 @@ class StudyResult:
             "rows": [asdict(row) for row in self.rows],
             "failed_checks": list(self.failed_checks),
             "provenance": self.provenance,
+            "work": self.work,
         }
 
 
@@ -207,18 +215,71 @@ def _resolve_targets(config: StudyConfig, target: str, extra_targets) -> tuple[s
     return target, uniq
 
 
-def _solve_targets(config: StudyConfig, grid: Grid1D, basis: NoiseBasis,
-                   u0: np.ndarray, names: tuple) -> tuple[dict, int]:
-    """Fields (rows, n, 3) of every target at the output rows, and the limit steps."""
-    fields, steps = {}, 0
-    for name in names:
-        lp = LimitParams.auto(grid, config.T, gamma=config.gamma,
-                              parabolic=(name == "parabolic"), n_out=config.n_out)
-        traj = solve_limit(u0, lp, basis, stride=lp.n_steps // config.n_out,
-                           keep_fields=True)
-        fields[name] = traj.u_fields
-        steps += lp.n_steps
-    return fields, steps
+class _TargetRows:
+    """The limit targets' fields (targets, rows, n, 3), in memory shared with the pool.
+
+    A target job writes each row and then publishes it: the target's count
+    of published rows goes up under one condition, which wakes every
+    waiting block.  A count of -1 marks a target whose solve failed.  The
+    buffer, the counts and the condition reach the workers through the
+    pool's initializer, never through a pickled job.
+    """
+
+    def __init__(self, context, shape: tuple):
+        self.shape = shape
+        self._buffer = context.RawArray("d", int(np.prod(shape)))
+        self._counts = context.RawArray("i", shape[0])
+        self._ready = context.Condition()
+        self._seen = [0] * shape[0]   # rows of each target this process knows are published
+
+    def _fields(self, k: int) -> np.ndarray:
+        return np.frombuffer(self._buffer).reshape(self.shape)[k]
+
+    def publish(self, k: int, r: int, u: np.ndarray) -> None:
+        self._fields(k)[r] = u
+        with self._ready:
+            self._counts[k] = r + 1
+            self._ready.notify_all()
+
+    def close(self, k: int) -> None:
+        """Mark target k failed unless all of its rows are published."""
+        with self._ready:
+            if self._counts[k] < self.shape[1]:
+                self._counts[k] = -1
+                self._ready.notify_all()
+
+    def row(self, k: int, r: int) -> np.ndarray:
+        """Row r of target k, waiting until it is published."""
+        if r >= self._seen[k]:
+            with self._ready:
+                self._ready.wait_for(lambda: not 0 <= self._counts[k] <= r)
+                count = self._counts[k]
+            if count < 0:
+                raise RuntimeError(f"limit target {k} failed")
+            self._seen[k] = count
+        return self._fields(k)[r]
+
+
+_target_rows: _TargetRows | None = None   # this process's view of the run's targets
+
+
+def _attach(rows: _TargetRows | None) -> None:
+    """Pool initializer: give this process the run's target rows."""
+    global _target_rows
+    _target_rows = rows
+
+
+def _solve_target(config: StudyConfig, basis: NoiseBasis, u0: np.ndarray,
+                  k: int, name: str) -> int:
+    """Solve target k and publish each row as it is recorded; the limit steps."""
+    lp = LimitParams.auto(basis.grid, config.T, gamma=config.gamma,
+                          parabolic=(name == "parabolic"), n_out=config.n_out)
+    try:
+        solve_limit(u0, lp, basis, stride=lp.n_steps // config.n_out, keep_fields=False,
+                    on_row=lambda r, u: _target_rows.publish(k, r, u))
+    finally:
+        _target_rows.close(k)
+    return lp.n_steps
 
 
 def _blocks(config: StudyConfig, grid: Grid1D) -> list[tuple[int, range]]:
@@ -254,12 +315,14 @@ def _increments(config: StudyConfig, params: SpdeParams, m: int, samples: range,
 
 
 def _run_block(config: StudyConfig, params: SpdeParams, basis: NoiseBasis,
-               u0: np.ndarray, v0: np.ndarray, targets: dict,
+               u0: np.ndarray, v0: np.ndarray, targets: tuple,
                mu_index: int, samples: range, stream: int = 0,
                draws_per_step: int = 1) -> tuple[list, dict]:
     """Step one block of a mass level and reduce it to one SampleRow per sample.
 
-    The increments are drawn here, in the worker, from the samples' keys
+    targets names the run's targets in the order of their jobs; row r of
+    target k is read from the shared rows when the block reaches it.  The
+    increments are drawn here, in the worker, from the samples' keys
     (master_seed, stream, j); see _increments.  The error norms' mode
     weights are computed once here, and the engine's RemainderIdentity holds
     the identity's constant part, so a row recomputes neither.
@@ -277,8 +340,8 @@ def _run_block(config: StudyConfig, params: SpdeParams, basis: NoiseBasis,
     j_sup, identity_sup = np.zeros((size, 6)), np.zeros(size)
 
     def reduce_row(r: int):
-        for name, fields in targets.items():
-            err = weighted_norm(grid, weights, dst_ortho(engine.u - fields[r]))
+        for k, name in enumerate(targets):
+            err = weighted_norm(grid, weights, dst_ortho(engine.u - _target_rows.row(k, r)))
             np.maximum(errors[name], err, out=errors[name])
         np.maximum(energy_dev, np.abs(engine.energy() - energy0), out=energy_dev)
         norms, residual = engine.remainder_norms()
@@ -315,12 +378,41 @@ def _run_block(config: StudyConfig, params: SpdeParams, basis: NoiseBasis,
     return rows, work
 
 
-def _map_blocks(jobs: list, workers: int) -> list:
-    """_run_block on every job, in `workers` processes when more than one."""
+def _jobs(config: StudyConfig, basis: NoiseBasis, u0: np.ndarray, targets: tuple,
+          blocks: list) -> list:
+    """The run's job list: one job per target, in order, then the blocks, costliest first.
+
+    Each job is (function, arguments); blocks holds _run_block arguments.
+    """
+    blocks = sorted(blocks, key=lambda args: -args[1].n_steps * len(args[7]))
+    return ([(_solve_target, (config, basis, u0, k, name)) for k, name in enumerate(targets)]
+            + [(_run_block, args) for args in blocks])
+
+
+def _run_job(job: tuple):
+    function, args = job
+    return function(*args)
+
+
+def _run_jobs(config: StudyConfig, targets: tuple, jobs: list, workers: int) -> list:
+    """The result of every job, in `workers` processes when more than one.
+
+    The pool takes jobs in order, so every target job has started before any
+    block can wait on one of its rows, and target jobs never wait: the run
+    cannot deadlock.  A failed target wakes the blocks waiting on it, and
+    its own exception, the first in the job order, is the one raised.
+    """
+    context = multiprocessing.get_context()
+    rows = _TargetRows(context, (len(targets), config.n_out + 1, config.n, 3))
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_run_block, *zip(*jobs)))
-    return [_run_block(*job) for job in jobs]
+        with ProcessPoolExecutor(max_workers=workers, mp_context=context,
+                                 initializer=_attach, initargs=(rows,)) as pool:
+            return list(pool.map(_run_job, jobs))
+    _attach(rows)
+    try:
+        return [_run_job(job) for job in jobs]
+    finally:
+        _attach(None)
 
 
 def run_study(config: StudyConfig, *, target: str = "auto", extra_targets=(),
@@ -331,11 +423,13 @@ def run_study(config: StudyConfig, *, target: str = "auto", extra_targets=(),
     parabolic flow above.  alpha < 1/2 has no proven limit and is admitted
     only with exploratory=True (no acceptance claims attach).
 
-    The blocks of every level go to `workers` processes, costliest first;
-    the rows do not depend on the worker count.  Per-trajectory blow-ups
-    and gate violations are recorded, not fatal;
-    a failed check is raised into StudyResult.failed_checks when any mass
-    level exceeds the failure budget.
+    The target solves and then the blocks of every level, costliest first,
+    go to `workers` processes (see _run_jobs); the rows do not depend on
+    the worker count.  A target that fails, such as a limit blow-up, raises
+    its own error.  Per-trajectory blow-ups and gate violations are
+    recorded, not fatal; a failed check is raised into
+    StudyResult.failed_checks when any mass level exceeds the failure
+    budget.
     """
     if config.alpha < 0.5 and not exploratory:
         raise ParameterError(
@@ -344,12 +438,12 @@ def run_study(config: StudyConfig, *, target: str = "auto", extra_targets=(),
     grid = config.grid()
     basis = config.basis(grid)
     u0, v0 = config.initial_data(grid)
-    targets, limit_steps = _solve_targets(config, grid, basis, u0, names)
 
-    blocks = _blocks(config, grid)
     params = [config.spde_params(mu, grid) for mu in config.mu_values]
-    done = _map_blocks([(config, params[i], basis, u0, v0, targets, i, samples)
-                        for i, samples in blocks], workers)
+    blocks = [(config, params[i], basis, u0, v0, names, i, samples)
+              for i, samples in _blocks(config, grid)]
+    done = _run_jobs(config, names, _jobs(config, basis, u0, names, blocks), workers)
+    limit_steps, done = sum(done[:len(names)]), done[len(names):]
     rows = sorted((row for block_rows, _ in done for row in block_rows),
                   key=lambda row: (row.mu_index, row.sample))
     work = {
@@ -413,7 +507,9 @@ def refinement_bias(config: StudyConfig, *, workers: int = 1) -> list[dict]:
     from the stream (master_seed, REFINEMENT_STREAM, j), which no study
     draws, and summed onto the level's own grid.  Both grids run through
     the study's block engine against the study's primary target, so
-    alpha < 1/2, which has no proven limit, is refused.  Per level: the mean
+    alpha < 1/2, which has no proven limit, is refused; as in run_study,
+    the target's solve is the first job and the blocks of both grids follow,
+    costliest first.  Per level: the mean
     sup error at the fine step, the paired mean of coarse minus fine
     errors (the bias), its standard error, and whether
     |bias| <= 2 SE + BIAS_SHARE x fine mean.  Pairs with a failed sample
@@ -426,19 +522,19 @@ def refinement_bias(config: StudyConfig, *, workers: int = 1) -> list[dict]:
     grid = config.grid()
     basis = config.basis(grid)
     u0, v0 = config.initial_data(grid)
-    targets, _ = _solve_targets(config, grid, basis, u0, names)
 
-    jobs = []
+    blocks = []
     for i, samples in _blocks(config, grid):
         coarse = config.spde_params(config.mu_values[i], grid)
         fine = replace(coarse, dt=coarse.dt / 2)
-        jobs += [(config, fine, basis, u0, v0, targets, i, samples, REFINEMENT_STREAM, 1),
-                 (config, coarse, basis, u0, v0, targets, i, samples, REFINEMENT_STREAM, 2)]
-    jobs.sort(key=lambda job: -job[1].n_steps * len(job[7]))   # costliest first
+        blocks += [(config, fine, basis, u0, v0, names, i, samples, REFINEMENT_STREAM, 1),
+                   (config, coarse, basis, u0, v0, names, i, samples, REFINEMENT_STREAM, 2)]
+    jobs = _jobs(config, basis, u0, names, blocks)
+    done = _run_jobs(config, names, jobs, workers)
     errors = {}   # (draws per step, mass index, sample) -> sup error
-    for job, (rows, _) in zip(jobs, _map_blocks(jobs, workers)):
+    for (_, args), (rows, _) in zip(jobs[len(names):], done[len(names):]):
         for row in rows:
-            errors[job[-1], row.mu_index, row.sample] = (
+            errors[args[-1], row.mu_index, row.sample] = (
                 float("nan") if row.failed else row.errors[primary])
 
     levels = []

@@ -240,6 +240,11 @@ class TestStudyCommand:
             "gates"})}
         manifest = json.loads((out / "study.manifest.json").read_text())
         assert manifest["seeds"] == {"master_seed": 99}
+        # study.json carries the manifest's work counters
+        study = json.loads((out / "study.json").read_text())
+        assert list(study) == ["config", "target", "targets", "mu_values", "mean_error",
+                               "levels", "rows", "failed_checks", "provenance", "work"]
+        assert study["work"] == manifest["work"]
 
     def test_manifest_work_counters(self, tmp_path):
         cfg = self.study_config(tmp_path)

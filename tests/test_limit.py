@@ -157,6 +157,16 @@ class TestSolveLimit:
         assert np.abs(traj.u_fields[-1] - u0).max() <= 1e-10
         assert traj.ut_h.max() <= 1e-10
 
+    def test_on_row_sees_each_recorded_row(self, grid, basis):
+        u0 = sw.normalize_sphere(grid, sw.sine_field(grid, 1, 1)
+                                 + sw.sine_field(grid, 2, 2, 0.1))
+        p = LimitParams.auto(grid, 0.25, n_out=32)
+        seen = []
+        traj = sw.solve_limit(u0, p, basis, stride=p.n_steps // 32,
+                              on_row=lambda r, u: seen.append((r, u.copy())))
+        assert [r for r, _ in seen] == list(range(33))
+        assert all(np.array_equal(u, traj.u_fields[r]) for r, u in seen)
+
     def test_sphere_residual_small_and_energy_inequality(self, grid, basis):
         # every step is projected, so the recorded states sit on the sphere;
         # the parabolic branch has no dissipative slack, so its energy rows

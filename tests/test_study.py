@@ -1,6 +1,13 @@
 """Mass-sweep orchestration: remainder terms, coupling, determinism."""
 
+import json
+import os
+import pickle
+import signal
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +22,7 @@ from spherewave.study import (
     _blocks,
     _increments,
     _run_block,
+    _solve_target,
     refinement_bias,
     run_study,
     trend_check,
@@ -199,6 +207,12 @@ class TestRunStudy:
     def test_workers_match_sequential(self, small_config, small_result):
         par = run_study(small_config, workers=2)
         assert par.to_json_dict() == small_result.to_json_dict()
+        # two target jobs ahead of the blocks; with a worker for every job
+        # (more than the cores), both blocks start with the targets and wait on their rows
+        seq, par = (run_study(small_config, extra_targets=("parabolic",), workers=workers)
+                    for workers in (1, 4))
+        assert par.targets == ("corrected", "parabolic")
+        assert par.to_json_dict() == seq.to_json_dict()
 
     def test_noise_free_small_mass_tracks_limit(self):
         # no noise and a tiny mass: the overdamped wave follows the limit flow
@@ -470,3 +484,93 @@ class TestRefinementBias:
     def test_small_alpha_refused(self, small_config):
         with pytest.raises(sw.ParameterError, match="no proven limit"):
             refinement_bias(replace(small_config, alpha=0.25))
+
+
+# A limit flow whose 51st step blows up, installed before any pool starts;
+# fork carries the patch into the workers.
+FAILING_TARGET = """
+import multiprocessing, sys
+import spherewave.limit as limit
+from spherewave import cli
+from spherewave.errors import BlowUpError
+from spherewave.study import StudyConfig, run_study
+
+real = limit._Etd2Flow.advance
+
+def advance(self):
+    if self.steps == 50:
+        raise BlowUpError(self.steps + 1)
+    real(self)
+
+limit._Etd2Flow.advance = advance
+workers = int(sys.argv[2])
+try:
+    run_study(StudyConfig(n=63, m=8, ensemble=2, mu_values=(0.2, 0.05), T=0.5, n_out=64),
+              workers=workers)
+except BlowUpError as exc:
+    print(type(exc).__name__, exc.step, exc.sample, str(exc), sep="|")
+print("children", len(multiprocessing.active_children()))
+print("exit", cli.main(["study", "-c", sys.argv[1], "--workers", str(workers)]))
+print("children", len(multiprocessing.active_children()))
+"""
+
+
+class TestTargetJobs:
+    """The limit targets as the first jobs of the run, their rows shared with the blocks."""
+
+    def test_blowup_error_survives_pickling(self):
+        for err in (sw.BlowUpError(51, sample=3), sw.BlowUpError(7)):
+            back = pickle.loads(pickle.dumps(err))
+            assert type(back) is sw.BlowUpError
+            assert (str(back), back.step, back.sample) == (str(err), err.step, err.sample)
+        assert str(back) == "non-finite field at step 7"
+
+    def test_targets_run_first_and_blocks_costliest_first(self, small_config, monkeypatch):
+        order = []
+        real = study_module._run_job
+
+        def recorded(job):
+            function, args = job
+            order.append((function, args))
+            return real(job)
+
+        monkeypatch.setattr(study_module, "_run_job", recorded)
+        run_study(small_config, extra_targets=("parabolic",))
+        study_jobs = order[:]
+        order.clear()
+        refinement_bias(small_config)
+        for jobs, targets in ((study_jobs, ["corrected", "parabolic"]), (order, ["corrected"])):
+            assert [function for function, _ in jobs] == (
+                [_solve_target] * len(targets) + [_run_block] * (len(jobs) - len(targets)))
+            assert [args[-2:] for _, args in jobs[:len(targets)]] == list(enumerate(targets))
+            costs = [args[1].n_steps * len(args[7]) for _, args in jobs[len(targets):]]
+            assert costs == sorted(costs, reverse=True)
+        # refinement_bias lists each level's fine grid (1 draw per step) next
+        # to its coarse one (2 draws); the steps are 192 and 320 at the two
+        # levels and twice that at the fine grids, so both fine grids lead
+        assert [(args[6], args[-1]) for _, args in order[1:]] == [(1, 1), (0, 1), (1, 2), (0, 2)]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failed_target_raises_its_own_error(self, tmp_path, workers):
+        # in a subprocess with a timeout, so that a deadlock fails instead of hanging
+        config = tmp_path / "study.json"
+        config.write_text(json.dumps({
+            "grid": {"n": 63}, "noise": {"m": 8}, "physics": {"mu_list": [0.2, 0.05]},
+            "time": {"T": 0.5}, "study": {"ensemble": 2, "n_out": 64},
+            "output": {"directory": str(tmp_path / "out")}}))
+        src = str(Path(sw.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        with subprocess.Popen([sys.executable, "-c", FAILING_TARGET, str(config), str(workers)],
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                              env=env, start_new_session=True) as proc:
+            try:
+                out, err = proc.communicate(timeout=60)
+            except subprocess.TimeoutExpired:
+                os.killpg(proc.pid, signal.SIGKILL)   # the pool workers too
+                pytest.fail("the failed target left the run hanging")
+        assert proc.returncode == 0, err
+        assert out.splitlines() == [
+            "BlowUpError|51|None|non-finite field at step 51", "children 0", "exit 2",
+            "children 0"]
+        assert err == "numerical failure: non-finite field at step 51\n"
+        assert not (tmp_path / "out" / "study.json").exists()
