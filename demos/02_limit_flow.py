@@ -30,7 +30,7 @@ def main():
     params = LimitParams.auto(grid, T=1.0, n_out=256)
     rng = np.random.default_rng(7)
 
-    u = sw.normalize_sphere(grid, rng.standard_normal((grid.n, 3)))
+    u = sw.normalize_sphere(grid, rng.standard_normal((3, grid.n)))
     resid = sw.explicit_form_residual(u, sw.limit_rhs(u, basis, params), basis, params)
     print(f"divergence-form residual at the mobility velocity: {resid:.2e}")
 

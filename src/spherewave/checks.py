@@ -59,7 +59,7 @@ class CheckResult:
 
 
 def _random_field(grid: Grid1D, rng: np.random.Generator) -> np.ndarray:
-    return rng.standard_normal((grid.n, 3))
+    return rng.standard_normal((3, grid.n))
 
 
 def _grid() -> Grid1D:
@@ -102,9 +102,9 @@ def _check_eigenvectors(rng) -> tuple[bool, str]:
 
 
 def _check_triple_cross(rng) -> tuple[bool, str]:
-    h = rng.standard_normal((1000, 3))
-    k = rng.standard_normal((1000, 3))
-    err = float(np.abs(triple_cross(h, k) - np.cross(h, np.cross(h, k))).max())
+    h = rng.standard_normal((3, 1000))
+    k = rng.standard_normal((3, 1000))
+    err = float(np.abs(triple_cross(h, k) - np.cross(h, np.cross(h, k, axis=0), axis=0)).max())
     return err <= 1e-13, f"max error {err:.2e}"
 
 
@@ -159,7 +159,7 @@ def _check_trace_oracle(rng) -> tuple[bool, str]:
         u, v = _random_field(grid, rng), _random_field(grid, rng)
         direct = zero_field(grid)
         for i in range(basis.m):
-            xi = basis.xi[i][:, None]
+            xi = basis.xi[i]
             direct += cross(u, cross(u, v) * xi) * xi
         fast = strat_correction(u, v, basis)
         worst = max(worst, float(np.abs(fast - direct).max() / (1.0 + np.abs(fast).max())))
@@ -173,8 +173,8 @@ def _check_energy_neutrality(rng) -> tuple[bool, str]:
     for _ in range(50):
         u, v = _random_field(grid, rng), _random_field(grid, rng)
         uxv = cross(u, v)
-        lhs = np.einsum("ij,ij->i", uxv, uxv) * basis.phi
-        rhs = np.einsum("ij,ij->i", v, strat_correction(u, v, basis))
+        lhs = np.einsum("ij,ij->j", uxv, uxv) * basis.phi
+        rhs = np.einsum("ij,ij->j", v, strat_correction(u, v, basis))
         scale = 1.0 + np.abs(lhs).max()
         worst = max(worst, float(np.abs(lhs + rhs).max() / scale))
     return worst <= 1e-12, f"max pointwise defect {worst:.2e}"
@@ -189,8 +189,8 @@ def _check_noise_orthogonality(rng) -> tuple[bool, str]:
         kick = noise_field(u, v, basis, np.sqrt(1e-3) * rng.standard_normal(basis.m))
         scale = 1.0 + float(np.abs(kick).max())
         worst = max(worst,
-                    float(np.abs(np.einsum("ij,ij->i", u, kick)).max() / scale),
-                    float(np.abs(np.einsum("ij,ij->i", v, kick)).max() / scale))
+                    float(np.abs(np.einsum("ij,ij->j", u, kick)).max() / scale),
+                    float(np.abs(np.einsum("ij,ij->j", v, kick)).max() / scale))
     return worst <= 1e-12, f"max pointwise component {worst:.2e}"
 
 
@@ -227,9 +227,9 @@ def _check_mobility(rng) -> tuple[bool, str]:
         phi = 10.0 * rng.random(grid.n)
         gamma = 0.5 + 2.0 * rng.random()
         x = mobility_apply_inverse(u, phi, gamma, r)
-        uu = np.einsum("ij,ij->i", u, u)[:, None]
-        ux = np.einsum("ij,ij->i", u, x)[:, None]
-        back = (gamma + 0.5 * phi[:, None] * uu) * x - 0.5 * phi[:, None] * ux * u
+        uu = np.einsum("ij,ij->j", u, u)
+        ux = np.einsum("ij,ij->j", u, x)
+        back = (gamma + 0.5 * phi * uu) * x - 0.5 * phi * ux * u
         worst = max(worst, float(np.abs(back - r).max() / (1.0 + np.abs(r).max())))
     return worst <= 1e-13, f"max multiply-back error over 100 draws {worst:.2e}"
 

@@ -24,15 +24,21 @@ class AliasingError(ParameterError):
 class BlowUpError(RuntimeError):
     """A trajectory produced a non-finite field.
 
-    Carries the step index at which the blow-up was detected and, for a
-    sample of an ensemble block, the sample's index.
+    Carries the step index at which the blow-up was detected, for a sample
+    of an ensemble block the sample's index, and `diagnostics`, the named
+    scalars of its last state with finite norms (empty when there was
+    none, as for a refused start); the message ends with them.
     """
 
-    def __init__(self, step: int, message: str = "", *, sample: int | None = None):
+    def __init__(self, step: int, message: str = "", *, sample: int | None = None,
+                 diagnostics: dict | None = None):
         self.step = step
         self.sample = sample
+        self.diagnostics = dict(diagnostics or {})
         where = "" if sample is None else f" of sample {sample}"
-        super().__init__(message or f"non-finite field at step {step}{where}")
+        last = ", ".join(f"{name}={value:.6g}" for name, value in self.diagnostics.items())
+        context = f" (last finite diagnostics: {last})" if last else ""
+        super().__init__(message or f"non-finite field at step {step}{where}{context}")
 
     def __reduce__(self):
         # the default would call __init__ with args, which hold only the message

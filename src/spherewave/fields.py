@@ -1,10 +1,15 @@
 """Uniform Dirichlet grid, R^3-valued fields, and the algebra built on them.
 
-Fields are plain numpy arrays of shape (n, 3): the values of an R^3-valued
-function at the interior nodes x_j = j*h of (0, L), with homogeneous
-Dirichlet values at x = 0 and x = L understood everywhere.  The pointwise
-algebra, the second difference and the sine spectrum also act on blocks of
-fields, arrays of shape (..., n, 3), one field per leading index.
+The package has one field layout, component-major.  A field is a plain
+numpy array of shape (3, n): one row of node values per R^3 component, the
+values of an R^3-valued function at the interior nodes x_j = j*h of (0, L),
+with homogeneous Dirichlet values at x = 0 and x = L understood everywhere.
+A block of fields has shape (..., 3, n), one field per leading index; an
+ensemble block is (S, 3, n) in C order, so each sample's 3n values are
+contiguous and a sample's numbers do not depend on its block.  The helpers
+reduce over the component axis (-2) and act along the node axis (-1): the
+pointwise algebra broadcasts per-node scalars as (..., 1, n) rows, and the
+second difference and the sine spectrum run along contiguous node rows.
 
 The discrete H^1 seminorm is defined through the second-difference operator,
 |f|_{H^1}^2 = <-A_h f, f>, so that discrete sine eigenfields satisfy
@@ -114,20 +119,22 @@ def output_rows(n_steps: int, stride: int) -> list[int]:
 
 def _check_field(grid: Grid1D, f: np.ndarray) -> np.ndarray:
     f = np.asarray(f, dtype=float)
-    if f.shape != (grid.n, 3):
-        raise ShapeError(f"expected field of shape ({grid.n}, 3), got {f.shape}")
+    if f.shape != (3, grid.n):
+        raise ShapeError(f"expected a field of shape (3, {grid.n}), got {f.shape}")
     return f
 
 
 def _check_block(grid: Grid1D, f: np.ndarray) -> np.ndarray:
-    f = np.asarray(f, dtype=float)
-    if f.shape[-2:] != (grid.n, 3):
-        raise ShapeError(f"expected fields of shape (..., {grid.n}, 3), got {f.shape}")
+    # C order, so that laplacian's flattened views share its memory
+    f = np.ascontiguousarray(f, dtype=float)
+    if f.shape[-2:] != (3, grid.n):
+        raise ShapeError(f"expected a field (3, {grid.n}) or a block (..., 3, {grid.n}),"
+                         f" got {f.shape}")
     return f
 
 
 def zero_field(grid: Grid1D) -> np.ndarray:
-    return np.zeros((grid.n, 3))
+    return np.zeros((3, grid.n))
 
 
 def sine_field(grid: Grid1D, k: int, component: int, amplitude: float = 1.0) -> np.ndarray:
@@ -137,7 +144,7 @@ def sine_field(grid: Grid1D, k: int, component: int, amplitude: float = 1.0) -> 
     if component not in (1, 2, 3):
         raise ParameterError(f"component must be 1, 2 or 3, got {component}")
     f = zero_field(grid)
-    f[:, component - 1] = amplitude * np.sin(k * np.pi * grid.x / grid.L)
+    f[component - 1] = amplitude * np.sin(k * np.pi * grid.x / grid.L)
     return f
 
 
@@ -157,13 +164,13 @@ def inner_l2(grid: Grid1D, f: np.ndarray, g: np.ndarray) -> float:
 
 
 def inner_each(grid: Grid1D, f: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """inner_l2 of each pair of fields in two blocks (..., n, 3); shape (...)."""
+    """inner_l2 of each pair of fields in two blocks (..., 3, n); shape (...)."""
     return grid.h * c_einsum("...ij,...ij->...", f, g)
 
 
 def pointwise_dot(f: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """f.g at every node of fields or blocks (..., n, 3), shape (..., n, 1)."""
-    return c_einsum("...j,...j->...", f, g)[..., None]
+    """f.g at every node of fields or blocks (..., 3, n), as rows (..., 1, n)."""
+    return c_einsum("...ij,...ij->...j", f, g)[..., None, :]
 
 
 def norm_l2_sq(grid: Grid1D, f: np.ndarray) -> float:
@@ -176,11 +183,22 @@ def norm_l2(grid: Grid1D, f: np.ndarray) -> float:
 
 
 def laplacian(grid: Grid1D, f: np.ndarray) -> np.ndarray:
-    """Second central difference with homogeneous Dirichlet neighbours (fields or blocks)."""
+    """Second central difference with homogeneous Dirichlet neighbours (fields or blocks).
+
+    Each neighbour is added in one contiguous pass over the whole block, and
+    the node of each row that has no such neighbour gets its value back:
+    the arithmetic of adding the neighbours row by row, without a loop per
+    node row.
+    """
     f = _check_block(grid, f)
     out = -2.0 * f
-    out[..., 1:, :] += f[..., :-1, :]
-    out[..., :-1, :] += f[..., 1:, :]
+    flat, out_flat = f.reshape(-1), out.reshape(-1)
+    first = out[..., 0].copy()
+    out_flat[1:] += flat[:-1]
+    out[..., 0] = first
+    last = out[..., -1].copy()
+    out_flat[:-1] += flat[1:]
+    out[..., -1] = last
     out /= grid.h ** 2
     return out
 
@@ -206,16 +224,16 @@ def eigenvalues(grid: Grid1D) -> np.ndarray:
 
 
 def dst_ortho(f: np.ndarray) -> np.ndarray:
-    """Orthonormal DST-I along the node axis (second to last); it is its own inverse.
+    """Orthonormal DST-I along the node axis (the last); it is its own inverse.
 
     Calls pocketfft's binding directly, the routine behind
-    scipy.fft.dst(f, type=1, axis=-2, norm="ortho"), with the same result bit
+    scipy.fft.dst(f, type=1, axis=-1, norm="ortho"), with the same result bit
     for bit but without scipy.fft's dispatch, which costs more than the
     transform on one field.  Arguments: type 1, the node axis, inorm 1
     (ortho), a new output array, one thread.
     """
     f = np.asarray(f, dtype=float)
-    return dst(f, 1, (f.ndim - 2,), 1, None, 1, None)
+    return dst(f, 1, (f.ndim - 1,), 1, None, 1, None)
 
 
 def spectral_weights(grid: Grid1D, delta: float) -> np.ndarray:
@@ -230,15 +248,15 @@ def spectral_weights(grid: Grid1D, delta: float) -> np.ndarray:
 
 
 def weighted_norm(grid: Grid1D, weights: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """sqrt(h sum_k w_k |f_k|^2) of each field of a block (..., n, 3); shape (...)."""
-    return np.sqrt(grid.h * c_einsum("k,...kd,...kd->...", weights, f, f))
+    """sqrt(h sum_k w_k |f_k|^2) of each field of a block (..., 3, n); shape (...)."""
+    return np.sqrt(grid.h * c_einsum("k,...dk,...dk->...", weights, f, f))
 
 
 def spectral_norm(grid: Grid1D, coeffs: np.ndarray, delta: float) -> np.ndarray:
     """Fractional Sobolev norms of fields given by their dst_ortho coefficients.
 
     Mode k is weighted by spectral_weights(grid, delta).  coeffs has shape
-    (..., n, 3); the result has the leading shape.
+    (..., 3, n); the result has the leading shape.
     """
     return weighted_norm(grid, spectral_weights(grid, delta), coeffs)
 
@@ -248,25 +266,25 @@ def sobolev_norm(grid: Grid1D, f: np.ndarray, delta: float) -> float:
     return float(spectral_norm(grid, dst_ortho(_check_field(grid, f)), delta))
 
 
+# component c of f x g is f_I[c] g_J[c] - f_J[c] g_I[c]
+_I, _J = [1, 2, 0], [2, 0, 1]
+
+
 def cross(f: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Pointwise f x g on (..., 3) arrays, written out (the same roundoff as np.cross)."""
-    f0, f1, f2 = f[..., 0], f[..., 1], f[..., 2]
-    g0, g1, g2 = g[..., 0], g[..., 1], g[..., 2]
-    shape = f.shape if f.shape == g.shape else np.broadcast_shapes(f.shape, g.shape)
-    out = np.empty(shape)
-    np.subtract(f1 * g2, f2 * g1, out=out[..., 0])
-    np.subtract(f2 * g0, f0 * g2, out=out[..., 1])
-    np.subtract(f0 * g1, f1 * g0, out=out[..., 2])
-    return out
+    """Pointwise f x g of fields or blocks (..., 3, n) (the same roundoff as np.cross).
+
+    The component rows are gathered with np.take, numpy's fast path for
+    f[..., _I, :].
+    """
+    return (np.take(f, _I, axis=-2) * np.take(g, _J, axis=-2)
+            - np.take(f, _J, axis=-2) * np.take(g, _I, axis=-2))
 
 
 def triple_cross(h: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """h x (h x k) evaluated as -|h|^2 k + (h.k) h, on any (..., 3) shape."""
+    """h x (h x k) evaluated as -|h|^2 k + (h.k) h, on (..., 3, n) arrays."""
     h = np.asarray(h, dtype=float)
     k = np.asarray(k, dtype=float)
-    hh = c_einsum("...i,...i->...", h, h)[..., None]
-    hk = c_einsum("...i,...i->...", h, k)[..., None]
-    return hk * h - hh * k
+    return pointwise_dot(h, k) * h - pointwise_dot(h, h) * k
 
 
 def project_tangent(grid: Grid1D, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -300,7 +318,9 @@ class HelmholtzSolver:
 
     c0 > 0 and c2 >= 0 make the tridiagonal matrix symmetric positive
     definite; its LDL^T factor (LAPACK pttrf) is computed once and reused for
-    every right-hand side (columns of shape (n,) or (n, k)).  Columns are
+    every right-hand side (columns of shape (n,) or (n, k)); a block
+    (S, 3, n) in C order is the Fortran-ordered (n, 3S) matrix
+    b.reshape(3S, n).T, solved in place.  Columns are
     solved independently, each with the arithmetic of a lone-column solve,
     so a non-finite column leaves the others intact; callers detect
     blow-ups themselves.

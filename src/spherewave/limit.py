@@ -33,7 +33,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy._core._multiarray_umath import c_einsum
 
 from .errors import BlowUpError, DegenerateFieldError, ParameterError
 from .fields import (
@@ -49,6 +48,7 @@ from .fields import (
     norm_l2_sq,
     normalize_sphere,
     output_rows,
+    pointwise_dot,
     step_count,
 )
 from .noise import NoiseBasis
@@ -114,20 +114,20 @@ def mobility_apply_inverse(u: np.ndarray, phi, gamma: float, r: np.ndarray) -> n
     """Solve [(gamma + phi|u|^2/2) I - (phi/2) u u^T] x = r per node.
 
     Uses the closed form M^{-1} = (1/a)[I + (phi/2 gamma) u u^T] with
-    a = gamma + phi |u|^2 / 2, valid for every gamma > 0 and phi >= 0.
+    a = gamma + phi |u|^2 / 2, valid for every gamma > 0 and phi >= 0.  u and
+    r are fields (3, n); phi is the row (n,) of node values.
     """
-    phi = np.asarray(phi, dtype=float)
-    return _mobility_solve(u, r, gamma, 0.5 * (phi[:, None] if phi.ndim == 1 else phi))
+    return _mobility_solve(u, r, gamma, 0.5 * np.asarray(phi, dtype=float))
 
 
 def _mobility_solve(u: np.ndarray, r: np.ndarray, gamma: float,
                     half_phi: np.ndarray) -> np.ndarray:
-    """mobility_apply_inverse given the (n, 1) column phi/2.
+    """mobility_apply_inverse given the row phi/2 (n,).
 
     Halving is exact, so half_phi / gamma is phi / (2 gamma) bit for bit.
     """
-    uu = c_einsum("ij,ij->i", u, u)[:, None]
-    ur = c_einsum("ij,ij->i", u, r)[:, None]
+    uu = pointwise_dot(u, u)
+    ur = pointwise_dot(u, r)
     return (r + (half_phi / gamma) * ur * u) / (gamma + half_phi * uu)
 
 
@@ -161,11 +161,11 @@ def explicit_form_residual(u: np.ndarray, ut: np.ndarray, basis: NoiseBasis,
     h1 = -inner_l2(grid, lap, u)
     r = lap + h1 * u
     phi = np.zeros(grid.n) if params.parabolic else basis.phi
-    uu = c_einsum("ij,ij->i", u, u)
-    u_ut = c_einsum("ij,ij->i", u, ut)
-    lhs = (params.gamma + 0.5 * phi * uu)[:, None] * ut + (phi * u_ut)[:, None] * u
-    ru = c_einsum("ij,ij->i", r, u)
-    rhs = r + (1.5 / params.gamma) * (phi * ru)[:, None] * u
+    uu = pointwise_dot(u, u)
+    u_ut = pointwise_dot(u, ut)
+    lhs = (params.gamma + 0.5 * phi * uu) * ut + (phi * u_ut) * u
+    ru = pointwise_dot(r, u)
+    rhs = r + (1.5 / params.gamma) * (phi * ru) * u
     return norm_l2(grid, lhs - rhs)
 
 
@@ -239,9 +239,10 @@ class _Etd2Flow:
         self.basis = basis
         z = -eigenvalues(params.grid) * (params.dt / params.gamma)
         phi1, phi2 = _phi_functions(z)
-        self._decay = np.exp(z)[:, None]
-        self._phi1 = params.dt * phi1[:, None]
-        self._phi2 = params.dt * phi2[:, None]
+        # mode rows (n,), which broadcast over the components of a spectrum
+        self._decay = np.exp(z)
+        self._phi1 = params.dt * phi1
+        self._phi2 = params.dt * phi2
         self.u = _repair_initial(params.grid, u0)
         self.ut, self.lap, self.h1 = _rhs_with_extras(self.u, basis, params)
         self.ut_sq = norm_l2_sq(params.grid, self.ut)
@@ -313,7 +314,7 @@ def solve_limit(u0: np.ndarray, params: LimitParams, basis: NoiseBasis, *,
     sphere = np.empty(n_rows)
     defect = np.empty(n_rows)
     energy_lhs = np.empty(n_rows)
-    u_fields = np.empty((n_rows, grid.n, 3)) if keep_fields else None
+    u_fields = np.empty((n_rows, 3, grid.n)) if keep_fields else None
     energy_rhs = float(flow.h1)
 
     def record(r: int, worst_defect: float):

@@ -41,8 +41,8 @@ class NoiseBasis:
     grid: Grid1D
     m: int
     xi: np.ndarray                # (m, n) xi_i(x_j)
-    phi: np.ndarray               # (n,)
-    half_phi: np.ndarray          # (n, 1) the column phi/2 of the limit's mobility solve
+    phi: np.ndarray               # (n,) a row, which broadcasts over the components
+    half_phi: np.ndarray          # (n,) the row phi/2 of the limit's mobility solve
 
 
 def build_basis(grid: Grid1D, m: int, p: float) -> NoiseBasis:
@@ -67,7 +67,13 @@ def build_basis(grid: Grid1D, m: int, p: float) -> NoiseBasis:
     omega = i * np.pi / grid.L
     xi = amp[:, None] * root * np.sin(np.outer(omega, grid.x))
     phi = (xi ** 2).sum(axis=0) if m else np.zeros(grid.n)
-    return NoiseBasis(grid=grid, m=m, xi=xi, phi=phi, half_phi=0.5 * phi[:, None])
+    return NoiseBasis(grid=grid, m=m, xi=xi, phi=phi, half_phi=0.5 * phi)
+
+
+def _check_pair(grid: Grid1D, u: np.ndarray, v: np.ndarray) -> None:
+    if u.shape[-2:] != (3, grid.n) or v.shape != u.shape:
+        raise ShapeError(f"expected fields (3, {grid.n}) or blocks (..., 3, {grid.n}) of one"
+                         f" shape, got {u.shape} and {v.shape}")
 
 
 def derive_stream(master_seed: int, *key: int) -> np.random.Generator:
@@ -84,28 +90,29 @@ def strat_correction(u: np.ndarray, v: np.ndarray, basis: NoiseBasis, *,
     """Trace field phi * (u x (u x v)) = phi * (-(u.u) v + (u.v) u).
 
     This is the full trace; the caller applies the Stratonovich 1/2.  u and
-    v are fields (n, 3) or blocks of fields (S, n, 3); dots may pass the
-    pointwise (u.u, u.v) when the caller already holds them.
+    v are fields (3, n) or blocks of fields (S, 3, n); dots may pass the
+    pointwise (u.u, u.v) rows when the caller already holds them.
     """
-    grid = basis.grid
-    if u.shape[-2:] != (grid.n, 3) or v.shape != u.shape:
-        raise ShapeError(f"fields must have matching shapes (..., {grid.n}, 3)")
+    _check_pair(basis.grid, u, v)
     uu, uv = dots if dots is not None else (pointwise_dot(u, u), pointwise_dot(u, v))
-    return basis.phi[:, None] * (uv * u - uu * v)
+    return basis.phi * (uv * u - uu * v)
 
 
 def noise_field(u: np.ndarray, v: np.ndarray, basis: NoiseBasis, values: np.ndarray) -> np.ndarray:
     """(u x v)(x) * sum_i xi_i(x) dB_i for raw increment values.
 
-    values has shape (m,) for a field (n, 3), or (S, m) for a block (S, n, 3).
+    values has shape (m,) for a field (3, n), or (S, m) for a block (S, 3, n).
     The noise sums are one stacked matmul of xi^T (n, m) with the columns
     values[..., None]; numpy runs it as one matrix-vector product per field,
     the product a lone field takes.  A matrix-matrix product over the block
     would round differently, and a sample's noise must depend neither on its
-    block nor on the block size.
+    block nor on the block size.  Each field's sums, a column (n, 1), are
+    read as the row (1, n) that broadcasts over its components.
     """
+    _check_pair(basis.grid, u, v)
     if values.shape[-1:] != (basis.m,) or values.shape[:-1] != u.shape[:-2]:
         raise ShapeError(f"expected {basis.m} increments per field, got shape {values.shape}")
     if basis.m == 0:
         return np.zeros_like(u)
-    return cross(u, v) * np.matmul(basis.xi.T, values[..., None])
+    sums = np.matmul(basis.xi.T, values[..., None])
+    return cross(u, v) * sums.reshape(values.shape[:-1] + (1, basis.grid.n))

@@ -13,12 +13,14 @@ damping) is treated implicitly through one tridiagonal solve per component;
 nonlinearities, the trace correction, and the noise are explicit.
 
 SpdeStepper is a batched engine: it advances a block of S independent
-samples held as C-ordered (S, n, 3) arrays, with one tridiagonal LDL^T solve
-on all 3S columns per step.  A single trajectory (simulate) is the block
-S = 1.  Every operation acts on each sample separately, so a sample's numbers
-do not depend on the block it shares.  A block keeps its shape: a sample
-that goes non-finite is recorded as a BlowUpError and steps on as NaN, which
-leaves the other samples' numbers as they were.
+samples held as C-ordered (S, 3, n) arrays (the layout of fields.py), with
+one tridiagonal LDL^T solve on all 3S node rows per step, in place.  A
+single trajectory (simulate) is the block S = 1.  Every operation acts on
+each sample separately, so a sample's numbers do not depend on the block it
+shares.  A block keeps its shape: a sample that goes non-finite is recorded
+as a BlowUpError, with the diagnostics of its last state with finite
+norms, and steps on as NaN, which leaves the other samples' numbers as
+they were.
 
 Structure diagnostics: the pathwise energy
 
@@ -88,12 +90,14 @@ CFL_LIMIT = 0.5
 REMAINDER_KEYS = ("iAN", "iCD", "j2", "j3", "j4", "j5")
 # rows per evaluation of every row quantity along one trajectory: simulate
 # buffers each row's state and reduces DIAGNOSTICS and the remainder series
-# once per chunk on (rows, n, 3) stacks; a reduction per row costs several
+# once per chunk on (rows, 3, n) stacks; a reduction per row costs several
 # times as much, the numpy call overhead dominating at S = 1
 ROW_CHUNK = 64
 # the exponent a of the weighted-H2 monitor's factor exp(-a int |v|_H^2 ds)
 WEIGHT_A = 1.0
 DIAGNOSTICS = ("energy", "theta", "eta", "u_h1", "u_h2", "v_h", "v_h1", "weighted_h2")
+# the diagnostics a BlowUpError carries from a lost sample's last state with finite norms
+BLOWUP_DIAGNOSTICS = ("energy", "theta", "eta", "u_h1")
 
 
 @dataclass(frozen=True)
@@ -158,7 +162,7 @@ class SpdeParams:
 
 
 def _state_norms(grid: Grid1D, u: np.ndarray, v: np.ndarray):
-    """A_h u, |u|_{H1}^2 and |v|_H^2 of states (..., n, 3)."""
+    """A_h u, |u|_{H1}^2 and |v|_H^2 of states (..., 3, n)."""
     lap = laplacian(grid, u)
     return lap, -inner_each(grid, lap, u), inner_each(grid, v, v)
 
@@ -169,7 +173,7 @@ def _energy(params: SpdeParams, h1, vh2, acc_v2):
 
 
 def _diagnostics(params: SpdeParams, u: np.ndarray, v: np.ndarray, acc_v2) -> dict:
-    """Every scalar of DIAGNOSTICS for states (..., n, 3) and their int |v|_H^2 ds (...).
+    """Every scalar of DIAGNOSTICS for states (..., 3, n) and their int |v|_H^2 ds (...).
 
     weighted_h2 = exp(-a int |v|^2 ds) (|u|_{H2}^2 + mu |v|_{H1}^2
     + mu |u|_{H1}^2 |v|_H^2) with a = WEIGHT_A is a boundedness monitor
@@ -219,13 +223,15 @@ class SpdeStepper:
     with its rows and the `remainder` read: a huge but finite sample may
     overflow there, and it is recorded as a blow-up, not warned about.
 
-    u0 and v0 are one field (n, 3) or a block (S, n, 3).  Block arrays have
-    shape (S, n, 3) in C order, per-sample scalars shape (S,); `samples`
+    u0 and v0 are one field (3, n) or a block (S, 3, n).  Block arrays have
+    shape (S, 3, n) in C order, per-sample scalars shape (S,); `samples`
     labels the block's samples (0..S-1 by default).  The block keeps its
     shape: `alive` marks the samples that have not blown up, and a lost
-    sample's fields are NaN from its blow-up step on.  Each step does one
-    tridiagonal LDL^T solve on all 3S columns, with the factor computed here,
-    and copies its output back to C order once.
+    sample's fields are NaN from its blow-up step on; its BlowUpError
+    carries BLOWUP_DIAGNOSTICS of its last state with finite norms.  Each
+    step does one tridiagonal LDL^T solve, with the factor computed here, on
+    the right-hand side (S, 3, n), which is the Fortran-ordered (n, 3S)
+    matrix of its node rows, in place.
     """
 
     def __init__(self, params: SpdeParams, basis: NoiseBasis, u0: np.ndarray,
@@ -236,8 +242,9 @@ class SpdeStepper:
         # C order throughout: a reduction's summation order follows the layout
         u0 = np.array(u0, dtype=float, order="C", ndmin=3)
         v0 = np.array(v0, dtype=float, order="C", ndmin=3)
-        if u0.ndim != 3 or u0.shape[1:] != (grid.n, 3) or v0.shape != u0.shape:
-            raise ShapeError(f"initial fields must have shape ({grid.n}, 3) or (S, {grid.n}, 3)")
+        if u0.ndim != 3 or u0.shape[1:] != (3, grid.n) or v0.shape != u0.shape:
+            raise ShapeError(f"initial fields must have shape (3, {grid.n}) or (S, 3, {grid.n}),"
+                             f" got {u0.shape} and {v0.shape}")
         self.samples = np.arange(len(u0)) if samples is None else np.array(samples)
         if self.samples.shape != (len(u0),):
             raise ShapeError(f"need one label per sample, got {self.samples.shape}")
@@ -254,6 +261,8 @@ class SpdeStepper:
         self.sample_steps = 0
         self.alive = np.ones(len(u0), dtype=bool)
         self.lost: list[BlowUpError] = []
+        # block position -> BLOWUP_DIAGNOSTICS of its state before its norms overflowed
+        self._last_finite: dict[int, dict] = {}
         self.u0, self.v0 = u0, v0
         self.acc_v2 = np.zeros(len(u0))
         self.norm_defect, self.tangent_defect = np.zeros(len(u0)), np.zeros(len(u0))
@@ -309,12 +318,9 @@ class SpdeStepper:
             force = _explicit_force(params, self.basis, u, v, self.h1[:, None, None],
                                     self.vh2[:, None, None], dots=self._dots)
             rhs = v + (dt / mu) * (self.lap + force)
-            # the 3S columns in Fortran order, so the solve works in place
-            cols = np.empty((S, 3, grid.n))
-            cols[...] = rhs.transpose(0, 2, 1)
-            cols = self.solver.solve(cols.reshape(3 * S, grid.n).T)
-            # back to C order once, so every later op on the block sees one layout
-            v_star = np.ascontiguousarray(cols.T.reshape(S, 3, grid.n).transpose(0, 2, 1))
+            # its 3S node rows are the Fortran-ordered (n, 3S) columns of the
+            # solve, which overwrites them in place
+            v_star = self.solver.solve(rhs.reshape(3 * S, grid.n).T).T.reshape(u.shape)
             if dw is not None and self.basis.m > 0:
                 kick = noise_field(u, v, self.basis, dw)
                 v_star += self.kick_scale * kick
@@ -336,21 +342,46 @@ class SpdeStepper:
             self.step_index += 1
             self.sample_steps += int(np.count_nonzero(self.alive))
 
-            lost = []
-            if not (np.isfinite(u_new).all() and np.isfinite(v_new).all()):
-                keep = np.isfinite(u_new).all(axis=(1, 2)) & np.isfinite(v_new).all(axis=(1, 2))
-                new = self.alive & ~keep
-                lost = [BlowUpError(self.step_index, sample=int(s)) for s in self.samples[new]]
-                self.lost += lost
-                self.alive &= keep
-                u_new[new] = v_new[new] = np.nan
-
             vh2_old = self.vh2
             self._bind(u_new, v_new)
+            # a non-finite field makes its sample's norms non-finite, so the
+            # fields are only scanned when some sample's norms are
+            lost = []
+            if not np.isfinite(self.h1 + self.vh2).all():
+                lost = self._overflow(u, v, u_new, v_new)
             self.acc_v2 += 0.5 * dt * (vh2_old + self.vh2)
             self._integrands(self._last)
             self._sums += self._last
             return lost
+
+    def _overflow(self, u, v, u_new, v_new) -> list[BlowUpError]:
+        """Record the live samples whose new norms are non-finite; the step's blow-ups.
+
+        (u, v) is the state before the step, whose norms are finite for
+        these samples.  The first time a sample's norms go non-finite, its
+        BLOWUP_DIAGNOSTICS are taken from that state, with int |v|_H^2 ds not
+        yet updated; its fields may stay finite for more steps, and once
+        they are not, the sample is lost with those diagnostics and its new
+        state becomes NaN.
+        """
+        overflowed = self.alive & ~np.isfinite(self.h1 + self.vh2)
+        first = [pos for pos in np.flatnonzero(overflowed) if pos not in self._last_finite]
+        if first:
+            last = _diagnostics(self.params, u[first], v[first], self.acc_v2[first])
+            for i, pos in enumerate(first):
+                self._last_finite[pos] = {name: float(last[name][i])
+                                          for name in BLOWUP_DIAGNOSTICS}
+        keep = np.isfinite(u_new).all(axis=(1, 2)) & np.isfinite(v_new).all(axis=(1, 2))
+        new = overflowed & ~keep
+        if not new.any():
+            return []
+        lost = [BlowUpError(self.step_index, sample=int(self.samples[pos]),
+                            diagnostics=self._last_finite[pos]) for pos in np.flatnonzero(new)]
+        self.lost += lost
+        self.alive &= ~new
+        u_new[new] = v_new[new] = np.nan
+        self._bind(u_new, v_new)
+        return lost
 
     def run(self, increments: np.ndarray | None, rows: list, on_row) -> None:
         """Step to rows[-1], calling on_row(r) once step rows[r] is reached.
@@ -380,7 +411,7 @@ class SpdeStepper:
 
     @property
     def remainder(self) -> dict:
-        """The remainder accumulators by name (REMAINDER_KEYS and "j6"), each (S, n, 3).
+        """The remainder accumulators by name (REMAINDER_KEYS and "j6"), each (S, 3, n).
 
         Each read gives the six trapezoid integrals their end correction,
         dt (sum - f_k / 2) from the left sums started at f_0 / 2, in new
@@ -417,20 +448,18 @@ class RemainderIdentity:
     the reference exponent alpha = 1/2, where the identity takes its
     standard form), so the residual measures pure time discretisation
     error at any exponent; and the identity's constant part, base + const,
-    from u0 and v0.  u0 and v0 are fields (n, 3) or blocks that broadcast
-    against the states evaluated.
+    from u0 and v0.  u0 and v0 are fields (3, n) or blocks that broadcast
+    against the states evaluated.  The phi weights are node rows (n,), which
+    broadcast over every component row.
     """
 
     def __init__(self, params: SpdeParams, basis: NoiseBasis, u0: np.ndarray, v0: np.ndarray):
         mu, gamma = params.mu, params.gamma
         self.params = params
         self.c = 1.5 * mu / gamma
-        phi = params.correction_scale * mu ** (2.0 * params.alpha - 1.0) * basis.phi
-        self.phi = phi[:, None]
-        self.phi_sq = phi * phi
-        # (1.5 / gamma) phi on every component: a product with it broadcasts
-        # over the leading axes only, which numpy runs as contiguous loops
-        self.phi_drift = np.repeat((1.5 / gamma) * self.phi, 3, axis=1)
+        self.phi = params.correction_scale * mu ** (2.0 * params.alpha - 1.0) * basis.phi
+        self.phi_sq = self.phi * self.phi
+        self.phi_drift = (1.5 / gamma) * self.phi
         self.offset = (gamma * u0 + 0.5 * self.phi * pointwise_dot(u0, u0) * u0 + mu * v0
                        + self.c * self.phi * pointwise_dot(u0, v0) * u0)
 
@@ -439,8 +468,8 @@ class RemainderIdentity:
         """H-norms of J_1..J_6, shape (..., 6), and the identity residual, shape (...).
 
         u, v and the accumulators of REMAINDER_KEYS + ("j6",) hold fields
-        (..., n, 3): rows of one trajectory or the samples of a block; dots
-        may pass the pointwise (u.u, u.v) when the caller already holds
+        (..., 3, n): rows of one trajectory or the samples of a block; dots
+        may pass the pointwise (u.u, u.v) rows when the caller already holds
         them.  The kernel terms' norms are |c| sqrt(h sum phi^2 |f|^2),
         with no scaled copy of a field; the gap lhs - rhs of the identity is
         assembled in one array.
@@ -448,7 +477,7 @@ class RemainderIdentity:
         grid, mu, c = self.params.grid, self.params.mu, self.c
         uu, uv = dots if dots is not None else (pointwise_dot(u, u), pointwise_dot(u, v))
         norms = np.empty(u.shape[:-2] + (6,))
-        uv_n, uu_n = uv[..., 0], uu[..., 0]
+        uv_n, uu_n = uv[..., 0, :], uu[..., 0, :]
         norms[..., 0] = c * np.sqrt(grid.h * c_einsum("...j,...j->...", self.phi_sq * uv_n,
                                                       uv_n * uu_n))
         norms[..., 1] = mu * np.sqrt(inner_each(grid, acc["j2"], acc["j2"]))
@@ -536,12 +565,12 @@ def simulate(u0: np.ndarray, v0: np.ndarray, params: SpdeParams, basis: NoiseBas
     n_rows = len(rows)
     engine = SpdeStepper(params, basis, u0, v0)
     scalars = {name: np.empty(n_rows) for name in ("t",) + DIAGNOSTICS}
-    u_rows = np.empty((n_rows, grid.n, 3)) if keep_fields else None
-    v_rows = np.empty((n_rows, grid.n, 3)) if keep_fields else None
+    u_rows = np.empty((n_rows, 3, grid.n)) if keep_fields else None
+    v_rows = np.empty((n_rows, 3, grid.n)) if keep_fields else None
     j_norms, residual = np.empty((n_rows, 6)), np.empty(n_rows)
-    chunk = {key: np.empty((ROW_CHUNK, grid.n, 3)) for key in ("u", "v", "j6")}
+    chunk = {key: np.empty((ROW_CHUNK, 3, grid.n)) for key in ("u", "v", "j6")}
     # the integrands' left sums and latest values, read off as on the engine
-    sums, last = (np.empty((len(REMAINDER_KEYS), ROW_CHUNK, grid.n, 3)) for _ in range(2))
+    sums, last = (np.empty((len(REMAINDER_KEYS), ROW_CHUNK, 3, grid.n)) for _ in range(2))
     acc_v2 = np.empty(ROW_CHUNK)
 
     def record(r: int):

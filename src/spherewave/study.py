@@ -19,7 +19,7 @@ identity, which is a pure time-discretisation quantity.
 
 The ensemble runs on the batched engine of spde: each mass level is split
 into near-equal contiguous blocks of at most BLOCK_SIZE samples, and a block
-is stepped as one (S, n, 3) array; a level of the default 16-sample
+is stepped as one (S, 3, n) array; a level of the default 16-sample
 ensemble is one block.  A run is one job list: a job per limit target
 first, then the blocks, costliest first, so the default study gives the
 pool one target job and four block jobs.  A target job publishes each
@@ -30,9 +30,10 @@ reduced in place to running per-sample maxima (Sobolev errors against
 every target, the six J norms, the identity residual and the energy; the
 engine keeps the constraint residuals' sups over every step), so no field
 snapshots are kept.  A block keeps its shape when a sample blows up: the
-sample steps on as NaN, and its row records the blow-up step in place of
-its maxima.  The split depends only on the configuration, so every worker
-count gives the same bytes.
+sample steps on as NaN, and its row records the blow-up step and the
+diagnostics of its last state with finite norms in place of its maxima.
+The split depends only on the configuration, so every worker count gives
+the same bytes.
 """
 
 from __future__ import annotations
@@ -155,6 +156,8 @@ class SampleRow:
     identity_sup: float
     blowup_step: int | None = None
     gates: tuple = ()
+    # a blown-up sample's spde.BLOWUP_DIAGNOSTICS of its last state with finite norms
+    last_finite: dict = field(default_factory=dict)
 
     @property
     def failed(self) -> bool:
@@ -216,7 +219,7 @@ def _resolve_targets(config: StudyConfig, target: str, extra_targets) -> tuple[s
 
 
 class _TargetRows:
-    """The limit targets' fields (targets, rows, n, 3), in memory shared with the pool.
+    """The limit targets' fields (targets, rows, 3, n), in memory shared with the pool.
 
     A target job writes each row and then publishes it: the target's count
     of published rows goes up under one condition, which wakes every
@@ -351,7 +354,7 @@ def _run_block(config: StudyConfig, params: SpdeParams, basis: NoiseBasis,
     engine.run(increments, output_rows(params.n_steps, params.n_steps // config.n_out),
                reduce_row)
 
-    blowups = {err.sample: err.step for err in engine.lost}
+    blowups = {err.sample: err for err in engine.lost}
     rows = []
     for pos, sample in enumerate(samples):
         common = dict(mu_index=mu_index, mu=mu, sample=sample,
@@ -361,7 +364,8 @@ def _run_block(config: StudyConfig, params: SpdeParams, basis: NoiseBasis,
             rows.append(SampleRow(**common, errors={}, energy_residual=nan,
                                   norm_defect_sup=nan, tangent_defect_sup=nan,
                                   j_sups=(nan,) * 6, identity_sup=nan,
-                                  blowup_step=blowups[sample]))
+                                  blowup_step=blowups[sample].step,
+                                  last_finite=blowups[sample].diagnostics))
             continue
         energy_residual = float(energy_dev[pos] / energy0[pos])
         rows.append(SampleRow(
@@ -403,7 +407,7 @@ def _run_jobs(config: StudyConfig, targets: tuple, jobs: list, workers: int) -> 
     its own exception, the first in the job order, is the one raised.
     """
     context = multiprocessing.get_context()
-    rows = _TargetRows(context, (len(targets), config.n_out + 1, config.n, 3))
+    rows = _TargetRows(context, (len(targets), config.n_out + 1, 3, config.n))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers, mp_context=context,
                                  initializer=_attach, initargs=(rows,)) as pool:

@@ -88,40 +88,40 @@ def test_criterion_1_algebraic_oracles(grid, basis):
     rng = np.random.default_rng(101)
     start = time.perf_counter()
 
-    h = rng.standard_normal((1000, 3))
-    k = rng.standard_normal((1000, 3))
-    direct = np.cross(h, np.cross(h, k))
+    h = rng.standard_normal((3, 1000))
+    k = rng.standard_normal((3, 1000))
+    direct = np.cross(h, np.cross(h, k, axis=0), axis=0)
     scale = np.abs(direct).max() + 1.0
     worst_cross = np.abs(sw.triple_cross(h, k) - direct).max() / scale
 
     worst_trace = 0.0
     for _ in range(100):
-        u = rng.standard_normal((grid.n, 3))
-        v = rng.standard_normal((grid.n, 3))
+        u = rng.standard_normal((3, grid.n))
+        v = rng.standard_normal((3, grid.n))
         acc = sw.zero_field(grid)
         for i in range(basis.m):
-            xi = basis.xi[i][:, None]
-            acc += np.cross(u, np.cross(u, v) * xi) * xi
+            xi = basis.xi[i]
+            acc += np.cross(u, np.cross(u, v, axis=0) * xi, axis=0) * xi
         fast = sw.strat_correction(u, v, basis)
         worst_trace = max(worst_trace,
                           np.abs(fast - acc).max() / (1.0 + np.abs(acc).max()))
 
     worst_mob = 0.0
     for _ in range(100):
-        u = rng.standard_normal((grid.n, 3))
-        r = rng.standard_normal((grid.n, 3))
+        u = rng.standard_normal((3, grid.n))
+        r = rng.standard_normal((3, grid.n))
         phi = 10.0 * rng.random(grid.n)
         gamma = 0.5 + 2.0 * rng.random()
         x = sw.mobility_apply_inverse(u, phi, gamma, r)
-        uu = np.einsum("ij,ij->i", u, u)[:, None]
-        ux = np.einsum("ij,ij->i", u, x)[:, None]
-        back = (gamma + 0.5 * phi[:, None] * uu) * x - 0.5 * phi[:, None] * ux * u
+        uu = np.einsum("ij,ij->j", u, u)
+        ux = np.einsum("ij,ij->j", u, x)
+        back = (gamma + 0.5 * phi * uu) * x - 0.5 * phi * ux * u
         worst_mob = max(worst_mob, np.abs(back - r).max() / (1.0 + np.abs(r).max()))
 
     params = LimitParams.auto(grid, 0.25, n_out=64)
     worst_form = 0.0
     for _ in range(100):
-        u = sw.normalize_sphere(grid, rng.standard_normal((grid.n, 3)))
+        u = sw.normalize_sphere(grid, rng.standard_normal((3, grid.n)))
         resid = sw.explicit_form_residual(u, sw.limit_rhs(u, basis, params),
                                           basis, params)
         worst_form = max(worst_form, resid / (1.0 + sw.h2_norm_sq(grid, u)))

@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -149,6 +150,20 @@ class TestSimulateCommand:
         assert capsys.readouterr().err == (
             "numerical failure: non-finite field at step 0 of sample 0\n")
 
+    def test_blowup_message_carries_last_finite_diagnostics(self, tmp_path, capsys):
+        # the default unprojected trajectory at mu = 0.05 overflows at step
+        # 1121; its one stderr line names the diagnostics of its last state
+        # with finite norms, all finite
+        cfg = write_config(tmp_path / "blowup.json", {
+            "physics": {"mu": 0.05}, "output": {"directory": str(tmp_path / "out")}})
+        assert cli.main(["simulate", "-c", cfg]) == 2
+        err = capsys.readouterr().err
+        match = re.fullmatch(r"numerical failure: non-finite field at step 1121 of sample 0"
+                             r" \(last finite diagnostics: energy=(\S+), theta=(\S+),"
+                             r" eta=(\S+), u_h1=(\S+)\)\n", err)
+        assert match, err
+        assert np.isfinite([float(x) for x in match.groups()]).all(), err
+
     def test_env_output_override(self, tmp_path, monkeypatch):
         cfg = sim_config(tmp_path)
         override = tmp_path / "elsewhere"
@@ -237,7 +252,7 @@ class TestStudyCommand:
         assert {frozenset(row) for row in rows} == {frozenset({
             "mu_index", "mu", "sample", "seed_key", "dt", "errors", "energy_residual",
             "norm_defect_sup", "tangent_defect_sup", "j_sups", "identity_sup", "blowup_step",
-            "gates"})}
+            "gates", "last_finite"})}
         manifest = json.loads((out / "study.manifest.json").read_text())
         assert manifest["seeds"] == {"master_seed": 99}
         # study.json carries the manifest's work counters

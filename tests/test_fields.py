@@ -10,6 +10,9 @@ import scipy.fft
 
 import spherewave as sw
 from spherewave.fields import HelmholtzSolver, c_einsum, dst_ortho
+from spherewave.limit import LimitParams
+from spherewave.noise import noise_field
+from spherewave.spde import SpdeStepper
 
 RNG = np.random.default_rng(1234)
 
@@ -20,7 +23,7 @@ def grid():
 
 
 def random_field(grid, rng=RNG):
-    return rng.standard_normal((grid.n, 3))
+    return rng.standard_normal((3, grid.n))
 
 
 def dense_second_difference(grid):
@@ -99,7 +102,7 @@ class TestLaplacian:
     def test_matches_dense_matrix(self, grid):
         a = dense_second_difference(grid)
         f = random_field(grid)
-        expected = a @ f
+        expected = f @ a.T
         assert np.abs(sw.laplacian(grid, f) - expected).max() <= 1e-10
 
     def test_every_sine_mode_is_eigenvector(self, grid):
@@ -114,10 +117,10 @@ class TestLaplacian:
         # everywhere except the node next to the right boundary, where the
         # Dirichlet extension by zero breaks linearity
         f = sw.zero_field(grid)
-        f[:, 0] = grid.x
+        f[0] = grid.x
         lap = sw.laplacian(grid, f)
-        assert np.abs(lap[:-1]).max() <= 1e-10
-        assert lap[-1, 0] == pytest.approx(-grid.L / grid.h ** 2, rel=1e-12)
+        assert np.abs(lap[:, :-1]).max() <= 1e-10
+        assert lap[0, -1] == pytest.approx(-grid.L / grid.h ** 2, rel=1e-12)
 
     def test_self_adjoint(self, grid):
         for _ in range(25):
@@ -151,7 +154,7 @@ class TestH1Seminorm:
         # <-A f, f> equals h * sum over the n+1 cells of |Df|^2 exactly, with
         # Df the forward differences against the Dirichlet zeros
         f = random_field(grid)
-        df = np.diff(f, axis=0, prepend=0.0, append=0.0) / grid.h
+        df = np.diff(f, axis=1, prepend=0.0, append=0.0) / grid.h
         grad_form = grid.h * np.einsum("ij,ij->", df, df)
         assert sw.h1_seminorm_sq(grid, f) == pytest.approx(grad_form, rel=1e-12)
 
@@ -161,11 +164,11 @@ class TestSpectrum:
         # dst_ortho calls pocketfft's private binding; a scipy upgrade that
         # changes it must fail here, not shift every output by roundoff
         rng = np.random.default_rng(7)
-        for f in (rng.standard_normal((grid.n, 3)),
-                  rng.standard_normal((16, grid.n, 3)),
-                  rng.standard_normal((16, 3, grid.n)).transpose(0, 2, 1)):
+        for f in (rng.standard_normal((3, grid.n)),
+                  rng.standard_normal((16, 3, grid.n)),
+                  rng.standard_normal((16, grid.n, 3)).transpose(0, 2, 1)):
             before = f.copy()
-            assert np.array_equal(dst_ortho(f), scipy.fft.dst(f, type=1, axis=-2, norm="ortho"))
+            assert np.array_equal(dst_ortho(f), scipy.fft.dst(f, type=1, axis=-1, norm="ortho"))
             assert np.array_equal(f, before)
 
     def test_c_einsum_matches_numpy_einsum(self, grid):
@@ -173,12 +176,12 @@ class TestSpectrum:
         # changes it must fail here, not shift every output by roundoff
         source = "".join(p.read_text() for p in Path(sw.__file__).parent.glob("*.py"))
         subscripts = set(re.findall(r'c_einsum\("([^"]+)"', source))
-        assert {"ij,ij->", "ij,ij->i", "...ij,...ij->...", "...j,...j->..."} <= subscripts
+        assert {"ij,ij->", "...ij,...ij->...", "...ij,...ij->...j"} <= subscripts
         rng = np.random.default_rng(8)
         blocks = [rng.standard_normal(shape) for shape in
-                  ((grid.n, 3), (16, grid.n, 3), (64, grid.n, 3))]
-        blocks += [rng.standard_normal((3, grid.n)).T,
-                   rng.standard_normal((16, 3, grid.n)).transpose(0, 2, 1)]
+                  ((3, grid.n), (16, 3, grid.n), (64, 3, grid.n))]
+        blocks += [rng.standard_normal((grid.n, 3)).T,
+                   rng.standard_normal((16, grid.n, 3)).transpose(0, 2, 1)]
         weights = rng.random(grid.n)
         for spec in sorted(subscripts):
             terms = spec.split("->")[0].split(",")
@@ -199,9 +202,9 @@ class TestSpectrum:
     def test_single_mode_coefficient(self, grid):
         # dst_ortho coefficients times sqrt(2/(n+1)) are the sine amplitudes
         coeffs = dst_ortho(sw.sine_field(grid, 3, 2, 0.25)) * np.sqrt(2.0 / (grid.n + 1))
-        assert coeffs[2, 1] == pytest.approx(0.25, rel=1e-12)
+        assert coeffs[1, 2] == pytest.approx(0.25, rel=1e-12)
         mask = np.ones_like(coeffs, dtype=bool)
-        mask[2, 1] = False
+        mask[1, 2] = False
         assert np.abs(coeffs[mask]).max() <= 1e-13
 
 
@@ -234,17 +237,17 @@ class TestSobolevNorm:
 
 class TestTripleCross:
     def test_unit_axes(self):
-        out = sw.triple_cross(np.array([1.0, 0, 0]), np.array([0.0, 1.0, 0]))
-        assert np.allclose(out, [0.0, -1.0, 0.0], atol=1e-15)
+        out = sw.triple_cross(np.array([[1.0], [0], [0]]), np.array([[0.0], [1.0], [0]]))
+        assert np.allclose(out, [[0.0], [-1.0], [0.0]], atol=1e-15)
 
     def test_parallel_annihilates(self):
-        h = np.array([0.3, -1.2, 2.0])
+        h = np.array([[0.3], [-1.2], [2.0]])
         assert np.abs(sw.triple_cross(h, 4.5 * h)).max() <= 1e-13
 
     def test_thousand_random_pairs(self):
-        h = RNG.standard_normal((1000, 3))
-        k = RNG.standard_normal((1000, 3))
-        direct = np.cross(h, np.cross(h, k))
+        h = RNG.standard_normal((3, 1000))
+        k = RNG.standard_normal((3, 1000))
+        direct = np.cross(h, np.cross(h, k, axis=0), axis=0)
         assert np.abs(sw.triple_cross(h, k) - direct).max() <= 1e-13
 
 
@@ -293,7 +296,7 @@ class TestNormalization:
     def test_first_mode_coefficient(self, grid):
         u = sw.normalize_sphere(grid, sw.sine_field(grid, 1, 1))
         expected = np.sqrt(2.0 / grid.L) * np.sin(np.pi * grid.x / grid.L)
-        assert np.abs(u[:, 0] - expected).max() <= 1e-12
+        assert np.abs(u[0] - expected).max() <= 1e-12
 
     def test_zero_rejected(self, grid):
         with pytest.raises(sw.DegenerateFieldError):
@@ -304,7 +307,7 @@ class TestHelmholtzSolver:
     def test_helmholtz_solver_vs_dense(self, grid):
         c0, c2 = 1.7, 3e-4
         solver = HelmholtzSolver(grid, c0, c2)
-        b = random_field(grid)
+        b = RNG.standard_normal((grid.n, 3))
         dense = c0 * np.eye(grid.n) - c2 * dense_second_difference(grid)
         expected = np.linalg.solve(dense, b)
         assert np.abs(solver.solve(b) - expected).max() <= 1e-11
@@ -329,3 +332,34 @@ class TestHelmholtzSolver:
         y = solver.solve(poisoned)
         assert np.isnan(y[:, 17]).all()
         assert np.array_equal(np.delete(y, 17, axis=1), np.delete(x, 17, axis=1))
+
+
+
+def _spde_params(grid):
+    return sw.SpdeParams(grid=grid, mu=0.1, dt=1e-4, T=1e-3)
+
+
+# every entry point that takes fields, called with node-major (n, 3) data
+NODE_MAJOR_CALLS = {
+    "inner_l2": lambda g, b, f: sw.inner_l2(g, f, f),
+    "laplacian": lambda g, b, f: sw.laplacian(g, f),
+    "laplacian-block": lambda g, b, f: sw.laplacian(g, np.stack([f] * 4)),
+    "sobolev_norm": lambda g, b, f: sw.sobolev_norm(g, f, 1.0),
+    "strat_correction": lambda g, b, f: sw.strat_correction(f, f, b),
+    "noise_field": lambda g, b, f: noise_field(f, f, b, np.zeros(b.m)),
+    "SpdeStepper": lambda g, b, f: SpdeStepper(_spde_params(g), b, f, f),
+    "SpdeStepper-block": lambda g, b, f: SpdeStepper(_spde_params(g), b, np.stack([f] * 4),
+                                                     np.stack([f] * 4)),
+    "simulate": lambda g, b, f: sw.simulate(f, f, _spde_params(g), b),
+    "solve_limit": lambda g, b, f: sw.solve_limit(f, LimitParams.auto(g, 0.1), b),
+}
+
+
+@pytest.mark.parametrize("name", list(NODE_MAJOR_CALLS))
+def test_node_major_field_is_refused(grid, name):
+    # one layout: a caller with (n, 3) data fails loudly, naming (3, n),
+    # instead of computing on transposed data
+    basis = sw.build_basis(grid, 16, 2.0)
+    old = sw.normalize_sphere(grid, random_field(grid)).T.copy()
+    with pytest.raises(sw.ShapeError, match=rf"\(3, {grid.n}\)"):
+        NODE_MAJOR_CALLS[name](grid, basis, old)

@@ -49,7 +49,7 @@ def rk4_oracle(u0, params, basis, n_out):
 
 
 def random_field(grid, rng=RNG):
-    return rng.standard_normal((grid.n, 3))
+    return rng.standard_normal((3, grid.n))
 
 
 def smooth_perturbation(grid, rng):
@@ -77,9 +77,9 @@ class TestMobility:
             phi = 10.0 * RNG.random(grid.n)
             gamma = 0.5 + 2.0 * RNG.random()
             x = sw.mobility_apply_inverse(u, phi, gamma, r)
-            uu = np.einsum("ij,ij->i", u, u)[:, None]
-            ux = np.einsum("ij,ij->i", u, x)[:, None]
-            back = (gamma + 0.5 * phi[:, None] * uu) * x - 0.5 * phi[:, None] * ux * u
+            uu = np.einsum("ij,ij->j", u, u)
+            ux = np.einsum("ij,ij->j", u, x)
+            back = (gamma + 0.5 * phi * uu) * x - 0.5 * phi * ux * u
             assert np.abs(back - r).max() <= 1e-13 * (1 + np.abs(r).max())
 
 

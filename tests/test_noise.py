@@ -21,7 +21,7 @@ def basis(grid):
 
 
 def random_field(grid, rng=RNG):
-    return rng.standard_normal((grid.n, 3))
+    return rng.standard_normal((3, grid.n))
 
 
 class TestBuildBasis:
@@ -65,10 +65,10 @@ class TestStratCorrection:
         # with u.v = 0 at every node the trace reduces to -phi |u|^2 v
         u = sw.zero_field(grid)
         v = sw.zero_field(grid)
-        u[:, 0] = RNG.standard_normal(grid.n)
-        v[:, 1] = RNG.standard_normal(grid.n)
+        u[0] = RNG.standard_normal(grid.n)
+        v[1] = RNG.standard_normal(grid.n)
         out = sw.strat_correction(u, v, basis)
-        expected = -basis.phi[:, None] * (u[:, 0] ** 2)[:, None] * v
+        expected = -basis.phi * u[0] ** 2 * v
         assert np.abs(out - expected).max() <= 1e-12
 
     def test_trace_summation_oracle(self, grid, basis):
@@ -77,8 +77,8 @@ class TestStratCorrection:
             u, v = random_field(grid), random_field(grid)
             direct = sw.zero_field(grid)
             for i in range(basis.m):
-                xi = basis.xi[i][:, None]
-                direct += np.cross(u, np.cross(u, v) * xi) * xi
+                xi = basis.xi[i]
+                direct += np.cross(u, np.cross(u, v, axis=0) * xi, axis=0) * xi
             fast = sw.strat_correction(u, v, basis)
             assert np.abs(fast - direct).max() <= 1e-12 * (1 + np.abs(fast).max())
 
@@ -86,9 +86,9 @@ class TestStratCorrection:
         # |u x v|^2 phi + v . (phi u x (u x v)) = 0 pointwise
         for _ in range(50):
             u, v = random_field(grid), random_field(grid)
-            uxv = np.cross(u, v)
-            lhs = np.einsum("ij,ij->i", uxv, uxv) * basis.phi
-            rhs = np.einsum("ij,ij->i", v, sw.strat_correction(u, v, basis))
+            uxv = np.cross(u, v, axis=0)
+            lhs = np.einsum("ij,ij->j", uxv, uxv) * basis.phi
+            rhs = np.einsum("ij,ij->j", v, sw.strat_correction(u, v, basis))
             assert np.abs(lhs + rhs).max() <= 1e-12 * (1 + np.abs(lhs).max())
 
 
@@ -106,15 +106,15 @@ class TestApplyNoise:
         b = sw.build_basis(grid, 1, 2.0)
         u, v = random_field(grid), random_field(grid)
         out = noise_field(u, v, b, np.array([1.0]))
-        expected = np.cross(u, v) * b.xi[0][:, None]
+        expected = np.cross(u, v, axis=0) * b.xi[0]
         assert np.abs(out - expected).max() <= 1e-14
 
     def test_pointwise_orthogonality(self, grid, basis):
         u, v = random_field(grid), random_field(grid)
         dw = np.sqrt(1e-3) * sw.derive_stream(4, 0).standard_normal(basis.m)
         out = noise_field(u, v, basis, dw)
-        assert np.abs(np.einsum("ij,ij->i", u, out)).max() <= 1e-12
-        assert np.abs(np.einsum("ij,ij->i", v, out)).max() <= 1e-12
+        assert np.abs(np.einsum("ij,ij->j", u, out)).max() <= 1e-12
+        assert np.abs(np.einsum("ij,ij->j", v, out)).max() <= 1e-12
 
     def test_length_mismatch(self, grid, basis):
         u, v = random_field(grid), random_field(grid)
@@ -125,7 +125,7 @@ class TestApplyNoise:
     def test_block_kick_is_lone_kick(self, grid, basis, S):
         # a sample's kick depends neither on its block nor on the block size
         rng = np.random.default_rng(S)
-        u, v = rng.standard_normal((2, S, grid.n, 3))
+        u, v = rng.standard_normal((2, S, 3, grid.n))
         dw = rng.standard_normal((S, basis.m))
         kick = noise_field(u, v, basis, dw)
         assert kick.shape == u.shape
@@ -139,11 +139,11 @@ class TestApplyNoise:
         # the stacked matmul must keep the rounding of one matrix-vector
         # product per sample; a matrix-matrix product over the block would not
         rng = np.random.default_rng(10 + S)
-        u, v = rng.standard_normal((2, S, grid.n, 3))
+        u, v = rng.standard_normal((2, S, 3, grid.n))
         dw = rng.standard_normal((S, basis.m))
-        scalar = np.empty((S, grid.n, 1))
+        scalar = np.empty((S, 1, grid.n))
         for j in range(S):
-            scalar[j, :, 0] = np.matmul(basis.xi.T, dw[j])
+            scalar[j, 0] = np.matmul(basis.xi.T, dw[j])
         assert np.array_equal(noise_field(u, v, basis, dw), cross(u, v) * scalar)
 
 

@@ -27,7 +27,7 @@ def gentle_data(grid):
 
 
 def random_field(grid, rng=RNG):
-    return rng.standard_normal((grid.n, 3))
+    return rng.standard_normal((3, grid.n))
 
 
 class TestParams:
@@ -173,36 +173,50 @@ class TestStep:
             assert err.value.step in (1, 2) and err.value.sample == 0
 
     def test_blowup_stays_in_the_block_as_nan(self, grid, basis, gentle_data):
-        # one sample of three blows up and steps on as NaN; the other two step
-        # on bit for bit as in a block without it, and the blow-up step
-        # matches the lone trajectory's
+        # sample 1 of the block blows up and steps on as NaN; the others step
+        # on bit for bit as in blocks without it in state, remainder and
+        # defects, and the blow-up step and its last finite diagnostics match
+        # the lone trajectory's.  Two inputs: a trio against a pair, and an
+        # S = 16 block against S = 1 runs of the same samples
         u0, v0 = gentle_data
         params = sw.SpdeParams(grid=grid, mu=0.1, dt=1e-4, T=2e-3)
-        rng = sw.derive_stream(3, 0)
-        incs = np.sqrt(params.dt) * rng.standard_normal((params.n_steps, 3, basis.m))
-        incs[4, 1] = 1e200
-        with pytest.raises(sw.BlowUpError) as err:
-            sw.simulate(u0, v0, params, basis, increments=incs[:, 1])
         rows = list(range(params.n_steps + 1))
-        trio = SpdeStepper(params, basis, np.stack([u0] * 3), np.stack([v0] * 3),
-                           samples=[7, 8, 9])
-        pair = SpdeStepper(params, basis, np.stack([u0] * 2), np.stack([v0] * 2),
-                           samples=[7, 9])
-        trio.run(incs, rows, lambda r: None)
-        pair.run(incs[:, [0, 2]], rows, lambda r: None)
-        # step 5 takes the kick and stays finite (unprojected); step 6 overflows
-        assert [(e.sample, e.step) for e in trio.lost] == [(8, err.value.step)]
-        assert err.value.step == 6 and err.value.sample == 0
-        assert trio.alive.tolist() == [True, False, True] and not pair.lost
-        assert trio.samples.tolist() == [7, 8, 9]
-        assert np.isnan(trio.u[1]).all() and np.isnan(trio.v[1]).all()
-        assert np.array_equal(trio.u[[0, 2]], pair.u) and np.array_equal(trio.v[[0, 2]], pair.v)
-        for key, acc in trio.remainder.items():
-            assert np.array_equal(acc[[0, 2]], pair.remainder[key])
-        assert np.array_equal(trio.energy()[[0, 2]], pair.energy())
-        # samples alive at the start of each step: the pair's 2 x 20, and the
-        # lost sample's 6 up to and including its blow-up step
-        assert pair.sample_steps == 40 and trio.sample_steps == 46
+        for size, parts in ((3, [[0, 2]]), (16, [[j] for j in range(16) if j != 1])):
+            rng = sw.derive_stream(3, 0)
+            incs = np.sqrt(params.dt) * rng.standard_normal((params.n_steps, size, basis.m))
+            incs[4, 1] = 1e200
+            with pytest.raises(sw.BlowUpError) as err:
+                sw.simulate(u0, v0, params, basis, increments=incs[:, 1])
+            labels = np.arange(7, 7 + size)
+            block = SpdeStepper(params, basis, np.stack([u0] * size), np.stack([v0] * size),
+                                samples=labels)
+            block.run(incs, rows, lambda r: None)
+            # step 5 takes the kick and stays finite (unprojected); step 6 overflows
+            assert [(e.sample, e.step) for e in block.lost] == [(8, err.value.step)]
+            assert err.value.step == 6 and err.value.sample == 0
+            # (the kicked state is finite, but its norms overflow to NaN here)
+            assert list(block.lost[0].diagnostics) == list(err.value.diagnostics)
+            assert np.array_equal(list(block.lost[0].diagnostics.values()),
+                                  list(err.value.diagnostics.values()), equal_nan=True)
+            assert block.alive.tolist() == [j != 1 for j in range(size)]
+            assert block.samples.tolist() == labels.tolist()
+            assert np.isnan(block.u[1]).all() and np.isnan(block.v[1]).all()
+            for part in parts:
+                alone = SpdeStepper(params, basis, np.stack([u0] * len(part)),
+                                    np.stack([v0] * len(part)), samples=labels[part])
+                alone.run(incs[:, part], rows, lambda r: None)
+                assert not alone.lost
+                assert np.array_equal(block.u[part], alone.u)
+                assert np.array_equal(block.v[part], alone.v)
+                for key, acc in block.remainder.items():
+                    assert np.array_equal(acc[part], alone.remainder[key]), key
+                assert np.array_equal(block.energy()[part], alone.energy())
+                assert np.array_equal(block.norm_defect[part], alone.norm_defect)
+                assert np.array_equal(block.tangent_defect[part], alone.tangent_defect)
+                assert alone.sample_steps == 20 * len(part)
+            # samples alive at the start of each step: 20 for each survivor,
+            # and the lost sample's 6 up to and including its blow-up step
+            assert block.sample_steps == 20 * (size - 1) + 6
 
     def test_block_stops_when_every_sample_is_lost(self, grid, basis, gentle_data):
         # both samples blow up at step 6, so run stops there, short of T
@@ -233,11 +247,11 @@ class TestStep:
         for _ in range(params.n_steps):
             engine.step(np.sqrt(params.dt) * rng.standard_normal((2, basis.m)))
             states.append(engine.u.copy())
-        u = np.stack(states)                      # (steps + 1, 2, n, 3)
+        u = np.stack(states)                      # (steps + 1, 2, 3, n)
         lap = np.stack([sw.laplacian(grid, f) for f in u])
-        lap_u = (lap * u).sum(axis=-1, keepdims=True)
+        lap_u = (lap * u).sum(axis=-2, keepdims=True)
         h1 = -grid.h * lap_u.sum(axis=(-2, -1), keepdims=True)
-        uu = (u * u).sum(axis=-1, keepdims=True)
+        uu = (u * u).sum(axis=-2, keepdims=True)
         integrands = {"iAN": lap + h1 * u, "iCD": (lap_u + h1 * uu) * u}
         assert not np.allclose(u[-1, 0], u[-1, 1])   # the two samples differ
         for key, values in integrands.items():
@@ -349,7 +363,7 @@ class TestDiagnostics:
         assert row["energy"][0] == pytest.approx(sw.h1_seminorm_sq(grid, u0), rel=1e-13)
         assert abs(row["theta"][0]) <= 1e-14 and row["v_h"][0] == 0.0
         with pytest.raises(sw.BlowUpError):
-            SpdeStepper(params, basis, np.full((grid.n, 3), np.nan), v0)
+            SpdeStepper(params, basis, np.full((3, grid.n), np.nan), v0)
 
     def test_acc_v2_nondecreasing(self, grid, basis, gentle_data):
         u0, v0 = gentle_data

@@ -15,6 +15,7 @@ import pytest
 import spherewave as sw
 import spherewave.study as study_module
 from spherewave.config import build_grid, resolve_config, spde_params_from
+from spherewave.spde import BLOWUP_DIAGNOSTICS, SpdeStepper
 from spherewave.study import (
     BLOCK_SIZE,
     REFINEMENT_STREAM,
@@ -111,7 +112,7 @@ class TestRemainderTerms:
                             stride=10, keep_fields=keep)
                 for keep in (False, True)]
         assert runs[0].u_fields is None and runs[0].v_fields is None
-        assert runs[1].u_fields.shape == (11, grid.n, 3)
+        assert runs[1].u_fields.shape == (11, 3, grid.n)
         assert np.array_equal(runs[0].j_norms, runs[1].j_norms)
         assert np.array_equal(runs[0].identity_residual, runs[1].identity_residual)
 
@@ -435,18 +436,51 @@ class TestConstraintDefects:
                                                            rel=0.01)
             assert row.norm_defect_sup > 1e-6   # the drift off the sphere shows
 
-    def test_unprojected_blowups_are_recorded_not_warned(self):
+    @pytest.fixture(scope="class")
+    def unprojected(self):
+        # the study of {"study": {"ensemble": 5, "projection": false}} at its
+        # two smallest masses, where every blow-up of that run happens
+        config = StudyConfig(ensemble=5, projection=False, mu_values=(0.05, 0.025))
+        return config, run_study(config)
+
+    def test_unprojected_blowups_are_recorded_not_warned(self, unprojected):
         # huge but finite states overflow in the remainder integrands, their
         # left sums and the row reduction before they go non-finite; under
         # the suite's error::RuntimeWarning any warning there would raise
-        config = StudyConfig(ensemble=5, projection=False, mu_values=(0.05, 0.025))
-        result = run_study(config)
+        _, result = unprojected
         blowups = [(row.mu, row.sample, row.blowup_step) for row in result.rows
                    if row.blowup_step is not None]
         assert blowups == [(0.05, 0, 1266), (0.05, 1, 1244), (0.025, 0, 1382),
                            (0.025, 1, 1357), (0.025, 2, 1389), (0.025, 3, 1408),
                            (0.025, 4, 1388)]
         assert len(result.failed_checks) == 2
+
+    def test_blowups_carry_the_last_finite_diagnostics(self, unprojected):
+        # each blown-up row records energy, theta, eta and u_h1 of its last
+        # state with finite norms: finite, and those of a lone run of the
+        # sample stopped before its norms overflow; a healthy row records none
+        config, result = unprojected
+        for row in result.rows:
+            if row.blowup_step is None:
+                assert row.last_finite == {}
+                continue
+            assert list(row.last_finite) == list(BLOWUP_DIAGNOSTICS)
+            assert np.isfinite(list(row.last_finite.values())).all(), row
+        row = next(row for row in result.rows if (row.mu, row.sample) == (0.05, 1))
+        grid = config.grid()
+        basis = config.basis(grid)
+        params = config.spde_params(row.mu, grid)
+        increments = _increments(config, params, basis.m, range(row.sample, row.sample + 1),
+                                 0, 1)
+        engine = SpdeStepper(params, basis, *config.initial_data(grid))
+        for k in range(row.blowup_step):
+            with np.errstate(all="ignore"):   # |u|_{H2} of these states overflows
+                last = engine.diagnostics()
+            engine.step(increments[k])
+            if not np.isfinite(engine.h1 + engine.vh2).all():
+                break
+        assert not engine.lost or engine.step_index == row.blowup_step
+        assert row.last_finite == {name: float(last[name][0]) for name in BLOWUP_DIAGNOSTICS}
 
 
 class TestRefinementBias:
@@ -519,11 +553,16 @@ class TestTargetJobs:
     """The limit targets as the first jobs of the run, their rows shared with the blocks."""
 
     def test_blowup_error_survives_pickling(self):
-        for err in (sw.BlowUpError(51, sample=3), sw.BlowUpError(7)):
+        last = {"energy": 1.5e300, "theta": 0.25, "eta": -3.0, "u_h1": 7.0}
+        for err in (sw.BlowUpError(51, sample=3), sw.BlowUpError(7),
+                    sw.BlowUpError(12, sample=0, diagnostics=last)):
             back = pickle.loads(pickle.dumps(err))
             assert type(back) is sw.BlowUpError
-            assert (str(back), back.step, back.sample) == (str(err), err.step, err.sample)
-        assert str(back) == "non-finite field at step 7"
+            assert ((str(back), back.step, back.sample, back.diagnostics)
+                    == (str(err), err.step, err.sample, err.diagnostics))
+        assert str(sw.BlowUpError(7)) == "non-finite field at step 7"
+        assert str(back) == ("non-finite field at step 12 of sample 0 (last finite diagnostics:"
+                             " energy=1.5e+300, theta=0.25, eta=-3, u_h1=7)")
 
     def test_targets_run_first_and_blocks_costliest_first(self, small_config, monkeypatch):
         order = []
