@@ -40,8 +40,7 @@ def main():
 
     u0 = sw.normalize_sphere(grid, sw.sine_field(grid, 1, 1)
                              + sw.sine_field(grid, 2, 2, 0.1))
-    traj = sw.solve_limit(u0, params, basis, stride=params.n_steps // 256,
-                          keep_fields=False)
+    traj = sw.solve_limit(u0, params, basis, stride=params.n_steps // 256)
     print(f"\nrelaxation run to T=1 ({params.n_steps} steps, dt={params.dt:.2e}):")
     print(f"  |u|_H1: {traj.u_h1[0]:.4f} -> {traj.u_h1[-1]:.4f}"
           f"  (ground state: {np.sqrt(sw.eigenvalue(grid, 1)):.4f})")

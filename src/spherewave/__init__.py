@@ -32,7 +32,6 @@ from .fields import (
     project_tangent,
     sine_field,
     sobolev_norm,
-    spectral_norm,
     triple_cross,
     zero_field,
 )
@@ -56,7 +55,6 @@ from .spde import (
     SpdeParams,
     SpdeStepper,
     SpdeTrajectory,
-    remainder_norms,
     simulate,
 )
 from .study import (

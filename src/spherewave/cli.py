@@ -87,8 +87,7 @@ def cmd_limit(args) -> int:
     params = limit_params_from(cfg, grid, basis)
     u0, _ = initial_fields_from(cfg, grid)
     start = time.perf_counter()
-    traj = solve_limit(u0, params, basis, stride=cfg["output"]["stride"],
-                       keep_fields=False)
+    traj = solve_limit(u0, params, basis, stride=cfg["output"]["stride"])
     out = output_directory(cfg)
     header = ["t", "u_h1", "u_h2", "ut_h", "sphere_residual", "projection_defect",
               "energy_lhs", "energy_rhs"]

@@ -26,7 +26,7 @@ class BlowUpError(RuntimeError):
 
     Carries the step index at which the blow-up was detected, for a sample
     of an ensemble block the sample's index, and `diagnostics`, the named
-    scalars of its last state with finite norms (empty when there was
+    scalars of the state before the blow-up step (empty when there was
     none, as for a refused start); the message ends with them.
     """
 

@@ -53,7 +53,6 @@ __all__ = [
     "dst_ortho",
     "spectral_weights",
     "weighted_norm",
-    "spectral_norm",
     "sobolev_norm",
     "cross",
     "triple_cross",
@@ -214,11 +213,14 @@ def h2_norm_sq(grid: Grid1D, f: np.ndarray) -> float:
 
 
 def eigenvalue(grid: Grid1D, k: int) -> float:
-    """Eigenvalue of -A_h on the k-th discrete sine vector."""
-    return (2.0 / grid.h ** 2) * (1.0 - np.cos(k * np.pi * grid.h / grid.L))
+    """Eigenvalue of -A_h on the k-th discrete sine vector, k = 1..n."""
+    if not 1 <= k <= grid.n:
+        raise ParameterError(f"mode index must lie in 1..{grid.n}, got {k}")
+    return eigenvalues(grid)[k - 1]
 
 
 def eigenvalues(grid: Grid1D) -> np.ndarray:
+    """Eigenvalues (2 / h^2)(1 - cos(k pi h / L)) of -A_h on the sine vectors k = 1..n."""
     k = np.arange(1, grid.n + 1)
     return (2.0 / grid.h ** 2) * (1.0 - np.cos(k * np.pi * grid.h / grid.L))
 
@@ -252,18 +254,13 @@ def weighted_norm(grid: Grid1D, weights: np.ndarray, f: np.ndarray) -> np.ndarra
     return np.sqrt(grid.h * c_einsum("k,...dk,...dk->...", weights, f, f))
 
 
-def spectral_norm(grid: Grid1D, coeffs: np.ndarray, delta: float) -> np.ndarray:
-    """Fractional Sobolev norms of fields given by their dst_ortho coefficients.
-
-    Mode k is weighted by spectral_weights(grid, delta).  coeffs has shape
-    (..., 3, n); the result has the leading shape.
-    """
-    return weighted_norm(grid, spectral_weights(grid, delta), coeffs)
-
-
 def sobolev_norm(grid: Grid1D, f: np.ndarray, delta: float) -> float:
-    """Fractional Sobolev norm of order delta in [0, 2] via the sine spectrum."""
-    return float(spectral_norm(grid, dst_ortho(_check_field(grid, f)), delta))
+    """Fractional Sobolev norm of order delta in [0, 2] via the sine spectrum.
+
+    Mode k of the dst_ortho coefficients is weighted by spectral_weights(grid, delta).
+    """
+    coeffs = dst_ortho(_check_field(grid, f))
+    return float(weighted_norm(grid, spectral_weights(grid, delta), coeffs))
 
 
 # component c of f x g is f_I[c] g_J[c] - f_J[c] g_I[c]

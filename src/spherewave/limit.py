@@ -292,11 +292,10 @@ class LimitTrajectory:
     projection_defect: np.ndarray
     energy_lhs: np.ndarray
     energy_rhs: float
-    u_fields: np.ndarray | None = None
 
 
 def solve_limit(u0: np.ndarray, params: LimitParams, basis: NoiseBasis, *,
-                stride: int = 1, keep_fields: bool = True, on_row=None) -> LimitTrajectory:
+                stride: int = 1, on_row=None) -> LimitTrajectory:
     """Run the limit flow to T, recording every `stride` steps plus the end.
 
     on_row, when given, is called as on_row(r, u) once row r is recorded,
@@ -314,7 +313,6 @@ def solve_limit(u0: np.ndarray, params: LimitParams, basis: NoiseBasis, *,
     sphere = np.empty(n_rows)
     defect = np.empty(n_rows)
     energy_lhs = np.empty(n_rows)
-    u_fields = np.empty((n_rows, 3, grid.n)) if keep_fields else None
     energy_rhs = float(flow.h1)
 
     def record(r: int, worst_defect: float):
@@ -325,8 +323,6 @@ def solve_limit(u0: np.ndarray, params: LimitParams, basis: NoiseBasis, *,
         sphere[r] = abs(norm_l2(grid, flow.u) - 1.0)
         defect[r] = worst_defect
         energy_lhs[r] = flow.h1 + 2.0 * params.gamma * flow.int_ut_sq
-        if keep_fields:
-            u_fields[r] = flow.u
         if on_row is not None:
             on_row(r, flow.u)
 
@@ -340,8 +336,7 @@ def solve_limit(u0: np.ndarray, params: LimitParams, basis: NoiseBasis, *,
 
     return LimitTrajectory(params=params, t=t, u_h1=u_h1, u_h2=u_h2, ut_h=ut_h,
                            sphere_residual=sphere, projection_defect=defect,
-                           energy_lhs=energy_lhs, energy_rhs=energy_rhs,
-                           u_fields=u_fields)
+                           energy_lhs=energy_lhs, energy_rhs=energy_rhs)
 
 
 @dataclass

@@ -17,10 +17,10 @@ samples held as C-ordered (S, 3, n) arrays (the layout of fields.py), with
 one tridiagonal LDL^T solve on all 3S node rows per step, in place.  A
 single trajectory (simulate) is the block S = 1.  Every operation acts on
 each sample separately, so a sample's numbers do not depend on the block it
-shares.  A block keeps its shape: a sample that goes non-finite is recorded
-as a BlowUpError, with the diagnostics of its last state with finite
-norms, and steps on as NaN, which leaves the other samples' numbers as
-they were.
+shares.  A block keeps its shape: a sample is lost at the first step
+whose new state has non-finite norms, recorded as a BlowUpError with the
+diagnostics of the state before the blow-up step, and steps on as NaN,
+which leaves the other samples' numbers as they were.
 
 Structure diagnostics: the pathwise energy
 
@@ -43,7 +43,7 @@ remainder,
     J3 = (3 mu/2 gamma) phi int (u.v) v ds      J6 = mu^alpha int (u x v) dw
 
 and the residual of the full identity, a pure time-discretisation quantity,
-are evaluated by RemainderIdentity (remainder_norms) from those accumulators.
+are evaluated by RemainderIdentity from those accumulators.
 """
 
 from __future__ import annotations
@@ -73,7 +73,6 @@ __all__ = [
     "SpdeStepper",
     "REMAINDER_KEYS",
     "RemainderIdentity",
-    "remainder_norms",
     "simulate",
 ]
 
@@ -85,7 +84,7 @@ CFL_LIMIT = 0.5
 
 # trapezoid integrals of the integrated identity: "iAN" is
 # A_h u + |u|_{H1}^2 u and "iCD" is ((A_h u).u + |u|_{H1}^2 |u|^2) u, the two
-# sums remainder_norms reads; "j6", the Ito sum mu^alpha int (u x v) dw, is
+# sums RemainderIdentity.norms reads; "j6", the Ito sum mu^alpha int (u x v) dw, is
 # accumulated with the noise kick
 REMAINDER_KEYS = ("iAN", "iCD", "j2", "j3", "j4", "j5")
 # rows per evaluation of every row quantity along one trajectory: simulate
@@ -96,7 +95,7 @@ ROW_CHUNK = 64
 # the exponent a of the weighted-H2 monitor's factor exp(-a int |v|_H^2 ds)
 WEIGHT_A = 1.0
 DIAGNOSTICS = ("energy", "theta", "eta", "u_h1", "u_h2", "v_h", "v_h1", "weighted_h2")
-# the diagnostics a BlowUpError carries from a lost sample's last state with finite norms
+# the diagnostics a BlowUpError carries from the state before a lost sample's blow-up step
 BLOWUP_DIAGNOSTICS = ("energy", "theta", "eta", "u_h1")
 
 
@@ -226,9 +225,11 @@ class SpdeStepper:
     u0 and v0 are one field (3, n) or a block (S, 3, n).  Block arrays have
     shape (S, 3, n) in C order, per-sample scalars shape (S,); `samples`
     labels the block's samples (0..S-1 by default).  The block keeps its
-    shape: `alive` marks the samples that have not blown up, and a lost
-    sample's fields are NaN from its blow-up step on; its BlowUpError
-    carries BLOWUP_DIAGNOSTICS of its last state with finite norms.  Each
+    shape: `alive` marks the samples that have not blown up.  A sample is
+    lost at the first step whose new state has non-finite norms, which any
+    non-finite field also gives; its fields are NaN from that step on, and
+    its BlowUpError carries BLOWUP_DIAGNOSTICS of the state before the
+    blow-up step.  A start with non-finite norms is refused.  Each
     step does one tridiagonal LDL^T solve, with the factor computed here, on
     the right-hand side (S, 3, n), which is the Fortran-ordered (n, 3S)
     matrix of its node rows, in place.
@@ -248,9 +249,6 @@ class SpdeStepper:
         self.samples = np.arange(len(u0)) if samples is None else np.array(samples)
         if self.samples.shape != (len(u0),):
             raise ShapeError(f"need one label per sample, got {self.samples.shape}")
-        finite = np.isfinite(u0).all(axis=(1, 2)) & np.isfinite(v0).all(axis=(1, 2))
-        if not finite.all():
-            raise BlowUpError(0, sample=int(self.samples[~finite][0]))
         self.params = params
         self.basis = basis
         dt, mu = params.dt, params.mu
@@ -261,22 +259,21 @@ class SpdeStepper:
         self.sample_steps = 0
         self.alive = np.ones(len(u0), dtype=bool)
         self.lost: list[BlowUpError] = []
-        # block position -> BLOWUP_DIAGNOSTICS of its state before its norms overflowed
-        self._last_finite: dict[int, dict] = {}
         self.u0, self.v0 = u0, v0
         self.acc_v2 = np.zeros(len(u0))
         self.norm_defect, self.tangent_defect = np.zeros(len(u0)), np.zeros(len(u0))
         self.acc_noise = np.zeros_like(u0)
-        self._bind(u0.copy(), v0.copy())
-        # finite fields can still overflow their norms, which every step and
-        # the integrands read: refuse the start before evaluating those
-        finite = np.isfinite(self.h1) & np.isfinite(self.vh2)
-        if not finite.all():
-            raise BlowUpError(0, sample=int(self.samples[~finite][0]))
-        # the latest integrands f_k, and their left sum from f_0 / 2 on; a
-        # huge start may overflow in them, and is lost at its first step
         self._last = np.empty((len(REMAINDER_KEYS),) + u0.shape)
         with np.errstate(all="ignore"):
+            self._bind(u0.copy(), v0.copy())
+            # refuse a start with non-finite norms, the step's test of a lost
+            # sample (any non-finite field gives them), before the integrands
+            # read them
+            finite = np.isfinite(self.h1 + self.vh2)
+            if not finite.all():
+                raise BlowUpError(0, sample=int(self.samples[~finite][0]))
+            # the latest integrands f_k, and their left sum from f_0 / 2 on; a
+            # huge start may overflow in them, and is lost at its first step
             self._integrands(self._last)
             self._sums = 0.5 * self._last
             self.identity = RemainderIdentity(params, basis, u0, v0)
@@ -307,9 +304,9 @@ class SpdeStepper:
     def step(self, dw: np.ndarray | None = None) -> list[BlowUpError]:
         """Advance the block one step with raw increments dw (S, m); None means no noise.
 
-        Returns the blow-ups of this step: those samples went non-finite and
-        step on as NaN (they are also collected in `lost`, and `alive` turns
-        False for them).
+        Returns the blow-ups of this step: those samples' norms went
+        non-finite, and they step on as NaN (they are also collected in
+        `lost`, and `alive` turns False for them).
         """
         with np.errstate(all="ignore"):
             params, grid = self.params, self.params.grid
@@ -344,43 +341,31 @@ class SpdeStepper:
 
             vh2_old = self.vh2
             self._bind(u_new, v_new)
-            # a non-finite field makes its sample's norms non-finite, so the
-            # fields are only scanned when some sample's norms are
-            lost = []
-            if not np.isfinite(self.h1 + self.vh2).all():
-                lost = self._overflow(u, v, u_new, v_new)
+            lost = self._overflow(u, v)
             self.acc_v2 += 0.5 * dt * (vh2_old + self.vh2)
             self._integrands(self._last)
             self._sums += self._last
             return lost
 
-    def _overflow(self, u, v, u_new, v_new) -> list[BlowUpError]:
-        """Record the live samples whose new norms are non-finite; the step's blow-ups.
+    def _overflow(self, u, v) -> list[BlowUpError]:
+        """Lose the live samples whose new norms are non-finite; the step's blow-ups.
 
         (u, v) is the state before the step, whose norms are finite for
-        these samples.  The first time a sample's norms go non-finite, its
-        BLOWUP_DIAGNOSTICS are taken from that state, with int |v|_H^2 ds not
-        yet updated; its fields may stay finite for more steps, and once
-        they are not, the sample is lost with those diagnostics and its new
-        state becomes NaN.
+        every live sample.  A lost sample's BLOWUP_DIAGNOSTICS are taken from
+        it, with int |v|_H^2 ds not yet updated, and its new state becomes NaN.
         """
-        overflowed = self.alive & ~np.isfinite(self.h1 + self.vh2)
-        first = [pos for pos in np.flatnonzero(overflowed) if pos not in self._last_finite]
-        if first:
-            last = _diagnostics(self.params, u[first], v[first], self.acc_v2[first])
-            for i, pos in enumerate(first):
-                self._last_finite[pos] = {name: float(last[name][i])
-                                          for name in BLOWUP_DIAGNOSTICS}
-        keep = np.isfinite(u_new).all(axis=(1, 2)) & np.isfinite(v_new).all(axis=(1, 2))
-        new = overflowed & ~keep
+        new = self.alive & ~np.isfinite(self.h1 + self.vh2)
         if not new.any():
             return []
+        last = _diagnostics(self.params, u[new], v[new], self.acc_v2[new])
         lost = [BlowUpError(self.step_index, sample=int(self.samples[pos]),
-                            diagnostics=self._last_finite[pos]) for pos in np.flatnonzero(new)]
+                            diagnostics={name: float(last[name][i])
+                                         for name in BLOWUP_DIAGNOSTICS})
+                for i, pos in enumerate(np.flatnonzero(new))]
         self.lost += lost
         self.alive &= ~new
-        u_new[new] = v_new[new] = np.nan
-        self._bind(u_new, v_new)
+        self.u[new] = self.v[new] = np.nan
+        self._bind(self.u, self.v)
         return lost
 
     def run(self, increments: np.ndarray | None, rows: list, on_row) -> None:
@@ -502,17 +487,11 @@ class RemainderIdentity:
         return norms, np.sqrt(inner_each(grid, gap, gap))
 
 
-def remainder_norms(params: SpdeParams, basis: NoiseBasis, u0, v0, u, v,
-                    acc: dict) -> tuple[np.ndarray, np.ndarray]:
-    """RemainderIdentity(params, basis, u0, v0).norms(u, v, acc), for one evaluation."""
-    return RemainderIdentity(params, basis, u0, v0).norms(u, v, acc)
-
-
 # -- trajectory driver --------------------------------------------------------
 
 @dataclass
 class SpdeTrajectory:
-    """Strided diagnostics, the remainder series and optional field snapshots.
+    """Strided diagnostics and the remainder series.
 
     j_norms (rows, 6) holds the H-norms of J_1..J_6 and identity_residual
     (rows,) the residual of the integrated identity.
@@ -530,15 +509,12 @@ class SpdeTrajectory:
     weighted_h2: np.ndarray
     j_norms: np.ndarray
     identity_residual: np.ndarray
-    u_fields: np.ndarray | None = None
-    v_fields: np.ndarray | None = None
 
 
 def simulate(u0: np.ndarray, v0: np.ndarray, params: SpdeParams, basis: NoiseBasis, *,
              rng: np.random.Generator | None = None,
              increments: np.ndarray | None = None,
-             stride: int = 1,
-             keep_fields: bool = False) -> SpdeTrajectory:
+             stride: int = 1) -> SpdeTrajectory:
     """Integrate one trajectory (the engine's block S = 1) and record diagnostics.
 
     The Brownian path comes from `increments` (shape (n_steps, m)) when
@@ -565,8 +541,6 @@ def simulate(u0: np.ndarray, v0: np.ndarray, params: SpdeParams, basis: NoiseBas
     n_rows = len(rows)
     engine = SpdeStepper(params, basis, u0, v0)
     scalars = {name: np.empty(n_rows) for name in ("t",) + DIAGNOSTICS}
-    u_rows = np.empty((n_rows, 3, grid.n)) if keep_fields else None
-    v_rows = np.empty((n_rows, 3, grid.n)) if keep_fields else None
     j_norms, residual = np.empty((n_rows, 6)), np.empty(n_rows)
     chunk = {key: np.empty((ROW_CHUNK, 3, grid.n)) for key in ("u", "v", "j6")}
     # the integrands' left sums and latest values, read off as on the engine
@@ -587,18 +561,9 @@ def simulate(u0: np.ndarray, v0: np.ndarray, params: SpdeParams, basis: NoiseBas
         acc = _accumulators(sums[:, :i + 1], last[:, :i + 1], params.dt, chunk["j6"][:i + 1])
         for name, values in _diagnostics(params, u, v, acc_v2[:i + 1]).items():
             scalars[name][part] = values
-        if keep_fields:
-            u_rows[part], v_rows[part] = u, v
         j_norms[part], residual[part] = engine.identity.norms(u, v, acc)
 
     engine.run(None if increments is None else increments[:, None, :], rows, record)
     if engine.lost:
         raise engine.lost[0]
-    return SpdeTrajectory(
-        params=params,
-        u_fields=u_rows,
-        v_fields=v_rows,
-        j_norms=j_norms,
-        identity_residual=residual,
-        **scalars,
-    )
+    return SpdeTrajectory(params=params, j_norms=j_norms, identity_residual=residual, **scalars)

@@ -31,7 +31,7 @@ every target, the six J norms, the identity residual and the energy; the
 engine keeps the constraint residuals' sups over every step), so no field
 snapshots are kept.  A block keeps its shape when a sample blows up: the
 sample steps on as NaN, and its row records the blow-up step and the
-diagnostics of its last state with finite norms in place of its maxima.
+diagnostics of the state before the blow-up step in place of its maxima.
 The split depends only on the configuration, so every worker count gives
 the same bytes.
 """
@@ -71,7 +71,7 @@ BIAS_SHARE = 0.02        # share of the level mean the bias gate admits beyond 2
 
 @dataclass(frozen=True)
 class StudyConfig:
-    """Configuration of one mass sweep."""
+    """Configuration of one mass sweep, at a noise exponent alpha >= 1/2 (a proven limit)."""
 
     L: float = 1.0
     n: int = 127
@@ -105,8 +105,9 @@ class StudyConfig:
             raise ConfigError(f"mass values must be strictly decreasing, got {mus}")
         if self.ensemble < 1:
             raise ConfigError(f"ensemble size must be >= 1, got {self.ensemble}")
-        if self.alpha < 0.0:
-            raise ConfigError(f"noise exponent must be nonnegative, got {self.alpha}")
+        if self.alpha < 0.5:
+            raise ConfigError(f"noise exponents below 1/2 are exploratory, with no proven"
+                              f" limit to study, got alpha={self.alpha}")
         if not self.u_modes:
             raise ConfigError("initial data needs at least one mode")
         grid = self.grid()
@@ -156,7 +157,7 @@ class SampleRow:
     identity_sup: float
     blowup_step: int | None = None
     gates: tuple = ()
-    # a blown-up sample's spde.BLOWUP_DIAGNOSTICS of its last state with finite norms
+    # a blown-up sample's spde.BLOWUP_DIAGNOSTICS of the state before the blow-up step
     last_finite: dict = field(default_factory=dict)
 
     @property
@@ -278,7 +279,7 @@ def _solve_target(config: StudyConfig, basis: NoiseBasis, u0: np.ndarray,
     lp = LimitParams.auto(basis.grid, config.T, gamma=config.gamma,
                           parabolic=(name == "parabolic"), n_out=config.n_out)
     try:
-        solve_limit(u0, lp, basis, stride=lp.n_steps // config.n_out, keep_fields=False,
+        solve_limit(u0, lp, basis, stride=lp.n_steps // config.n_out,
                     on_row=lambda r, u: _target_rows.publish(k, r, u))
     finally:
         _target_rows.close(k)
@@ -420,12 +421,11 @@ def _run_jobs(config: StudyConfig, targets: tuple, jobs: list, workers: int) -> 
 
 
 def run_study(config: StudyConfig, *, target: str = "auto", extra_targets=(),
-              exploratory: bool = False, workers: int = 1) -> StudyResult:
+              workers: int = 1) -> StudyResult:
     """Run the mass sweep against one or more limit targets.
 
     target="auto" compares against the corrected flow at alpha = 1/2 and the
-    parabolic flow above.  alpha < 1/2 has no proven limit and is admitted
-    only with exploratory=True (no acceptance claims attach).
+    parabolic flow above.
 
     The target solves and then the blocks of every level, costliest first,
     go to `workers` processes (see _run_jobs); the rows do not depend on
@@ -435,9 +435,6 @@ def run_study(config: StudyConfig, *, target: str = "auto", extra_targets=(),
     StudyResult.failed_checks when any mass level exceeds the failure
     budget.
     """
-    if config.alpha < 0.5 and not exploratory:
-        raise ParameterError(
-            "noise exponents below 1/2 are exploratory; pass exploratory=True")
     primary, names = _resolve_targets(config, target, extra_targets)
     grid = config.grid()
     basis = config.basis(grid)
@@ -510,18 +507,14 @@ def refinement_bias(config: StudyConfig, *, workers: int = 1) -> list[dict]:
     Sample j's path is drawn once, on the grid of half the level's step,
     from the stream (master_seed, REFINEMENT_STREAM, j), which no study
     draws, and summed onto the level's own grid.  Both grids run through
-    the study's block engine against the study's primary target, so
-    alpha < 1/2, which has no proven limit, is refused; as in run_study,
-    the target's solve is the first job and the blocks of both grids follow,
-    costliest first.  Per level: the mean
+    the study's block engine against the study's primary target; as in
+    run_study, the target's solve is the first job and the blocks of both
+    grids follow, costliest first.  Per level: the mean
     sup error at the fine step, the paired mean of coarse minus fine
     errors (the bias), its standard error, and whether
     |bias| <= 2 SE + BIAS_SHARE x fine mean.  Pairs with a failed sample
     are left out.
     """
-    if config.alpha < 0.5:
-        raise ParameterError(
-            "noise exponents below 1/2 have no proven limit to measure the bias against")
     primary, names = _resolve_targets(config, "auto", ())
     grid = config.grid()
     basis = config.basis(grid)

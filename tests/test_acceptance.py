@@ -178,7 +178,8 @@ def test_criterion_4_exact_equilibria(grid, basis):
     spde_total = float(np.abs(stepper.u[0] - u0).max())
 
     lp = LimitParams.auto(grid, 1.0, n_out=256)
-    limit_u = sw.solve_limit(u0, lp, basis, stride=1).u_fields
+    limit_u = []
+    sw.solve_limit(u0, lp, basis, stride=1, on_row=lambda r, u: limit_u.append(u))
     limit_step = float(np.abs(np.diff(limit_u, axis=0)).max())
     limit_total = float(np.abs(limit_u[-1] - u0).max())
 
@@ -201,7 +202,7 @@ def test_criterion_5_limit_solver_structure(grid, basis):
         u0 = sw.normalize_sphere(g, sw.sine_field(g, 1, 1)
                                  + sw.sine_field(g, 2, 2, 0.1))
         lp = LimitParams.auto(g, 1.0, n_out=128)
-        traj, coarse = (sw.solve_limit(u0, p, b, stride=lp.n_steps // 128, keep_fields=False)
+        traj, coarse = (sw.solve_limit(u0, p, b, stride=lp.n_steps // 128)
                         for p in (lp, replace(lp, dt=2.0 * lp.dt)))
         defect_ratios.append(float(coarse.projection_defect.max()
                                    / traj.projection_defect.max()))

@@ -152,13 +152,13 @@ class TestSimulateCommand:
 
     def test_blowup_message_carries_last_finite_diagnostics(self, tmp_path, capsys):
         # the default unprojected trajectory at mu = 0.05 overflows at step
-        # 1121; its one stderr line names the diagnostics of its last state
-        # with finite norms, all finite
+        # 1120; its one stderr line names the diagnostics of the state
+        # before that step, all finite
         cfg = write_config(tmp_path / "blowup.json", {
             "physics": {"mu": 0.05}, "output": {"directory": str(tmp_path / "out")}})
         assert cli.main(["simulate", "-c", cfg]) == 2
         err = capsys.readouterr().err
-        match = re.fullmatch(r"numerical failure: non-finite field at step 1121 of sample 0"
+        match = re.fullmatch(r"numerical failure: non-finite field at step 1120 of sample 0"
                              r" \(last finite diagnostics: energy=(\S+), theta=(\S+),"
                              r" eta=(\S+), u_h1=(\S+)\)\n", err)
         assert match, err

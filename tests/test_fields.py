@@ -111,6 +111,10 @@ class TestLaplacian:
             lam = sw.eigenvalue(grid, k)
             defect = sw.laplacian(grid, f) + lam * f
             assert np.abs(defect).max() <= 1e-12 * lam
+        # no index wraps around the spectrum
+        for k in (0, grid.n + 1):
+            with pytest.raises(sw.ParameterError, match="mode index"):
+                sw.eigenvalue(grid, k)
 
     def test_linear_field_interior(self, grid):
         # f = x is linear and vanishes at x = 0, so the stencil is exact

@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 import spherewave as sw
-from spherewave.spde import CFL_LIMIT, DIAGNOSTICS, WEIGHT_A, SpdeStepper, _explicit_force
+from spherewave.spde import (
+    CFL_LIMIT,
+    DIAGNOSTICS,
+    WEIGHT_A,
+    RemainderIdentity,
+    SpdeStepper,
+    _explicit_force,
+)
 
 RNG = np.random.default_rng(9)
 
@@ -130,8 +137,9 @@ class TestStep:
         finals = []
         for dt in dts:
             params = sw.SpdeParams(grid=grid, mu=mu, dt=dt, T=T, gamma=5.0)
-            traj = sw.simulate(u0, v0, params, basis, increments=incs[dt], keep_fields=True)
-            finals.append(traj.u_fields[-1])
+            engine = SpdeStepper(params, basis, u0, v0)
+            engine.run(incs[dt][:, None], [0, params.n_steps], lambda r: None)
+            finals.append(engine.u[0])
         d_coarse = sw.norm_l2(grid, finals[0] - finals[2])
         d_mid = sw.norm_l2(grid, finals[1] - finals[2])
         assert d_mid < d_coarse
@@ -152,25 +160,35 @@ class TestStep:
         u0, _ = gentle_data
         v0 = sw.project_tangent(grid, u0, sw.sine_field(grid, 2, 1))
         params = sw.SpdeParams(grid=grid, mu=0.1, dt=1e-4, T=1e-3)
-        # the fields are finite but a norm overflows, so no step is taken and
-        # no remainder integrand is evaluated (the suite errors on its warnings)
-        for start in ((1e200 * u0, v0), (1e200 * u0, sw.zero_field(grid)), (u0, 1e200 * v0)):
+        # finite fields whose norm overflows, or a NaN or inf node: the one
+        # norms test refuses the start, so no step is taken and no remainder
+        # integrand is evaluated (the suite errors on their warnings)
+        nan_u0, inf_u0 = u0.copy(), u0.copy()
+        nan_u0[1, 7] = np.nan
+        inf_u0[0, 3] = np.inf
+        for start in ((1e200 * u0, v0), (1e200 * u0, sw.zero_field(grid)), (u0, 1e200 * v0),
+                      (nan_u0, v0), (inf_u0, v0)):
             with pytest.raises(sw.BlowUpError) as err:
                 sw.simulate(*start, params, basis)
             assert err.value.step == 0 and err.value.sample == 0
+        # in a block the error names the one bad sample
+        for bad in (nan_u0, inf_u0):
+            with pytest.raises(sw.BlowUpError) as err:
+                SpdeStepper(params, basis, np.stack([u0, bad, u0]), np.stack([v0] * 3))
+            assert err.value.step == 0 and err.value.sample == 1
 
     @pytest.mark.parametrize("projection", [False, True])
     def test_overflowing_start_is_lost_not_warned(self, grid, basis, gentle_data, projection):
         # finite norms, but the remainder integrands and the identity's
         # constant part overflow at the start: the sample is lost at its
-        # first steps, with no RuntimeWarning (the suite errors on them)
+        # first step, with no RuntimeWarning (the suite errors on them)
         u0, _ = gentle_data
         v0 = sw.project_tangent(grid, u0, sw.sine_field(grid, 2, 1))
         params = sw.SpdeParams(grid=grid, mu=0.1, dt=1e-4, T=1e-3, projection=projection)
         for scale in (1e80, 1e110):
             with pytest.raises(sw.BlowUpError) as err:
                 sw.simulate(scale * u0, v0, params, basis, rng=sw.derive_stream(1, 0))
-            assert err.value.step in (1, 2) and err.value.sample == 0
+            assert err.value.step == 1 and err.value.sample == 0
 
     def test_blowup_stays_in_the_block_as_nan(self, grid, basis, gentle_data):
         # sample 1 of the block blows up and steps on as NaN; the others step
@@ -191,13 +209,12 @@ class TestStep:
             block = SpdeStepper(params, basis, np.stack([u0] * size), np.stack([v0] * size),
                                 samples=labels)
             block.run(incs, rows, lambda r: None)
-            # step 5 takes the kick and stays finite (unprojected); step 6 overflows
+            # step 5 takes the kick: its fields stay finite (unprojected), its norms overflow
             assert [(e.sample, e.step) for e in block.lost] == [(8, err.value.step)]
-            assert err.value.step == 6 and err.value.sample == 0
-            # (the kicked state is finite, but its norms overflow to NaN here)
-            assert list(block.lost[0].diagnostics) == list(err.value.diagnostics)
-            assert np.array_equal(list(block.lost[0].diagnostics.values()),
-                                  list(err.value.diagnostics.values()), equal_nan=True)
+            assert err.value.step == 5 and err.value.sample == 0
+            # the diagnostics of the state before step 5, which are finite
+            assert block.lost[0].diagnostics == err.value.diagnostics
+            assert np.isfinite(list(err.value.diagnostics.values())).all()
             assert block.alive.tolist() == [j != 1 for j in range(size)]
             assert block.samples.tolist() == labels.tolist()
             assert np.isnan(block.u[1]).all() and np.isnan(block.v[1]).all()
@@ -215,11 +232,11 @@ class TestStep:
                 assert np.array_equal(block.tangent_defect[part], alone.tangent_defect)
                 assert alone.sample_steps == 20 * len(part)
             # samples alive at the start of each step: 20 for each survivor,
-            # and the lost sample's 6 up to and including its blow-up step
-            assert block.sample_steps == 20 * (size - 1) + 6
+            # and the lost sample's 5 up to and including its blow-up step
+            assert block.sample_steps == 20 * (size - 1) + 5
 
     def test_block_stops_when_every_sample_is_lost(self, grid, basis, gentle_data):
-        # both samples blow up at step 6, so run stops there, short of T
+        # both samples blow up at step 5, so run stops there, short of T
         u0, v0 = gentle_data
         params = sw.SpdeParams(grid=grid, mu=0.1, dt=1e-4, T=2e-3)
         incs = np.sqrt(params.dt) * sw.derive_stream(3, 0).standard_normal(
@@ -228,10 +245,10 @@ class TestStep:
         seen = []
         duo = SpdeStepper(params, basis, np.stack([u0] * 2), np.stack([v0] * 2))
         duo.run(incs, list(range(params.n_steps + 1)), seen.append)
-        assert [(e.sample, e.step) for e in duo.lost] == [(0, 6), (1, 6)]
+        assert [(e.sample, e.step) for e in duo.lost] == [(0, 5), (1, 5)]
         assert not duo.alive.any()
-        assert duo.step_index == 6 < params.n_steps and seen == list(range(6))
-        assert duo.sample_steps == 12
+        assert duo.step_index == 5 < params.n_steps and seen == list(range(5))
+        assert duo.sample_steps == 10
 
     def test_fused_accumulators_match_trapezoid(self, grid, basis):
         # "iAN" and "iCD" against this test's own trapezoid sums of
@@ -274,12 +291,17 @@ class TestStep:
     def test_determinism(self, grid, basis, gentle_data):
         u0, v0 = gentle_data
         params = sw.SpdeParams(grid=grid, mu=0.1, dt=1e-4, T=0.05)
-        a = sw.simulate(u0, v0, params, basis, rng=sw.derive_stream(8, 1), stride=10,
-                        keep_fields=True)
-        b = sw.simulate(u0, v0, params, basis, rng=sw.derive_stream(8, 1), stride=10,
-                        keep_fields=True)
+        a, b = (sw.simulate(u0, v0, params, basis, rng=sw.derive_stream(8, 1), stride=10)
+                for _ in range(2))
         assert np.array_equal(a.energy, b.energy)
-        assert np.array_equal(a.u_fields[-1], b.u_fields[-1])
+        finals = []
+        for _ in range(2):
+            dw = np.sqrt(params.dt) * sw.derive_stream(8, 1).standard_normal(
+                (params.n_steps, 1, basis.m))
+            engine = SpdeStepper(params, basis, u0, v0)
+            engine.run(dw, [0, params.n_steps], lambda r: None)
+            finals.append(engine.u)
+        assert np.array_equal(*finals)
 
 
 class TestDiagnostics:
@@ -388,16 +410,16 @@ class TestRowChunks:
         params = sw.SpdeParams(grid=grid, mu=0.1, dt=dt, T=(n_rows - 1) * dt,
                                projection=projection)
         dw = np.sqrt(dt) * sw.derive_stream(3, n_rows).standard_normal((n_rows - 1, basis.m))
-        traj = sw.simulate(u0, v0, params, basis, increments=dw, keep_fields=True)
+        traj = sw.simulate(u0, v0, params, basis, increments=dw)
 
         engine = SpdeStepper(params, basis, u0, v0)
+        identity = RemainderIdentity(params, basis, engine.u0[0], engine.v0[0])
         rows = []
 
         def on_row(r):
-            row = dict(engine.diagnostics(), u=engine.u.copy(), v=engine.v.copy())
+            row = engine.diagnostics()
             acc = {key: a[0] for key, a in engine.remainder.items()}
-            row["j"], row["res"] = sw.remainder_norms(
-                params, basis, engine.u0[0], engine.v0[0], engine.u[0], engine.v[0], acc)
+            row["j"], row["res"] = identity.norms(engine.u[0], engine.v[0], acc)
             rows.append(row)
 
         engine.run(dw[:, None, :], list(range(n_rows)), on_row)
@@ -405,7 +427,5 @@ class TestRowChunks:
         oracle = {key: np.array([row[key] for row in rows]) for key in rows[0]}
         for name in DIAGNOSTICS:
             assert np.array_equal(getattr(traj, name), oracle[name][:, 0]), name
-        assert np.array_equal(traj.u_fields, oracle["u"][:, 0])
-        assert np.array_equal(traj.v_fields, oracle["v"][:, 0])
         assert np.array_equal(traj.j_norms, oracle["j"])
         assert np.array_equal(traj.identity_residual, oracle["res"])

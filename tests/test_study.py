@@ -103,19 +103,6 @@ class TestRemainderTerms:
                                    rtol=1e-12, atol=0.0)
         assert fine.j_norms[-1, 5] > 0.0 and fine.identity_residual[-1] > 0.0
 
-    def test_remainder_keeps_no_fields(self):
-        grid = sw.Grid1D(1.0, 63)
-        basis = sw.build_basis(grid, 8, 2.0)
-        u0 = sw.normalize_sphere(grid, sw.sine_field(grid, 1, 1))
-        params = sw.SpdeParams(grid=grid, mu=0.1, dt=1e-4, T=0.01)
-        runs = [sw.simulate(u0, sw.zero_field(grid), params, basis, rng=sw.derive_stream(6, 0),
-                            stride=10, keep_fields=keep)
-                for keep in (False, True)]
-        assert runs[0].u_fields is None and runs[0].v_fields is None
-        assert runs[1].u_fields.shape == (11, 3, grid.n)
-        assert np.array_equal(runs[0].j_norms, runs[1].j_norms)
-        assert np.array_equal(runs[0].identity_residual, runs[1].identity_residual)
-
     def test_instantaneous_term_halves_with_mass(self):
         # fixed path: the leading remainder term carries an explicit mass factor
         cfg = StudyConfig(n=63, m=8, T=0.5, n_out=64, master_seed=11)
@@ -242,12 +229,9 @@ class TestScaling:
         assert res.target == "parabolic"
 
     def test_small_alpha_needs_exploratory_flag(self):
-        cfg = StudyConfig(n=63, m=8, ensemble=1, mu_values=(0.1,), T=0.25,
-                          n_out=32, alpha=0.25)
-        with pytest.raises(sw.ParameterError):
-            run_study(cfg)
-        res = run_study(cfg, exploratory=True, target="parabolic")
-        assert res.rows[0].errors["parabolic"] >= 0.0
+        # below 1/2 no limit is proven, so no study configuration admits it
+        with pytest.raises(sw.ConfigError, match="exploratory"):
+            StudyConfig(n=63, m=8, ensemble=1, mu_values=(0.1,), T=0.25, n_out=32, alpha=0.25)
 
 
 class TestBlockEngine:
@@ -270,18 +254,25 @@ class TestBlockEngine:
         for name in ("corrected", "parabolic"):
             lp = sw.LimitParams.auto(grid, config.T, parabolic=(name == "parabolic"),
                                      n_out=config.n_out)
-            targets[name] = sw.solve_limit(u0, lp, basis, stride=lp.n_steps // config.n_out,
-                                           keep_fields=True).u_fields
+            fields = targets[name] = []
+            sw.solve_limit(u0, lp, basis, stride=lp.n_steps // config.n_out,
+                           on_row=lambda r, u: fields.append(u))
         for row in result.rows:
             params = config.spde_params(row.mu, grid)
-            traj = sw.simulate(u0, v0, params, basis, rng=sw.derive_stream(*row.seed_key),
-                               stride=params.n_steps // config.n_out, keep_fields=True)
+            stride = params.n_steps // config.n_out
+            dw = np.sqrt(params.dt) * sw.derive_stream(*row.seed_key).standard_normal(
+                (params.n_steps, basis.m))
+            traj = sw.simulate(u0, v0, params, basis, increments=dw, stride=stride)
+            engine = SpdeStepper(params, basis, u0, v0)
+            states = []
+            engine.run(dw[:, None], list(range(0, params.n_steps + 1, stride)),
+                       lambda r: states.append(engine.u[0].copy()))
             expected = {
                 "energy_residual": np.abs(traj.energy - traj.energy[0]).max() / traj.energy[0],
                 "identity_sup": traj.identity_residual.max(),
             }
             for name, fields in targets.items():
-                expected[name] = max(sw.sobolev_norm(grid, traj.u_fields[r] - fields[r],
+                expected[name] = max(sw.sobolev_norm(grid, states[r] - fields[r],
                                                      config.delta) for r in range(len(traj.t)))
             got = dict(row.errors, energy_residual=row.energy_residual,
                        identity_sup=row.identity_sup)
@@ -450,15 +441,15 @@ class TestConstraintDefects:
         _, result = unprojected
         blowups = [(row.mu, row.sample, row.blowup_step) for row in result.rows
                    if row.blowup_step is not None]
-        assert blowups == [(0.05, 0, 1266), (0.05, 1, 1244), (0.025, 0, 1382),
-                           (0.025, 1, 1357), (0.025, 2, 1389), (0.025, 3, 1408),
+        assert blowups == [(0.05, 0, 1265), (0.05, 1, 1243), (0.025, 0, 1381),
+                           (0.025, 1, 1356), (0.025, 2, 1389), (0.025, 3, 1408),
                            (0.025, 4, 1388)]
         assert len(result.failed_checks) == 2
 
     def test_blowups_carry_the_last_finite_diagnostics(self, unprojected):
-        # each blown-up row records energy, theta, eta and u_h1 of its last
-        # state with finite norms: finite, and those of a lone run of the
-        # sample stopped before its norms overflow; a healthy row records none
+        # each blown-up row records energy, theta, eta and u_h1 of the state
+        # before its blow-up step: finite, and those of a lone run of the
+        # sample stopped one step short of it; a healthy row records none
         config, result = unprojected
         for row in result.rows:
             if row.blowup_step is None:
@@ -473,13 +464,12 @@ class TestConstraintDefects:
         increments = _increments(config, params, basis.m, range(row.sample, row.sample + 1),
                                  0, 1)
         engine = SpdeStepper(params, basis, *config.initial_data(grid))
-        for k in range(row.blowup_step):
-            with np.errstate(all="ignore"):   # |u|_{H2} of these states overflows
-                last = engine.diagnostics()
+        for k in range(row.blowup_step - 1):
             engine.step(increments[k])
-            if not np.isfinite(engine.h1 + engine.vh2).all():
-                break
-        assert not engine.lost or engine.step_index == row.blowup_step
+        with np.errstate(all="ignore"):   # |u|_{H2} of this state overflows
+            last = engine.diagnostics()
+        assert [err.step for err in engine.step(increments[row.blowup_step - 1])] == [
+            row.blowup_step]
         assert row.last_finite == {name: float(last[name][0]) for name in BLOWUP_DIAGNOSTICS}
 
 
@@ -516,8 +506,8 @@ class TestRefinementBias:
         assert not any(lev["passed"] for lev in levels), levels
 
     def test_small_alpha_refused(self, small_config):
-        with pytest.raises(sw.ParameterError, match="no proven limit"):
-            refinement_bias(replace(small_config, alpha=0.25))
+        with pytest.raises(sw.ConfigError, match="no proven limit"):
+            replace(small_config, alpha=0.25)
 
 
 # A limit flow whose 51st step blows up, installed before any pool starts;
