@@ -29,7 +29,7 @@ from .config import (
 )
 from .errors import BlowUpError, ConfigError, ParameterError
 from .limit import solve_limit
-from .noise import derive_stream
+from .noise import build_basis, derive_stream
 from .spde import simulate
 from .study import run_study, trend_check
 
@@ -83,7 +83,8 @@ def cmd_simulate(args) -> int:
 def cmd_limit(args) -> int:
     cfg = load_config(args.config)
     grid = build_grid(cfg)
-    basis = build_noise_basis(cfg, grid)
+    basis = (build_basis(grid, 0, cfg["noise"]["p"]) if cfg["physics"]["parabolic"]
+             else build_noise_basis(cfg, grid))
     params = limit_params_from(cfg, grid, basis)
     u0, _ = initial_fields_from(cfg, grid)
     start = time.perf_counter()

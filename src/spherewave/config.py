@@ -244,10 +244,8 @@ def limit_params_from(cfg: dict, grid: Grid1D, basis) -> LimitParams:
     """Limit-solver parameters; the step rule does not depend on the kernel of `basis`."""
     phys, time = cfg["physics"], cfg["time"]
     if time["dt"] == "auto":
-        return LimitParams.auto(grid, time["T"], gamma=phys["gamma"],
-                                parabolic=phys["parabolic"], n_out=1)
-    return LimitParams(grid=grid, dt=time["dt"], T=time["T"], gamma=phys["gamma"],
-                       parabolic=phys["parabolic"])
+        return LimitParams.auto(grid, time["T"], gamma=phys["gamma"], n_out=1)
+    return LimitParams(grid=grid, dt=time["dt"], T=time["T"], gamma=phys["gamma"])
 
 
 def output_directory(cfg: dict) -> Path:

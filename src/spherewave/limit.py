@@ -13,7 +13,7 @@ divergence form
 
 is kept as a residual oracle: substituting du/dt from the mobility form
 makes it vanish identically, by the same algebra that proves the two
-formulations equivalent.  The parabolic variant drops every phi term.
+formulations equivalent.  The silent basis (phi = 0) gives the parabolic flow.
 
 Time stepping is ETDRK2 (Cox & Matthews 2002).  The stiff part A_h u / gamma
 is diagonal in the orthonormal DST-I basis and is integrated exactly; the
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BlowUpError, DegenerateFieldError, ParameterError
+from .errors import BlowUpError, DegenerateFieldError, ParameterError, ShapeError
 from .fields import (
     Grid1D,
     dst_ortho,
@@ -66,7 +66,7 @@ __all__ = [
 
 # Steps per relaxation time gamma / lambda_{h,1} of the slowest sine mode.
 # Sized by the energy-inequality gate E_lhs <= E_rhs (1 + 1e-6) on the
-# parabolic branch, which has no dissipative slack: with the fourth-order
+# parabolic flow, which has no dissipative slack: with the fourth-order
 # quadrature of int |u_t|^2, 200 steps keep the default run inside it with a
 # margin of about 2.6, and 100 steps fail it.  The solver's own error is far
 # smaller than its 1e-3 gate: about 1e-5 in H^1 against RK4 at this step.
@@ -90,7 +90,6 @@ class LimitParams:
     dt: float
     T: float
     gamma: float = 1.0
-    parabolic: bool = False
 
     def __post_init__(self):
         if self.gamma <= 0.0:
@@ -105,9 +104,9 @@ class LimitParams:
 
     @classmethod
     def auto(cls, grid: Grid1D, T: float, *, gamma: float = 1.0,
-             parabolic: bool = False, n_out: int = 256) -> "LimitParams":
+             n_out: int = 256) -> "LimitParams":
         dt = fitted_step(gamma / (_RELAXATION_STEPS * eigenvalue(grid, 1)), T, n_out)
-        return cls(grid=grid, dt=dt, T=T, gamma=gamma, parabolic=parabolic)
+        return cls(grid=grid, dt=dt, T=T, gamma=gamma)
 
 
 def mobility_apply_inverse(u: np.ndarray, phi, gamma: float, r: np.ndarray) -> np.ndarray:
@@ -132,7 +131,7 @@ def _mobility_solve(u: np.ndarray, r: np.ndarray, gamma: float,
 
 
 def limit_rhs(u: np.ndarray, basis: NoiseBasis, params: LimitParams) -> np.ndarray:
-    """du/dt for the limit flow (or its parabolic variant)."""
+    """du/dt for the limit flow of `basis`; the silent basis gives the parabolic flow."""
     rhs, _, _ = _rhs_with_extras(u, basis, params)
     return rhs
 
@@ -144,7 +143,7 @@ def _rhs_with_extras(u: np.ndarray, basis: NoiseBasis, params: LimitParams):
     lap = laplacian(grid, u)
     h1 = -inner_l2(grid, lap, u)
     r = lap + h1 * u
-    if params.parabolic:
+    if basis.m == 0:   # phi = 0: M = gamma I, and the mobility solve is r / gamma
         return r / params.gamma, lap, h1
     return _mobility_solve(u, r, params.gamma, basis.half_phi), lap, h1
 
@@ -160,12 +159,11 @@ def explicit_form_residual(u: np.ndarray, ut: np.ndarray, basis: NoiseBasis,
     lap = laplacian(grid, u)
     h1 = -inner_l2(grid, lap, u)
     r = lap + h1 * u
-    phi = np.zeros(grid.n) if params.parabolic else basis.phi
     uu = pointwise_dot(u, u)
     u_ut = pointwise_dot(u, ut)
-    lhs = (params.gamma + 0.5 * phi * uu) * ut + (phi * u_ut) * u
+    lhs = (params.gamma + 0.5 * basis.phi * uu) * ut + (basis.phi * u_ut) * u
     ru = pointwise_dot(r, u)
-    rhs = r + (1.5 / params.gamma) * (phi * ru) * u
+    rhs = r + (1.5 / params.gamma) * (basis.phi * ru) * u
     return norm_l2(grid, lhs - rhs)
 
 
@@ -235,6 +233,8 @@ class _Etd2Flow:
     """
 
     def __init__(self, u0: np.ndarray, params: LimitParams, basis: NoiseBasis):
+        if basis.grid is not params.grid and basis.grid != params.grid:
+            raise ShapeError("noise basis and parameters use different grids")
         self.params = params
         self.basis = basis
         z = -eigenvalues(params.grid) * (params.dt / params.gamma)

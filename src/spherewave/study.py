@@ -275,9 +275,9 @@ def _attach(rows: _TargetRows | None) -> None:
 
 def _solve_target(config: StudyConfig, basis: NoiseBasis, u0: np.ndarray,
                   k: int, name: str) -> int:
-    """Solve target k and publish each row as it is recorded; the limit steps."""
-    lp = LimitParams.auto(basis.grid, config.T, gamma=config.gamma,
-                          parabolic=(name == "parabolic"), n_out=config.n_out)
+    """Solve target k on its basis, publishing each row as it is recorded; the limit steps."""
+    basis = build_basis(basis.grid, 0, config.p) if name == "parabolic" else basis
+    lp = LimitParams.auto(basis.grid, config.T, gamma=config.gamma, n_out=config.n_out)
     try:
         solve_limit(u0, lp, basis, stride=lp.n_steps // config.n_out,
                     on_row=lambda r, u: _target_rows.publish(k, r, u))
@@ -424,8 +424,8 @@ def run_study(config: StudyConfig, *, target: str = "auto", extra_targets=(),
               workers: int = 1) -> StudyResult:
     """Run the mass sweep against one or more limit targets.
 
-    target="auto" compares against the corrected flow at alpha = 1/2 and the
-    parabolic flow above.
+    target="auto" compares against the corrected flow at alpha = 1/2 and above
+    it the parabolic flow: the limit flow of the silent basis (phi = 0, M = gamma I).
 
     The target solves and then the blocks of every level, costliest first,
     go to `workers` processes (see _run_jobs); the rows do not depend on

@@ -191,15 +191,26 @@ class TestLimitCommand:
         manifest = json.loads((tmp_path / "out" / "limit.manifest.json").read_text())
         assert manifest["work"] == {"limit_steps": 395}
 
-    def test_energy_inequality_rowwise(self, tmp_path):
-        cfg = sim_config(tmp_path, time={"dt": "auto", "T": 0.2})
-        assert cli.main(["limit", "-c", cfg]) == 0
-        lines = (tmp_path / "out" / "limit.csv").read_text().strip().split("\n")
+    @pytest.mark.parametrize("parabolic", [False, True], ids=["corrected", "parabolic"])
+    def test_energy_inequality_rowwise(self, tmp_path, parabolic):
+        # the parabolic flow, the limit flow of the silent basis, is the one
+        # with no dissipative slack
+        texts = {}
+        for flag in (parabolic, not parabolic):
+            run = tmp_path / str(flag)
+            run.mkdir()
+            cfg = sim_config(run, time={"dt": "auto", "T": 0.2},
+                             physics={"parabolic": flag})
+            assert cli.main(["limit", "-c", cfg]) == 0
+            texts[flag] = (run / "out" / "limit.csv").read_text()
+        lines = texts[parabolic].strip().split("\n")
         cols = lines[0].split(",")
         il, ir = cols.index("energy_lhs"), cols.index("energy_rhs")
         for line in lines[1:]:
             vals = line.split(",")
             assert float(vals[il]) <= float(vals[ir]) * (1 + 1e-6)
+        # the config key must reach the solver: the two flows differ
+        assert texts[True] != texts[False]
 
 
 @pytest.mark.parametrize("command, solver", [("simulate", "simulate"),
@@ -272,10 +283,8 @@ class TestStudyCommand:
         assert work["sample_steps"] == 2 * sum(steps)
         assert work["helmholtz_solves"] == sum(steps)
         targets = json.loads((out / "study.json").read_text())["targets"]
-        assert work["limit_steps"] == sum(
-            LimitParams.auto(study.grid(), study.T, gamma=study.gamma,
-                             parabolic=(name == "parabolic"), n_out=study.n_out).n_steps
-            for name in targets)
+        assert work["limit_steps"] == len(targets) * LimitParams.auto(
+            study.grid(), study.T, gamma=study.gamma, n_out=study.n_out).n_steps
 
     def test_energy_gate_exit_code(self, tmp_path, monkeypatch):
         # deliberately coarse explicit step with a tight energy gate

@@ -20,6 +20,12 @@ def basis(grid):
 
 
 @pytest.fixture(scope="module")
+def silent(grid):
+    # m = 0, phi = 0: the limit flow of this basis is the parabolic flow
+    return sw.build_basis(grid, 0, 2.0)
+
+
+@pytest.fixture(scope="module")
 def params(grid, basis):
     return LimitParams.auto(grid, 0.25, n_out=128)
 
@@ -29,11 +35,10 @@ def rk4_oracle(u0, params, basis, n_out):
     stepper, under its diffusive bound 0.9 h^2 gamma / (2 (gamma + max phi / 2)).
     Returns u at n_out + 1 equally spaced times."""
     grid, gamma = params.grid, params.gamma
-    phi_max = 0.0 if params.parabolic else float(basis.phi.max())
+    phi_max = float(basis.phi.max())
     bound = 0.9 * grid.h ** 2 * gamma / (2.0 * (gamma + 0.5 * phi_max))
     n_steps = n_out * int(np.ceil(params.T / (bound * n_out)))
-    rk = LimitParams(grid=grid, dt=params.T / n_steps, T=params.T, gamma=gamma,
-                     parabolic=params.parabolic)
+    rk = LimitParams(grid=grid, dt=params.T / n_steps, T=params.T, gamma=gamma)
     dt, stride = rk.dt, n_steps // n_out
     u = sw.normalize_sphere(grid, u0)
     out = [u]
@@ -91,24 +96,16 @@ class TestLimitRhs:
             rhs = sw.limit_rhs(u, basis, params)
             assert sw.norm_l2(grid, rhs) <= 2e-15 / grid.h ** 2
 
-    def test_parabolic_flag_matches_zero_kernel(self, grid):
-        silent = sw.build_basis(grid, 0, 2.0)
-        pa = LimitParams.auto(grid, 0.25, parabolic=False, n_out=128)
-        pb = LimitParams.auto(grid, 0.25, parabolic=True, n_out=128)
-        u = sw.normalize_sphere(grid, random_field(grid))
-        a = sw.limit_rhs(u, silent, pa)
-        b = sw.limit_rhs(u, silent, pb)
-        assert np.array_equal(a, b)
-
-    def test_rhs_is_the_public_mobility_solve(self, grid, basis):
+    def test_rhs_is_the_public_mobility_solve(self, grid, basis, silent):
         # limit_rhs reads the basis's phi/2 column; alternating the basis and
-        # gamma must give each flow the public solve of its own phi and gamma
+        # gamma must give each flow the public solve of its own phi and gamma,
+        # the silent basis's r / gamma shortcut included, bit for bit
         other = sw.build_basis(grid, 4, 3.0)
         u = sw.normalize_sphere(grid, random_field(grid))
         lap = sw.laplacian(grid, u)
         r = lap + sw.h1_seminorm_sq(grid, u) * u
         for _ in range(2):
-            for b in (basis, other):
+            for b in (basis, other, silent):
                 for gamma in (1.0, 2.5):
                     p = LimitParams.auto(grid, 0.25, gamma=gamma, n_out=128)
                     assert np.array_equal(sw.limit_rhs(u, b, p),
@@ -169,27 +166,28 @@ class TestSolveLimit:
         assert [r for r, _ in seen] == list(range(33))
         assert all(np.sqrt(sw.h1_seminorm_sq(grid, u)) == traj.u_h1[r] for r, u in seen)
 
-    def test_sphere_residual_small_and_energy_inequality(self, grid, basis):
+    def test_sphere_residual_small_and_energy_inequality(self, grid, basis, silent):
         # every step is projected, so the recorded states sit on the sphere;
-        # the parabolic branch has no dissipative slack, so its energy rows
-        # hold only at a step the auto rule resolves
+        # the parabolic flow (the silent basis) has no dissipative slack, so
+        # its energy rows hold only at a step the auto rule resolves
         u0 = sw.normalize_sphere(grid, sw.sine_field(grid, 1, 1)
                                  + sw.sine_field(grid, 2, 2, 0.1))
-        for parabolic in (False, True):
-            p = LimitParams.auto(grid, 0.5, parabolic=parabolic, n_out=128)
-            traj = sw.solve_limit(u0, p, basis, stride=p.n_steps // 128)
+        p = LimitParams.auto(grid, 0.5, n_out=128)
+        for b in (basis, silent):
+            traj = sw.solve_limit(u0, p, b, stride=p.n_steps // 128)
             assert traj.sphere_residual.max() <= 1e-13
             assert np.all(traj.energy_lhs <= traj.energy_rhs * (1.0 + 1e-6))
 
-    def test_step_rule_is_set_by_the_energy_quadrature(self, grid, basis):
-        # the parabolic branch has no dissipative slack: with the default
-        # initial data its energy rows hold at the auto step and fail at twice
-        # it, and the plain trapezoid of |u_t|^2 fails them at the auto step
+    def test_step_rule_is_set_by_the_energy_quadrature(self, grid, silent):
+        # the parabolic flow (the silent basis) has no dissipative slack: with
+        # the default initial data its energy rows hold at the auto step and
+        # fail at twice it, and the plain trapezoid of |u_t|^2 fails them at
+        # the auto step
         u0 = sw.normalize_sphere(grid, sw.sine_field(grid, 1, 1)
                                  + sw.sine_field(grid, 2, 2, 0.1))
-        auto = LimitParams.auto(grid, 0.5, parabolic=True, n_out=2)
-        double = LimitParams(grid=grid, dt=2.0 * auto.dt, T=0.5, parabolic=True)
-        fine, coarse = (sw.solve_limit(u0, p, basis)
+        auto = LimitParams.auto(grid, 0.5, n_out=2)
+        double = LimitParams(grid=grid, dt=2.0 * auto.dt, T=0.5)
+        fine, coarse = (sw.solve_limit(u0, p, silent)
                         for p in (auto, double))
 
         def worst(energy_lhs, traj):
@@ -246,19 +244,30 @@ class TestSolveLimit:
         h1_sq = traj.u_h1 ** 2
         assert np.all(np.diff(h1_sq) <= 1e-12 * h1_sq[0])
 
+    @pytest.mark.parametrize("other", [sw.Grid1D(2.0, 127), sw.Grid1D(1.0, 63)],
+                             ids=["length", "nodes"])
+    def test_basis_on_another_grid_rejected(self, grid, other):
+        # a basis sampled on another domain would silently bend the flow, and
+        # one with another node count would fail inside numpy broadcasting
+        u0 = sw.normalize_sphere(grid, sw.sine_field(grid, 1, 1))
+        p = LimitParams.auto(grid, 0.01, n_out=1)
+        for m in (8, 0):
+            with pytest.raises(sw.ShapeError, match="different grids"):
+                sw.solve_limit(u0, p, sw.build_basis(other, m, 2.0))
+
     def test_final_time_must_be_reached(self, grid):
         with pytest.raises(sw.ParameterError, match=r"dt=0\.0007.*T=1\.0.*t=1\.0003"):
             LimitParams(grid=grid, dt=7e-4, T=1.0)
         assert LimitParams(grid=grid, dt=1e-3, T=1.0).n_steps == 1000
 
     def test_matches_rk4_oracle(self):
-        # sup-in-time H1 distance to the explicit RK4 solution on both branches
+        # sup-in-time H1 distance to the explicit RK4 solution of the
+        # corrected flow and of the parabolic one (the silent basis)
         g = sw.Grid1D(1.0, 63)
-        b = sw.build_basis(g, 16, 2.0)
         u0 = sw.normalize_sphere(g, sw.sine_field(g, 1, 1)
                                  + sw.sine_field(g, 2, 2, 0.1))
-        for parabolic in (False, True):
-            p = LimitParams.auto(g, 0.25, parabolic=parabolic, n_out=64)
+        p = LimitParams.auto(g, 0.25, n_out=64)
+        for b in (sw.build_basis(g, 16, 2.0), sw.build_basis(g, 0, 2.0)):
             states = []
             sw.solve_limit(u0, p, b, stride=p.n_steps // 64, on_row=lambda r, u: states.append(u))
             ref = rk4_oracle(u0, p, b, 64)
