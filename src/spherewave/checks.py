@@ -91,7 +91,7 @@ def _check_adjointness(rng) -> tuple[bool, str]:
     return worst <= 1e-12, f"max relative defect {worst:.2e}"
 
 
-def _check_eigenvectors(rng) -> tuple[bool, str]:
+def _check_eigenvectors(_rng) -> tuple[bool, str]:
     grid = _grid()
     worst = 0.0
     for k in range(1, grid.n + 1):
@@ -194,14 +194,14 @@ def _check_noise_orthogonality(rng) -> tuple[bool, str]:
     return worst <= 1e-12, f"max pointwise component {worst:.2e}"
 
 
-def _check_phi_monotone(rng) -> tuple[bool, str]:
+def _check_phi_monotone(_rng) -> tuple[bool, str]:
     grid = _grid()
     phis = [build_basis(grid, m, 2.0).phi for m in (1, 2, 4, 8, 16)]
     ok = all(np.all(b >= a - 1e-15) for a, b in zip(phis, phis[1:]))
     return ok, "phi nondecreasing in mode count"
 
 
-def _check_increments(rng) -> tuple[bool, str]:
+def _check_increments(_rng) -> tuple[bool, str]:
     grid = _grid()
     basis = build_basis(grid, 4, 2.0)
     dt = 2.5e-3
@@ -276,7 +276,7 @@ def _check_equilibrium(rng, correction_scale: float) -> tuple[bool, str]:
                         float(np.abs(stepper.v).max()))
     states = []
     solve_limit(u0, LimitParams.auto(grid, 0.1), basis, stride=1,
-                on_row=lambda r, u: states.append(u))
+                on_row=lambda _r, u: states.append(u))
     limit_drift = float(np.abs(np.diff(states, axis=0)).max())
     passed = drift_sup <= 1e-12 and limit_drift <= 1e-12
     return passed, f"stepper drift {drift_sup:.2e}, limit per-step drift {limit_drift:.2e}"

@@ -277,11 +277,15 @@ def cross(f: np.ndarray, g: np.ndarray) -> np.ndarray:
             - np.take(f, _J, axis=-2) * np.take(g, _I, axis=-2))
 
 
-def triple_cross(h: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """h x (h x k) evaluated as -|h|^2 k + (h.k) h, on (..., 3, n) arrays."""
+def triple_cross(h: np.ndarray, k: np.ndarray, *, dots: tuple | None = None) -> np.ndarray:
+    """h x (h x k) evaluated as (h.k) h - (h.h) k, on (..., 3, n) arrays.
+
+    dots may pass the pointwise (h.h, h.k) rows when the caller already holds them.
+    """
     h = np.asarray(h, dtype=float)
     k = np.asarray(k, dtype=float)
-    return pointwise_dot(h, k) * h - pointwise_dot(h, h) * k
+    hh, hk = dots if dots is not None else (pointwise_dot(h, h), pointwise_dot(h, k))
+    return hk * h - hh * k
 
 
 def project_tangent(grid: Grid1D, u: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BlowUpError, DegenerateFieldError, ParameterError, ShapeError
+from .errors import BlowUpError, DegenerateFieldError, ParameterError
 from .fields import (
     Grid1D,
     dst_ortho,
@@ -51,7 +51,7 @@ from .fields import (
     pointwise_dot,
     step_count,
 )
-from .noise import NoiseBasis
+from .noise import NoiseBasis, check_grid
 
 __all__ = [
     "LimitParams",
@@ -116,15 +116,7 @@ def mobility_apply_inverse(u: np.ndarray, phi, gamma: float, r: np.ndarray) -> n
     a = gamma + phi |u|^2 / 2, valid for every gamma > 0 and phi >= 0.  u and
     r are fields (3, n); phi is the row (n,) of node values.
     """
-    return _mobility_solve(u, r, gamma, 0.5 * np.asarray(phi, dtype=float))
-
-
-def _mobility_solve(u: np.ndarray, r: np.ndarray, gamma: float,
-                    half_phi: np.ndarray) -> np.ndarray:
-    """mobility_apply_inverse given the row phi/2 (n,).
-
-    Halving is exact, so half_phi / gamma is phi / (2 gamma) bit for bit.
-    """
+    half_phi = 0.5 * np.asarray(phi, dtype=float)
     uu = pointwise_dot(u, u)
     ur = pointwise_dot(u, r)
     return (r + (half_phi / gamma) * ur * u) / (gamma + half_phi * uu)
@@ -132,6 +124,7 @@ def _mobility_solve(u: np.ndarray, r: np.ndarray, gamma: float,
 
 def limit_rhs(u: np.ndarray, basis: NoiseBasis, params: LimitParams) -> np.ndarray:
     """du/dt for the limit flow of `basis`; the silent basis gives the parabolic flow."""
+    check_grid(basis, params.grid)
     rhs, _, _ = _rhs_with_extras(u, basis, params)
     return rhs
 
@@ -145,7 +138,7 @@ def _rhs_with_extras(u: np.ndarray, basis: NoiseBasis, params: LimitParams):
     r = lap + h1 * u
     if basis.m == 0:   # phi = 0: M = gamma I, and the mobility solve is r / gamma
         return r / params.gamma, lap, h1
-    return _mobility_solve(u, r, params.gamma, basis.half_phi), lap, h1
+    return mobility_apply_inverse(u, basis.phi, params.gamma, r), lap, h1
 
 
 def explicit_form_residual(u: np.ndarray, ut: np.ndarray, basis: NoiseBasis,
@@ -156,6 +149,7 @@ def explicit_form_residual(u: np.ndarray, ut: np.ndarray, basis: NoiseBasis,
     linear in perturbations of ut.
     """
     grid = params.grid
+    check_grid(basis, grid)
     lap = laplacian(grid, u)
     h1 = -inner_l2(grid, lap, u)
     r = lap + h1 * u
@@ -233,8 +227,7 @@ class _Etd2Flow:
     """
 
     def __init__(self, u0: np.ndarray, params: LimitParams, basis: NoiseBasis):
-        if basis.grid is not params.grid and basis.grid != params.grid:
-            raise ShapeError("noise basis and parameters use different grids")
+        check_grid(basis, params.grid)
         self.params = params
         self.basis = basis
         z = -eigenvalues(params.grid) * (params.dt / params.gamma)

@@ -23,11 +23,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AliasingError, HypothesisViolationError, ParameterError, ShapeError
-from .fields import Grid1D, cross, pointwise_dot
+from .fields import Grid1D, cross, triple_cross
 
 __all__ = [
     "NoiseBasis",
     "build_basis",
+    "check_grid",
     "strat_correction",
     "noise_field",
     "derive_stream",
@@ -42,7 +43,6 @@ class NoiseBasis:
     m: int
     xi: np.ndarray                # (m, n) xi_i(x_j)
     phi: np.ndarray               # (n,) a row, which broadcasts over the components
-    half_phi: np.ndarray          # (n,) the row phi/2 of the limit's mobility solve
 
 
 def build_basis(grid: Grid1D, m: int, p: float) -> NoiseBasis:
@@ -67,7 +67,13 @@ def build_basis(grid: Grid1D, m: int, p: float) -> NoiseBasis:
     omega = i * np.pi / grid.L
     xi = amp[:, None] * root * np.sin(np.outer(omega, grid.x))
     phi = (xi ** 2).sum(axis=0) if m else np.zeros(grid.n)
-    return NoiseBasis(grid=grid, m=m, xi=xi, phi=phi, half_phi=0.5 * phi)
+    return NoiseBasis(grid=grid, m=m, xi=xi, phi=phi)
+
+
+def check_grid(basis: NoiseBasis, grid: Grid1D) -> None:
+    """Refuse a basis built on another grid (tested by identity first, the common case)."""
+    if basis.grid is not grid and basis.grid != grid:
+        raise ShapeError("noise basis and parameters use different grids")
 
 
 def _check_pair(grid: Grid1D, u: np.ndarray, v: np.ndarray) -> None:
@@ -94,8 +100,7 @@ def strat_correction(u: np.ndarray, v: np.ndarray, basis: NoiseBasis, *,
     pointwise (u.u, u.v) rows when the caller already holds them.
     """
     _check_pair(basis.grid, u, v)
-    uu, uv = dots if dots is not None else (pointwise_dot(u, u), pointwise_dot(u, v))
-    return basis.phi * (uv * u - uu * v)
+    return basis.phi * triple_cross(u, v, dots=dots)
 
 
 def noise_field(u: np.ndarray, v: np.ndarray, basis: NoiseBasis, values: np.ndarray) -> np.ndarray:

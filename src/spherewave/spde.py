@@ -65,7 +65,7 @@ from .fields import (
     step_count,
     weighted_norm,
 )
-from .noise import NoiseBasis, noise_field, strat_correction
+from .noise import NoiseBasis, check_grid, noise_field, strat_correction
 
 __all__ = [
     "SpdeParams",
@@ -238,8 +238,7 @@ class SpdeStepper:
     def __init__(self, params: SpdeParams, basis: NoiseBasis, u0: np.ndarray,
                  v0: np.ndarray, *, samples=None):
         grid = params.grid
-        if basis.grid is not grid and basis.grid != grid:
-            raise ShapeError("noise basis and parameters use different grids")
+        check_grid(basis, grid)
         # C order throughout: a reduction's summation order follows the layout
         u0 = np.array(u0, dtype=float, order="C", ndmin=3)
         v0 = np.array(v0, dtype=float, order="C", ndmin=3)

@@ -20,9 +20,12 @@ identity, which is a pure time-discretisation quantity.
 The ensemble runs on the batched engine of spde: each mass level is split
 into near-equal contiguous blocks of at most BLOCK_SIZE samples, and a block
 is stepped as one (S, 3, n) array; a level of the default 16-sample
-ensemble is one block.  A run is one job list: a job per limit target
-first, then the blocks, costliest first, so the default study gives the
-pool one target job and four block jobs.  A target job publishes each
+ensemble is one block.  A job carries only what the StudyConfig does not
+fix and builds its noise basis and initial data from the config.  One
+driver, _run, orders the jobs of the study and of refinement_bias: a job
+per limit target first, then the blocks, costliest first (the default
+study gives the pool one target job and four block jobs); it returns each
+block's result in its caller's order.  A target job publishes each
 output row of its target into memory shared with the pool as soon as it is
 recorded, and a block reads row r only when it reaches it, so the targets
 are solved alongside the first blocks.  At each output row the block is
@@ -273,11 +276,15 @@ def _attach(rows: _TargetRows | None) -> None:
     _target_rows = rows
 
 
-def _solve_target(config: StudyConfig, basis: NoiseBasis, u0: np.ndarray,
-                  k: int, name: str) -> int:
-    """Solve target k on its basis, publishing each row as it is recorded; the limit steps."""
-    basis = build_basis(basis.grid, 0, config.p) if name == "parabolic" else basis
-    lp = LimitParams.auto(basis.grid, config.T, gamma=config.gamma, n_out=config.n_out)
+def _solve_target(config: StudyConfig, k: int, name: str) -> int:
+    """Solve target k, publishing each row as it is recorded; the limit steps.
+
+    "parabolic" is the limit flow of the silent basis, "corrected" that of the config's.
+    """
+    grid = config.grid()
+    basis = build_basis(grid, 0, config.p) if name == "parabolic" else config.basis(grid)
+    u0, _ = config.initial_data(grid)
+    lp = LimitParams.auto(grid, config.T, gamma=config.gamma, n_out=config.n_out)
     try:
         solve_limit(u0, lp, basis, stride=lp.n_steps // config.n_out,
                     on_row=lambda r, u: _target_rows.publish(k, r, u))
@@ -286,21 +293,19 @@ def _solve_target(config: StudyConfig, basis: NoiseBasis, u0: np.ndarray,
     return lp.n_steps
 
 
-def _blocks(config: StudyConfig, grid: Grid1D) -> list[tuple[int, range]]:
-    """(mass index, samples) of every block, costliest first.
+def _blocks(config: StudyConfig) -> list[tuple[int, range]]:
+    """(mass index, samples) of every block, in level order.
 
     Each level is split into near-equal contiguous blocks of at most
     BLOCK_SIZE samples; the split depends on the configuration only.
     """
     count = -(-config.ensemble // BLOCK_SIZE)
     bounds = [config.ensemble * b // count for b in range(count + 1)]
-    steps = [config.spde_params(mu, grid).n_steps for mu in config.mu_values]
-    blocks = [(i, range(lo, hi)) for i in range(len(config.mu_values))
-              for lo, hi in zip(bounds, bounds[1:])]
-    return sorted(blocks, key=lambda block: -steps[block[0]] * len(block[1]))
+    return [(i, range(lo, hi)) for i in range(len(config.mu_values))
+            for lo, hi in zip(bounds, bounds[1:])]
 
 
-def _increments(config: StudyConfig, params: SpdeParams, m: int, samples: range,
+def _increments(config: StudyConfig, params: SpdeParams, samples: range,
                 stream: int, draws_per_step: int) -> np.ndarray:
     """Brownian increments (n_steps, S, m) of a block.
 
@@ -308,33 +313,33 @@ def _increments(config: StudyConfig, params: SpdeParams, m: int, samples: range,
     step dt / draws_per_step, and draws_per_step consecutive draws are
     summed onto each step.
     """
-    draws = np.empty((params.n_steps * draws_per_step, len(samples), m))
+    draws = np.empty((params.n_steps * draws_per_step, len(samples), config.m))
     for pos, sample in enumerate(samples):
         key = config.child_key(sample, stream)
-        draws[:, pos] = derive_stream(*key).standard_normal((len(draws), m))
+        draws[:, pos] = derive_stream(*key).standard_normal((len(draws), config.m))
     draws *= np.sqrt(params.dt / draws_per_step)
     if draws_per_step > 1:
-        draws = draws.reshape(params.n_steps, draws_per_step, len(samples), m).sum(axis=1)
+        draws = draws.reshape(params.n_steps, draws_per_step, len(samples), config.m).sum(axis=1)
     return draws
 
 
-def _run_block(config: StudyConfig, params: SpdeParams, basis: NoiseBasis,
-               u0: np.ndarray, v0: np.ndarray, targets: tuple,
-               mu_index: int, samples: range, stream: int = 0,
-               draws_per_step: int = 1) -> tuple[list, dict]:
+def _run_block(config: StudyConfig, params: SpdeParams, targets: tuple, mu_index: int,
+               samples: range, stream: int = 0, draws_per_step: int = 1) -> tuple[list, dict]:
     """Step one block of a mass level and reduce it to one SampleRow per sample.
 
-    targets names the run's targets in the order of their jobs; row r of
-    target k is read from the shared rows when the block reaches it.  The
-    increments are drawn here, in the worker, from the samples' keys
-    (master_seed, stream, j); see _increments.  The error norms' mode
+    The noise basis and the initial data are the config's, on the grid of
+    params.  targets names the run's targets in the order of their jobs;
+    row r of target k is read from the shared rows when the block reaches
+    it.  The increments are drawn here, in the worker, from the samples'
+    keys (master_seed, stream, j); see _increments.  The error norms' mode
     weights are computed once here, and the engine's RemainderIdentity holds
     the identity's constant part, so a row recomputes neither.
     """
     grid, mu = params.grid, params.mu
     size = len(samples)
-    increments = _increments(config, params, basis.m, samples, stream, draws_per_step)
-    engine = SpdeStepper(params, basis, np.broadcast_to(u0, (size,) + u0.shape),
+    u0, v0 = config.initial_data(grid)
+    increments = _increments(config, params, samples, stream, draws_per_step)
+    engine = SpdeStepper(params, config.basis(grid), np.broadcast_to(u0, (size,) + u0.shape),
                          np.broadcast_to(v0, (size,) + v0.shape), samples=samples)
 
     weights = spectral_weights(grid, config.delta)
@@ -383,41 +388,43 @@ def _run_block(config: StudyConfig, params: SpdeParams, basis: NoiseBasis,
     return rows, work
 
 
-def _jobs(config: StudyConfig, basis: NoiseBasis, u0: np.ndarray, targets: tuple,
-          blocks: list) -> list:
-    """The run's job list: one job per target, in order, then the blocks, costliest first.
-
-    Each job is (function, arguments); blocks holds _run_block arguments.
-    """
-    blocks = sorted(blocks, key=lambda args: -args[1].n_steps * len(args[7]))
-    return ([(_solve_target, (config, basis, u0, k, name)) for k, name in enumerate(targets)]
-            + [(_run_block, args) for args in blocks])
-
-
 def _run_job(job: tuple):
     function, args = job
     return function(*args)
 
 
-def _run_jobs(config: StudyConfig, targets: tuple, jobs: list, workers: int) -> list:
-    """The result of every job, in `workers` processes when more than one.
+def _run(config: StudyConfig, targets: tuple, blocks: list, workers: int) -> tuple[int, list]:
+    """Solve the targets and run the blocks: (limit steps, each block's result).
+
+    Each block is (params, mass index, samples), optionally followed by the
+    stream and the draws per step (see _run_block), and its result is
+    (rows, work counters), returned in the order of `blocks`.  The jobs go
+    to `workers` processes when more than one: one job per target, in
+    order, then the blocks, costliest first.
 
     The pool takes jobs in order, so every target job has started before any
     block can wait on one of its rows, and target jobs never wait: the run
     cannot deadlock.  A failed target wakes the blocks waiting on it, and
     its own exception, the first in the job order, is the one raised.
     """
+    order = sorted(range(len(blocks)),
+                   key=lambda b: -blocks[b][0].n_steps * len(blocks[b][2]))
+    jobs = ([(_solve_target, (config, k, name)) for k, name in enumerate(targets)]
+            + [(_run_block, (config, blocks[b][0], targets) + blocks[b][1:]) for b in order])
     context = multiprocessing.get_context()
     rows = _TargetRows(context, (len(targets), config.n_out + 1, 3, config.n))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers, mp_context=context,
                                  initializer=_attach, initargs=(rows,)) as pool:
-            return list(pool.map(_run_job, jobs))
-    _attach(rows)
-    try:
-        return [_run_job(job) for job in jobs]
-    finally:
-        _attach(None)
+            done = list(pool.map(_run_job, jobs))
+    else:
+        _attach(rows)
+        try:
+            done = [_run_job(job) for job in jobs]
+        finally:
+            _attach(None)
+    results = dict(zip(order, done[len(targets):]))
+    return sum(done[:len(targets)]), [results[b] for b in range(len(blocks))]
 
 
 def run_study(config: StudyConfig, *, target: str = "auto", extra_targets=(),
@@ -428,7 +435,7 @@ def run_study(config: StudyConfig, *, target: str = "auto", extra_targets=(),
     it the parabolic flow: the limit flow of the silent basis (phi = 0, M = gamma I).
 
     The target solves and then the blocks of every level, costliest first,
-    go to `workers` processes (see _run_jobs); the rows do not depend on
+    go to `workers` processes (see _run); the rows do not depend on
     the worker count.  A target that fails, such as a limit blow-up, raises
     its own error.  Per-trajectory blow-ups and gate violations are
     recorded, not fatal; a failed check is raised into
@@ -436,15 +443,9 @@ def run_study(config: StudyConfig, *, target: str = "auto", extra_targets=(),
     budget.
     """
     primary, names = _resolve_targets(config, target, extra_targets)
-    grid = config.grid()
-    basis = config.basis(grid)
-    u0, v0 = config.initial_data(grid)
-
-    params = [config.spde_params(mu, grid) for mu in config.mu_values]
-    blocks = [(config, params[i], basis, u0, v0, names, i, samples)
-              for i, samples in _blocks(config, grid)]
-    done = _run_jobs(config, names, _jobs(config, basis, u0, names, blocks), workers)
-    limit_steps, done = sum(done[:len(names)]), done[len(names):]
+    params = [config.spde_params(mu) for mu in config.mu_values]
+    blocks = [(params[i], i, samples) for i, samples in _blocks(config)]
+    limit_steps, done = _run(config, names, blocks, workers)
     rows = sorted((row for block_rows, _ in done for row in block_rows),
                   key=lambda row: (row.mu_index, row.sample))
     work = {
@@ -516,22 +517,16 @@ def refinement_bias(config: StudyConfig, *, workers: int = 1) -> list[dict]:
     are left out.
     """
     primary, names = _resolve_targets(config, "auto", ())
-    grid = config.grid()
-    basis = config.basis(grid)
-    u0, v0 = config.initial_data(grid)
-
     blocks = []
-    for i, samples in _blocks(config, grid):
-        coarse = config.spde_params(config.mu_values[i], grid)
-        fine = replace(coarse, dt=coarse.dt / 2)
-        blocks += [(config, fine, basis, u0, v0, names, i, samples, REFINEMENT_STREAM, 1),
-                   (config, coarse, basis, u0, v0, names, i, samples, REFINEMENT_STREAM, 2)]
-    jobs = _jobs(config, basis, u0, names, blocks)
-    done = _run_jobs(config, names, jobs, workers)
+    for i, samples in _blocks(config):
+        coarse = config.spde_params(config.mu_values[i])
+        blocks += [(replace(coarse, dt=coarse.dt / 2), i, samples, REFINEMENT_STREAM, 1),
+                   (coarse, i, samples, REFINEMENT_STREAM, 2)]
+    _, done = _run(config, names, blocks, workers)
     errors = {}   # (draws per step, mass index, sample) -> sup error
-    for (_, args), (rows, _) in zip(jobs[len(names):], done[len(names):]):
+    for (*_, per_step), (rows, _) in zip(blocks, done):
         for row in rows:
-            errors[args[-1], row.mu_index, row.sample] = (
+            errors[per_step, row.mu_index, row.sample] = (
                 float("nan") if row.failed else row.errors[primary])
 
     levels = []

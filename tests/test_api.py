@@ -39,3 +39,34 @@ def test_no_unused_imports(name):
     exported = set(getattr(importlib.import_module(f"spherewave.{name}"), "__all__", ()))
     unused = sorted(imported - used - exported)
     assert not unused, f"spherewave.{name} imports unused names {unused}"
+
+
+# Parameters a function may take without reading them: a leading underscore
+# marks a slot that the caller fills for every entry of a table or for every
+# callback (the checks' rng streams, an on_row row index);
+# config.limit_params_from keeps `basis` while the benchmark harness
+# (benchmarks/workloads.py::expected) still passes it.
+UNREAD_PARAMETERS = {("config", "limit_params_from", "basis")}
+
+
+def _parameters(args: ast.arguments) -> list[str]:
+    params = args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg]
+    return [param.arg for param in params if param is not None]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_unused_parameters(name):
+    # every parameter of a function or lambda is read in its body, nested
+    # functions included; self and cls are the receiver, not an input
+    tree = ast.parse(Path(spherewave.__path__[0], f"{name}.py").read_text())
+    unread = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.Lambda)):
+            continue
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {sub.id for stmt in body for sub in ast.walk(stmt) if isinstance(sub, ast.Name)}
+        label = getattr(node, "name", "<lambda>")
+        unread += [(name, label, param) for param in _parameters(node.args)
+                   if param not in read and param not in ("self", "cls")
+                   and not param.startswith("_") and (name, label, param) not in UNREAD_PARAMETERS]
+    assert not unread, f"spherewave.{name} has parameters no body reads: {unread}"

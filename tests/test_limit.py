@@ -97,7 +97,7 @@ class TestLimitRhs:
             assert sw.norm_l2(grid, rhs) <= 2e-15 / grid.h ** 2
 
     def test_rhs_is_the_public_mobility_solve(self, grid, basis, silent):
-        # limit_rhs reads the basis's phi/2 column; alternating the basis and
+        # limit_rhs reads the basis's phi row; alternating the basis and
         # gamma must give each flow the public solve of its own phi and gamma,
         # the silent basis's r / gamma shortcut included, bit for bit
         other = sw.build_basis(grid, 4, 3.0)
@@ -248,12 +248,17 @@ class TestSolveLimit:
                              ids=["length", "nodes"])
     def test_basis_on_another_grid_rejected(self, grid, other):
         # a basis sampled on another domain would silently bend the flow, and
-        # one with another node count would fail inside numpy broadcasting
+        # one with another node count would fail inside numpy broadcasting;
+        # the solver, the flow's velocity and the residual oracle all refuse it
         u0 = sw.normalize_sphere(grid, sw.sine_field(grid, 1, 1))
         p = LimitParams.auto(grid, 0.01, n_out=1)
-        for m in (8, 0):
-            with pytest.raises(sw.ShapeError, match="different grids"):
-                sw.solve_limit(u0, p, sw.build_basis(other, m, 2.0))
+        calls = (lambda b: sw.solve_limit(u0, p, b),
+                 lambda b: sw.limit_rhs(u0, b, p),
+                 lambda b: sw.explicit_form_residual(u0, u0, b, p))
+        for m in (8, 4, 0):
+            for call in calls:
+                with pytest.raises(sw.ShapeError, match="different grids"):
+                    call(sw.build_basis(other, m, 2.0))
 
     def test_final_time_must_be_reached(self, grid):
         with pytest.raises(sw.ParameterError, match=r"dt=0\.0007.*T=1\.0.*t=1\.0003"):

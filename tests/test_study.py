@@ -22,6 +22,7 @@ from spherewave.study import (
     StudyConfig,
     _blocks,
     _increments,
+    _run,
     _run_block,
     _solve_target,
     refinement_bias,
@@ -349,12 +350,7 @@ class TestBlockEngine:
         }
 
     def test_default_levels_are_whole_blocks(self):
-        config = StudyConfig()
-        grid = config.grid()
-        blocks = _blocks(config, grid)
-        steps = [config.spde_params(mu, grid).n_steps for mu in config.mu_values]
-        assert blocks == [(i, range(0, 16)) for i in (3, 2, 1, 0)]
-        assert [steps[i] for i, _ in blocks] == sorted(steps, reverse=True)
+        assert _blocks(StudyConfig()) == [(i, range(0, 16)) for i in range(4)]
 
     def test_default_schedule(self):
         # the step counts and work of the default study, read off its parameters
@@ -362,8 +358,8 @@ class TestBlockEngine:
         grid = config.grid()
         steps = [config.spde_params(mu, grid).n_steps for mu in config.mu_values]
         assert steps == [768, 1024, 1280, 1792]
-        blocks = _blocks(config, grid)
-        assert [i for i, _ in blocks] == [3, 2, 1, 0]
+        blocks = _blocks(config)
+        assert [i for i, _ in blocks] == [0, 1, 2, 3]
         assert sum(steps[i] * len(samples) for i, samples in blocks) == 77_824
         assert sum(steps[i] for i, _ in blocks) == 4_864   # helmholtz_solves
         # simulate's auto step follows the same rule (SpdeParams.auto)
@@ -372,13 +368,10 @@ class TestBlockEngine:
 
     def test_large_ensemble_splits_near_equal(self):
         config = StudyConfig(ensemble=40)
-        grid = config.grid()
-        blocks = _blocks(config, grid)
-        steps = [config.spde_params(mu, grid).n_steps for mu in config.mu_values]
-        costs = [steps[i] * len(samples) for i, samples in blocks]
-        assert costs == sorted(costs, reverse=True)
+        blocks = _blocks(config)
+        assert [i for i, _ in blocks] == [0, 0, 0, 1, 1, 1, 2, 2, 2, 3, 3, 3]
         for level in range(len(config.mu_values)):
-            mine = sorted((s for i, s in blocks if i == level), key=lambda s: s.start)
+            mine = [s for i, s in blocks if i == level]
             assert [len(s) for s in mine] == [13, 13, 14]
             assert all(len(s) <= BLOCK_SIZE for s in mine)
             assert [x for s in mine for x in s] == list(range(40))
@@ -391,14 +384,11 @@ class TestConstraintDefects:
     def test_defects_resolve_the_step(self, mu):
         # one path per sample, drawn at dt/4 and summed onto dt, dt/2 and dt/4
         config = StudyConfig(ensemble=4)
-        grid = config.grid()
-        basis = config.basis(grid)
-        u0, v0 = config.initial_data(grid)
-        params = config.spde_params(mu, grid)
+        params = config.spde_params(mu)
         sups = []
         for k in (1, 2, 4):
-            rows, _ = _run_block(config, replace(params, dt=params.dt / k), basis, u0, v0,
-                                 {}, 0, range(config.ensemble), 0, 4 // k)
+            rows, _ = _run_block(config, replace(params, dt=params.dt / k), {}, 0,
+                                 range(config.ensemble), 0, 4 // k)
             sups.append([np.mean([row.norm_defect_sup for row in rows]),
                          np.mean([row.tangent_defect_sup for row in rows])])
         norm_order, tangent_order = np.polyfit(np.log2([1.0, 0.5, 0.25]), np.log2(sups), 1)[0]
@@ -461,8 +451,7 @@ class TestConstraintDefects:
         grid = config.grid()
         basis = config.basis(grid)
         params = config.spde_params(row.mu, grid)
-        increments = _increments(config, params, basis.m, range(row.sample, row.sample + 1),
-                                 0, 1)
+        increments = _increments(config, params, range(row.sample, row.sample + 1), 0, 1)
         engine = SpdeStepper(params, basis, *config.initial_data(grid))
         for k in range(row.blowup_step - 1):
             engine.step(increments[k])
@@ -477,12 +466,12 @@ class TestRefinementBias:
     def test_coarse_path_sums_the_fine_one(self, small_config):
         grid = small_config.grid()
         params = small_config.spde_params(0.2, grid)
-        fine = _increments(small_config, replace(params, dt=params.dt / 2), 8, range(2),
+        fine = _increments(small_config, replace(params, dt=params.dt / 2), range(2),
                            REFINEMENT_STREAM, 1)
-        coarse = _increments(small_config, params, 8, range(2), REFINEMENT_STREAM, 2)
+        coarse = _increments(small_config, params, range(2), REFINEMENT_STREAM, 2)
         assert np.array_equal(coarse, fine[0::2] + fine[1::2])
         # the study's own paths are another stream
-        study = _increments(small_config, params, 8, range(2), 0, 1)
+        study = _increments(small_config, params, range(2), 0, 1)
         assert not np.any(study == coarse)
 
     def test_default_step_passes(self):
@@ -497,8 +486,8 @@ class TestRefinementBias:
         assert all(lev["passed"] for lev in refinement_bias(config))
         real = study_module._increments
 
-        def inflated(config, params, m, samples, stream, draws_per_step):
-            increments = real(config, params, m, samples, stream, draws_per_step)
+        def inflated(config, params, samples, stream, draws_per_step):
+            increments = real(config, params, samples, stream, draws_per_step)
             return 1.1 * increments if draws_per_step > 1 else increments
 
         monkeypatch.setattr(study_module, "_increments", inflated)
@@ -572,12 +561,25 @@ class TestTargetJobs:
             assert [function for function, _ in jobs] == (
                 [_solve_target] * len(targets) + [_run_block] * (len(jobs) - len(targets)))
             assert [args[-2:] for _, args in jobs[:len(targets)]] == list(enumerate(targets))
-            costs = [args[1].n_steps * len(args[7]) for _, args in jobs[len(targets):]]
+            costs = [args[1].n_steps * len(args[4]) for _, args in jobs[len(targets):]]
             assert costs == sorted(costs, reverse=True)
         # refinement_bias lists each level's fine grid (1 draw per step) next
         # to its coarse one (2 draws); the steps are 192 and 320 at the two
         # levels and twice that at the fine grids, so both fine grids lead
-        assert [(args[6], args[-1]) for _, args in order[1:]] == [(1, 1), (0, 1), (1, 2), (0, 2)]
+        assert [(args[3], args[-1]) for _, args in order[1:]] == [(1, 1), (0, 1), (1, 2), (0, 2)]
+
+    def test_results_come_back_in_the_callers_order(self, small_config):
+        # two blocks, cheapest first: the driver runs the costlier one first
+        # and must still hand back the cheap block's result first
+        blocks = [(small_config.spde_params(mu), i, range(1))
+                  for i, mu in enumerate(small_config.mu_values)]
+        assert blocks[0][0].n_steps < blocks[1][0].n_steps
+        limit_steps, results = _run(small_config, ("corrected",), blocks, workers=1)
+        assert limit_steps == sw.LimitParams.auto(small_config.grid(), small_config.T,
+                                                  n_out=small_config.n_out).n_steps
+        assert len(results) == 2
+        for (params, mu_index, _), (rows, _) in zip(blocks, results):
+            assert [(row.mu_index, row.dt) for row in rows] == [(mu_index, params.dt)]
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_failed_target_raises_its_own_error(self, tmp_path, workers):
