@@ -7,15 +7,15 @@ the noise statistics, an exact equilibrium and two short dynamic runs
 (energy identity, tangent residuals).  CHECKS is the one table of them:
 each entry names a check once, and the check draws from its own stream,
 keyed by CHECK_SEED and its name, so adding, removing or reordering a check
-moves no other check's numbers.  `correction_scale` is forwarded to the
-checks that step the wave system, so a deliberately flipped Ito correction
+moves no other check's numbers.  With `mutate` the wave checks step on a
+kernel phi of the wrong sign (_wave_basis), so a flipped Ito correction
 demonstrates that the energy-identity check detects it.
 """
 
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -261,13 +261,17 @@ def _check_sphere_generator(rng) -> tuple[bool, str]:
     return worst <= 1e-10, f"max relative defect {worst:.2e}"
 
 
-def _check_equilibrium(rng, correction_scale: float) -> tuple[bool, str]:
+def _wave_basis(basis, mutate: bool):
+    """The basis a wave check steps on: `basis`, or with mutate its kernel phi negated."""
+    return replace(basis, phi=-basis.phi) if mutate else basis
+
+
+def _check_equilibrium(rng, mutate: bool) -> tuple[bool, str]:
     grid = _grid()
     basis = build_basis(grid, 8, 2.0)
     u0 = normalize_sphere(grid, sine_field(grid, 3, 2))
-    params = SpdeParams(grid=grid, mu=0.1, dt=1e-4, T=1e-3,
-                        correction_scale=correction_scale)
-    stepper = SpdeStepper(params, basis, u0, zero_field(grid))
+    params = SpdeParams(grid=grid, mu=0.1, dt=1e-4, T=1e-3)
+    stepper = SpdeStepper(params, _wave_basis(basis, mutate), u0, zero_field(grid))
     drift_sup = 0.0
     for _ in range(10):
         w = np.sqrt(params.dt) * rng.standard_normal(basis.m)
@@ -282,30 +286,29 @@ def _check_equilibrium(rng, correction_scale: float) -> tuple[bool, str]:
     return passed, f"stepper drift {drift_sup:.2e}, limit per-step drift {limit_drift:.2e}"
 
 
-def _dynamic_run(rng, correction_scale: float):
+def _dynamic_run(rng, mutate: bool):
     # gamma = 5 keeps the transverse constraint amplification e^{s t} mild,
     # so the correct correction passes cleanly and a flipped sign fails loudly
     grid = _grid()
-    basis = build_basis(grid, 8, 2.0)
+    basis = _wave_basis(build_basis(grid, 8, 2.0), mutate)
     u0 = normalize_sphere(grid, sine_field(grid, 1, 1) + sine_field(grid, 2, 2, 0.2))
-    params = SpdeParams(grid=grid, mu=0.1, dt=1e-4, T=0.25, gamma=5.0,
-                        correction_scale=correction_scale)
+    params = SpdeParams(grid=grid, mu=0.1, dt=1e-4, T=0.25, gamma=5.0)
     return simulate(u0, zero_field(grid), params, basis, rng=rng, stride=50)
 
 
-def _check_energy_identity(rng, correction_scale: float) -> tuple[bool, str]:
-    traj = _dynamic_run(rng, correction_scale)
+def _check_energy_identity(rng, mutate: bool) -> tuple[bool, str]:
+    traj = _dynamic_run(rng, mutate)
     drift = float(np.abs(traj.energy - traj.energy[0]).max() / traj.energy[0])
     return drift <= 2e-3, f"relative energy drift {drift:.2e} (tolerance 2e-3)"
 
 
-def _check_constraint_drift(rng, correction_scale: float) -> tuple[bool, str]:
-    traj = _dynamic_run(rng, correction_scale)
+def _check_constraint_drift(rng, mutate: bool) -> tuple[bool, str]:
+    traj = _dynamic_run(rng, mutate)
     sup = float((np.abs(traj.theta) + np.abs(traj.eta)).max())
     return sup <= 2e-3, f"sup |theta|+|eta| = {sup:.2e} (tolerance 2e-3)"
 
 
-# name: (check, whether the check takes correction_scale); every check
+# name: (check, whether the check takes the mutation); every check
 # returns (passed, detail)
 CHECKS = {
     "quadrature-bilinearity": (_check_quadrature, False),
@@ -331,14 +334,14 @@ CHECKS = {
 CHECK_NAMES = tuple(CHECKS)
 
 
-def run_check(name: str, correction_scale: float = 1.0) -> CheckResult:
-    """Run the check called `name` on its own stream."""
-    check, scaled = CHECKS[name]
+def run_check(name: str, mutate: bool = False) -> CheckResult:
+    """Run the check called `name` on its own stream; mutate flips the wave checks' kernel."""
+    check, mutable = CHECKS[name]
     rng = derive_stream(CHECK_SEED, zlib.crc32(name.encode()))
-    passed, detail = check(rng, correction_scale) if scaled else check(rng)
+    passed, detail = check(rng, mutate) if mutable else check(rng)
     return CheckResult(name, passed, detail)
 
 
-def run_all(correction_scale: float = 1.0) -> list[CheckResult]:
+def run_all(mutate: bool = False) -> list[CheckResult]:
     """Run every invariant check once, in the order of CHECKS."""
-    return [run_check(name, correction_scale) for name in CHECK_NAMES]
+    return [run_check(name, mutate) for name in CHECK_NAMES]

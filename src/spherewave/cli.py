@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from dataclasses import fields
 
 import numpy as np
 
@@ -30,8 +31,8 @@ from .config import (
 from .errors import BlowUpError, ConfigError, ParameterError
 from .limit import solve_limit
 from .noise import build_basis, derive_stream
-from .spde import simulate
-from .study import run_study, trend_check
+from .spde import DIAGNOSTICS, simulate
+from .study import TARGET_NAMES, run_study, trend_check
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -67,11 +68,9 @@ def cmd_simulate(args) -> int:
     traj = simulate(u0, v0, params, basis, rng=rng,
                     stride=cfg["output"]["stride"])
     out = output_directory(cfg)
-    header = ["t", "energy", "theta", "eta", "u_h1", "u_h2", "v_h", "v_h1",
-              "weighted_h2", "j1", "j2", "j3", "j4", "j5", "j6"]
-    columns = [traj.t, traj.energy, traj.theta, traj.eta, traj.u_h1, traj.u_h2,
-               traj.v_h, traj.v_h1, traj.weighted_h2]
-    columns += [traj.j_norms[:, i] for i in range(6)]
+    names = ("t",) + DIAGNOSTICS
+    header = list(names) + [f"j{i}" for i in range(1, traj.j_norms.shape[1] + 1)]
+    columns = [getattr(traj, name) for name in names] + list(traj.j_norms.T)
     write_csv(out / "simulate.csv", header, columns)
     write_json(out / "simulate.manifest.json",
                _manifest(cfg, {"master_seed": seed, "stream_key": [seed, 0, 0]},
@@ -90,11 +89,8 @@ def cmd_limit(args) -> int:
     start = time.perf_counter()
     traj = solve_limit(u0, params, basis, stride=cfg["output"]["stride"])
     out = output_directory(cfg)
-    header = ["t", "u_h1", "u_h2", "ut_h", "sphere_residual", "projection_defect",
-              "energy_lhs", "energy_rhs"]
-    rows = len(traj.t)
-    columns = [traj.t, traj.u_h1, traj.u_h2, traj.ut_h, traj.sphere_residual,
-               traj.projection_defect, traj.energy_lhs, np.full(rows, traj.energy_rhs)]
+    header = [f.name for f in fields(traj)][1:]
+    columns = [np.broadcast_to(getattr(traj, name), traj.t.shape) for name in header]
     write_csv(out / "limit.csv", header, columns)
     write_json(out / "limit.manifest.json",
                _manifest(cfg, {}, time.perf_counter() - start, ["limit.csv"],
@@ -149,8 +145,7 @@ def cmd_study(args) -> int:
 
 
 def cmd_check(args) -> int:
-    scale = -1.0 if args.mutate_correction_sign else 1.0
-    results = run_all(correction_scale=scale)
+    results = run_all(mutate=args.mutate_correction_sign)
     for res in results:
         print(f"{'PASS' if res.passed else 'FAIL'}\t{res.name}\t{res.detail}")
     return EXIT_OK if all(res.passed for res in results) else EXIT_NUMERICAL
@@ -176,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
     stu.add_argument("--check", action="store_true",
                      help="exit nonzero unless the error-decay trend holds")
     stu.add_argument("--target", default="auto",
-                     choices=["auto", "corrected", "parabolic"])
+                     choices=("auto",) + TARGET_NAMES)
     stu.add_argument("--workers", type=int, default=1)
     stu.set_defaults(func=cmd_study)
 

@@ -1,8 +1,9 @@
 """Run-configuration schema, resolution, hashing, and file emission.
 
 A run is described by one JSON document with the sections grid, noise,
-physics, time, initial_data, study, output.  Unknown keys are rejected;
-every physical constraint is re-checked after merging with the defaults.
+physics, time, initial_data, study, output.  Unknown keys and non-finite
+numbers are rejected; the merged document's grid, noise basis and initial
+data are built once, so their builders' rules refuse a bad one up front.
 Emitted CSV floats use the shortest representation that parses back to the
 same value, so output files are byte-stable across reruns.
 """
@@ -11,12 +12,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 from pathlib import Path
 
 import jsonschema
 
-from .errors import ConfigError
+from .errors import ConfigError, DegenerateFieldError, ParameterError
 from .fields import Grid1D, initial_pair
 from .limit import LimitParams
 from .noise import build_basis
@@ -155,6 +157,10 @@ def load_config(path: str | Path) -> dict:
 
 def resolve_config(raw: dict) -> dict:
     """Validate a user document and merge it over the defaults."""
+    bad = _non_finite(raw)
+    if bad:
+        raise ConfigError("configuration rejected: " + "; ".join(
+            f"{'/'.join(str(p) for p in path)}: non-finite number" for path in bad))
     validator = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
     problems = sorted(validator.iter_errors(raw), key=lambda e: list(e.absolute_path))
     if problems:
@@ -169,20 +175,31 @@ def resolve_config(raw: dict) -> dict:
     return resolved
 
 
+def _non_finite(doc, path=()) -> list[tuple]:
+    """Key paths of the NaN and infinite floats anywhere in a JSON document."""
+    if isinstance(doc, dict):
+        items = doc.items()
+    elif isinstance(doc, list):
+        items = enumerate(doc)
+    else:
+        return [path] if isinstance(doc, float) and not math.isfinite(doc) else []
+    return [bad for key, value in items for bad in _non_finite(value, path + (key,))]
+
+
 def _cross_check(cfg: dict) -> None:
+    """The rules no builder states, then one build of the grid, basis and initial data."""
     mus = cfg["physics"]["mu_list"]
     if any(b >= a for a, b in zip(mus, mus[1:])):
         raise ConfigError(f"physics.mu_list must be strictly decreasing, got {mus}")
     for k, d, _ in cfg["initial_data"]["u_modes"] + cfg["initial_data"]["v_modes"]:
         if int(k) != k or int(d) != d:
             raise ConfigError("mode indices must be integers")
-        if not 1 <= int(k) <= cfg["grid"]["n"]:
-            raise ConfigError(f"mode index {k} outside 1..{cfg['grid']['n']}")
-        if int(d) not in (1, 2, 3):
-            raise ConfigError(f"mode component {d} must be 1, 2 or 3")
-    if cfg["noise"]["m"] > cfg["grid"]["n"]:
-        raise ConfigError(
-            f"noise.m = {cfg['noise']['m']} exceeds grid.n = {cfg['grid']['n']}")
+    try:
+        grid = build_grid(cfg)
+        build_noise_basis(cfg, grid)
+        initial_fields_from(cfg, grid)
+    except (ParameterError, DegenerateFieldError) as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def config_hash(cfg: dict) -> str:

@@ -101,6 +101,8 @@ def step_count(dt: float, T: float) -> int:
 
 def fitted_step(dt_max: float, T: float, n_out: int) -> float:
     """The step T / n_steps, with n_steps >= T / dt_max rounded up to a multiple of n_out."""
+    if n_out < 1:
+        raise ParameterError(f"need at least one output row, got n_out={n_out}")
     n_steps = ceil(T / dt_max)
     n_steps = ((n_steps + n_out - 1) // n_out) * n_out
     return T / n_steps

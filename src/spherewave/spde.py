@@ -103,9 +103,8 @@ BLOWUP_DIAGNOSTICS = ("energy", "theta", "eta", "u_h1")
 class SpdeParams:
     """Physical and numerical parameters of one stochastic trajectory.
 
-    correction_scale is a diagnostic knob scaling the Ito correction drift
-    (1.0 is the physical value; -1.0 flips its sign, which the invariant
-    suite uses as a mutation control for the energy identity).
+    Noise statistics are not parameters: the correction drift reads its
+    kernel phi from the noise basis the engine steps on.
     """
 
     grid: Grid1D
@@ -115,7 +114,6 @@ class SpdeParams:
     gamma: float = 1.0
     alpha: float = 0.5
     projection: bool = False
-    correction_scale: float = 1.0
 
     def __post_init__(self):
         if not 0.0 < self.mu <= 1.0:
@@ -197,7 +195,7 @@ def _diagnostics(params: SpdeParams, u: np.ndarray, v: np.ndarray, acc_v2) -> di
 def _explicit_force(params: SpdeParams, basis: NoiseBasis, u, v, h1, vh2, *,
                     dots: tuple | None = None) -> np.ndarray:
     """|u|_{H1}^2 u - mu |v|_H^2 u + (1/2) mu^(2a-1) phi u x (u x v), explicit in every scheme."""
-    coeff = 0.5 * params.mu ** (2.0 * params.alpha - 1.0) * params.correction_scale
+    coeff = 0.5 * params.mu ** (2.0 * params.alpha - 1.0)
     return h1 * u - params.mu * vh2 * u + coeff * strat_correction(u, v, basis, dots=dots)
 
 
@@ -441,7 +439,7 @@ class RemainderIdentity:
         mu, gamma = params.mu, params.gamma
         self.params = params
         self.c = 1.5 * mu / gamma
-        self.phi = params.correction_scale * mu ** (2.0 * params.alpha - 1.0) * basis.phi
+        self.phi = mu ** (2.0 * params.alpha - 1.0) * basis.phi
         self.phi_sq = self.phi * self.phi
         self.phi_drift = (1.5 / gamma) * self.phi
         self.offset = (gamma * u0 + 0.5 * self.phi * pointwise_dot(u0, u0) * u0 + mu * v0

@@ -47,7 +47,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .errors import ConfigError, ParameterError
+from .errors import ConfigError, DegenerateFieldError, ParameterError
 from .fields import Grid1D, dst_ortho, initial_pair, output_rows, spectral_weights, weighted_norm
 from .limit import LimitParams, solve_limit
 from .noise import NoiseBasis, build_basis, derive_stream
@@ -113,7 +113,12 @@ class StudyConfig:
                               f" limit to study, got alpha={self.alpha}")
         if not self.u_modes:
             raise ConfigError("initial data needs at least one mode")
-        grid = self.grid()
+        try:
+            grid = self.grid()
+            self.basis(grid)
+            self.initial_data(grid)
+        except (ParameterError, DegenerateFieldError) as exc:
+            raise ConfigError(str(exc)) from exc
         for mu in mus:
             try:
                 self.spde_params(mu, grid)

@@ -15,7 +15,13 @@ import pytest
 
 from spherewave import cli
 from spherewave.checks import CHECK_NAMES, CheckResult, run_check
-from spherewave.config import config_hash, load_config, resolve_config, study_config_from
+from spherewave.config import (
+    DEFAULT_CONFIG,
+    config_hash,
+    load_config,
+    resolve_config,
+    study_config_from,
+)
 from spherewave.errors import BlowUpError, ConfigError
 from spherewave.limit import LimitParams
 from spherewave.study import BLOCK_SIZE, StudyConfig
@@ -81,6 +87,52 @@ class TestConfigResolution:
         with pytest.raises(ConfigError):
             load_config(path)
 
+    def test_readme_shows_the_defaults(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("## Command line", 1)[1]
+        block = section.split("```json\n", 1)[1].split("```", 1)[0]
+        assert json.loads(block) == DEFAULT_CONFIG
+
+
+# a config whose u_modes add up to the zero field, and non-finite literals that
+# Python's json reads as floats (1e999 overflows to inf)
+ZERO_FIELD = {"initial_data": {"u_modes": [[1, 1, 1.0], [1, 1, -1.0]]}}
+NON_FINITE = ("NaN", "Infinity", "-Infinity", "1e999")
+NON_FINITE_KEYS = {
+    "physics/gamma": {"physics": {"gamma": "X"}},
+    "time/T": {"time": {"T": "X"}},
+    "initial_data/u_modes/0/2": {"initial_data": {"u_modes": [[1, 1, "X"]]}},
+}
+
+
+def refused(tmp_path, capsys, command, text):
+    """Run `command` on a config of the given JSON text; it must stop at the config."""
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    assert cli.main([command, "-c", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and err.count("\n") == 1, err
+    assert not (tmp_path / "out").exists()
+    return err
+
+
+@pytest.mark.parametrize("command", ["simulate", "limit"])
+@pytest.mark.parametrize("key", list(NON_FINITE_KEYS))
+@pytest.mark.parametrize("literal", NON_FINITE)
+def test_non_finite_numbers_refused(tmp_path, capsys, command, key, literal):
+    # json reads these; the range rules pass NaN (every comparison is false) and inf
+    payload = dict(NON_FINITE_KEYS[key], output={"directory": str(tmp_path / "out")})
+    text = json.dumps(payload).replace('"X"', literal)
+    err = refused(tmp_path, capsys, command, text)
+    assert f"{key}: non-finite number" in err
+
+
+@pytest.mark.parametrize("command", ["simulate", "limit", "study"])
+def test_zero_initial_field_refused(tmp_path, capsys, command):
+    payload = dict(ZERO_FIELD, output={"directory": str(tmp_path / "out")})
+    err = refused(tmp_path, capsys, command, json.dumps(payload))
+    assert "zero field" in err
+
 
 class TestSimulateCommand:
     def test_outputs_and_reproducibility(self, tmp_path):
@@ -116,9 +168,9 @@ class TestSimulateCommand:
         cfg = sim_config(tmp_path)
         cli.main(["simulate", "-c", cfg])
         lines = (tmp_path / "out" / "simulate.csv").read_text().strip().split("\n")
-        header = lines[0].split(",")
-        assert header[:4] == ["t", "energy", "theta", "eta"]
-        assert header[-6:] == ["j1", "j2", "j3", "j4", "j5", "j6"]
+        assert lines[0].split(",") == ["t", "energy", "theta", "eta", "u_h1", "u_h2", "v_h",
+                                       "v_h1", "weighted_h2", "j1", "j2", "j3", "j4", "j5",
+                                       "j6"]
         # 500 steps at stride 50: rows at steps 0, 50, ..., 500
         assert len(lines) - 1 == 11
         for line in lines[1:]:
@@ -183,6 +235,15 @@ class TestLimitCommand:
         idx = lines[0].split(",").index("ut_h")
         ut = np.array([float(l.split(",")[idx]) for l in lines[1:]])
         assert ut.max() <= 1e-10
+
+    def test_output_schema(self, tmp_path):
+        # the header follows the LimitTrajectory fields; reordering one reorders the CSV
+        cfg = sim_config(tmp_path, time={"dt": "auto", "T": 0.1})
+        assert cli.main(["limit", "-c", cfg]) == 0
+        lines = (tmp_path / "out" / "limit.csv").read_text().splitlines()
+        assert lines[0].split(",") == ["t", "u_h1", "u_h2", "ut_h", "sphere_residual",
+                                       "projection_defect", "energy_lhs", "energy_rhs"]
+        assert len({line.split(",")[-1] for line in lines[1:]}) == 1
 
     def test_manifest_work_counter(self, tmp_path):
         # 200 steps per relaxation time 1/lambda_{h,1}: ceil(200 * 9.8676 * 0.2)

@@ -61,6 +61,27 @@ class TestConfig:
         with pytest.raises(sw.ConfigError):
             StudyConfig(ensemble=0)
 
+    @pytest.mark.parametrize("fields, reason", [
+        ({"n_out": 0}, "n_out=0"),
+        ({"n_out": -4}, "n_out=-4"),
+        ({"n": 31, "m": 40}, "exceed the 31 grid modes"),
+        ({"p": 1.0}, "decay exponent"),
+        ({"m": -1}, "mode count"),
+        ({"u_modes": ((128, 1, 1.0),)}, "mode index"),
+        ({"v_modes": ((1, 4, 1.0),)}, "component"),
+        ({"u_modes": ((1, 1, 0.0),)}, "zero field"),
+    ])
+    def test_refused_at_construction(self, fields, reason):
+        # refused when the config is built, naming the fault, not inside the first pool job
+        with pytest.raises(sw.ConfigError, match=reason):
+            StudyConfig(**fields)
+
+    def test_auto_steps_need_an_output_row(self):
+        with pytest.raises(sw.ParameterError, match="n_out=0"):
+            sw.SpdeParams.auto(sw.Grid1D(), 0.1, 1.0, n_out=0)
+        with pytest.raises(sw.ParameterError, match="n_out=0"):
+            sw.LimitParams.auto(sw.Grid1D(), 1.0, n_out=0)
+
     def test_initial_data_on_manifold(self):
         cfg = StudyConfig()
         grid = cfg.grid()
