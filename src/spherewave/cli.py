@@ -14,7 +14,6 @@ from dataclasses import fields
 import numpy as np
 
 from . import __version__
-from .checks import run_all
 from .config import (
     build_grid,
     build_noise_basis,
@@ -145,6 +144,10 @@ def cmd_study(args) -> int:
 
 
 def cmd_check(args) -> int:
+    # imported here: the check suite is the package's costliest module to
+    # compile, and no other command reads it
+    from .checks import run_all
+
     results = run_all(mutate=args.mutate_correction_sign)
     for res in results:
         print(f"{'PASS' if res.passed else 'FAIL'}\t{res.name}\t{res.detail}")

@@ -17,6 +17,7 @@ import os
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 
 from .errors import ConfigError, DegenerateFieldError, ParameterError
 from .fields import Grid1D, initial_pair
@@ -279,10 +280,13 @@ def format_float(x) -> str:
 
 
 def write_csv(path: Path, header: list[str], columns: list) -> None:
-    lines = [",".join(header)]
-    n_rows = len(columns[0])
-    for r in range(n_rows):
-        lines.append(",".join(format_float(col[r]) for col in columns))
+    """One row per entry of the equal-length columns, each cell format_float's string.
+
+    Each column is turned into Python floats once, and repr of a float is
+    format_float's string, without a numpy scalar per cell.
+    """
+    cells = [map(repr, np.asarray(col, dtype=float).tolist()) for col in columns]
+    lines = [",".join(header)] + [",".join(row) for row in zip(*cells, strict=True)]
     path.write_text("\n".join(lines) + "\n")
 
 

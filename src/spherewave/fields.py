@@ -21,20 +21,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from importlib.machinery import EXTENSION_SUFFIXES
+from importlib.util import find_spec, module_from_spec, spec_from_file_location
 from math import ceil
+from pathlib import Path
 
 import numpy as np
 # numpy's C einsum: np.einsum without `optimize` calls exactly this, and its
 # Python wrapper costs more than the contraction on one field
 from numpy._core._multiarray_umath import c_einsum
-from scipy.fft._pocketfft.pypocketfft import dst
-from scipy.linalg import get_lapack_funcs
 
 from .errors import DegenerateFieldError, ParameterError, ShapeError
 
 __all__ = [
     "Grid1D",
     "step_count",
+    "check_output_grid",
     "fitted_step",
     "output_rows",
     "zero_field",
@@ -61,6 +63,35 @@ __all__ = [
     "initial_pair",
     "HelmholtzSolver",
 ]
+
+
+def _scipy_extension(name: str):
+    """The compiled scipy module `name` (dotted, below scipy), loaded from its file.
+
+    Importing the scipy.fft and scipy.linalg packages costs about 0.4 s,
+    most of a cold start, for three compiled routines.  The extension file
+    is found through scipy's spec, which does not import scipy, and loaded
+    under its own dotted name, so a later import of the package shares it.
+    """
+    scipy = find_spec("scipy")
+    if scipy is None:
+        raise ImportError("spherewave needs scipy, which is not installed")
+    stem = Path(scipy.submodule_search_locations[0]).joinpath(*name.split("."))
+    for suffix in EXTENSION_SUFFIXES:
+        path = stem.with_name(stem.name + suffix)
+        if path.is_file():
+            spec = spec_from_file_location(f"scipy.{name}", path)
+            module = module_from_spec(spec)
+            spec.loader.exec_module(module)
+            return module
+    raise ImportError(f"no compiled module {stem}{{{','.join(EXTENSION_SUFFIXES)}}}")
+
+
+# pocketfft's binding behind scipy.fft.dst, and the very LAPACK routines
+# that scipy.linalg.get_lapack_funcs(("pttrf", "pttrs"), dtype=float) returns
+_dst = _scipy_extension("fft._pocketfft.pypocketfft").dst
+_flapack = _scipy_extension("linalg._flapack")
+_pttrf, _pttrs = _flapack.dpttrf, _flapack.dpttrs
 
 
 @dataclass(frozen=True)
@@ -99,10 +130,17 @@ def step_count(dt: float, T: float) -> int:
     return n
 
 
-def fitted_step(dt_max: float, T: float, n_out: int) -> float:
-    """The step T / n_steps, with n_steps >= T / dt_max rounded up to a multiple of n_out."""
+def check_output_grid(T: float, n_out: int) -> None:
+    """Refuse a horizon and output row count that no step fits: need T > 0 and n_out >= 1."""
+    if not T > 0.0:
+        raise ParameterError(f"horizon must be positive, got T={T!r}")
     if n_out < 1:
         raise ParameterError(f"need at least one output row, got n_out={n_out}")
+
+
+def fitted_step(dt_max: float, T: float, n_out: int) -> float:
+    """The step T / n_steps, with n_steps >= T / dt_max rounded up to a multiple of n_out."""
+    check_output_grid(T, n_out)
     n_steps = ceil(T / dt_max)
     n_steps = ((n_steps + n_out - 1) // n_out) * n_out
     return T / n_steps
@@ -237,7 +275,7 @@ def dst_ortho(f: np.ndarray) -> np.ndarray:
     (ortho), a new output array, one thread.
     """
     f = np.asarray(f, dtype=float)
-    return dst(f, 1, (f.ndim - 1,), 1, None, 1, None)
+    return _dst(f, 1, (f.ndim - 1,), 1, None, 1, None)
 
 
 def spectral_weights(grid: Grid1D, delta: float) -> np.ndarray:
@@ -334,15 +372,14 @@ class HelmholtzSolver:
             raise ParameterError(f"need c0 > 0 and c2 >= 0, got c0={c0}, c2={c2}")
         self.grid = grid
         h2 = grid.h ** 2
-        pttrf, self._pttrs = get_lapack_funcs(("pttrf", "pttrs"), dtype=float)
-        self._d, self._e, info = pttrf(np.full(grid.n, c0 + 2.0 * c2 / h2),
-                                       np.full(grid.n - 1, -c2 / h2))
+        self._d, self._e, info = _pttrf(np.full(grid.n, c0 + 2.0 * c2 / h2),
+                                        np.full(grid.n - 1, -c2 / h2))
         if info:
             raise ParameterError(f"tridiagonal factorisation failed (LAPACK pttrf info={info})")
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """Solution for the columns of b; a Fortran-ordered b is overwritten, not copied."""
-        x, info = self._pttrs(self._d, self._e, b, overwrite_b=1)
+        x, info = _pttrs(self._d, self._e, b, overwrite_b=1)
         if info:
             raise ParameterError(f"tridiagonal solve failed (LAPACK pttrs info={info})")
         return x

@@ -57,6 +57,7 @@ from .fields import (
     Grid1D,
     HelmholtzSolver,
     c_einsum,
+    check_output_grid,
     fitted_step,
     inner_each,
     laplacian,
@@ -150,10 +151,12 @@ class SpdeParams:
         """
         if dt is None:
             dt = fitted_step(CFL_LIMIT * np.sqrt(mu) * grid.h, T, n_out)
-        elif step_count(dt, T) % n_out:
-            raise ParameterError(
-                f"dt={dt!r} takes {step_count(dt, T)} steps to T={T!r},"
-                f" not a multiple of the {n_out} output rows")
+        else:
+            check_output_grid(T, n_out)
+            if step_count(dt, T) % n_out:
+                raise ParameterError(
+                    f"dt={dt!r} takes {step_count(dt, T)} steps to T={T!r},"
+                    f" not a multiple of the {n_out} output rows")
         return cls(grid=grid, mu=mu, dt=dt, T=T, gamma=gamma, alpha=alpha,
                    projection=projection)
 

@@ -3,6 +3,8 @@
 import ast
 import importlib
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -70,3 +72,27 @@ def test_no_unused_parameters(name):
                    if param not in read and param not in ("self", "cls")
                    and not param.startswith("_") and (name, label, param) not in UNREAD_PARAMETERS]
     assert not unread, f"spherewave.{name} has parameters no body reads: {unread}"
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_scipy_import_statement(name):
+    # fields loads the three compiled routines it needs from scipy's
+    # extension files; importing a scipy package costs most of a cold start
+    tree = ast.parse(Path(spherewave.__path__[0], f"{name}.py").read_text())
+    imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names]
+    imported += [node.module for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) and node.module]
+    assert not [mod for mod in imported if mod.split(".")[0] == "scipy"]
+
+
+def test_cold_import_loads_no_scipy_package():
+    # a fresh interpreter importing the CLI maps neither scipy.fft (with
+    # scipy.special) nor scipy.linalg, nor the check suite, and warns nothing
+    heavy = ("scipy.fft", "scipy.special", "scipy.linalg", "spherewave.checks")
+    code = ("import sys, spherewave, spherewave.cli;"
+            f" print(sorted(m for m in {heavy!r} if m in sys.modules))")
+    done = subprocess.run([sys.executable, "-W", "error", "-c", code], capture_output=True,
+                          text=True, cwd=Path(spherewave.__path__[0]).parent, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n" and done.stderr == ""

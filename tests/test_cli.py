@@ -18,9 +18,11 @@ from spherewave.checks import CHECK_NAMES, CheckResult, run_check
 from spherewave.config import (
     DEFAULT_CONFIG,
     config_hash,
+    format_float,
     load_config,
     resolve_config,
     study_config_from,
+    write_csv,
 )
 from spherewave.errors import BlowUpError, ConfigError
 from spherewave.limit import LimitParams
@@ -179,6 +181,22 @@ class TestSimulateCommand:
         t_first = float(lines[1].split(",")[0])
         t_last = float(lines[-1].split(",")[0])
         assert t_first == 0.0 and t_last == pytest.approx(0.05, rel=1e-12)
+
+    def test_write_csv_cells_are_format_float(self, tmp_path):
+        # write_csv formats whole columns at once; each cell must still be
+        # format_float's string of that entry
+        columns = [
+            [1, -2, 3, 0],
+            np.array([True, False, True, False]),
+            np.array([-0.0, np.nan, np.inf, -np.inf]),
+            [5e-324, 1e22, 2 ** 60 + 1, -(2 ** 60 + 1)],
+            np.broadcast_to(np.float64(0.1), (4,)),
+            np.arange(4, dtype=np.int64) * (2 ** 53 + 1),
+        ]
+        write_csv(tmp_path / "t.csv", ["a", "b", "c", "d", "e", "f"], columns)
+        expected = ["a,b,c,d,e,f"] + [",".join(format_float(col[r]) for col in columns)
+                                      for r in range(4)]
+        assert (tmp_path / "t.csv").read_text() == "\n".join(expected) + "\n"
 
     def test_equilibrium_energy_column_constant(self, tmp_path):
         cfg = sim_config(tmp_path, initial_data={"u_modes": [[3, 1, 1.0]],

@@ -3,12 +3,15 @@
 import pickle
 import re
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy.fft
+import scipy.linalg.lapack
 
 import spherewave as sw
+from spherewave import fields
 from spherewave.fields import HelmholtzSolver, c_einsum, dst_ortho
 from spherewave.limit import LimitParams
 from spherewave.noise import noise_field
@@ -336,6 +339,38 @@ class TestHelmholtzSolver:
         y = solver.solve(poisoned)
         assert np.isnan(y[:, 17]).all()
         assert np.array_equal(np.delete(y, 17, axis=1), np.delete(x, 17, axis=1))
+
+    def test_matches_scipy_lapack(self, grid):
+        # the solver calls LAPACK's dpttrf/dpttrs loaded from scipy's extension
+        # file; they must give scipy.linalg.lapack's factor and solution bits
+        dt, mu = 1.2e-3, 0.1
+        c0, c2 = 1.0 + dt / mu, dt ** 2 / mu
+        solver = HelmholtzSolver(grid, c0, c2)
+        h2 = grid.h ** 2
+        d, e, info = scipy.linalg.lapack.dpttrf(np.full(grid.n, c0 + 2.0 * c2 / h2),
+                                                np.full(grid.n - 1, -c2 / h2))
+        assert info == 0
+        assert np.array_equal(solver._d, d) and np.array_equal(solver._e, e)
+        b = np.asfortranarray(RNG.standard_normal((grid.n, 48)))
+        expected, info = scipy.linalg.lapack.dpttrs(d, e, b)
+        assert info == 0
+        assert np.array_equal(solver.solve(b.copy(order="F")), expected)
+
+
+class TestScipyExtensionLoader:
+    def test_missing_file_names_its_path(self, tmp_path, monkeypatch):
+        # no fallback to the package import: a missing file stops the import
+        # with the path it looked for
+        scipy_spec = SimpleNamespace(submodule_search_locations=[str(tmp_path)])
+        monkeypatch.setattr(fields, "find_spec", lambda _name: scipy_spec)
+        with pytest.raises(ImportError) as info:
+            fields._scipy_extension("fft._pocketfft.pypocketfft")
+        assert str(tmp_path / "fft" / "_pocketfft" / "pypocketfft") in str(info.value)
+
+    def test_missing_scipy_refused(self, monkeypatch):
+        monkeypatch.setattr(fields, "find_spec", lambda _name: None)
+        with pytest.raises(ImportError, match="scipy"):
+            fields._scipy_extension("linalg._flapack")
 
 
 

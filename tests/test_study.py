@@ -70,6 +70,11 @@ class TestConfig:
         ({"u_modes": ((128, 1, 1.0),)}, "mode index"),
         ({"v_modes": ((1, 4, 1.0),)}, "component"),
         ({"u_modes": ((1, 1, 0.0),)}, "zero field"),
+        ({"n_out": 0, "dt": 1 / 2048}, "n_out=0"),
+        ({"n_out": -4, "dt": 1 / 2048, "ensemble": 1, "mu_values": (0.2,)}, "n_out=-4"),
+        ({"T": 0.0}, "T=0.0"),
+        ({"T": -1.0}, "T=-1.0"),
+        ({"T": 0.0, "dt": 1 / 2048}, "T=0.0"),
     ])
     def test_refused_at_construction(self, fields, reason):
         # refused when the config is built, naming the fault, not inside the first pool job
@@ -81,6 +86,16 @@ class TestConfig:
             sw.SpdeParams.auto(sw.Grid1D(), 0.1, 1.0, n_out=0)
         with pytest.raises(sw.ParameterError, match="n_out=0"):
             sw.LimitParams.auto(sw.Grid1D(), 1.0, n_out=0)
+        # a given step obeys the same rule as a fitted one, and so does the horizon
+        with pytest.raises(sw.ParameterError, match="n_out=0"):
+            sw.SpdeParams.auto(sw.Grid1D(), 0.1, 1.0, n_out=0, dt=1 / 2048)
+        for T in (0.0, -1.0):
+            with pytest.raises(sw.ParameterError, match=f"T={T}"):
+                sw.SpdeParams.auto(sw.Grid1D(), 0.1, T)
+            with pytest.raises(sw.ParameterError, match=f"T={T}"):
+                sw.SpdeParams.auto(sw.Grid1D(), 0.1, T, dt=1 / 2048)
+            with pytest.raises(sw.ParameterError, match=f"T={T}"):
+                sw.LimitParams.auto(sw.Grid1D(), T)
 
     def test_initial_data_on_manifold(self):
         cfg = StudyConfig()
