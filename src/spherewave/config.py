@@ -16,7 +16,6 @@ import math
 import os
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 
 from .errors import ConfigError, DegenerateFieldError, ParameterError
@@ -158,6 +157,8 @@ def load_config(path: str | Path) -> dict:
 
 def resolve_config(raw: dict) -> dict:
     """Validate a user document and merge it over the defaults."""
+    import jsonschema   # about 0.1 s of a cold start, paid only by commands that read a config
+
     bad = _non_finite(raw)
     if bad:
         raise ConfigError("configuration rejected: " + "; ".join(

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from importlib.machinery import EXTENSION_SUFFIXES
 from importlib.util import find_spec, module_from_spec, spec_from_file_location
-from math import ceil
+from math import ceil, inf
 from pathlib import Path
 
 import numpy as np
@@ -102,8 +102,8 @@ class Grid1D:
     n: int = 127
 
     def __post_init__(self):
-        if self.L <= 0:
-            raise ParameterError(f"domain length must be positive, got {self.L}")
+        if not 0.0 < self.L < inf:
+            raise ParameterError(f"domain length must be positive and finite, got {self.L}")
         if self.n < 2:
             raise ParameterError(f"need at least 2 interior nodes, got {self.n}")
 
@@ -123,6 +123,9 @@ def step_count(dt: float, T: float) -> int:
     A dt that does not divide T would silently end the run at
     round(T/dt)*dt instead of T, so it is rejected.
     """
+    if not (0.0 < dt < inf and 0.0 < T < inf):
+        raise ParameterError(
+            f"time step and horizon must be positive and finite, got dt={dt!r}, T={T!r}")
     n = max(1, int(round(T / dt)))
     if abs(n * dt - T) > 1e-9 * T:
         raise ParameterError(
@@ -131,9 +134,9 @@ def step_count(dt: float, T: float) -> int:
 
 
 def check_output_grid(T: float, n_out: int) -> None:
-    """Refuse a horizon and output row count that no step fits: need T > 0 and n_out >= 1."""
-    if not T > 0.0:
-        raise ParameterError(f"horizon must be positive, got T={T!r}")
+    """Refuse a horizon and output row count that no step fits: need 0 < T < inf and n_out >= 1."""
+    if not 0.0 < T < inf:
+        raise ParameterError(f"horizon must be positive and finite, got T={T!r}")
     if n_out < 1:
         raise ParameterError(f"need at least one output row, got n_out={n_out}")
 
@@ -141,6 +144,8 @@ def check_output_grid(T: float, n_out: int) -> None:
 def fitted_step(dt_max: float, T: float, n_out: int) -> float:
     """The step T / n_steps, with n_steps >= T / dt_max rounded up to a multiple of n_out."""
     check_output_grid(T, n_out)
+    if not 0.0 < dt_max < inf:
+        raise ParameterError(f"no step fits the bound dt_max={dt_max}")
     n_steps = ceil(T / dt_max)
     n_steps = ((n_steps + n_out - 1) // n_out) * n_out
     return T / n_steps

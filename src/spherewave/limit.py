@@ -26,17 +26,28 @@ transversally at rate 2|u|_{H1}^2/gamma, so the stage is projected back onto
 it before N is evaluated there, and so is the step result; the distance of
 the unprojected result from the sphere, O(dt^3), is kept as the step's
 projection defect.
+
+A step works on one field (3, n), so its cost is Python calls, not
+arithmetic.  Each flow therefore builds one velocity kernel, `_Velocity`,
+which holds everything a solve never changes, and a step evaluates it twice:
+at the projected stage and at the projected result.  With five DSTs and the
+kernel's two Laplacians that is the whole step.  `limit_rhs` and
+`mobility_apply_inverse` run the same kernel and the same Sherman-Morrison
+solve, so the public velocity and the solver's agree bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf, sqrt
 
 import numpy as np
 
 from .errors import BlowUpError, DegenerateFieldError, ParameterError
 from .fields import (
     Grid1D,
+    _check_field,
+    c_einsum,
     dst_ortho,
     eigenvalue,
     eigenvalues,
@@ -92,10 +103,8 @@ class LimitParams:
     gamma: float = 1.0
 
     def __post_init__(self):
-        if self.gamma <= 0.0:
-            raise ParameterError(f"friction must be positive, got {self.gamma}")
-        if self.dt <= 0.0 or self.T <= 0.0:
-            raise ParameterError("time step and horizon must be positive")
+        if not 0.0 < self.gamma < inf:
+            raise ParameterError(f"friction must be positive and finite, got {self.gamma}")
         step_count(self.dt, self.T)
 
     @property
@@ -117,28 +126,52 @@ def mobility_apply_inverse(u: np.ndarray, phi, gamma: float, r: np.ndarray) -> n
     r are fields (3, n); phi is the row (n,) of node values.
     """
     half_phi = 0.5 * np.asarray(phi, dtype=float)
+    return _mobility_solve(u, r, gamma, half_phi, half_phi / gamma)
+
+
+def _mobility_solve(u, r, gamma, half_phi, half_phi_gamma):
+    # the Sherman-Morrison solve, given the rows phi / 2 and phi / (2 gamma)
     uu = pointwise_dot(u, u)
     ur = pointwise_dot(u, r)
-    return (r + (half_phi / gamma) * ur * u) / (gamma + half_phi * uu)
+    return (r + half_phi_gamma * ur * u) / (gamma + half_phi * uu)
+
+
+class _Velocity:
+    """(du/dt, A_h u, |u|_{H1}^2) of a field under the limit flow of one basis and gamma.
+
+    Built once per flow, it holds what a solve never changes: h, gamma,
+    whether the basis is silent, and the mobility rows phi / 2 and
+    phi / (2 gamma).  It does not check shapes: its callers pass fields
+    (3, n) they have checked or made.  `norm_sq` is |f|_H^2 with the
+    arithmetic of `norm_l2_sq`.
+    """
+
+    def __init__(self, params: LimitParams, basis: NoiseBasis):
+        self.grid = params.grid
+        self.h = params.grid.h
+        self.gamma = params.gamma
+        self.silent = basis.m == 0
+        self.half_phi = 0.5 * basis.phi
+        self.half_phi_gamma = self.half_phi / params.gamma
+
+    def norm_sq(self, f: np.ndarray) -> float:
+        return self.h * float(c_einsum("ij,ij->", f, f))
+
+    def __call__(self, u: np.ndarray):
+        if self.norm_sq(u) <= 0.0:
+            raise DegenerateFieldError("limit dynamics are undefined for the zero field")
+        lap = laplacian(self.grid, u)
+        h1 = -(self.h * float(c_einsum("ij,ij->", lap, u)))   # -inner_l2(lap, u)
+        r = lap + h1 * u
+        if self.silent:   # phi = 0: M = gamma I, and the mobility solve is r / gamma
+            return r / self.gamma, lap, h1
+        return _mobility_solve(u, r, self.gamma, self.half_phi, self.half_phi_gamma), lap, h1
 
 
 def limit_rhs(u: np.ndarray, basis: NoiseBasis, params: LimitParams) -> np.ndarray:
     """du/dt for the limit flow of `basis`; the silent basis gives the parabolic flow."""
     check_grid(basis, params.grid)
-    rhs, _, _ = _rhs_with_extras(u, basis, params)
-    return rhs
-
-
-def _rhs_with_extras(u: np.ndarray, basis: NoiseBasis, params: LimitParams):
-    grid = params.grid
-    if norm_l2_sq(grid, u) <= 0.0:
-        raise DegenerateFieldError("limit dynamics are undefined for the zero field")
-    lap = laplacian(grid, u)
-    h1 = -inner_l2(grid, lap, u)
-    r = lap + h1 * u
-    if basis.m == 0:   # phi = 0: M = gamma I, and the mobility solve is r / gamma
-        return r / params.gamma, lap, h1
-    return mobility_apply_inverse(u, basis.phi, params.gamma, r), lap, h1
+    return _Velocity(params, basis)(_check_field(params.grid, u))[0]
 
 
 def explicit_form_residual(u: np.ndarray, ut: np.ndarray, basis: NoiseBasis,
@@ -195,21 +228,23 @@ class _RunningIntegral:
     def __init__(self, dt: float):
         self.dt = dt
         self._trapezoid = 0.0
-        self._start: list[float] = []   # f_0, f_1, f_2
-        self._end: list[float] = []     # the last three samples
+        self._count = 0
+        self._start = ()                          # f_0, f_1, f_2
+        self._fn2 = self._fn1 = self._fn = 0.0    # the last three samples
 
     def add(self, f: float) -> float:
-        if self._end:
-            self._trapezoid += 0.5 * self.dt * (self._end[-1] + f)
-        self._end = self._end[-2:] + [f]
-        if len(self._start) < 3:
-            self._start.append(f)
-        if len(self._end) < 3:
+        if self._count:
+            self._trapezoid += 0.5 * self.dt * (self._fn + f)
+        self._fn2, self._fn1, self._fn = self._fn1, self._fn, f
+        self._count += 1
+        if self._count < 3:
             return self._trapezoid
+        if self._count == 3:
+            self._start = (self._fn2, self._fn1, f)
         f0, f1, f2 = self._start
-        fn2, fn1, fn = self._end
         # 2 dt f'(0) = -3 f_0 + 4 f_1 - f_2 and 2 dt f'(t) = 3 f_n - 4 f_{n-1} + f_{n-2}
-        return self._trapezoid - self.dt / 24.0 * (3.0 * (fn + f0) - 4.0 * (fn1 + f1) + fn2 + f2)
+        return self._trapezoid - self.dt / 24.0 * (3.0 * (f + f0) - 4.0 * (self._fn1 + f1)
+                                                   + self._fn2 + f2)
 
 
 class _Etd2Flow:
@@ -224,41 +259,47 @@ class _Etd2Flow:
 
     and `defect` is | |u*|_H - 1 | of the last step.  `int_ut_sq` is the
     fourth-order running integral of |u_t|_H^2 over the steps taken.
+
+    N(P a) and N(u_next) come from the flow's velocity kernel, which also
+    returns the Laplacian that L P a needs.  The shape of u0 is checked once,
+    here; a zero stage raises DegenerateFieldError, and a non-finite node of
+    u* shows in its norm, one scalar, and raises BlowUpError.
     """
 
     def __init__(self, u0: np.ndarray, params: LimitParams, basis: NoiseBasis):
         check_grid(basis, params.grid)
-        self.params = params
-        self.basis = basis
         z = -eigenvalues(params.grid) * (params.dt / params.gamma)
         phi1, phi2 = _phi_functions(z)
         # mode rows (n,), which broadcast over the components of a spectrum
         self._decay = np.exp(z)
         self._phi1 = params.dt * phi1
         self._phi2 = params.dt * phi2
+        self.velocity = _Velocity(params, basis)
         self.u = _repair_initial(params.grid, u0)
-        self.ut, self.lap, self.h1 = _rhs_with_extras(self.u, basis, params)
-        self.ut_sq = norm_l2_sq(params.grid, self.ut)
+        self.ut, self.lap, self.h1 = self.velocity(self.u)
+        self.ut_sq = self.velocity.norm_sq(self.ut)
         self._quadrature = _RunningIntegral(params.dt)
         self.int_ut_sq = self._quadrature.add(self.ut_sq)
         self.defect = 0.0
         self.steps = 0
 
     def advance(self) -> None:
-        params, basis = self.params, self.basis
-        grid, gamma = params.grid, params.gamma
+        velocity = self.velocity
+        gamma = velocity.gamma
         n0 = self.ut - self.lap / gamma
         a = dst_ortho(self._decay * dst_ortho(self.u) + self._phi1 * dst_ortho(n0))
-        pa = normalize_sphere(grid, a)
-        n1 = limit_rhs(pa, basis, params) - laplacian(grid, pa) / gamma
+        nrm = sqrt(velocity.norm_sq(a))
+        if nrm <= 0.0:
+            raise DegenerateFieldError("cannot normalise a zero field")
+        ut_a, lap_a, _ = velocity(a / nrm)
+        n1 = ut_a - lap_a / gamma
         u_star = a + dst_ortho(self._phi2 * dst_ortho(n1 - n0))
-        if not np.isfinite(u_star).all():
+        nrm = sqrt(velocity.norm_sq(u_star))
+        if not nrm < inf:   # NaN or inf: some node of u* is not finite
             raise BlowUpError(self.steps + 1)
-        nrm = norm_l2(grid, u_star)
-        u_new = u_star / nrm
-        ut_new, lap_new, h1_new = _rhs_with_extras(u_new, basis, params)
-        self.u, self.ut, self.lap, self.h1 = u_new, ut_new, lap_new, h1_new
-        self.ut_sq = norm_l2_sq(grid, ut_new)
+        self.u = u_star / nrm
+        self.ut, self.lap, self.h1 = velocity(self.u)
+        self.ut_sq = velocity.norm_sq(self.ut)
         self.int_ut_sq = self._quadrature.add(self.ut_sq)
         self.defect = abs(nrm - 1.0)
         self.steps += 1
@@ -294,7 +335,6 @@ def solve_limit(u0: np.ndarray, params: LimitParams, basis: NoiseBasis, *,
     on_row, when given, is called as on_row(r, u) once row r is recorded,
     with u the state there, so a caller can use each row before the solve ends.
     """
-    grid = params.grid
     rows = output_rows(params.n_steps, stride)
     n_rows = len(rows)
 
@@ -311,9 +351,9 @@ def solve_limit(u0: np.ndarray, params: LimitParams, basis: NoiseBasis, *,
     def record(r: int, worst_defect: float):
         t[r] = flow.steps * params.dt
         u_h1[r] = np.sqrt(max(flow.h1, 0.0))
-        u_h2[r] = np.sqrt(norm_l2_sq(grid, flow.lap))
+        u_h2[r] = np.sqrt(flow.velocity.norm_sq(flow.lap))
         ut_h[r] = np.sqrt(flow.ut_sq)
-        sphere[r] = abs(norm_l2(grid, flow.u) - 1.0)
+        sphere[r] = abs(np.sqrt(flow.velocity.norm_sq(flow.u)) - 1.0)
         defect[r] = worst_defect
         energy_lhs[r] = flow.h1 + 2.0 * params.gamma * flow.int_ut_sq
         if on_row is not None:

@@ -19,6 +19,7 @@ trace field phi * (u x (u x v)).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf
 
 import numpy as np
 
@@ -52,9 +53,9 @@ def build_basis(grid: Grid1D, m: int, p: float) -> NoiseBasis:
     runs; p >= 2 is enforced regardless so configurations stay within the
     summability regime.
     """
-    if p < 2.0:
+    if not 2.0 <= p < inf:
         raise HypothesisViolationError(
-            f"decay exponent p must be >= 2 (summability needs p > 3/2), got {p}"
+            f"decay exponent p must be finite and >= 2 (summability needs p > 3/2), got {p}"
         )
     if m < 0:
         raise ParameterError(f"mode count must be nonnegative, got {m}")

@@ -49,6 +49,7 @@ are evaluated by RemainderIdentity from those accumulators.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf
 
 import numpy as np
 
@@ -119,14 +120,10 @@ class SpdeParams:
     def __post_init__(self):
         if not 0.0 < self.mu <= 1.0:
             raise ParameterError(f"mass must lie in (0, 1], got {self.mu}")
-        if self.gamma <= 0.0:
-            raise ParameterError(f"friction must be positive, got {self.gamma}")
-        if self.alpha < 0.0:
-            raise ParameterError(f"noise exponent must be nonnegative, got {self.alpha}")
-        if self.dt <= 0.0 or self.T <= 0.0:
-            raise ParameterError("time step and horizon must be positive")
-        if self.T < self.dt:
-            raise ParameterError(f"horizon T={self.T} shorter than dt={self.dt}")
+        if not 0.0 < self.gamma < inf:
+            raise ParameterError(f"friction must be positive and finite, got {self.gamma}")
+        if not 0.0 <= self.alpha < inf:
+            raise ParameterError(f"noise exponent must be nonnegative and finite, got {self.alpha}")
         bound = CFL_LIMIT * np.sqrt(self.mu) * self.grid.h
         if self.dt > bound * (1.0 + 1e-12):
             raise ParameterError(

@@ -88,8 +88,9 @@ def test_no_scipy_import_statement(name):
 
 def test_cold_import_loads_no_scipy_package():
     # a fresh interpreter importing the CLI maps neither scipy.fft (with
-    # scipy.special) nor scipy.linalg, nor the check suite, and warns nothing
-    heavy = ("scipy.fft", "scipy.special", "scipy.linalg", "spherewave.checks")
+    # scipy.special) nor scipy.linalg, nor the check suite, nor jsonschema,
+    # and warns nothing
+    heavy = ("scipy.fft", "scipy.special", "scipy.linalg", "spherewave.checks", "jsonschema")
     code = ("import sys, spherewave, spherewave.cli;"
             f" print(sorted(m for m in {heavy!r} if m in sys.modules))")
     done = subprocess.run([sys.executable, "-W", "error", "-c", code], capture_output=True,

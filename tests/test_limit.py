@@ -1,10 +1,13 @@
 """Deterministic limit flow: mobility algebra, equivalence, structure."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 import spherewave as sw
-from spherewave.limit import LimitParams, _RunningIntegral
+from spherewave.fields import dst_ortho
+from spherewave.limit import LimitParams, _Etd2Flow, _phi_functions, _RunningIntegral
 
 RNG = np.random.default_rng(55)
 
@@ -51,6 +54,58 @@ def rk4_oracle(u0, params, basis, n_out):
         if k % stride == 0:
             out.append(u)
     return np.array(out)
+
+
+class ListIntegral:
+    """The running fourth-order integral in lists; `_RunningIntegral` matches it bit for bit."""
+
+    def __init__(self, dt):
+        self.dt = dt
+        self._trapezoid = 0.0
+        self._start = []
+        self._end = []
+
+    def add(self, f):
+        if self._end:
+            self._trapezoid += 0.5 * self.dt * (self._end[-1] + f)
+        self._end = self._end[-2:] + [f]
+        if len(self._start) < 3:
+            self._start.append(f)
+        if len(self._end) < 3:
+            return self._trapezoid
+        f0, f1, f2 = self._start
+        fn2, fn1, fn = self._end
+        return self._trapezoid - self.dt / 24.0 * (3.0 * (fn + f0) - 4.0 * (fn1 + f1) + fn2 + f2)
+
+
+def etd2_oracle(u0, params, basis):
+    """The projected ETDRK2 step composed from the public helpers, one state per step.
+
+    Yields (u, ut, lap, h1, defect, int_ut_sq) after each step, starting from
+    the projected initial field.
+    """
+    grid, dt, gamma = params.grid, params.dt, params.gamma
+    z = -sw.eigenvalues(grid) * (dt / gamma)
+    phi1, phi2 = _phi_functions(z)
+    decay, phi1, phi2 = np.exp(z), dt * phi1, dt * phi2
+    quadrature = ListIntegral(dt)
+
+    def state(u, defect):
+        ut = sw.limit_rhs(u, basis, params)
+        lap = sw.laplacian(grid, u)
+        return (u, ut, lap, sw.h1_seminorm_sq(grid, u), defect,
+                quadrature.add(sw.norm_l2_sq(grid, ut)))
+
+    u, ut, lap, *_ = current = state(sw.normalize_sphere(grid, u0), 0.0)
+    while True:
+        yield current
+        n0 = ut - lap / gamma
+        a = dst_ortho(decay * dst_ortho(u) + phi1 * dst_ortho(n0))
+        pa = sw.normalize_sphere(grid, a)
+        n1 = sw.limit_rhs(pa, basis, params) - sw.laplacian(grid, pa) / gamma
+        u_star = a + dst_ortho(phi2 * dst_ortho(n1 - n0))
+        nrm = sw.norm_l2(grid, u_star)
+        u, ut, lap, *_ = current = state(u_star / nrm, abs(nrm - 1.0))
 
 
 def random_field(grid, rng=RNG):
@@ -280,6 +335,59 @@ class TestSolveLimit:
             assert err <= 1e-3
 
 
+class TestEtd2Step:
+    @pytest.mark.parametrize("m", [8, 0], ids=["corrected", "parabolic"])
+    @pytest.mark.parametrize("gamma", [1.0, 0.7])
+    def test_step_is_the_composed_oracle(self, m, gamma):
+        # the flow's cached kernel takes the same float operations in the
+        # same order as the public helpers, so every state agrees bit for bit
+        g = sw.Grid1D(1.0, 63)
+        u0 = sw.normalize_sphere(g, sw.sine_field(g, 1, 1) + sw.sine_field(g, 2, 2, 0.1)
+                                 + sw.sine_field(g, 5, 3, 0.3))
+        basis = sw.build_basis(g, m, 2.0)
+        params = LimitParams.auto(g, 0.5, gamma=gamma, n_out=4)
+        flow = _Etd2Flow(u0, params, basis)
+        oracle = etd2_oracle(u0, params, basis)
+        for step in range(301):
+            if step:
+                flow.advance()
+            u, ut, lap, h1, defect, int_ut_sq = next(oracle)
+            assert flow.steps == step
+            assert np.array_equal(flow.u, u) and np.array_equal(flow.ut, ut)
+            assert np.array_equal(flow.lap, lap)
+            assert flow.h1 == h1 and flow.defect == defect and flow.int_ut_sq == int_ut_sq
+
+    @staticmethod
+    def flow(grid, basis):
+        u0 = sw.normalize_sphere(grid, sw.sine_field(grid, 1, 1) + sw.sine_field(grid, 2, 2, 0.1))
+        flow = _Etd2Flow(u0, LimitParams.auto(grid, 0.5, n_out=4), basis)
+        for _ in range(3):
+            flow.advance()
+        return flow
+
+    @pytest.mark.parametrize("m", [8, 0], ids=["corrected", "parabolic"])
+    def test_non_finite_state_is_a_blow_up(self, m):
+        g = sw.Grid1D(1.0, 63)
+        flow = self.flow(g, sw.build_basis(g, m, 2.0))
+        flow.u = flow.u.copy()
+        flow.u[1, 10] = np.nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(sw.BlowUpError) as info:
+                flow.advance()
+        assert info.value.step == flow.steps + 1 == 4
+
+    @pytest.mark.parametrize("m", [8, 0], ids=["corrected", "parabolic"])
+    def test_zero_stage_is_degenerate(self, m):
+        g = sw.Grid1D(1.0, 63)
+        flow = self.flow(g, sw.build_basis(g, m, 2.0))
+        flow.u, flow.ut, flow.lap = (sw.zero_field(g) for _ in range(3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(sw.DegenerateFieldError):
+                flow.advance()
+
+
 class TestRunningIntegral:
     @staticmethod
     def running(samples, dt):
@@ -313,6 +421,12 @@ class TestRunningIntegral:
 
     def test_zero_samples_give_zero(self):
         assert np.all(self.running(np.zeros(50), 0.01) == 0.0)
+
+    def test_same_bits_as_the_list_form(self):
+        samples = np.random.default_rng(8).standard_normal(50)
+        reference = ListIntegral(0.03)
+        assert np.array_equal(self.running(samples, 0.03),
+                              [reference.add(f) for f in samples])
 
 
 class TestComparison:

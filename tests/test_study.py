@@ -1,6 +1,7 @@
 """Mass-sweep orchestration: remainder terms, coupling, determinism."""
 
 import json
+import math
 import os
 import pickle
 import signal
@@ -15,6 +16,7 @@ import pytest
 import spherewave as sw
 import spherewave.study as study_module
 from spherewave.config import build_grid, resolve_config, spde_params_from
+from spherewave.fields import step_count
 from spherewave.spde import BLOWUP_DIAGNOSTICS, SpdeStepper
 from spherewave.study import (
     BLOCK_SIZE,
@@ -75,11 +77,39 @@ class TestConfig:
         ({"T": 0.0}, "T=0.0"),
         ({"T": -1.0}, "T=-1.0"),
         ({"T": 0.0, "dt": 1 / 2048}, "T=0.0"),
+        ({"gamma": math.nan}, "friction"),
+        ({"p": math.nan}, "decay exponent"),
+        ({"alpha": math.inf}, "noise exponent"),
+        ({"dt": math.nan}, "dt=nan"),
+        ({"L": math.nan}, "domain length"),
+        ({"T": math.inf}, "T=inf"),
     ])
     def test_refused_at_construction(self, fields, reason):
         # refused when the config is built, naming the fault, not inside the first pool job
         with pytest.raises(sw.ConfigError, match=reason):
             StudyConfig(**fields)
+
+    @pytest.mark.parametrize("build, reason", [
+        (lambda: sw.Grid1D(L=math.nan), "domain length"),
+        (lambda: sw.Grid1D(L=math.inf), "domain length"),
+        (lambda: sw.build_basis(sw.Grid1D(), 4, math.nan), "decay exponent"),
+        (lambda: sw.LimitParams(sw.Grid1D(), 1 / 1024, 1.0, gamma=math.nan), "friction"),
+        (lambda: sw.LimitParams(sw.Grid1D(), 1 / 1024, 1.0, gamma=math.inf), "friction"),
+        (lambda: sw.SpdeParams(sw.Grid1D(), 0.1, 1 / 2048, 1.0, gamma=math.nan), "friction"),
+        (lambda: sw.SpdeParams(sw.Grid1D(), 0.1, 1 / 2048, 1.0, alpha=math.inf), "noise exponent"),
+        (lambda: step_count(math.nan, 1.0), "dt=nan"),
+        (lambda: step_count(1e-3, math.inf), "T=inf"),
+        (lambda: sw.LimitParams(sw.Grid1D(), math.nan, 1.0), "dt=nan"),
+        (lambda: sw.LimitParams.auto(sw.Grid1D(), 1.0, gamma=math.nan), "dt_max=nan"),
+        (lambda: sw.LimitParams.auto(sw.Grid1D(), math.inf), "T=inf"),
+        (lambda: sw.SpdeParams.auto(sw.Grid1D(), 0.1, math.inf, dt=1 / 2048), "T=inf"),
+    ], ids=["L-nan", "L-inf", "p-nan", "limit-gamma-nan", "limit-gamma-inf", "spde-gamma-nan",
+            "spde-alpha-inf", "step-dt-nan", "step-T-inf", "limit-dt-nan", "limit-auto-gamma-nan",
+            "limit-auto-T-inf", "spde-auto-T-inf"])
+    def test_non_finite_numbers_refused(self, build, reason):
+        # NaN fails every comparison, so each rule is written to fail on it
+        with pytest.raises(sw.ParameterError, match=reason):
+            build()
 
     def test_auto_steps_need_an_output_row(self):
         with pytest.raises(sw.ParameterError, match="n_out=0"):
