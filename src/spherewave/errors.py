@@ -25,20 +25,32 @@ class BlowUpError(RuntimeError):
     """A trajectory produced a non-finite field.
 
     Carries the step index at which the blow-up was detected, for a sample
-    of an ensemble block the sample's index, and `diagnostics`, the named
+    of an ensemble block the sample's index, for a run of a study the mass
+    level's index `mu_index` (see at_level), and `diagnostics`, the named
     scalars of the state before the blow-up step (empty when there was
     none, as for a refused start); the message ends with them.
     """
 
     def __init__(self, step: int, message: str = "", *, sample: int | None = None,
-                 diagnostics: dict | None = None):
+                 diagnostics: dict | None = None, mu_index: int | None = None):
         self.step = step
         self.sample = sample
+        self.mu_index = mu_index
         self.diagnostics = dict(diagnostics or {})
-        where = "" if sample is None else f" of sample {sample}"
+        super().__init__(message or self._describe())
+
+    def _describe(self) -> str:
+        where = "" if self.sample is None else f" of sample {self.sample}"
+        level = "" if self.mu_index is None else f" at mass level {self.mu_index}"
         last = ", ".join(f"{name}={value:.6g}" for name, value in self.diagnostics.items())
         context = f" (last finite diagnostics: {last})" if last else ""
-        super().__init__(message or f"non-finite field at step {step}{where}{context}")
+        return f"non-finite field at step {self.step}{where}{level}{context}"
+
+    def at_level(self, mu_index: int) -> "BlowUpError":
+        """Stamp a study's mass level on the error and name it in the message; returns it."""
+        self.mu_index = mu_index
+        self.args = (self._describe(),)
+        return self
 
     def __reduce__(self):
         # the default would call __init__ with args, which hold only the message

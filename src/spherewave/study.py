@@ -47,7 +47,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateFieldError, ParameterError
+from .errors import BlowUpError, ConfigError, DegenerateFieldError, ParameterError
 from .fields import Grid1D, dst_ortho, initial_pair, output_rows, spectral_weights, weighted_norm
 from .limit import LimitParams, solve_limit
 from .noise import NoiseBasis, build_basis, derive_stream
@@ -338,14 +338,20 @@ def _run_block(config: StudyConfig, params: SpdeParams, targets: tuple, mu_index
     it.  The increments are drawn here, in the worker, from the samples'
     keys (master_seed, stream, j); see _increments.  The error norms' mode
     weights are computed once here, and the engine's RemainderIdentity holds
-    the identity's constant part, so a row recomputes neither.
+    the identity's constant part, so a row recomputes neither.  Every
+    BlowUpError of the block names its mass level: a refused start is
+    raised, and the lost samples' errors come back with the work counters,
+    under "lost".
     """
     grid, mu = params.grid, params.mu
     size = len(samples)
     u0, v0 = config.initial_data(grid)
     increments = _increments(config, params, samples, stream, draws_per_step)
-    engine = SpdeStepper(params, config.basis(grid), np.broadcast_to(u0, (size,) + u0.shape),
-                         np.broadcast_to(v0, (size,) + v0.shape), samples=samples)
+    try:
+        engine = SpdeStepper(params, config.basis(grid), np.broadcast_to(u0, (size,) + u0.shape),
+                             np.broadcast_to(v0, (size,) + v0.shape), samples=samples)
+    except BlowUpError as err:   # a refused start
+        raise err.at_level(mu_index)
 
     weights = spectral_weights(grid, config.delta)
     errors = {name: np.zeros(size) for name in targets}
@@ -365,6 +371,8 @@ def _run_block(config: StudyConfig, params: SpdeParams, targets: tuple, mu_index
     engine.run(increments, output_rows(params.n_steps, params.n_steps // config.n_out),
                reduce_row)
 
+    for err in engine.lost:
+        err.at_level(mu_index)
     blowups = {err.sample: err for err in engine.lost}
     rows = []
     for pos, sample in enumerate(samples):
@@ -389,7 +397,8 @@ def _run_block(config: StudyConfig, params: SpdeParams, targets: tuple, mu_index
             identity_sup=float(identity_sup[pos]),
             gates=("energy-residual",) if energy_residual > MAX_ENERGY_DRIFT else (),
         ))
-    work = {"block_steps": engine.step_index, "sample_steps": engine.sample_steps}
+    work = {"block_steps": engine.step_index, "sample_steps": engine.sample_steps,
+            "lost": engine.lost}
     return rows, work
 
 
@@ -403,7 +412,7 @@ def _run(config: StudyConfig, targets: tuple, blocks: list, workers: int) -> tup
 
     Each block is (params, mass index, samples), optionally followed by the
     stream and the draws per step (see _run_block), and its result is
-    (rows, work counters), returned in the order of `blocks`.  The jobs go
+    (rows, work counters and blow-ups), returned in the order of `blocks`.  The jobs go
     to `workers` processes when more than one: one job per target, in
     order, then the blocks, costliest first.
 

@@ -4,13 +4,16 @@ import numpy as np
 import pytest
 
 import spherewave as sw
+from spherewave.fields import HelmholtzSolver, pointwise_dot
+from spherewave.noise import noise_field
 from spherewave.spde import (
     CFL_LIMIT,
     DIAGNOSTICS,
     WEIGHT_A,
+    REMAINDER_KEYS,
     RemainderIdentity,
     SpdeStepper,
-    _explicit_force,
+    _state_norms,
 )
 
 RNG = np.random.default_rng(9)
@@ -72,17 +75,78 @@ class TestParams:
             sw.SpdeParams.auto(grid, 0.05, 1.0, n_out=256, dt=5e-4)
 
 
+def drift(params, basis, u, v):
+    """A_h u + N(u, v) as the step forms it: the kernel's drift of an engine started at (u, v)."""
+    engine = SpdeStepper(params, basis, u, v)
+    return engine._kernel.drift(engine.u, engine.v)[0].copy(), engine
+
+
+def step_oracle(params, basis, u0, v0, increments):
+    """The tracked step composed from the public helpers, one state per step.
+
+    Yields (u, v, lap, h1, vh2, acc_v2, acc_noise, remainder, norm_defect,
+    tangent_defect) after each step of increments (each (S, m) or None),
+    from blocks u0, v0 (S, 3, n).  A_h u and the two norms are
+    _state_norms', the force is built on strat_correction, the kick is
+    noise_field and the solve HelmholtzSolver.solve; the remainder
+    integrals are trapezoids kept as left sums from f_0 / 2.
+    """
+    grid, dt, mu, size = params.grid, params.dt, params.mu, len(u0)
+    solver = HelmholtzSolver(grid, 1.0 + params.gamma * dt / mu, dt ** 2 / mu)
+    coeff = 0.5 * mu ** (2.0 * params.alpha - 1.0)
+
+    def state(u, v):
+        lap, h1, vh2 = _state_norms(grid, u, v)
+        h1b, vh2b = h1[:, None, None], vh2[:, None, None]
+        uu, uv = pointwise_dot(u, u), pointwise_dot(u, v)
+        integrands = np.stack([h1b * u + lap, (pointwise_dot(lap, u) + h1b * uu) * u,
+                               vh2b * u, uv * v, pointwise_dot(v, v) * u, (vh2b * uu) * u])
+        return lap, h1, vh2, integrands
+
+    u, v = u0.copy(), v0.copy()
+    lap, h1, vh2, f = state(u, v)
+    sums, acc_v2, acc_noise = 0.5 * f, np.zeros(size), np.zeros_like(u)
+    norm_defect, tangent_defect = np.zeros(size), np.zeros(size)
+    for dw in increments:
+        h1b, vh2b = h1[:, None, None], vh2[:, None, None]
+        force = h1b * u - mu * vh2b * u + coeff * sw.strat_correction(u, v, basis)
+        rhs = v + (dt / mu) * (lap + force)
+        v_star = solver.solve(rhs.reshape(3 * size, grid.n).T).T.reshape(u.shape)
+        if dw is not None and basis.m > 0:
+            kick = noise_field(u, v, basis, dw)
+            v_star = v_star + mu ** (params.alpha - 1.0) * kick
+            acc_noise = acc_noise + mu ** params.alpha * kick
+        u_new = u + dt * v_star
+        norm = np.sqrt(sw.inner_each(grid, u_new, u_new))
+        if params.projection:
+            u_new = u_new / norm[:, None, None]
+            dot = sw.inner_each(grid, u_new, v_star)
+            tangent = dot / sw.inner_each(grid, u_new, u_new)
+            v_new = v_star - tangent[:, None, None] * u_new
+            defect = np.abs(dot) * norm
+        else:
+            v_new, defect = v_star, np.abs(sw.inner_each(grid, u_new, v_star))
+        norm_defect = np.maximum(norm_defect, np.abs(norm - 1.0))
+        tangent_defect = np.maximum(tangent_defect, defect)
+        vh2_old = vh2
+        u, v = u_new, v_new
+        lap, h1, vh2, f = state(u, v)
+        acc_v2 = acc_v2 + 0.5 * dt * (vh2_old + vh2)
+        sums = sums + f
+        remainder = dict(zip(REMAINDER_KEYS, dt * (sums - 0.5 * f)), j6=acc_noise)
+        yield (u, v, lap, h1, vh2, acc_v2, acc_noise, remainder, norm_defect,
+               tangent_defect)
+
+
 class TestDrift:
-    """The explicit force of the engine's step, N(u, v) with the halved trace correction."""
+    """The drift of the engine's step, A_h u + N(u, v) with the halved trace correction."""
 
     def test_eigenfield_equilibrium(self, grid, basis):
         # normalized sine eigenfields null the elastic drift exactly
         for k in (1, 3, 7):
             u = sw.normalize_sphere(grid, sw.sine_field(grid, k, 2))
             params = sw.SpdeParams(grid=grid, mu=0.1, dt=1e-4, T=1.0)
-            force = _explicit_force(params, basis, u, sw.zero_field(grid),
-                                    sw.h1_seminorm_sq(grid, u), 0.0)
-            dv = (sw.laplacian(grid, u) + force) / params.mu
+            dv = drift(params, basis, u, sw.zero_field(grid))[0] / params.mu
             # zero up to node-coordinate roundoff amplified by the stencil
             # (eps / h^2) and the 1/mu factor
             tol = 2e-14 / (grid.h ** 2 * params.mu)
@@ -95,18 +159,20 @@ class TestDrift:
         params = sw.SpdeParams(grid=grid, mu=0.2, dt=1e-4, T=1.0, gamma=1.5)
         h1 = sw.h1_seminorm_sq(grid, u)
         vh2 = sw.norm_l2_sq(grid, v)
-        force = _explicit_force(params, basis, u, v, h1, vh2)
+        force = drift(params, basis, u, v)[0] - sw.laplacian(grid, u)
         expected = (h1 - 0.2 * vh2) * u
         assert np.abs(force - expected).max() <= 1e-10 * (1 + np.abs(expected).max())
 
     def test_term_bookkeeping_at_zero_velocity(self, grid, basis):
         u = random_field(grid)
         params = sw.SpdeParams(grid=grid, mu=0.3, dt=1e-4, T=1.0)
-        h1 = sw.h1_seminorm_sq(grid, u)
-        recovered = sw.laplacian(grid, u) + _explicit_force(
-            params, basis, u, sw.zero_field(grid), h1, 0.0)
-        expected = sw.laplacian(grid, u) + h1 * u
+        recovered, engine = drift(params, basis, u, sw.zero_field(grid))
+        expected = sw.laplacian(grid, u) + sw.h1_seminorm_sq(grid, u) * u
         assert np.abs(recovered - expected).max() <= 1e-10 * (1 + np.abs(expected).max())
+        # the engine's A_h u and |u|_{H1}^2 are those of _state_norms, bit for bit
+        lap, h1, vh2 = _state_norms(grid, engine.u, engine.v)
+        assert np.array_equal(engine.lap, lap)
+        assert np.array_equal(engine.h1, h1) and np.array_equal(engine.vh2, vh2)
 
 
 class TestStep:
@@ -287,6 +353,71 @@ class TestStep:
             engine.step(np.sqrt(params.dt) * rng.standard_normal((size, basis.m)))
         for key, field in dict(engine.remainder, u=engine.u, v=engine.v).items():
             assert field.flags.c_contiguous, key
+
+    @pytest.mark.parametrize("m", [8, 0], ids=["noisy", "silent"])
+    @pytest.mark.parametrize("projection", [False, True])
+    @pytest.mark.parametrize("size", [1, 16])
+    def test_step_is_the_composed_oracle(self, size, projection, m):
+        # the engine's kernel takes the float operations of the public
+        # helpers in their order, so every state agrees bit for bit; every
+        # seventh step has no noise (dw=None)
+        g = sw.Grid1D(1.0, 63)
+        basis = sw.build_basis(g, m, 2.0)
+        u0, v0 = sw.initial_pair(g, [(1, 1, 1.0), (2, 2, 0.1), (5, 3, 0.3)],
+                                 [(1, 2, 2.0), (2, 3, 1.0)])
+        steps = 300
+        params = sw.SpdeParams(grid=g, mu=0.1, dt=2.0 ** -10, T=steps * 2.0 ** -10,
+                               projection=projection)
+        u0 = np.stack([u0] * size) + 1e-3 * sw.derive_stream(2, size).standard_normal(
+            (size, 3, g.n))
+        v0 = np.stack([v0] * size)
+        rng = sw.derive_stream(1, size)
+        increments = [None if k % 7 == 6 else
+                      np.sqrt(params.dt) * rng.standard_normal((size, m))
+                      for k in range(steps)]
+        engine = SpdeStepper(params, basis, u0, v0)
+        for k, (dw, expected) in enumerate(zip(increments, step_oracle(
+                params, basis, u0, v0, increments))):
+            engine.step(dw)
+            u, v, lap, h1, vh2, acc_v2, acc_noise, remainder, nd, td = expected
+            got = (engine.u, engine.v, engine.lap, engine.h1, engine.vh2, engine.acc_v2,
+                   engine.acc_noise, engine.norm_defect, engine.tangent_defect)
+            want = (u, v, lap, h1, vh2, acc_v2, acc_noise, nd, td)
+            names = ("u", "v", "lap", "h1", "vh2", "acc_v2", "acc_noise", "norm_defect",
+                     "tangent_defect")
+            for name, a, b in zip(names, got, want):
+                assert np.array_equal(a, b), (k, name)
+            for key, acc in engine.remainder.items():
+                assert np.array_equal(acc, remainder[key]), (k, key)
+        assert engine.step_index == steps and not engine.lost
+
+    @pytest.mark.parametrize("noise", [True, False], ids=["noisy", "no-noise"])
+    @pytest.mark.parametrize("projection", [False, True])
+    @pytest.mark.parametrize("size", [1, 16])
+    def test_steps_leave_earlier_arrays_alone(self, grid, basis, gentle_data, size, projection,
+                                              noise):
+        # the state, the remainder and the diagnostics a caller holds keep
+        # their values while the engine steps on: the step's buffers hold
+        # intermediates only
+        u0, v0 = gentle_data
+        params = sw.SpdeParams(grid=grid, mu=0.1, dt=1e-4, T=1e-2, projection=projection)
+        engine = SpdeStepper(params, basis, np.stack([u0] * size), np.stack([v0] * size))
+        rng = sw.derive_stream(6, size)
+
+        def advance(count):
+            for _ in range(count):
+                engine.step(np.sqrt(params.dt) * rng.standard_normal((size, basis.m))
+                            if noise else None)
+
+        advance(2)
+        held = {"u": engine.u, "v": engine.v, "u[0]": engine.u[0],
+                **{f"remainder[{key}]": acc for key, acc in engine.remainder.items()},
+                **{f"diagnostics[{key}]": x for key, x in engine.diagnostics().items()}}
+        copies = {name: a.copy() for name, a in held.items()}
+        advance(3)
+        assert not np.array_equal(engine.u, copies["u"])
+        for name, a in held.items():
+            assert np.array_equal(a, copies[name]), name
 
     def test_determinism(self, grid, basis, gentle_data):
         u0, v0 = gentle_data

@@ -609,6 +609,30 @@ class TestTargetJobs:
         assert str(back) == ("non-finite field at step 12 of sample 0 (last finite diagnostics:"
                              " energy=1.5e+300, theta=0.25, eta=-3, u_h1=7)")
 
+    def test_blowups_name_their_mass_level(self):
+        # unprojected, every sample of both levels blows up; a pool of 2
+        # pickles each block's errors back, stamped with the block's level
+        config = StudyConfig(mu_values=(0.05, 0.025), ensemble=2, projection=False)
+        blocks = [(config.spde_params(mu), i, range(2)) for i, mu in enumerate(config.mu_values)]
+        _, done = _run(config, ("corrected",), blocks, workers=2)
+        for (_, mu_index, _), (rows, work) in zip(blocks, done):
+            assert sorted(err.sample for err in work["lost"]) == [0, 1]
+            for err in work["lost"]:
+                assert type(err) is sw.BlowUpError and err.mu_index == mu_index
+                assert (f"non-finite field at step {err.step} of sample {err.sample}"
+                        f" at mass level {mu_index} (last finite diagnostics: energy=") in str(err)
+                back = pickle.loads(pickle.dumps(err))
+                assert (str(back), back.mu_index) == (str(err), mu_index)
+            assert ({row.sample: row.blowup_step for row in rows}
+                    == {err.sample: err.step for err in work["lost"]})
+        # a refused start raises out of the pool with its level: the
+        # costlier mu = 0.025 block is the first block job
+        huge = replace(config, v_modes=((1, 2, 1e200),))
+        with pytest.raises(sw.BlowUpError) as info:
+            run_study(huge, workers=2)
+        assert (info.value.step, info.value.sample, info.value.mu_index) == (0, 0, 1)
+        assert str(info.value) == "non-finite field at step 0 of sample 0 at mass level 1"
+
     def test_targets_run_first_and_blocks_costliest_first(self, small_config, monkeypatch):
         order = []
         real = study_module._run_job
