@@ -1,25 +1,26 @@
-"""Run-configuration schema, resolution, hashing, and file emission.
+"""Run configuration: resolution, hashing, and file emission.
 
 A run is described by one JSON document with the sections grid, noise,
-physics, time, initial_data, study, output.  Unknown keys and non-finite
-numbers are rejected; the merged document's grid, noise basis and initial
-data are built once, so their builders' rules refuse a bad one up front.
-Emitted CSV floats use the shortest representation that parses back to the
-same value, so output files are byte-stable across reruns.
+physics, time, initial_data, study, output.  One walk refuses unknown keys,
+wrong JSON types and non-finite numbers; each value bound is its builder's,
+called once on the merged document.  Emitted CSV floats use the shortest
+representation that parses back to the same value, so output files are
+byte-stable across reruns.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import math
 import os
+import sys
+from dataclasses import Field, fields
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateFieldError, ParameterError
-from .fields import Grid1D, initial_pair
+from .errors import ConfigError, ParameterError
+from .fields import Grid1D, initial_pair, output_rows, step_count
 from .limit import LimitParams
 from .noise import build_basis
 from .spde import SpdeParams
@@ -27,7 +28,6 @@ from .study import StudyConfig
 
 __all__ = [
     "DEFAULT_CONFIG",
-    "CONFIG_SCHEMA",
     "load_config",
     "resolve_config",
     "config_hash",
@@ -43,105 +43,79 @@ __all__ = [
     "write_json",
 ]
 
-_MODE = {
-    "type": "array",
-    "minItems": 3,
-    "maxItems": 3,
-    "items": {"type": "number"},
-}
+_FIELDS = {f.name: f for f in fields(StudyConfig)}
 
-CONFIG_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "properties": {
-        "grid": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "L": {"type": "number", "exclusiveMinimum": 0},
-                "n": {"type": "integer", "minimum": 2},
-            },
-        },
-        "noise": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "m": {"type": "integer", "minimum": 0},
-                "p": {"type": "number", "minimum": 2},
-            },
-        },
-        "physics": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "gamma": {"type": "number", "exclusiveMinimum": 0},
-                "mu": {"type": "number", "exclusiveMinimum": 0, "maximum": 1},
-                "mu_list": {
-                    "type": "array",
-                    "minItems": 1,
-                    "items": {"type": "number", "exclusiveMinimum": 0, "maximum": 1},
-                },
-                "alpha": {"type": "number", "minimum": 0},
-                "parabolic": {"type": "boolean"},
-            },
-        },
-        "time": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "dt": {
-                    "anyOf": [
-                        {"type": "number", "exclusiveMinimum": 0},
-                        {"const": "auto"},
-                    ]
-                },
-                "T": {"type": "number", "exclusiveMinimum": 0},
-                "projection": {"type": "boolean"},
-            },
-        },
-        "initial_data": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "u_modes": {"type": "array", "minItems": 1, "items": _MODE},
-                "v_modes": {"type": "array", "items": _MODE},
-            },
-        },
-        "study": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "ensemble": {"type": "integer", "minimum": 1},
-                "delta": {"type": "number", "minimum": 0, "exclusiveMaximum": 2},
-                "master_seed": {"type": "integer", "minimum": 0},
-                "projection": {"type": "boolean"},
-                "n_out": {"type": "integer", "minimum": 1},
-            },
-        },
-        "output": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "directory": {"type": "string"},
-                "stride": {"type": "integer", "minimum": 1},
-            },
-        },
-    },
-}
-
-DEFAULT_CONFIG = {
-    "grid": {"L": 1.0, "n": 127},
-    "noise": {"m": 16, "p": 2.0},
-    "physics": {"gamma": 1.0, "mu": 0.1,
-                "mu_list": [0.2, 0.1, 0.05, 0.025],
-                "alpha": 0.5, "parabolic": False},
-    "time": {"dt": "auto", "T": 1.0, "projection": False},
-    "initial_data": {"u_modes": [[1, 1, 1.0], [2, 2, 0.1]],
-                     "v_modes": [[1, 2, 2.0], [2, 3, 1.0]]},
-    "study": {"ensemble": 16, "delta": 1.0, "master_seed": 20240811,
-              "projection": True, "n_out": 256},
+# The document's keys in their order; a key holding a StudyConfig field takes
+# that field's default, and study_config_from reads it back into the field.
+_LAYOUT = {
+    "grid": {"L": _FIELDS["L"], "n": _FIELDS["n"]},
+    "noise": {"m": _FIELDS["m"], "p": _FIELDS["p"]},
+    "physics": {"gamma": _FIELDS["gamma"], "mu": 0.1, "mu_list": _FIELDS["mu_values"],
+                "alpha": _FIELDS["alpha"], "parabolic": False},
+    "time": {"dt": _FIELDS["dt"], "T": _FIELDS["T"], "projection": False},
+    "initial_data": {"u_modes": _FIELDS["u_modes"], "v_modes": _FIELDS["v_modes"]},
+    "study": {"ensemble": _FIELDS["ensemble"], "delta": _FIELDS["delta"],
+              "master_seed": _FIELDS["master_seed"], "projection": _FIELDS["projection"],
+              "n_out": _FIELDS["n_out"]},
     "output": {"directory": "spherewave-out", "stride": 1},
 }
+
+
+def _as_json(value):
+    """A StudyConfig default as JSON: lists for tuples, "auto" for the unset dt."""
+    if isinstance(value, tuple):
+        return [_as_json(item) for item in value]
+    return "auto" if value is None else value
+
+
+def _from_json(value):
+    """The inverse of _as_json."""
+    if isinstance(value, list):
+        return tuple(_from_json(item) for item in value)
+    return None if value == "auto" else value
+
+
+DEFAULT_CONFIG = {section: {key: _as_json(value.default) if isinstance(value, Field) else value
+                             for key, value in keys.items()} for section, keys in _LAYOUT.items()}
+
+# The shapes the defaults cannot show; every other key takes its default's
+# JSON type.  A list of one rule takes any number of such items, a tuple
+# exactly those items.
+_SHAPES = {"dt": "auto", "mu_list": [float], "u_modes": [(float,) * 3], "v_modes": [(float,) * 3]}
+_RULES = {section: {key: _SHAPES.get(key, type(value)) for key, value in keys.items()}
+          for section, keys in DEFAULT_CONFIG.items()}
+_KINDS = {bool: "a boolean", int: "an integer", float: "a number", str: "a string",
+          "auto": 'a number or "auto"'}
+
+
+def _is(value, kind) -> bool:
+    """JSON type test: a bool is no number, a float is no integer, and "auto" takes a number."""
+    if kind == "auto":
+        return value == "auto" or _is(value, float)
+    return type(value) in ((int, float) if kind is float else (kind,))
+
+
+def _faults(doc, rule, path: str = "") -> list[str]:
+    """Every structural fault of `doc` against `rule`, each with its key path."""
+    where = path or "<root>"
+    if isinstance(rule, dict):
+        if not _is(doc, dict):
+            return [f"{where}: expected an object, got {json.dumps(doc)}"]
+        return [fault for key, value in doc.items() for fault in (
+            _faults(value, rule[key], f"{path}/{key}".lstrip("/")) if key in rule
+            else [f"{where}: unknown key {key!r}"])]
+    if isinstance(rule, (list, tuple)):
+        if not _is(doc, list) or isinstance(rule, tuple) and len(doc) != len(rule):
+            size = f"{len(rule)} " if isinstance(rule, tuple) else ""
+            return [f"{where}: expected a list of {size}items, got {json.dumps(doc)}"]
+        rules = rule if isinstance(rule, tuple) else rule * len(doc)
+        return [fault for i, (value, item) in enumerate(zip(doc, rules))
+                for fault in _faults(value, item, f"{path}/{i}")]
+    if not _is(doc, rule):
+        return [f"{where}: expected {_KINDS[rule]}, got {json.dumps(doc)}"]
+    if _is(doc, float) and not abs(doc) <= sys.float_info.max:   # also an int past every float
+        return [f"{where}: non-finite number"]
+    return []
 
 
 def load_config(path: str | Path) -> dict:
@@ -156,20 +130,10 @@ def load_config(path: str | Path) -> dict:
 
 
 def resolve_config(raw: dict) -> dict:
-    """Validate a user document and merge it over the defaults."""
-    import jsonschema   # about 0.1 s of a cold start, paid only by commands that read a config
-
-    bad = _non_finite(raw)
-    if bad:
-        raise ConfigError("configuration rejected: " + "; ".join(
-            f"{'/'.join(str(p) for p in path)}: non-finite number" for path in bad))
-    validator = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
-    problems = sorted(validator.iter_errors(raw), key=lambda e: list(e.absolute_path))
-    if problems:
-        lines = "; ".join(
-            f"{'/'.join(str(p) for p in err.absolute_path) or '<root>'}: {err.message}"
-            for err in problems)
-        raise ConfigError(f"configuration rejected: {lines}")
+    """Check a user document's structure, merge it over the defaults, then its values."""
+    faults = _faults(raw, _RULES)
+    if faults:
+        raise ConfigError("configuration rejected: " + "; ".join(faults))
     resolved = {section: dict(values) for section, values in DEFAULT_CONFIG.items()}
     for section, values in raw.items():
         resolved[section].update(values)
@@ -177,31 +141,25 @@ def resolve_config(raw: dict) -> dict:
     return resolved
 
 
-def _non_finite(doc, path=()) -> list[tuple]:
-    """Key paths of the NaN and infinite floats anywhere in a JSON document."""
-    if isinstance(doc, dict):
-        items = doc.items()
-    elif isinstance(doc, list):
-        items = enumerate(doc)
-    else:
-        return [path] if isinstance(doc, float) and not math.isfinite(doc) else []
-    return [bad for key, value in items for bad in _non_finite(value, path + (key,))]
-
-
 def _cross_check(cfg: dict) -> None:
-    """The rules no builder states, then one build of the grid, basis and initial data."""
-    mus = cfg["physics"]["mu_list"]
-    if any(b >= a for a, b in zip(mus, mus[1:])):
-        raise ConfigError(f"physics.mu_list must be strictly decreasing, got {mus}")
+    """The one rule no builder states, then each value bound's owner, called once.
+
+    alpha and dt keep StudyConfig's defaults: alpha >= 1/2 and the per-level
+    step rules are the study command's, applied by study_config_from.
+    """
     for k, d, _ in cfg["initial_data"]["u_modes"] + cfg["initial_data"]["v_modes"]:
         if int(k) != k or int(d) != d:
             raise ConfigError("mode indices must be integers")
+    phys, time = cfg["physics"], cfg["time"]
     try:
-        grid = build_grid(cfg)
-        build_noise_basis(cfg, grid)
-        initial_fields_from(cfg, grid)
-    except (ParameterError, DegenerateFieldError) as exc:
+        SpdeParams.auto(build_grid(cfg), phys["mu"], time["T"], gamma=phys["gamma"],
+                        alpha=phys["alpha"], n_out=1)
+        if time["dt"] != "auto":
+            step_count(time["dt"], time["T"])
+        output_rows(0, cfg["output"]["stride"])   # its stride rule
+    except ParameterError as exc:
         raise ConfigError(str(exc)) from exc
+    _study_config(cfg, exclude=("alpha", "dt"))
 
 
 def config_hash(cfg: dict) -> str:
@@ -218,29 +176,14 @@ def build_noise_basis(cfg: dict, grid: Grid1D):
 
 
 def study_config_from(cfg: dict) -> StudyConfig:
-    try:
-        return StudyConfig(
-            L=cfg["grid"]["L"],
-            n=cfg["grid"]["n"],
-            m=cfg["noise"]["m"],
-            p=cfg["noise"]["p"],
-            gamma=cfg["physics"]["gamma"],
-            alpha=cfg["physics"]["alpha"],
-            mu_values=tuple(cfg["physics"]["mu_list"]),
-            ensemble=cfg["study"]["ensemble"],
-            delta=cfg["study"]["delta"],
-            T=cfg["time"]["T"],
-            u_modes=tuple(tuple(mode) for mode in cfg["initial_data"]["u_modes"]),
-            v_modes=tuple(tuple(mode) for mode in cfg["initial_data"]["v_modes"]),
-            master_seed=cfg["study"]["master_seed"],
-            n_out=cfg["study"]["n_out"],
-            dt=None if cfg["time"]["dt"] == "auto" else cfg["time"]["dt"],
-            projection=cfg["study"]["projection"],
-        )
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return _study_config(cfg)
+
+
+def _study_config(cfg: dict, exclude=()) -> StudyConfig:
+    """StudyConfig of the document's keys, but the `exclude`d fields at their defaults."""
+    return StudyConfig(**{value.name: _from_json(cfg[section][key])
+                          for section, keys in _LAYOUT.items() for key, value in keys.items()
+                          if isinstance(value, Field) and value.name not in exclude})
 
 
 def initial_fields_from(cfg: dict, grid: Grid1D):

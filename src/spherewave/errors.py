@@ -58,4 +58,4 @@ class BlowUpError(RuntimeError):
 
 
 class ConfigError(ValueError):
-    """A run configuration failed schema or constraint validation."""
+    """A run configuration failed its structure or value checks."""

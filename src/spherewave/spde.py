@@ -121,8 +121,7 @@ class SpdeParams:
     projection: bool = False
 
     def __post_init__(self):
-        if not 0.0 < self.mu <= 1.0:
-            raise ParameterError(f"mass must lie in (0, 1], got {self.mu}")
+        _check_mass(self.mu)
         if not 0.0 < self.gamma < inf:
             raise ParameterError(f"friction must be positive and finite, got {self.gamma}")
         if not 0.0 <= self.alpha < inf:
@@ -150,6 +149,7 @@ class SpdeParams:
         divide T into a multiple of n_out steps.
         """
         if dt is None:
+            _check_mass(mu)   # before its square root is taken
             dt = fitted_step(CFL_LIMIT * np.sqrt(mu) * grid.h, T, n_out)
         else:
             check_output_grid(T, n_out)
@@ -159,6 +159,11 @@ class SpdeParams:
                     f" not a multiple of the {n_out} output rows")
         return cls(grid=grid, mu=mu, dt=dt, T=T, gamma=gamma, alpha=alpha,
                    projection=projection)
+
+
+def _check_mass(mu: float) -> None:
+    if not 0.0 < mu <= 1.0:
+        raise ParameterError(f"mass must lie in (0, 1], got {mu}")
 
 
 def _state_norms(grid: Grid1D, u: np.ndarray, v: np.ndarray):

@@ -102,17 +102,17 @@ class StudyConfig:
         if not 0.0 <= self.delta < 2.0:
             raise ConfigError(f"error-norm order delta must lie in [0, 2), got {self.delta}")
         mus = tuple(self.mu_values)
-        if not mus or any(not 0.0 < mu <= 1.0 for mu in mus):
-            raise ConfigError(f"mass values must lie in (0, 1], got {mus}")
+        if not mus:
+            raise ConfigError("need at least one mass value")
         if any(b >= a for a, b in zip(mus, mus[1:])):
             raise ConfigError(f"mass values must be strictly decreasing, got {mus}")
         if self.ensemble < 1:
             raise ConfigError(f"ensemble size must be >= 1, got {self.ensemble}")
+        if self.master_seed < 0:
+            raise ConfigError(f"master seed must be >= 0, got {self.master_seed}")
         if self.alpha < 0.5:
             raise ConfigError(f"noise exponents below 1/2 are exploratory, with no proven"
                               f" limit to study, got alpha={self.alpha}")
-        if not self.u_modes:
-            raise ConfigError("initial data needs at least one mode")
         try:
             grid = self.grid()
             self.basis(grid)

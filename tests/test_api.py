@@ -77,13 +77,14 @@ def test_no_unused_parameters(name):
 @pytest.mark.parametrize("name", MODULES)
 def test_no_scipy_import_statement(name):
     # fields loads the three compiled routines it needs from scipy's
-    # extension files; importing a scipy package costs most of a cold start
+    # extension files; importing a scipy package costs most of a cold start.
+    # jsonschema is no dependency: config walks a document itself
     tree = ast.parse(Path(spherewave.__path__[0], f"{name}.py").read_text())
     imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
                 for alias in node.names]
     imported += [node.module for node in ast.walk(tree)
                  if isinstance(node, ast.ImportFrom) and node.module]
-    assert not [mod for mod in imported if mod.split(".")[0] == "scipy"]
+    assert not [mod for mod in imported if mod.split(".")[0] in ("scipy", "jsonschema")]
 
 
 def test_cold_import_loads_no_scipy_package():

@@ -1,5 +1,6 @@
 """Command-line layer: config validation, file emission, exit codes."""
 
+import hashlib
 import io
 import json
 import os
@@ -69,8 +70,8 @@ class TestConfigResolution:
             resolve_config({"grid": {"n": 15}, "initial_data": {"u_modes": [[16, 1, 1.0]]}})
 
     def test_default_study_is_the_api_default(self):
-        # the CLI's defaults (config.DEFAULT_CONFIG) and StudyConfig's fields
-        # state every default twice; the default study must be one study
+        # config.DEFAULT_CONFIG takes StudyConfig's defaults; the default
+        # study must be one study
         assert study_config_from(resolve_config({})) == StudyConfig()
 
     def test_defaults_filled(self):
@@ -96,10 +97,83 @@ class TestConfigResolution:
         assert json.loads(block) == DEFAULT_CONFIG
 
 
+# one document per bound of the configuration contract: the document's
+# structure, then each value bound, whichever owner states it
+REFUSED = {
+    "grid-L-0": {"grid": {"L": 0}},
+    "grid-n-1": {"grid": {"n": 1}},
+    "noise-m-negative": {"noise": {"m": -1}},
+    "noise-p-1.5": {"noise": {"p": 1.5}},
+    "gamma-0": {"physics": {"gamma": 0}},
+    "mu-0": {"physics": {"mu": 0}},
+    "mu-negative": {"physics": {"mu": -0.5}},
+    "mu-1.5": {"physics": {"mu": 1.5}},
+    "alpha-negative": {"physics": {"alpha": -0.1}},
+    "mu_list-empty": {"physics": {"mu_list": []}},
+    "mu_list-0": {"physics": {"mu_list": [0]}},
+    "mu_list-1.5": {"physics": {"mu_list": [1.5]}},
+    "dt-0": {"time": {"dt": 0}},
+    "dt-negative": {"time": {"dt": -1}},
+    "dt-string": {"time": {"dt": "fast"}},
+    "T-0": {"time": {"T": 0}},
+    "u_modes-empty": {"initial_data": {"u_modes": []}},
+    "mode-2-numbers": {"initial_data": {"u_modes": [[1, 1]]}},
+    "mode-4-numbers": {"initial_data": {"v_modes": [[1, 2, 1.0, 0.5]]}},
+    "ensemble-0": {"study": {"ensemble": 0}},
+    "delta-negative": {"study": {"delta": -0.1}},
+    "delta-2": {"study": {"delta": 2}},
+    "master_seed-negative": {"study": {"master_seed": -1}},
+    "n_out-0": {"study": {"n_out": 0}},
+    "stride-0": {"output": {"stride": 0}},
+    "directory-number": {"output": {"directory": 5}},
+    "parabolic-string": {"physics": {"parabolic": "yes"}},
+    "projection-number": {"time": {"projection": 1}},
+    "bool-for-number": {"physics": {"gamma": True}},
+    "unknown-section": {"grids": {"n": 63}},
+    "unknown-key": {"grid": {"spacing": 0.1}},
+    "root-list": [],
+    "section-list": {"grid": []},
+}
+
+
+@pytest.mark.parametrize("doc", list(REFUSED.values()), ids=list(REFUSED))
+def test_refusal_corpus(doc):
+    with pytest.raises(ConfigError):
+        resolve_config(doc)
+
+
+# documents every command accepts, with the sha256 of json.dumps of their
+# resolved form: the key order, the values and their JSON types (an int stays
+# an int) are pinned
+ACCEPTED = {
+    "defaults": ({}, "7aca58b2f54f3a56689017fbbe01ba4b9b9bd7bd828af924e6a5fef0a4fcbed7"),
+    "sim_config": ({"grid": {"n": 63}, "noise": {"m": 8}, "physics": {"mu": 0.1},
+                    "time": {"dt": 1e-4, "T": 0.05},
+                    "output": {"directory": "out", "stride": 50}},
+                   "fe412464acb1d840a58b0faad8ba5503cda824c71aba3ae4fddc7633a800349e"),
+    "alpha-0.25": ({"physics": {"alpha": 0.25}},
+                   "7ffd5ad0ab2fc4d2fc0f36e6647939d9d60a8cbd98ea6dac72958d03723f83dc"),
+    "dt-0.01": ({"time": {"dt": 0.01}},
+                "4ae6b9133847e5910ece06ac2a07ab0e7b95628cd3c2eeb0c3936f4ce481950b"),
+    "ints-for-floats": ({"physics": {"gamma": 1, "mu_list": [1, 0.5]}, "time": {"T": 1}},
+                        "3349f8391e9e26e4c859ca9caeb96f4f4b1f098ffed407b2b5561c94613abda5"),
+}
+
+
+@pytest.mark.parametrize("doc, digest", list(ACCEPTED.values()), ids=list(ACCEPTED))
+def test_acceptance_corpus(doc, digest):
+    cfg = resolve_config(doc)
+    assert cfg == {section: {**values, **doc.get(section, {})}
+                   for section, values in DEFAULT_CONFIG.items()}
+    assert hashlib.sha256(json.dumps(cfg).encode()).hexdigest() == digest
+
+
 # a config whose u_modes add up to the zero field, and non-finite literals that
-# Python's json reads as floats (1e999 overflows to inf)
+# Python's json reads as floats (1e999 overflows to inf), or as an int past
+# every float
 ZERO_FIELD = {"initial_data": {"u_modes": [[1, 1, 1.0], [1, 1, -1.0]]}}
-NON_FINITE = ("NaN", "Infinity", "-Infinity", "1e999")
+NON_FINITE = ("NaN", "Infinity", "-Infinity", "1e999",
+              pytest.param("1" + "0" * 400, id="integer-1e400"))
 NON_FINITE_KEYS = {
     "physics/gamma": {"physics": {"gamma": "X"}},
     "time/T": {"time": {"T": "X"}},
@@ -127,6 +201,26 @@ def test_non_finite_numbers_refused(tmp_path, capsys, command, key, literal):
     text = json.dumps(payload).replace('"X"', literal)
     err = refused(tmp_path, capsys, command, text)
     assert f"{key}: non-finite number" in err
+
+
+# a small study; each case sets one integer key to an integral float
+SMALL_RUN = {"grid": {"n": 31}, "noise": {"m": 4}, "physics": {"mu_list": [0.2]},
+             "time": {"T": 0.05}, "study": {"ensemble": 1, "n_out": 8}}
+
+
+@pytest.mark.parametrize("command, section, key, value", [
+    ("simulate", "grid", "n", 63.0), ("study", "grid", "n", 63.0),
+    ("simulate", "noise", "m", 4.0), ("study", "noise", "m", 4.0),
+    ("simulate", "output", "stride", 2.0), ("study", "study", "ensemble", 2.0),
+    ("simulate", "study", "master_seed", 5.0), ("study", "study", "master_seed", 5.0),
+])
+def test_integral_floats_refused_in_integer_keys(tmp_path, capsys, command, section, key,
+                                                 value):
+    payload = {name: dict(values) for name, values in SMALL_RUN.items()}
+    payload.setdefault(section, {})[key] = value
+    payload.setdefault("output", {})["directory"] = str(tmp_path / "out")
+    err = refused(tmp_path, capsys, command, json.dumps(payload))
+    assert f"{section}/{key}: expected an integer, got {value}" in err
 
 
 @pytest.mark.parametrize("command", ["simulate", "limit", "study"])

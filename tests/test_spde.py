@@ -52,6 +52,13 @@ class TestParams:
         with pytest.raises(sw.ParameterError):
             sw.SpdeParams(grid=grid, mu=0.0, dt=1e-5, T=1.0)
 
+    @pytest.mark.parametrize("mu", [-0.5, 0.0, 1.5])
+    def test_auto_step_refuses_the_mass_first(self, grid, mu):
+        # no step is fitted to a mass outside (0, 1]: a negative one would
+        # warn in its square root
+        with pytest.raises(sw.ParameterError, match=r"mass must lie in \(0, 1\]"):
+            sw.SpdeParams.auto(grid, mu, 1.0)
+
     def test_final_time_must_be_reached(self, grid):
         # 1429 steps of 7e-4 would end at t=1.0003, not T
         with pytest.raises(sw.ParameterError, match=r"dt=0\.0007.*T=1\.0.*t=1\.0003"):

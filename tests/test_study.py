@@ -83,6 +83,7 @@ class TestConfig:
         ({"dt": math.nan}, "dt=nan"),
         ({"L": math.nan}, "domain length"),
         ({"T": math.inf}, "T=inf"),
+        ({"master_seed": -1}, "master seed must be >= 0"),
     ])
     def test_refused_at_construction(self, fields, reason):
         # refused when the config is built, naming the fault, not inside the first pool job
