@@ -3,19 +3,22 @@
 Every structural identity the library relies on is exercised once, at small
 fixed sizes: the algebraic oracles (triple cross, trace summation, mobility
 inverse, formulation equivalence), the quadrature and spectrum identities,
-the noise statistics, an exact equilibrium and two short dynamic runs
-(energy identity, tangent residuals).  CHECKS is the one table of them:
-each entry names a check once, and the check draws from its own stream,
-keyed by CHECK_SEED and its name, so adding, removing or reordering a check
-moves no other check's numbers.  With `mutate` the wave checks step on a
-kernel phi of the wrong sign (_wave_basis), so a flipped Ito correction
-demonstrates that the energy-identity check detects it.
+the noise statistics, an exact equilibrium and one short dynamic run, which
+the energy-identity and tangent-residual checks both read.  CHECKS is the
+one table of them: each entry names a check once, and the check draws from
+its own stream, keyed by CHECK_SEED and its name, so adding, removing or
+reordering a check moves no other check's numbers.  The dynamic run is made
+once per `mutate` value, on its own stream keyed "dynamic-run".  With
+`mutate` the wave checks step on a kernel phi of the wrong sign
+(_wave_basis), so a flipped Ito correction demonstrates that the
+energy-identity check detects it.
 """
 
 from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, replace
+from functools import cache
 
 import numpy as np
 
@@ -286,24 +289,31 @@ def _check_equilibrium(rng, mutate: bool) -> tuple[bool, str]:
     return passed, f"stepper drift {drift_sup:.2e}, limit per-step drift {limit_drift:.2e}"
 
 
-def _dynamic_run(rng, mutate: bool):
+def _stream(name: str) -> np.random.Generator:
+    """The stream keyed by CHECK_SEED and `name`."""
+    return derive_stream(CHECK_SEED, zlib.crc32(name.encode()))
+
+
+@cache
+def _dynamic_run(mutate: bool):
+    """The trajectory of both dynamic checks, run once per `mutate` value on its own stream."""
     # gamma = 5 keeps the transverse constraint amplification e^{s t} mild,
     # so the correct correction passes cleanly and a flipped sign fails loudly
     grid = _grid()
     basis = _wave_basis(build_basis(grid, 8, 2.0), mutate)
     u0 = normalize_sphere(grid, sine_field(grid, 1, 1) + sine_field(grid, 2, 2, 0.2))
     params = SpdeParams(grid=grid, mu=0.1, dt=1e-4, T=0.25, gamma=5.0)
-    return simulate(u0, zero_field(grid), params, basis, rng=rng, stride=50)
+    return simulate(u0, zero_field(grid), params, basis, rng=_stream("dynamic-run"), stride=50)
 
 
-def _check_energy_identity(rng, mutate: bool) -> tuple[bool, str]:
-    traj = _dynamic_run(rng, mutate)
+def _check_energy_identity(_rng, mutate: bool) -> tuple[bool, str]:
+    traj = _dynamic_run(mutate)
     drift = float(np.abs(traj.energy - traj.energy[0]).max() / traj.energy[0])
     return drift <= 2e-3, f"relative energy drift {drift:.2e} (tolerance 2e-3)"
 
 
-def _check_constraint_drift(rng, mutate: bool) -> tuple[bool, str]:
-    traj = _dynamic_run(rng, mutate)
+def _check_constraint_drift(_rng, mutate: bool) -> tuple[bool, str]:
+    traj = _dynamic_run(mutate)
     sup = float((np.abs(traj.theta) + np.abs(traj.eta)).max())
     return sup <= 2e-3, f"sup |theta|+|eta| = {sup:.2e} (tolerance 2e-3)"
 
@@ -337,7 +347,7 @@ CHECK_NAMES = tuple(CHECKS)
 def run_check(name: str, mutate: bool = False) -> CheckResult:
     """Run the check called `name` on its own stream; mutate flips the wave checks' kernel."""
     check, mutable = CHECKS[name]
-    rng = derive_stream(CHECK_SEED, zlib.crc32(name.encode()))
+    rng = _stream(name)
     passed, detail = check(rng, mutate) if mutable else check(rng)
     return CheckResult(name, passed, detail)
 

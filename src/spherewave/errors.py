@@ -32,10 +32,10 @@ class BlowUpError(RuntimeError):
     """
 
     def __init__(self, step: int, message: str = "", *, sample: int | None = None,
-                 diagnostics: dict | None = None, mu_index: int | None = None):
+                 diagnostics: dict | None = None):
         self.step = step
         self.sample = sample
-        self.mu_index = mu_index
+        self.mu_index = None
         self.diagnostics = dict(diagnostics or {})
         super().__init__(message or self._describe())
 

@@ -322,15 +322,11 @@ def cross(f: np.ndarray, g: np.ndarray) -> np.ndarray:
             - np.take(f, _J, axis=-2) * np.take(g, _I, axis=-2))
 
 
-def triple_cross(h: np.ndarray, k: np.ndarray, *, dots: tuple | None = None) -> np.ndarray:
-    """h x (h x k) evaluated as (h.k) h - (h.h) k, on (..., 3, n) arrays.
-
-    dots may pass the pointwise (h.h, h.k) rows when the caller already holds them.
-    """
+def triple_cross(h: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """h x (h x k) evaluated as (h.k) h - (h.h) k, on (..., 3, n) arrays."""
     h = np.asarray(h, dtype=float)
     k = np.asarray(k, dtype=float)
-    hh, hk = dots if dots is not None else (pointwise_dot(h, h), pointwise_dot(h, k))
-    return hk * h - hh * k
+    return pointwise_dot(h, k) * h - pointwise_dot(h, h) * k
 
 
 def project_tangent(grid: Grid1D, u: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -92,16 +92,14 @@ def derive_stream(master_seed: int, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence((int(master_seed),) + tuple(int(k) for k in key))))
 
 
-def strat_correction(u: np.ndarray, v: np.ndarray, basis: NoiseBasis, *,
-                     dots: tuple | None = None) -> np.ndarray:
+def strat_correction(u: np.ndarray, v: np.ndarray, basis: NoiseBasis) -> np.ndarray:
     """Trace field phi * (u x (u x v)) = phi * (-(u.u) v + (u.v) u).
 
     This is the full trace; the caller applies the Stratonovich 1/2.  u and
-    v are fields (3, n) or blocks of fields (S, 3, n); dots may pass the
-    pointwise (u.u, u.v) rows when the caller already holds them.
+    v are fields (3, n) or blocks of fields (S, 3, n).
     """
     _check_pair(basis.grid, u, v)
-    return basis.phi * triple_cross(u, v, dots=dots)
+    return basis.phi * triple_cross(u, v)
 
 
 def noise_field(u: np.ndarray, v: np.ndarray, basis: NoiseBasis, values: np.ndarray) -> np.ndarray:

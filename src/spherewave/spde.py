@@ -15,10 +15,10 @@ nonlinearities, the trace correction, and the noise are explicit.
 SpdeStepper is a batched engine: it advances a block of S independent
 samples held as C-ordered (S, 3, n) arrays (the layout of fields.py), with
 one tridiagonal LDL^T solve on all 3S node rows per step, in place.  A
-single trajectory (simulate) is the block S = 1.  Its step is one kernel,
-built once per engine, which holds the step's constants and buffers for
-its intermediates and takes the float operations of the public helpers in
-their order.  Every operation acts on each sample separately, so a
+single trajectory (simulate) is the block S = 1.  The engine holds the
+step's constants and buffers for its intermediates, built with it, and
+its step takes the float operations of the public helpers in their
+order.  Every operation acts on each sample separately, so a
 sample's numbers do not depend on the block it shares.  A block keeps its
 shape: a sample is lost at the first step whose new state has non-finite
 norms, recorded as a BlowUpError with the diagnostics of the state before
@@ -207,131 +207,15 @@ _INNER, _DOT = "...ij,...ij->...", "...ij,...ij->...j"
 _F_ROWS, _G_ROWS = np.array([1, 2, 0, 2, 0, 1]), np.array([2, 0, 1, 1, 2, 0])
 
 
-class _StepKernel:
-    """The arithmetic of SpdeStepper's step for one block (S, 3, n).
-
-    Built once per engine, it holds what a run never changes: h, -h, h^2,
-    dt, dt / 2, dt / mu, mu, the correction weight 0.5 mu^(2a-1), the kick
-    and Ito-sum scales mu^(a-1) and mu^a, phi, xi^T, whether the basis is
-    silent and whether the step projects, and buffers for the step's
-    intermediates.  `bind` reads a state's A_h u, pointwise dots (u.u, u.v)
-    and |u|_{H1}^2 u into the buffers; `drift`, `kick` and `integrands` read
-    them.  Each takes the float operations of the public helpers
-    (laplacian, inner_each, pointwise_dot, strat_correction, noise_field),
-    in their order, so its numbers are theirs bit for bit; it calls
-    c_einsum and ndarray.take directly and checks no shapes.  The buffers
-    are overwritten by the next `bind`; what the engine keeps (the state,
-    the norms, the Ito sum) is a new array each step.
-    """
-
-    def __init__(self, params: SpdeParams, basis: NoiseBasis, size: int):
-        h, dt, mu = params.grid.h, params.dt, params.mu
-        self.h, self.neg_h, self.h_sq = h, -h, h ** 2
-        self.dt, self.half_dt, self.dt_mu, self.mu = dt, 0.5 * dt, dt / mu, mu
-        self.weight = 0.5 * mu ** (2.0 * params.alpha - 1.0)
-        self.kick_scale = mu ** (params.alpha - 1.0)
-        self.acc_scale = mu ** params.alpha
-        self.phi, self.xi_t = basis.phi, basis.xi.T
-        self.silent, self.projection = basis.m == 0, params.projection
-        shape, n = (size, 3, params.grid.n), params.grid.n
-        self.lap, self.hu, self.rhs, self.tmp, self.corr, self.cross = (
-            np.empty(shape) for _ in range(6))
-        # the interior rows of A_h u: nodes with a left and with a right neighbour
-        self.lap_left, self.lap_right = self.lap[..., 1:], self.lap[..., :-1]
-        # the solve's Fortran-ordered (n, 3S) columns: the rhs's node rows
-        self.columns = self.rhs.reshape(3 * size, n).T
-        # pointwise rows (S, 1, n), written through their (S, n) views
-        self.uu, self.uv, self.row, self.row2 = (np.empty((size, 1, n)) for _ in range(4))
-        self.uu_flat, self.uv_flat, self.row_flat = (
-            self.uu[:, 0], self.uv[:, 0], self.row[:, 0])
-        self.pairs_f, self.pairs_g = np.empty((size, 6, n)), np.empty((size, 6, n))
-        self.pairs_plus, self.pairs_minus = self.pairs_f[:, :3], self.pairs_f[:, 3:]
-        # the noise sums: columns (S, n, 1), read as rows (S, 1, n)
-        self.sums = np.empty((size, n, 1))
-        self.sums_rows = self.sums.reshape(size, 1, n)
-        # the remainder integrands f_k, stacked as REMAINDER_KEYS
-        self.last = np.empty((len(REMAINDER_KEYS),) + shape)
-        self.last_rows = tuple(self.last)
-        self.h1b = self.vh2b = None
-
-    def bind(self, u: np.ndarray, v: np.ndarray):
-        """|u|_{H1}^2 and |v|_H^2 (S,) of a state.
-
-        Its A_h u, u.u, u.v and |u|_{H1}^2 u go to the buffers.
-        """
-        # laplacian: -2 u, plus the left neighbour, plus the right one, over h^2
-        lap = self.lap
-        np.multiply(-2.0, u, out=lap)
-        np.add(self.lap_left, u[..., :-1], out=self.lap_left)
-        np.add(self.lap_right, u[..., 1:], out=self.lap_right)
-        np.divide(lap, self.h_sq, out=lap)
-        # -inner_each(lap, u), with the sign on h: -(h x) is (-h) x
-        h1 = self.neg_h * c_einsum(_INNER, lap, u)
-        vh2 = self.h * c_einsum(_INNER, v, v)
-        c_einsum(_DOT, u, u, out=self.uu_flat)
-        c_einsum(_DOT, u, v, out=self.uv_flat)
-        self.h1b, self.vh2b = h1[:, None, None], vh2[:, None, None]
-        np.multiply(self.h1b, u, out=self.hu)
-        return h1, vh2
-
-    def drift(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """A_h u + N(u, v) of the bound state, in a buffer.
-
-        N(u, v) = |u|_{H1}^2 u - mu |v|_H^2 u + (1/2) mu^(2a-1) phi u x (u x v)
-        is the explicit force, with u x (u x v) = (u.v) u - (u.u) v.
-        """
-        out, tmp, corr = self.rhs, self.tmp, self.corr
-        np.multiply(self.mu * self.vh2b, u, out=tmp)
-        np.subtract(self.hu, tmp, out=out)
-        np.multiply(self.uv, u, out=tmp)
-        np.multiply(self.uu, v, out=corr)
-        np.subtract(tmp, corr, out=tmp)
-        np.multiply(self.phi, tmp, out=tmp)
-        np.multiply(self.weight, tmp, out=tmp)
-        np.add(out, tmp, out=out)
-        np.add(self.lap, out, out=out)
-        return out
-
-    def kick(self, u: np.ndarray, v: np.ndarray, dw: np.ndarray) -> np.ndarray:
-        """(u x v) sum_i xi_i dw_i for raw increments dw (S, m), in a buffer.
-
-        The noise sums are noise_field's stacked matrix-vector product, one
-        per field; a block gemm would round differently.
-        """
-        np.matmul(self.xi_t, dw[..., None], out=self.sums)
-        u.take(_F_ROWS, axis=-2, out=self.pairs_f, mode="wrap")
-        v.take(_G_ROWS, axis=-2, out=self.pairs_g, mode="wrap")
-        np.multiply(self.pairs_f, self.pairs_g, out=self.pairs_f)
-        np.subtract(self.pairs_plus, self.pairs_minus, out=self.cross)
-        np.multiply(self.cross, self.sums_rows, out=self.cross)
-        return self.cross
-
-    def integrands(self, u: np.ndarray, v: np.ndarray) -> None:
-        """The remainder's pointwise integrands of the bound state, into `last`."""
-        ian, icd, j2, j3, j4, j5 = self.last_rows
-        np.add(self.hu, self.lap, out=ian)
-        c_einsum(_DOT, self.lap, u, out=self.row_flat)
-        np.multiply(self.h1b, self.uu, out=self.row2)
-        np.add(self.row, self.row2, out=self.row)
-        np.multiply(self.row, u, out=icd)
-        np.multiply(self.vh2b, u, out=j2)
-        np.multiply(self.uv, v, out=j3)
-        c_einsum(_DOT, v, v, out=self.row_flat)
-        np.multiply(self.row, u, out=j4)
-        np.multiply(self.vh2b, self.uu, out=self.row)
-        np.multiply(self.row, u, out=j5)
-
-
 class SpdeStepper:
     """Prefactored semi-implicit Euler-Maruyama engine for a block of samples.
 
-    One step, all of it in one kernel (_StepKernel) built with the engine:
-    (1) form the drift A_h u + N(u, v), N the explicit nonlinear force plus
-    the halved trace correction, and solve (I + (gamma dt/mu) I - (dt^2/mu)
-    A_h) v* = v + (dt/mu)(A_h u + N(u, v)); (2) add the noise kick
-    mu^(alpha-1) (u x v) dW; (3) u* = u + dt v*; keep per sample the sup
-    over steps of the step result's constraint residuals, | |u*|_H - 1 | in
-    `norm_defect` and |<u*, v*>_H| in `tangent_defect`; (4) optionally
+    One step: (1) form the drift A_h u + N(u, v), N the explicit nonlinear
+    force plus the halved trace correction, and solve (I + (gamma dt/mu) I
+    - (dt^2/mu) A_h) v* = v + (dt/mu)(A_h u + N(u, v)); (2) add the noise
+    kick mu^(alpha-1) (u x v) dW; (3) u* = u + dt v*; keep per sample the
+    sup over steps of the step result's constraint residuals, | |u*|_H - 1 |
+    in `norm_defect` and |<u*, v*>_H| in `tangent_defect`; (4) optionally
     re-project (u*, v*) onto the constraint manifold, which removes exactly
     those residuals, else take (u*, v*) as the new state; (5) read the new
     state's A_h u, norms and pointwise dots, and update the running
@@ -339,15 +223,24 @@ class SpdeStepper:
     integrands f_k onto their left sum, which starts at f_0 / 2 so that
     `remainder` reads the trapezoid integral as dt (sum - f_k / 2), and the
     left-point Ito sum for the noise accumulator, matching the kick, whose
-    noise sums are one stacked matrix-vector product (noise_field's).  The
-    kernel keeps every float operation of the public helpers, in their
-    order.  Every engine keeps those accumulators, and `identity` evaluates
-    the remainder from them.  The state u, v, the norms h1, vh2 and the Ito
-    sum acc_noise are new arrays each step, so a caller's reference keeps
-    its values; A_h u (`lap`) and the integrands live in the kernel's
-    buffers.  The whole step runs under one np.errstate, as do `run` with
-    its rows and the `remainder` read: a huge but finite sample may
-    overflow there, and it is recorded as a blow-up, not warned about.
+    noise sums are one stacked matrix-vector product (noise_field's).  Every
+    engine keeps those accumulators, and `identity` evaluates the remainder
+    from them.
+
+    Built with the block, the engine holds what a run never changes (h, -h,
+    h^2, dt, dt / 2, dt / mu, mu, the correction weight 0.5 mu^(2a-1), the
+    kick and Ito-sum scales mu^(a-1) and mu^a, phi, xi^T, whether the basis
+    is silent, whether the step projects) and buffers for the step's
+    intermediates.  `_bind` makes a state the block's and reads its A_h u
+    (`lap`), u.u, u.v and |u|_{H1}^2 u into them; `_drift`, `_kick` and
+    `_integrands` read them with the float operations of the public helpers
+    (laplacian, inner_each, pointwise_dot, strat_correction, noise_field),
+    in their order, calling c_einsum and ndarray.take directly and checking
+    no shapes.  u, v, h1, vh2 and acc_noise are new arrays each step, so a
+    caller's reference keeps its values; the buffers are overwritten.  The
+    whole step runs under one np.errstate, as do `run` with its rows and the
+    `remainder` read: a huge but finite sample may overflow there, and it is
+    recorded as a blow-up, not warned about.
 
     u0 and v0 are one field (3, n) or a block (S, 3, n).  Block arrays have
     shape (S, 3, n) in C order, per-sample scalars shape (S,); `samples`
@@ -377,20 +270,42 @@ class SpdeStepper:
             raise ShapeError(f"need one label per sample, got {self.samples.shape}")
         self.params = params
         self.basis = basis
-        dt, mu = params.dt, params.mu
+        h, dt, mu = grid.h, params.dt, params.mu
         self.solver = HelmholtzSolver(grid, 1.0 + params.gamma * dt / mu, dt ** 2 / mu)
-        self._kernel = kernel = _StepKernel(params, basis, len(u0))
-        # the bound state's A_h u and pointwise (u.u, u.v) rows, kept in the kernel's buffers
-        self.lap, self._dots = kernel.lap, (kernel.uu, kernel.uv)
+        self._h, self._neg_h, self._h_sq = h, -h, h ** 2
+        self._dt, self._half_dt, self._dt_mu, self._mu = dt, 0.5 * dt, dt / mu, mu
+        self._weight = 0.5 * mu ** (2.0 * params.alpha - 1.0)
+        self._kick_scale = mu ** (params.alpha - 1.0)
+        self._acc_scale = mu ** params.alpha
+        self._phi, self._xi_t = basis.phi, basis.xi.T
+        self._silent, self._projection = basis.m == 0, params.projection
+        size, n = len(u0), grid.n
+        self.lap, self._hu, self._rhs, self._tmp, self._corr, self._cross = (
+            np.empty(u0.shape) for _ in range(6))
+        # the interior rows of A_h u: nodes with a left and with a right neighbour
+        self._lap_left, self._lap_right = self.lap[..., 1:], self.lap[..., :-1]
+        # the solve's Fortran-ordered (n, 3S) columns: the rhs's node rows
+        self._columns = self._rhs.reshape(3 * size, n).T
+        # pointwise rows (S, 1, n), written through their (S, n) views
+        self._uu, self._uv, self._row, self._row2 = (np.empty((size, 1, n)) for _ in range(4))
+        self._uu_flat, self._uv_flat, self._row_flat = (
+            self._uu[:, 0], self._uv[:, 0], self._row[:, 0])
+        self._pairs_f, self._pairs_g = np.empty((size, 6, n)), np.empty((size, 6, n))
+        self._pairs_plus, self._pairs_minus = self._pairs_f[:, :3], self._pairs_f[:, 3:]
+        # the noise sums: columns (S, n, 1), read as rows (S, 1, n)
+        self._noise_sums = np.empty((size, n, 1))
+        self._noise_rows = self._noise_sums.reshape(size, 1, n)
+        # the latest remainder integrands f_k, stacked as REMAINDER_KEYS
+        self._last = np.empty((len(REMAINDER_KEYS),) + u0.shape)
+        self._last_rows = tuple(self._last)
         self.step_index = 0
         self.sample_steps = 0
-        self.alive = np.ones(len(u0), dtype=bool)
+        self.alive = np.ones(size, dtype=bool)
         self.lost: list[BlowUpError] = []
         self.u0, self.v0 = u0, v0
-        self.acc_v2 = np.zeros(len(u0))
-        self.norm_defect, self.tangent_defect = np.zeros(len(u0)), np.zeros(len(u0))
+        self.acc_v2 = np.zeros(size)
+        self.norm_defect, self.tangent_defect = np.zeros(size), np.zeros(size)
         self.acc_noise = np.zeros_like(u0)
-        self._last = kernel.last
         with np.errstate(all="ignore"):
             self._bind(u0.copy(), v0.copy())
             # refuse a start with non-finite norms, the step's test of a lost
@@ -401,14 +316,77 @@ class SpdeStepper:
                 raise BlowUpError(0, sample=int(self.samples[~finite][0]))
             # the latest integrands f_k, and their left sum from f_0 / 2 on; a
             # huge start may overflow in them, and is lost at its first step
-            kernel.integrands(self.u, self.v)
+            self._integrands(self.u, self.v)
             self._sums = 0.5 * self._last
             self.identity = RemainderIdentity(params, basis, u0, v0)
 
     def _bind(self, u: np.ndarray, v: np.ndarray) -> None:
-        """Make (u, v) the block's state, its norms and the kernel's buffers those of (u, v)."""
+        """Make (u, v) the block's state, with its norms |u|_{H1}^2 and |v|_H^2 (S,).
+
+        Its A_h u, u.u, u.v and |u|_{H1}^2 u go to the buffers.
+        """
         self.u, self.v = u, v
-        self.h1, self.vh2 = self._kernel.bind(u, v)
+        # laplacian: -2 u, plus the left neighbour, plus the right one, over h^2
+        lap = self.lap
+        np.multiply(-2.0, u, out=lap)
+        np.add(self._lap_left, u[..., :-1], out=self._lap_left)
+        np.add(self._lap_right, u[..., 1:], out=self._lap_right)
+        np.divide(lap, self._h_sq, out=lap)
+        # -inner_each(lap, u), with the sign on h: -(h x) is (-h) x
+        self.h1 = h1 = self._neg_h * c_einsum(_INNER, lap, u)
+        self.vh2 = vh2 = self._h * c_einsum(_INNER, v, v)
+        c_einsum(_DOT, u, u, out=self._uu_flat)
+        c_einsum(_DOT, u, v, out=self._uv_flat)
+        self._h1b, self._vh2b = h1[:, None, None], vh2[:, None, None]
+        np.multiply(self._h1b, u, out=self._hu)
+
+    def _drift(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """A_h u + N(u, v) of the bound state, in a buffer.
+
+        N(u, v) = |u|_{H1}^2 u - mu |v|_H^2 u + (1/2) mu^(2a-1) phi u x (u x v)
+        is the explicit force, with u x (u x v) = (u.v) u - (u.u) v.
+        """
+        out, tmp, corr = self._rhs, self._tmp, self._corr
+        np.multiply(self._mu * self._vh2b, u, out=tmp)
+        np.subtract(self._hu, tmp, out=out)
+        np.multiply(self._uv, u, out=tmp)
+        np.multiply(self._uu, v, out=corr)
+        np.subtract(tmp, corr, out=tmp)
+        np.multiply(self._phi, tmp, out=tmp)
+        np.multiply(self._weight, tmp, out=tmp)
+        np.add(out, tmp, out=out)
+        np.add(self.lap, out, out=out)
+        return out
+
+    def _kick(self, u: np.ndarray, v: np.ndarray, dw: np.ndarray) -> np.ndarray:
+        """(u x v) sum_i xi_i dw_i for raw increments dw (S, m), in a buffer.
+
+        The noise sums are noise_field's stacked matrix-vector product, one
+        per field; a block gemm would round differently.
+        """
+        np.matmul(self._xi_t, dw[..., None], out=self._noise_sums)
+        u.take(_F_ROWS, axis=-2, out=self._pairs_f, mode="wrap")
+        v.take(_G_ROWS, axis=-2, out=self._pairs_g, mode="wrap")
+        np.multiply(self._pairs_f, self._pairs_g, out=self._pairs_f)
+        np.subtract(self._pairs_plus, self._pairs_minus, out=self._cross)
+        np.multiply(self._cross, self._noise_rows, out=self._cross)
+        return self._cross
+
+    def _integrands(self, u: np.ndarray, v: np.ndarray) -> None:
+        """The remainder's pointwise integrands of the bound state, into `_last`."""
+        ian, icd, j2, j3, j4, j5 = self._last_rows
+        row = self._row
+        np.add(self._hu, self.lap, out=ian)
+        c_einsum(_DOT, self.lap, u, out=self._row_flat)
+        np.multiply(self._h1b, self._uu, out=self._row2)
+        np.add(row, self._row2, out=row)
+        np.multiply(row, u, out=icd)
+        np.multiply(self._vh2b, u, out=j2)
+        np.multiply(self._uv, v, out=j3)
+        c_einsum(_DOT, v, v, out=self._row_flat)
+        np.multiply(row, u, out=j4)
+        np.multiply(self._vh2b, self._uu, out=row)
+        np.multiply(row, u, out=j5)
 
     @property
     def t(self) -> float:
@@ -422,34 +400,34 @@ class SpdeStepper:
         `lost`, and `alive` turns False for them).
         """
         with np.errstate(all="ignore"):
-            k, u, v = self._kernel, self.u, self.v
-            rhs = k.drift(u, v)
-            np.multiply(k.dt_mu, rhs, out=rhs)
+            u, v, tmp, h = self.u, self.v, self._tmp, self._h
+            rhs = self._drift(u, v)
+            np.multiply(self._dt_mu, rhs, out=rhs)
             np.add(v, rhs, out=rhs)
             # the solve overwrites the rhs's node rows in place: rhs is now v*
-            self.solver.solve(k.columns)
+            self.solver.solve(self._columns)
             v_star = rhs
-            if dw is not None and not k.silent:
-                kick = k.kick(u, v, dw)
-                np.multiply(k.kick_scale, kick, out=k.tmp)
-                v_star = np.add(rhs, k.tmp)
-                np.multiply(k.acc_scale, kick, out=k.tmp)
-                self.acc_noise = np.add(self.acc_noise, k.tmp)
-            np.multiply(k.dt, v_star, out=k.tmp)
-            u_new = np.add(u, k.tmp)
-            norm = np.sqrt(k.h * c_einsum(_INNER, u_new, u_new))
-            if k.projection:
+            if dw is not None and not self._silent:
+                kick = self._kick(u, v, dw)
+                np.multiply(self._kick_scale, kick, out=tmp)
+                v_star = np.add(rhs, tmp)
+                np.multiply(self._acc_scale, kick, out=tmp)
+                self.acc_noise = np.add(self.acc_noise, tmp)
+            np.multiply(self._dt, v_star, out=tmp)
+            u_new = np.add(u, tmp)
+            norm = np.sqrt(h * c_einsum(_INNER, u_new, u_new))
+            if self._projection:
                 np.divide(u_new, norm[:, None, None], out=u_new)
-                dot = k.h * c_einsum(_INNER, u_new, v_star)
-                tangent = dot / (k.h * c_einsum(_INNER, u_new, u_new))
-                np.multiply(tangent[:, None, None], u_new, out=k.tmp)
-                v_new = np.subtract(v_star, k.tmp)
+                dot = h * c_einsum(_INNER, u_new, v_star)
+                tangent = dot / (h * c_einsum(_INNER, u_new, u_new))
+                np.multiply(tangent[:, None, None], u_new, out=tmp)
+                v_new = np.subtract(v_star, tmp)
                 # <u*, v*>_H = |u*|_H <u, v*>_H
                 tangent_defect = np.abs(dot) * norm
             else:
                 # without a kick v* is still the solve's buffer, and the state is a new array
                 v_new = rhs.copy() if v_star is rhs else v_star
-                tangent_defect = np.abs(k.h * c_einsum(_INNER, u_new, v_star))
+                tangent_defect = np.abs(h * c_einsum(_INNER, u_new, v_star))
             np.maximum(self.norm_defect, np.abs(norm - 1.0), out=self.norm_defect)
             np.maximum(self.tangent_defect, tangent_defect, out=self.tangent_defect)
             self.step_index += 1
@@ -459,8 +437,8 @@ class SpdeStepper:
             vh2_old = self.vh2
             self._bind(u_new, v_new)
             lost = self._overflow(u, v)
-            self.acc_v2 += k.half_dt * (vh2_old + self.vh2)
-            k.integrands(self.u, self.v)
+            self.acc_v2 += self._half_dt * (vh2_old + self.vh2)
+            self._integrands(self.u, self.v)
             self._sums += self._last
             return lost
 
@@ -527,7 +505,7 @@ class SpdeStepper:
 
     def remainder_norms(self) -> tuple[np.ndarray, np.ndarray]:
         """The J norms (S, 6) and identity residuals (S,) of the block (RemainderIdentity.norms)."""
-        return self.identity.norms(self.u, self.v, self.remainder, dots=self._dots)
+        return self.identity.norms(self.u, self.v, self.remainder, dots=(self._uu, self._uv))
 
 
 def _accumulators(sums: np.ndarray, last: np.ndarray, dt: float, j6: np.ndarray) -> dict:

@@ -413,14 +413,16 @@ def _run(config: StudyConfig, targets: tuple, blocks: list, workers: int) -> tup
     Each block is (params, mass index, samples), optionally followed by the
     stream and the draws per step (see _run_block), and its result is
     (rows, work counters and blow-ups), returned in the order of `blocks`.  The jobs go
-    to `workers` processes when more than one: one job per target, in
-    order, then the blocks, costliest first.
+    to `workers` processes when more than one (fewer than one is refused):
+    one job per target, in order, then the blocks, costliest first.
 
     The pool takes jobs in order, so every target job has started before any
     block can wait on one of its rows, and target jobs never wait: the run
     cannot deadlock.  A failed target wakes the blocks waiting on it, and
     its own exception, the first in the job order, is the one raised.
     """
+    if workers < 1:
+        raise ParameterError(f"need at least one worker, got {workers}")
     order = sorted(range(len(blocks)),
                    key=lambda b: -blocks[b][0].n_steps * len(blocks[b][2]))
     jobs = ([(_solve_target, (config, k, name)) for k, name in enumerate(targets)]

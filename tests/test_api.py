@@ -1,4 +1,5 @@
-"""Every public name a module exports resolves; every name a module imports is used."""
+"""Every public name a module exports resolves; every name a module imports is used;
+every keyword-only option is set by some caller."""
 
 import ast
 import importlib
@@ -72,6 +73,43 @@ def test_no_unused_parameters(name):
                    if param not in read and param not in ("self", "cls")
                    and not param.startswith("_") and (name, label, param) not in UNREAD_PARAMETERS]
     assert not unread, f"spherewave.{name} has parameters no body reads: {unread}"
+
+
+def _call_name(call: ast.Call) -> str | None:
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+def test_keyword_options_are_set():
+    # every keyword-only parameter of a package function is passed by name in
+    # some call of the repository's code, outside that function's own body; an
+    # __init__ counts the calls of its class.  An option no caller sets is a
+    # branch no run takes: delete it
+    root = Path(__file__).resolve().parents[1]
+    trees = {path: ast.parse(path.read_text())
+             for folder in ("src", "tests", "demos", "benchmarks")
+             for path in sorted((root / folder).rglob("*.py"))}
+    calls = [node for tree in trees.values() for node in ast.walk(tree)
+             if isinstance(node, ast.Call)]
+    unset = []
+    for path, tree in trees.items():
+        if path.parent != root / "src" / "spherewave":
+            continue
+        owners = {child: node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+                  for child in node.body}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.FunctionDef) or not node.args.kwonlyargs:
+                continue
+            init = node.name == "__init__"
+            callee = owners[node] if init else node.name
+            own = {id(sub) for sub in ast.walk(node)}
+            passed = {keyword.arg for call in calls
+                      if id(call) not in own and _call_name(call) == callee
+                      for keyword in call.keywords}
+            label = f"{callee}.__init__" if init else callee
+            unset += [(path.stem, label, param.arg) for param in node.args.kwonlyargs
+                      if param.arg not in passed]
+    assert not unset, f"keyword-only parameters no call sets: {unset}"
 
 
 @pytest.mark.parametrize("name", MODULES)

@@ -181,11 +181,11 @@ NON_FINITE_KEYS = {
 }
 
 
-def refused(tmp_path, capsys, command, text):
-    """Run `command` on a config of the given JSON text; it must stop at the config."""
+def refused(tmp_path, capsys, command, text, *options):
+    """Run `command` (with `options`) on a config of this JSON text; it must stop at the config."""
     path = tmp_path / "bad.json"
     path.write_text(text)
-    assert cli.main([command, "-c", str(path)]) == 1
+    assert cli.main([command, "-c", str(path), *options]) == 1
     err = capsys.readouterr().err
     assert err.startswith("configuration error:") and err.count("\n") == 1, err
     assert not (tmp_path / "out").exists()
@@ -221,6 +221,13 @@ def test_integral_floats_refused_in_integer_keys(tmp_path, capsys, command, sect
     payload.setdefault("output", {})["directory"] = str(tmp_path / "out")
     err = refused(tmp_path, capsys, command, json.dumps(payload))
     assert f"{section}/{key}: expected an integer, got {value}" in err
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_workers_below_one_refused(tmp_path, capsys, workers):
+    payload = dict(SMALL_RUN, output={"directory": str(tmp_path / "out")})
+    err = refused(tmp_path, capsys, "study", json.dumps(payload), "--workers", workers)
+    assert f"need at least one worker, got {workers}" in err
 
 
 @pytest.mark.parametrize("command", ["simulate", "limit", "study"])

@@ -83,9 +83,9 @@ class TestParams:
 
 
 def drift(params, basis, u, v):
-    """A_h u + N(u, v) as the step forms it: the kernel's drift of an engine started at (u, v)."""
+    """A_h u + N(u, v) as the step forms it: the drift of an engine started at (u, v)."""
     engine = SpdeStepper(params, basis, u, v)
-    return engine._kernel.drift(engine.u, engine.v)[0].copy(), engine
+    return engine._drift(engine.u, engine.v)[0].copy(), engine
 
 
 def step_oracle(params, basis, u0, v0, increments):

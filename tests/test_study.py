@@ -270,6 +270,12 @@ class TestRunStudy:
         assert par.targets == ("corrected", "parabolic")
         assert par.to_json_dict() == seq.to_json_dict()
 
+    @pytest.mark.parametrize("workers", [0, -3])
+    @pytest.mark.parametrize("run", [run_study, refinement_bias])
+    def test_workers_below_one_refused(self, small_config, run, workers):
+        with pytest.raises(sw.ParameterError, match=f"need at least one worker, got {workers}"):
+            run(small_config, workers=workers)
+
     def test_noise_free_small_mass_tracks_limit(self):
         # no noise and a tiny mass: the overdamped wave follows the limit flow
         cfg = StudyConfig(n=63, m=0, ensemble=1, mu_values=(1e-4,), T=0.5,
