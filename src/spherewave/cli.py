@@ -39,9 +39,9 @@ EXIT_NUMERICAL = 2
 EXIT_ACCEPTANCE = 3
 
 
-def _manifest(cfg: dict, seeds: dict, wall: float, outputs: list[str],
-              checks: dict | None = None, work: dict | None = None) -> dict:
-    doc = {
+def _manifest(cfg: dict, seeds: dict, wall: float, outputs: list[str], work: dict,
+              checks: dict | None = None) -> dict:
+    return {
         "config": cfg,
         "config_hash": config_hash(cfg),
         "code_version": __version__,
@@ -49,10 +49,8 @@ def _manifest(cfg: dict, seeds: dict, wall: float, outputs: list[str],
         "wall_time_s": wall,
         "outputs": outputs,
         "checks": checks or {},
+        "work": work,   # deterministic counters only: reruns stay byte-identical
     }
-    if work is not None:
-        doc["work"] = work   # deterministic counters only: reruns stay byte-identical
-    return doc
 
 
 def cmd_simulate(args) -> int:
@@ -74,7 +72,7 @@ def cmd_simulate(args) -> int:
     write_json(out / "simulate.manifest.json",
                _manifest(cfg, {"master_seed": seed, "stream_key": [seed, 0, 0]},
                          time.perf_counter() - start, ["simulate.csv"],
-                         work={"steps": params.n_steps, "helmholtz_solves": params.n_steps}))
+                         {"steps": params.n_steps, "helmholtz_solves": params.n_steps}))
     return EXIT_OK
 
 
@@ -93,7 +91,7 @@ def cmd_limit(args) -> int:
     write_csv(out / "limit.csv", header, columns)
     write_json(out / "limit.manifest.json",
                _manifest(cfg, {}, time.perf_counter() - start, ["limit.csv"],
-                         work={"limit_steps": params.n_steps}))
+                         {"limit_steps": params.n_steps}))
     return EXIT_OK
 
 
@@ -132,7 +130,7 @@ def cmd_study(args) -> int:
     checks = {"trend": trend_check(result)} if args.check else {}
     write_json(out / "study.manifest.json",
                _manifest(cfg, result.provenance, time.perf_counter() - start,
-                         ["study.json", "study_samples.csv"], checks, result.work))
+                         ["study.json", "study_samples.csv"], result.work, checks))
     if result.failed_checks:
         for name in result.failed_checks:
             print(f"numerical failure: {name}", file=sys.stderr)
@@ -175,7 +173,9 @@ def build_parser() -> argparse.ArgumentParser:
                      help="exit nonzero unless the error-decay trend holds")
     stu.add_argument("--target", default="auto",
                      choices=("auto",) + TARGET_NAMES)
-    stu.add_argument("--workers", type=int, default=1)
+    stu.add_argument("--workers", type=int, default=1,
+                     help="block processes, at most one per block; the limit targets"
+                          " are solved in the calling process")
     stu.set_defaults(func=cmd_study)
 
     chk = sub.add_parser("check", help="run the invariant suite")

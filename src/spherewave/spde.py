@@ -269,7 +269,6 @@ class SpdeStepper:
         if self.samples.shape != (len(u0),):
             raise ShapeError(f"need one label per sample, got {self.samples.shape}")
         self.params = params
-        self.basis = basis
         h, dt, mu = grid.h, params.dt, params.mu
         self.solver = HelmholtzSolver(grid, 1.0 + params.gamma * dt / mu, dt ** 2 / mu)
         self._h, self._neg_h, self._h_sq = h, -h, h ** 2

@@ -2,7 +2,7 @@
 
 For a decreasing grid of masses and an ensemble of Brownian paths, each
 stochastic trajectory is compared against the deterministic limit flow
-(solved once per target, by one job of the run) in the sup-in-time
+(solved once per target, by the calling process) in the sup-in-time
 fractional Sobolev norm.  Mass
 levels share random numbers: the child stream of sample j is derived from
 (master seed, 0, j), so every level draws the same N(0, 1) sequence for
@@ -20,27 +20,28 @@ identity, which is a pure time-discretisation quantity.
 The ensemble runs on the batched engine of spde: each mass level is split
 into near-equal contiguous blocks of at most BLOCK_SIZE samples, and a block
 is stepped as one (S, 3, n) array; a level of the default 16-sample
-ensemble is one block.  A job carries only what the StudyConfig does not
+ensemble is one block.  A block carries only what the StudyConfig does not
 fix and builds its noise basis and initial data from the config.  One
-driver, _run, orders the jobs of the study and of refinement_bias: a job
-per limit target first, then the blocks, costliest first (the default
-study gives the pool one target job and four block jobs); it returns each
-block's result in its caller's order.  A target job publishes each
-output row of its target into memory shared with the pool as soon as it is
-recorded, and a block reads row r only when it reaches it, so the targets
-are solved alongside the first blocks.  At each output row the block is
-reduced in place to running per-sample maxima (Sobolev errors against
-every target, the six J norms, the identity residual and the energy; the
-engine keeps the constraint residuals' sups over every step), so no field
-snapshots are kept.  A block keeps its shape when a sample blows up: the
-sample steps on as NaN, and its row records the blow-up step and the
-diagnostics of the state before the blow-up step in place of its maxima.
-The split depends only on the configuration, so every worker count gives
-the same bytes.
+driver, _run, runs the blocks of the study and of refinement_bias,
+costliest first, and returns each block's result in its caller's order.
+The blocks are the only jobs of the pool (the default study gives it four);
+meanwhile the calling process solves the limit targets and publishes each
+output row of a target into memory shared with the pool as soon as it is
+recorded, and a block reads row r only when it reaches it.  At each output
+row the block is reduced in place to running per-sample maxima (Sobolev
+errors against every target, the six J norms, the identity residual and
+the energy; the engine keeps the constraint residuals' sups over every
+step), so no field snapshots are kept.  A block keeps its shape when a
+sample blows up: the sample steps on as NaN, and its row records the
+blow-up step and the diagnostics of the state before the blow-up step in
+place of its maxima.  The split depends only on the configuration, so
+every worker count gives the same bytes.
 """
 
 from __future__ import annotations
 
+import builtins
+import contextlib
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
@@ -128,11 +129,11 @@ class StudyConfig:
     def grid(self) -> Grid1D:
         return Grid1D(self.L, self.n)
 
-    def basis(self, grid: Grid1D | None = None) -> NoiseBasis:
-        return build_basis(grid or self.grid(), self.m, self.p)
+    def basis(self, grid: Grid1D) -> NoiseBasis:
+        return build_basis(grid, self.m, self.p)
 
-    def initial_data(self, grid: Grid1D | None = None):
-        return initial_pair(grid or self.grid(), self.u_modes, self.v_modes)
+    def initial_data(self, grid: Grid1D):
+        return initial_pair(grid, self.u_modes, self.v_modes)
 
     def spde_params(self, mu: float, grid: Grid1D | None = None) -> SpdeParams:
         """Step parameters of one mass level; dt, when set, is the exact step."""
@@ -230,11 +231,11 @@ def _resolve_targets(config: StudyConfig, target: str, extra_targets) -> tuple[s
 class _TargetRows:
     """The limit targets' fields (targets, rows, 3, n), in memory shared with the pool.
 
-    A target job writes each row and then publishes it: the target's count
-    of published rows goes up under one condition, which wakes every
-    waiting block.  A count of -1 marks a target whose solve failed.  The
-    buffer, the counts and the condition reach the workers through the
-    pool's initializer, never through a pickled job.
+    The calling process writes each row of a target and then publishes it:
+    the target's count of published rows goes up under one condition, which
+    wakes every waiting block.  A count of -1 marks a target whose solve
+    failed or never ran.  The buffer, the counts and the condition reach the
+    workers through the pool's initializer, never through a pickled job.
     """
 
     def __init__(self, context, shape: tuple):
@@ -253,12 +254,13 @@ class _TargetRows:
             self._counts[k] = r + 1
             self._ready.notify_all()
 
-    def close(self, k: int) -> None:
-        """Mark target k failed unless all of its rows are published."""
+    def close(self) -> None:
+        """Mark every target failed whose rows are not all published."""
         with self._ready:
-            if self._counts[k] < self.shape[1]:
-                self._counts[k] = -1
-                self._ready.notify_all()
+            for k in range(self.shape[0]):
+                if self._counts[k] < self.shape[1]:
+                    self._counts[k] = -1
+            self._ready.notify_all()
 
     def row(self, k: int, r: int) -> np.ndarray:
         """Row r of target k, waiting until it is published."""
@@ -276,7 +278,7 @@ _target_rows: _TargetRows | None = None   # this process's view of the run's tar
 
 
 def _attach(rows: _TargetRows | None) -> None:
-    """Pool initializer: give this process the run's target rows."""
+    """Give this process the run's target rows; the pool's initializer."""
     global _target_rows
     _target_rows = rows
 
@@ -290,11 +292,8 @@ def _solve_target(config: StudyConfig, k: int, name: str) -> int:
     basis = build_basis(grid, 0, config.p) if name == "parabolic" else config.basis(grid)
     u0, _ = config.initial_data(grid)
     lp = LimitParams.auto(grid, config.T, gamma=config.gamma, n_out=config.n_out)
-    try:
-        solve_limit(u0, lp, basis, stride=lp.n_steps // config.n_out,
-                    on_row=lambda r, u: _target_rows.publish(k, r, u))
-    finally:
-        _target_rows.close(k)
+    solve_limit(u0, lp, basis, stride=lp.n_steps // config.n_out,
+                on_row=lambda r, u: _target_rows.publish(k, r, u))
     return lp.n_steps
 
 
@@ -333,7 +332,7 @@ def _run_block(config: StudyConfig, params: SpdeParams, targets: tuple, mu_index
     """Step one block of a mass level and reduce it to one SampleRow per sample.
 
     The noise basis and the initial data are the config's, on the grid of
-    params.  targets names the run's targets in the order of their jobs;
+    params.  targets names the run's targets in the order they are solved;
     row r of target k is read from the shared rows when the block reaches
     it.  The increments are drawn here, in the worker, from the samples'
     keys (master_seed, stream, j); see _increments.  The error norms' mode
@@ -402,45 +401,43 @@ def _run_block(config: StudyConfig, params: SpdeParams, targets: tuple, mu_index
     return rows, work
 
 
-def _run_job(job: tuple):
-    function, args = job
-    return function(*args)
-
-
 def _run(config: StudyConfig, targets: tuple, blocks: list, workers: int) -> tuple[int, list]:
     """Solve the targets and run the blocks: (limit steps, each block's result).
 
     Each block is (params, mass index, samples), optionally followed by the
     stream and the draws per step (see _run_block), and its result is
-    (rows, work counters and blow-ups), returned in the order of `blocks`.  The jobs go
-    to `workers` processes when more than one (fewer than one is refused):
-    one job per target, in order, then the blocks, costliest first.
-
-    The pool takes jobs in order, so every target job has started before any
-    block can wait on one of its rows, and target jobs never wait: the run
-    cannot deadlock.  A failed target wakes the blocks waiting on it, and
-    its own exception, the first in the job order, is the one raised.
+    (rows, work counters and blow-ups), returned in the order of `blocks`.
+    The blocks, costliest first, are the only jobs: with more than one
+    worker (fewer than one is refused) they go to a pool of at most one
+    process per block, and with one the builtin map runs them here after
+    the targets.  Either way the calling process solves the targets, in
+    order, while the blocks run; a block waits only on rows the caller
+    publishes, and the caller never waits on a block.  A failed target
+    wakes the blocks waiting on any target not fully published, and its
+    own exception is the one raised.
     """
     if workers < 1:
         raise ParameterError(f"need at least one worker, got {workers}")
     order = sorted(range(len(blocks)),
                    key=lambda b: -blocks[b][0].n_steps * len(blocks[b][2]))
-    jobs = ([(_solve_target, (config, k, name)) for k, name in enumerate(targets)]
-            + [(_run_block, (config, blocks[b][0], targets) + blocks[b][1:]) for b in order])
+    columns = zip(*[(config, blocks[b][0], targets) + blocks[b][1:] for b in order])
     context = multiprocessing.get_context()
     rows = _TargetRows(context, (len(targets), config.n_out + 1, 3, config.n))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers, mp_context=context,
-                                 initializer=_attach, initargs=(rows,)) as pool:
-            done = list(pool.map(_run_job, jobs))
-    else:
-        _attach(rows)
-        try:
-            done = [_run_job(job) for job in jobs]
-        finally:
-            _attach(None)
-    results = dict(zip(order, done[len(targets):]))
-    return sum(done[:len(targets)]), [results[b] for b in range(len(blocks))]
+    _attach(rows)
+    try:
+        with (ProcessPoolExecutor(max_workers=min(workers, len(blocks)), mp_context=context,
+                                  initializer=_attach, initargs=(rows,))
+              if workers > 1 else contextlib.nullcontext(builtins)) as pool:
+            done = pool.map(_run_block, *columns)
+            try:
+                limit_steps = sum(_solve_target(config, k, name)
+                                  for k, name in enumerate(targets))
+            finally:
+                rows.close()
+            results = dict(zip(order, done))
+    finally:
+        _attach(None)
+    return limit_steps, [results[b] for b in range(len(blocks))]
 
 
 def run_study(config: StudyConfig, *, target: str = "auto", extra_targets=(),
@@ -450,11 +447,11 @@ def run_study(config: StudyConfig, *, target: str = "auto", extra_targets=(),
     target="auto" compares against the corrected flow at alpha = 1/2 and above
     it the parabolic flow: the limit flow of the silent basis (phi = 0, M = gamma I).
 
-    The target solves and then the blocks of every level, costliest first,
-    go to `workers` processes (see _run); the rows do not depend on
-    the worker count.  A target that fails, such as a limit blow-up, raises
-    its own error.  Per-trajectory blow-ups and gate violations are
-    recorded, not fatal; a failed check is raised into
+    The blocks of every level, costliest first, go to at most `workers`
+    processes while the calling process solves the targets (see _run); the
+    rows do not depend on the worker count.  A target that fails, such as a
+    limit blow-up, raises its own error.  Per-trajectory blow-ups and gate
+    violations are recorded, not fatal; a failed check is raised into
     StudyResult.failed_checks when any mass level exceeds the failure
     budget.
     """
@@ -525,10 +522,10 @@ def refinement_bias(config: StudyConfig, *, workers: int = 1) -> list[dict]:
     from the stream (master_seed, REFINEMENT_STREAM, j), which no study
     draws, and summed onto the level's own grid.  Both grids run through
     the study's block engine against the study's primary target; as in
-    run_study, the target's solve is the first job and the blocks of both
-    grids follow, costliest first.  Per level: the mean
-    sup error at the fine step, the paired mean of coarse minus fine
-    errors (the bias), its standard error, and whether
+    run_study, the calling process solves the target while the blocks of
+    both grids run, costliest first.  Per level: the mean sup error at the
+    fine step, the paired mean of coarse minus fine errors (the bias), its
+    standard error, and whether
     |bias| <= 2 SE + BIAS_SHARE x fine mean.  Pairs with a failed sample
     are left out.
     """

@@ -2,11 +2,13 @@
 
 import json
 import math
+import multiprocessing
 import os
 import pickle
 import signal
 import subprocess
 import sys
+import threading
 from dataclasses import replace
 from pathlib import Path
 
@@ -26,7 +28,6 @@ from spherewave.study import (
     _increments,
     _run,
     _run_block,
-    _solve_target,
     refinement_bias,
     run_study,
     trend_check,
@@ -263,8 +264,8 @@ class TestRunStudy:
     def test_workers_match_sequential(self, small_config, small_result):
         par = run_study(small_config, workers=2)
         assert par.to_json_dict() == small_result.to_json_dict()
-        # two target jobs ahead of the blocks; with a worker for every job
-        # (more than the cores), both blocks start with the targets and wait on their rows
+        # workers=4 gives a process to each of the two blocks; both start
+        # while the caller solves the two targets, and wait on their rows
         seq, par = (run_study(small_config, extra_targets=("parabolic",), workers=workers)
                     for workers in (1, 4))
         assert par.targets == ("corrected", "parabolic")
@@ -572,8 +573,9 @@ class TestRefinementBias:
             replace(small_config, alpha=0.25)
 
 
-# A limit flow whose 51st step blows up, installed before any pool starts;
-# fork carries the patch into the workers.
+# A limit flow whose 51st step blows up, installed before the run starts.
+# The first target fails, so the blocks must not wait on the second one,
+# which is never solved.
 FAILING_TARGET = """
 import multiprocessing, sys
 import spherewave.limit as limit
@@ -592,7 +594,7 @@ limit._Etd2Flow.advance = advance
 workers = int(sys.argv[2])
 try:
     run_study(StudyConfig(n=63, m=8, ensemble=2, mu_values=(0.2, 0.05), T=0.5, n_out=64),
-              workers=workers)
+              extra_targets=("parabolic",), workers=workers)
 except BlowUpError as exc:
     print(type(exc).__name__, exc.step, exc.sample, str(exc), sep="|")
 print("children", len(multiprocessing.active_children()))
@@ -602,7 +604,7 @@ print("children", len(multiprocessing.active_children()))
 
 
 class TestTargetJobs:
-    """The limit targets as the first jobs of the run, their rows shared with the blocks."""
+    """The limit targets solved by the caller, their rows shared with the block jobs."""
 
     def test_blowup_error_survives_pickling(self):
         last = {"energy": 1.5e300, "theta": 0.25, "eta": -3.0, "u_h1": 7.0}
@@ -640,30 +642,65 @@ class TestTargetJobs:
         assert (info.value.step, info.value.sample, info.value.mu_index) == (0, 0, 1)
         assert str(info.value) == "non-finite field at step 0 of sample 0 at mass level 1"
 
-    def test_targets_run_first_and_blocks_costliest_first(self, small_config, monkeypatch):
-        order = []
-        real = study_module._run_job
+    def test_caller_solves_the_targets(self, small_config, monkeypatch):
+        pids = []
+        real = study_module.solve_limit
 
-        def recorded(job):
-            function, args = job
-            order.append((function, args))
-            return real(job)
+        def recorded(*args, **kwargs):
+            pids.append(os.getpid())
+            return real(*args, **kwargs)
 
-        monkeypatch.setattr(study_module, "_run_job", recorded)
+        monkeypatch.setattr(study_module, "solve_limit", recorded)
+        run_study(small_config, extra_targets=("parabolic",), workers=2)
+        assert pids == [os.getpid()] * 2
+
+    def test_blocks_run_costliest_first(self, small_config, monkeypatch):
+        calls = []
+        real = study_module._run_block
+
+        def recorded(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(study_module, "_run_block", recorded)
         run_study(small_config, extra_targets=("parabolic",))
-        study_jobs = order[:]
-        order.clear()
+        study_calls = calls[:]
+        calls.clear()
         refinement_bias(small_config)
-        for jobs, targets in ((study_jobs, ["corrected", "parabolic"]), (order, ["corrected"])):
-            assert [function for function, _ in jobs] == (
-                [_solve_target] * len(targets) + [_run_block] * (len(jobs) - len(targets)))
-            assert [args[-2:] for _, args in jobs[:len(targets)]] == list(enumerate(targets))
-            costs = [args[1].n_steps * len(args[4]) for _, args in jobs[len(targets):]]
+        for blocks, targets in ((study_calls, ("corrected", "parabolic")),
+                                (calls, ("corrected",))):
+            assert [args[2] for args in blocks] == [targets] * len(blocks)
+            costs = [args[1].n_steps * len(args[4]) for args in blocks]
             assert costs == sorted(costs, reverse=True)
         # refinement_bias lists each level's fine grid (1 draw per step) next
         # to its coarse one (2 draws); the steps are 192 and 320 at the two
         # levels and twice that at the fine grids, so both fine grids lead
-        assert [(args[3], args[-1]) for _, args in order[1:]] == [(1, 1), (0, 1), (1, 2), (0, 2)]
+        assert [(args[3], args[-1]) for args in calls] == [(1, 1), (0, 1), (1, 2), (0, 2)]
+
+    def test_pool_has_at_most_one_process_per_block(self, small_config, small_result,
+                                                    monkeypatch):
+        asked = []
+
+        class LazyPool:
+            """Runs the jobs here; its map is lazy, as a real pool's results are."""
+
+            def __init__(self, max_workers, initializer, initargs, **_):
+                asked.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *_):
+                return None
+
+            def map(self, fn, *columns):
+                return map(fn, *columns)
+
+        monkeypatch.setattr(study_module, "ProcessPoolExecutor", LazyPool)
+        result = run_study(small_config, workers=10_000)
+        assert asked == [len(_blocks(small_config))]
+        assert result.to_json_dict() == small_result.to_json_dict()
 
     def test_results_come_back_in_the_callers_order(self, small_config):
         # two blocks, cheapest first: the driver runs the costlier one first
@@ -677,6 +714,25 @@ class TestTargetJobs:
         assert len(results) == 2
         for (params, mu_index, _), (rows, _) in zip(blocks, results):
             assert [(row.mu_index, row.dt) for row in rows] == [(mu_index, params.dt)]
+
+    def test_closing_fails_every_unfinished_target(self):
+        # the caller solves the targets in order: when target 0 fails, a block
+        # may already wait on row 0 of target 1, which is never solved
+        rows = study_module._TargetRows(multiprocessing.get_context(), (2, 2, 3, 4))
+        rows.publish(0, 0, np.ones((3, 4)))
+        errors = []
+
+        def read():
+            try:
+                rows.row(1, 0)
+            except RuntimeError as exc:
+                errors.append(str(exc))
+
+        waiter = threading.Thread(target=read, daemon=True)
+        waiter.start()
+        rows.close()
+        waiter.join(timeout=10)
+        assert errors == ["limit target 1 failed"]
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_failed_target_raises_its_own_error(self, tmp_path, workers):
