@@ -283,7 +283,7 @@ def _check_equilibrium(rng, mutate: bool) -> tuple[bool, str]:
                         float(np.abs(stepper.v).max()))
     states = []
     solve_limit(u0, LimitParams.auto(grid, 0.1), basis, stride=1,
-                on_row=lambda _r, u: states.append(u))
+                on_row=lambda _r, u: states.append(u.copy()))
     limit_drift = float(np.abs(np.diff(states, axis=0)).max())
     passed = drift_sup <= 1e-12 and limit_drift <= 1e-12
     return passed, f"stepper drift {drift_sup:.2e}, limit per-step drift {limit_drift:.2e}"

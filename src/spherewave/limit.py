@@ -30,7 +30,8 @@ projection defect.
 A step works on one field (3, n), so its cost is Python calls, not
 arithmetic.  Each flow therefore builds one velocity kernel, `_Velocity`,
 which holds everything a solve never changes, and a step evaluates it twice:
-at the projected stage and at the projected result.  With five DSTs and the
+at the projected stage and at the projected result.  The step writes into
+buffers it owns; with four DST calls (u and N(u) go through one) and the
 kernel's two Laplacians that is the whole step.  `limit_rhs` and
 `mobility_apply_inverse` run the same kernel and the same Sherman-Morrison
 solve, so the public velocity and the solver's agree bit for bit.
@@ -47,8 +48,8 @@ from .errors import BlowUpError, DegenerateFieldError, ParameterError
 from .fields import (
     Grid1D,
     _check_field,
+    _dst,
     c_einsum,
-    dst_ortho,
     eigenvalue,
     eigenvalues,
     fitted_step,
@@ -71,6 +72,7 @@ __all__ = [
     "mobility_apply_inverse",
     "limit_rhs",
     "explicit_form_residual",
+    "limit_rows",
     "solve_limit",
     "comparison_experiment",
 ]
@@ -85,6 +87,7 @@ _RELAXATION_STEPS = 200
 _CONTOUR_POINTS = 32
 # largest |A_h u0|_H accepted as initial data
 _H2_CAP = 1.0e6
+_DOT = "...ij,...ij->...j"   # pointwise_dot's contraction
 
 
 @dataclass(frozen=True)
@@ -126,52 +129,85 @@ def mobility_apply_inverse(u: np.ndarray, phi, gamma: float, r: np.ndarray) -> n
     r are fields (3, n); phi is the row (n,) of node values.
     """
     half_phi = 0.5 * np.asarray(phi, dtype=float)
-    return _mobility_solve(u, r, gamma, half_phi, half_phi / gamma)
+    out = np.empty(np.shape(r))
+    _mobility_solve(u, r, gamma, half_phi, half_phi / gamma, out, np.empty((1, out.shape[-1])))
+    return out
 
 
-def _mobility_solve(u, r, gamma, half_phi, half_phi_gamma):
-    # the Sherman-Morrison solve, given the rows phi / 2 and phi / (2 gamma)
-    uu = pointwise_dot(u, u)
-    ur = pointwise_dot(u, r)
-    return (r + half_phi_gamma * ur * u) / (gamma + half_phi * uu)
+def _mobility_solve(u, r, gamma, half_phi, half_phi_gamma, out, row) -> None:
+    """(r + (phi/2 gamma)(u.r) u) / (gamma + (phi/2)(u.u)) into `out`, which is not r.
+
+    Given the rows phi / 2 and phi / (2 gamma), with `row` (1, n) for the
+    pointwise dots.
+    """
+    dot = row[0]
+    c_einsum(_DOT, u, r, out=dot)
+    np.multiply(half_phi_gamma, row, out=row)
+    np.multiply(row, u, out=out)
+    np.add(r, out, out=out)
+    c_einsum(_DOT, u, u, out=dot)
+    np.multiply(half_phi, row, out=row)
+    np.add(gamma, row, out=row)
+    np.divide(out, row, out=out)
 
 
 class _Velocity:
     """(du/dt, A_h u, |u|_{H1}^2) of a field under the limit flow of one basis and gamma.
 
     Built once per flow, it holds what a solve never changes: h, gamma,
-    whether the basis is silent, and the mobility rows phi / 2 and
-    phi / (2 gamma).  It does not check shapes: its callers pass fields
-    (3, n) they have checked or made.  `norm_sq` is |f|_H^2 with the
-    arithmetic of `norm_l2_sq`.
+    whether the basis is silent, the mobility rows phi / 2 and
+    phi / (2 gamma), and buffers.  It does not check shapes: its callers
+    pass fields (3, n) they have checked or made.  `into` writes du/dt into
+    the caller's array and A_h u into the buffer `lap`, which the next call
+    overwrites, with the float operations of `laplacian`, `inner_l2` and
+    `pointwise_dot` in their order, and does not test for a zero field.
+    `norm_sq` is |f|_H^2 with the arithmetic of `norm_l2_sq`.
     """
 
     def __init__(self, params: LimitParams, basis: NoiseBasis):
-        self.grid = params.grid
+        n = params.grid.n
         self.h = params.grid.h
+        self._h_sq = self.h ** 2
         self.gamma = params.gamma
         self.silent = basis.m == 0
         self.half_phi = 0.5 * basis.phi
         self.half_phi_gamma = self.half_phi / params.gamma
+        self.lap, self._r, self._row = np.empty((3, n)), np.empty((3, n)), np.empty((1, n))
+        # the interior rows of A_h u: nodes with a left and with a right neighbour
+        self._lap_left, self._lap_right = self.lap[:, 1:], self.lap[:, :-1]
 
     def norm_sq(self, f: np.ndarray) -> float:
         return self.h * float(c_einsum("ij,ij->", f, f))
 
-    def __call__(self, u: np.ndarray):
-        if self.norm_sq(u) <= 0.0:
-            raise DegenerateFieldError("limit dynamics are undefined for the zero field")
-        lap = laplacian(self.grid, u)
+    def into(self, u: np.ndarray, ut: np.ndarray) -> float:
+        """Write du/dt into `ut` and A_h u into `lap`; return |u|_{H1}^2."""
+        # laplacian: -2 u, plus the left neighbour, plus the right one, over h^2
+        lap = self.lap
+        np.multiply(-2.0, u, out=lap)
+        np.add(self._lap_left, u[:, :-1], out=self._lap_left)
+        np.add(self._lap_right, u[:, 1:], out=self._lap_right)
+        np.divide(lap, self._h_sq, out=lap)
         h1 = -(self.h * float(c_einsum("ij,ij->", lap, u)))   # -inner_l2(lap, u)
-        r = lap + h1 * u
+        r = self._r
+        np.multiply(h1, u, out=r)
+        np.add(lap, r, out=r)
         if self.silent:   # phi = 0: M = gamma I, and the mobility solve is r / gamma
-            return r / self.gamma, lap, h1
-        return _mobility_solve(u, r, self.gamma, self.half_phi, self.half_phi_gamma), lap, h1
+            np.divide(r, self.gamma, out=ut)
+        else:
+            _mobility_solve(u, r, self.gamma, self.half_phi, self.half_phi_gamma, ut, self._row)
+        return h1
 
 
 def limit_rhs(u: np.ndarray, basis: NoiseBasis, params: LimitParams) -> np.ndarray:
     """du/dt for the limit flow of `basis`; the silent basis gives the parabolic flow."""
     check_grid(basis, params.grid)
-    return _Velocity(params, basis)(_check_field(params.grid, u))[0]
+    u = _check_field(params.grid, u)
+    velocity = _Velocity(params, basis)
+    if velocity.norm_sq(u) <= 0.0:
+        raise DegenerateFieldError("limit dynamics are undefined for the zero field")
+    ut = np.empty(u.shape)
+    velocity.into(u, ut)
+    return ut
 
 
 def explicit_form_residual(u: np.ndarray, ut: np.ndarray, basis: NoiseBasis,
@@ -260,10 +296,16 @@ class _Etd2Flow:
     and `defect` is | |u*|_H - 1 | of the last step.  `int_ut_sq` is the
     fourth-order running integral of |u_t|_H^2 over the steps taken.
 
-    N(P a) and N(u_next) come from the flow's velocity kernel, which also
-    returns the Laplacian that L P a needs.  The shape of u0 is checked once,
-    here; a zero stage raises DegenerateFieldError, and a non-finite node of
-    u* shows in its norm, one scalar, and raises BlowUpError.
+    The flow owns its intermediates.  u and N(u) share one (2, 3, n)
+    buffer, so one DST call transforms both, and a step makes four.  The
+    velocity kernel evaluates P a and u_next into `ut` and its Laplacian
+    buffer `lap`, which is also the A_h P a that L P a needs.  `u` is a new
+    array every step, so a caller may keep it.  `ut` and `lap` are buffers
+    that the next advance overwrites: solve_limit and comparison_experiment
+    read them before it.  The shape of u0 is checked once, here.  A zero
+    stage raises DegenerateFieldError, and a non-finite node of u* shows in
+    its norm, one scalar, and raises BlowUpError; P a and u_next have unit
+    norm, so the kernel does not test them for zero.
     """
 
     def __init__(self, u0: np.ndarray, params: LimitParams, basis: NoiseBasis):
@@ -276,30 +318,52 @@ class _Etd2Flow:
         self._phi2 = params.dt * phi2
         self.velocity = _Velocity(params, basis)
         self.u = _repair_initial(params.grid, u0)
-        self.ut, self.lap, self.h1 = self.velocity(self.u)
+        shape = self.u.shape
+        self.ut = self._ut = np.empty(shape)
+        self.lap = self.velocity.lap
+        self.h1 = self.velocity.into(self.u, self.ut)
         self.ut_sq = self.velocity.norm_sq(self.ut)
         self._quadrature = _RunningIntegral(params.dt)
         self.int_ut_sq = self._quadrature.add(self.ut_sq)
         self.defect = 0.0
         self.steps = 0
+        self._pair, self._spectra = np.empty((2,) + shape), np.empty((2,) + shape)
+        self._a, self._pa = np.empty(shape), np.empty(shape)
 
     def advance(self) -> None:
-        velocity = self.velocity
-        gamma = velocity.gamma
-        n0 = self.ut - self.lap / gamma
-        a = dst_ortho(self._decay * dst_ortho(self.u) + self._phi1 * dst_ortho(n0))
+        velocity, pair, spectra, a, pa = self.velocity, self._pair, self._spectra, self._a, self._pa
+        gamma, ut, lap = velocity.gamma, self._ut, velocity.lap
+        u, n0 = pair
+        u[...] = self.u
+        np.divide(self.lap, gamma, out=n0)
+        np.subtract(self.ut, n0, out=n0)
+        # orthonormal DST-I, as dst_ortho: of u and N(u) in one call
+        first, second = spectra
+        _dst(pair, 1, (2,), 1, spectra, 1, None)
+        np.multiply(self._decay, first, out=first)
+        np.multiply(self._phi1, second, out=second)
+        np.add(first, second, out=first)
+        _dst(first, 1, (1,), 1, a, 1, None)
         nrm = sqrt(velocity.norm_sq(a))
         if nrm <= 0.0:
             raise DegenerateFieldError("cannot normalise a zero field")
-        ut_a, lap_a, _ = velocity(a / nrm)
-        n1 = ut_a - lap_a / gamma
-        u_star = a + dst_ortho(self._phi2 * dst_ortho(n1 - n0))
+        np.divide(a, nrm, out=pa)
+        velocity.into(pa, ut)
+        # N(P a) - N(u), in ut
+        np.divide(lap, gamma, out=lap)
+        np.subtract(ut, lap, out=ut)
+        np.subtract(ut, n0, out=ut)
+        _dst(ut, 1, (1,), 1, first, 1, None)
+        np.multiply(self._phi2, first, out=first)
+        u_star = _dst(first, 1, (1,), 1, second, 1, None)
+        np.add(a, u_star, out=u_star)
         nrm = sqrt(velocity.norm_sq(u_star))
         if not nrm < inf:   # NaN or inf: some node of u* is not finite
             raise BlowUpError(self.steps + 1)
         self.u = u_star / nrm
-        self.ut, self.lap, self.h1 = velocity(self.u)
-        self.ut_sq = velocity.norm_sq(self.ut)
+        self.h1 = velocity.into(self.u, ut)
+        self.ut, self.lap = ut, lap
+        self.ut_sq = velocity.norm_sq(ut)
         self.int_ut_sq = self._quadrature.add(self.ut_sq)
         self.defect = abs(nrm - 1.0)
         self.steps += 1
@@ -328,6 +392,26 @@ class LimitTrajectory:
     energy_rhs: float
 
 
+def limit_rows(u0: np.ndarray, params: LimitParams, basis: NoiseBasis, *, stride: int = 1):
+    """Run the limit flow to T, stopping every `stride` steps and at the end.
+
+    Yields (r, flow, worst) once the flow stands at output row r, where
+    worst is the largest projection defect of its steps since the previous
+    row (0 at row 0).  The one row loop of solve_limit and of a study's
+    targets, which advance together one row at a time.  The flow's `u` is
+    a new array at every row; see _Etd2Flow.
+    """
+    rows = output_rows(params.n_steps, stride)
+    flow = _Etd2Flow(u0, params, basis)
+    yield 0, flow, 0.0
+    for r in range(1, len(rows)):
+        worst = 0.0
+        while flow.steps < rows[r]:
+            flow.advance()
+            worst = max(worst, flow.defect)
+        yield r, flow, worst
+
+
 def solve_limit(u0: np.ndarray, params: LimitParams, basis: NoiseBasis, *,
                 stride: int = 1, on_row=None) -> LimitTrajectory:
     """Run the limit flow to T, recording every `stride` steps plus the end.
@@ -335,10 +419,7 @@ def solve_limit(u0: np.ndarray, params: LimitParams, basis: NoiseBasis, *,
     on_row, when given, is called as on_row(r, u) once row r is recorded,
     with u the state there, so a caller can use each row before the solve ends.
     """
-    rows = output_rows(params.n_steps, stride)
-    n_rows = len(rows)
-
-    flow = _Etd2Flow(u0, params, basis)
+    n_rows = len(output_rows(params.n_steps, stride))
     t = np.empty(n_rows)
     u_h1 = np.empty(n_rows)
     u_h2 = np.empty(n_rows)
@@ -346,30 +427,23 @@ def solve_limit(u0: np.ndarray, params: LimitParams, basis: NoiseBasis, *,
     sphere = np.empty(n_rows)
     defect = np.empty(n_rows)
     energy_lhs = np.empty(n_rows)
-    energy_rhs = float(flow.h1)
 
-    def record(r: int, worst_defect: float):
+    for r, flow, worst in limit_rows(u0, params, basis, stride=stride):
+        norm_sq = flow.velocity.norm_sq
         t[r] = flow.steps * params.dt
-        u_h1[r] = np.sqrt(max(flow.h1, 0.0))
-        u_h2[r] = np.sqrt(flow.velocity.norm_sq(flow.lap))
-        ut_h[r] = np.sqrt(flow.ut_sq)
-        sphere[r] = abs(np.sqrt(flow.velocity.norm_sq(flow.u)) - 1.0)
-        defect[r] = worst_defect
+        u_h1[r] = sqrt(max(flow.h1, 0.0))
+        u_h2[r] = sqrt(norm_sq(flow.lap))
+        ut_h[r] = sqrt(flow.ut_sq)
+        sphere[r] = abs(sqrt(norm_sq(flow.u)) - 1.0)
+        defect[r] = worst
         energy_lhs[r] = flow.h1 + 2.0 * params.gamma * flow.int_ut_sq
         if on_row is not None:
             on_row(r, flow.u)
 
-    record(0, 0.0)
-    for r in range(1, n_rows):
-        worst = 0.0
-        while flow.steps < rows[r]:
-            flow.advance()
-            worst = max(worst, flow.defect)
-        record(r, worst)
-
+    # the integral is 0 at row 0, so energy_lhs[0] is |u(0)|_{H1}^2
     return LimitTrajectory(params=params, t=t, u_h1=u_h1, u_h2=u_h2, ut_h=ut_h,
                            sphere_residual=sphere, projection_defect=defect,
-                           energy_lhs=energy_lhs, energy_rhs=energy_rhs)
+                           energy_lhs=energy_lhs, energy_rhs=float(energy_lhs[0]))
 
 
 @dataclass

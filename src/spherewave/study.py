@@ -25,13 +25,13 @@ fix and builds its noise basis and initial data from the config.  One
 driver, _run, runs the blocks of the study and of refinement_bias,
 costliest first, and returns each block's result in its caller's order.
 The blocks are the only jobs of the pool (the default study gives it four);
-meanwhile the calling process solves the limit targets and publishes each
-output row of a target into memory shared with the pool as soon as it is
-recorded, and a block reads row r only when it reaches it.  At each output
-row the block is reduced in place to running per-sample maxima (Sobolev
-errors against every target, the six J norms, the identity residual and
-the energy; the engine keeps the constraint residuals' sups over every
-step), so no field snapshots are kept.  A block keeps its shape when a
+meanwhile the calling process solves the limit targets together, one output
+row at a time, and publishes each row of a target into memory shared with
+the pool as soon as it is recorded; a block reads row r only when it
+reaches it.  At each output row the block is reduced in place to running
+per-sample maxima (Sobolev errors against every target, the six J norms,
+the identity residual and the energy; the engine keeps the constraint
+residuals' sups over every step), so no field snapshots are kept.  A block keeps its shape when a
 sample blows up: the sample steps on as NaN, and its row records the
 blow-up step and the diagnostics of the state before the blow-up step in
 place of its maxima.  The split depends only on the configuration, so
@@ -50,7 +50,7 @@ import numpy as np
 
 from .errors import BlowUpError, ConfigError, DegenerateFieldError, ParameterError
 from .fields import Grid1D, dst_ortho, initial_pair, output_rows, spectral_weights, weighted_norm
-from .limit import LimitParams, solve_limit
+from .limit import LimitParams, limit_rows
 from .noise import NoiseBasis, build_basis, derive_stream
 from .spde import SpdeParams, SpdeStepper
 
@@ -283,18 +283,25 @@ def _attach(rows: _TargetRows | None) -> None:
     _target_rows = rows
 
 
-def _solve_target(config: StudyConfig, k: int, name: str) -> int:
-    """Solve target k, publishing each row as it is recorded; the limit steps.
+def _solve_targets(config: StudyConfig, targets: tuple) -> int:
+    """Solve the targets together and publish each row as it is recorded; the limit steps.
 
-    "parabolic" is the limit flow of the silent basis, "corrected" that of the config's.
+    The targets advance one output row at a time: row r of every target is
+    published before row r + 1 of any, so no block waits on one target
+    while another runs to T.  "parabolic" is the limit flow of the silent
+    basis, "corrected" that of the config's.
     """
     grid = config.grid()
-    basis = build_basis(grid, 0, config.p) if name == "parabolic" else config.basis(grid)
     u0, _ = config.initial_data(grid)
     lp = LimitParams.auto(grid, config.T, gamma=config.gamma, n_out=config.n_out)
-    solve_limit(u0, lp, basis, stride=lp.n_steps // config.n_out,
-                on_row=lambda r, u: _target_rows.publish(k, r, u))
-    return lp.n_steps
+    solves = [limit_rows(u0, lp, build_basis(grid, 0, config.p) if name == "parabolic"
+                         else config.basis(grid), stride=lp.n_steps // config.n_out)
+              for name in targets]
+    for r in range(config.n_out + 1):
+        for k, solve in enumerate(solves):
+            _, flow, _ = next(solve)
+            _target_rows.publish(k, r, flow.u)
+    return len(targets) * lp.n_steps
 
 
 def _blocks(config: StudyConfig) -> list[tuple[int, range]]:
@@ -332,7 +339,7 @@ def _run_block(config: StudyConfig, params: SpdeParams, targets: tuple, mu_index
     """Step one block of a mass level and reduce it to one SampleRow per sample.
 
     The noise basis and the initial data are the config's, on the grid of
-    params.  targets names the run's targets in the order they are solved;
+    params.  targets names the run's targets in the order they are published;
     row r of target k is read from the shared rows when the block reaches
     it.  The increments are drawn here, in the worker, from the samples'
     keys (master_seed, stream, j); see _increments.  The error norms' mode
@@ -410,8 +417,8 @@ def _run(config: StudyConfig, targets: tuple, blocks: list, workers: int) -> tup
     The blocks, costliest first, are the only jobs: with more than one
     worker (fewer than one is refused) they go to a pool of at most one
     process per block, and with one the builtin map runs them here after
-    the targets.  Either way the calling process solves the targets, in
-    order, while the blocks run; a block waits only on rows the caller
+    the targets.  Either way the calling process solves the targets, row
+    by row, while the blocks run; a block waits only on rows the caller
     publishes, and the caller never waits on a block.  A failed target
     wakes the blocks waiting on any target not fully published, and its
     own exception is the one raised.
@@ -430,8 +437,7 @@ def _run(config: StudyConfig, targets: tuple, blocks: list, workers: int) -> tup
               if workers > 1 else contextlib.nullcontext(builtins)) as pool:
             done = pool.map(_run_block, *columns)
             try:
-                limit_steps = sum(_solve_target(config, k, name)
-                                  for k, name in enumerate(targets))
+                limit_steps = _solve_targets(config, targets)
             finally:
                 rows.close()
             results = dict(zip(order, done))

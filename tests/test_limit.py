@@ -336,12 +336,14 @@ class TestSolveLimit:
 
 
 class TestEtd2Step:
-    @pytest.mark.parametrize("m", [8, 0], ids=["corrected", "parabolic"])
+    @pytest.mark.parametrize("m, n", [(8, 63), (0, 63), (8, 127), (0, 127)],
+                             ids=["corrected", "parabolic", "corrected-127", "parabolic-127"])
     @pytest.mark.parametrize("gamma", [1.0, 0.7])
-    def test_step_is_the_composed_oracle(self, m, gamma):
+    def test_step_is_the_composed_oracle(self, m, n, gamma):
         # the flow's cached kernel takes the same float operations in the
-        # same order as the public helpers, so every state agrees bit for bit
-        g = sw.Grid1D(1.0, 63)
+        # same order as the public helpers, so every state agrees bit for bit;
+        # n = 127 is the grid of the CLI's limit run
+        g = sw.Grid1D(1.0, n)
         u0 = sw.normalize_sphere(g, sw.sine_field(g, 1, 1) + sw.sine_field(g, 2, 2, 0.1)
                                  + sw.sine_field(g, 5, 3, 0.3))
         basis = sw.build_basis(g, m, 2.0)
@@ -364,6 +366,26 @@ class TestEtd2Step:
         for _ in range(3):
             flow.advance()
         return flow
+
+    @pytest.mark.parametrize("m", [8, 0], ids=["corrected", "parabolic"])
+    def test_handed_out_states_keep_their_values(self, m):
+        # the flow steps on buffers it owns, but every state it hands out,
+        # to on_row or as flow.u, is a new array that later steps leave alone
+        g = sw.Grid1D(1.0, 63)
+        basis = sw.build_basis(g, m, 2.0)
+        params = LimitParams.auto(g, 0.5, n_out=4)
+        u0 = sw.normalize_sphere(g, sw.sine_field(g, 1, 1) + sw.sine_field(g, 2, 2, 0.1))
+        rows = []
+        sw.solve_limit(u0, params, basis, stride=params.n_steps // 4,
+                       on_row=lambda r, u: rows.append((u, u.copy())))
+        flow = _Etd2Flow(u0, params, basis)
+        held = [(flow.u, flow.u.copy())]
+        for _ in range(3):
+            flow.advance()
+            held.append((flow.u, flow.u.copy()))
+        for states in (rows, held):
+            assert not np.array_equal(states[0][1], states[-1][1])
+            assert all(np.array_equal(u, kept) for u, kept in states)
 
     @pytest.mark.parametrize("m", [8, 0], ids=["corrected", "parabolic"])
     def test_non_finite_state_is_a_blow_up(self, m):

@@ -575,7 +575,7 @@ class TestRefinementBias:
 
 # A limit flow whose 51st step blows up, installed before the run starts.
 # The first target fails, so the blocks must not wait on the second one,
-# which is never solved.
+# which is never finished.
 FAILING_TARGET = """
 import multiprocessing, sys
 import spherewave.limit as limit
@@ -642,17 +642,20 @@ class TestTargetJobs:
         assert (info.value.step, info.value.sample, info.value.mu_index) == (0, 0, 1)
         assert str(info.value) == "non-finite field at step 0 of sample 0 at mass level 1"
 
-    def test_caller_solves_the_targets(self, small_config, monkeypatch):
-        pids = []
-        real = study_module.solve_limit
+    def test_caller_publishes_the_targets_row_by_row(self, small_config, monkeypatch):
+        # row r of every target goes out before row r + 1 of any, all from
+        # the caller, so no block waits on one target while another runs to T
+        published = []
+        real = study_module._TargetRows.publish
 
-        def recorded(*args, **kwargs):
-            pids.append(os.getpid())
-            return real(*args, **kwargs)
+        def recorded(self, k, r, u):
+            published.append((os.getpid(), k, r))
+            real(self, k, r, u)
 
-        monkeypatch.setattr(study_module, "solve_limit", recorded)
+        monkeypatch.setattr(study_module._TargetRows, "publish", recorded)
         run_study(small_config, extra_targets=("parabolic",), workers=2)
-        assert pids == [os.getpid()] * 2
+        assert published == [(os.getpid(), k, r) for r in range(small_config.n_out + 1)
+                             for k in range(2)]
 
     def test_blocks_run_costliest_first(self, small_config, monkeypatch):
         calls = []
@@ -716,8 +719,8 @@ class TestTargetJobs:
             assert [(row.mu_index, row.dt) for row in rows] == [(mu_index, params.dt)]
 
     def test_closing_fails_every_unfinished_target(self):
-        # the caller solves the targets in order: when target 0 fails, a block
-        # may already wait on row 0 of target 1, which is never solved
+        # when target 0 fails, a block may already wait on a row of target 1
+        # that is never published
         rows = study_module._TargetRows(multiprocessing.get_context(), (2, 2, 3, 4))
         rows.publish(0, 0, np.ones((3, 4)))
         errors = []
