@@ -31,7 +31,7 @@ from .errors import BlowUpError, ConfigError, ParameterError
 from .limit import solve_limit
 from .noise import build_basis, derive_stream
 from .spde import DIAGNOSTICS, simulate
-from .study import TARGET_NAMES, run_study, trend_check
+from .study import TARGET_NAMES, check_workers, run_study, trend_check
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -61,10 +61,10 @@ def cmd_simulate(args) -> int:
     u0, v0 = initial_fields_from(cfg, grid)
     seed = cfg["study"]["master_seed"]
     rng = derive_stream(seed, 0, 0)
+    out = output_directory(cfg)
     start = time.perf_counter()
     traj = simulate(u0, v0, params, basis, rng=rng,
                     stride=cfg["output"]["stride"])
-    out = output_directory(cfg)
     names = ("t",) + DIAGNOSTICS
     header = list(names) + [f"j{i}" for i in range(1, traj.j_norms.shape[1] + 1)]
     columns = [getattr(traj, name) for name in names] + list(traj.j_norms.T)
@@ -83,9 +83,9 @@ def cmd_limit(args) -> int:
              else build_noise_basis(cfg, grid))
     params = limit_params_from(cfg, grid, basis)
     u0, _ = initial_fields_from(cfg, grid)
+    out = output_directory(cfg)
     start = time.perf_counter()
     traj = solve_limit(u0, params, basis, stride=cfg["output"]["stride"])
-    out = output_directory(cfg)
     header = [f.name for f in fields(traj)][1:]
     columns = [np.broadcast_to(getattr(traj, name), traj.t.shape) for name in header]
     write_csv(out / "limit.csv", header, columns)
@@ -121,9 +121,10 @@ def _study_csv(result) -> tuple[list[str], list]:
 def cmd_study(args) -> int:
     cfg = load_config(args.config)
     study_cfg = study_config_from(cfg)
+    check_workers(args.workers)
+    out = output_directory(cfg)
     start = time.perf_counter()
     result = run_study(study_cfg, target=args.target, workers=args.workers)
-    out = output_directory(cfg)
     write_json(out / "study.json", result.to_json_dict())
     header, columns = _study_csv(result)
     write_csv(out / "study_samples.csv", header, columns)

@@ -38,7 +38,6 @@ __all__ = [
     "spde_params_from",
     "limit_params_from",
     "output_directory",
-    "format_float",
     "write_csv",
     "write_json",
 ]
@@ -214,20 +213,17 @@ def output_directory(cfg: dict) -> Path:
     """Configured output directory, overridable by SPHEREWAVE_OUTPUT only."""
     override = os.environ.get("SPHEREWAVE_OUTPUT")
     path = Path(override) if override else Path(cfg["output"]["directory"])
-    path.mkdir(parents=True, exist_ok=True)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot use output directory {str(path)!r}: {exc.strerror}") from exc
     return path
 
 
-def format_float(x) -> str:
-    """Shortest decimal string that round-trips to the same float."""
-    return repr(float(x))
-
-
 def write_csv(path: Path, header: list[str], columns: list) -> None:
-    """One row per entry of the equal-length columns, each cell format_float's string.
+    """One row per entry of the equal-length columns, each cell repr of its Python float.
 
-    Each column is turned into Python floats once, and repr of a float is
-    format_float's string, without a numpy scalar per cell.
+    Each column becomes Python floats in one call, not a numpy scalar per cell.
     """
     cells = [map(repr, np.asarray(col, dtype=float).tolist()) for col in columns]
     lines = [",".join(header)] + [",".join(row) for row in zip(*cells, strict=True)]

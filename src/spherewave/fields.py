@@ -9,7 +9,8 @@ ensemble block is (S, 3, n) in C order, so each sample's 3n values are
 contiguous and a sample's numbers do not depend on its block.  The helpers
 reduce over the component axis (-2) and act along the node axis (-1): the
 pointwise algebra broadcasts per-node scalars as (..., 1, n) rows, and the
-second difference and the sine spectrum run along contiguous node rows.
+second difference (one kernel, `_laplacian_into`) and the sine spectrum run
+along contiguous node rows.
 
 The discrete H^1 seminorm is defined through the second-difference operator,
 |f|_{H^1}^2 = <-A_h f, f>, so that discrete sine eigenfields satisfy
@@ -169,7 +170,7 @@ def _check_field(grid: Grid1D, f: np.ndarray) -> np.ndarray:
 
 
 def _check_block(grid: Grid1D, f: np.ndarray) -> np.ndarray:
-    # C order, so that laplacian's flattened views share its memory
+    # C order, so that a block's flattened views share its memory
     f = np.ascontiguousarray(f, dtype=float)
     if f.shape[-2:] != (3, grid.n):
         raise ShapeError(f"expected a field (3, {grid.n}) or a block (..., 3, {grid.n}),"
@@ -226,25 +227,33 @@ def norm_l2(grid: Grid1D, f: np.ndarray) -> float:
     return np.sqrt(norm_l2_sq(grid, f))
 
 
-def laplacian(grid: Grid1D, f: np.ndarray) -> np.ndarray:
-    """Second central difference with homogeneous Dirichlet neighbours (fields or blocks).
+def _laplacian_into(f: np.ndarray, out: np.ndarray, h_sq: float) -> np.ndarray:
+    """A_h f of a field or block (..., 3, n) into `out`, another C-ordered array of its shape.
 
-    Each neighbour is added in one contiguous pass over the whole block, and
-    the node of each row that has no such neighbour gets its value back:
-    the arithmetic of adding the neighbours row by row, without a loop per
-    node row.
+    (-2 f + left) + right, over h^2.  One field takes its neighbours through
+    slices, at any strides; a block (S, ..., 3, n), S >= 2, takes each in one
+    flat pass and restores each row's end node: the same bits, and no NaN crosses rows.
     """
+    np.multiply(-2.0, f, out=out)
+    if out.ndim > 2 and len(out) > 1:
+        flat, out_flat, rows = f.reshape(-1), out.reshape(-1), out.reshape(-1, f.shape[-1])
+        first = rows[:, 0].copy()
+        np.add(out_flat[1:], flat[:-1], out=out_flat[1:])
+        rows[:, 0] = first
+        last = rows[:, -1].copy()
+        np.add(out_flat[:-1], flat[1:], out=out_flat[:-1])
+        rows[:, -1] = last
+    else:
+        left, right = out[..., 1:], out[..., :-1]
+        np.add(left, f[..., :-1], out=left)
+        np.add(right, f[..., 1:], out=right)
+    return np.divide(out, h_sq, out=out)
+
+
+def laplacian(grid: Grid1D, f: np.ndarray) -> np.ndarray:
+    """Second central difference with homogeneous Dirichlet neighbours (fields or blocks)."""
     f = _check_block(grid, f)
-    out = -2.0 * f
-    flat, out_flat = f.reshape(-1), out.reshape(-1)
-    first = out[..., 0].copy()
-    out_flat[1:] += flat[:-1]
-    out[..., 0] = first
-    last = out[..., -1].copy()
-    out_flat[:-1] += flat[1:]
-    out[..., -1] = last
-    out /= grid.h ** 2
-    return out
+    return _laplacian_into(f, np.empty(f.shape), grid.h ** 2)
 
 
 def h1_seminorm_sq(grid: Grid1D, f: np.ndarray) -> float:

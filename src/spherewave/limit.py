@@ -49,6 +49,7 @@ from .fields import (
     Grid1D,
     _check_field,
     _dst,
+    _laplacian_into,
     c_einsum,
     eigenvalue,
     eigenvalues,
@@ -158,9 +159,9 @@ class _Velocity:
     whether the basis is silent, the mobility rows phi / 2 and
     phi / (2 gamma), and buffers.  It does not check shapes: its callers
     pass fields (3, n) they have checked or made.  `into` writes du/dt into
-    the caller's array and A_h u into the buffer `lap`, which the next call
-    overwrites, with the float operations of `laplacian`, `inner_l2` and
-    `pointwise_dot` in their order, and does not test for a zero field.
+    the caller's array and A_h u (the kernel of `laplacian`) into the buffer
+    `lap`, which the next call overwrites, with the float operations of
+    `inner_l2` and `pointwise_dot` in their order; no zero-field test.
     `norm_sq` is |f|_H^2 with the arithmetic of `norm_l2_sq`.
     """
 
@@ -173,20 +174,13 @@ class _Velocity:
         self.half_phi = 0.5 * basis.phi
         self.half_phi_gamma = self.half_phi / params.gamma
         self.lap, self._r, self._row = np.empty((3, n)), np.empty((3, n)), np.empty((1, n))
-        # the interior rows of A_h u: nodes with a left and with a right neighbour
-        self._lap_left, self._lap_right = self.lap[:, 1:], self.lap[:, :-1]
 
     def norm_sq(self, f: np.ndarray) -> float:
         return self.h * float(c_einsum("ij,ij->", f, f))
 
     def into(self, u: np.ndarray, ut: np.ndarray) -> float:
         """Write du/dt into `ut` and A_h u into `lap`; return |u|_{H1}^2."""
-        # laplacian: -2 u, plus the left neighbour, plus the right one, over h^2
-        lap = self.lap
-        np.multiply(-2.0, u, out=lap)
-        np.add(self._lap_left, u[:, :-1], out=self._lap_left)
-        np.add(self._lap_right, u[:, 1:], out=self._lap_right)
-        np.divide(lap, self._h_sq, out=lap)
+        lap = _laplacian_into(u, self.lap, self._h_sq)
         h1 = -(self.h * float(c_einsum("ij,ij->", lap, u)))   # -inner_l2(lap, u)
         r = self._r
         np.multiply(h1, u, out=r)

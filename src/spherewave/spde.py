@@ -60,6 +60,7 @@ from .errors import BlowUpError, ParameterError, ShapeError
 from .fields import (
     Grid1D,
     HelmholtzSolver,
+    _laplacian_into,
     c_einsum,
     check_output_grid,
     fitted_step,
@@ -281,8 +282,6 @@ class SpdeStepper:
         size, n = len(u0), grid.n
         self.lap, self._hu, self._rhs, self._tmp, self._corr, self._cross = (
             np.empty(u0.shape) for _ in range(6))
-        # the interior rows of A_h u: nodes with a left and with a right neighbour
-        self._lap_left, self._lap_right = self.lap[..., 1:], self.lap[..., :-1]
         # the solve's Fortran-ordered (n, 3S) columns: the rhs's node rows
         self._columns = self._rhs.reshape(3 * size, n).T
         # pointwise rows (S, 1, n), written through their (S, n) views
@@ -322,15 +321,10 @@ class SpdeStepper:
     def _bind(self, u: np.ndarray, v: np.ndarray) -> None:
         """Make (u, v) the block's state, with its norms |u|_{H1}^2 and |v|_H^2 (S,).
 
-        Its A_h u, u.u, u.v and |u|_{H1}^2 u go to the buffers.
+        Its A_h u (the kernel of `laplacian`), u.u, u.v and |u|_{H1}^2 u go to the buffers.
         """
         self.u, self.v = u, v
-        # laplacian: -2 u, plus the left neighbour, plus the right one, over h^2
-        lap = self.lap
-        np.multiply(-2.0, u, out=lap)
-        np.add(self._lap_left, u[..., :-1], out=self._lap_left)
-        np.add(self._lap_right, u[..., 1:], out=self._lap_right)
-        np.divide(lap, self._h_sq, out=lap)
+        lap = _laplacian_into(u, self.lap, self._h_sq)
         # -inner_each(lap, u), with the sign on h: -(h x) is (-h) x
         self.h1 = h1 = self._neg_h * c_einsum(_INNER, lap, u)
         self.vh2 = vh2 = self._h * c_einsum(_INNER, v, v)

@@ -60,6 +60,7 @@ __all__ = [
     "LevelSummary",
     "StudyResult",
     "run_study",
+    "check_workers",
     "trend_check",
     "refinement_bias",
 ]
@@ -408,6 +409,11 @@ def _run_block(config: StudyConfig, params: SpdeParams, targets: tuple, mu_index
     return rows, work
 
 
+def check_workers(workers: int) -> None:
+    if workers < 1:
+        raise ParameterError(f"need at least one worker, got {workers}")
+
+
 def _run(config: StudyConfig, targets: tuple, blocks: list, workers: int) -> tuple[int, list]:
     """Solve the targets and run the blocks: (limit steps, each block's result).
 
@@ -423,8 +429,7 @@ def _run(config: StudyConfig, targets: tuple, blocks: list, workers: int) -> tup
     wakes the blocks waiting on any target not fully published, and its
     own exception is the one raised.
     """
-    if workers < 1:
-        raise ParameterError(f"need at least one worker, got {workers}")
+    check_workers(workers)
     order = sorted(range(len(blocks)),
                    key=lambda b: -blocks[b][0].n_steps * len(blocks[b][2]))
     columns = zip(*[(config, blocks[b][0], targets) + blocks[b][1:] for b in order])

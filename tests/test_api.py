@@ -1,5 +1,5 @@
 """Every public name a module exports resolves; every name a module imports is used;
-every keyword-only option is set by some caller."""
+every keyword-only option is set by some caller; only fields applies A_h."""
 
 import ast
 import importlib
@@ -136,3 +136,35 @@ def test_cold_import_loads_no_scipy_package():
                           text=True, cwd=Path(spherewave.__path__[0]).parent, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "[]\n" and done.stderr == ""
+
+
+def _bound(node):
+    # a slice bound as written: None when absent, its value when a literal
+    try:
+        return None if node is None else ast.literal_eval(node)
+    except ValueError:
+        return node
+
+
+def _whole_axes(node) -> bool:
+    return ((isinstance(node, ast.Constant) and node.value is Ellipsis)
+            or (isinstance(node, ast.Slice) and node.lower is node.upper is node.step is None))
+
+
+def _neighbour_slice(node) -> bool:
+    return (isinstance(node, ast.Slice) and node.step is None
+            and (_bound(node.lower), _bound(node.upper)) in ((1, None), (None, -1)))
+
+
+def test_second_difference_has_one_owner():
+    # A_h is applied in fields alone: no other module shifts node rows by one
+    # (x[..., 1:], x[:, :-1]), the neighbour reads of a second copy of the stencil
+    shifted = []
+    for name in MODULES:
+        tree = ast.parse(Path(spherewave.__path__[0], f"{name}.py").read_text())
+        shifted += [f"{name}.py:{node.lineno}: {ast.unparse(node)}" for node in ast.walk(tree)
+                    if name != "fields" and isinstance(node, ast.Subscript)
+                    and isinstance(node.slice, ast.Tuple)
+                    and any(_whole_axes(a) and _neighbour_slice(b)
+                            for a, b in zip(node.slice.elts, node.slice.elts[1:]))]
+    assert not shifted, f"node rows shifted outside fields: {shifted}"

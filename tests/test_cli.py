@@ -19,7 +19,6 @@ from spherewave.checks import CHECK_NAMES, CheckResult, run_check
 from spherewave.config import (
     DEFAULT_CONFIG,
     config_hash,
-    format_float,
     load_config,
     resolve_config,
     study_config_from,
@@ -237,6 +236,33 @@ def test_zero_initial_field_refused(tmp_path, capsys, command):
     assert "zero field" in err
 
 
+# what each command computes, and the name under which cli calls it
+COMMAND_RUNS = {"simulate": "simulate", "limit": "solve_limit", "study": "run_study"}
+
+
+@pytest.mark.parametrize("via_env", [False, True], ids=["config", "environment"])
+@pytest.mark.parametrize("command", list(COMMAND_RUNS))
+def test_unusable_output_directory_refused_before_the_run(tmp_path, monkeypatch, capsys,
+                                                          command, via_env):
+    # an output path naming an existing file stops the command before it
+    # computes anything, with one line naming the path
+    blocker = tmp_path / "afile"
+    blocker.write_text("")
+
+    def computed(*args, **kwargs):
+        raise AssertionError(f"{command} computed before checking its output directory")
+
+    monkeypatch.setattr(cli, COMMAND_RUNS[command], computed)
+    directory = tmp_path / "out"
+    if via_env:
+        monkeypatch.setenv("SPHEREWAVE_OUTPUT", str(blocker))
+    else:
+        directory = blocker
+    payload = dict(SMALL_RUN, output={"directory": str(directory)})
+    err = refused(tmp_path, capsys, command, json.dumps(payload))
+    assert f"output directory {str(blocker)!r}" in err
+
+
 class TestSimulateCommand:
     def test_outputs_and_reproducibility(self, tmp_path):
         cfg = sim_config(tmp_path)
@@ -283,9 +309,9 @@ class TestSimulateCommand:
         t_last = float(lines[-1].split(",")[0])
         assert t_first == 0.0 and t_last == pytest.approx(0.05, rel=1e-12)
 
-    def test_write_csv_cells_are_format_float(self, tmp_path):
+    def test_write_csv_cells_are_float_reprs(self, tmp_path):
         # write_csv formats whole columns at once; each cell must still be
-        # format_float's string of that entry
+        # the shortest round-trip string of that entry, repr of its float
         columns = [
             [1, -2, 3, 0],
             np.array([True, False, True, False]),
@@ -295,7 +321,7 @@ class TestSimulateCommand:
             np.arange(4, dtype=np.int64) * (2 ** 53 + 1),
         ]
         write_csv(tmp_path / "t.csv", ["a", "b", "c", "d", "e", "f"], columns)
-        expected = ["a,b,c,d,e,f"] + [",".join(format_float(col[r]) for col in columns)
+        expected = ["a,b,c,d,e,f"] + [",".join(repr(float(col[r])) for col in columns)
                                       for r in range(4)]
         assert (tmp_path / "t.csv").read_text() == "\n".join(expected) + "\n"
 

@@ -13,7 +13,7 @@ import scipy.linalg.lapack
 import spherewave as sw
 from spherewave import fields
 from spherewave.fields import HelmholtzSolver, c_einsum, dst_ortho
-from spherewave.limit import LimitParams
+from spherewave.limit import LimitParams, _Velocity
 from spherewave.noise import noise_field
 from spherewave.spde import SpdeStepper
 
@@ -37,6 +37,13 @@ def dense_second_difference(grid):
     a[idx[:-1], idx[:-1] + 1] = 1.0
     a[idx[1:], idx[1:] - 1] = 1.0
     return a / h ** 2
+
+
+def padded_second_difference(grid, f):
+    """A_h f from its definition, in the stencil's float order, with zero-padded neighbours."""
+    left, right = np.zeros(f.shape), np.zeros(f.shape)
+    left[..., 1:], right[..., :-1] = f[..., :-1], f[..., 1:]
+    return ((-2.0 * f + left) + right) / grid.h ** 2
 
 
 class TestGrid:
@@ -135,6 +142,50 @@ class TestLaplacian:
             left = sw.inner_l2(grid, -sw.laplacian(grid, f), g)
             right = sw.inner_l2(grid, f, -sw.laplacian(grid, g))
             assert left == pytest.approx(right, rel=1e-12, abs=1e-13)
+
+    @pytest.mark.parametrize("shape", [(3,), (1, 3), (2, 3), (16, 3), (64, 3)], ids=str)
+    def test_bits_of_the_definition(self, grid, shape):
+        # one field takes the kernel's slices, a block its flat passes; both
+        # give the definition's bits, so the composed oracles built on
+        # laplacian test more than the kernel against itself
+        f = RNG.standard_normal(shape + (grid.n,))
+        assert np.array_equal(sw.laplacian(grid, f), padded_second_difference(grid, f))
+
+    @pytest.mark.parametrize("size", [1, 16])
+    def test_step_kernels_hold_the_definition(self, grid, size):
+        # the stochastic step and the limit velocity apply A_h into their own buffers
+        u = RNG.standard_normal((size, 3, grid.n))
+        engine = SpdeStepper(_spde_params(grid), sw.build_basis(grid, 4, 2.0), u, 0.0 * u)
+        assert np.array_equal(engine.lap, padded_second_difference(grid, u))
+        velocity = _Velocity(LimitParams.auto(grid, 0.1), sw.build_basis(grid, 4, 2.0))
+        velocity.into(u[-1], np.empty((3, grid.n)))
+        assert np.array_equal(velocity.lap, padded_second_difference(grid, u[-1]))
+
+    @pytest.mark.parametrize("layout", ["fortran-block", "fortran-field", "strided-field"])
+    def test_any_layout_gives_the_definition(self, grid, layout):
+        data = RNG.standard_normal((16, 3, 2 * grid.n))
+        f = {"fortran-block": np.asfortranarray(data[..., :grid.n]),
+             "fortran-field": np.asfortranarray(data[0, :, :grid.n]),
+             "strided-field": data[0, :, ::2]}[layout]
+        lap = padded_second_difference(grid, f)
+        assert np.array_equal(sw.laplacian(grid, f), lap)
+        if f.ndim == 2:
+            # limit_rhs keeps the field's strides, which the kernel's slices read
+            # (its reductions round by layout, so the oracle takes the same field)
+            basis, params = sw.build_basis(grid, 4, 2.0), LimitParams.auto(grid, 0.1)
+            r = lap + sw.h1_seminorm_sq(grid, f) * f
+            assert np.array_equal(sw.limit_rhs(f, basis, params),
+                                  sw.mobility_apply_inverse(f, basis.phi, params.gamma, r))
+
+    def test_non_finite_sample_stays_in_its_row(self, grid):
+        # NaN and inf at both ends of two samples' fields: the flat passes
+        # must not carry them into a neighbouring sample's end nodes
+        block = RNG.standard_normal((16, 3, grid.n))
+        block[3, 0, 0] = block[3, 2, -1] = np.nan
+        block[9, 0, 0] = block[9, 2, -1] = np.inf
+        lap = sw.laplacian(grid, block)
+        for s in set(range(16)) - {3, 9}:
+            assert np.array_equal(lap[s], sw.laplacian(grid, block[s])), s
 
 
 class TestH1Seminorm:
