@@ -43,8 +43,8 @@ from .limit import (
     LimitParams,
     explicit_form_residual,
     limit_rhs,
+    limit_rows,
     mobility_apply_inverse,
-    solve_limit,
 )
 from .noise import build_basis, derive_stream, noise_field, strat_correction
 from .spde import SpdeParams, SpdeStepper, simulate
@@ -281,9 +281,8 @@ def _check_equilibrium(rng, mutate: bool) -> tuple[bool, str]:
         stepper.step(w[None])
         drift_sup = max(drift_sup, float(np.abs(stepper.u - u0).max()),
                         float(np.abs(stepper.v).max()))
-    states = []
-    solve_limit(u0, LimitParams.auto(grid, 0.1), basis, stride=1,
-                on_row=lambda _r, u: states.append(u.copy()))
+    # the flow's state is a new array at every row
+    states = [flow.u for _, flow, _ in limit_rows(u0, LimitParams.auto(grid, 0.1), basis)]
     limit_drift = float(np.abs(np.diff(states, axis=0)).max())
     passed = drift_sup <= 1e-12 and limit_drift <= 1e-12
     return passed, f"stepper drift {drift_sup:.2e}, limit per-step drift {limit_drift:.2e}"

@@ -51,11 +51,10 @@ _LAYOUT = {
     "noise": {"m": _FIELDS["m"], "p": _FIELDS["p"]},
     "physics": {"gamma": _FIELDS["gamma"], "mu": 0.1, "mu_list": _FIELDS["mu_values"],
                 "alpha": _FIELDS["alpha"], "parabolic": False},
-    "time": {"dt": _FIELDS["dt"], "T": _FIELDS["T"], "projection": False},
+    "time": {"dt": _FIELDS["dt"], "T": _FIELDS["T"], "projection": _FIELDS["projection"]},
     "initial_data": {"u_modes": _FIELDS["u_modes"], "v_modes": _FIELDS["v_modes"]},
     "study": {"ensemble": _FIELDS["ensemble"], "delta": _FIELDS["delta"],
-              "master_seed": _FIELDS["master_seed"], "projection": _FIELDS["projection"],
-              "n_out": _FIELDS["n_out"]},
+              "master_seed": _FIELDS["master_seed"], "n_out": _FIELDS["n_out"]},
     "output": {"directory": "spherewave-out", "stride": 1},
 }
 
@@ -191,9 +190,10 @@ def initial_fields_from(cfg: dict, grid: Grid1D):
 
 
 def spde_params_from(cfg: dict, grid: Grid1D) -> SpdeParams:
-    """Parameters of the single trajectory; time.dt is the exact step, as in study.
+    """Parameters of the single trajectory; time.dt and time.projection as in study.
 
-    The auto step is the one every study level takes (SpdeParams.auto).
+    time.dt is the exact step, and the auto step is the one every study level
+    takes (SpdeParams.auto); time.projection, on by default, re-projects each step.
     """
     phys, time = cfg["physics"], cfg["time"]
     return SpdeParams.auto(grid, phys["mu"], time["T"], gamma=phys["gamma"],

@@ -163,7 +163,8 @@ def output_rows(n_steps: int, stride: int) -> list[int]:
 
 
 def _check_field(grid: Grid1D, f: np.ndarray) -> np.ndarray:
-    f = np.asarray(f, dtype=float)
+    # C order, so that a field's reductions round the same at any layout
+    f = np.ascontiguousarray(f, dtype=float)
     if f.shape != (3, grid.n):
         raise ShapeError(f"expected a field of shape (3, {grid.n}), got {f.shape}")
     return f
@@ -231,8 +232,8 @@ def _laplacian_into(f: np.ndarray, out: np.ndarray, h_sq: float) -> np.ndarray:
     """A_h f of a field or block (..., 3, n) into `out`, another C-ordered array of its shape.
 
     (-2 f + left) + right, over h^2.  One field takes its neighbours through
-    slices, at any strides; a block (S, ..., 3, n), S >= 2, takes each in one
-    flat pass and restores each row's end node: the same bits, and no NaN crosses rows.
+    slices; a block (S, ..., 3, n), S >= 2, takes each in one flat pass and
+    restores each row's end node: the same bits, and no NaN crosses rows.
     """
     np.multiply(-2.0, f, out=out)
     if out.ndim > 2 and len(out) > 1:

@@ -407,12 +407,8 @@ def limit_rows(u0: np.ndarray, params: LimitParams, basis: NoiseBasis, *, stride
 
 
 def solve_limit(u0: np.ndarray, params: LimitParams, basis: NoiseBasis, *,
-                stride: int = 1, on_row=None) -> LimitTrajectory:
-    """Run the limit flow to T, recording every `stride` steps plus the end.
-
-    on_row, when given, is called as on_row(r, u) once row r is recorded,
-    with u the state there, so a caller can use each row before the solve ends.
-    """
+                stride: int = 1) -> LimitTrajectory:
+    """Run the limit flow to T, recording every `stride` steps plus the end."""
     n_rows = len(output_rows(params.n_steps, stride))
     t = np.empty(n_rows)
     u_h1 = np.empty(n_rows)
@@ -431,8 +427,6 @@ def solve_limit(u0: np.ndarray, params: LimitParams, basis: NoiseBasis, *,
         sphere[r] = abs(sqrt(norm_sq(flow.u)) - 1.0)
         defect[r] = worst
         energy_lhs[r] = flow.h1 + 2.0 * params.gamma * flow.int_ut_sq
-        if on_row is not None:
-            on_row(r, flow.u)
 
     # the integral is 0 at row 0, so energy_lhs[0] is |u(0)|_{H1}^2
     return LimitTrajectory(params=params, t=t, u_h1=u_h1, u_h2=u_h2, ut_h=ut_h,

@@ -95,9 +95,10 @@ class StudyConfig:
     master_seed: int = 20240811
     n_out: int = 256
     dt: float | None = None
-    # long-horizon production default: re-project each step so the unstable
-    # transverse direction of the constraint manifold cannot amplify scheme
-    # defects over T (rate ~ sqrt(2 |u|_{H1}^2 / mu) at small gamma)
+    # the default of every command (config key time.projection, which simulate
+    # reads too): re-project each step so the unstable transverse direction of
+    # the constraint manifold cannot amplify scheme defects over T
+    # (rate ~ sqrt(2 |u|_{H1}^2 / mu) at small gamma)
     projection: bool = True
 
     def __post_init__(self):

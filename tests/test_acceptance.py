@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import spherewave as sw
-from spherewave.limit import LimitParams
+from spherewave.limit import LimitParams, limit_rows
 from spherewave.spde import SpdeStepper
 from spherewave.study import StudyConfig, run_study, trend_check
 
@@ -178,8 +178,7 @@ def test_criterion_4_exact_equilibria(grid, basis):
     spde_total = float(np.abs(stepper.u[0] - u0).max())
 
     lp = LimitParams.auto(grid, 1.0, n_out=256)
-    limit_u = []
-    sw.solve_limit(u0, lp, basis, stride=1, on_row=lambda r, u: limit_u.append(u))
+    limit_u = [flow.u for _, flow, _ in limit_rows(u0, lp, basis)]
     limit_step = float(np.abs(np.diff(limit_u, axis=0)).max())
     limit_total = float(np.abs(limit_u[-1] - u0).max())
 

@@ -45,8 +45,8 @@ def test_no_unused_imports(name):
 
 
 # Parameters a function may take without reading them: a leading underscore
-# marks a slot that the caller fills for every entry of a table or for every
-# callback (the checks' rng streams, an on_row row index);
+# marks a slot that the caller fills for every entry of a table (the checks'
+# rng streams);
 # config.limit_params_from keeps `basis` while the benchmark harness
 # (benchmarks/workloads.py::expected) still passes it.
 UNREAD_PARAMETERS = {("config", "limit_params_from", "basis")}

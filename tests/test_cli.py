@@ -18,15 +18,17 @@ from spherewave import cli
 from spherewave.checks import CHECK_NAMES, CheckResult, run_check
 from spherewave.config import (
     DEFAULT_CONFIG,
+    build_grid,
     config_hash,
     load_config,
     resolve_config,
+    spde_params_from,
     study_config_from,
     write_csv,
 )
 from spherewave.errors import BlowUpError, ConfigError
 from spherewave.limit import LimitParams
-from spherewave.study import BLOCK_SIZE, StudyConfig
+from spherewave.study import BLOCK_SIZE, MAX_ENERGY_DRIFT, StudyConfig
 
 
 def write_config(path, payload):
@@ -45,6 +47,13 @@ def sim_config(tmp_path, **overrides):
     for section, values in overrides.items():
         payload.setdefault(section, {}).update(values)
     return write_config(tmp_path / "config.json", payload)
+
+
+def simulate_columns(out):
+    """simulate.csv in `out` as a dict of columns."""
+    lines = (out / "simulate.csv").read_text().splitlines()
+    values = np.array([[float(x) for x in line.split(",")] for line in lines[1:]])
+    return dict(zip(lines[0].split(","), values.T))
 
 
 class TestConfigResolution:
@@ -88,6 +97,16 @@ class TestConfigResolution:
         path.write_text("{not json")
         with pytest.raises(ConfigError):
             load_config(path)
+
+    def test_one_projection_key(self):
+        # time.projection, on by default, is the one switch of simulate and study
+        keys = [(section, key) for section, values in DEFAULT_CONFIG.items()
+                for key in values if "projection" in key]
+        assert keys == [("time", "projection")] and DEFAULT_CONFIG["time"]["projection"]
+        for on in (True, False):
+            cfg = resolve_config({"time": {"projection": on}})
+            assert study_config_from(cfg).projection is on
+            assert spde_params_from(cfg, build_grid(cfg)).projection is on
 
     def test_readme_shows_the_defaults(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -145,17 +164,17 @@ def test_refusal_corpus(doc):
 # resolved form: the key order, the values and their JSON types (an int stays
 # an int) are pinned
 ACCEPTED = {
-    "defaults": ({}, "7aca58b2f54f3a56689017fbbe01ba4b9b9bd7bd828af924e6a5fef0a4fcbed7"),
+    "defaults": ({}, "34ff0be55313bca932dcdd0d292b0ebc1d5b5970d4597882bde83c92043e884b"),
     "sim_config": ({"grid": {"n": 63}, "noise": {"m": 8}, "physics": {"mu": 0.1},
                     "time": {"dt": 1e-4, "T": 0.05},
                     "output": {"directory": "out", "stride": 50}},
-                   "fe412464acb1d840a58b0faad8ba5503cda824c71aba3ae4fddc7633a800349e"),
+                   "25440c1c206d8c4d63a952ca3e63d8718b4a2513799e280063a2418de846472f"),
     "alpha-0.25": ({"physics": {"alpha": 0.25}},
-                   "7ffd5ad0ab2fc4d2fc0f36e6647939d9d60a8cbd98ea6dac72958d03723f83dc"),
+                   "8076a79de70d2fc24f4564f7d402cc33a905eb894b4d7ce39bf406a2326b364b"),
     "dt-0.01": ({"time": {"dt": 0.01}},
-                "4ae6b9133847e5910ece06ac2a07ab0e7b95628cd3c2eeb0c3936f4ce481950b"),
+                "b4a24094f4f7404874364850755684dfc3dffdc87ecaac19e986d69e69ef6af8"),
     "ints-for-floats": ({"physics": {"gamma": 1, "mu_list": [1, 0.5]}, "time": {"T": 1}},
-                        "3349f8391e9e26e4c859ca9caeb96f4f4b1f098ffed407b2b5561c94613abda5"),
+                        "5b8961af9ea1af45e15c7f65a600a8c516139a4164662c2e2580ff2be02bc3f7"),
 }
 
 
@@ -348,11 +367,12 @@ class TestSimulateCommand:
             "numerical failure: non-finite field at step 0 of sample 0\n")
 
     def test_blowup_message_carries_last_finite_diagnostics(self, tmp_path, capsys):
-        # the default unprojected trajectory at mu = 0.05 overflows at step
+        # the default trajectory at mu = 0.05, unprojected, overflows at step
         # 1120; its one stderr line names the diagnostics of the state
         # before that step, all finite
         cfg = write_config(tmp_path / "blowup.json", {
-            "physics": {"mu": 0.05}, "output": {"directory": str(tmp_path / "out")}})
+            "physics": {"mu": 0.05}, "time": {"projection": False},
+            "output": {"directory": str(tmp_path / "out")}})
         assert cli.main(["simulate", "-c", cfg]) == 2
         err = capsys.readouterr().err
         match = re.fullmatch(r"numerical failure: non-finite field at step 1120 of sample 0"
@@ -360,6 +380,25 @@ class TestSimulateCommand:
                              r" eta=(\S+), u_h1=(\S+)\)\n", err)
         assert match, err
         assert np.isfinite([float(x) for x in match.groups()]).all(), err
+
+    @pytest.mark.parametrize("mu", StudyConfig().mu_values)
+    def test_defaults_stay_on_the_sphere(self, tmp_path, mu):
+        # projected by default: at each default study mass the trajectory keeps
+        # its constraints to roundoff and its energy inside the sample gate
+        cfg = write_config(tmp_path / "run.json", {
+            "physics": {"mu": mu}, "output": {"directory": str(tmp_path / "out")}})
+        assert cli.main(["simulate", "-c", cfg]) == 0
+        columns = simulate_columns(tmp_path / "out")
+        assert np.abs(columns["theta"]).max() <= 1e-12
+        assert np.abs(columns["eta"]).max() <= 1e-12
+        energy = columns["energy"]
+        assert np.abs(energy - energy[0]).max() / energy[0] < MAX_ENERGY_DRIFT
+
+    def test_unprojected_defaults_leave_the_sphere(self, tmp_path):
+        cfg = write_config(tmp_path / "run.json", {
+            "time": {"projection": False}, "output": {"directory": str(tmp_path / "out")}})
+        assert cli.main(["simulate", "-c", cfg]) == 0
+        assert np.abs(simulate_columns(tmp_path / "out")["theta"]).max() > 0.1
 
     def test_env_output_override(self, tmp_path, monkeypatch):
         cfg = sim_config(tmp_path)
@@ -498,16 +537,17 @@ class TestStudyCommand:
         cfg = self.study_config(
             tmp_path,
             physics={"mu_list": [0.2]},
-            time={"dt": 0.5 / 384, "T": 0.5},
-            study={"ensemble": 1, "n_out": 64, "master_seed": 99, "projection": False},
+            time={"dt": 0.5 / 384, "T": 0.5, "projection": False},
+            study={"ensemble": 1, "n_out": 64, "master_seed": 99},
         )
         assert cli.main(["study", "-c", cfg]) == 2
 
     @pytest.mark.parametrize("key, value", [("crn", False), ("failure_budget", 0.9),
-                                            ("max_energy_drift", 0.5), ("cfl", 0.25)])
+                                            ("max_energy_drift", 0.5), ("cfl", 0.25),
+                                            ("projection", False)])
     def test_removed_keys_rejected(self, tmp_path, capsys, key, value):
         # the CRN pairing, the energy gate, the failure budget and the step
-        # fraction are constants
+        # fraction are constants; the projection switch is time.projection
         cfg = self.study_config(tmp_path, study={key: value})
         assert cli.main(["study", "-c", cfg]) == 1
         assert repr(key) in capsys.readouterr().err
@@ -544,7 +584,8 @@ class TestStudyCommand:
         # the run must still record them and exit with the failed check
         cfg = write_config(tmp_path / "blowup.json", {
             "physics": {"mu_list": [0.025]},
-            "study": {"ensemble": 5, "projection": False},
+            "time": {"projection": False},
+            "study": {"ensemble": 5},
             "output": {"directory": str(tmp_path / "out")}})
         src = str(Path(cli.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))

@@ -170,12 +170,12 @@ class TestLaplacian:
         lap = padded_second_difference(grid, f)
         assert np.array_equal(sw.laplacian(grid, f), lap)
         if f.ndim == 2:
-            # limit_rhs keeps the field's strides, which the kernel's slices read
-            # (its reductions round by layout, so the oracle takes the same field)
+            # limit_rhs takes the field's C copy, so the oracle does too
+            c = np.ascontiguousarray(f)
             basis, params = sw.build_basis(grid, 4, 2.0), LimitParams.auto(grid, 0.1)
-            r = lap + sw.h1_seminorm_sq(grid, f) * f
+            r = lap + sw.h1_seminorm_sq(grid, c) * c
             assert np.array_equal(sw.limit_rhs(f, basis, params),
-                                  sw.mobility_apply_inverse(f, basis.phi, params.gamma, r))
+                                  sw.mobility_apply_inverse(c, basis.phi, params.gamma, r))
 
     def test_non_finite_sample_stays_in_its_row(self, grid):
         # NaN and inf at both ends of two samples' fields: the flat passes
@@ -186,6 +186,32 @@ class TestLaplacian:
         lap = sw.laplacian(grid, block)
         for s in set(range(16)) - {3, 9}:
             assert np.array_equal(lap[s], sw.laplacian(grid, block[s])), s
+
+
+@pytest.mark.parametrize("layout", ["fortran-field", "strided-field"])
+def test_field_helpers_round_alike_at_any_layout(grid, layout):
+    # c_einsum's reduction order follows the strides: each helper must
+    # give the bits of the field's C copy
+    data = RNG.standard_normal((3, 2 * grid.n))
+    f = {"fortran-field": np.asfortranarray(data[:, :grid.n]),
+         "strided-field": data[:, ::2]}[layout]
+    g = np.asfortranarray(data[::-1, :grid.n])
+    c, d = np.ascontiguousarray(f), np.ascontiguousarray(g)
+    basis, params = sw.build_basis(grid, 4, 2.0), LimitParams.auto(grid, 0.1)
+    helpers = {
+        "inner_l2": lambda a, b: sw.inner_l2(grid, a, b),
+        "norm_l2_sq": lambda a, b: sw.norm_l2_sq(grid, a),
+        "norm_l2": lambda a, b: sw.norm_l2(grid, a),
+        "h1_seminorm_sq": lambda a, b: sw.h1_seminorm_sq(grid, a),
+        "h2_norm_sq": lambda a, b: sw.h2_norm_sq(grid, a),
+        "sobolev_norm": lambda a, b: sw.sobolev_norm(grid, a, 1.5),
+        "normalize_sphere": lambda a, b: sw.normalize_sphere(grid, a),
+        "project_tangent": lambda a, b: sw.project_tangent(grid, a, b),
+        "limit_rhs": lambda a, b: sw.limit_rhs(a, basis, params),
+    }
+    differ = [name for name, helper in helpers.items()
+              if not np.array_equal(helper(f, g), helper(c, d))]
+    assert differ == []
 
 
 class TestH1Seminorm:

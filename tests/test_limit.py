@@ -7,7 +7,7 @@ import pytest
 
 import spherewave as sw
 from spherewave.fields import dst_ortho
-from spherewave.limit import LimitParams, _Etd2Flow, _phi_functions, _RunningIntegral
+from spherewave.limit import LimitParams, _Etd2Flow, _phi_functions, _RunningIntegral, limit_rows
 
 RNG = np.random.default_rng(55)
 
@@ -205,21 +205,21 @@ class TestSolveLimit:
     def test_eigenfield_is_stationary(self, grid, basis):
         u0 = sw.normalize_sphere(grid, sw.sine_field(grid, 1, 3))
         p = LimitParams.auto(grid, 1.0, n_out=128)
-        states = []
-        traj = sw.solve_limit(u0, p, basis, stride=p.n_steps // 128,
-                              on_row=lambda r, u: states.append(u))
+        traj = sw.solve_limit(u0, p, basis, stride=p.n_steps // 128)
+        states = [flow.u for _, flow, _ in limit_rows(u0, p, basis, stride=p.n_steps // 128)]
         assert np.abs(states[-1] - u0).max() <= 1e-10
         assert traj.ut_h.max() <= 1e-10
 
-    def test_on_row_sees_each_recorded_row(self, grid, basis):
+    def test_limit_rows_are_the_recorded_rows(self, grid, basis):
         u0 = sw.normalize_sphere(grid, sw.sine_field(grid, 1, 1)
                                  + sw.sine_field(grid, 2, 2, 0.1))
         p = LimitParams.auto(grid, 0.25, n_out=32)
-        seen = []
-        traj = sw.solve_limit(u0, p, basis, stride=p.n_steps // 32,
-                              on_row=lambda r, u: seen.append((r, u.copy())))
-        assert [r for r, _ in seen] == list(range(33))
-        assert all(np.sqrt(sw.h1_seminorm_sq(grid, u)) == traj.u_h1[r] for r, u in seen)
+        traj = sw.solve_limit(u0, p, basis, stride=p.n_steps // 32)
+        seen = [(r, flow.steps * p.dt, flow.u)
+                for r, flow, _ in limit_rows(u0, p, basis, stride=p.n_steps // 32)]
+        assert [r for r, _, _ in seen] == list(range(33))
+        assert all(t == traj.t[r] and np.sqrt(sw.h1_seminorm_sq(grid, u)) == traj.u_h1[r]
+                   for r, t, u in seen)
 
     def test_sphere_residual_small_and_energy_inequality(self, grid, basis, silent):
         # every step is projected, so the recorded states sit on the sphere;
@@ -328,8 +328,7 @@ class TestSolveLimit:
                                  + sw.sine_field(g, 2, 2, 0.1))
         p = LimitParams.auto(g, 0.25, n_out=64)
         for b in (sw.build_basis(g, 16, 2.0), sw.build_basis(g, 0, 2.0)):
-            states = []
-            sw.solve_limit(u0, p, b, stride=p.n_steps // 64, on_row=lambda r, u: states.append(u))
+            states = [flow.u for _, flow, _ in limit_rows(u0, p, b, stride=p.n_steps // 64)]
             ref = rk4_oracle(u0, p, b, 64)
             err = max(sw.sobolev_norm(g, a - r, 1.0) for a, r in zip(states, ref))
             assert err <= 1e-3
@@ -370,14 +369,13 @@ class TestEtd2Step:
     @pytest.mark.parametrize("m", [8, 0], ids=["corrected", "parabolic"])
     def test_handed_out_states_keep_their_values(self, m):
         # the flow steps on buffers it owns, but every state it hands out,
-        # to on_row or as flow.u, is a new array that later steps leave alone
+        # through limit_rows or as flow.u, is a new array that later steps leave alone
         g = sw.Grid1D(1.0, 63)
         basis = sw.build_basis(g, m, 2.0)
         params = LimitParams.auto(g, 0.5, n_out=4)
         u0 = sw.normalize_sphere(g, sw.sine_field(g, 1, 1) + sw.sine_field(g, 2, 2, 0.1))
-        rows = []
-        sw.solve_limit(u0, params, basis, stride=params.n_steps // 4,
-                       on_row=lambda r, u: rows.append((u, u.copy())))
+        rows = [(flow.u, flow.u.copy())
+                for _, flow, _ in limit_rows(u0, params, basis, stride=params.n_steps // 4)]
         flow = _Etd2Flow(u0, params, basis)
         held = [(flow.u, flow.u.copy())]
         for _ in range(3):

@@ -19,6 +19,7 @@ import spherewave as sw
 import spherewave.study as study_module
 from spherewave.config import build_grid, resolve_config, spde_params_from
 from spherewave.fields import step_count
+from spherewave.limit import limit_rows
 from spherewave.spde import BLOWUP_DIAGNOSTICS, SpdeStepper
 from spherewave.study import (
     BLOCK_SIZE,
@@ -329,9 +330,8 @@ class TestBlockEngine:
         lp = sw.LimitParams.auto(grid, config.T, n_out=config.n_out)
         # the parabolic target is the limit flow of the silent basis
         for name, b in (("corrected", basis), ("parabolic", sw.build_basis(grid, 0, config.p))):
-            fields = targets[name] = []
-            sw.solve_limit(u0, lp, b, stride=lp.n_steps // config.n_out,
-                           on_row=lambda r, u: fields.append(u))
+            targets[name] = [flow.u for _, flow, _ in
+                             limit_rows(u0, lp, b, stride=lp.n_steps // config.n_out)]
         for row in result.rows:
             params = config.spde_params(row.mu, grid)
             stride = params.n_steps // config.n_out
