@@ -31,7 +31,7 @@ from .errors import BlowUpError, ConfigError, ParameterError
 from .limit import solve_limit
 from .noise import build_basis, derive_stream
 from .spde import DIAGNOSTICS, simulate
-from .study import TARGET_NAMES, check_workers, run_study, trend_check
+from .study import TARGET_NAMES, check_trend_levels, check_workers, run_study, trend_check
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -118,13 +118,30 @@ def _study_csv(result) -> tuple[list[str], list]:
     return header, columns
 
 
+def _blowup_lines(result) -> list[str]:
+    """One line per mass level that lost samples: the count and the earliest blow-up."""
+    lines = []
+    for i, level in enumerate(result.levels):
+        lost = [row for row in result.rows if row.mu_index == i and row.blowup_step is not None]
+        if lost:
+            first = min(lost, key=lambda row: (row.blowup_step, row.sample))
+            lines.append(f"blow-ups: mu_index={i} (mu={level.mu}) lost {len(lost)}/{level.count}"
+                         f" samples; the first was sample {first.sample}, at step"
+                         f" {first.blowup_step}")
+    return lines
+
+
 def cmd_study(args) -> int:
     cfg = load_config(args.config)
     study_cfg = study_config_from(cfg)
     check_workers(args.workers)
+    if args.check:
+        check_trend_levels(len(study_cfg.mu_values))
     out = output_directory(cfg)
     start = time.perf_counter()
     result = run_study(study_cfg, target=args.target, workers=args.workers)
+    for line in _blowup_lines(result):
+        print(line, file=sys.stderr)
     write_json(out / "study.json", result.to_json_dict())
     header, columns = _study_csv(result)
     write_csv(out / "study_samples.csv", header, columns)

@@ -295,8 +295,8 @@ class _Etd2Flow:
     velocity kernel evaluates P a and u_next into `ut` and its Laplacian
     buffer `lap`, which is also the A_h P a that L P a needs.  `u` is a new
     array every step, so a caller may keep it.  `ut` and `lap` are buffers
-    that the next advance overwrites: solve_limit and comparison_experiment
-    read them before it.  The shape of u0 is checked once, here.  A zero
+    that the next advance overwrites: the callers of limit_rows read them
+    before they resume it.  The shape of u0 is checked once, here.  A zero
     stage raises DegenerateFieldError, and a non-finite node of u* shows in
     its norm, one scalar, and raises BlowUpError; P a and u_next have unit
     norm, so the kernel does not test them for zero.
@@ -391,9 +391,10 @@ def limit_rows(u0: np.ndarray, params: LimitParams, basis: NoiseBasis, *, stride
 
     Yields (r, flow, worst) once the flow stands at output row r, where
     worst is the largest projection defect of its steps since the previous
-    row (0 at row 0).  The one row loop of solve_limit and of a study's
-    targets, which advance together one row at a time.  The flow's `u` is
-    a new array at every row; see _Etd2Flow.
+    row (0 at row 0).  The one driver of the limit flow: the row loop of
+    solve_limit, of a study's targets, which advance together one row at a
+    time, and of comparison_experiment, whose two flows advance together
+    at stride 1.  The flow's `u` is a new array at every row; see _Etd2Flow.
     """
     rows = output_rows(params.n_steps, stride)
     flow = _Etd2Flow(u0, params, basis)
@@ -460,30 +461,21 @@ def comparison_experiment(u10: np.ndarray, u20: np.ndarray, params: LimitParams,
     """
     grid = params.grid
     rows = output_rows(params.n_steps, stride)
-    n_rows = len(rows)
-
-    f1 = _Etd2Flow(u10, params, basis)
-    f2 = _Etd2Flow(u20, params, basis)
-    t = np.empty(n_rows)
-    dist = np.empty(n_rows)
-    int_dv = np.empty(n_rows)
-
-    def dv_sq() -> float:
-        return norm_l2_sq(grid, f1.ut - f2.ut)
+    t = np.empty(len(rows))
+    dist = np.empty(len(rows))
+    int_dv = np.empty(len(rows))
 
     quadrature = _RunningIntegral(params.dt)
-    acc = quadrature.add(dv_sq())
-    t[0] = 0.0
-    dist[0] = h1_seminorm_sq(grid, f1.u - f2.u)
-    int_dv[0] = acc
-    for r in range(1, n_rows):
-        while f1.steps < rows[r]:
-            f1.advance()
-            f2.advance()
-            acc = quadrature.add(dv_sq())
-        t[r] = f1.steps * params.dt
-        dist[r] = h1_seminorm_sq(grid, f1.u - f2.u)
-        int_dv[r] = acc
+    r = 0
+    # the two flows advance in lockstep, one step per row of limit_rows
+    for (k, f1, _), (_, f2, _) in zip(limit_rows(u10, params, basis),
+                                      limit_rows(u20, params, basis)):
+        acc = quadrature.add(norm_l2_sq(grid, f1.ut - f2.ut))
+        if k == rows[r]:
+            t[r] = k * params.dt
+            dist[r] = h1_seminorm_sq(grid, f1.u - f2.u)
+            int_dv[r] = acc
+            r += 1
 
     lhs = dist + int_dv
     d0 = dist[0]

@@ -61,6 +61,7 @@ __all__ = [
     "StudyResult",
     "run_study",
     "check_workers",
+    "check_trend_levels",
     "trend_check",
     "refinement_bias",
 ]
@@ -510,12 +511,19 @@ def run_study(config: StudyConfig, *, target: str = "auto", extra_targets=(),
                        failed_checks=tuple(failed_checks), work=work)
 
 
+def check_trend_levels(levels: int) -> None:
+    """Refuse a trend check on fewer than two mass levels, where no decay can show."""
+    if levels < 2:
+        raise ParameterError(f"the trend check needs at least two mass levels, got {levels}")
+
+
 def trend_check(result: StudyResult) -> dict:
     """Check the mean-error decay of the primary target across the mass grid.
 
     Passes when the means are strictly decreasing and the last level is at
-    most DECAY_BOUND times the first.
+    most DECAY_BOUND times the first; fewer than two levels are refused.
     """
+    check_trend_levels(len(result.levels))
     means = result.mean_error_curve()
     decreasing = bool(np.all(np.diff(means) < 0.0))
     decayed = bool(means[-1] <= DECAY_BOUND * means[0])

@@ -1,5 +1,6 @@
 """Every public name a module exports resolves; every name a module imports is used;
-every keyword-only option is set by some caller; only fields applies A_h."""
+every keyword-only option is set by some caller; only fields applies A_h; each solver
+has one stepping loop."""
 
 import ast
 import importlib
@@ -168,3 +169,31 @@ def test_second_difference_has_one_owner():
                     and any(_whole_axes(a) and _neighbour_slice(b)
                             for a, b in zip(node.slice.elts, node.slice.elts[1:]))]
     assert not shifted, f"node rows shifted outside fields: {shifted}"
+
+
+# the one caller of each stepping call in the package: limit_rows builds and
+# advances every limit flow, and SpdeStepper.run steps every stochastic engine
+STEPPING_DRIVERS = {"_Etd2Flow": "limit.limit_rows", "advance": "limit.limit_rows",
+                    "step": "spde.SpdeStepper.run"}
+
+
+def _calls_by_owner(node, owner):
+    # (qualified name of the innermost enclosing def or class, call) for each call
+    for child in ast.iter_child_nodes(node):
+        name = owner
+        if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+            name = f"{owner}.{child.name}"
+        elif isinstance(child, ast.Call):
+            yield owner, child
+        yield from _calls_by_owner(child, name)
+
+
+def test_each_solver_has_one_stepping_loop():
+    # a second loop over _Etd2Flow.advance or SpdeStepper.step is a second
+    # copy of the row logic, free to drift from its driver
+    stray = []
+    for name in MODULES:
+        tree = ast.parse(Path(spherewave.__path__[0], f"{name}.py").read_text())
+        stray += [f"{owner}: {ast.unparse(call)}" for owner, call in _calls_by_owner(tree, name)
+                  if STEPPING_DRIVERS.get(_call_name(call), owner) != owner]
+    assert not stray, f"stepping calls outside their driver: {stray}"

@@ -483,9 +483,10 @@ class TestStudyCommand:
             payload.setdefault(section, {}).update(values)
         return write_config(tmp_path / "study.json", payload)
 
-    def test_study_outputs_and_trend(self, tmp_path):
+    def test_study_outputs_and_trend(self, tmp_path, capsys):
         cfg = self.study_config(tmp_path)
         assert cli.main(["study", "-c", cfg, "--check"]) == 0
+        assert capsys.readouterr().err == ""   # no level lost a sample
         out = tmp_path / "study-out"
         payload = json.loads((out / "study.json").read_text())
         means = payload["mean_error"]
@@ -563,6 +564,15 @@ class TestStudyCommand:
             with pytest.raises(ConfigError, match=reason):
                 study_config_from(load_config(cfg))
 
+    def test_check_on_one_level_refused(self, tmp_path, capsys):
+        # one mean cannot decay: study --check on one mass level is refused
+        # before anything runs or is written
+        cfg = self.study_config(tmp_path, physics={"mu_list": [0.2]})
+        assert cli.main(["study", "-c", cfg, "--check"]) == 1
+        assert capsys.readouterr().err == (
+            "configuration error: the trend check needs at least two mass levels, got 1\n")
+        assert not (tmp_path / "study-out").exists()
+
     def test_small_alpha_needs_exploratory(self, tmp_path, capsys):
         # below 1/2 no limit is proven: the CLI refuses before any output
         cfg = self.study_config(tmp_path, physics={"alpha": 0.25})
@@ -594,7 +604,25 @@ class TestStudyCommand:
              "-c", cfg], capture_output=True, text=True, env=env, timeout=300)
         assert done.returncode == 2, done.stderr
         assert "Traceback" not in done.stderr
-        assert done.stderr == "numerical failure: mu=0.025: 5/5 failures (blow-up)\n"
+        assert done.stderr == (
+            "blow-ups: mu_index=0 (mu=0.025) lost 5/5 samples; the first was sample 1,"
+            " at step 1356\n"
+            "numerical failure: mu=0.025: 5/5 failures (blow-up)\n")
+
+    def test_partial_blowups_print_their_level(self, tmp_path, monkeypatch, capsys):
+        # unprojected, mu = 0.05 loses two of five samples, inside the failure
+        # budget once the energy gate is off, and mu = 0.1 none: one line names
+        # the level, the count and the earliest blow-up, and the run passes
+        monkeypatch.setattr("spherewave.study.MAX_ENERGY_DRIFT", np.inf)
+        cfg = write_config(tmp_path / "partial.json", {
+            "physics": {"mu_list": [0.1, 0.05]},
+            "time": {"projection": False},
+            "study": {"ensemble": 5},
+            "output": {"directory": str(tmp_path / "out")}})
+        assert cli.main(["study", "-c", cfg]) == 0
+        assert capsys.readouterr().err == (
+            "blow-ups: mu_index=1 (mu=0.05) lost 2/5 samples; the first was sample 1,"
+            " at step 1243\n")
 
 
 class TestCheckCommand:

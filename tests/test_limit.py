@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import spherewave as sw
-from spherewave.fields import dst_ortho
+from spherewave.fields import dst_ortho, output_rows
 from spherewave.limit import LimitParams, _Etd2Flow, _phi_functions, _RunningIntegral, limit_rows
 
 RNG = np.random.default_rng(55)
@@ -106,6 +106,30 @@ def etd2_oracle(u0, params, basis):
         u_star = a + dst_ortho(phi2 * dst_ortho(n1 - n0))
         nrm = sw.norm_l2(grid, u_star)
         u, ut, lap, *_ = current = state(u_star / nrm, abs(nrm - 1.0))
+
+
+def comparison_oracle(u10, u20, params, basis, stride):
+    """comparison_experiment's series and fit, its two flows stepped by hand in lockstep.
+
+    Returns (t, dist_h1_sq, int_dv_sq, lhs, c1, c2).
+    """
+    grid = params.grid
+    f1, f2 = _Etd2Flow(u10, params, basis), _Etd2Flow(u20, params, basis)
+    quadrature = _RunningIntegral(params.dt)
+    acc = quadrature.add(sw.norm_l2_sq(grid, f1.ut - f2.ut))
+    t, dist, int_dv = [0.0], [sw.h1_seminorm_sq(grid, f1.u - f2.u)], [acc]
+    for row in output_rows(params.n_steps, stride)[1:]:
+        while f1.steps < row:
+            f1.advance()
+            f2.advance()
+            acc = quadrature.add(sw.norm_l2_sq(grid, f1.ut - f2.ut))
+        t.append(f1.steps * params.dt)
+        dist.append(sw.h1_seminorm_sq(grid, f1.u - f2.u))
+        int_dv.append(acc)
+    t, dist, int_dv = np.array(t), np.array(dist), np.array(int_dv)
+    lhs = dist + int_dv
+    slope, intercept = np.polyfit(t, np.log(lhs), 1)
+    return t, dist, int_dv, lhs, float(np.exp(intercept) / dist[0]), float(slope)
 
 
 def random_field(grid, rng=RNG):
@@ -450,6 +474,19 @@ class TestRunningIntegral:
 
 
 class TestComparison:
+    @pytest.mark.parametrize("stride", [1, 10])
+    def test_same_bits_as_lockstep_flows(self, grid, basis, params, stride):
+        assert params.n_steps % 10 == 2   # stride 10 leaves a last row of 2 steps
+        u10 = sw.normalize_sphere(grid, sw.sine_field(grid, 1, 1)
+                                  + sw.sine_field(grid, 2, 2, 0.1))
+        u20 = sw.normalize_sphere(grid, u10 + 1e-2 * smooth_perturbation(
+            grid, np.random.default_rng(4)))
+        comp = sw.comparison_experiment(u10, u20, params, basis, stride=stride)
+        t, dist, int_dv, lhs, c1, c2 = comparison_oracle(u10, u20, params, basis, stride)
+        for got, want in ((comp.t, t), (comp.dist_h1_sq, dist), (comp.int_dv_sq, int_dv),
+                          (comp.lhs, lhs), (comp.c1, c1), (comp.c2, c2)):
+            assert np.array_equal(got, want)
+
     def test_identical_initial_data(self, grid, basis, params):
         u0 = sw.normalize_sphere(grid, sw.sine_field(grid, 1, 1)
                                  + sw.sine_field(grid, 2, 2, 0.1))

@@ -296,6 +296,11 @@ class TestRunStudy:
         tc = trend_check(res)
         assert set(tc) == {"mean_errors", "strictly_decreasing", "decay_factor", "passed"}
 
+    def test_trend_check_refuses_one_level(self, small_result):
+        # one mean is trivially "strictly decreasing" with decay factor 1
+        with pytest.raises(sw.ParameterError, match="at least two mass levels, got 1"):
+            trend_check(replace(small_result, levels=small_result.levels[:1]))
+
 
 class TestScaling:
     def test_alpha_above_half_targets_parabolic(self):
