@@ -21,7 +21,7 @@ equilibrium tests of the wave and limit solvers into exact identities.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from importlib.machinery import EXTENSION_SUFFIXES
 from importlib.util import find_spec, module_from_spec, spec_from_file_location
 from math import ceil, inf
@@ -142,6 +142,12 @@ def check_output_grid(T: float, n_out: int) -> None:
         raise ParameterError(f"need at least one output row, got n_out={n_out}")
 
 
+def _check_friction(gamma: float) -> None:
+    """Refuse a friction gamma that is not positive and finite."""
+    if not 0.0 < gamma < inf:
+        raise ParameterError(f"friction must be positive and finite, got {gamma}")
+
+
 def fitted_step(dt_max: float, T: float, n_out: int) -> float:
     """The step T / n_steps, with n_steps >= T / dt_max rounded up to a multiple of n_out."""
     check_output_grid(T, n_out)
@@ -202,26 +208,32 @@ def field_from_modes(grid: Grid1D, modes) -> np.ndarray:
     return f
 
 
+# the package's two contractions, bound once: sum_ij f_ij g_ij per field (or row) and
+# f.g per node, of (..., 3, n) arrays; as partials, a call adds no Python frame
+_inner_sum = partial(c_einsum, "...ij,...ij->...")
+_node_dot = partial(c_einsum, "...ij,...ij->...j")
+
+
 def inner_l2(grid: Grid1D, f: np.ndarray, g: np.ndarray) -> float:
     """Trapezoidal L^2 inner product; boundary nodes contribute zero."""
     f = _check_field(grid, f)
     g = _check_field(grid, g)
-    return grid.h * float(c_einsum("ij,ij->", f, g))
+    return grid.h * float(_inner_sum(f, g))
 
 
 def inner_each(grid: Grid1D, f: np.ndarray, g: np.ndarray) -> np.ndarray:
     """inner_l2 of each pair of fields in two blocks (..., 3, n); shape (...)."""
-    return grid.h * c_einsum("...ij,...ij->...", f, g)
+    return grid.h * _inner_sum(f, g)
 
 
 def pointwise_dot(f: np.ndarray, g: np.ndarray) -> np.ndarray:
     """f.g at every node of fields or blocks (..., 3, n), as rows (..., 1, n)."""
-    return c_einsum("...ij,...ij->...j", f, g)[..., None, :]
+    return _node_dot(f, g)[..., None, :]
 
 
 def norm_l2_sq(grid: Grid1D, f: np.ndarray) -> float:
     f = _check_field(grid, f)
-    return grid.h * float(c_einsum("ij,ij->", f, f))
+    return grid.h * float(_inner_sum(f, f))
 
 
 def norm_l2(grid: Grid1D, f: np.ndarray) -> float:
@@ -318,18 +330,23 @@ def sobolev_norm(grid: Grid1D, f: np.ndarray, delta: float) -> float:
     return float(weighted_norm(grid, spectral_weights(grid, delta), coeffs))
 
 
-# component c of f x g is f_I[c] g_J[c] - f_J[c] g_I[c]
-_I, _J = [1, 2, 0], [2, 0, 1]
+# component c of f x g is f[I[c]] g[J[c]] - f[J[c]] g[I[c]], I = (1, 2, 0) and
+# J = (2, 0, 1): f taken at I + J times g at J + I holds both products
+_F_ROWS, _G_ROWS = np.array([1, 2, 0, 2, 0, 1]), np.array([2, 0, 1, 1, 2, 0])
+
+
+def _cross_into(f, g, out, pairs_f, pairs_g) -> np.ndarray:
+    """f x g of (..., 3, n) arrays into `out` via (..., 6, n) buffers; np.cross's roundoff."""
+    f.take(_F_ROWS, axis=-2, out=pairs_f, mode="wrap")
+    g.take(_G_ROWS, axis=-2, out=pairs_g, mode="wrap")
+    np.multiply(pairs_f, pairs_g, out=pairs_f)
+    return np.subtract(pairs_f[..., :3, :], pairs_f[..., 3:, :], out=out)
 
 
 def cross(f: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Pointwise f x g of fields or blocks (..., 3, n) (the same roundoff as np.cross).
-
-    The component rows are gathered with np.take, numpy's fast path for
-    f[..., _I, :].
-    """
-    return (np.take(f, _I, axis=-2) * np.take(g, _J, axis=-2)
-            - np.take(f, _J, axis=-2) * np.take(g, _I, axis=-2))
+    """Pointwise f x g of two fields or blocks (..., 3, n) of one shape."""
+    pairs = np.empty((2,) + f.shape[:-2] + (6, f.shape[-1]))
+    return _cross_into(f, g, np.empty(f.shape), *pairs)
 
 
 def triple_cross(h: np.ndarray, k: np.ndarray) -> np.ndarray:
@@ -381,7 +398,6 @@ class HelmholtzSolver:
     def __init__(self, grid: Grid1D, c0: float, c2: float):
         if c0 <= 0 or c2 < 0:
             raise ParameterError(f"need c0 > 0 and c2 >= 0, got c0={c0}, c2={c2}")
-        self.grid = grid
         h2 = grid.h ** 2
         self._d, self._e, info = _pttrf(np.full(grid.n, c0 + 2.0 * c2 / h2),
                                         np.full(grid.n - 1, -c2 / h2))

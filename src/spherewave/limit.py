@@ -48,9 +48,11 @@ from .errors import BlowUpError, DegenerateFieldError, ParameterError
 from .fields import (
     Grid1D,
     _check_field,
+    _check_friction,
     _dst,
+    _inner_sum,
     _laplacian_into,
-    c_einsum,
+    _node_dot,
     eigenvalue,
     eigenvalues,
     fitted_step,
@@ -88,7 +90,6 @@ _RELAXATION_STEPS = 200
 _CONTOUR_POINTS = 32
 # largest |A_h u0|_H accepted as initial data
 _H2_CAP = 1.0e6
-_DOT = "...ij,...ij->...j"   # pointwise_dot's contraction
 
 
 @dataclass(frozen=True)
@@ -107,8 +108,7 @@ class LimitParams:
     gamma: float = 1.0
 
     def __post_init__(self):
-        if not 0.0 < self.gamma < inf:
-            raise ParameterError(f"friction must be positive and finite, got {self.gamma}")
+        _check_friction(self.gamma)
         step_count(self.dt, self.T)
 
     @property
@@ -142,11 +142,11 @@ def _mobility_solve(u, r, gamma, half_phi, half_phi_gamma, out, row) -> None:
     pointwise dots.
     """
     dot = row[0]
-    c_einsum(_DOT, u, r, out=dot)
+    _node_dot(u, r, out=dot)
     np.multiply(half_phi_gamma, row, out=row)
     np.multiply(row, u, out=out)
     np.add(r, out, out=out)
-    c_einsum(_DOT, u, u, out=dot)
+    _node_dot(u, u, out=dot)
     np.multiply(half_phi, row, out=row)
     np.add(gamma, row, out=row)
     np.divide(out, row, out=out)
@@ -176,12 +176,12 @@ class _Velocity:
         self.lap, self._r, self._row = np.empty((3, n)), np.empty((3, n)), np.empty((1, n))
 
     def norm_sq(self, f: np.ndarray) -> float:
-        return self.h * float(c_einsum("ij,ij->", f, f))
+        return self.h * float(_inner_sum(f, f))
 
     def into(self, u: np.ndarray, ut: np.ndarray) -> float:
         """Write du/dt into `ut` and A_h u into `lap`; return |u|_{H1}^2."""
         lap = _laplacian_into(u, self.lap, self._h_sq)
-        h1 = -(self.h * float(c_einsum("ij,ij->", lap, u)))   # -inner_l2(lap, u)
+        h1 = -(self.h * float(_inner_sum(lap, u)))   # -inner_l2(lap, u)
         r = self._r
         np.multiply(h1, u, out=r)
         np.add(lap, r, out=r)
@@ -313,7 +313,7 @@ class _Etd2Flow:
         self.velocity = _Velocity(params, basis)
         self.u = _repair_initial(params.grid, u0)
         shape = self.u.shape
-        self.ut = self._ut = np.empty(shape)
+        self.ut = np.empty(shape)
         self.lap = self.velocity.lap
         self.h1 = self.velocity.into(self.u, self.ut)
         self.ut_sq = self.velocity.norm_sq(self.ut)
@@ -326,11 +326,11 @@ class _Etd2Flow:
 
     def advance(self) -> None:
         velocity, pair, spectra, a, pa = self.velocity, self._pair, self._spectra, self._a, self._pa
-        gamma, ut, lap = velocity.gamma, self._ut, velocity.lap
+        gamma, ut, lap = velocity.gamma, self.ut, self.lap
         u, n0 = pair
         u[...] = self.u
-        np.divide(self.lap, gamma, out=n0)
-        np.subtract(self.ut, n0, out=n0)
+        np.divide(lap, gamma, out=n0)
+        np.subtract(ut, n0, out=n0)
         # orthonormal DST-I, as dst_ortho: of u and N(u) in one call
         first, second = spectra
         _dst(pair, 1, (2,), 1, spectra, 1, None)
@@ -356,7 +356,6 @@ class _Etd2Flow:
             raise BlowUpError(self.steps + 1)
         self.u = u_star / nrm
         self.h1 = velocity.into(self.u, ut)
-        self.ut, self.lap = ut, lap
         self.ut_sq = velocity.norm_sq(ut)
         self.int_ut_sq = self._quadrature.add(self.ut_sq)
         self.defect = abs(nrm - 1.0)

@@ -52,7 +52,6 @@ are evaluated by RemainderIdentity from those accumulators.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import inf
 
 import numpy as np
 
@@ -60,8 +59,11 @@ from .errors import BlowUpError, ParameterError, ShapeError
 from .fields import (
     Grid1D,
     HelmholtzSolver,
+    _check_friction,
+    _cross_into,
+    _inner_sum,
     _laplacian_into,
-    c_einsum,
+    _node_dot,
     check_output_grid,
     fitted_step,
     inner_each,
@@ -123,9 +125,8 @@ class SpdeParams:
 
     def __post_init__(self):
         _check_mass(self.mu)
-        if not 0.0 < self.gamma < inf:
-            raise ParameterError(f"friction must be positive and finite, got {self.gamma}")
-        if not 0.0 <= self.alpha < inf:
+        _check_friction(self.gamma)
+        if not 0.0 <= self.alpha < np.inf:
             raise ParameterError(f"noise exponent must be nonnegative and finite, got {self.alpha}")
         bound = CFL_LIMIT * np.sqrt(self.mu) * self.grid.h
         if self.dt > bound * (1.0 + 1e-12):
@@ -201,13 +202,6 @@ def _diagnostics(params: SpdeParams, u: np.ndarray, v: np.ndarray, acc_v2) -> di
     }
 
 
-# the contractions of inner_each and pointwise_dot
-_INNER, _DOT = "...ij,...ij->...", "...ij,...ij->...j"
-# component c of f x g is f[I[c]] g[J[c]] - f[J[c]] g[I[c]] (fields.cross): f taken
-# at I + J times g at J + I holds both products
-_F_ROWS, _G_ROWS = np.array([1, 2, 0, 2, 0, 1]), np.array([2, 0, 1, 1, 2, 0])
-
-
 class SpdeStepper:
     """Prefactored semi-implicit Euler-Maruyama engine for a block of samples.
 
@@ -236,10 +230,10 @@ class SpdeStepper:
     (`lap`), u.u, u.v and |u|_{H1}^2 u into them; `_drift`, `_kick` and
     `_integrands` read them with the float operations of the public helpers
     (laplacian, inner_each, pointwise_dot, strat_correction, noise_field),
-    in their order, calling c_einsum and ndarray.take directly and checking
-    no shapes.  u, v, h1, vh2 and acc_noise are new arrays each step, so a
-    caller's reference keeps its values; the buffers are overwritten.  The
-    whole step runs under one np.errstate, as do `run` with its rows and the
+    in their order, through the kernels of fields, and checking no shapes.
+    u, v, h1, vh2 and acc_noise are new arrays each step, so a caller's
+    reference keeps its values; the buffers are overwritten.  The whole step
+    runs under one np.errstate, as do `run` with its rows and the
     `remainder` read: a huge but finite sample may overflow there, and it is
     recorded as a blow-up, not warned about.
 
@@ -289,7 +283,6 @@ class SpdeStepper:
         self._uu_flat, self._uv_flat, self._row_flat = (
             self._uu[:, 0], self._uv[:, 0], self._row[:, 0])
         self._pairs_f, self._pairs_g = np.empty((size, 6, n)), np.empty((size, 6, n))
-        self._pairs_plus, self._pairs_minus = self._pairs_f[:, :3], self._pairs_f[:, 3:]
         # the noise sums: columns (S, n, 1), read as rows (S, 1, n)
         self._noise_sums = np.empty((size, n, 1))
         self._noise_rows = self._noise_sums.reshape(size, 1, n)
@@ -326,10 +319,10 @@ class SpdeStepper:
         self.u, self.v = u, v
         lap = _laplacian_into(u, self.lap, self._h_sq)
         # -inner_each(lap, u), with the sign on h: -(h x) is (-h) x
-        self.h1 = h1 = self._neg_h * c_einsum(_INNER, lap, u)
-        self.vh2 = vh2 = self._h * c_einsum(_INNER, v, v)
-        c_einsum(_DOT, u, u, out=self._uu_flat)
-        c_einsum(_DOT, u, v, out=self._uv_flat)
+        self.h1 = h1 = self._neg_h * _inner_sum(lap, u)
+        self.vh2 = vh2 = self._h * _inner_sum(v, v)
+        _node_dot(u, u, out=self._uu_flat)
+        _node_dot(u, v, out=self._uv_flat)
         self._h1b, self._vh2b = h1[:, None, None], vh2[:, None, None]
         np.multiply(self._h1b, u, out=self._hu)
 
@@ -358,25 +351,21 @@ class SpdeStepper:
         per field; a block gemm would round differently.
         """
         np.matmul(self._xi_t, dw[..., None], out=self._noise_sums)
-        u.take(_F_ROWS, axis=-2, out=self._pairs_f, mode="wrap")
-        v.take(_G_ROWS, axis=-2, out=self._pairs_g, mode="wrap")
-        np.multiply(self._pairs_f, self._pairs_g, out=self._pairs_f)
-        np.subtract(self._pairs_plus, self._pairs_minus, out=self._cross)
-        np.multiply(self._cross, self._noise_rows, out=self._cross)
-        return self._cross
+        kick = _cross_into(u, v, self._cross, self._pairs_f, self._pairs_g)
+        return np.multiply(kick, self._noise_rows, out=kick)
 
     def _integrands(self, u: np.ndarray, v: np.ndarray) -> None:
         """The remainder's pointwise integrands of the bound state, into `_last`."""
         ian, icd, j2, j3, j4, j5 = self._last_rows
         row = self._row
         np.add(self._hu, self.lap, out=ian)
-        c_einsum(_DOT, self.lap, u, out=self._row_flat)
+        _node_dot(self.lap, u, out=self._row_flat)
         np.multiply(self._h1b, self._uu, out=self._row2)
         np.add(row, self._row2, out=row)
         np.multiply(row, u, out=icd)
         np.multiply(self._vh2b, u, out=j2)
         np.multiply(self._uv, v, out=j3)
-        c_einsum(_DOT, v, v, out=self._row_flat)
+        _node_dot(v, v, out=self._row_flat)
         np.multiply(row, u, out=j4)
         np.multiply(self._vh2b, self._uu, out=row)
         np.multiply(row, u, out=j5)
@@ -408,11 +397,11 @@ class SpdeStepper:
                 self.acc_noise = np.add(self.acc_noise, tmp)
             np.multiply(self._dt, v_star, out=tmp)
             u_new = np.add(u, tmp)
-            norm = np.sqrt(h * c_einsum(_INNER, u_new, u_new))
+            norm = np.sqrt(h * _inner_sum(u_new, u_new))
             if self._projection:
                 np.divide(u_new, norm[:, None, None], out=u_new)
-                dot = h * c_einsum(_INNER, u_new, v_star)
-                tangent = dot / (h * c_einsum(_INNER, u_new, u_new))
+                dot = h * _inner_sum(u_new, v_star)
+                tangent = dot / (h * _inner_sum(u_new, u_new))
                 np.multiply(tangent[:, None, None], u_new, out=tmp)
                 v_new = np.subtract(v_star, tmp)
                 # <u*, v*>_H = |u*|_H <u, v*>_H
@@ -420,7 +409,7 @@ class SpdeStepper:
             else:
                 # without a kick v* is still the solve's buffer, and the state is a new array
                 v_new = rhs.copy() if v_star is rhs else v_star
-                tangent_defect = np.abs(h * c_einsum(_INNER, u_new, v_star))
+                tangent_defect = np.abs(h * _inner_sum(u_new, v_star))
             np.maximum(self.norm_defect, np.abs(norm - 1.0), out=self.norm_defect)
             np.maximum(self.tangent_defect, tangent_defect, out=self.tangent_defect)
             self.step_index += 1
@@ -553,9 +542,7 @@ class RemainderIdentity:
         grid, mu, c = self.params.grid, self.params.mu, self.c
         uu, uv = dots if dots is not None else (pointwise_dot(u, u), pointwise_dot(u, v))
         norms = np.empty(u.shape[:-2] + (6,))
-        uv_n, uu_n = uv[..., 0, :], uu[..., 0, :]
-        norms[..., 0] = c * np.sqrt(grid.h * c_einsum("...j,...j->...", self.phi_sq * uv_n,
-                                                      uv_n * uu_n))
+        norms[..., 0] = c * np.sqrt(grid.h * _inner_sum(self.phi_sq * uv, uv * uu))
         norms[..., 1] = mu * np.sqrt(inner_each(grid, acc["j2"], acc["j2"]))
         for i, key in enumerate(("j3", "j4", "j5"), start=2):
             norms[..., i] = c * weighted_norm(grid, self.phi_sq, acc[key])

@@ -246,7 +246,6 @@ class _TargetRows:
         self._buffer = context.RawArray("d", int(np.prod(shape)))
         self._counts = context.RawArray("i", shape[0])
         self._ready = context.Condition()
-        self._seen = [0] * shape[0]   # rows of each target this process knows are published
 
     def _fields(self, k: int) -> np.ndarray:
         return np.frombuffer(self._buffer).reshape(self.shape)[k]
@@ -267,13 +266,11 @@ class _TargetRows:
 
     def row(self, k: int, r: int) -> np.ndarray:
         """Row r of target k, waiting until it is published."""
-        if r >= self._seen[k]:
-            with self._ready:
-                self._ready.wait_for(lambda: not 0 <= self._counts[k] <= r)
-                count = self._counts[k]
-            if count < 0:
-                raise RuntimeError(f"limit target {k} failed")
-            self._seen[k] = count
+        with self._ready:
+            self._ready.wait_for(lambda: not 0 <= self._counts[k] <= r)
+            count = self._counts[k]
+        if count < 0:
+            raise RuntimeError(f"limit target {k} failed")
         return self._fields(k)[r]
 
 
@@ -338,7 +335,7 @@ def _increments(config: StudyConfig, params: SpdeParams, samples: range,
 
 
 def _run_block(config: StudyConfig, params: SpdeParams, targets: tuple, mu_index: int,
-               samples: range, stream: int = 0, draws_per_step: int = 1) -> tuple[list, dict]:
+               samples: range, stream: int, draws_per_step: int) -> tuple[list, dict]:
     """Step one block of a mass level and reduce it to one SampleRow per sample.
 
     The noise basis and the initial data are the config's, on the grid of
@@ -419,8 +416,8 @@ def check_workers(workers: int) -> None:
 def _run(config: StudyConfig, targets: tuple, blocks: list, workers: int) -> tuple[int, list]:
     """Solve the targets and run the blocks: (limit steps, each block's result).
 
-    Each block is (params, mass index, samples), optionally followed by the
-    stream and the draws per step (see _run_block), and its result is
+    Each block is (params, mass index, samples, stream, draws per step), and
+    blocks of other lengths raise ValueError before any job runs; its result is
     (rows, work counters and blow-ups), returned in the order of `blocks`.
     The blocks, costliest first, are the only jobs: with more than one
     worker (fewer than one is refused) they go to a pool of at most one
@@ -434,7 +431,7 @@ def _run(config: StudyConfig, targets: tuple, blocks: list, workers: int) -> tup
     check_workers(workers)
     order = sorted(range(len(blocks)),
                    key=lambda b: -blocks[b][0].n_steps * len(blocks[b][2]))
-    columns = zip(*[(config, blocks[b][0], targets) + blocks[b][1:] for b in order])
+    columns = zip(*[(config, blocks[b][0], targets) + blocks[b][1:] for b in order], strict=True)
     context = multiprocessing.get_context()
     rows = _TargetRows(context, (len(targets), config.n_out + 1, 3, config.n))
     _attach(rows)
@@ -470,7 +467,7 @@ def run_study(config: StudyConfig, *, target: str = "auto", extra_targets=(),
     """
     primary, names = _resolve_targets(config, target, extra_targets)
     params = [config.spde_params(mu) for mu in config.mu_values]
-    blocks = [(params[i], i, samples) for i, samples in _blocks(config)]
+    blocks = [(params[i], i, samples, 0, 1) for i, samples in _blocks(config)]
     limit_steps, done = _run(config, names, blocks, workers)
     rows = sorted((row for block_rows, _ in done for row in block_rows),
                   key=lambda row: (row.mu_index, row.sample))

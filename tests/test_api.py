@@ -1,6 +1,6 @@
 """Every public name a module exports resolves; every name a module imports is used;
-every keyword-only option is set by some caller; only fields applies A_h; each solver
-has one stepping loop."""
+every keyword-only option is set by some caller; only fields applies A_h, contracts
+and crosses fields; each solver has one stepping loop."""
 
 import ast
 import importlib
@@ -169,6 +169,33 @@ def test_second_difference_has_one_owner():
                     and any(_whole_axes(a) and _neighbour_slice(b)
                             for a, b in zip(node.slice.elts, node.slice.elts[1:]))]
     assert not shifted, f"node rows shifted outside fields: {shifted}"
+
+
+def _component_gather(call: ast.Call) -> bool:
+    # a take along the component axis: x.take(rows, axis=-2) or np.take(x, rows, axis=-2)
+    if _call_name(call) != "take":
+        return False
+    axes = [kw.value for kw in call.keywords if kw.arg == "axis"] + call.args[2:3]
+    return any(_bound(axis) == -2 for axis in axes)
+
+
+def test_contractions_have_one_owner():
+    # fields decides how a field is summed or crossed, so the float order
+    # behind the 1e-12 gates is written once: no other module names numpy's
+    # C einsum or gathers component rows for a cross product
+    stray = []
+    for name in MODULES:
+        if name == "fields":
+            continue
+        tree = ast.parse(Path(spherewave.__path__[0], f"{name}.py").read_text())
+        for node in ast.walk(tree):
+            names = ({node.id} if isinstance(node, ast.Name)
+                     else {node.attr} if isinstance(node, ast.Attribute)
+                     else {alias.name for alias in node.names}
+                     if isinstance(node, ast.ImportFrom) else set())
+            if "c_einsum" in names or isinstance(node, ast.Call) and _component_gather(node):
+                stray.append(f"{name}.py:{node.lineno}: {ast.unparse(node)}")
+    assert not stray, f"contractions or component gathers outside fields: {stray}"
 
 
 # the one caller of each stepping call in the package: limit_rows builds and

@@ -1,7 +1,8 @@
 """Grid, quadrature, difference operators, spectrum, and vector algebra."""
 
+import ast
 import pickle
-import re
+from functools import partial
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -256,27 +257,39 @@ class TestSpectrum:
             assert np.array_equal(f, before)
 
     def test_c_einsum_matches_numpy_einsum(self, grid):
-        # the package calls numpy's C einsum directly; a numpy upgrade that
-        # changes it must fail here, not shift every output by roundoff
-        source = "".join(p.read_text() for p in Path(sw.__file__).parent.glob("*.py"))
-        subscripts = set(re.findall(r'c_einsum\("([^"]+)"', source))
-        assert {"ij,ij->", "...ij,...ij->...", "...ij,...ij->...j"} <= subscripts
+        # the package calls numpy's C einsum directly, from fields alone
+        # (tests/test_api.py); a numpy upgrade that changes it must fail here,
+        # not shift every output by roundoff.  Every subscript fields sends
+        # through it, bound once or written at a call, is pinned, with and
+        # without out=
+        bound = {name: kernel for name, kernel in vars(fields).items()
+                 if isinstance(kernel, partial) and kernel.func is c_einsum}
+        assert sorted(bound) == ["_inner_sum", "_node_dot"]
+        tree = ast.parse(Path(fields.__file__).read_text())
+        written = [call.args[0].value for call in ast.walk(tree) if isinstance(call, ast.Call)
+                   and isinstance(call.func, ast.Name) and call.func.id == "c_einsum"]
+        kernels = [(kernel.args[0], kernel) for kernel in bound.values()]
+        kernels += [(spec, partial(c_einsum, spec)) for spec in written]
+        assert sorted(spec for spec, _ in kernels) == [
+            "...ij,...ij->...", "...ij,...ij->...j", "k,...dk,...dk->..."]
         rng = np.random.default_rng(8)
         blocks = [rng.standard_normal(shape) for shape in
-                  ((3, grid.n), (16, 3, grid.n), (64, 3, grid.n))]
+                  ((3, grid.n), (16, 3, grid.n), (64, 3, grid.n), (16, 1, grid.n))]
         blocks += [rng.standard_normal((grid.n, 3)).T,
                    rng.standard_normal((16, grid.n, 3)).transpose(0, 2, 1)]
         weights = rng.random(grid.n)
-        for spec in sorted(subscripts):
+        for spec, kernel in kernels:
             terms = spec.split("->")[0].split(",")
             for f in blocks:
-                if f.ndim > 2 and "..." not in spec:
-                    continue
                 g = rng.standard_normal(f.shape)
                 for pair in ((f, g), (f, f)):
                     it = iter(pair)
                     ops = [weights if len(t) == 1 else next(it) for t in terms]
-                    assert np.array_equal(c_einsum(spec, *ops), np.einsum(spec, *ops)), spec
+                    expected = np.einsum(spec, *ops)
+                    out = np.empty(np.shape(expected))   # the solvers' path
+                    kernel(*ops, out=out)
+                    assert np.array_equal(kernel(*ops), expected), spec
+                    assert np.array_equal(out, expected), spec
 
     def test_roundtrip(self, grid):
         f = random_field(grid)

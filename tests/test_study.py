@@ -627,9 +627,10 @@ class TestTargetJobs:
         # unprojected, every sample of both levels blows up; a pool of 2
         # pickles each block's errors back, stamped with the block's level
         config = StudyConfig(mu_values=(0.05, 0.025), ensemble=2, projection=False)
-        blocks = [(config.spde_params(mu), i, range(2)) for i, mu in enumerate(config.mu_values)]
+        blocks = [(config.spde_params(mu), i, range(2), 0, 1)
+                  for i, mu in enumerate(config.mu_values)]
         _, done = _run(config, ("corrected",), blocks, workers=2)
-        for (_, mu_index, _), (rows, work) in zip(blocks, done):
+        for (_, mu_index, *_), (rows, work) in zip(blocks, done):
             assert sorted(err.sample for err in work["lost"]) == [0, 1]
             for err in work["lost"]:
                 assert type(err) is sw.BlowUpError and err.mu_index == mu_index
@@ -713,15 +714,28 @@ class TestTargetJobs:
     def test_results_come_back_in_the_callers_order(self, small_config):
         # two blocks, cheapest first: the driver runs the costlier one first
         # and must still hand back the cheap block's result first
-        blocks = [(small_config.spde_params(mu), i, range(1))
+        blocks = [(small_config.spde_params(mu), i, range(1), 0, 1)
                   for i, mu in enumerate(small_config.mu_values)]
         assert blocks[0][0].n_steps < blocks[1][0].n_steps
         limit_steps, results = _run(small_config, ("corrected",), blocks, workers=1)
         assert limit_steps == sw.LimitParams.auto(small_config.grid(), small_config.T,
                                                   n_out=small_config.n_out).n_steps
         assert len(results) == 2
-        for (params, mu_index, _), (rows, _) in zip(blocks, results):
+        for (params, mu_index, *_), (rows, _) in zip(blocks, results):
             assert [(row.mu_index, row.dt) for row in rows] == [(mu_index, params.dt)]
+
+    def test_mixed_block_lengths_are_refused(self, small_config, monkeypatch):
+        # a block without its stream and draws per step would be cut to the
+        # shortest block's length by the transpose, and run on the study's
+        # stream: the list is refused before any job or target runs
+        ran = []
+        monkeypatch.setattr(study_module, "_run_block", lambda *args: ran.append(args))
+        monkeypatch.setattr(study_module, "_solve_targets", lambda *args: ran.append(args))
+        params = small_config.spde_params(small_config.mu_values[0])
+        blocks = [(params, 0, range(1), REFINEMENT_STREAM, 2), (params, 0, range(1))]
+        with pytest.raises(ValueError, match="zip"):
+            _run(small_config, ("corrected",), blocks, workers=1)
+        assert ran == []
 
     def test_closing_fails_every_unfinished_target(self):
         # when target 0 fails, a block may already wait on a row of target 1
