@@ -51,7 +51,7 @@ def main():
     print(f"\nwith per-step projection: sup |theta| = {np.abs(traj.theta).max():.2e},"
           f" sup |eta| = {np.abs(traj.eta).max():.2e}")
 
-    energy0 = sw.SpdeStepper(params, basis, u0, v0).energy()[0]
+    energy0 = sw.SpdeStepper(params, basis, u0, v0).energy()
     print(f"\nenergy at t=0 reproduces |u0|_H1^2 + mu |v0|_H^2:"
           f" {energy0:.6f} vs"
           f" {sw.h1_seminorm_sq(grid, u0) + mu * sw.norm_l2_sq(grid, v0):.6f}")

@@ -19,7 +19,7 @@ def main():
     print(f"\n{'mu':>8} {'mean error':>12} {'std':>10} {'failures':>9}")
     for lev in result.levels:
         print(f"{lev.mu:8.3f} {lev.mean_errors['corrected']:12.4f} "
-              f"{lev.std_errors['corrected']:10.4f} {lev.failures:9d}")
+              f"{lev.std_devs['corrected']:10.4f} {lev.failures:9d}")
 
     tc = trend_check(result)
     print(f"\nstrictly decreasing: {tc['strictly_decreasing']}")

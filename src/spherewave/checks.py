@@ -275,7 +275,7 @@ def _check_equilibrium(rng, mutate: bool) -> tuple[bool, str]:
     u0 = normalize_sphere(grid, sine_field(grid, 3, 2))
     params = SpdeParams(grid=grid, mu=0.1, dt=1e-4, T=1e-3)
     stepper = SpdeStepper(params, _wave_basis(basis, mutate), u0, zero_field(grid))
-    increments = np.sqrt(params.dt) * rng.standard_normal((params.n_steps, 1, basis.m))
+    increments = np.sqrt(params.dt) * rng.standard_normal((params.n_steps, basis.m))
     drifts = []   # |u - u0| and |v| at every step, from the start (0 and 0)
     stepper.run(increments, range(params.n_steps + 1), lambda _r: drifts.extend(
         (float(np.abs(stepper.u - u0).max()), float(np.abs(stepper.v).max()))))

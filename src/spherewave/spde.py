@@ -15,7 +15,9 @@ nonlinearities, the trace correction, and the noise are explicit.
 SpdeStepper is a batched engine: it advances a block of S independent
 samples held as C-ordered (S, 3, n) arrays (the layout of fields.py), with
 one tridiagonal LDL^T solve on all 3S node rows per step, in place.  A
-single trajectory (simulate) is the block S = 1.  The engine holds the
+single trajectory (simulate) is one field (3, n), stepped as a field by
+the same step, with numpy scalars for its norms and sups, and the numbers
+of the same sample in any block.  The engine holds the
 step's constants and buffers for its intermediates, built with it, and
 its step takes the float operations of the public helpers in their
 order.  Every operation acts on each sample separately, so a
@@ -32,7 +34,7 @@ Structure diagnostics: the pathwise energy
 is conserved by the continuous dynamics; the tangent-bundle residuals
 theta = (|u|_H^2 - 1)/2 and eta = <u, v>_H vanish identically on it.  One
 function evaluates both, with the norms of DIAGNOSTICS, on any stack of
-states (SpdeStepper.diagnostics on the block, simulate on a chunk of rows).
+states (SpdeStepper.diagnostics on its state, simulate on a chunk of rows).
 Every engine accumulates the integrals of the integrated identity used in
 the small-mass comparison: six trapezoid integrals (REMAINDER_KEYS), kept as
 left sums of their integrands with one add per step and given their end
@@ -51,7 +53,9 @@ are evaluated by RemainderIdentity from those accumulators.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -202,8 +206,27 @@ def _diagnostics(params: SpdeParams, u: np.ndarray, v: np.ndarray, acc_v2) -> di
     }
 
 
+# a block's per-sample values (S,) as (S, 1, 1) views that broadcast over its fields
+_sample_view = itemgetter((slice(None), None, None))
+
+
+def _same(x):
+    """A field's per-trajectory scalar, which broadcasts over the field as it is."""
+    return x
+
+
+def _scalar_max(sup, x):
+    """np.maximum of two scalars: a NaN in either is the result."""
+    return sup if sup >= x or sup != sup else x
+
+
+def _all_finite(x: np.ndarray) -> bool:
+    """Whether every value of a block's (S,) array is finite, in two C calls."""
+    return np.logical_and.reduce(np.isfinite(x))
+
+
 class SpdeStepper:
-    """Prefactored semi-implicit Euler-Maruyama engine for a block of samples.
+    """Prefactored semi-implicit Euler-Maruyama engine for one field or a block of samples.
 
     One step: (1) form the drift A_h u + N(u, v), N the explicit nonlinear
     force plus the halved trace correction, and solve (I + (gamma dt/mu) I
@@ -222,25 +245,32 @@ class SpdeStepper:
     engine keeps those accumulators, and `identity` evaluates the remainder
     from them.
 
-    Built with the block, the engine holds what a run never changes (h, -h,
+    Built with its state, the engine holds what a run never changes (h, -h,
     h^2, dt, dt / 2, dt / mu, mu, the correction weight 0.5 mu^(2a-1), the
     kick and Ito-sum scales mu^(a-1) and mu^a, phi, xi^T, whether the basis
     is silent, whether the step projects) and buffers for the step's
-    intermediates.  `_bind` makes a state the block's and reads its A_h u
+    intermediates.  `_bind` makes a state the engine's and reads its A_h u
     (`lap`), u.u, u.v and |u|_{H1}^2 u into them; `_drift`, `_kick` and
     `_integrands` read them with the float operations of the public helpers
     (laplacian, inner_each, pointwise_dot, strat_correction, noise_field),
     in their order, through the kernels of fields, and checking no shapes.
-    u, v, h1, vh2 and acc_noise are new arrays each step, so a caller's
+    u, v, h1, vh2, the sups and acc_noise are new each step, so a caller's
     reference keeps its values; the buffers are overwritten.  The whole step
     runs under one np.errstate, as do `run` with its rows and the
     `remainder` read: a huge but finite sample may overflow there, and it is
     recorded as a blow-up, not warned about.
 
-    u0 and v0 are one field (3, n) or a block (S, 3, n).  Block arrays have
-    shape (S, 3, n) in C order, per-sample scalars shape (S,); `samples`
-    labels the block's samples (0..S-1 by default).  The block keeps its
-    shape: `alive` marks the samples that have not blown up.  A sample is
+    u0 and v0 are one field (3, n) or a block (S, 3, n), S >= 1, and the
+    engine keeps their rank.  A field's state, buffers and accumulators are
+    (3, n), its per-trajectory values (h1, vh2, acc_v2, norm_defect,
+    tangent_defect, energy(), the residual of remainder_norms()) numpy
+    scalars, and its increments (m,).  A block's arrays are (S, 3, n) in C
+    order, its per-sample values (S,), its increments (S, m).  The few
+    operations that differ, the broadcast view of a per-sample value, the
+    running sups and the all-finite test, are chosen here, once; past that
+    test, losing a field reads it as the block (1, 3, n).  `samples` labels
+    the samples (0..S-1 by default, (0,) for a field), and `alive` (S,)
+    marks those that have not blown up.  A sample is
     lost at the first step whose new state has non-finite norms, which any
     non-finite field also gives; its fields are NaN from that step on, and
     its BlowUpError carries BLOWUP_DIAGNOSTICS of the state before the
@@ -255,13 +285,16 @@ class SpdeStepper:
         grid = params.grid
         check_grid(basis, grid)
         # C order throughout: a reduction's summation order follows the layout
-        u0 = np.array(u0, dtype=float, order="C", ndmin=3)
-        v0 = np.array(v0, dtype=float, order="C", ndmin=3)
-        if u0.ndim != 3 or u0.shape[1:] != (3, grid.n) or v0.shape != u0.shape:
+        u0 = np.array(u0, dtype=float, order="C")
+        v0 = np.array(v0, dtype=float, order="C")
+        if u0.ndim not in (2, 3) or u0.shape[-2:] != (3, grid.n) or v0.shape != u0.shape:
             raise ShapeError(f"initial fields must have shape (3, {grid.n}) or (S, 3, {grid.n}),"
                              f" got {u0.shape} and {v0.shape}")
-        self.samples = np.arange(len(u0)) if samples is None else np.array(samples)
-        if self.samples.shape != (len(u0),):
+        # () for a field, (S,) for a block: the shape of a per-sample value
+        each = u0.shape[:-2]
+        size, n = (len(u0) if each else 1), grid.n
+        self.samples = np.arange(size) if samples is None else np.array(samples)
+        if self.samples.shape != (size,):
             raise ShapeError(f"need one label per sample, got {self.samples.shape}")
         self.params = params
         h, dt, mu = grid.h, params.dt, params.mu
@@ -273,19 +306,24 @@ class SpdeStepper:
         self._acc_scale = mu ** params.alpha
         self._phi, self._xi_t = basis.phi, basis.xi.T
         self._silent, self._projection = basis.m == 0, params.projection
-        size, n = len(u0), grid.n
+        # what differs between the forms: a field's per-trajectory values are
+        # numpy scalars, a block's are (S,) arrays read through (S, 1, 1) views
+        if each:
+            self._each, self._sup, self._all_finite = _sample_view, np.maximum, _all_finite
+        else:
+            self._each, self._sup, self._all_finite = _same, _scalar_max, math.isfinite
         self.lap, self._hu, self._rhs, self._tmp, self._corr, self._cross = (
             np.empty(u0.shape) for _ in range(6))
         # the solve's Fortran-ordered (n, 3S) columns: the rhs's node rows
         self._columns = self._rhs.reshape(3 * size, n).T
-        # pointwise rows (S, 1, n), written through their (S, n) views
-        self._uu, self._uv, self._row, self._row2 = (np.empty((size, 1, n)) for _ in range(4))
+        # pointwise rows (..., 1, n), written through their (..., n) views
+        self._uu, self._uv, self._row, self._row2 = (np.empty(each + (1, n)) for _ in range(4))
         self._uu_flat, self._uv_flat, self._row_flat = (
-            self._uu[:, 0], self._uv[:, 0], self._row[:, 0])
-        self._pairs_f, self._pairs_g = np.empty((size, 6, n)), np.empty((size, 6, n))
-        # the noise sums: columns (S, n, 1), read as rows (S, 1, n)
-        self._noise_sums = np.empty((size, n, 1))
-        self._noise_rows = self._noise_sums.reshape(size, 1, n)
+            self._uu[..., 0, :], self._uv[..., 0, :], self._row[..., 0, :])
+        self._pairs_f, self._pairs_g = np.empty(each + (6, n)), np.empty(each + (6, n))
+        # the noise sums: columns (..., n, 1), read as rows (..., 1, n)
+        self._noise_sums = np.empty(each + (n, 1))
+        self._noise_rows = self._noise_sums.reshape(each + (1, n))
         # the latest remainder integrands f_k, stacked as REMAINDER_KEYS
         self._last = np.empty((len(REMAINDER_KEYS),) + u0.shape)
         self._last_rows = tuple(self._last)
@@ -294,17 +332,17 @@ class SpdeStepper:
         self.alive = np.ones(size, dtype=bool)
         self.lost: list[BlowUpError] = []
         self.u0, self.v0 = u0, v0
-        self.acc_v2 = np.zeros(size)
-        self.norm_defect, self.tangent_defect = np.zeros(size), np.zeros(size)
+        # [()] makes a field's 0-d zeros numpy scalars and leaves a block's arrays
+        self.acc_v2 = np.zeros(each)[()]
+        self.norm_defect, self.tangent_defect = np.zeros(each)[()], np.zeros(each)[()]
         self.acc_noise = np.zeros_like(u0)
         with np.errstate(all="ignore"):
             self._bind(u0.copy(), v0.copy())
             # refuse a start with non-finite norms, the step's test of a lost
             # sample (any non-finite field gives them), before the integrands
             # read them
-            finite = np.isfinite(self.h1 + self.vh2)
-            if not finite.all():
-                raise BlowUpError(0, sample=int(self.samples[~finite][0]))
+            if not self._all_finite(self.h1 + self.vh2):
+                raise BlowUpError(0, sample=int(self.samples[~self._finite_each()][0]))
             # the latest integrands f_k, and their left sum from f_0 / 2 on; a
             # huge start may overflow in them, and is lost at its first step
             self._integrands(self.u, self.v)
@@ -312,7 +350,7 @@ class SpdeStepper:
             self.identity = RemainderIdentity(params, basis, u0, v0)
 
     def _bind(self, u: np.ndarray, v: np.ndarray) -> None:
-        """Make (u, v) the block's state, with its norms |u|_{H1}^2 and |v|_H^2 (S,).
+        """Make (u, v) the engine's state, with its norms |u|_{H1}^2 and |v|_H^2.
 
         Its A_h u (the kernel of `laplacian`), u.u, u.v and |u|_{H1}^2 u go to the buffers.
         """
@@ -323,7 +361,7 @@ class SpdeStepper:
         self.vh2 = vh2 = self._h * _inner_sum(v, v)
         _node_dot(u, u, out=self._uu_flat)
         _node_dot(u, v, out=self._uv_flat)
-        self._h1b, self._vh2b = h1[:, None, None], vh2[:, None, None]
+        self._h1b, self._vh2b = self._each(h1), self._each(vh2)
         np.multiply(self._h1b, u, out=self._hu)
 
     def _drift(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -345,7 +383,7 @@ class SpdeStepper:
         return out
 
     def _kick(self, u: np.ndarray, v: np.ndarray, dw: np.ndarray) -> np.ndarray:
-        """(u x v) sum_i xi_i dw_i for raw increments dw (S, m), in a buffer.
+        """(u x v) sum_i xi_i dw_i for raw increments dw (m,) or (S, m), in a buffer.
 
         The noise sums are noise_field's stacked matrix-vector product, one
         per field; a block gemm would round differently.
@@ -375,7 +413,7 @@ class SpdeStepper:
         return self.step_index * self.params.dt
 
     def step(self, dw: np.ndarray | None = None) -> list[BlowUpError]:
-        """Advance the block one step with raw increments dw (S, m); None means no noise.
+        """Advance one step with raw increments dw, (m,) or (S, m); None means no noise.
 
         Returns the blow-ups of this step: those samples' norms went
         non-finite, and they step on as NaN (they are also collected in
@@ -399,19 +437,19 @@ class SpdeStepper:
             u_new = np.add(u, tmp)
             norm = np.sqrt(h * _inner_sum(u_new, u_new))
             if self._projection:
-                np.divide(u_new, norm[:, None, None], out=u_new)
+                np.divide(u_new, self._each(norm), out=u_new)
                 dot = h * _inner_sum(u_new, v_star)
                 tangent = dot / (h * _inner_sum(u_new, u_new))
-                np.multiply(tangent[:, None, None], u_new, out=tmp)
+                np.multiply(self._each(tangent), u_new, out=tmp)
                 v_new = np.subtract(v_star, tmp)
                 # <u*, v*>_H = |u*|_H <u, v*>_H
-                tangent_defect = np.abs(dot) * norm
+                tangent_defect = abs(dot) * norm
             else:
                 # without a kick v* is still the solve's buffer, and the state is a new array
                 v_new = rhs.copy() if v_star is rhs else v_star
-                tangent_defect = np.abs(h * _inner_sum(u_new, v_star))
-            np.maximum(self.norm_defect, np.abs(norm - 1.0), out=self.norm_defect)
-            np.maximum(self.tangent_defect, tangent_defect, out=self.tangent_defect)
+                tangent_defect = abs(h * _inner_sum(u_new, v_star))
+            self.norm_defect = self._sup(self.norm_defect, abs(norm - 1.0))
+            self.tangent_defect = self._sup(self.tangent_defect, tangent_defect)
             self.step_index += 1
             # the samples alive at the start of the step
             self.sample_steps += len(self.samples) - len(self.lost)
@@ -424,36 +462,43 @@ class SpdeStepper:
             self._sums += self._last
             return lost
 
+    def _finite_each(self) -> np.ndarray:
+        """Whether each sample's norms are finite, (S,) in either form."""
+        return np.isfinite(np.reshape(self.h1 + self.vh2, -1))
+
     def _overflow(self, u, v) -> list[BlowUpError]:
         """Lose the live samples whose new norms are non-finite; the step's blow-ups.
 
         (u, v) is the state before the step, whose norms are finite for
         every live sample.  A lost sample's BLOWUP_DIAGNOSTICS are taken from
         it, with int |v|_H^2 ds not yet updated, and its new state becomes NaN.
+        Past the common case, a field is read as the block (1, 3, n) it views.
         """
-        finite = np.isfinite(self.h1 + self.vh2)
-        if np.logical_and.reduce(finite):   # the common case, in one C call
+        if self._all_finite(self.h1 + self.vh2):   # the common case
             return []
-        new = self.alive & ~finite
+        new = self.alive & ~self._finite_each()
         if not new.any():
             return []
-        last = _diagnostics(self.params, u[new], v[new], self.acc_v2[new])
+        block = (len(self.samples),) + u.shape[-2:]
+        last = _diagnostics(self.params, u.reshape(block)[new], v.reshape(block)[new],
+                            np.reshape(self.acc_v2, -1)[new])
         lost = [BlowUpError(self.step_index, sample=int(self.samples[pos]),
                             diagnostics={name: float(last[name][i])
                                          for name in BLOWUP_DIAGNOSTICS})
                 for i, pos in enumerate(np.flatnonzero(new))]
         self.lost += lost
         self.alive &= ~new
-        self.u[new] = self.v[new] = np.nan
+        self.u.reshape(block)[new] = self.v.reshape(block)[new] = np.nan
         self._bind(self.u, self.v)
         return lost
 
     def run(self, increments: np.ndarray | None, rows: list, on_row) -> None:
         """Step to rows[-1], calling on_row(r) once step rows[r] is reached.
 
-        rows starts at 0 (on_row(0) sees the initial block); increments has
-        shape (n_steps, S, m), or is None for a noise-free run.  Stops early,
-        without calling on_row, once every sample has blown up.
+        rows starts at 0 (on_row(0) sees the initial state); increments has
+        shape (n_steps, m) for a field and (n_steps, S, m) for a block, or is
+        None for a noise-free run.  Stops early, without calling on_row, once
+        every sample has blown up.
         """
         with np.errstate(all="ignore"):
             on_row(0)
@@ -476,7 +521,7 @@ class SpdeStepper:
 
     @property
     def remainder(self) -> dict:
-        """The remainder accumulators by name (REMAINDER_KEYS and "j6"), each (S, 3, n).
+        """The remainder accumulators by name (REMAINDER_KEYS and "j6"), each shaped as u.
 
         Each read gives the six trapezoid integrals their end correction,
         dt (sum - f_k / 2) from the left sums started at f_0 / 2, in new
@@ -486,7 +531,7 @@ class SpdeStepper:
             return _accumulators(self._sums, self._last, self.params.dt, self.acc_noise)
 
     def remainder_norms(self) -> tuple[np.ndarray, np.ndarray]:
-        """The J norms (S, 6) and identity residuals (S,) of the block (RemainderIdentity.norms)."""
+        """The J norms (..., 6) and identity residuals (...) of the state (RemainderIdentity.norms)."""
         return self.identity.norms(self.u, self.v, self.remainder, dots=(self._uu, self._uv))
 
 
@@ -593,7 +638,7 @@ def simulate(u0: np.ndarray, v0: np.ndarray, params: SpdeParams, basis: NoiseBas
              rng: np.random.Generator | None = None,
              increments: np.ndarray | None = None,
              stride: int = 1) -> SpdeTrajectory:
-    """Integrate one trajectory (the engine's block S = 1) and record diagnostics.
+    """Integrate one trajectory (the engine stepping a field) and record diagnostics.
 
     The Brownian path comes from `increments` (shape (n_steps, m)) when
     given, else from `rng`, drawn as one (n_steps, m) block (the same numbers
@@ -628,10 +673,10 @@ def simulate(u0: np.ndarray, v0: np.ndarray, params: SpdeParams, basis: NoiseBas
     def record(r: int):
         scalars["t"][r] = engine.t
         i = r % ROW_CHUNK
-        acc_v2[i] = engine.acc_v2[0]
-        chunk["u"][i], chunk["v"][i] = engine.u[0], engine.v[0]
-        chunk["j6"][i] = engine.acc_noise[0]
-        sums[:, i], last[:, i] = engine._sums[:, 0], engine._last[:, 0]
+        acc_v2[i] = engine.acc_v2
+        chunk["u"][i], chunk["v"][i] = engine.u, engine.v
+        chunk["j6"][i] = engine.acc_noise
+        sums[:, i], last[:, i] = engine._sums, engine._last
         if i < ROW_CHUNK - 1 and r < n_rows - 1:
             return
         part = slice(r - i, r + 1)
@@ -641,7 +686,7 @@ def simulate(u0: np.ndarray, v0: np.ndarray, params: SpdeParams, basis: NoiseBas
             scalars[name][part] = values
         j_norms[part], residual[part] = engine.identity.norms(u, v, acc)
 
-    engine.run(None if increments is None else increments[:, None, :], rows, record)
+    engine.run(increments, rows, record)
     if engine.lost:
         raise engine.lost[0]
     return SpdeTrajectory(params=params, j_norms=j_norms, identity_residual=residual, **scalars)

@@ -183,7 +183,8 @@ class LevelSummary:
     count: int
     failures: int
     mean_errors: dict
-    std_errors: dict
+    # the sample standard deviation std(ddof=1) of each target's errors, not a standard error
+    std_devs: dict
     max_j_sup: float
 
 
@@ -492,14 +493,14 @@ def run_study(config: StudyConfig, *, target: str = "auto", extra_targets=(),
                 names_failed.add("blow-up")
             failed_checks.append(f"mu={mu}: {failures}/{len(level_rows)} failures"
                                  f" ({', '.join(sorted(names_failed)) or 'unknown'})")
-        mean_errors, std_errors = {}, {}
+        mean_errors, std_devs = {}, {}
         for name in names:
             vals = np.array([row.errors[name] for row in good]) if good else np.array([np.nan])
             mean_errors[name] = float(vals.mean())
-            std_errors[name] = float(vals.std(ddof=1)) if len(vals) > 1 else 0.0
+            std_devs[name] = float(vals.std(ddof=1)) if len(vals) > 1 else 0.0
         max_j = max((max(row.j_sups) for row in good), default=float("nan"))
         levels.append(LevelSummary(mu=mu, count=len(level_rows), failures=failures,
-                                   mean_errors=mean_errors, std_errors=std_errors,
+                                   mean_errors=mean_errors, std_devs=std_devs,
                                    max_j_sup=float(max_j)))
 
     # each row carries its own seed_key

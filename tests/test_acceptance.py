@@ -170,12 +170,12 @@ def test_criterion_4_exact_equilibria(grid, basis):
     stepper = SpdeStepper(params, basis, u0, sw.zero_field(grid))
     rng = sw.derive_stream(404, 0)
     per_step = 0.0
-    prev = stepper.u[0]
+    prev = stepper.u
     for _ in range(params.n_steps):
-        stepper.step(np.sqrt(params.dt) * rng.standard_normal((1, basis.m)))
-        per_step = max(per_step, float(np.abs(stepper.u[0] - prev).max()))
-        prev = stepper.u[0]
-    spde_total = float(np.abs(stepper.u[0] - u0).max())
+        stepper.step(np.sqrt(params.dt) * rng.standard_normal(basis.m))
+        per_step = max(per_step, float(np.abs(stepper.u - prev).max()))
+        prev = stepper.u
+    spde_total = float(np.abs(stepper.u - u0).max())
 
     lp = LimitParams.auto(grid, 1.0, n_out=256)
     limit_u = [flow.u for _, flow, _ in limit_rows(u0, lp, basis)]
@@ -301,7 +301,7 @@ def test_criterion_9_reproducibility(default_study):
     n = StudyConfig().ensemble
     for lev_a, lev_b in zip(result.levels, other.levels):
         ma, mb = lev_a.mean_errors["corrected"], lev_b.mean_errors["corrected"]
-        sa, sb = lev_a.std_errors["corrected"], lev_b.std_errors["corrected"]
+        sa, sb = lev_a.std_devs["corrected"], lev_b.std_devs["corrected"]
         overlap &= abs(ma - mb) <= 2.0 * (sa + sb) / np.sqrt(n)
     ok = identical and overlap
     report(9, "reproducibility", ok,

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 import spherewave as sw
+from spherewave.config import (build_grid, build_noise_basis, initial_fields_from,
+                               resolve_config, spde_params_from)
 from spherewave.fields import HelmholtzSolver, pointwise_dot
 from spherewave.noise import noise_field
 from spherewave.spde import (
@@ -85,7 +87,7 @@ class TestParams:
 def drift(params, basis, u, v):
     """A_h u + N(u, v) as the step forms it: the drift of an engine started at (u, v)."""
     engine = SpdeStepper(params, basis, u, v)
-    return engine._drift(engine.u, engine.v)[0].copy(), engine
+    return engine._drift(engine.u, engine.v).copy(), engine
 
 
 def step_oracle(params, basis, u0, v0, increments):
@@ -190,7 +192,7 @@ class TestStep:
         rng = sw.derive_stream(1, 0)
         for _ in range(20):
             u_prev = stepper.u.copy()
-            stepper.step(np.sqrt(params.dt) * rng.standard_normal((1, basis.m)))
+            stepper.step(np.sqrt(params.dt) * rng.standard_normal(basis.m))
             assert np.abs(stepper.u - u_prev).max() <= 1e-12
             assert np.abs(stepper.v).max() <= 1e-12
 
@@ -211,8 +213,8 @@ class TestStep:
         for dt in dts:
             params = sw.SpdeParams(grid=grid, mu=mu, dt=dt, T=T, gamma=5.0)
             engine = SpdeStepper(params, basis, u0, v0)
-            engine.run(incs[dt][:, None], [0, params.n_steps], lambda r: None)
-            finals.append(engine.u[0])
+            engine.run(incs[dt], [0, params.n_steps], lambda r: None)
+            finals.append(engine.u)
         d_coarse = sw.norm_l2(grid, finals[0] - finals[2])
         d_mid = sw.norm_l2(grid, finals[1] - finals[2])
         assert d_mid < d_coarse
@@ -435,11 +437,111 @@ class TestStep:
         finals = []
         for _ in range(2):
             dw = np.sqrt(params.dt) * sw.derive_stream(8, 1).standard_normal(
-                (params.n_steps, 1, basis.m))
+                (params.n_steps, basis.m))
             engine = SpdeStepper(params, basis, u0, v0)
             engine.run(dw, [0, params.n_steps], lambda r: None)
             finals.append(engine.u)
         assert np.array_equal(*finals)
+
+
+class TestFieldForm:
+    """A field (3, n) is stepped as a field, with numpy scalars for its per-trajectory values."""
+
+    @staticmethod
+    def _values(engine, pick):
+        """Every value a caller reads off the engine, with `pick` taking its sample."""
+        norms, residual = engine.remainder_norms()
+        return {"u": pick(engine.u), "v": pick(engine.v), "j6": pick(engine.acc_noise),
+                **{key: pick(acc) for key, acc in engine.remainder.items() if key != "j6"},
+                "acc_v2": pick(engine.acc_v2), "energy": pick(engine.energy()),
+                "norm_defect": pick(engine.norm_defect),
+                "tangent_defect": pick(engine.tangent_defect),
+                "j_norms": pick(norms), "residual": pick(residual)}
+
+    @pytest.mark.parametrize("alpha", [0.5, 0.75])
+    @pytest.mark.parametrize("noise", ["m16", "silent", "none"])
+    @pytest.mark.parametrize("projection", [False, True])
+    def test_field_is_its_sample_in_a_block(self, projection, noise, alpha):
+        # the middle sample of a trio with other neighbours, stepped on the
+        # same increments, agrees with the field bit for bit at every step
+        g = sw.Grid1D(1.0, 63)
+        basis = sw.build_basis(g, 0 if noise == "silent" else 16, 2.0)
+        u0, v0 = sw.initial_pair(g, [(1, 1, 1.0), (2, 2, 0.1), (5, 3, 0.3)],
+                                 [(1, 2, 2.0), (2, 3, 1.0)])
+        params = sw.SpdeParams(grid=g, mu=0.1, dt=2.0 ** -10, T=120 * 2.0 ** -10,
+                               alpha=alpha, projection=projection)
+        us = np.stack([u0] * 3) + 1e-3 * sw.derive_stream(2, 3).standard_normal((3, 3, g.n))
+        vs = np.stack([v0, 1.1 * v0, 0.9 * v0])
+        field = SpdeStepper(params, basis, us[1], vs[1])
+        block = SpdeStepper(params, basis, us, vs)
+        dw = (None if noise == "none" else np.sqrt(params.dt)
+              * sw.derive_stream(1, 3).standard_normal((params.n_steps, 3, basis.m)))
+        for k in range(params.n_steps + 1):
+            if k:
+                field.step(None if dw is None else dw[k - 1, 1])
+                block.step(None if dw is None else dw[k - 1])
+            got = self._values(field, lambda a: a)
+            want = self._values(block, lambda a: a[1])
+            for name, value in got.items():
+                assert np.array_equal(value, want[name]), (k, name)
+        assert field.step_index == block.step_index == params.n_steps
+        assert not field.lost and not block.lost
+
+    def test_field_values_are_numpy_scalars(self, grid, basis, gentle_data):
+        # a field engine keeps a field's shape, and no block of one: its
+        # per-trajectory values are numpy scalars before and after a step
+        u0, v0 = gentle_data
+        params = sw.SpdeParams(grid=grid, mu=0.1, dt=1e-4, T=1e-3, projection=True)
+        engine = SpdeStepper(params, basis, u0, v0)
+        for _ in range(2):
+            assert engine.u.shape == engine.v.shape == engine.acc_noise.shape == (3, grid.n)
+            for name, value in (("energy", engine.energy()), ("h1", engine.h1),
+                                ("vh2", engine.vh2), ("acc_v2", engine.acc_v2),
+                                ("norm_defect", engine.norm_defect),
+                                ("tangent_defect", engine.tangent_defect),
+                                ("residual", engine.remainder_norms()[1])):
+                assert type(value) is np.float64, name
+            engine.step(np.sqrt(params.dt) * sw.derive_stream(7, 0).standard_normal(basis.m))
+
+    @pytest.mark.parametrize("pair", [(1.0, 2.0), (2.0, 1.0), (1.0, 1.0), (0.0, np.inf),
+                                      (np.nan, 1.0), (1.0, np.nan), (np.nan, np.inf),
+                                      (np.inf, np.nan)])
+    def test_scalar_sup_is_maximum(self, grid, basis, gentle_data, pair):
+        # a field's running sups take np.maximum's value, a NaN in either included
+        params = sw.SpdeParams(grid=grid, mu=0.1, dt=1e-4, T=1e-3)
+        engine = SpdeStepper(params, basis, *gentle_data)
+        a, b = (np.float64(x) for x in pair)
+        assert np.array_equal(engine._sup(a, b), np.maximum(a, b), equal_nan=True)
+
+    def test_field_blowup_is_the_block_of_ones(self):
+        # the CLI's default trajectory, unprojected at mu = 0.05, overflows at
+        # step 1120; a field loses it there with the block of one's error:
+        # step, sample 0, last finite diagnostics and message
+        cfg = resolve_config({"physics": {"mu": 0.05}, "time": {"projection": False}})
+        grid = build_grid(cfg)
+        basis = build_noise_basis(cfg, grid)
+        params = spde_params_from(cfg, grid)
+        u0, v0 = initial_fields_from(cfg, grid)
+        dw = np.sqrt(params.dt) * sw.derive_stream(cfg["study"]["master_seed"], 0, 0) \
+            .standard_normal((params.n_steps, basis.m))
+        with pytest.raises(sw.BlowUpError) as err:
+            sw.simulate(u0, v0, params, basis, increments=dw)
+        rows = list(range(params.n_steps + 1))
+        field = SpdeStepper(params, basis, u0, v0)
+        field.run(dw, rows, lambda r: None)
+        block = SpdeStepper(params, basis, u0[None], v0[None])
+        block.run(dw[:, None], rows, lambda r: None)
+        assert err.value.step == 1120 and err.value.sample == 0
+        assert field.step_index == block.step_index == 1120
+        assert [str(e) for e in field.lost] == [str(e) for e in block.lost] == [str(err.value)]
+        assert field.lost[0].diagnostics == block.lost[0].diagnostics
+        assert np.isfinite(list(field.lost[0].diagnostics.values())).all()
+        assert field.alive.tolist() == block.alive.tolist() == [False]
+        assert np.isnan(field.u).all() and np.isnan(field.v).all()
+        # the sups of the blow-up step's result, as np.maximum keeps them
+        for name in ("norm_defect", "tangent_defect"):
+            assert np.array_equal(getattr(field, name), getattr(block, name)[0],
+                                  equal_nan=True), name
 
 
 class TestDiagnostics:
@@ -449,20 +551,20 @@ class TestDiagnostics:
         params = sw.SpdeParams(grid=grid, mu=0.37, dt=1e-4, T=1.0)
         expected = sw.h1_seminorm_sq(grid, u0) + 0.37 * sw.norm_l2_sq(grid, v0)
         energy = SpdeStepper(params, basis, u0, v0).energy()
-        assert energy.shape == (1,)
-        assert energy[0] == pytest.approx(expected, rel=1e-14)
+        assert isinstance(energy, np.float64)
+        assert energy == pytest.approx(expected, rel=1e-14)
 
     def test_constraint_residuals_on_manifold(self, grid, basis, gentle_data):
         u0, v0 = gentle_data
         params = sw.SpdeParams(grid=grid, mu=0.1, dt=1e-4, T=1.0)
         row = SpdeStepper(params, basis, u0, v0).diagnostics()
-        assert abs(row["theta"][0]) <= 1e-14 and abs(row["eta"][0]) <= 1e-14
+        assert abs(row["theta"]) <= 1e-14 and abs(row["eta"]) <= 1e-14
 
     def test_constraint_residuals_scaled_field(self, grid, basis, gentle_data):
         u0, v0 = gentle_data
         params = sw.SpdeParams(grid=grid, mu=0.1, dt=1e-4, T=1.0)
         theta = SpdeStepper(params, basis, np.sqrt(3.0) * u0, v0).diagnostics()["theta"]
-        assert theta[0] == pytest.approx(1.0, rel=1e-12)
+        assert theta == pytest.approx(1.0, rel=1e-12)
 
     def test_weighted_h2_initial_value(self, grid, basis, gentle_data):
         # exp(-WEIGHT_A int |v|_H^2 ds) (|u|_{H2}^2 + mu |v|_{H1}^2 + mu |u|_{H1}^2 |v|_H^2),
@@ -475,14 +577,14 @@ class TestDiagnostics:
         rng = sw.derive_stream(12, 0)
         for steps in (0, 5):
             for _ in range(steps):
-                stepper.step(np.sqrt(params.dt) * rng.standard_normal((1, basis.m)))
-            u, v = stepper.u[0], stepper.v[0]
-            expected = np.exp(-WEIGHT_A * stepper.acc_v2[0]) * (
+                stepper.step(np.sqrt(params.dt) * rng.standard_normal(basis.m))
+            u, v = stepper.u, stepper.v
+            expected = np.exp(-WEIGHT_A * stepper.acc_v2) * (
                 sw.h2_norm_sq(grid, u) + mu * sw.h1_seminorm_sq(grid, v)
                 + mu * sw.h1_seminorm_sq(grid, u) * sw.norm_l2_sq(grid, v))
-            weighted = stepper.diagnostics()["weighted_h2"][0]
+            weighted = stepper.diagnostics()["weighted_h2"]
             assert weighted == pytest.approx(expected, rel=1e-13)
-        assert stepper.acc_v2[0] > 0.0
+        assert stepper.acc_v2 > 0.0
 
     def test_weighted_h2_constant_on_equilibrium(self, grid, basis):
         u0 = sw.normalize_sphere(grid, sw.sine_field(grid, 2, 3))
@@ -520,8 +622,8 @@ class TestDiagnostics:
         stepper = SpdeStepper(params, basis, u0, v0)
         row = stepper.diagnostics()
         assert stepper.t == 0.0
-        assert row["energy"][0] == pytest.approx(sw.h1_seminorm_sq(grid, u0), rel=1e-13)
-        assert abs(row["theta"][0]) <= 1e-14 and row["v_h"][0] == 0.0
+        assert row["energy"] == pytest.approx(sw.h1_seminorm_sq(grid, u0), rel=1e-13)
+        assert abs(row["theta"]) <= 1e-14 and row["v_h"] == 0.0
         with pytest.raises(sw.BlowUpError):
             SpdeStepper(params, basis, np.full((3, grid.n), np.nan), v0)
 
@@ -551,19 +653,18 @@ class TestRowChunks:
         traj = sw.simulate(u0, v0, params, basis, increments=dw)
 
         engine = SpdeStepper(params, basis, u0, v0)
-        identity = RemainderIdentity(params, basis, engine.u0[0], engine.v0[0])
+        identity = RemainderIdentity(params, basis, engine.u0, engine.v0)
         rows = []
 
         def on_row(r):
             row = engine.diagnostics()
-            acc = {key: a[0] for key, a in engine.remainder.items()}
-            row["j"], row["res"] = identity.norms(engine.u[0], engine.v[0], acc)
+            row["j"], row["res"] = identity.norms(engine.u, engine.v, engine.remainder)
             rows.append(row)
 
-        engine.run(dw[:, None, :], list(range(n_rows)), on_row)
+        engine.run(dw, list(range(n_rows)), on_row)
         assert len(rows) == len(traj.t) == n_rows
         oracle = {key: np.array([row[key] for row in rows]) for key in rows[0]}
         for name in DIAGNOSTICS:
-            assert np.array_equal(getattr(traj, name), oracle[name][:, 0]), name
+            assert np.array_equal(getattr(traj, name), oracle[name]), name
         assert np.array_equal(traj.j_norms, oracle["j"])
         assert np.array_equal(traj.identity_residual, oracle["res"])

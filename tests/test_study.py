@@ -345,8 +345,8 @@ class TestBlockEngine:
             traj = sw.simulate(u0, v0, params, basis, increments=dw, stride=stride)
             engine = SpdeStepper(params, basis, u0, v0)
             states = []
-            engine.run(dw[:, None], list(range(0, params.n_steps + 1, stride)),
-                       lambda r: states.append(engine.u[0].copy()))
+            engine.run(dw, list(range(0, params.n_steps + 1, stride)),
+                       lambda r: states.append(engine.u.copy()))
             expected = {
                 "energy_residual": np.abs(traj.energy - traj.energy[0]).max() / traj.energy[0],
                 "identity_sup": traj.identity_residual.max(),
@@ -533,12 +533,12 @@ class TestConstraintDefects:
         increments = _increments(config, params, range(row.sample, row.sample + 1), 0, 1)
         engine = SpdeStepper(params, basis, *config.initial_data(grid))
         for k in range(row.blowup_step - 1):
-            engine.step(increments[k])
+            engine.step(increments[k, 0])
         with np.errstate(all="ignore"):   # |u|_{H2} of this state overflows
             last = engine.diagnostics()
-        assert [err.step for err in engine.step(increments[row.blowup_step - 1])] == [
+        assert [err.step for err in engine.step(increments[row.blowup_step - 1, 0])] == [
             row.blowup_step]
-        assert row.last_finite == {name: float(last[name][0]) for name in BLOWUP_DIAGNOSTICS}
+        assert row.last_finite == {name: float(last[name]) for name in BLOWUP_DIAGNOSTICS}
 
 
 class TestRefinementBias:
