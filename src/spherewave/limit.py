@@ -53,6 +53,7 @@ from .fields import (
     _inner_sum,
     _laplacian_into,
     _node_dot,
+    dst_ortho,
     eigenvalue,
     eigenvalues,
     fitted_step,
@@ -277,7 +278,46 @@ class _RunningIntegral:
                                                    + self._fn2 + f2)
 
 
-class _Etd2Flow:
+class _Flow:
+    """The state of a limit flow and its bookkeeping, shared by both steppers.
+
+    `u` is the state on the unit sphere, `ut` its velocity, `lap` its
+    Laplacian A_h u (the velocity kernel's buffer), `h1` = |u|_{H1}^2,
+    `ut_sq` = |u_t|_H^2, `int_ut_sq` the fourth-order running integral of
+    |u_t|_H^2 over the steps taken, `defect` the last step's distance from
+    the sphere before projection, and `steps` the steps taken.  The shape of
+    u0 is checked once, here, and `_repair_initial` refuses a zero or
+    over-rough field.  `_decay` is the mode row e^{-lambda_{h,k} dt / gamma},
+    which broadcasts over the components of a spectrum: the exact solution
+    operator of u_t = A_h u / gamma over one step.  A stepper's `advance`
+    ends in `_land`, which makes its new state current.
+    """
+
+    def __init__(self, u0: np.ndarray, params: LimitParams, basis: NoiseBasis):
+        check_grid(basis, params.grid)
+        self._z = -eigenvalues(params.grid) * (params.dt / params.gamma)
+        self._decay = np.exp(self._z)
+        self.velocity = _Velocity(params, basis)
+        self.u = _repair_initial(params.grid, u0)
+        self.ut = np.empty(self.u.shape)
+        self.lap = self.velocity.lap
+        self._quadrature = _RunningIntegral(params.dt)
+        self.defect = 0.0
+        self.steps = 0
+        self._evaluate()
+
+    def _evaluate(self) -> None:
+        self.h1 = self.velocity.into(self.u, self.ut)
+        self.ut_sq = self.velocity.norm_sq(self.ut)
+        self.int_ut_sq = self._quadrature.add(self.ut_sq)
+
+    def _land(self, u: np.ndarray) -> None:
+        self.u = u
+        self._evaluate()
+        self.steps += 1
+
+
+class _Etd2Flow(_Flow):
     """Projected ETDRK2 on the limit flow, carrying the velocity of the current state.
 
     With L = A_h/gamma, N(u) = du/dt - L u and P the rescaling to unit
@@ -287,8 +327,7 @@ class _Etd2Flow:
         u*      = a + dt phi2(L dt) (N(P a) - N(u))
         u_next  = P u*
 
-    and `defect` is | |u*|_H - 1 | of the last step.  `int_ut_sq` is the
-    fourth-order running integral of |u_t|_H^2 over the steps taken.
+    and `defect` is | |u*|_H - 1 | of the last step.
 
     The flow owns its intermediates.  u and N(u) share one (2, 3, n)
     buffer, so one DST call transforms both, and a step makes four.  The
@@ -296,31 +335,18 @@ class _Etd2Flow:
     buffer `lap`, which is also the A_h P a that L P a needs.  `u` is a new
     array every step, so a caller may keep it.  `ut` and `lap` are buffers
     that the next advance overwrites: the callers of limit_rows read them
-    before they resume it.  The shape of u0 is checked once, here.  A zero
-    stage raises DegenerateFieldError, and a non-finite node of u* shows in
-    its norm, one scalar, and raises BlowUpError; P a and u_next have unit
-    norm, so the kernel does not test them for zero.
+    before they resume it.  A zero stage raises DegenerateFieldError, and a
+    non-finite node of u* shows in its norm, one scalar, and raises
+    BlowUpError; P a and u_next have unit norm, so the kernel does not test
+    them for zero.
     """
 
     def __init__(self, u0: np.ndarray, params: LimitParams, basis: NoiseBasis):
-        check_grid(basis, params.grid)
-        z = -eigenvalues(params.grid) * (params.dt / params.gamma)
-        phi1, phi2 = _phi_functions(z)
-        # mode rows (n,), which broadcast over the components of a spectrum
-        self._decay = np.exp(z)
+        super().__init__(u0, params, basis)
+        phi1, phi2 = _phi_functions(self._z)
         self._phi1 = params.dt * phi1
         self._phi2 = params.dt * phi2
-        self.velocity = _Velocity(params, basis)
-        self.u = _repair_initial(params.grid, u0)
         shape = self.u.shape
-        self.ut = np.empty(shape)
-        self.lap = self.velocity.lap
-        self.h1 = self.velocity.into(self.u, self.ut)
-        self.ut_sq = self.velocity.norm_sq(self.ut)
-        self._quadrature = _RunningIntegral(params.dt)
-        self.int_ut_sq = self._quadrature.add(self.ut_sq)
-        self.defect = 0.0
-        self.steps = 0
         self._pair, self._spectra = np.empty((2,) + shape), np.empty((2,) + shape)
         self._a, self._pa = np.empty(shape), np.empty(shape)
 
@@ -354,12 +380,39 @@ class _Etd2Flow:
         nrm = sqrt(velocity.norm_sq(u_star))
         if not nrm < inf:   # NaN or inf: some node of u* is not finite
             raise BlowUpError(self.steps + 1)
-        self.u = u_star / nrm
-        self.h1 = velocity.into(self.u, ut)
-        self.ut_sq = velocity.norm_sq(ut)
-        self.int_ut_sq = self._quadrature.add(self.ut_sq)
         self.defect = abs(nrm - 1.0)
-        self.steps += 1
+        self._land(u_star / nrm)
+
+
+class _HeatFlow(_Flow):
+    """The parabolic flow (the silent basis), solved exactly as the normalised heat flow.
+
+    With phi = 0 the flow gamma u_t = A_h u + |u|_{H1}^2 u keeps the
+    direction of e^{t A_h / gamma} u0 and only rescales it to the sphere, so
+    its semi-discrete solution is that field at unit H-norm (the continuous
+    normalised gradient flow of Bao & Du 2004).  The flow holds the sine
+    spectrum of its state; a step multiplies it by `_decay`, forms the new
+    `u` as a new array with one DST, and divides spectrum and field by that
+    field's H-norm, so nothing underflows as t grows.  No projection is
+    made, so `defect` stays 0.  A non-finite node of the field shows in its
+    norm and raises BlowUpError.  `ut` and `lap` are overwritten by the next
+    advance, as in _Etd2Flow.
+    """
+
+    def __init__(self, u0: np.ndarray, params: LimitParams, basis: NoiseBasis):
+        super().__init__(u0, params, basis)
+        self._spectrum = dst_ortho(self.u)
+
+    def advance(self) -> None:
+        spectrum = self._spectrum
+        np.multiply(self._decay, spectrum, out=spectrum)
+        u = _dst(spectrum, 1, (1,), 1, None, 1, None)
+        nrm = sqrt(self.velocity.norm_sq(u))
+        if not nrm < inf:   # NaN or inf: some node of the field is not finite
+            raise BlowUpError(self.steps + 1)
+        np.divide(spectrum, nrm, out=spectrum)
+        np.divide(u, nrm, out=u)
+        self._land(u)
 
 
 @dataclass
@@ -396,7 +449,7 @@ def limit_rows(u0: np.ndarray, params: LimitParams, basis: NoiseBasis, *, stride
     at stride 1.  The flow's `u` is a new array at every row; see _Etd2Flow.
     """
     rows = output_rows(params.n_steps, stride)
-    flow = _Etd2Flow(u0, params, basis)
+    flow = _HeatFlow(u0, params, basis) if basis.m == 0 else _Etd2Flow(u0, params, basis)
     yield 0, flow, 0.0
     for r in range(1, len(rows)):
         worst = 0.0

@@ -199,9 +199,10 @@ def test_contractions_have_one_owner():
 
 
 # the one caller of each stepping call in the package: limit_rows builds and
-# advances every limit flow, and SpdeStepper.run steps every stochastic engine
-STEPPING_DRIVERS = {"_Etd2Flow": "limit.limit_rows", "advance": "limit.limit_rows",
-                    "step": "spde.SpdeStepper.run"}
+# advances every limit flow (_Etd2Flow, and _HeatFlow on the silent basis),
+# and SpdeStepper.run steps every stochastic engine
+STEPPING_DRIVERS = {"_Etd2Flow": "limit.limit_rows", "_HeatFlow": "limit.limit_rows",
+                    "advance": "limit.limit_rows", "step": "spde.SpdeStepper.run"}
 
 
 def _calls_by_owner(node, owner):
@@ -216,7 +217,7 @@ def _calls_by_owner(node, owner):
 
 
 def test_each_solver_has_one_stepping_loop():
-    # a second loop over _Etd2Flow.advance or SpdeStepper.step is a second
+    # a second loop over a limit flow's advance or SpdeStepper.step is a second
     # copy of the row logic, free to drift from its driver
     stray = []
     for name in MODULES:

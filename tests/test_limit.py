@@ -1,13 +1,15 @@
 """Deterministic limit flow: mobility algebra, equivalence, structure."""
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import spherewave as sw
 from spherewave.fields import dst_ortho, output_rows
-from spherewave.limit import LimitParams, _Etd2Flow, _phi_functions, _RunningIntegral, limit_rows
+from spherewave.limit import (LimitParams, _Etd2Flow, _HeatFlow, _phi_functions, _RunningIntegral,
+                              limit_rows)
 
 RNG = np.random.default_rng(55)
 
@@ -130,6 +132,12 @@ def comparison_oracle(u10, u20, params, basis, stride):
     lhs = dist + int_dv
     slope, intercept = np.polyfit(t, np.log(lhs), 1)
     return t, dist, int_dv, lhs, float(np.exp(intercept) / dist[0]), float(slope)
+
+
+# each limit flow on the bases it runs on: ETDRK2 on any basis, the exact heat
+# flow on the silent one, where limit_rows builds it
+FLOWS = [(_Etd2Flow, 8), (_Etd2Flow, 0), (_HeatFlow, 0)]
+FLOW_IDS = ["corrected", "parabolic", "heat"]
 
 
 def random_field(grid, rng=RNG):
@@ -258,16 +266,17 @@ class TestSolveLimit:
             assert np.all(traj.energy_lhs <= traj.energy_rhs * (1.0 + 1e-6))
 
     def test_step_rule_is_set_by_the_energy_quadrature(self, grid, silent):
-        # the parabolic flow (the silent basis) has no dissipative slack: with
-        # the default initial data its energy rows hold at the auto step and
-        # fail at twice it, and the plain trapezoid of |u_t|^2 fails them at
-        # the auto step
+        # the parabolic flow (the silent basis) has no dissipative slack and
+        # is solved exactly in time, so its energy rows measure the quadrature
+        # of |u_t|^2 alone: with the default initial data they hold at the
+        # auto step (5.9e-8) and fail at four times it (3.6e-6), and the plain
+        # trapezoid fails them at the auto step (2.1e-6)
         u0 = sw.normalize_sphere(grid, sw.sine_field(grid, 1, 1)
                                  + sw.sine_field(grid, 2, 2, 0.1))
-        auto = LimitParams.auto(grid, 0.5, n_out=2)
-        double = LimitParams(grid=grid, dt=2.0 * auto.dt, T=0.5)
+        auto = LimitParams.auto(grid, 0.5, n_out=4)
+        coarse_params = LimitParams(grid=grid, dt=4.0 * auto.dt, T=0.5)
         fine, coarse = (sw.solve_limit(u0, p, silent)
-                        for p in (auto, double))
+                        for p in (auto, coarse_params))
 
         def worst(energy_lhs, traj):
             return (energy_lhs / traj.energy_rhs - 1.0).max()
@@ -358,6 +367,39 @@ class TestSolveLimit:
             assert err <= 1e-3
 
 
+    @pytest.mark.parametrize("n", [63, 127])
+    @pytest.mark.parametrize("gamma", [1.0, 0.7])
+    def test_parabolic_flow_is_the_normalised_heat_flow(self, n, gamma):
+        # on the silent basis the flow is e^{t A_h / gamma} u0 at unit H-norm:
+        # limit_rows solves it to roundoff at every row, and ETDRK2 built on
+        # the same basis converges to it at second order
+        g = sw.Grid1D(1.0, n)
+        u0 = sw.normalize_sphere(g, sw.sine_field(g, 1, 1) + sw.sine_field(g, 2, 2, 0.1)
+                                 + sw.sine_field(g, 5, 3, 0.3))
+        silent = sw.build_basis(g, 0, 2.0)
+        spectrum = dst_ortho(u0)
+
+        def gap(u, t):
+            exact = sw.normalize_sphere(
+                g, dst_ortho(np.exp(-sw.eigenvalues(g) * t / gamma) * spectrum))
+            return sw.sobolev_norm(g, u - exact, 1.0)
+
+        params = LimitParams.auto(g, 0.5, gamma=gamma, n_out=4)
+        assert max(gap(flow.u, flow.steps * params.dt)
+                   for _, flow, _ in limit_rows(u0, params, silent)) <= 1e-13
+
+        etd2 = []
+        for p in (params, replace(params, dt=0.5 * params.dt)):
+            flow = _Etd2Flow(u0, p, silent)
+            worst = 0.0
+            while flow.steps < p.n_steps:
+                flow.advance()
+                worst = max(worst, gap(flow.u, flow.steps * p.dt))
+            etd2.append(worst)
+        assert etd2[1] < etd2[0] <= 1e-3
+        assert 3.5 <= etd2[0] / etd2[1] <= 4.5
+
+
 class TestEtd2Step:
     @pytest.mark.parametrize("m, n", [(8, 63), (0, 63), (8, 127), (0, 127)],
                              ids=["corrected", "parabolic", "corrected-127", "parabolic-127"])
@@ -383,15 +425,15 @@ class TestEtd2Step:
             assert flow.h1 == h1 and flow.defect == defect and flow.int_ut_sq == int_ut_sq
 
     @staticmethod
-    def flow(grid, basis):
+    def flow(grid, basis, flow_class=_Etd2Flow):
         u0 = sw.normalize_sphere(grid, sw.sine_field(grid, 1, 1) + sw.sine_field(grid, 2, 2, 0.1))
-        flow = _Etd2Flow(u0, LimitParams.auto(grid, 0.5, n_out=4), basis)
+        flow = flow_class(u0, LimitParams.auto(grid, 0.5, n_out=4), basis)
         for _ in range(3):
             flow.advance()
         return flow
 
-    @pytest.mark.parametrize("m", [8, 0], ids=["corrected", "parabolic"])
-    def test_handed_out_states_keep_their_values(self, m):
+    @pytest.mark.parametrize("flow_class, m", FLOWS, ids=FLOW_IDS)
+    def test_handed_out_states_keep_their_values(self, flow_class, m):
         # the flow steps on buffers it owns, but every state it hands out,
         # through limit_rows or as flow.u, is a new array that later steps leave alone
         g = sw.Grid1D(1.0, 63)
@@ -400,7 +442,7 @@ class TestEtd2Step:
         u0 = sw.normalize_sphere(g, sw.sine_field(g, 1, 1) + sw.sine_field(g, 2, 2, 0.1))
         rows = [(flow.u, flow.u.copy())
                 for _, flow, _ in limit_rows(u0, params, basis, stride=params.n_steps // 4)]
-        flow = _Etd2Flow(u0, params, basis)
+        flow = flow_class(u0, params, basis)
         held = [(flow.u, flow.u.copy())]
         for _ in range(3):
             flow.advance()
@@ -409,17 +451,36 @@ class TestEtd2Step:
             assert not np.array_equal(states[0][1], states[-1][1])
             assert all(np.array_equal(u, kept) for u, kept in states)
 
-    @pytest.mark.parametrize("m", [8, 0], ids=["corrected", "parabolic"])
-    def test_non_finite_state_is_a_blow_up(self, m):
+    @pytest.mark.parametrize("flow_class, m", FLOWS, ids=FLOW_IDS)
+    def test_non_finite_state_is_a_blow_up(self, flow_class, m):
+        # the next step reads the state: _Etd2Flow's field, _HeatFlow's spectrum
         g = sw.Grid1D(1.0, 63)
-        flow = self.flow(g, sw.build_basis(g, m, 2.0))
-        flow.u = flow.u.copy()
-        flow.u[1, 10] = np.nan
+        flow = self.flow(g, sw.build_basis(g, m, 2.0), flow_class)
+        name = "_spectrum" if flow_class is _HeatFlow else "u"
+        state = getattr(flow, name).copy()
+        state[1, 10] = np.nan
+        setattr(flow, name, state)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(sw.BlowUpError) as info:
                 flow.advance()
         assert info.value.step == flow.steps + 1 == 4
+
+    @pytest.mark.parametrize("flow_class, m", FLOWS, ids=FLOW_IDS)
+    def test_initial_field_is_repaired_or_refused(self, flow_class, m):
+        # both flows start from _repair_initial: a field off the sphere is
+        # rescaled onto it, and a zero or over-rough one is refused
+        g = sw.Grid1D(1.0, 63)
+        basis = sw.build_basis(g, m, 2.0)
+        params = LimitParams.auto(g, 0.5, n_out=4)
+        u0 = sw.sine_field(g, 1, 1) + sw.sine_field(g, 2, 2, 0.1)
+        assert np.array_equal(flow_class(3.0 * u0, params, basis).u, sw.normalize_sphere(g, 3.0 * u0))
+        with pytest.raises(sw.DegenerateFieldError):
+            flow_class(sw.zero_field(g), params, basis)
+        short = sw.Grid1D(0.01, 127)
+        with pytest.raises(sw.ParameterError, match="too rough"):
+            flow_class(random_field(short), LimitParams.auto(short, 1e-6, n_out=1),
+                       sw.build_basis(short, m, 2.0))
 
     @pytest.mark.parametrize("m", [8, 0], ids=["corrected", "parabolic"])
     def test_zero_stage_is_degenerate(self, m):
