@@ -8,6 +8,8 @@ obtained by inverting the pointwise 3x3 matrix
 
 The solver steps the mobility form with ETDRK2: A_h/gamma exactly in the
 sine basis, the rest explicitly, each step projected back onto the sphere.
+On the silent basis (phi = 0) the flow is the normalised heat flow, which
+the solver takes exactly instead.
 There is no step bound; dt follows the accuracy rule
 dt <= gamma / (200 lambda_{h,1}), which the energy inequality's row gate
 sets: its dissipation integral int |u_t|^2 is taken to fourth order (the

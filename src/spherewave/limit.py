@@ -27,12 +27,20 @@ it before N is evaluated there, and so is the step result; the distance of
 the unprojected result from the sphere, O(dt^3), is kept as the step's
 projection defect.
 
+The parabolic flow needs no stepper: gamma u_t = A_h u + |u|_{H1}^2 u only
+rescales e^{t A_h / gamma} u0 onto the sphere, so its semi-discrete solution
+is that field at unit H-norm, the normalised heat flow (Bao & Du 2004).
+`limit_rows` solves it so, exactly in time, on the silent basis, and steps
+every other basis with ETDRK2; the two flows share their state bookkeeping
+(`_Flow`), and the heat flow's projection defect is 0.
+
 A step works on one field (3, n), so its cost is Python calls, not
 arithmetic.  Each flow therefore builds one velocity kernel, `_Velocity`,
-which holds everything a solve never changes, and a step evaluates it twice:
-at the projected stage and at the projected result.  The step writes into
+which holds everything a solve never changes.  An ETDRK2 step evaluates it
+twice, at the projected stage and at the projected result, and writes into
 buffers it owns; with four DST calls (u and N(u) go through one) and the
-kernel's two Laplacians that is the whole step.  `limit_rhs` and
+kernel's two Laplacians that is the whole step.  A heat-flow step is one
+DST and one evaluation of the kernel.  `limit_rhs` and
 `mobility_apply_inverse` run the same kernel and the same Sherman-Morrison
 solve, so the public velocity and the solver's agree bit for bit.
 """
@@ -83,10 +91,14 @@ __all__ = [
 
 # Steps per relaxation time gamma / lambda_{h,1} of the slowest sine mode.
 # Sized by the energy-inequality gate E_lhs <= E_rhs (1 + 1e-6) on the
-# parabolic flow, which has no dissipative slack: with the fourth-order
-# quadrature of int |u_t|^2, 200 steps keep the default run inside it with a
-# margin of about 2.6, and 100 steps fail it.  The solver's own error is far
-# smaller than its 1e-3 gate: about 1e-5 in H^1 against RK4 at this step.
+# parabolic flow, which has no dissipative slack.  That flow is solved exactly
+# in time, so its energy rows measure the fourth-order quadrature of
+# int |u_t|^2 alone: at the defaults (n = 127, T = 1) the worst row reads
+# 6.0e-8 at 200 steps, a margin of about 17, and 4.7e-7 at 100 steps, a
+# margin of about 2; the T = 0.5 run of the test suite fails the gate
+# (3.6e-6) at 50 steps.  The corrected flow's rows hold at 200 and 100 steps
+# alike, and its ETDRK2 error is far smaller than its 1e-3 gate: about 1e-5
+# in H^1 against RK4 at this step.
 _RELAXATION_STEPS = 200
 _CONTOUR_POINTS = 32
 # largest |A_h u0|_H accepted as initial data
@@ -97,8 +109,8 @@ _H2_CAP = 1.0e6
 class LimitParams:
     """Parameters of the deterministic solver.
 
-    The exponential stepper has no stability bound, so dt only has to divide
-    T.  `auto` picks the accuracy rule dt <= gamma / (200 lambda_{h,1}), with
+    Neither solver has a stability bound, so dt only has to divide T.
+    `auto` picks the accuracy rule dt <= gamma / (200 lambda_{h,1}), with
     the step count a multiple of n_out: about 2,000 steps for T = 1 at the
     default grid.
     """
@@ -421,10 +433,12 @@ class LimitTrajectory:
 
     sphere_residual is | |u|_H - 1 | of the recorded state, after projection;
     projection_defect is the largest | |u*|_H - 1 | of a step result u*
-    before projection since the previous row (0 at t = 0).  energy_lhs is
-    |u(t)|_{H1}^2 + 2 gamma int_0^t |u_t|_H^2, the integral taken over the
-    steps to fourth order (`_RunningIntegral`), and energy_rhs is
-    |u(0)|_{H1}^2; the energy inequality asks energy_lhs <= energy_rhs.
+    before projection since the previous row (0 at t = 0), and 0 at every
+    row of the parabolic flow, which is solved exactly and not projected.
+    energy_lhs is |u(t)|_{H1}^2 + 2 gamma int_0^t |u_t|_H^2, the integral
+    taken over the steps to fourth order (`_RunningIntegral`), and
+    energy_rhs is |u(0)|_{H1}^2; the energy inequality asks
+    energy_lhs <= energy_rhs.
     """
 
     params: LimitParams
@@ -443,10 +457,12 @@ def limit_rows(u0: np.ndarray, params: LimitParams, basis: NoiseBasis, *, stride
 
     Yields (r, flow, worst) once the flow stands at output row r, where
     worst is the largest projection defect of its steps since the previous
-    row (0 at row 0).  The one driver of the limit flow: the row loop of
-    solve_limit, of a study's targets, which advance together one row at a
-    time, and of comparison_experiment, whose two flows advance together
-    at stride 1.  The flow's `u` is a new array at every row; see _Etd2Flow.
+    row (0 at row 0).  The flow is _HeatFlow, the exact parabolic flow, on
+    the silent basis (m = 0) and _Etd2Flow on every other.  The one driver
+    of the limit flow: the row loop of solve_limit, of a study's targets,
+    which advance together one row at a time, and of comparison_experiment,
+    whose two flows advance together at stride 1.  The flow's `u` is a new
+    array at every row; see _Etd2Flow.
     """
     rows = output_rows(params.n_steps, stride)
     flow = _HeatFlow(u0, params, basis) if basis.m == 0 else _Etd2Flow(u0, params, basis)

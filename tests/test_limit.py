@@ -366,7 +366,6 @@ class TestSolveLimit:
             err = max(sw.sobolev_norm(g, a - r, 1.0) for a, r in zip(states, ref))
             assert err <= 1e-3
 
-
     @pytest.mark.parametrize("n", [63, 127])
     @pytest.mark.parametrize("gamma", [1.0, 0.7])
     def test_parabolic_flow_is_the_normalised_heat_flow(self, n, gamma):
