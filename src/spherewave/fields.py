@@ -94,6 +94,12 @@ _dst = _scipy_extension("fft._pocketfft.pypocketfft").dst
 _flapack = _scipy_extension("linalg._flapack")
 _pttrf, _pttrs = _flapack.dpttrf, _flapack.dpttrs
 
+# rows per batched evaluation along one trajectory: simulate reduces its
+# recorded rows, and the exact heat flow of limit computes its steps, this
+# many at a time on (rows, 3, n) stacks; one row at a time, the numpy call
+# overhead dominates the arithmetic of a field
+ROW_CHUNK = 64
+
 
 @dataclass(frozen=True)
 class Grid1D:

@@ -34,15 +34,18 @@ is that field at unit H-norm, the normalised heat flow (Bao & Du 2004).
 every other basis with ETDRK2; the two flows share their state bookkeeping
 (`_Flow`), and the heat flow's projection defect is 0.
 
-A step works on one field (3, n), so its cost is Python calls, not
+An ETDRK2 step works on one field (3, n), so its cost is Python calls, not
 arithmetic.  Each flow therefore builds one velocity kernel, `_Velocity`,
 which holds everything a solve never changes.  An ETDRK2 step evaluates it
 twice, at the projected stage and at the projected result, and writes into
-buffers it owns; with four DST calls (u and N(u) go through one) and the
-kernel's two Laplacians that is the whole step.  A heat-flow step is one
-DST and one evaluation of the kernel.  `limit_rhs` and
-`mobility_apply_inverse` run the same kernel and the same Sherman-Morrison
-solve, so the public velocity and the solver's agree bit for bit.
+buffers the flow owns; with four DST calls (u and N(u) go through one) and
+the kernel's two Laplacians that is the whole step.  No step of the heat
+flow depends on the arithmetic of the one before, so it computes ROW_CHUNK
+steps at a time: one DST, one batched H-norm and one evaluation of the same
+kernel on the stack (ROW_CHUNK, 3, n), which gives each field the bits it
+gets alone.  `limit_rhs` and `mobility_apply_inverse` run the same kernel
+and the same Sherman-Morrison solve, so the public velocity and the
+solver's agree bit for bit.
 """
 
 from __future__ import annotations
@@ -55,6 +58,7 @@ import numpy as np
 from .errors import BlowUpError, DegenerateFieldError, ParameterError
 from .fields import (
     Grid1D,
+    ROW_CHUNK,
     _check_field,
     _check_friction,
     _dst,
@@ -98,7 +102,14 @@ __all__ = [
 # margin of about 2; the T = 0.5 run of the test suite fails the gate
 # (3.6e-6) at 50 steps.  The corrected flow's rows hold at 200 and 100 steps
 # alike, and its ETDRK2 error is far smaller than its 1e-3 gate: about 1e-5
-# in H^1 against RK4 at this step.
+# in H^1 against RK4 at this step.  ETDRK2 on the silent basis sets the
+# floor: its sup H^1 gap to the exact heat flow (T = 0.5, n = 63 and 127,
+# gamma = 1 and 0.7) reads 5.1e-4 at 200 steps and 2.02e-3 to 2.04e-3 at
+# 100, over the 1e-3 bound of the test suite, whose RK4 gate still holds
+# there.  At 100 steps the benchmark's `limit` ran in about half the time
+# (wall_ref 1.54 -> 0.79 with the heat flow stepped one field at a time,
+# 1.32 -> 0.69 with its chunks), but seven tests failed: those four gaps and
+# three that pin the step count.
 _RELAXATION_STEPS = 200
 _CONTOUR_POINTS = 32
 # largest |A_h u0|_H accepted as initial data
@@ -151,10 +162,10 @@ def mobility_apply_inverse(u: np.ndarray, phi, gamma: float, r: np.ndarray) -> n
 def _mobility_solve(u, r, gamma, half_phi, half_phi_gamma, out, row) -> None:
     """(r + (phi/2 gamma)(u.r) u) / (gamma + (phi/2)(u.u)) into `out`, which is not r.
 
-    Given the rows phi / 2 and phi / (2 gamma), with `row` (1, n) for the
-    pointwise dots.
+    Given the rows phi / 2 and phi / (2 gamma), with `row` (..., 1, n) for
+    the pointwise dots.
     """
-    dot = row[0]
+    dot = row[..., 0, :]
     _node_dot(u, r, out=dot)
     np.multiply(half_phi_gamma, row, out=row)
     np.multiply(row, u, out=out)
@@ -166,16 +177,21 @@ def _mobility_solve(u, r, gamma, half_phi, half_phi_gamma, out, row) -> None:
 
 
 class _Velocity:
-    """(du/dt, A_h u, |u|_{H1}^2) of a field under the limit flow of one basis and gamma.
+    """(du/dt, A_h u, |u|_{H1}^2) under the limit flow of one basis and gamma.
 
     Built once per flow, it holds what a solve never changes: h, gamma,
     whether the basis is silent, the mobility rows phi / 2 and
-    phi / (2 gamma), and buffers.  It does not check shapes: its callers
-    pass fields (3, n) they have checked or made.  `into` writes du/dt into
-    the caller's array and A_h u (the kernel of `laplacian`) into the buffer
-    `lap`, which the next call overwrites, with the float operations of
-    `inner_l2` and `pointwise_dot` in their order; no zero-field test.
-    `norm_sq` is |f|_H^2 with the arithmetic of `norm_l2_sq`.
+    phi / (2 gamma), and scratch for one field.  It does not check shapes:
+    its callers pass a field (3, n) or a stack of fields (K, 3, n) that they
+    have checked or made.  `into` writes du/dt and A_h u (the kernel of
+    `laplacian`) into the caller's arrays, with the float operations of
+    `inner_l2` and `pointwise_dot` in their order, so each field of a stack
+    gets the bits it gets alone; no zero-field test.  `norm_sq` is |f|_H^2
+    with the arithmetic of `norm_l2_sq`.  As in SpdeStepper, the forms
+    differ only in their scalars, floats for a field and (K,) arrays for a
+    stack, read over its fields through (K, 1, 1) views, and in the
+    scratch of the mobility solve, the velocity's own for a field and new
+    for a stack; on the silent basis the solve needs none.
     """
 
     def __init__(self, params: LimitParams, basis: NoiseBasis):
@@ -186,22 +202,34 @@ class _Velocity:
         self.silent = basis.m == 0
         self.half_phi = 0.5 * basis.phi
         self.half_phi_gamma = self.half_phi / params.gamma
-        self.lap, self._r, self._row = np.empty((3, n)), np.empty((3, n)), np.empty((1, n))
+        self._r, self._row = np.empty((3, n)), np.empty((1, n))
 
-    def norm_sq(self, f: np.ndarray) -> float:
-        return self.h * float(_inner_sum(f, f))
+    def norm_sq(self, f: np.ndarray):
+        sq = _inner_sum(f, f)
+        return self.h * (float(sq) if f.ndim == 2 else sq)
 
-    def into(self, u: np.ndarray, ut: np.ndarray) -> float:
+    def into(self, u: np.ndarray, ut: np.ndarray, lap: np.ndarray):
         """Write du/dt into `ut` and A_h u into `lap`; return |u|_{H1}^2."""
-        lap = _laplacian_into(u, self.lap, self._h_sq)
-        h1 = -(self.h * float(_inner_sum(lap, u)))   # -inner_l2(lap, u)
-        r = self._r
-        np.multiply(h1, u, out=r)
+        _laplacian_into(u, lap, self._h_sq)
+        dot = _inner_sum(lap, u)
+        if u.ndim == 2:
+            h1 = each = -(self.h * float(dot))   # -inner_l2(lap, u)
+        else:
+            h1 = -(self.h * dot)
+            each = h1[:, None, None]
+        # r = A_h u + |u|_{H1}^2 u, in scratch the mobility solve reads
+        if self.silent:   # phi = 0: M = gamma I, and the solve is r / gamma, in place
+            r, row = ut, None
+        elif u.ndim == 2:
+            r, row = self._r, self._row
+        else:
+            r, row = np.empty(u.shape), np.empty((len(u), 1, u.shape[-1]))
+        np.multiply(each, u, out=r)
         np.add(lap, r, out=r)
-        if self.silent:   # phi = 0: M = gamma I, and the mobility solve is r / gamma
+        if self.silent:
             np.divide(r, self.gamma, out=ut)
         else:
-            _mobility_solve(u, r, self.gamma, self.half_phi, self.half_phi_gamma, ut, self._row)
+            _mobility_solve(u, r, self.gamma, self.half_phi, self.half_phi_gamma, ut, row)
         return h1
 
 
@@ -213,7 +241,7 @@ def limit_rhs(u: np.ndarray, basis: NoiseBasis, params: LimitParams) -> np.ndarr
     if velocity.norm_sq(u) <= 0.0:
         raise DegenerateFieldError("limit dynamics are undefined for the zero field")
     ut = np.empty(u.shape)
-    velocity.into(u, ut)
+    velocity.into(u, ut, np.empty(u.shape))
     return ut
 
 
@@ -291,42 +319,36 @@ class _RunningIntegral:
 
 
 class _Flow:
-    """The state of a limit flow and its bookkeeping, shared by both steppers.
+    """The state of a limit flow and its bookkeeping, shared by both solvers.
 
     `u` is the state on the unit sphere, `ut` its velocity, `lap` its
-    Laplacian A_h u (the velocity kernel's buffer), `h1` = |u|_{H1}^2,
-    `ut_sq` = |u_t|_H^2, `int_ut_sq` the fourth-order running integral of
-    |u_t|_H^2 over the steps taken, `defect` the last step's distance from
-    the sphere before projection, and `steps` the steps taken.  The shape of
-    u0 is checked once, here, and `_repair_initial` refuses a zero or
-    over-rough field.  `_decay` is the mode row e^{-lambda_{h,k} dt / gamma},
-    which broadcasts over the components of a spectrum: the exact solution
-    operator of u_t = A_h u / gamma over one step.  A stepper's `advance`
-    ends in `_land`, which makes its new state current.
+    Laplacian A_h u, `h1` = |u|_{H1}^2, `ut_sq` = |u_t|_H^2, `int_ut_sq` the
+    fourth-order running integral of |u_t|_H^2 over the steps taken,
+    `defect` the last step's distance from the sphere before projection,
+    and `steps` the steps taken.  The shape of u0 is checked once, here, and
+    `_repair_initial` refuses a zero or over-rough field.  `_z` is the mode
+    row -lambda_{h,k} dt / gamma, the exponent of the exact solution
+    operator of u_t = A_h u / gamma over one step.  `_evaluate` runs the
+    velocity kernel at `u` into the flow's `ut` and `lap` and records the
+    state; ETDRK2 ends each step in it, and the heat flow evaluates its
+    steps a chunk at a time.
     """
 
     def __init__(self, u0: np.ndarray, params: LimitParams, basis: NoiseBasis):
         check_grid(basis, params.grid)
         self._z = -eigenvalues(params.grid) * (params.dt / params.gamma)
-        self._decay = np.exp(self._z)
         self.velocity = _Velocity(params, basis)
         self.u = _repair_initial(params.grid, u0)
-        self.ut = np.empty(self.u.shape)
-        self.lap = self.velocity.lap
+        self.ut, self.lap = np.empty(self.u.shape), np.empty(self.u.shape)
         self._quadrature = _RunningIntegral(params.dt)
         self.defect = 0.0
         self.steps = 0
         self._evaluate()
 
     def _evaluate(self) -> None:
-        self.h1 = self.velocity.into(self.u, self.ut)
+        self.h1 = self.velocity.into(self.u, self.ut, self.lap)
         self.ut_sq = self.velocity.norm_sq(self.ut)
         self.int_ut_sq = self._quadrature.add(self.ut_sq)
-
-    def _land(self, u: np.ndarray) -> None:
-        self.u = u
-        self._evaluate()
-        self.steps += 1
 
 
 class _Etd2Flow(_Flow):
@@ -343,11 +365,11 @@ class _Etd2Flow(_Flow):
 
     The flow owns its intermediates.  u and N(u) share one (2, 3, n)
     buffer, so one DST call transforms both, and a step makes four.  The
-    velocity kernel evaluates P a and u_next into `ut` and its Laplacian
-    buffer `lap`, which is also the A_h P a that L P a needs.  `u` is a new
-    array every step, so a caller may keep it.  `ut` and `lap` are buffers
-    that the next advance overwrites: the callers of limit_rows read them
-    before they resume it.  A zero stage raises DegenerateFieldError, and a
+    velocity kernel evaluates P a and u_next into the flow's buffers `ut`
+    and `lap`; the second is also the A_h P a that L P a needs.  `u` is a
+    new array every step, so a caller may keep it.  `ut` and `lap` are buffers that
+    the next advance overwrites: the callers of limit_rows read them before
+    they resume it.  A zero stage raises DegenerateFieldError, and a
     non-finite node of u* shows in its norm, one scalar, and raises
     BlowUpError; P a and u_next have unit norm, so the kernel does not test
     them for zero.
@@ -355,6 +377,7 @@ class _Etd2Flow(_Flow):
 
     def __init__(self, u0: np.ndarray, params: LimitParams, basis: NoiseBasis):
         super().__init__(u0, params, basis)
+        self._decay = np.exp(self._z)
         phi1, phi2 = _phi_functions(self._z)
         self._phi1 = params.dt * phi1
         self._phi2 = params.dt * phi2
@@ -380,7 +403,7 @@ class _Etd2Flow(_Flow):
         if nrm <= 0.0:
             raise DegenerateFieldError("cannot normalise a zero field")
         np.divide(a, nrm, out=pa)
-        velocity.into(pa, ut)
+        velocity.into(pa, ut, lap)
         # N(P a) - N(u), in ut
         np.divide(lap, gamma, out=lap)
         np.subtract(ut, lap, out=ut)
@@ -393,7 +416,9 @@ class _Etd2Flow(_Flow):
         if not nrm < inf:   # NaN or inf: some node of u* is not finite
             raise BlowUpError(self.steps + 1)
         self.defect = abs(nrm - 1.0)
-        self._land(u_star / nrm)
+        self.u = u_star / nrm
+        self._evaluate()
+        self.steps += 1
 
 
 class _HeatFlow(_Flow):
@@ -402,29 +427,63 @@ class _HeatFlow(_Flow):
     With phi = 0 the flow gamma u_t = A_h u + |u|_{H1}^2 u keeps the
     direction of e^{t A_h / gamma} u0 and only rescales it to the sphere, so
     its semi-discrete solution is that field at unit H-norm (the continuous
-    normalised gradient flow of Bao & Du 2004).  The flow holds the sine
-    spectrum of its state; a step multiplies it by `_decay`, forms the new
-    `u` as a new array with one DST, and divides spectrum and field by that
-    field's H-norm, so nothing underflows as t grows.  No projection is
-    made, so `defect` stays 0.  A non-finite node of the field shows in its
-    norm and raises BlowUpError.  `ut` and `lap` are overwritten by the next
-    advance, as in _Etd2Flow.
+    normalised gradient flow of Bao & Du 2004).  No step depends on the
+    arithmetic of the one before, so the flow computes its steps ROW_CHUNK
+    at a time (fewer in the last chunk before T, one at a time past it), and
+    `advance` hands them out one by one.  From the sine spectrum `s` of the
+    last step computed, a refill forms the stack of spectra p_j s, with the
+    power rows p_j = e^{j (z - z*)}, j = 1..ROW_CHUNK, built once per flow:
+    z is the mode row -lambda_{h,k} dt / gamma and z* its entry at the
+    slowest mode of u0.  Normalisation removes the factor e^{-j z*}, which
+    holds the power of that mode, the one that survives longest, at 1, so
+    that no power underflows where the flow does not.  One DST gives the
+    fields, one batched H-norm puts them on the sphere, and one evaluation
+    of the velocity kernel on the stack gives their `ut`, `lap`, `h1` and
+    `ut_sq`; the last field's spectrum, at unit norm, is the next `s`.
+    `u`, `ut` and `lap` are views of arrays that each refill makes new, so
+    a held state keeps its values.  No projection is made, so `defect`
+    stays 0.  A non-finite node of a field shows in its norm: the fields
+    before it are handed out, and the advance that reaches it raises
+    BlowUpError, naming its step, as does every advance after it.
     """
 
     def __init__(self, u0: np.ndarray, params: LimitParams, basis: NoiseBasis):
         super().__init__(u0, params, basis)
         self._spectrum = dst_ortho(self.u)
+        slowest = np.flatnonzero(self._spectrum.any(axis=0))[0]
+        # modes slower than u0's slowest are 0 in every spectrum: their power is 1
+        z = np.minimum(self._z - self._z[slowest], 0.0)
+        self._powers = np.exp(np.arange(1, ROW_CHUNK + 1)[:, None] * z)
+        self._n_steps = params.n_steps
+        self._rows, self._next, self._count = [], 0, 0
+
+    def _refill(self) -> None:
+        """Compute the next chunk of steps from the spectrum of the last."""
+        count = min(ROW_CHUNK, max(self._n_steps - self.steps, 1))
+        u = self._powers[:count, None] * self._spectrum
+        end = u[-1].copy()   # the last step's spectrum; the DST overwrites the stack
+        _dst(u, 1, (2,), 1, u, 1, None)
+        nrm = np.sqrt(self.velocity.norm_sq(u))
+        finite = nrm < inf   # NaN or inf: some node of that field is not finite
+        live = count if finite.all() else int(finite.argmin())
+        self._spectrum = np.divide(end, nrm[-1], out=end)   # no refill follows a non-finite field
+        u, nrm = u[:live], nrm[:live]
+        np.divide(u, nrm[:, None, None], out=u)
+        ut, lap = np.empty(u.shape), np.empty(u.shape)
+        h1 = self.velocity.into(u, ut, lap)
+        ut_sq = self.velocity.norm_sq(ut)
+        self._rows = list(zip(u, ut, lap, h1.tolist(), ut_sq.tolist()))
+        self._next, self._count = 0, count
 
     def advance(self) -> None:
-        spectrum = self._spectrum
-        np.multiply(self._decay, spectrum, out=spectrum)
-        u = _dst(spectrum, 1, (1,), 1, None, 1, None)
-        nrm = sqrt(self.velocity.norm_sq(u))
-        if not nrm < inf:   # NaN or inf: some node of the field is not finite
+        if self._next == self._count:
+            self._refill()
+        if self._next == len(self._rows):
             raise BlowUpError(self.steps + 1)
-        np.divide(spectrum, nrm, out=spectrum)
-        np.divide(u, nrm, out=u)
-        self._land(u)
+        self.u, self.ut, self.lap, self.h1, self.ut_sq = self._rows[self._next]
+        self._next += 1
+        self.int_ut_sq = self._quadrature.add(self.ut_sq)
+        self.steps += 1
 
 
 @dataclass
@@ -461,8 +520,11 @@ def limit_rows(u0: np.ndarray, params: LimitParams, basis: NoiseBasis, *, stride
     the silent basis (m = 0) and _Etd2Flow on every other.  The one driver
     of the limit flow: the row loop of solve_limit, of a study's targets,
     which advance together one row at a time, and of comparison_experiment,
-    whose two flows advance together at stride 1.  The flow's `u` is a new
-    array at every row; see _Etd2Flow.
+    whose two flows advance together at stride 1.  The heat flow computes
+    its steps a chunk at a time, but it stands at each row as the stepper
+    does, with the same bits at any stride.  The flow's `u` is an array no
+    later step writes, so a caller may keep it; its `ut` and `lap` are to be
+    read before the generator resumes (see _Etd2Flow and _HeatFlow).
     """
     rows = output_rows(params.n_steps, stride)
     flow = _HeatFlow(u0, params, basis) if basis.m == 0 else _Etd2Flow(u0, params, basis)

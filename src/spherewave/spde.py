@@ -63,6 +63,7 @@ from .errors import BlowUpError, ParameterError, ShapeError
 from .fields import (
     Grid1D,
     HelmholtzSolver,
+    ROW_CHUNK,
     _check_friction,
     _cross_into,
     _inner_sum,
@@ -99,11 +100,6 @@ CFL_LIMIT = 0.5
 # sums RemainderIdentity.norms reads; "j6", the Ito sum mu^alpha int (u x v) dw, is
 # accumulated with the noise kick
 REMAINDER_KEYS = ("iAN", "iCD", "j2", "j3", "j4", "j5")
-# rows per evaluation of every row quantity along one trajectory: simulate
-# buffers each row's state and reduces DIAGNOSTICS and the remainder series
-# once per chunk on (rows, 3, n) stacks; a reduction per row costs several
-# times as much, the numpy call overhead dominating at S = 1
-ROW_CHUNK = 64
 # the exponent a of the weighted-H2 monitor's factor exp(-a int |v|_H^2 ds)
 WEIGHT_A = 1.0
 DIAGNOSTICS = ("energy", "theta", "eta", "u_h1", "u_h2", "v_h", "v_h1", "weighted_h2")

@@ -200,9 +200,11 @@ def test_contractions_have_one_owner():
 
 # the one caller of each stepping call in the package: limit_rows builds and
 # advances every limit flow (_Etd2Flow, and _HeatFlow on the silent basis),
-# and SpdeStepper.run steps every stochastic engine
+# _HeatFlow.advance alone computes the heat flow's next chunk of steps, and
+# SpdeStepper.run steps every stochastic engine
 STEPPING_DRIVERS = {"_Etd2Flow": "limit.limit_rows", "_HeatFlow": "limit.limit_rows",
-                    "advance": "limit.limit_rows", "step": "spde.SpdeStepper.run"}
+                    "advance": "limit.limit_rows", "_refill": "limit._HeatFlow.advance",
+                    "step": "spde.SpdeStepper.run"}
 
 
 def _calls_by_owner(node, owner):

@@ -154,13 +154,16 @@ class TestLaplacian:
 
     @pytest.mark.parametrize("size", [1, 16])
     def test_step_kernels_hold_the_definition(self, grid, size):
-        # the stochastic step and the limit velocity apply A_h into their own buffers
+        # the stochastic step applies A_h into its own buffer, and the limit
+        # velocity into its caller's, for a field and for a stack of fields
         u = RNG.standard_normal((size, 3, grid.n))
         engine = SpdeStepper(_spde_params(grid), sw.build_basis(grid, 4, 2.0), u, 0.0 * u)
         assert np.array_equal(engine.lap, padded_second_difference(grid, u))
         velocity = _Velocity(LimitParams.auto(grid, 0.1), sw.build_basis(grid, 4, 2.0))
-        velocity.into(u[-1], np.empty((3, grid.n)))
-        assert np.array_equal(velocity.lap, padded_second_difference(grid, u[-1]))
+        for f in (u[-1], u):
+            lap = np.empty(f.shape)
+            velocity.into(f, np.empty(f.shape), lap)
+            assert np.array_equal(lap, padded_second_difference(grid, f))
 
     @pytest.mark.parametrize("layout", ["fortran-block", "fortran-field", "strided-field"])
     def test_any_layout_gives_the_definition(self, grid, layout):

@@ -2,14 +2,15 @@
 
 import warnings
 from dataclasses import replace
+from itertools import islice
 
 import numpy as np
 import pytest
 
 import spherewave as sw
-from spherewave.fields import dst_ortho, output_rows
+from spherewave.fields import ROW_CHUNK, dst_ortho, output_rows
 from spherewave.limit import (LimitParams, _Etd2Flow, _HeatFlow, _phi_functions, _RunningIntegral,
-                              limit_rows)
+                              _Velocity, limit_rows)
 
 RNG = np.random.default_rng(55)
 
@@ -197,6 +198,22 @@ class TestLimitRhs:
                     p = LimitParams.auto(grid, 0.25, gamma=gamma, n_out=128)
                     assert np.array_equal(sw.limit_rhs(u, b, p),
                                           sw.mobility_apply_inverse(u, b.phi, gamma, r))
+
+    def test_stack_is_each_field(self, grid, basis, silent, params):
+        # the velocity kernel on a stack (K, 3, n) gives each field the bits
+        # it gets alone, on the corrected and on the silent basis
+        stack = RNG.standard_normal((5, 3, grid.n))
+        for b in (basis, silent):
+            velocity = _Velocity(params, b)
+            ut, lap = np.empty(stack.shape), np.empty(stack.shape)
+            h1 = velocity.into(stack, ut, lap)
+            ut_sq = velocity.norm_sq(ut)
+            assert h1.shape == ut_sq.shape == (5,)
+            for j, u in enumerate(stack):
+                assert np.array_equal(ut[j], sw.limit_rhs(u, b, params))
+                assert np.array_equal(lap[j], sw.laplacian(grid, u))
+                assert h1[j] == sw.h1_seminorm_sq(grid, u)
+                assert ut_sq[j] == sw.norm_l2_sq(grid, ut[j])
 
     def test_zero_field_rejected(self, grid, basis, params):
         with pytest.raises(sw.DegenerateFieldError):
@@ -424,10 +441,10 @@ class TestEtd2Step:
             assert flow.h1 == h1 and flow.defect == defect and flow.int_ut_sq == int_ut_sq
 
     @staticmethod
-    def flow(grid, basis, flow_class=_Etd2Flow):
+    def flow(grid, basis, flow_class=_Etd2Flow, steps=3):
         u0 = sw.normalize_sphere(grid, sw.sine_field(grid, 1, 1) + sw.sine_field(grid, 2, 2, 0.1))
         flow = flow_class(u0, LimitParams.auto(grid, 0.5, n_out=4), basis)
-        for _ in range(3):
+        for _ in range(steps):
             flow.advance()
         return flow
 
@@ -452,9 +469,11 @@ class TestEtd2Step:
 
     @pytest.mark.parametrize("flow_class, m", FLOWS, ids=FLOW_IDS)
     def test_non_finite_state_is_a_blow_up(self, flow_class, m):
-        # the next step reads the state: _Etd2Flow's field, _HeatFlow's spectrum
+        # the next step reads the state: _Etd2Flow's field after any step, and
+        # _HeatFlow's spectrum once it has handed out its chunk of steps
         g = sw.Grid1D(1.0, 63)
-        flow = self.flow(g, sw.build_basis(g, m, 2.0), flow_class)
+        steps = ROW_CHUNK if flow_class is _HeatFlow else 3
+        flow = self.flow(g, sw.build_basis(g, m, 2.0), flow_class, steps)
         name = "_spectrum" if flow_class is _HeatFlow else "u"
         state = getattr(flow, name).copy()
         state[1, 10] = np.nan
@@ -463,7 +482,32 @@ class TestEtd2Step:
             warnings.simplefilter("error")
             with pytest.raises(sw.BlowUpError) as info:
                 flow.advance()
-        assert info.value.step == flow.steps + 1 == 4
+        assert info.value.step == flow.steps + 1 == steps + 1
+
+    def test_non_finite_step_in_mid_chunk(self):
+        # a NaN in the tenth power row makes the tenth field of every chunk
+        # non-finite: limit_rows yields the nine rows before it, as the flow
+        # left alone computes them, and the advance that reaches it raises,
+        # and raises again if called again
+        g = sw.Grid1D(1.0, 63)
+        silent = sw.build_basis(g, 0, 2.0)
+        params = LimitParams.auto(g, 0.5, n_out=4)
+        u0 = sw.normalize_sphere(g, sw.sine_field(g, 1, 1) + sw.sine_field(g, 2, 2, 0.1))
+        clean = [flow.u for _, flow, _ in islice(limit_rows(u0, params, silent), 10)]
+        seen = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(sw.BlowUpError) as info:
+                for r, flow, _ in limit_rows(u0, params, silent):
+                    if r == 0:
+                        flow._powers[9, 5] = np.nan
+                    seen.append((r, flow.u))
+            assert info.value.step == 10
+            with pytest.raises(sw.BlowUpError) as again:
+                flow.advance()
+        assert again.value.step == 10 and flow.steps == 9
+        assert [r for r, _ in seen] == list(range(10))
+        assert all(np.array_equal(u, want) for (_, u), want in zip(seen, clean))
 
     @pytest.mark.parametrize("flow_class, m", FLOWS, ids=FLOW_IDS)
     def test_initial_field_is_repaired_or_refused(self, flow_class, m):
@@ -490,6 +534,82 @@ class TestEtd2Step:
             warnings.simplefilter("error")
             with pytest.raises(sw.DegenerateFieldError):
                 flow.advance()
+
+
+def heat_gap(grid, u0, gamma):
+    """H1 distance of a state at time t to the normalised heat flow of u0: a function (u, t).
+
+    The closed form normalize(e^{t A_h / gamma} u0), its decay taken
+    relative to the slowest sine mode so that no mode of it underflows first.
+    """
+    spectrum = dst_ortho(sw.normalize_sphere(grid, u0))
+    lam = sw.eigenvalues(grid)
+
+    def gap(u, t):
+        exact = sw.normalize_sphere(grid, dst_ortho(np.exp(-(lam - lam[0]) * t / gamma)
+                                                    * spectrum))
+        return sw.sobolev_norm(grid, u - exact, 1.0)
+
+    return gap
+
+
+class TestHeatChunks:
+    """The exact heat flow hands out ROW_CHUNK steps per refill: its chunk edges are invisible."""
+
+    GRID = sw.Grid1D(1.0, 63)
+
+    @classmethod
+    def setup(cls, n_steps, gamma=1.0, dt=5e-4):
+        g = cls.GRID
+        u0 = sw.normalize_sphere(g, sw.sine_field(g, 1, 1) + sw.sine_field(g, 2, 2, 0.1)
+                                 + sw.sine_field(g, 5, 3, 0.3))
+        return u0, LimitParams(grid=g, dt=dt, T=n_steps * dt, gamma=gamma), sw.build_basis(g, 0, 2.0)
+
+    @pytest.mark.parametrize("n_steps", [ROW_CHUNK - 24, 2 * ROW_CHUNK, 2 * ROW_CHUNK + 22],
+                             ids=["below", "multiple", "tail"])
+    @pytest.mark.parametrize("gamma", [1.0, 0.7])
+    def test_every_step_is_the_closed_form(self, n_steps, gamma):
+        u0, params, silent = self.setup(n_steps, gamma)
+        gap = heat_gap(self.GRID, u0, gamma)
+        steps = [(flow.steps, gap(flow.u, flow.steps * params.dt))
+                 for _, flow, _ in limit_rows(u0, params, silent)]
+        assert [k for k, _ in steps] == list(range(n_steps + 1))
+        assert max(g for _, g in steps) <= 1e-13
+
+    def test_strides_share_their_steps_bit_for_bit(self):
+        u0, params, silent = self.setup(2 * ROW_CHUNK + 22)
+        every = {flow.steps: (flow.u, flow.ut, flow.lap, flow.h1, flow.ut_sq, flow.int_ut_sq)
+                 for _, flow, _ in limit_rows(u0, params, silent)}
+        strided = [(flow.steps, flow.u, flow.ut, flow.lap, flow.h1, flow.ut_sq, flow.int_ut_sq)
+                   for _, flow, _ in limit_rows(u0, params, silent, stride=8)]
+        assert [k for k, *_ in strided] == output_rows(params.n_steps, 8)
+        for k, *state in strided:
+            assert all(np.array_equal(a, b) for a, b in zip(state, every[k]))
+
+    def test_every_step_is_the_public_helpers(self):
+        # each field of a refill's stack gets the bits of the field helpers on it alone
+        g = self.GRID
+        u0, params, silent = self.setup(2 * ROW_CHUNK + 22, gamma=0.7)
+        quadrature = ListIntegral(params.dt)
+        for _, flow, _ in limit_rows(u0, params, silent):
+            u = flow.u
+            assert np.array_equal(flow.ut, sw.limit_rhs(u, silent, params))
+            assert np.array_equal(flow.lap, sw.laplacian(g, u))
+            assert flow.h1 == sw.h1_seminorm_sq(g, u)
+            assert flow.ut_sq == sw.norm_l2_sq(g, flow.ut)
+            assert flow.int_ut_sq == quadrature.add(flow.ut_sq)
+
+    def test_steps_past_the_range_of_raw_powers(self):
+        # dt lambda_1 / gamma = 12: e^{64 z} of the slowest mode, about e^-768,
+        # underflows to 0, so the powers must be taken relative to that mode
+        gamma = 0.7
+        dt = 12.0 * gamma / sw.eigenvalue(self.GRID, 1)
+        u0, params, silent = self.setup(2 * ROW_CHUNK + 22, gamma, dt)
+        gap = heat_gap(self.GRID, u0, gamma)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            gaps = [gap(flow.u, flow.steps * dt) for _, flow, _ in limit_rows(u0, params, silent)]
+        assert len(gaps) == params.n_steps + 1 and max(gaps) <= 1e-13
 
 
 class TestRunningIntegral:
