@@ -95,9 +95,10 @@ _flapack = _scipy_extension("linalg._flapack")
 _pttrf, _pttrs = _flapack.dpttrf, _flapack.dpttrs
 
 # rows per batched evaluation along one trajectory: simulate reduces its
-# recorded rows, and the exact heat flow of limit computes its steps, this
-# many at a time on (rows, 3, n) stacks; one row at a time, the numpy call
-# overhead dominates the arithmetic of a field
+# recorded rows, the exact heat flow of limit computes its steps, and
+# solve_limit takes the norms of its rows, this many at a time on
+# (rows, 3, n) stacks; one row at a time, the numpy call overhead dominates
+# the arithmetic of a field
 ROW_CHUNK = 64
 
 

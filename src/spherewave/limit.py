@@ -43,9 +43,11 @@ the kernel's two Laplacians that is the whole step.  No step of the heat
 flow depends on the arithmetic of the one before, so it computes ROW_CHUNK
 steps at a time: one DST, one batched H-norm and one evaluation of the same
 kernel on the stack (ROW_CHUNK, 3, n), which gives each field the bits it
-gets alone.  `limit_rhs` and `mobility_apply_inverse` run the same kernel
-and the same Sherman-Morrison solve, so the public velocity and the
-solver's agree bit for bit.
+gets alone.  `solve_limit` reads its rows by the same rule, on either flow:
+it copies each row's A_h u and u into stacks of ROW_CHUNK rows and takes
+the H-norms of a stack in one call.  `limit_rhs` and
+`mobility_apply_inverse` run the same kernel and the same Sherman-Morrison
+solve, so the public velocity and the solver's agree bit for bit.
 """
 
 from __future__ import annotations
@@ -490,8 +492,9 @@ class _HeatFlow(_Flow):
 class LimitTrajectory:
     """Strided samples of the limit flow and its structural diagnostics.
 
-    sphere_residual is | |u|_H - 1 | of the recorded state, after projection;
-    projection_defect is the largest | |u*|_H - 1 | of a step result u*
+    sphere_residual is | |u|_H - 1 | of the recorded state: after projection
+    on the corrected flow, and after the exact normalisation on the parabolic
+    flow, which is not projected; projection_defect is the largest | |u*|_H - 1 | of a step result u*
     before projection since the previous row (0 at t = 0), and 0 at every
     row of the parabolic flow, which is solved exactly and not projected.
     energy_lhs is |u(t)|_{H1}^2 + 2 gamma int_0^t |u_t|_H^2, the integral
@@ -539,30 +542,38 @@ def limit_rows(u0: np.ndarray, params: LimitParams, basis: NoiseBasis, *, stride
 
 def solve_limit(u0: np.ndarray, params: LimitParams, basis: NoiseBasis, *,
                 stride: int = 1) -> LimitTrajectory:
-    """Run the limit flow to T, recording every `stride` steps plus the end."""
+    """Run the limit flow to T, recording every `stride` steps plus the end.
+
+    One path serves both flows.  At each row of `limit_rows` the flow's t,
+    |u|_{H1}^2, |u_t|_H^2, running integral and the row's worst projection
+    defect go to their own columns, and its A_h u and u are copied into two
+    stacks of ROW_CHUNK rows (the flow overwrites its A_h u at the next
+    step).  Whenever the stacks fill, and at the last row, one call of the
+    velocity's `norm_sq` on each gives the rows' |A_h u|_H^2 and |u|_H^2,
+    each with the bits it gets alone.  The columns of LimitTrajectory are
+    then formed as whole arrays, with the float operations of a per-row
+    read.
+    """
     n_rows = len(output_rows(params.n_steps, stride))
-    t = np.empty(n_rows)
-    u_h1 = np.empty(n_rows)
-    u_h2 = np.empty(n_rows)
-    ut_h = np.empty(n_rows)
-    sphere = np.empty(n_rows)
-    defect = np.empty(n_rows)
-    energy_lhs = np.empty(n_rows)
+    t, h1, ut_sq, int_ut_sq, defect, lap_sq, u_sq = (np.empty(n_rows) for _ in range(7))
+    lap, u = (np.empty((ROW_CHUNK, 3, params.grid.n)) for _ in range(2))
 
     for r, flow, worst in limit_rows(u0, params, basis, stride=stride):
-        norm_sq = flow.velocity.norm_sq
-        t[r] = flow.steps * params.dt
-        u_h1[r] = sqrt(max(flow.h1, 0.0))
-        u_h2[r] = sqrt(norm_sq(flow.lap))
-        ut_h[r] = sqrt(flow.ut_sq)
-        sphere[r] = abs(sqrt(norm_sq(flow.u)) - 1.0)
-        defect[r] = worst
-        energy_lhs[r] = flow.h1 + 2.0 * params.gamma * flow.int_ut_sq
+        t[r], h1[r], ut_sq[r] = flow.steps * params.dt, flow.h1, flow.ut_sq
+        int_ut_sq[r], defect[r] = flow.int_ut_sq, worst
+        i = r % ROW_CHUNK
+        lap[i], u[i] = flow.lap, flow.u
+        if i == ROW_CHUNK - 1 or r == n_rows - 1:
+            lap_sq[r - i:r + 1] = flow.velocity.norm_sq(lap[:i + 1])
+            u_sq[r - i:r + 1] = flow.velocity.norm_sq(u[:i + 1])
 
     # the integral is 0 at row 0, so energy_lhs[0] is |u(0)|_{H1}^2
-    return LimitTrajectory(params=params, t=t, u_h1=u_h1, u_h2=u_h2, ut_h=ut_h,
-                           sphere_residual=sphere, projection_defect=defect,
-                           energy_lhs=energy_lhs, energy_rhs=float(energy_lhs[0]))
+    energy_lhs = h1 + 2.0 * params.gamma * int_ut_sq
+    return LimitTrajectory(params=params, t=t, u_h1=np.sqrt(np.maximum(h1, 0.0)),
+                           u_h2=np.sqrt(lap_sq), ut_h=np.sqrt(ut_sq),
+                           sphere_residual=np.abs(np.sqrt(u_sq) - 1.0),
+                           projection_defect=defect, energy_lhs=energy_lhs,
+                           energy_rhs=float(energy_lhs[0]))
 
 
 @dataclass

@@ -1,6 +1,6 @@
 """Every public name a module exports resolves; every name a module imports is used;
 every keyword-only option is set by some caller; only fields applies A_h, contracts
-and crosses fields; each solver has one stepping loop."""
+and crosses fields; each solver has one stepping loop; only fields sets a row chunk."""
 
 import ast
 import importlib
@@ -227,3 +227,18 @@ def test_each_solver_has_one_stepping_loop():
         stray += [f"{owner}: {ast.unparse(call)}" for owner, call in _calls_by_owner(tree, name)
                   if STEPPING_DRIVERS.get(_call_name(call), owner) != owner]
     assert not stray, f"stepping calls outside their driver: {stray}"
+
+
+def test_row_chunk_has_one_owner():
+    # fields.ROW_CHUNK is the one "rows per batched evaluation" constant: no
+    # other module binds a name ending in CHUNK (importing ROW_CHUNK binds
+    # no value of its own)
+    stray = []
+    for name in MODULES:
+        tree = ast.parse(Path(spherewave.__path__[0], f"{name}.py").read_text())
+        stores = [(node.lineno, node.id if isinstance(node, ast.Name) else node.attr)
+                  for node in ast.walk(tree)
+                  if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Store)]
+        stray += [f"{name}.py:{line}: {target}" for line, target in stores
+                  if target.endswith("CHUNK") and name != "fields"]
+    assert not stray, f"chunk constants outside fields: {stray}"

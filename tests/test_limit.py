@@ -1,5 +1,6 @@
 """Deterministic limit flow: mobility algebra, equivalence, structure."""
 
+import math
 import warnings
 from dataclasses import replace
 from itertools import islice
@@ -610,6 +611,39 @@ class TestHeatChunks:
             warnings.simplefilter("error")
             gaps = [gap(flow.u, flow.steps * dt) for _, flow, _ in limit_rows(u0, params, silent)]
         assert len(gaps) == params.n_steps + 1 and max(gaps) <= 1e-13
+
+
+class TestRowReads:
+    """solve_limit reads its rows ROW_CHUNK at a time, with the bits of a per-row read."""
+
+    GRID = sw.Grid1D(1.0, 63)
+    COLUMNS = ("t", "u_h1", "u_h2", "ut_h", "sphere_residual", "projection_defect", "energy_lhs")
+
+    @classmethod
+    def per_row(cls, u0, params, basis, stride):
+        # each row straight from limit_rows, read one field at a time
+        g, gamma = cls.GRID, params.gamma
+        return [(flow.steps * params.dt, math.sqrt(max(flow.h1, 0.0)),
+                 math.sqrt(sw.norm_l2_sq(g, flow.lap)), math.sqrt(flow.ut_sq),
+                 abs(sw.norm_l2(g, flow.u) - 1.0), worst, flow.h1 + 2.0 * gamma * flow.int_ut_sq)
+                for _, flow, worst in limit_rows(u0, params, basis, stride=stride)]
+
+    @pytest.mark.parametrize("n_steps, stride", [
+        (ROW_CHUNK - 24, 1), (2 * ROW_CHUNK - 1, 1), (2 * ROW_CHUNK + 22, 1),
+        (7 * ROW_CHUNK + 3, 7)], ids=["below", "two-chunks", "tail", "stride"])
+    @pytest.mark.parametrize("m", [0, 16], ids=["parabolic", "corrected"])
+    def test_columns_are_the_per_row_reads(self, n_steps, stride, m):
+        g = self.GRID
+        u0 = sw.normalize_sphere(g, sw.sine_field(g, 1, 1) + sw.sine_field(g, 2, 2, 0.1)
+                                 + sw.sine_field(g, 5, 3, 0.3))
+        params = LimitParams(grid=g, dt=5e-4, T=n_steps * 5e-4, gamma=0.7)
+        basis = sw.build_basis(g, m, 2.0)
+        traj = sw.solve_limit(u0, params, basis, stride=stride)
+        expected = np.array(self.per_row(u0, params, basis, stride))
+        assert len(expected) == len(output_rows(n_steps, stride))
+        for k, name in enumerate(self.COLUMNS):
+            assert np.array_equal(getattr(traj, name), expected[:, k]), name
+        assert traj.energy_rhs == expected[0, -1]
 
 
 class TestRunningIntegral:
