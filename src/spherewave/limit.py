@@ -493,9 +493,9 @@ class LimitTrajectory:
     """Strided samples of the limit flow and its structural diagnostics.
 
     sphere_residual is | |u|_H - 1 | of the recorded state: after projection
-    on the corrected flow, and after the exact normalisation on the parabolic
-    flow, which is not projected; projection_defect is the largest | |u*|_H - 1 | of a step result u*
-    before projection since the previous row (0 at t = 0), and 0 at every
+    on the corrected flow, after the exact normalisation on the parabolic
+    flow.  projection_defect is the largest | |u*|_H - 1 | of a step result
+    u* before projection since the previous row (0 at t = 0), and 0 at every
     row of the parabolic flow, which is solved exactly and not projected.
     energy_lhs is |u(t)|_{H1}^2 + 2 gamma int_0^t |u_t|_H^2, the integral
     taken over the steps to fourth order (`_RunningIntegral`), and
@@ -550,9 +550,8 @@ def solve_limit(u0: np.ndarray, params: LimitParams, basis: NoiseBasis, *,
     stacks of ROW_CHUNK rows (the flow overwrites its A_h u at the next
     step).  Whenever the stacks fill, and at the last row, one call of the
     velocity's `norm_sq` on each gives the rows' |A_h u|_H^2 and |u|_H^2,
-    each with the bits it gets alone.  The columns of LimitTrajectory are
-    then formed as whole arrays, with the float operations of a per-row
-    read.
+    each with the bits it gets alone; the columns of LimitTrajectory are
+    then formed as whole arrays, with the float operations of a per-row read.
     """
     n_rows = len(output_rows(params.n_steps, stride))
     t, h1, ut_sq, int_ut_sq, defect, lap_sq, u_sq = (np.empty(n_rows) for _ in range(7))

@@ -619,15 +619,6 @@ class TestRowReads:
     GRID = sw.Grid1D(1.0, 63)
     COLUMNS = ("t", "u_h1", "u_h2", "ut_h", "sphere_residual", "projection_defect", "energy_lhs")
 
-    @classmethod
-    def per_row(cls, u0, params, basis, stride):
-        # each row straight from limit_rows, read one field at a time
-        g, gamma = cls.GRID, params.gamma
-        return [(flow.steps * params.dt, math.sqrt(max(flow.h1, 0.0)),
-                 math.sqrt(sw.norm_l2_sq(g, flow.lap)), math.sqrt(flow.ut_sq),
-                 abs(sw.norm_l2(g, flow.u) - 1.0), worst, flow.h1 + 2.0 * gamma * flow.int_ut_sq)
-                for _, flow, worst in limit_rows(u0, params, basis, stride=stride)]
-
     @pytest.mark.parametrize("n_steps, stride", [
         (ROW_CHUNK - 24, 1), (2 * ROW_CHUNK - 1, 1), (2 * ROW_CHUNK + 22, 1),
         (7 * ROW_CHUNK + 3, 7)], ids=["below", "two-chunks", "tail", "stride"])
@@ -639,7 +630,12 @@ class TestRowReads:
         params = LimitParams(grid=g, dt=5e-4, T=n_steps * 5e-4, gamma=0.7)
         basis = sw.build_basis(g, m, 2.0)
         traj = sw.solve_limit(u0, params, basis, stride=stride)
-        expected = np.array(self.per_row(u0, params, basis, stride))
+        # each row straight from limit_rows, read one field at a time
+        expected = np.array([
+            (flow.steps * params.dt, math.sqrt(max(flow.h1, 0.0)),
+             math.sqrt(sw.norm_l2_sq(g, flow.lap)), math.sqrt(flow.ut_sq),
+             abs(sw.norm_l2(g, flow.u) - 1.0), worst, flow.h1 + 2.0 * params.gamma * flow.int_ut_sq)
+            for _, flow, worst in limit_rows(u0, params, basis, stride=stride)])
         assert len(expected) == len(output_rows(n_steps, stride))
         for k, name in enumerate(self.COLUMNS):
             assert np.array_equal(getattr(traj, name), expected[:, k]), name
