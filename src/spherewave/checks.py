@@ -281,7 +281,7 @@ def _check_equilibrium(rng, mutate: bool) -> tuple[bool, str]:
         (float(np.abs(stepper.u - u0).max()), float(np.abs(stepper.v).max()))))
     drift_sup = max(drifts)
     # the flow's state is a new array at every row
-    states = [flow.u for _, flow, _ in limit_rows(u0, LimitParams.auto(grid, 0.1), basis)]
+    states = [flow.u for _, flow in limit_rows(u0, LimitParams.auto(grid, 0.1), basis)]
     limit_drift = float(np.abs(np.diff(states, axis=0)).max())
     passed = drift_sup <= 1e-12 and limit_drift <= 1e-12
     return passed, f"stepper drift {drift_sup:.2e}, limit per-step drift {limit_drift:.2e}"

@@ -528,7 +528,7 @@ class SpdeStepper:
 
     def remainder_norms(self) -> tuple[np.ndarray, np.ndarray]:
         """The J norms (..., 6) and identity residuals (...) of the state (RemainderIdentity.norms)."""
-        return self.identity.norms(self.u, self.v, self.remainder, dots=(self._uu, self._uv))
+        return self.identity.norms(self.u, self.v, self.remainder)
 
 
 def _accumulators(sums: np.ndarray, last: np.ndarray, dt: float, j6: np.ndarray) -> dict:
@@ -569,19 +569,17 @@ class RemainderIdentity:
         self.offset = (gamma * u0 + 0.5 * self.phi * pointwise_dot(u0, u0) * u0 + mu * v0
                        + self.c * self.phi * pointwise_dot(u0, v0) * u0)
 
-    def norms(self, u: np.ndarray, v: np.ndarray, acc: dict, *,
-              dots: tuple | None = None) -> tuple[np.ndarray, np.ndarray]:
+    def norms(self, u: np.ndarray, v: np.ndarray, acc: dict) -> tuple[np.ndarray, np.ndarray]:
         """H-norms of J_1..J_6, shape (..., 6), and the identity residual, shape (...).
 
         u, v and the accumulators of REMAINDER_KEYS + ("j6",) hold fields
-        (..., 3, n): rows of one trajectory or the samples of a block; dots
-        may pass the pointwise (u.u, u.v) rows when the caller already holds
-        them.  The kernel terms' norms are |c| sqrt(h sum phi^2 |f|^2),
-        with no scaled copy of a field; the gap lhs - rhs of the identity is
-        assembled in one array.
+        (..., 3, n): rows of one trajectory or the samples of a block.  The
+        kernel terms' norms are |c| sqrt(h sum phi^2 |f|^2), with no scaled
+        copy of a field; the gap lhs - rhs of the identity is assembled in
+        one array.
         """
         grid, mu, c = self.params.grid, self.params.mu, self.c
-        uu, uv = dots if dots is not None else (pointwise_dot(u, u), pointwise_dot(u, v))
+        uu, uv = pointwise_dot(u, u), pointwise_dot(u, v)
         norms = np.empty(u.shape[:-2] + (6,))
         norms[..., 0] = c * np.sqrt(grid.h * _inner_sum(self.phi_sq * uv, uv * uu))
         norms[..., 1] = mu * np.sqrt(inner_each(grid, acc["j2"], acc["j2"]))

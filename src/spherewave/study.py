@@ -300,7 +300,7 @@ def _solve_targets(config: StudyConfig, targets: tuple) -> int:
               for name in targets]
     for r in range(config.n_out + 1):
         for k, solve in enumerate(solves):
-            _, flow, _ = next(solve)
+            _, flow = next(solve)
             _target_rows.publish(k, r, flow.u)
     return len(targets) * lp.n_steps
 

@@ -178,7 +178,7 @@ def test_criterion_4_exact_equilibria(grid, basis):
     spde_total = float(np.abs(stepper.u - u0).max())
 
     lp = LimitParams.auto(grid, 1.0, n_out=256)
-    limit_u = [flow.u for _, flow, _ in limit_rows(u0, lp, basis)]
+    limit_u = [flow.u for _, flow in limit_rows(u0, lp, basis)]
     limit_step = float(np.abs(np.diff(limit_u, axis=0)).max())
     limit_total = float(np.abs(limit_u[-1] - u0).max())
 

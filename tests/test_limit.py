@@ -10,7 +10,7 @@ import pytest
 
 import spherewave as sw
 from spherewave.fields import ROW_CHUNK, dst_ortho, output_rows
-from spherewave.limit import (LimitParams, _Etd2Flow, _HeatFlow, _phi_functions, _RunningIntegral,
+from spherewave.limit import (LimitParams, _Etd2Flow, _HeatFlow, _phi_functions, _running_integral,
                               _Velocity, limit_rows)
 
 RNG = np.random.default_rng(55)
@@ -61,7 +61,7 @@ def rk4_oracle(u0, params, basis, n_out):
 
 
 class ListIntegral:
-    """The running fourth-order integral in lists; `_RunningIntegral` matches it bit for bit."""
+    """The running fourth-order integral in lists; `_running_integral` matches it bit for bit."""
 
     def __init__(self, dt):
         self.dt = dt
@@ -85,20 +85,17 @@ class ListIntegral:
 def etd2_oracle(u0, params, basis):
     """The projected ETDRK2 step composed from the public helpers, one state per step.
 
-    Yields (u, ut, lap, h1, defect, int_ut_sq) after each step, starting from
-    the projected initial field.
+    Yields (u, ut, lap, h1, defect) after each step, starting from the
+    projected initial field.
     """
     grid, dt, gamma = params.grid, params.dt, params.gamma
     z = -sw.eigenvalues(grid) * (dt / gamma)
     phi1, phi2 = _phi_functions(z)
     decay, phi1, phi2 = np.exp(z), dt * phi1, dt * phi2
-    quadrature = ListIntegral(dt)
 
     def state(u, defect):
-        ut = sw.limit_rhs(u, basis, params)
-        lap = sw.laplacian(grid, u)
-        return (u, ut, lap, sw.h1_seminorm_sq(grid, u), defect,
-                quadrature.add(sw.norm_l2_sq(grid, ut)))
+        return (u, sw.limit_rhs(u, basis, params), sw.laplacian(grid, u),
+                sw.h1_seminorm_sq(grid, u), defect)
 
     u, ut, lap, *_ = current = state(sw.normalize_sphere(grid, u0), 0.0)
     while True:
@@ -119,7 +116,7 @@ def comparison_oracle(u10, u20, params, basis, stride):
     """
     grid = params.grid
     f1, f2 = _Etd2Flow(u10, params, basis), _Etd2Flow(u20, params, basis)
-    quadrature = _RunningIntegral(params.dt)
+    quadrature = ListIntegral(params.dt)
     acc = quadrature.add(sw.norm_l2_sq(grid, f1.ut - f2.ut))
     t, dist, int_dv = [0.0], [sw.h1_seminorm_sq(grid, f1.u - f2.u)], [acc]
     for row in output_rows(params.n_steps, stride)[1:]:
@@ -256,20 +253,9 @@ class TestSolveLimit:
         u0 = sw.normalize_sphere(grid, sw.sine_field(grid, 1, 3))
         p = LimitParams.auto(grid, 1.0, n_out=128)
         traj = sw.solve_limit(u0, p, basis, stride=p.n_steps // 128)
-        states = [flow.u for _, flow, _ in limit_rows(u0, p, basis, stride=p.n_steps // 128)]
+        states = [flow.u for _, flow in limit_rows(u0, p, basis, stride=p.n_steps // 128)]
         assert np.abs(states[-1] - u0).max() <= 1e-10
         assert traj.ut_h.max() <= 1e-10
-
-    def test_limit_rows_are_the_recorded_rows(self, grid, basis):
-        u0 = sw.normalize_sphere(grid, sw.sine_field(grid, 1, 1)
-                                 + sw.sine_field(grid, 2, 2, 0.1))
-        p = LimitParams.auto(grid, 0.25, n_out=32)
-        traj = sw.solve_limit(u0, p, basis, stride=p.n_steps // 32)
-        seen = [(r, flow.steps * p.dt, flow.u)
-                for r, flow, _ in limit_rows(u0, p, basis, stride=p.n_steps // 32)]
-        assert [r for r, _, _ in seen] == list(range(33))
-        assert all(t == traj.t[r] and np.sqrt(sw.h1_seminorm_sq(grid, u)) == traj.u_h1[r]
-                   for r, t, u in seen)
 
     def test_sphere_residual_small_and_energy_inequality(self, grid, basis, silent):
         # every step is projected, so the recorded states sit on the sphere;
@@ -379,7 +365,7 @@ class TestSolveLimit:
                                  + sw.sine_field(g, 2, 2, 0.1))
         p = LimitParams.auto(g, 0.25, n_out=64)
         for b in (sw.build_basis(g, 16, 2.0), sw.build_basis(g, 0, 2.0)):
-            states = [flow.u for _, flow, _ in limit_rows(u0, p, b, stride=p.n_steps // 64)]
+            states = [flow.u for _, flow in limit_rows(u0, p, b, stride=p.n_steps // 64)]
             ref = rk4_oracle(u0, p, b, 64)
             err = max(sw.sobolev_norm(g, a - r, 1.0) for a, r in zip(states, ref))
             assert err <= 1e-3
@@ -403,7 +389,7 @@ class TestSolveLimit:
 
         params = LimitParams.auto(g, 0.5, gamma=gamma, n_out=4)
         assert max(gap(flow.u, flow.steps * params.dt)
-                   for _, flow, _ in limit_rows(u0, params, silent)) <= 1e-13
+                   for _, flow in limit_rows(u0, params, silent)) <= 1e-13
 
         etd2 = []
         for p in (params, replace(params, dt=0.5 * params.dt)):
@@ -435,11 +421,11 @@ class TestEtd2Step:
         for step in range(301):
             if step:
                 flow.advance()
-            u, ut, lap, h1, defect, int_ut_sq = next(oracle)
+            u, ut, lap, h1, defect = next(oracle)
             assert flow.steps == step
             assert np.array_equal(flow.u, u) and np.array_equal(flow.ut, ut)
             assert np.array_equal(flow.lap, lap)
-            assert flow.h1 == h1 and flow.defect == defect and flow.int_ut_sq == int_ut_sq
+            assert flow.h1 == h1 and flow.defect == defect
 
     @staticmethod
     def flow(grid, basis, flow_class=_Etd2Flow, steps=3):
@@ -458,7 +444,7 @@ class TestEtd2Step:
         params = LimitParams.auto(g, 0.5, n_out=4)
         u0 = sw.normalize_sphere(g, sw.sine_field(g, 1, 1) + sw.sine_field(g, 2, 2, 0.1))
         rows = [(flow.u, flow.u.copy())
-                for _, flow, _ in limit_rows(u0, params, basis, stride=params.n_steps // 4)]
+                for _, flow in limit_rows(u0, params, basis, stride=params.n_steps // 4)]
         flow = flow_class(u0, params, basis)
         held = [(flow.u, flow.u.copy())]
         for _ in range(3):
@@ -494,12 +480,12 @@ class TestEtd2Step:
         silent = sw.build_basis(g, 0, 2.0)
         params = LimitParams.auto(g, 0.5, n_out=4)
         u0 = sw.normalize_sphere(g, sw.sine_field(g, 1, 1) + sw.sine_field(g, 2, 2, 0.1))
-        clean = [flow.u for _, flow, _ in islice(limit_rows(u0, params, silent), 10)]
+        clean = [flow.u for _, flow in islice(limit_rows(u0, params, silent), 10)]
         seen = []
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(sw.BlowUpError) as info:
-                for r, flow, _ in limit_rows(u0, params, silent):
+                for r, flow in limit_rows(u0, params, silent):
                     if r == 0:
                         flow._powers[9, 5] = np.nan
                     seen.append((r, flow.u))
@@ -525,6 +511,27 @@ class TestEtd2Step:
         with pytest.raises(sw.ParameterError, match="too rough"):
             flow_class(random_field(short), LimitParams.auto(short, 1e-6, n_out=1),
                        sw.build_basis(short, m, 2.0))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("flow_class, m", FLOWS, ids=FLOW_IDS)
+    def test_non_finite_field_refused(self, flow_class, m, bad):
+        # a NaN or inf node is bad input, refused by name before any division
+        # warns: not a blow-up at step 1, and not a non-finite velocity
+        g = sw.Grid1D(1.0, 63)
+        basis = sw.build_basis(g, m, 2.0)
+        params = LimitParams.auto(g, 0.5, n_out=4)
+        u0 = sw.sine_field(g, 1, 1) + sw.sine_field(g, 2, 2, 0.1)
+        u0[0, 5] = bad
+        calls = {"initial field u0": (lambda: flow_class(u0, params, basis),
+                                      lambda: sw.solve_limit(u0, params, basis)),
+                 "field u": (lambda: sw.limit_rhs(u0, basis, params),)}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for name, each in calls.items():
+                for call in each:
+                    with pytest.raises(sw.ParameterError,
+                                       match=f"{name} is not finite: {bad} at component 0, node 5"):
+                        call()
 
     @pytest.mark.parametrize("m", [8, 0], ids=["corrected", "parabolic"])
     def test_zero_stage_is_degenerate(self, m):
@@ -573,16 +580,16 @@ class TestHeatChunks:
         u0, params, silent = self.setup(n_steps, gamma)
         gap = heat_gap(self.GRID, u0, gamma)
         steps = [(flow.steps, gap(flow.u, flow.steps * params.dt))
-                 for _, flow, _ in limit_rows(u0, params, silent)]
+                 for _, flow in limit_rows(u0, params, silent)]
         assert [k for k, _ in steps] == list(range(n_steps + 1))
         assert max(g for _, g in steps) <= 1e-13
 
     def test_strides_share_their_steps_bit_for_bit(self):
         u0, params, silent = self.setup(2 * ROW_CHUNK + 22)
-        every = {flow.steps: (flow.u, flow.ut, flow.lap, flow.h1, flow.ut_sq, flow.int_ut_sq)
-                 for _, flow, _ in limit_rows(u0, params, silent)}
-        strided = [(flow.steps, flow.u, flow.ut, flow.lap, flow.h1, flow.ut_sq, flow.int_ut_sq)
-                   for _, flow, _ in limit_rows(u0, params, silent, stride=8)]
+        every = {flow.steps: (flow.u, flow.ut, flow.lap, flow.h1)
+                 for _, flow in limit_rows(u0, params, silent)}
+        strided = [(flow.steps, flow.u, flow.ut, flow.lap, flow.h1)
+                   for _, flow in limit_rows(u0, params, silent, stride=8)]
         assert [k for k, *_ in strided] == output_rows(params.n_steps, 8)
         for k, *state in strided:
             assert all(np.array_equal(a, b) for a, b in zip(state, every[k]))
@@ -591,14 +598,11 @@ class TestHeatChunks:
         # each field of a refill's stack gets the bits of the field helpers on it alone
         g = self.GRID
         u0, params, silent = self.setup(2 * ROW_CHUNK + 22, gamma=0.7)
-        quadrature = ListIntegral(params.dt)
-        for _, flow, _ in limit_rows(u0, params, silent):
+        for _, flow in limit_rows(u0, params, silent):
             u = flow.u
             assert np.array_equal(flow.ut, sw.limit_rhs(u, silent, params))
             assert np.array_equal(flow.lap, sw.laplacian(g, u))
             assert flow.h1 == sw.h1_seminorm_sq(g, u)
-            assert flow.ut_sq == sw.norm_l2_sq(g, flow.ut)
-            assert flow.int_ut_sq == quadrature.add(flow.ut_sq)
 
     def test_steps_past_the_range_of_raw_powers(self):
         # dt lambda_1 / gamma = 12: e^{64 z} of the slowest mode, about e^-768,
@@ -609,44 +613,84 @@ class TestHeatChunks:
         gap = heat_gap(self.GRID, u0, gamma)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            gaps = [gap(flow.u, flow.steps * dt) for _, flow, _ in limit_rows(u0, params, silent)]
+            gaps = [gap(flow.u, flow.steps * dt) for _, flow in limit_rows(u0, params, silent)]
         assert len(gaps) == params.n_steps + 1 and max(gaps) <= 1e-13
 
 
 class TestRowReads:
-    """solve_limit reads its rows ROW_CHUNK at a time, with the bits of a per-row read."""
+    """solve_limit reads every step ROW_CHUNK at a time and picks its rows, with the bits of a per-step read."""
 
     GRID = sw.Grid1D(1.0, 63)
     COLUMNS = ("t", "u_h1", "u_h2", "ut_h", "sphere_residual", "projection_defect", "energy_lhs")
+
+    @classmethod
+    def setup(cls, n_steps, m):
+        g = cls.GRID
+        u0 = sw.normalize_sphere(g, sw.sine_field(g, 1, 1) + sw.sine_field(g, 2, 2, 0.1)
+                                 + sw.sine_field(g, 5, 3, 0.3))
+        params = LimitParams(grid=g, dt=5e-4, T=n_steps * 5e-4, gamma=0.7)
+        return u0, params, sw.build_basis(g, m, 2.0)
+
+    @staticmethod
+    def per_step_reads(u0, params, basis):
+        """The COLUMNS at every step, read one field at a time from limit_rows at stride 1.
+
+        The integral is the list form over |u_t|_H^2 of every step, and
+        the defect is the step's own.
+        """
+        g = params.grid
+        quadrature = ListIntegral(params.dt)
+        steps = []
+        for _, flow in limit_rows(u0, params, basis):
+            ut_sq = sw.norm_l2_sq(g, flow.ut)
+            steps.append((flow.steps * params.dt, math.sqrt(max(flow.h1, 0.0)),
+                          math.sqrt(sw.norm_l2_sq(g, flow.lap)), math.sqrt(ut_sq),
+                          abs(sw.norm_l2(g, flow.u) - 1.0), flow.defect,
+                          flow.h1 + 2.0 * params.gamma * quadrature.add(ut_sq)))
+        return np.array(steps)
 
     @pytest.mark.parametrize("n_steps, stride", [
         (ROW_CHUNK - 24, 1), (2 * ROW_CHUNK - 1, 1), (2 * ROW_CHUNK + 22, 1),
         (7 * ROW_CHUNK + 3, 7)], ids=["below", "two-chunks", "tail", "stride"])
     @pytest.mark.parametrize("m", [0, 16], ids=["parabolic", "corrected"])
     def test_columns_are_the_per_row_reads(self, n_steps, stride, m):
-        g = self.GRID
-        u0 = sw.normalize_sphere(g, sw.sine_field(g, 1, 1) + sw.sine_field(g, 2, 2, 0.1)
-                                 + sw.sine_field(g, 5, 3, 0.3))
-        params = LimitParams(grid=g, dt=5e-4, T=n_steps * 5e-4, gamma=0.7)
-        basis = sw.build_basis(g, m, 2.0)
+        u0, params, basis = self.setup(n_steps, m)
         traj = sw.solve_limit(u0, params, basis, stride=stride)
-        # each row straight from limit_rows, read one field at a time
-        expected = np.array([
-            (flow.steps * params.dt, math.sqrt(max(flow.h1, 0.0)),
-             math.sqrt(sw.norm_l2_sq(g, flow.lap)), math.sqrt(flow.ut_sq),
-             abs(sw.norm_l2(g, flow.u) - 1.0), worst, flow.h1 + 2.0 * params.gamma * flow.int_ut_sq)
-            for _, flow, worst in limit_rows(u0, params, basis, stride=stride)])
-        assert len(expected) == len(output_rows(n_steps, stride))
+        steps = self.per_step_reads(u0, params, basis)
+        rows = output_rows(n_steps, stride)
+        # limit_rows stops at the recorded rows
+        assert ([(r, flow.steps) for r, flow in limit_rows(u0, params, basis, stride=stride)]
+                == list(enumerate(rows)))
+        expected = steps[rows]
+        # a row's defect is the worst of its steps since the previous row
+        expected[1:, 5] = [steps[a + 1:b + 1, 5].max() for a, b in zip(rows, rows[1:])]
+        assert len(steps) == n_steps + 1 and expected[0, 5] == 0.0
         for k, name in enumerate(self.COLUMNS):
             assert np.array_equal(getattr(traj, name), expected[:, k]), name
         assert traj.energy_rhs == expected[0, -1]
 
+    @pytest.mark.parametrize("m", [0, 16], ids=["parabolic", "corrected"])
+    def test_a_stride_picks_rows_of_the_stride_one_solve(self, m):
+        # every column of a strided solve is the stride-1 solve at its rows,
+        # except the defect, the worst of each row's steps
+        n_steps = 2 * ROW_CHUNK + 22
+        u0, params, basis = self.setup(n_steps, m)
+        every = sw.solve_limit(u0, params, basis)
+        for stride in (5, ROW_CHUNK, n_steps - 1):
+            rows = output_rows(n_steps, stride)
+            traj = sw.solve_limit(u0, params, basis, stride=stride)
+            for name in self.COLUMNS[:5] + self.COLUMNS[6:]:
+                assert np.array_equal(getattr(traj, name), getattr(every, name)[rows]), name
+            worst = [0.0] + [every.projection_defect[a + 1:b + 1].max()
+                             for a, b in zip(rows, rows[1:])]
+            assert np.array_equal(traj.projection_defect, worst)
+            assert traj.energy_rhs == every.energy_rhs
+        if m:
+            assert every.projection_defect[1:].min() > 0.0
+
 
 class TestRunningIntegral:
-    @staticmethod
-    def running(samples, dt):
-        quadrature = _RunningIntegral(dt)
-        return np.array([quadrature.add(f) for f in samples])
+    """`_running_integral`: the value after each sample, in one call."""
 
     def test_fourth_order(self):
         # int_0^t e^{-3s} cos 5s ds at t = 1/4, 1/2, 1: the error falls about
@@ -657,7 +701,7 @@ class TestRunningIntegral:
         errors = []
         for n in (32, 64, 128, 256):
             t = np.linspace(0.0, 1.0, n + 1)
-            values = self.running(np.exp(-3.0 * t) * np.cos(5.0 * t), 1.0 / n)
+            values = _running_integral(np.exp(-3.0 * t) * np.cos(5.0 * t), 1.0 / n)
             at = [n // 4, n // 2, n]
             errors.append(np.abs(values[at] - exact(t[at])))
         for coarse, fine in zip(errors, errors[1:]):
@@ -667,19 +711,30 @@ class TestRunningIntegral:
         # 0 after the first sample, the trapezoid after the second, Simpson
         # after the third
         dt, samples = 0.1, [1.0, 2.0, 5.0, 3.0]
-        values = self.running(samples, dt)
+        values = _running_integral(samples, dt)
         assert len(values) == len(samples)
         assert values[0] == 0.0
         assert values[1] == pytest.approx(0.15, rel=1e-15)
         assert values[2] == pytest.approx(dt / 3.0 * (1.0 + 8.0 + 5.0), rel=1e-14)
 
+    @pytest.mark.parametrize("count", [0, 1, 2, 3])
+    def test_few_samples(self, count):
+        # no value for no sample, then 0, the trapezoid and Simpson's rule,
+        # each with the bits of the list form
+        dt, samples = 0.1, [1.0, 2.0, 5.0][:count]
+        values = _running_integral(samples, dt)
+        reference = ListIntegral(dt)
+        assert values.shape == (count,)
+        assert np.array_equal(values, [reference.add(f) for f in samples])
+        assert np.allclose(values, [0.0, 0.15, dt / 3.0 * 14.0][:count], rtol=1e-14, atol=0.0)
+
     def test_zero_samples_give_zero(self):
-        assert np.all(self.running(np.zeros(50), 0.01) == 0.0)
+        assert np.all(_running_integral(np.zeros(50), 0.01) == 0.0)
 
     def test_same_bits_as_the_list_form(self):
         samples = np.random.default_rng(8).standard_normal(50)
         reference = ListIntegral(0.03)
-        assert np.array_equal(self.running(samples, 0.03),
+        assert np.array_equal(_running_integral(samples, 0.03),
                               [reference.add(f) for f in samples])
 
 

@@ -335,7 +335,7 @@ class TestBlockEngine:
         lp = sw.LimitParams.auto(grid, config.T, n_out=config.n_out)
         # the parabolic target is the limit flow of the silent basis
         for name, b in (("corrected", basis), ("parabolic", sw.build_basis(grid, 0, config.p))):
-            targets[name] = [flow.u for _, flow, _ in
+            targets[name] = [flow.u for _, flow in
                              limit_rows(u0, lp, b, stride=lp.n_steps // config.n_out)]
         for row in result.rows:
             params = config.spde_params(row.mu, grid)
