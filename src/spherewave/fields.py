@@ -16,6 +16,15 @@ The discrete H^1 seminorm is defined through the second-difference operator,
 |f|_{H^1}^2 = <-A_h f, f>, so that discrete sine eigenfields satisfy
 A_h u + |f|_{H^1}^2 u = 0 exactly on the unit sphere.  That choice turns the
 equilibrium tests of the wave and limit solvers into exact identities.
+
+On one (3, 127) field the Python dispatch in front of a numpy or scipy call
+costs as much as its arithmetic, so this module calls three C entries
+directly and is the only module that names them: numpy's `c_einsum`, bound
+once as the two contractions every module sums fields with (`_inner_sum`,
+`_node_dot`), and pocketfft's DST-I binding and LAPACK's dpttrf/dpttrs,
+loaded from scipy's extension files without importing scipy.fft or
+scipy.linalg.  Each gives the bits of the public call, and
+tests/test_fields.py pins each to it.
 """
 
 from __future__ import annotations
@@ -96,7 +105,7 @@ _pttrf, _pttrs = _flapack.dpttrf, _flapack.dpttrs
 
 # rows per batched evaluation along one trajectory: simulate reduces its
 # recorded rows, the exact heat flow of limit computes its steps, and
-# solve_limit takes the norms of its rows, this many at a time on
+# solve_limit takes the norms of its steps, this many at a time on
 # (rows, 3, n) stacks; one row at a time, the numpy call overhead dominates
 # the arithmetic of a field
 ROW_CHUNK = 64

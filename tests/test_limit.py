@@ -618,7 +618,7 @@ class TestHeatChunks:
 
 
 class TestRowReads:
-    """solve_limit reads every step ROW_CHUNK at a time and picks its rows, with the bits of a per-step read."""
+    """solve_limit reads every step ROW_CHUNK at a time, then picks its rows: a per-step read's bits."""
 
     GRID = sw.Grid1D(1.0, 63)
     COLUMNS = ("t", "u_h1", "u_h2", "ut_h", "sphere_residual", "projection_defect", "energy_lhs")
