@@ -192,6 +192,19 @@ def _check_field(grid: Grid1D, f: np.ndarray) -> np.ndarray:
     return f
 
 
+def _check_finite(values: np.ndarray, name: str, axes=("component", "node")) -> np.ndarray:
+    """values as given; one with a NaN or inf entry is refused, naming where on `axes`.
+
+    The one refusal of non-finite input, before any arithmetic can warn or
+    report it as a blow-up.
+    """
+    if not np.isfinite(values).all():
+        index = tuple(np.argwhere(~np.isfinite(values))[0])
+        where = ", ".join(f"{axis} {i}" for axis, i in zip(axes, index))
+        raise ParameterError(f"{name} is not finite: {values[index]} at {where}")
+    return values
+
+
 def _check_block(grid: Grid1D, f: np.ndarray) -> np.ndarray:
     # C order, so that a block's flattened views share its memory
     f = np.ascontiguousarray(f, dtype=float)

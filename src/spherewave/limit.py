@@ -64,6 +64,7 @@ from .fields import (
     Grid1D,
     ROW_CHUNK,
     _check_field,
+    _check_finite,
     _check_friction,
     _dst,
     _inner_sum,
@@ -231,7 +232,7 @@ class _Velocity:
 def limit_rhs(u: np.ndarray, basis: NoiseBasis, params: LimitParams) -> np.ndarray:
     """du/dt for the limit flow of `basis`; the silent basis gives the parabolic flow."""
     check_grid(basis, params.grid)
-    u = _finite_field(params.grid, u, "field u")
+    u = _check_finite(_check_field(params.grid, u), "field u")
     velocity = _Velocity(params, basis)
     if velocity.norm_sq(u) <= 0.0:
         raise DegenerateFieldError("limit dynamics are undefined for the zero field")
@@ -260,18 +261,8 @@ def explicit_form_residual(u: np.ndarray, ut: np.ndarray, basis: NoiseBasis,
     return norm_l2(grid, lhs - rhs)
 
 
-def _finite_field(grid: Grid1D, u: np.ndarray, name: str) -> np.ndarray:
-    """u as a checked field; one with a NaN or inf node is refused before any division."""
-    u = _check_field(grid, u)
-    if not np.isfinite(u).all():
-        component, node = np.argwhere(~np.isfinite(u))[0]
-        raise ParameterError(f"{name} is not finite: {u[component, node]} at component "
-                             f"{component}, node {node}")
-    return u
-
-
 def _repair_initial(grid: Grid1D, u0: np.ndarray) -> np.ndarray:
-    u0 = normalize_sphere(grid, _finite_field(grid, u0, "initial field u0"))
+    u0 = normalize_sphere(grid, _check_finite(_check_field(grid, u0), "initial field u0"))
     h2 = np.sqrt(norm_l2_sq(grid, laplacian(grid, u0)))
     if h2 > _H2_CAP:
         raise ParameterError(

@@ -64,6 +64,7 @@ from .fields import (
     Grid1D,
     HelmholtzSolver,
     ROW_CHUNK,
+    _check_finite,
     _check_friction,
     _cross_into,
     _inner_sum,
@@ -270,7 +271,9 @@ class SpdeStepper:
     lost at the first step whose new state has non-finite norms, which any
     non-finite field also gives; its fields are NaN from that step on, and
     its BlowUpError carries BLOWUP_DIAGNOSTICS of the state before the
-    blow-up step.  A start with non-finite norms is refused.  Each
+    blow-up step.  A start with a NaN or inf node is bad input, refused
+    with a ParameterError that names the node (and a block's sample); a
+    finite start whose norms overflow is refused as BlowUpError(0).  Each
     step does one tridiagonal LDL^T solve, with the factor computed here, on
     the right-hand side (S, 3, n), which is the Fortran-ordered (n, 3S)
     matrix of its node rows, in place.
@@ -292,6 +295,10 @@ class SpdeStepper:
         self.samples = np.arange(size) if samples is None else np.array(samples)
         if self.samples.shape != (size,):
             raise ShapeError(f"need one label per sample, got {self.samples.shape}")
+        for name, start in (("u0", u0), ("v0", v0)):
+            for label, f in zip(self.samples, start.reshape(size, 3, n)):
+                _check_finite(f, f"initial field {name} of sample {label}" if each
+                              else f"initial field {name}")
         self.params = params
         h, dt, mu = grid.h, params.dt, params.mu
         self.solver = HelmholtzSolver(grid, 1.0 + params.gamma * dt / mu, dt ** 2 / mu)
@@ -327,16 +334,14 @@ class SpdeStepper:
         self.sample_steps = 0
         self.alive = np.ones(size, dtype=bool)
         self.lost: list[BlowUpError] = []
-        self.u0, self.v0 = u0, v0
         # [()] makes a field's 0-d zeros numpy scalars and leaves a block's arrays
         self.acc_v2 = np.zeros(each)[()]
         self.norm_defect, self.tangent_defect = np.zeros(each)[()], np.zeros(each)[()]
         self.acc_noise = np.zeros_like(u0)
         with np.errstate(all="ignore"):
             self._bind(u0.copy(), v0.copy())
-            # refuse a start with non-finite norms, the step's test of a lost
-            # sample (any non-finite field gives them), before the integrands
-            # read them
+            # refuse a finite start whose norms overflow, the step's test of
+            # a lost sample, before the integrands read them
             if not self._all_finite(self.h1 + self.vh2):
                 raise BlowUpError(0, sample=int(self.samples[~self._finite_each()][0]))
             # the latest integrands f_k, and their left sum from f_0 / 2 on; a
@@ -642,7 +647,8 @@ def simulate(u0: np.ndarray, v0: np.ndarray, params: SpdeParams, basis: NoiseBas
     are copied into a buffer of ROW_CHUNK rows; every row quantity
     (DIAGNOSTICS, and the remainder series) is evaluated on the buffer
     whenever it fills and at the final row, with the numbers of a per-row
-    evaluation.  A blow-up raises BlowUpError.
+    evaluation.  A blow-up raises BlowUpError; a NaN or inf increment is
+    bad input, refused with a ParameterError that names its step and mode.
     """
     grid = params.grid
     n_steps = params.n_steps
@@ -652,6 +658,8 @@ def simulate(u0: np.ndarray, v0: np.ndarray, params: SpdeParams, basis: NoiseBas
         if increments.shape != (n_steps, basis.m):
             raise ShapeError(
                 f"increments must have shape ({n_steps}, {basis.m}), got {increments.shape}")
+        for k in np.flatnonzero(~np.isfinite(increments).all(axis=1))[:1]:
+            _check_finite(increments[k], f"the increment of step {k + 1}", ("mode",))
     elif rng is not None and basis.m > 0:
         increments = np.sqrt(params.dt) * rng.standard_normal((n_steps, basis.m))
 

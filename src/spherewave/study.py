@@ -26,9 +26,9 @@ driver, _run, runs the blocks of the study and of refinement_bias,
 costliest first, and returns each block's result in its caller's order.
 The blocks are the only jobs of the pool (the default study gives it four);
 meanwhile the calling process solves the limit targets together, one output
-row at a time, and publishes each row of a target into memory shared with
-the pool as soon as it is recorded; a block reads row r only when it
-reaches it.  At each output row the block is reduced in place to running
+row at a time, and publishes row r of every target at once, under one count,
+into memory shared with the pool; a block reads row r only when it reaches
+it.  At each output row the block is reduced in place to running
 per-sample maxima (Sobolev errors against every target, the six J norms,
 the identity residual and the energy; the engine keeps the constraint
 residuals' sups over every step), so no field snapshots are kept.  A block keeps its shape when a
@@ -233,46 +233,43 @@ def _resolve_targets(config: StudyConfig, target: str, extra_targets) -> tuple[s
 
 
 class _TargetRows:
-    """The limit targets' fields (targets, rows, 3, n), in memory shared with the pool.
+    """The limit targets' fields (rows, targets, 3, n), in memory shared with the pool.
 
-    The calling process writes each row of a target and then publishes it:
-    the target's count of published rows goes up under one condition, which
-    wakes every waiting block.  A count of -1 marks a target whose solve
-    failed or never ran.  The buffer, the counts and the condition reach the
+    The calling process writes row r of every target and then publishes it:
+    the one count of published rows goes up under one condition, which
+    wakes every waiting block.  A count of -1 marks targets whose solve
+    failed or never ran.  The buffer, the count and the condition reach the
     workers through the pool's initializer, never through a pickled job.
     """
 
     def __init__(self, context, shape: tuple):
         self.shape = shape
         self._buffer = context.RawArray("d", int(np.prod(shape)))
-        self._counts = context.RawArray("i", shape[0])
+        self._count = context.RawValue("i")
         self._ready = context.Condition()
 
-    def _fields(self, k: int) -> np.ndarray:
-        return np.frombuffer(self._buffer).reshape(self.shape)[k]
-
-    def publish(self, k: int, r: int, u: np.ndarray) -> None:
-        self._fields(k)[r] = u
+    def publish(self, r: int, fields: list) -> None:
+        """Write row r of every target, in the run's target order, and publish it."""
+        np.frombuffer(self._buffer).reshape(self.shape)[r] = fields
         with self._ready:
-            self._counts[k] = r + 1
+            self._count.value = r + 1
             self._ready.notify_all()
 
     def close(self) -> None:
-        """Mark every target failed whose rows are not all published."""
+        """Mark the targets failed unless every row is published."""
         with self._ready:
-            for k in range(self.shape[0]):
-                if self._counts[k] < self.shape[1]:
-                    self._counts[k] = -1
+            if self._count.value < self.shape[0]:
+                self._count.value = -1
             self._ready.notify_all()
 
-    def row(self, k: int, r: int) -> np.ndarray:
-        """Row r of target k, waiting until it is published."""
+    def row(self, r: int) -> np.ndarray:
+        """Row r of every target (targets, 3, n), waiting until it is published."""
         with self._ready:
-            self._ready.wait_for(lambda: not 0 <= self._counts[k] <= r)
-            count = self._counts[k]
+            self._ready.wait_for(lambda: not 0 <= self._count.value <= r)
+            count = self._count.value
         if count < 0:
-            raise RuntimeError(f"limit target {k} failed")
-        return self._fields(k)[r]
+            raise RuntimeError("the limit targets failed")
+        return np.frombuffer(self._buffer).reshape(self.shape)[r]
 
 
 _target_rows: _TargetRows | None = None   # this process's view of the run's targets
@@ -285,11 +282,11 @@ def _attach(rows: _TargetRows | None) -> None:
 
 
 def _solve_targets(config: StudyConfig, targets: tuple) -> int:
-    """Solve the targets together and publish each row as it is recorded; the limit steps.
+    """Solve the targets together and publish each row of all of them; the limit steps.
 
-    The targets advance one output row at a time: row r of every target is
-    published before row r + 1 of any, so no block waits on one target
-    while another runs to T.  "parabolic" is the limit flow of the silent
+    The targets advance one output row at a time, and row r of every target
+    is published at once, so no block waits on one target while another
+    runs to T.  "parabolic" is the limit flow of the silent
     basis, "corrected" that of the config's.
     """
     grid = config.grid()
@@ -298,10 +295,8 @@ def _solve_targets(config: StudyConfig, targets: tuple) -> int:
     solves = [limit_rows(u0, lp, build_basis(grid, 0, config.p) if name == "parabolic"
                          else config.basis(grid), stride=lp.n_steps // config.n_out)
               for name in targets]
-    for r in range(config.n_out + 1):
-        for k, solve in enumerate(solves):
-            _, flow = next(solve)
-            _target_rows.publish(k, r, flow.u)
+    for r, flows in enumerate(zip(*solves)):
+        _target_rows.publish(r, [flow.u for _, flow in flows])
     return len(targets) * lp.n_steps
 
 
@@ -340,15 +335,14 @@ def _run_block(config: StudyConfig, params: SpdeParams, targets: tuple, mu_index
     """Step one block of a mass level and reduce it to one SampleRow per sample.
 
     The noise basis and the initial data are the config's, on the grid of
-    params.  targets names the run's targets in the order they are published;
-    row r of target k is read from the shared rows when the block reaches
-    it.  The increments are drawn here, in the worker, from the samples'
+    params.  targets names the run's targets in their order in a published
+    row; row r is read from the shared rows when the block reaches it, and
+    a block without targets never reads them.  The increments are drawn here, in the worker, from the samples'
     keys (master_seed, stream, j); see _increments.  The error norms' mode
     weights are computed once here, and the engine's RemainderIdentity holds
-    the identity's constant part, so a row recomputes neither.  Every
-    BlowUpError of the block names its mass level: a refused start is
-    raised, and the lost samples' errors come back with the work counters,
-    under "lost".
+    the identity's constant part, so a row recomputes neither.  A refused
+    start raises its BlowUpError, stamped with the mass level; a lost
+    sample's row carries its blow-up step and last finite diagnostics.
     """
     grid, mu = params.grid, params.mu
     size = len(samples)
@@ -368,7 +362,7 @@ def _run_block(config: StudyConfig, params: SpdeParams, targets: tuple, mu_index
 
     def reduce_row(r: int):
         for k, name in enumerate(targets):
-            err = weighted_norm(grid, weights, dst_ortho(engine.u - _target_rows.row(k, r)))
+            err = weighted_norm(grid, weights, dst_ortho(engine.u - _target_rows.row(r)[k]))
             np.maximum(errors[name], err, out=errors[name])
         np.maximum(energy_dev, np.abs(engine.energy() - energy0), out=energy_dev)
         norms, residual = engine.remainder_norms()
@@ -378,8 +372,6 @@ def _run_block(config: StudyConfig, params: SpdeParams, targets: tuple, mu_index
     engine.run(increments, output_rows(params.n_steps, params.n_steps // config.n_out),
                reduce_row)
 
-    for err in engine.lost:
-        err.at_level(mu_index)
     blowups = {err.sample: err for err in engine.lost}
     rows = []
     for pos, sample in enumerate(samples):
@@ -404,9 +396,7 @@ def _run_block(config: StudyConfig, params: SpdeParams, targets: tuple, mu_index
             identity_sup=float(identity_sup[pos]),
             gates=("energy-residual",) if energy_residual > MAX_ENERGY_DRIFT else (),
         ))
-    work = {"block_steps": engine.step_index, "sample_steps": engine.sample_steps,
-            "lost": engine.lost}
-    return rows, work
+    return rows, {"block_steps": engine.step_index, "sample_steps": engine.sample_steps}
 
 
 def check_workers(workers: int) -> None:
@@ -419,22 +409,21 @@ def _run(config: StudyConfig, targets: tuple, blocks: list, workers: int) -> tup
 
     Each block is (params, mass index, samples, stream, draws per step), and
     blocks of other lengths raise ValueError before any job runs; its result is
-    (rows, work counters and blow-ups), returned in the order of `blocks`.
+    (rows, work counters), returned in the order of `blocks`.
     The blocks, costliest first, are the only jobs: with more than one
     worker (fewer than one is refused) they go to a pool of at most one
     process per block, and with one the builtin map runs them here after
     the targets.  Either way the calling process solves the targets, row
     by row, while the blocks run; a block waits only on rows the caller
-    publishes, and the caller never waits on a block.  A failed target
-    wakes the blocks waiting on any target not fully published, and its
-    own exception is the one raised.
+    publishes, and the caller never waits on a block.  A failed solve
+    wakes every waiting block, and its own exception is the one raised.
     """
     check_workers(workers)
     order = sorted(range(len(blocks)),
                    key=lambda b: -blocks[b][0].n_steps * len(blocks[b][2]))
     columns = zip(*[(config, blocks[b][0], targets) + blocks[b][1:] for b in order], strict=True)
     context = multiprocessing.get_context()
-    rows = _TargetRows(context, (len(targets), config.n_out + 1, 3, config.n))
+    rows = _TargetRows(context, (config.n_out + 1, len(targets), 3, config.n))
     _attach(rows)
     try:
         with (ProcessPoolExecutor(max_workers=min(workers, len(blocks)), mp_context=context,

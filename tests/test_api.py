@@ -1,6 +1,7 @@
 """Every public name a module exports resolves; every name a module imports is used;
 every keyword-only option is set by some caller; only fields applies A_h, contracts
-and crosses fields; each solver has one stepping loop; only fields sets a row chunk."""
+and crosses fields; each solver has one stepping loop; only fields sets a row chunk;
+only study._TargetRows makes state shared with a pool."""
 
 import ast
 import importlib
@@ -244,3 +245,21 @@ def test_row_chunk_has_one_owner():
             if target.endswith("CHUNK") and isinstance(node.ctx, ast.Store):
                 stray.append(f"{name}.py:{node.lineno}: {target}")
     assert not stray, f"chunk constants outside fields: {stray}"
+
+
+# the constructors of state shared between processes (multiprocessing's and
+# its contexts'): study._TargetRows alone makes the pool's shared state
+SHARED_STATE = {"RawArray", "RawValue", "Array", "Value", "Condition", "Lock", "Event",
+                "Manager"}
+
+
+def test_shared_state_has_one_owner():
+    # a second buffer, count or lock is a second channel between the caller
+    # and the blocks, with its own waits to keep in step with _TargetRows'
+    stray = []
+    for name in MODULES:
+        tree = ast.parse(Path(spherewave.__path__[0], f"{name}.py").read_text())
+        stray += [f"{owner}: {ast.unparse(call)}" for owner, call in _calls_by_owner(tree, name)
+                  if _call_name(call) in SHARED_STATE
+                  and not owner.startswith("study._TargetRows.")]
+    assert not stray, f"shared state made outside study._TargetRows: {stray}"

@@ -1,5 +1,7 @@
 """Stochastic stepper: structure preservation, diagnostics, functionals."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -235,22 +237,46 @@ class TestStep:
         u0, _ = gentle_data
         v0 = sw.project_tangent(grid, u0, sw.sine_field(grid, 2, 1))
         params = sw.SpdeParams(grid=grid, mu=0.1, dt=1e-4, T=1e-3)
-        # finite fields whose norm overflows, or a NaN or inf node: the one
-        # norms test refuses the start, so no step is taken and no remainder
-        # integrand is evaluated (the suite errors on their warnings)
-        nan_u0, inf_u0 = u0.copy(), u0.copy()
-        nan_u0[1, 7] = np.nan
-        inf_u0[0, 3] = np.inf
-        for start in ((1e200 * u0, v0), (1e200 * u0, sw.zero_field(grid)), (u0, 1e200 * v0),
-                      (nan_u0, v0), (inf_u0, v0)):
+        # finite fields whose norm overflows: the norms test refuses the
+        # start, so no step is taken and no remainder integrand is evaluated
+        # (the suite errors on their warnings)
+        for start in ((1e200 * u0, v0), (1e200 * u0, sw.zero_field(grid)), (u0, 1e200 * v0)):
             with pytest.raises(sw.BlowUpError) as err:
                 sw.simulate(*start, params, basis)
             assert err.value.step == 0 and err.value.sample == 0
-        # in a block the error names the one bad sample
-        for bad in (nan_u0, inf_u0):
-            with pytest.raises(sw.BlowUpError) as err:
-                SpdeStepper(params, basis, np.stack([u0, bad, u0]), np.stack([v0] * 3))
-            assert err.value.step == 0 and err.value.sample == 1
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_input_refused(self, grid, basis, gentle_data, bad):
+        # a NaN or inf node or increment is bad input, refused by name before
+        # any arithmetic warns: not a blow-up at step 0 or 1
+        u0, _ = gentle_data
+        v0 = sw.project_tangent(grid, u0, sw.sine_field(grid, 2, 1))
+        params = sw.SpdeParams(grid=grid, mu=0.1, dt=1e-4, T=1e-3)
+        bad_u0, bad_v0 = u0.copy(), v0.copy()
+        bad_u0[1, 7] = bad_v0[2, 4] = bad
+        increments = np.zeros((params.n_steps, basis.m))
+        increments[3, 5] = increments[6, 1] = bad
+        calls = {
+            f"initial field u0 is not finite: {bad} at component 1, node 7":
+                lambda: sw.simulate(bad_u0, v0, params, basis),
+            f"initial field v0 is not finite: {bad} at component 2, node 4":
+                lambda: sw.simulate(u0, bad_v0, params, basis),
+            # in a block the error names the bad sample's label
+            f"initial field u0 of sample 8 is not finite: {bad} at component 1, node 7":
+                lambda: SpdeStepper(params, basis, np.stack([u0, bad_u0, u0]),
+                                    np.stack([v0] * 3), samples=[7, 8, 9]),
+            f"initial field v0 of sample 2 is not finite: {bad} at component 2, node 4":
+                lambda: SpdeStepper(params, basis, np.stack([u0] * 3),
+                                    np.stack([v0, v0, bad_v0])),
+            # the first bad step: row 3 of increments drives step 4
+            f"the increment of step 4 is not finite: {bad} at mode 5":
+                lambda: sw.simulate(u0, v0, params, basis, increments=increments),
+        }
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for message, call in calls.items():
+                with pytest.raises(sw.ParameterError, match=f"^{message}$"):
+                    call()
 
     @pytest.mark.parametrize("projection", [False, True])
     def test_overflowing_start_is_lost_not_warned(self, grid, basis, gentle_data, projection):
@@ -624,7 +650,7 @@ class TestDiagnostics:
         assert stepper.t == 0.0
         assert row["energy"] == pytest.approx(sw.h1_seminorm_sq(grid, u0), rel=1e-13)
         assert abs(row["theta"]) <= 1e-14 and row["v_h"] == 0.0
-        with pytest.raises(sw.BlowUpError):
+        with pytest.raises(sw.ParameterError, match="initial field u0 is not finite: nan"):
             SpdeStepper(params, basis, np.full((3, grid.n), np.nan), v0)
 
     def test_acc_v2_nondecreasing(self, grid, basis, gentle_data):
@@ -653,7 +679,7 @@ class TestRowChunks:
         traj = sw.simulate(u0, v0, params, basis, increments=dw)
 
         engine = SpdeStepper(params, basis, u0, v0)
-        identity = RemainderIdentity(params, basis, engine.u0, engine.v0)
+        identity = RemainderIdentity(params, basis, u0, v0)
         rows = []
 
         def on_row(r):

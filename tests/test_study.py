@@ -625,21 +625,19 @@ class TestTargetJobs:
 
     def test_blowups_name_their_mass_level(self):
         # unprojected, every sample of both levels blows up; a pool of 2
-        # pickles each block's errors back, stamped with the block's level
+        # sends back each block's rows, which name the level, the blow-up
+        # step and the last finite diagnostics, and its work counters alone
         config = StudyConfig(mu_values=(0.05, 0.025), ensemble=2, projection=False)
         blocks = [(config.spde_params(mu), i, range(2), 0, 1)
                   for i, mu in enumerate(config.mu_values)]
         _, done = _run(config, ("corrected",), blocks, workers=2)
         for (_, mu_index, *_), (rows, work) in zip(blocks, done):
-            assert sorted(err.sample for err in work["lost"]) == [0, 1]
-            for err in work["lost"]:
-                assert type(err) is sw.BlowUpError and err.mu_index == mu_index
-                assert (f"non-finite field at step {err.step} of sample {err.sample}"
-                        f" at mass level {mu_index} (last finite diagnostics: energy=") in str(err)
-                back = pickle.loads(pickle.dumps(err))
-                assert (str(back), back.mu_index) == (str(err), mu_index)
-            assert ({row.sample: row.blowup_step for row in rows}
-                    == {err.sample: err.step for err in work["lost"]})
+            assert sorted(work) == ["block_steps", "sample_steps"]
+            assert [row.sample for row in rows] == [0, 1]
+            for row in rows:
+                assert row.mu_index == mu_index and row.blowup_step > 0
+                assert list(row.last_finite) == list(BLOWUP_DIAGNOSTICS)
+                assert np.isfinite(list(row.last_finite.values())).all()
         # a refused start raises out of the pool with its level: the
         # costlier mu = 0.025 block is the first block job
         huge = replace(config, v_modes=((1, 2, 1e200),))
@@ -649,19 +647,18 @@ class TestTargetJobs:
         assert str(info.value) == "non-finite field at step 0 of sample 0 at mass level 1"
 
     def test_caller_publishes_the_targets_row_by_row(self, small_config, monkeypatch):
-        # row r of every target goes out before row r + 1 of any, all from
+        # row r of every target goes out at once, before row r + 1, all from
         # the caller, so no block waits on one target while another runs to T
         published = []
         real = study_module._TargetRows.publish
 
-        def recorded(self, k, r, u):
-            published.append((os.getpid(), k, r))
-            real(self, k, r, u)
+        def recorded(self, r, fields):
+            published.append((os.getpid(), r, len(fields)))
+            real(self, r, fields)
 
         monkeypatch.setattr(study_module._TargetRows, "publish", recorded)
         run_study(small_config, extra_targets=("parabolic",), workers=2)
-        assert published == [(os.getpid(), k, r) for r in range(small_config.n_out + 1)
-                             for k in range(2)]
+        assert published == [(os.getpid(), r, 2) for r in range(small_config.n_out + 1)]
 
     def test_blocks_run_costliest_first(self, small_config, monkeypatch):
         calls = []
@@ -738,15 +735,17 @@ class TestTargetJobs:
         assert ran == []
 
     def test_closing_fails_every_unfinished_target(self):
-        # when target 0 fails, a block may already wait on a row of target 1
-        # that is never published
+        # when a target fails after row 0, a block may already wait on row 1,
+        # which is never published
         rows = study_module._TargetRows(multiprocessing.get_context(), (2, 2, 3, 4))
-        rows.publish(0, 0, np.ones((3, 4)))
+        fields = [np.ones((3, 4)), np.full((3, 4), 2.0)]
+        rows.publish(0, fields)
+        assert np.array_equal(rows.row(0), fields)
         errors = []
 
         def read():
             try:
-                rows.row(1, 0)
+                rows.row(1)
             except RuntimeError as exc:
                 errors.append(str(exc))
 
@@ -754,7 +753,7 @@ class TestTargetJobs:
         waiter.start()
         rows.close()
         waiter.join(timeout=10)
-        assert errors == ["limit target 1 failed"]
+        assert errors == ["the limit targets failed"]
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_failed_target_raises_its_own_error(self, tmp_path, workers):
