@@ -337,8 +337,9 @@ def _run_block(config: StudyConfig, params: SpdeParams, targets: tuple, mu_index
     The noise basis and the initial data are the config's, on the grid of
     params.  targets names the run's targets in their order in a published
     row; row r is read from the shared rows when the block reaches it, and
-    a block without targets never reads them.  The increments are drawn here, in the worker, from the samples'
-    keys (master_seed, stream, j); see _increments.  The error norms' mode
+    a block without targets never reads them.  The increments are drawn
+    here, in the worker, from the samples' keys (master_seed, stream, j);
+    see _increments.  The error norms' mode
     weights are computed once here, and the engine's RemainderIdentity holds
     the identity's constant part, so a row recomputes neither.  A refused
     start raises its BlowUpError, stamped with the mass level; a lost
@@ -408,9 +409,9 @@ def _run(config: StudyConfig, targets: tuple, blocks: list, workers: int) -> tup
     """Solve the targets and run the blocks: (limit steps, each block's result).
 
     Each block is (params, mass index, samples, stream, draws per step), and
-    blocks of other lengths raise ValueError before any job runs; its result is
-    (rows, work counters), returned in the order of `blocks`.
-    The blocks, costliest first, are the only jobs: with more than one
+    blocks of other lengths raise ValueError before any job runs; its result
+    is (rows, work counters), returned in the order of `blocks`.  The
+    blocks, costliest first, are the only jobs: with more than one
     worker (fewer than one is refused) they go to a pool of at most one
     process per block, and with one the builtin map runs them here after
     the targets.  Either way the calling process solves the targets, row
