@@ -6,18 +6,18 @@ obtained by inverting the pointwise 3x3 matrix
 
     M = (gamma + phi |u|^2 / 2) I - (phi/2) u u^T,       M u = gamma u.
 
-The solver steps the mobility form with ETDRK2: A_h/gamma exactly in the
-sine basis, the rest explicitly, each step projected back onto the sphere.
-On the silent basis (phi = 0) the flow is the normalised heat flow, which
-the solver takes exactly instead.
-There is no step bound; dt follows the accuracy rule
-dt <= gamma / (200 lambda_{h,1}), which the energy inequality's row gate
-sets: its dissipation integral int |u_t|^2 is taken to fourth order (the
-trapezoid plus the Euler-Maclaurin end correction).  The divergence form is
-kept as a residual oracle.  This script demonstrates: the equivalence of the
-two forms, exact equilibria at discrete sine eigenfields, sphere invariance
-and the projection defect, the energy inequality, and the two-solution
-comparison bound.
+The solver steps the mobility form with ETDRK4: A_h/gamma exactly in the
+sine basis, the rest explicitly, each stage and each step projected back
+onto the sphere.  On the silent basis (phi = 0) the flow is the normalised
+heat flow, which the solver takes exactly instead.  There is no step bound;
+dt follows an accuracy rule, dt <= gamma / (50 lambda_{h,1}) for ETDRK4 and
+dt <= gamma / (200 lambda_{h,1}) on the silent basis, where the energy
+inequality's row gate sets it: its dissipation integral int |u_t|^2 is
+taken to fourth order (the trapezoid plus the Euler-Maclaurin end
+correction).  The divergence form is kept as a residual oracle.  This
+script demonstrates: the equivalence of the two forms, exact equilibria at
+discrete sine eigenfields, sphere invariance and the projection defect, the
+energy inequality, and the two-solution comparison bound.
 """
 
 import numpy as np
@@ -29,7 +29,7 @@ from spherewave.limit import LimitParams
 def main():
     grid = sw.Grid1D(1.0, 127)
     basis = sw.build_basis(grid, m=16, p=2.0)
-    params = LimitParams.auto(grid, T=1.0, n_out=256)
+    params = LimitParams.auto(grid, 1.0, basis, n_out=256)
     rng = np.random.default_rng(7)
 
     u = sw.normalize_sphere(grid, rng.standard_normal((3, grid.n)))
@@ -54,7 +54,7 @@ def main():
     w = sw.field_from_modes(grid, [(k, d, rng.standard_normal())
                                    for k in range(1, 9) for d in (1, 2, 3)])
     w /= sw.norm_l2(grid, w)
-    comp_params = LimitParams.auto(grid, T=0.25, n_out=64)
+    comp_params = LimitParams.auto(grid, 0.25, basis, n_out=64)
     print("\ntwo-solution comparison (perturbed initial data):")
     for eps in (1e-2, 1e-3):
         u20 = sw.normalize_sphere(grid, u0 + eps * w)

@@ -202,10 +202,11 @@ def spde_params_from(cfg: dict, grid: Grid1D) -> SpdeParams:
 
 
 def limit_params_from(cfg: dict, grid: Grid1D, basis) -> LimitParams:
-    """Limit-solver parameters; the step rule does not depend on the kernel of `basis`."""
+    """Limit-solver parameters: time.dt is the exact step, and the auto step is
+    the accuracy rule of `basis`'s flow (LimitParams.auto)."""
     phys, time = cfg["physics"], cfg["time"]
     if time["dt"] == "auto":
-        return LimitParams.auto(grid, time["T"], gamma=phys["gamma"], n_out=1)
+        return LimitParams.auto(grid, time["T"], basis, gamma=phys["gamma"], n_out=1)
     return LimitParams(grid=grid, dt=time["dt"], T=time["T"], gamma=phys["gamma"])
 
 

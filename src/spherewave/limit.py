@@ -15,41 +15,42 @@ is kept as a residual oracle: substituting du/dt from the mobility form
 makes it vanish identically, by the same algebra that proves the two
 formulations equivalent.  The silent basis (phi = 0) gives the parabolic flow.
 
-Time stepping is ETDRK2 (Cox & Matthews 2002).  The stiff part A_h u / gamma
+Time stepping is ETDRK4 (Cox & Matthews 2002).  The stiff part A_h u / gamma
 is diagonal in the orthonormal DST-I basis and is integrated exactly; the
 remainder N(u) = du/dt - A_h u / gamma (the |u|_{H1}^2 u term and the
 pointwise mobility correction) is explicit.  The pointwise mobility lies in
 (0, 1/gamma], so for frozen coefficients the explicit remainder only removes
 part of a decay that the exact factor already applies: the scheme is stable
 for every dt, and dt is chosen for accuracy alone.  The sphere repels
-transversally at rate 2|u|_{H1}^2/gamma, so the stage is projected back onto
-it before N is evaluated there, and so is the step result; the distance of
-the unprojected result from the sphere, O(dt^3), is kept as the step's
-projection defect.
+transversally at rate 2|u|_{H1}^2/gamma, so each of the three stages is
+projected back onto it before N is evaluated there, and so is the step
+result; the distance of the unprojected result from the sphere is kept as
+the step's projection defect.
 
 The parabolic flow needs no stepper: gamma u_t = A_h u + |u|_{H1}^2 u only
 rescales e^{t A_h / gamma} u0 onto the sphere, so its semi-discrete solution
 is that field at unit H-norm, the normalised heat flow (Bao & Du 2004).
 `limit_rows` solves it so, exactly in time, on the silent basis, and steps
-every other basis with ETDRK2; the two flows share their state (`_Flow`),
+every other basis with ETDRK4; the two flows share their state (`_Flow`),
 and the heat flow's projection defect is 0.  A flow only steps: the
 quantities only `solve_limit` reports, |u_t|_H^2, its running integral and
 each row's worst projection defect, are formed there, from every step.
 
-An ETDRK2 step works on one field (3, n), so its cost is Python calls, not
+An ETDRK4 step works on one field (3, n), so its cost is Python calls, not
 arithmetic.  Each flow therefore builds one velocity kernel, `_Velocity`,
-which holds everything a solve never changes.  An ETDRK2 step evaluates it
-twice, at the projected stage and at the projected result, and writes into
-buffers the flow owns; with four DST calls (u and N(u) go through one) and
-the kernel's two Laplacians that is the whole step.  No step of the heat
-flow depends on the arithmetic of the one before, so it computes ROW_CHUNK
-steps at a time: one DST, one batched H-norm and one evaluation of the same
-kernel on the stack (ROW_CHUNK, 3, n), which gives each field the bits it
-gets alone.  `solve_limit` reads the steps by the same rule, on either
-flow: it copies each step's u_t, A_h u and u into stacks of ROW_CHUNK and
-takes the H-norms of a stack in one call.  `limit_rhs` and
-`mobility_apply_inverse` run the same kernel and the same Sherman-Morrison
-solve, so the public velocity and the solver's agree bit for bit.
+which holds everything a solve never changes.  An ETDRK4 step evaluates it
+four times, at the three projected stages and at the projected result, and
+writes into buffers the flow owns; with eight DST calls (u and N(u) go
+through one) and the kernel's four Laplacians that is the whole step.  No
+step of the heat flow depends on the arithmetic of the one before, so it
+computes ROW_CHUNK steps at a time: one DST, one batched H-norm and one
+evaluation of the same kernel on the stack (ROW_CHUNK, 3, n), which gives
+each field the bits it gets alone.  `solve_limit` reads the steps by the
+same rule, on either flow: it copies each step's u_t, A_h u and u into
+stacks of ROW_CHUNK and takes the H-norms of a stack in one call.
+`limit_rhs` and `mobility_apply_inverse` run the same kernel and the same
+Sherman-Morrison solve, so the public velocity and the solver's agree bit
+for bit.
 """
 
 from __future__ import annotations
@@ -98,15 +99,20 @@ __all__ = [
     "comparison_experiment",
 ]
 
-# Steps per relaxation time gamma / lambda_{h,1} of the slowest sine mode.
-# Two gates size it.  The energy inequality E_lhs <= E_rhs (1 + 1e-6) on the
-# parabolic flow, which has no dissipative slack and is solved exactly in
-# time, so its rows measure the fourth-order quadrature of int |u_t|^2
-# alone: at the defaults (n = 127, T = 1) the worst row reads 6.0e-8 here
-# and 4.7e-7 at 100 steps.  And the 1e-3 sup H^1 gap of ETDRK2 on the silent
-# basis to the exact heat flow (T = 0.5, n = 63 and 127, gamma = 1 and 0.7),
-# which reads 5.1e-4 here and about 2.0e-3 at 100 steps.
+# Steps per relaxation time gamma / lambda_{h,1} of the slowest sine mode
+# on the silent basis, whose exact heat flow has no step error.  One gate
+# sizes it: the energy inequality E_lhs <= E_rhs (1 + 1e-6) on the parabolic
+# flow, which has no dissipative slack, so its rows measure the fourth-order
+# quadrature of int |u_t|^2 alone: at the defaults (n = 127, T = 1) the
+# worst row reads 6.0e-8 here and 4.7e-7 at 100 steps.
 _RELAXATION_STEPS = 200
+# The same on every other basis, which ETDRK4 steps.  At the defaults (494
+# steps) the sup-in-time H^1 error against ETDRK4 at 4x the steps reads
+# 1.0e-6, against 1.4e-5 for ETDRK2 at 200 steps; the sup errors of the
+# u_h1, u_h2 and ut_h columns of solve_limit read 5.5e-9, 1.0e-7 and 3.4e-7
+# (ETDRK2: 5.2e-7, 1.1e-5, 2.3e-5), and of energy_lhs 5.3e-6 from row 2 on
+# (ETDRK2: 7.6e-6).  At 25 steps energy_lhs reads 2.9e-4.
+_ETD4_RELAXATION_STEPS = 50
 _CONTOUR_POINTS = 32
 # largest |A_h u0|_H accepted as initial data
 _H2_CAP = 1.0e6
@@ -117,9 +123,11 @@ class LimitParams:
     """Parameters of the deterministic solver.
 
     Neither solver has a stability bound, so dt only has to divide T.
-    `auto` picks the accuracy rule dt <= gamma / (200 lambda_{h,1}), with
-    the step count a multiple of n_out: about 2,000 steps for T = 1 at the
-    default grid.
+    `auto` picks an accuracy rule by the basis, with the step count a
+    multiple of n_out: dt <= gamma / (200 lambda_{h,1}) on the silent basis,
+    whose heat flow is sized by its energy quadrature, and
+    dt <= gamma / (50 lambda_{h,1}) on every other, which ETDRK4 steps.  For
+    T = 1 at the default grid that is 1,974 and 494 steps.
     """
 
     grid: Grid1D
@@ -136,9 +144,11 @@ class LimitParams:
         return step_count(self.dt, self.T)
 
     @classmethod
-    def auto(cls, grid: Grid1D, T: float, *, gamma: float = 1.0,
+    def auto(cls, grid: Grid1D, T: float, basis: NoiseBasis, *, gamma: float = 1.0,
              n_out: int = 256) -> "LimitParams":
-        dt = fitted_step(gamma / (_RELAXATION_STEPS * eigenvalue(grid, 1)), T, n_out)
+        """The step rule of `basis`'s flow: 200 steps per relaxation time if silent, else 50."""
+        steps = _RELAXATION_STEPS if basis.m == 0 else _ETD4_RELAXATION_STEPS
+        dt = fitted_step(gamma / (steps * eigenvalue(grid, 1)), T, n_out)
         return cls(grid=grid, dt=dt, T=T, gamma=gamma)
 
 
@@ -270,8 +280,9 @@ def _repair_initial(grid: Grid1D, u0: np.ndarray) -> np.ndarray:
     return u0
 
 
-def _phi_functions(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """phi1(z) = (e^z - 1)/z and phi2(z) = (e^z - 1 - z)/z^2 for real z.
+def _phi_functions(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """phi1(z) = (e^z - 1)/z, phi2(z) = (e^z - 1 - z)/z^2 and
+    phi3(z) = (e^z - 1 - z - z^2/2)/z^3 for real z.
 
     Means over a unit circle around each z (Kassam & Trefethen 2005), which
     avoids the cancellation of the direct formulas near z = 0.
@@ -279,7 +290,9 @@ def _phi_functions(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     w = z[:, None] + np.exp(1j * np.pi * (np.arange(_CONTOUR_POINTS) + 0.5)
                             / _CONTOUR_POINTS)
     em1 = np.expm1(w)
-    return (em1 / w).mean(axis=1).real, ((em1 - w) / w ** 2).mean(axis=1).real
+    phi1, phi2 = em1 / w, (em1 - w) / w ** 2
+    phi3 = (em1 - w - 0.5 * w ** 2) / w ** 3
+    return tuple(phi.mean(axis=1).real for phi in (phi1, phi2, phi3))
 
 
 def _running_integral(samples: np.ndarray, dt: float) -> np.ndarray:
@@ -324,73 +337,122 @@ class _Flow:
         self.steps = 0
 
 
-class _Etd2Flow(_Flow):
-    """Projected ETDRK2 on the limit flow, carrying the velocity of the current state.
+class _Etd4Flow(_Flow):
+    """Projected ETDRK4 on the limit flow, carrying the velocity of the current state.
 
-    With L = A_h/gamma, N(u) = du/dt - L u and P the rescaling to unit
-    H-norm, one step is
+    With L = A_h/gamma, N(u) = du/dt - L u, P the rescaling to unit H-norm,
+    E = e^{L dt}, E2 = e^{L dt / 2}, Q = (dt/2) phi1(L dt / 2) and the
+    phi-functions at L dt, one step of Cox & Matthews (2002) is
 
-        a       = e^{L dt} u + dt phi1(L dt) N(u)
-        u*      = a + dt phi2(L dt) (N(P a) - N(u))
+        a       = E2 u + Q N(u)
+        b       = E2 u + Q N(P a)
+        c       = E2 a + Q (2 N(P b) - N(u))
+        u*      = E u + dt [f1 N(u) + 2 f2 (N(P a) + N(P b)) + f3 N(P c)]
         u_next  = P u*
 
-    and `defect` is | |u*|_H - 1 | of the last step.
+    with f1 = phi1 - 3 phi2 + 4 phi3, f2 = phi2 - 2 phi3 and
+    f3 = 4 phi3 - phi2, and `defect` is | |u*|_H - 1 | of the last step.
 
-    The flow owns its intermediates.  u and N(u) share one (2, 3, n)
-    buffer, so one DST call transforms both, and a step makes four.  The
-    velocity kernel evaluates P a and u_next into the flow's buffers `ut`
-    and `lap`; the second is also the A_h P a that L P a needs.  `u` is a
-    new array every step, so a caller may keep it.  `ut` and `lap` are buffers that
-    the next advance overwrites: the callers of limit_rows read them before
-    they resume it.  A zero stage raises DegenerateFieldError, and a
-    non-finite node of u* shows in its norm, one scalar, and raises
-    BlowUpError; P a and u_next have unit norm, so the kernel does not test
-    them for zero.
+    A state whose velocity is rounding noise, gamma |u_t|_H <= 16 eps
+    lambda_{h,n}, is an equilibrium to working precision, and the flow rests
+    there: each later step leaves u, u_t, A_h u and h1 as they are, with
+    defect 0.  At a discrete sine eigenfield gamma |u_t|_H reads at most
+    12.7 eps lambda_{h,n} (n = 31 to 1,023, L = 0.2 to 3, gamma = 0.1 to
+    10, modes 1 to 30, up to 16 noise modes).  Without the rest an unstable
+    eigenfield is held only if the rounded map happens to reach a
+    floating-point fixed point, since the rounding of its node values is a
+    perturbation the flow amplifies: the mode-3 eigenfield at n = 127
+    leaves at rate (lambda_3 - lambda_1) / gamma, about 79, and at 512
+    steps for T = 1 both ETDRK2 and ETDRK4 drift off it to the ground state.
+
+    The flow owns its intermediates and forms every stage in the sine basis.
+    u and N(u) share one (2, 3, n) buffer, so one DST call transforms both;
+    each stage takes one DST to the nodes and one of its N back, and u* one,
+    so a step makes eight.  The velocity kernel evaluates each projected
+    stage and u_next into the flow's buffers `ut` and `lap`; the second is
+    also the A_h P x that L P x needs.  `u` is an array no step writes, so
+    a caller may keep it.  `ut` and `lap` are buffers that the next advance
+    overwrites: the callers of limit_rows read them before they resume it.
+    A zero stage raises DegenerateFieldError, and a non-finite node of u*
+    shows in its norm, one scalar, and raises BlowUpError; u_next has unit
+    norm, so the kernel does not test it for zero.
     """
 
     def __init__(self, u0: np.ndarray, params: LimitParams, basis: NoiseBasis):
         super().__init__(u0, params, basis)
-        self._decay = np.exp(self._z)
-        phi1, phi2 = _phi_functions(self._z)
-        self._phi1 = params.dt * phi1
-        self._phi2 = params.dt * phi2
+        dt, z = params.dt, self._z
+        self._decay, self._half_decay = np.exp(z), np.exp(0.5 * z)
+        self._half_phi1 = 0.5 * dt * _phi_functions(0.5 * z)[0]
+        phi1, phi2, phi3 = _phi_functions(z)
+        self._f1 = dt * (phi1 - 3.0 * phi2 + 4.0 * phi3)
+        self._f2 = 2.0 * dt * (phi2 - 2.0 * phi3)
+        self._f3 = dt * (4.0 * phi3 - phi2)
+        rest = 16.0 * np.finfo(float).eps * eigenvalues(params.grid)[-1] / params.gamma
+        self._rest_sq = rest * rest
+        self._resting = self.velocity.norm_sq(self.ut) <= self._rest_sq
         shape = self.u.shape
-        self._pair, self._spectra = np.empty((2,) + shape), np.empty((2,) + shape)
-        self._a, self._pa = np.empty(shape), np.empty(shape)
+        self._pair = np.empty((2,) + shape)
+        # the spectra of u, N(u), a, N(P a), N(P b), N(P c), E2 u and a scratch
+        self._spectra = np.empty((8,) + shape)
+        self._x, self._px = np.empty(shape), np.empty(shape)
 
-    def advance(self) -> None:
-        velocity, pair, spectra, a, pa = self.velocity, self._pair, self._spectra, self._a, self._pa
-        gamma, ut, lap = velocity.gamma, self.ut, self.lap
-        u, n0 = pair
-        u[...] = self.u
-        np.divide(lap, gamma, out=n0)
-        np.subtract(ut, n0, out=n0)
-        # orthonormal DST-I, as dst_ortho: of u and N(u) in one call
-        first, second = spectra
-        _dst(pair, 1, (2,), 1, spectra, 1, None)
-        np.multiply(self._decay, first, out=first)
-        np.multiply(self._phi1, second, out=second)
-        np.add(first, second, out=first)
-        _dst(first, 1, (1,), 1, a, 1, None)
-        nrm = sqrt(velocity.norm_sq(a))
+    def _stage(self, spectrum: np.ndarray, out: np.ndarray) -> None:
+        """The sine spectrum of N(P x) into `out`, given that of the stage x."""
+        velocity, x, px, ut, lap = self.velocity, self._x, self._px, self.ut, self.lap
+        _dst(spectrum, 1, (1,), 1, x, 1, None)
+        nrm = sqrt(velocity.norm_sq(x))
         if nrm <= 0.0:
             raise DegenerateFieldError("cannot normalise a zero field")
-        np.divide(a, nrm, out=pa)
-        velocity.into(pa, ut, lap)
-        # N(P a) - N(u), in ut
-        np.divide(lap, gamma, out=lap)
+        np.divide(x, nrm, out=px)
+        velocity.into(px, ut, lap)
+        np.divide(lap, velocity.gamma, out=lap)
         np.subtract(ut, lap, out=ut)
-        np.subtract(ut, n0, out=ut)
-        _dst(ut, 1, (1,), 1, first, 1, None)
-        np.multiply(self._phi2, first, out=first)
-        u_star = _dst(first, 1, (1,), 1, second, 1, None)
-        np.add(a, u_star, out=u_star)
+        _dst(ut, 1, (1,), 1, out, 1, None)
+
+    def advance(self) -> None:
+        if self._resting:
+            self.defect = 0.0
+            self.steps += 1
+            return
+        velocity, pair, ut, lap = self.velocity, self._pair, self.ut, self.lap
+        su, sn, sa, sna, snb, snc, half_u, tmp = self._spectra
+        half_decay, half_phi1 = self._half_decay, self._half_phi1
+        u, n0 = pair
+        u[...] = self.u
+        np.divide(lap, velocity.gamma, out=n0)
+        np.subtract(ut, n0, out=n0)
+        # orthonormal DST-I, as dst_ortho: of u and N(u) in one call
+        _dst(pair, 1, (2,), 1, self._spectra[:2], 1, None)
+        np.multiply(half_decay, su, out=half_u)
+        np.multiply(half_phi1, sn, out=tmp)
+        np.add(half_u, tmp, out=sa)
+        self._stage(sa, sna)
+        np.multiply(half_phi1, sna, out=tmp)
+        np.add(half_u, tmp, out=tmp)
+        self._stage(tmp, snb)
+        np.multiply(2.0, snb, out=tmp)
+        np.subtract(tmp, sn, out=tmp)
+        np.multiply(half_phi1, tmp, out=tmp)
+        np.multiply(half_decay, sa, out=sa)
+        np.add(sa, tmp, out=sa)
+        self._stage(sa, snc)
+        # the spectrum of u*, in half_u
+        np.multiply(self._decay, su, out=half_u)
+        np.multiply(self._f1, sn, out=tmp)
+        np.add(half_u, tmp, out=half_u)
+        np.add(sna, snb, out=tmp)
+        np.multiply(self._f2, tmp, out=tmp)
+        np.add(half_u, tmp, out=half_u)
+        np.multiply(self._f3, snc, out=tmp)
+        np.add(half_u, tmp, out=half_u)
+        u_star = _dst(half_u, 1, (1,), 1, self._x, 1, None)
         nrm = sqrt(velocity.norm_sq(u_star))
         if not nrm < inf:   # NaN or inf: some node of u* is not finite
             raise BlowUpError(self.steps + 1)
         self.defect = abs(nrm - 1.0)
         self.u = u_star / nrm
         self.h1 = velocity.into(self.u, ut, lap)
+        self._resting = velocity.norm_sq(ut) <= self._rest_sq
         self.steps += 1
 
 
@@ -488,7 +550,7 @@ def limit_rows(u0: np.ndarray, params: LimitParams, basis: NoiseBasis, *, stride
 
     Yields (r, flow) once the flow stands at output row r.  The flow is
     _HeatFlow, the exact parabolic flow, on the silent basis (m = 0) and
-    _Etd2Flow on every other.  The one driver of the limit flow: it only
+    _Etd4Flow on every other.  The one driver of the limit flow: it only
     steps and picks rows.  It is the step loop of solve_limit and of
     comparison_experiment, which read every step (stride 1), and the row
     loop of a study's targets, which advance together one row at a time.
@@ -496,10 +558,10 @@ def limit_rows(u0: np.ndarray, params: LimitParams, basis: NoiseBasis, *, stride
     each row as the stepper does, with the same bits at any stride.  The
     flow's `u` is an array no later step writes, so a caller may keep it;
     its `ut` and `lap` are to be read before the generator resumes (see
-    _Etd2Flow and _HeatFlow).
+    _Etd4Flow and _HeatFlow).
     """
     rows = output_rows(params.n_steps, stride)
-    flow = _HeatFlow(u0, params, basis) if basis.m == 0 else _Etd2Flow(u0, params, basis)
+    flow = _HeatFlow(u0, params, basis) if basis.m == 0 else _Etd4Flow(u0, params, basis)
     yield 0, flow
     for r in range(1, len(rows)):
         while flow.steps < rows[r]:

@@ -118,7 +118,7 @@ def test_criterion_1_algebraic_oracles(grid, basis):
         back = (gamma + 0.5 * phi * uu) * x - 0.5 * phi * ux * u
         worst_mob = max(worst_mob, np.abs(back - r).max() / (1.0 + np.abs(r).max()))
 
-    params = LimitParams.auto(grid, 0.25, n_out=64)
+    params = LimitParams.auto(grid, 0.25, basis, n_out=64)
     worst_form = 0.0
     for _ in range(100):
         u = sw.normalize_sphere(grid, rng.standard_normal((3, grid.n)))
@@ -177,7 +177,7 @@ def test_criterion_4_exact_equilibria(grid, basis):
         prev = stepper.u
     spde_total = float(np.abs(stepper.u - u0).max())
 
-    lp = LimitParams.auto(grid, 1.0, n_out=256)
+    lp = LimitParams.auto(grid, 1.0, basis, n_out=256)
     limit_u = [flow.u for _, flow in limit_rows(u0, lp, basis)]
     limit_step = float(np.abs(np.diff(limit_u, axis=0)).max())
     limit_total = float(np.abs(limit_u[-1] - u0).max())
@@ -192,7 +192,8 @@ def test_criterion_4_exact_equilibria(grid, basis):
 def test_criterion_5_limit_solver_structure(grid, basis):
     # the solver projects every step, so the recorded state sits on the sphere
     # to roundoff; the defect before projection is the step's normal local
-    # error, O(dt^3), so twice the step must multiply its sup by about 8
+    # error, so twice the step must multiply its sup by at least 6 (ETDRK4
+    # reads about 22.6)
     defect_ratios = []
     energy_ok = True
     for n in (31, 63, 127):
@@ -200,7 +201,7 @@ def test_criterion_5_limit_solver_structure(grid, basis):
         b = sw.build_basis(g, 16, 2.0)
         u0 = sw.normalize_sphere(g, sw.sine_field(g, 1, 1)
                                  + sw.sine_field(g, 2, 2, 0.1))
-        lp = LimitParams.auto(g, 1.0, n_out=128)
+        lp = LimitParams.auto(g, 1.0, b, n_out=128)
         traj, coarse = (sw.solve_limit(u0, p, b, stride=lp.n_steps // 128)
                         for p in (lp, replace(lp, dt=2.0 * lp.dt)))
         defect_ratios.append(float(coarse.projection_defect.max()
@@ -215,7 +216,7 @@ def test_criterion_5_limit_solver_structure(grid, basis):
     w = sw.field_from_modes(grid, [(k, d, rng.standard_normal())
                                    for k in range(1, 9) for d in (1, 2, 3)])
     w /= sw.norm_l2(grid, w)
-    lp = LimitParams.auto(grid, 0.25, n_out=64)
+    lp = LimitParams.auto(grid, 0.25, basis, n_out=64)
     curves = {}
     for eps in (1e-2, 1e-3):
         u20 = sw.normalize_sphere(grid, u10 + eps * w)

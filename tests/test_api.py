@@ -46,14 +46,6 @@ def test_no_unused_imports(name):
     assert not unused, f"spherewave.{name} imports unused names {unused}"
 
 
-# Parameters a function may take without reading them: a leading underscore
-# marks a slot that the caller fills for every entry of a table (the checks'
-# rng streams);
-# config.limit_params_from keeps `basis` while the benchmark harness
-# (benchmarks/workloads.py::expected) still passes it.
-UNREAD_PARAMETERS = {("config", "limit_params_from", "basis")}
-
-
 def _parameters(args: ast.arguments) -> list[str]:
     params = args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg]
     return [param.arg for param in params if param is not None]
@@ -62,7 +54,9 @@ def _parameters(args: ast.arguments) -> list[str]:
 @pytest.mark.parametrize("name", MODULES)
 def test_no_unused_parameters(name):
     # every parameter of a function or lambda is read in its body, nested
-    # functions included; self and cls are the receiver, not an input
+    # functions included; self and cls are the receiver, not an input, and a
+    # leading underscore marks a slot that the caller fills for every entry
+    # of a table (the checks' rng streams)
     tree = ast.parse(Path(spherewave.__path__[0], f"{name}.py").read_text())
     unread = []
     for node in ast.walk(tree):
@@ -73,7 +67,7 @@ def test_no_unused_parameters(name):
         label = getattr(node, "name", "<lambda>")
         unread += [(name, label, param) for param in _parameters(node.args)
                    if param not in read and param not in ("self", "cls")
-                   and not param.startswith("_") and (name, label, param) not in UNREAD_PARAMETERS]
+                   and not param.startswith("_")]
     assert not unread, f"spherewave.{name} has parameters no body reads: {unread}"
 
 
@@ -200,12 +194,13 @@ def test_contractions_have_one_owner():
 
 
 # the one caller of each stepping call in the package: limit_rows builds and
-# advances every limit flow (_Etd2Flow, and _HeatFlow on the silent basis),
-# _HeatFlow.advance alone computes the heat flow's next chunk of steps, and
-# SpdeStepper.run steps every stochastic engine
-STEPPING_DRIVERS = {"_Etd2Flow": "limit.limit_rows", "_HeatFlow": "limit.limit_rows",
-                    "advance": "limit.limit_rows", "_refill": "limit._HeatFlow.advance",
-                    "step": "spde.SpdeStepper.run"}
+# advances every limit flow (_Etd4Flow, and _HeatFlow on the silent basis),
+# _Etd4Flow.advance alone evaluates the ETDRK4 stages, _HeatFlow.advance alone
+# computes the heat flow's next chunk of steps, and SpdeStepper.run steps
+# every stochastic engine
+STEPPING_DRIVERS = {"_Etd4Flow": "limit.limit_rows", "_HeatFlow": "limit.limit_rows",
+                    "advance": "limit.limit_rows", "_stage": "limit._Etd4Flow.advance",
+                    "_refill": "limit._HeatFlow.advance", "step": "spde.SpdeStepper.run"}
 
 
 def _calls_by_owner(node, owner):

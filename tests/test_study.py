@@ -34,6 +34,9 @@ from spherewave.study import (
     trend_check,
 )
 
+# the silent basis of the default grid, for the step rules' argument checks
+SILENT = sw.build_basis(sw.Grid1D(), 0, 2.0)
+
 
 @pytest.fixture(scope="module")
 def small_config():
@@ -103,8 +106,8 @@ class TestConfig:
         (lambda: step_count(math.nan, 1.0), "dt=nan"),
         (lambda: step_count(1e-3, math.inf), "T=inf"),
         (lambda: sw.LimitParams(sw.Grid1D(), math.nan, 1.0), "dt=nan"),
-        (lambda: sw.LimitParams.auto(sw.Grid1D(), 1.0, gamma=math.nan), "dt_max=nan"),
-        (lambda: sw.LimitParams.auto(sw.Grid1D(), math.inf), "T=inf"),
+        (lambda: sw.LimitParams.auto(sw.Grid1D(), 1.0, SILENT, gamma=math.nan), "dt_max=nan"),
+        (lambda: sw.LimitParams.auto(sw.Grid1D(), math.inf, SILENT), "T=inf"),
         (lambda: sw.SpdeParams.auto(sw.Grid1D(), 0.1, math.inf, dt=1 / 2048), "T=inf"),
     ], ids=["L-nan", "L-inf", "p-nan", "limit-gamma-nan", "limit-gamma-inf", "spde-gamma-nan",
             "spde-alpha-inf", "step-dt-nan", "step-T-inf", "limit-dt-nan", "limit-auto-gamma-nan",
@@ -118,7 +121,7 @@ class TestConfig:
         with pytest.raises(sw.ParameterError, match="n_out=0"):
             sw.SpdeParams.auto(sw.Grid1D(), 0.1, 1.0, n_out=0)
         with pytest.raises(sw.ParameterError, match="n_out=0"):
-            sw.LimitParams.auto(sw.Grid1D(), 1.0, n_out=0)
+            sw.LimitParams.auto(sw.Grid1D(), 1.0, SILENT, n_out=0)
         # a given step obeys the same rule as a fitted one, and so does the horizon
         with pytest.raises(sw.ParameterError, match="n_out=0"):
             sw.SpdeParams.auto(sw.Grid1D(), 0.1, 1.0, n_out=0, dt=1 / 2048)
@@ -128,7 +131,7 @@ class TestConfig:
             with pytest.raises(sw.ParameterError, match=f"T={T}"):
                 sw.SpdeParams.auto(sw.Grid1D(), 0.1, T, dt=1 / 2048)
             with pytest.raises(sw.ParameterError, match=f"T={T}"):
-                sw.LimitParams.auto(sw.Grid1D(), T)
+                sw.LimitParams.auto(sw.Grid1D(), T, SILENT)
 
     def test_initial_data_on_manifold(self):
         cfg = StudyConfig()
@@ -332,9 +335,10 @@ class TestBlockEngine:
         basis = config.basis(grid)
         u0, v0 = config.initial_data(grid)
         targets = {}
-        lp = sw.LimitParams.auto(grid, config.T, n_out=config.n_out)
-        # the parabolic target is the limit flow of the silent basis
+        # the parabolic target is the limit flow of the silent basis, and each
+        # target takes the step rule of its own basis
         for name, b in (("corrected", basis), ("parabolic", sw.build_basis(grid, 0, config.p))):
+            lp = sw.LimitParams.auto(grid, config.T, b, n_out=config.n_out)
             targets[name] = [flow.u for _, flow in
                              limit_rows(u0, lp, b, stride=lp.n_steps // config.n_out)]
         for row in result.rows:
@@ -418,14 +422,15 @@ class TestBlockEngine:
         assert not crafted.failed_checks
 
     def test_work_counters(self, config, result):
+        grid = config.grid()
         steps = [config.spde_params(mu).n_steps for mu in config.mu_values]
         assert result.work == {
             "blocks": 2,
             "block_size": BLOCK_SIZE,
             "sample_steps": config.ensemble * sum(steps),
             "helmholtz_solves": sum(steps),
-            "limit_steps": 2 * sw.LimitParams.auto(config.grid(), config.T,
-                                                   n_out=config.n_out).n_steps,
+            "limit_steps": sum(sw.LimitParams.auto(grid, config.T, b, n_out=config.n_out).n_steps
+                               for b in (config.basis(grid), sw.build_basis(grid, 0, config.p))),
         }
 
     def test_default_levels_are_whole_blocks(self):
@@ -588,14 +593,14 @@ from spherewave import cli
 from spherewave.errors import BlowUpError
 from spherewave.study import StudyConfig, run_study
 
-real = limit._Etd2Flow.advance
+real = limit._Etd4Flow.advance
 
 def advance(self):
     if self.steps == 50:
         raise BlowUpError(self.steps + 1)
     real(self)
 
-limit._Etd2Flow.advance = advance
+limit._Etd4Flow.advance = advance
 workers = int(sys.argv[2])
 try:
     run_study(StudyConfig(n=63, m=8, ensemble=2, mu_values=(0.2, 0.05), T=0.5, n_out=64),
@@ -715,7 +720,8 @@ class TestTargetJobs:
                   for i, mu in enumerate(small_config.mu_values)]
         assert blocks[0][0].n_steps < blocks[1][0].n_steps
         limit_steps, results = _run(small_config, ("corrected",), blocks, workers=1)
-        assert limit_steps == sw.LimitParams.auto(small_config.grid(), small_config.T,
+        grid = small_config.grid()
+        assert limit_steps == sw.LimitParams.auto(grid, small_config.T, small_config.basis(grid),
                                                   n_out=small_config.n_out).n_steps
         assert len(results) == 2
         for (params, mu_index, *_), (rows, _) in zip(blocks, results):
