@@ -14,7 +14,8 @@ dt follows an accuracy rule, dt <= gamma / (50 lambda_{h,1}) for ETDRK4 and
 dt <= gamma / (200 lambda_{h,1}) on the silent basis, where the energy
 inequality's row gate sets it: its dissipation integral int |u_t|^2 is
 taken to fourth order (the trapezoid plus the Euler-Maclaurin end
-correction).  The divergence form is kept as a residual oracle.  This
+correction, and under ETDRK4 the cubic through the first four samples over
+the first step).  The divergence form is kept as a residual oracle.  This
 script demonstrates: the equivalence of the two forms, exact equilibria at
 discrete sine eigenfields, sphere invariance and the projection defect, the
 energy inequality, and the two-solution comparison bound.

@@ -110,8 +110,8 @@ _RELAXATION_STEPS = 200
 # steps) the sup-in-time H^1 error against ETDRK4 at 4x the steps reads
 # 1.0e-6, against 1.4e-5 for ETDRK2 at 200 steps; the sup errors of the
 # u_h1, u_h2 and ut_h columns of solve_limit read 5.5e-9, 1.0e-7 and 3.4e-7
-# (ETDRK2: 5.2e-7, 1.1e-5, 2.3e-5), and of energy_lhs 5.3e-6 from row 2 on
-# (ETDRK2: 7.6e-6).  At 25 steps energy_lhs reads 2.9e-4.
+# (ETDRK2: 5.2e-7, 1.1e-5, 2.3e-5), and of energy_lhs 5.3e-6 (ETDRK2:
+# 7.6e-6).  At 25 steps energy_lhs reads 2.9e-4.
 _ETD4_RELAXATION_STEPS = 50
 _CONTOUR_POINTS = 32
 # largest |A_h u0|_H accepted as initial data
@@ -295,14 +295,18 @@ def _phi_functions(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return tuple(phi.mean(axis=1).real for phi in (phi1, phi2, phi3))
 
 
-def _running_integral(samples: np.ndarray, dt: float) -> np.ndarray:
+def _running_integral(samples: np.ndarray, dt: float, *, cubic_start: bool = False) -> np.ndarray:
     """Running int_0^t f over samples f_0, f_1, ... spaced dt, to fourth order.
 
     The value after each sample: the trapezoid sum plus the Euler-Maclaurin
     end correction -(dt^2/12)(f'(t) - f'(0)), with f' from second-order
     one-sided differences of the samples; the plain trapezoid until three
     samples exist (with three it is Simpson's rule), 0 after the first.
-    The trapezoid sums in order, one np.cumsum.  All-zero samples give exactly 0.
+    With `cubic_start` and four samples or more, the value after the second
+    is instead the integral of the cubic through the first four,
+    (dt/24)(9 f_0 + 19 f_1 - 5 f_2 + f_3), fourth order like the rest; the
+    trapezoid's error there grows as dt^3.  The trapezoid sums in order,
+    one np.cumsum.  All-zero samples give exactly 0.
     """
     f = np.asarray(samples, dtype=float)
     out = np.zeros(len(f))
@@ -311,6 +315,8 @@ def _running_integral(samples: np.ndarray, dt: float) -> np.ndarray:
         # 2 dt f'(0) = -3 f_0 + 4 f_1 - f_2 and 2 dt f'(t) = 3 f_n - 4 f_{n-1} + f_{n-2}
         f0, f1, f2 = f[:3]
         out[2:] -= dt / 24.0 * (3.0 * (f[2:] + f0) - 4.0 * (f[1:-1] + f1) + f[:-2] + f2)
+    if cubic_start and len(f) >= 4:
+        out[1] = dt / 24.0 * (9.0 * f[0] + 19.0 * f[1] - 5.0 * f[2] + f[3])
     return out
 
 
@@ -582,7 +588,11 @@ def solve_limit(u0: np.ndarray, params: LimitParams, basis: NoiseBasis, *,
     |u|_H^2, each with the bits it gets alone.  The rows are then picked:
     a row's projection defect is the largest over its steps since the
     previous row, and the energy integral is `_running_integral` once over
-    the |u_t|_H^2 of every step.
+    the |u_t|_H^2 of every step.  On an ETDRK4 flow it starts with the
+    cubic: at its step, 4x the heat flow's, the trapezoid's first step reads
+    4.5e-5 from the converged energy at the defaults, against 2.3e-6 for the
+    cubic and 5.3e-6 on every later row.  The heat flow keeps the trapezoid
+    start, 5.4e-7 at its step, and with it the bits of its rows.
     """
     n, rows = params.n_steps, output_rows(params.n_steps, stride)
     h1, defect, ut_sq, lap_sq, u_sq = (np.empty(n + 1) for _ in range(5))
@@ -599,7 +609,8 @@ def solve_limit(u0: np.ndarray, params: LimitParams, basis: NoiseBasis, *,
     worst = np.zeros(len(rows))
     worst[1:] = np.maximum.reduceat(defect, np.add(rows[:-1], 1))
     # the integral is 0 at step 0, so energy_lhs[0] is |u(0)|_{H1}^2
-    energy_lhs = (h1 + 2.0 * params.gamma * _running_integral(ut_sq, params.dt))[rows]
+    integral = _running_integral(ut_sq, params.dt, cubic_start=basis.m != 0)
+    energy_lhs = (h1 + 2.0 * params.gamma * integral)[rows]
     return LimitTrajectory(params=params, t=np.multiply(rows, params.dt),
                            u_h1=np.sqrt(np.maximum(h1[rows], 0.0)),
                            u_h2=np.sqrt(lap_sq[rows]), ut_h=np.sqrt(ut_sq[rows]),
@@ -627,7 +638,7 @@ def comparison_experiment(u10: np.ndarray, u20: np.ndarray, params: LimitParams,
 
     The two flows advance in lockstep through `limit_rows` at stride 1;
     |v1-v2|_H^2 is kept at every step and integrated once, to fourth order,
-    by `_running_integral`, as solve_limit integrates the energy.
+    by `_running_integral`, with the start that solve_limit's energy takes.
 
     Fits log(LHS(t)) = log(c1 |du0|_{H1}^2) + c2 t by least squares; for
     identical initial data the series is identically zero and the fitted
@@ -643,7 +654,7 @@ def comparison_experiment(u10: np.ndarray, u20: np.ndarray, params: LimitParams,
             dist.append(h1_seminorm_sq(grid, f1.u - f2.u))
 
     t, dist = np.multiply(rows, params.dt), np.array(dist)
-    int_dv = _running_integral(dv_sq, params.dt)[rows]
+    int_dv = _running_integral(dv_sq, params.dt, cubic_start=basis.m != 0)[rows]
     lhs = dist + int_dv
     d0 = dist[0]
     if d0 > 0.0 and np.all(lhs > 0.0):

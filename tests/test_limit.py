@@ -62,10 +62,17 @@ def rk4_oracle(u0, params, basis, n_out):
 
 
 class ListIntegral:
-    """The running fourth-order integral in lists; `_running_integral` matches it bit for bit."""
+    """The running fourth-order integral in lists; `_running_integral` matches it bit for bit.
 
-    def __init__(self, dt):
+    `add` takes the next sample and `values` holds the value after each
+    sample so far; with `cubic_start` the fourth sample rewrites the value
+    after the second.
+    """
+
+    def __init__(self, dt, cubic_start=False):
         self.dt = dt
+        self.cubic_start = cubic_start
+        self.values = []
         self._trapezoid = 0.0
         self._start = []
         self._end = []
@@ -77,10 +84,14 @@ class ListIntegral:
         if len(self._start) < 3:
             self._start.append(f)
         if len(self._end) < 3:
-            return self._trapezoid
+            self.values.append(self._trapezoid)
+            return
         f0, f1, f2 = self._start
         fn2, fn1, fn = self._end
-        return self._trapezoid - self.dt / 24.0 * (3.0 * (fn + f0) - 4.0 * (fn1 + f1) + fn2 + f2)
+        self.values.append(self._trapezoid - self.dt / 24.0
+                           * (3.0 * (fn + f0) - 4.0 * (fn1 + f1) + fn2 + f2))
+        if self.cubic_start and len(self.values) == 4:
+            self.values[1] = self.dt / 24.0 * (9.0 * f0 + 19.0 * f1 - 5.0 * f2 + fn)
 
 
 def etd4_oracle(u0, params, basis):
@@ -131,20 +142,19 @@ def comparison_oracle(u10, u20, params, basis, stride):
 
     Returns (t, dist_h1_sq, int_dv_sq, lhs, c1, c2).
     """
-    grid = params.grid
+    grid, rows = params.grid, output_rows(params.n_steps, stride)
     f1, f2 = _Etd4Flow(u10, params, basis), _Etd4Flow(u20, params, basis)
-    quadrature = ListIntegral(params.dt)
-    acc = quadrature.add(sw.norm_l2_sq(grid, f1.ut - f2.ut))
-    t, dist, int_dv = [0.0], [sw.h1_seminorm_sq(grid, f1.u - f2.u)], [acc]
-    for row in output_rows(params.n_steps, stride)[1:]:
+    quadrature = ListIntegral(params.dt, cubic_start=True)
+    quadrature.add(sw.norm_l2_sq(grid, f1.ut - f2.ut))
+    t, dist = [0.0], [sw.h1_seminorm_sq(grid, f1.u - f2.u)]
+    for row in rows[1:]:
         while f1.steps < row:
             f1.advance()
             f2.advance()
-            acc = quadrature.add(sw.norm_l2_sq(grid, f1.ut - f2.ut))
+            quadrature.add(sw.norm_l2_sq(grid, f1.ut - f2.ut))
         t.append(f1.steps * params.dt)
         dist.append(sw.h1_seminorm_sq(grid, f1.u - f2.u))
-        int_dv.append(acc)
-    t, dist, int_dv = np.array(t), np.array(dist), np.array(int_dv)
+    t, dist, int_dv = np.array(t), np.array(dist), np.array(quadrature.values)[rows]
     lhs = dist + int_dv
     slope, intercept = np.polyfit(t, np.log(lhs), 1)
     return t, dist, int_dv, lhs, float(np.exp(intercept) / dist[0]), float(slope)
@@ -464,6 +474,9 @@ class TestPhiFunctions:
 
 
 class TestEtd2Step:
+    """Steps of `_Etd4Flow`, projected ETDRK4; the class keeps the name of the
+    ETDRK2 flow it replaced, so the ids of its tests stay."""
+
     @pytest.mark.parametrize("m, n", [(8, 63), (0, 63), (8, 127), (0, 127)],
                              ids=["corrected", "parabolic", "corrected-127", "parabolic-127"])
     @pytest.mark.parametrize("gamma", [1.0, 0.7])
@@ -719,19 +732,21 @@ class TestRowReads:
     def per_step_reads(u0, params, basis):
         """The COLUMNS at every step, read one field at a time from limit_rows at stride 1.
 
-        The integral is the list form over |u_t|_H^2 of every step, and
-        the defect is the step's own.
+        The integral is the list form over |u_t|_H^2 of every step, with
+        the cubic start on the corrected flow, and the defect is the step's own.
         """
         g = params.grid
-        quadrature = ListIntegral(params.dt)
-        steps = []
+        quadrature = ListIntegral(params.dt, cubic_start=basis.m != 0)
+        steps, h1 = [], []
         for _, flow in limit_rows(u0, params, basis):
             ut_sq = sw.norm_l2_sq(g, flow.ut)
+            quadrature.add(ut_sq)
+            h1.append(flow.h1)
             steps.append((flow.steps * params.dt, math.sqrt(max(flow.h1, 0.0)),
                           math.sqrt(sw.norm_l2_sq(g, flow.lap)), math.sqrt(ut_sq),
-                          abs(sw.norm_l2(g, flow.u) - 1.0), flow.defect,
-                          flow.h1 + 2.0 * params.gamma * quadrature.add(ut_sq)))
-        return np.array(steps)
+                          abs(sw.norm_l2(g, flow.u) - 1.0), flow.defect))
+        energy = [e + 2.0 * params.gamma * q for e, q in zip(h1, quadrature.values)]
+        return np.column_stack([np.array(steps), energy])
 
     @pytest.mark.parametrize("n_steps, stride", [
         (ROW_CHUNK - 24, 1), (2 * ROW_CHUNK - 1, 1), (2 * ROW_CHUNK + 22, 1),
@@ -773,15 +788,18 @@ class TestRowReads:
             assert every.projection_defect[1:].min() > 0.0
 
 
+def exact_integral(t):
+    """int_0^t e^{-3s} cos 5s ds."""
+    return (3.0 + np.exp(-3.0 * t) * (5.0 * np.sin(5.0 * t) - 3.0 * np.cos(5.0 * t))) / 34.0
+
+
 class TestRunningIntegral:
     """`_running_integral`: the value after each sample, in one call."""
 
     def test_fourth_order(self):
         # int_0^t e^{-3s} cos 5s ds at t = 1/4, 1/2, 1: the error falls about
         # 16x per halving of dt, against 4x for the trapezoid
-        def exact(t):
-            return (3.0 + np.exp(-3.0 * t) * (5.0 * np.sin(5.0 * t) - 3.0 * np.cos(5.0 * t))) / 34.0
-
+        exact = exact_integral
         errors = []
         for n in (32, 64, 128, 256):
             t = np.linspace(0.0, 1.0, n + 1)
@@ -808,18 +826,51 @@ class TestRunningIntegral:
         dt, samples = 0.1, [1.0, 2.0, 5.0][:count]
         values = _running_integral(samples, dt)
         reference = ListIntegral(dt)
+        for f in samples:
+            reference.add(f)
         assert values.shape == (count,)
-        assert np.array_equal(values, [reference.add(f) for f in samples])
+        assert np.array_equal(values, reference.values)
         assert np.allclose(values, [0.0, 0.15, dt / 3.0 * 14.0][:count], rtol=1e-14, atol=0.0)
+        # the cubic start needs four samples
+        assert np.array_equal(_running_integral(samples, dt, cubic_start=True), values)
 
     def test_zero_samples_give_zero(self):
-        assert np.all(_running_integral(np.zeros(50), 0.01) == 0.0)
+        for cubic_start in (False, True):
+            assert np.all(_running_integral(np.zeros(50), 0.01, cubic_start=cubic_start) == 0.0)
 
     def test_same_bits_as_the_list_form(self):
         samples = np.random.default_rng(8).standard_normal(50)
-        reference = ListIntegral(0.03)
-        assert np.array_equal(_running_integral(samples, 0.03),
-                              [reference.add(f) for f in samples])
+        for cubic_start in (False, True):
+            reference = ListIntegral(0.03, cubic_start)
+            for f in samples:
+                reference.add(f)
+            assert np.array_equal(_running_integral(samples, 0.03, cubic_start=cubic_start),
+                                  reference.values)
+
+    def test_cubic_start(self):
+        # the cubic start rewrites only the value after the second sample,
+        # whose error then falls about 32x per halving of dt, against 8x for
+        # the trapezoid
+        dt, samples = 0.1, [1.0, 2.0, 5.0, 3.0, 4.0]
+        values = _running_integral(samples, dt, cubic_start=True)
+        plain = _running_integral(samples, dt)
+        assert values[1] == pytest.approx(dt / 24.0 * (9.0 + 38.0 - 25.0 + 3.0), rel=1e-15)
+        assert np.array_equal(np.delete(values, 1), np.delete(plain, 1))
+        # the cubic through four samples of a cubic integrates it exactly
+        t = dt * np.arange(4)
+        assert _running_integral(1.0 - t + 2.0 * t ** 3, dt, cubic_start=True)[1] == pytest.approx(
+            dt - dt ** 2 / 2.0 + dt ** 4 / 2.0, rel=1e-14)
+        errors = {False: [], True: []}
+        for n in (32, 64, 128, 256):
+            t = np.linspace(0.0, 1.0, n + 1)
+            for cubic_start, e in errors.items():
+                value = _running_integral(np.exp(-3.0 * t) * np.cos(5.0 * t), 1.0 / n,
+                                          cubic_start=cubic_start)[1]
+                e.append(abs(value - exact_integral(t[1])))
+        for coarse, fine in zip(errors[True], errors[True][1:]):
+            assert coarse >= 28.0 * fine
+        for coarse, fine in zip(errors[False], errors[False][1:]):
+            assert 7.0 <= coarse / fine <= 9.0
 
 
 class TestComparison:
