@@ -329,8 +329,14 @@ class _Flow:
     shape of u0 is checked once, here, and `_repair_initial` refuses a
     non-finite, zero or over-rough field.  `_z` is the mode row
     -lambda_{h,k} dt / gamma, the exponent of the exact solution operator of
-    u_t = A_h u / gamma over one step.
+    u_t = A_h u / gamma over one step.  `cubic_start` says how
+    `_running_integral` starts an integral over the flow's steps: with the
+    cubic through the first four samples under ETDRK4, whose step is 4x the
+    heat flow's, and with the trapezoid, and the bits that go with it, on the
+    heat flow.
     """
+
+    cubic_start = False
 
     def __init__(self, u0: np.ndarray, params: LimitParams, basis: NoiseBasis):
         check_grid(basis, params.grid)
@@ -359,17 +365,24 @@ class _Etd4Flow(_Flow):
     with f1 = phi1 - 3 phi2 + 4 phi3, f2 = phi2 - 2 phi3 and
     f3 = 4 phi3 - phi2, and `defect` is | |u*|_H - 1 | of the last step.
 
-    A state whose velocity is rounding noise, gamma |u_t|_H <= 16 eps
-    lambda_{h,n}, is an equilibrium to working precision, and the flow rests
-    there: each later step leaves u, u_t, A_h u and h1 as they are, with
-    defect 0.  At a discrete sine eigenfield gamma |u_t|_H reads at most
-    12.7 eps lambda_{h,n} (n = 31 to 1,023, L = 0.2 to 3, gamma = 0.1 to
-    10, modes 1 to 30, up to 16 noise modes).  Without the rest an unstable
-    eigenfield is held only if the rounded map happens to reach a
-    floating-point fixed point, since the rounding of its node values is a
-    perturbation the flow amplifies: the mode-3 eigenfield at n = 127
-    leaves at rate (lambda_3 - lambda_1) / gamma, about 79, and at 512
-    steps for T = 1 both ETDRK2 and ETDRK4 drift off it to the ground state.
+    A step result within sqrt(n) eps of u in H-norm is rounding, and the
+    flow stays at u: it keeps u, u_t, A_h u and h1 (evaluated again at u,
+    with the same bits), and `defect` is the step's own.  At a sine
+    eigenfield, an exact equilibrium, the step moves u by the rounding of
+    its DST round trip and normalisation alone, which grows with n: at most
+    0.6 sqrt(n) eps for modes 1 to 7 (n = 31 to 1,023, L = 0.2 to 3,
+    gamma = 0.1 to 10, 0 and 16 noise modes, one or three components),
+    2.7 eps at n = 127 for modes 1 to 3.  A state d from an equilibrium that
+    the flow leaves or nears at rate s moves about d (e^{s dt} - 1) a step,
+    so the flow stays only within rounding of one: at n = 127, with 248
+    steps for T = 0.5 and 512 for T = 1, a mode-1 departure of 96 eps in
+    H-norm from the mode-3 eigenfield leaves it, one of 32 eps stays.  Without this an unstable equilibrium is held
+    only if the rounded map happens to reach a floating-point fixed point,
+    since the rounding of its node values is a perturbation the flow
+    amplifies: the mode-3 eigenfield at n = 127 leaves toward mode 2 at
+    rate (lambda_3 - lambda_2) / gamma, about 49, and at 512 steps for
+    T = 1 ETDRK4 (and ETDRK2) drift off it, where ETDRK4 at 1,024 steps
+    and ETDRK2 at 2,048 happen to stay.
 
     The flow owns its intermediates and forms every stage in the sine basis.
     u and N(u) share one (2, 3, n) buffer, so one DST call transforms both;
@@ -384,6 +397,8 @@ class _Etd4Flow(_Flow):
     norm, so the kernel does not test it for zero.
     """
 
+    cubic_start = True
+
     def __init__(self, u0: np.ndarray, params: LimitParams, basis: NoiseBasis):
         super().__init__(u0, params, basis)
         dt, z = params.dt, self._z
@@ -393,9 +408,7 @@ class _Etd4Flow(_Flow):
         self._f1 = dt * (phi1 - 3.0 * phi2 + 4.0 * phi3)
         self._f2 = 2.0 * dt * (phi2 - 2.0 * phi3)
         self._f3 = dt * (4.0 * phi3 - phi2)
-        rest = 16.0 * np.finfo(float).eps * eigenvalues(params.grid)[-1] / params.gamma
-        self._rest_sq = rest * rest
-        self._resting = self.velocity.norm_sq(self.ut) <= self._rest_sq
+        self._still_sq = params.grid.n * np.finfo(float).eps ** 2
         shape = self.u.shape
         self._pair = np.empty((2,) + shape)
         # the spectra of u, N(u), a, N(P a), N(P b), N(P c), E2 u and a scratch
@@ -416,10 +429,6 @@ class _Etd4Flow(_Flow):
         _dst(ut, 1, (1,), 1, out, 1, None)
 
     def advance(self) -> None:
-        if self._resting:
-            self.defect = 0.0
-            self.steps += 1
-            return
         velocity, pair, ut, lap = self.velocity, self._pair, self.ut, self.lap
         su, sn, sa, sna, snb, snc, half_u, tmp = self._spectra
         half_decay, half_phi1 = self._half_decay, self._half_phi1
@@ -456,9 +465,10 @@ class _Etd4Flow(_Flow):
         if not nrm < inf:   # NaN or inf: some node of u* is not finite
             raise BlowUpError(self.steps + 1)
         self.defect = abs(nrm - 1.0)
-        self.u = u_star / nrm
+        u_next = u_star / nrm
+        if velocity.norm_sq(np.subtract(u_next, self.u, out=u_star)) > self._still_sq:
+            self.u = u_next
         self.h1 = velocity.into(self.u, ut, lap)
-        self._resting = velocity.norm_sq(ut) <= self._rest_sq
         self.steps += 1
 
 
@@ -588,10 +598,10 @@ def solve_limit(u0: np.ndarray, params: LimitParams, basis: NoiseBasis, *,
     |u|_H^2, each with the bits it gets alone.  The rows are then picked:
     a row's projection defect is the largest over its steps since the
     previous row, and the energy integral is `_running_integral` once over
-    the |u_t|_H^2 of every step.  On an ETDRK4 flow it starts with the
-    cubic: at its step, 4x the heat flow's, the trapezoid's first step reads
-    4.5e-5 from the converged energy at the defaults, against 2.3e-6 for the
-    cubic and 5.3e-6 on every later row.  The heat flow keeps the trapezoid
+    the |u_t|_H^2 of every step, started as the flow's `cubic_start` says.
+    On an ETDRK4 flow that is the cubic: at its step the trapezoid's first
+    step reads 4.5e-5 from the converged energy at the defaults, against
+    2.3e-6 for the cubic and 5.3e-6 on every later row.  The heat flow keeps the trapezoid
     start, 5.4e-7 at its step, and with it the bits of its rows.
     """
     n, rows = params.n_steps, output_rows(params.n_steps, stride)
@@ -609,7 +619,7 @@ def solve_limit(u0: np.ndarray, params: LimitParams, basis: NoiseBasis, *,
     worst = np.zeros(len(rows))
     worst[1:] = np.maximum.reduceat(defect, np.add(rows[:-1], 1))
     # the integral is 0 at step 0, so energy_lhs[0] is |u(0)|_{H1}^2
-    integral = _running_integral(ut_sq, params.dt, cubic_start=basis.m != 0)
+    integral = _running_integral(ut_sq, params.dt, cubic_start=flow.cubic_start)
     energy_lhs = (h1 + 2.0 * params.gamma * integral)[rows]
     return LimitTrajectory(params=params, t=np.multiply(rows, params.dt),
                            u_h1=np.sqrt(np.maximum(h1[rows], 0.0)),
@@ -654,7 +664,7 @@ def comparison_experiment(u10: np.ndarray, u20: np.ndarray, params: LimitParams,
             dist.append(h1_seminorm_sq(grid, f1.u - f2.u))
 
     t, dist = np.multiply(rows, params.dt), np.array(dist)
-    int_dv = _running_integral(dv_sq, params.dt, cubic_start=basis.m != 0)[rows]
+    int_dv = _running_integral(dv_sq, params.dt, cubic_start=f1.cubic_start)[rows]
     lhs = dist + int_dv
     d0 = dist[0]
     if d0 > 0.0 and np.all(lhs > 0.0):
