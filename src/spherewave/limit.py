@@ -372,17 +372,18 @@ class _Etd4Flow(_Flow):
     its DST round trip and normalisation alone, which grows with n: at most
     0.6 sqrt(n) eps for modes 1 to 7 (n = 31 to 1,023, L = 0.2 to 3,
     gamma = 0.1 to 10, 0 and 16 noise modes, one or three components),
-    2.7 eps at n = 127 for modes 1 to 3.  A state d from an equilibrium that
-    the flow leaves or nears at rate s moves about d (e^{s dt} - 1) a step,
-    so the flow stays only within rounding of one: at n = 127, with 248
-    steps for T = 0.5 and 512 for T = 1, a mode-1 departure of 96 eps in
-    H-norm from the mode-3 eigenfield leaves it, one of 32 eps stays.  Without this an unstable equilibrium is held
-    only if the rounded map happens to reach a floating-point fixed point,
-    since the rounding of its node values is a perturbation the flow
-    amplifies: the mode-3 eigenfield at n = 127 leaves toward mode 2 at
-    rate (lambda_3 - lambda_2) / gamma, about 49, and at 512 steps for
-    T = 1 ETDRK4 (and ETDRK2) drift off it, where ETDRK4 at 1,024 steps
-    and ETDRK2 at 2,048 happen to stay.
+    2.7 eps at n = 127 for modes 1 to 3.  A state d from an equilibrium
+    that the flow leaves or nears at rate s moves about d (e^{s dt} - 1) a
+    step, so the flow stays only within rounding of one: at n = 127, with
+    248 steps for T = 0.5 and 512 for T = 1, a mode-1 departure of 96 eps
+    in H-norm from the mode-3 eigenfield leaves it, one of 32 eps stays.
+    Without this an unstable equilibrium is held only if the rounded map
+    happens to reach a floating-point fixed point, since the rounding of
+    its node values is a perturbation the flow amplifies: the mode-3
+    eigenfield at n = 127 leaves toward mode 2 at rate
+    (lambda_3 - lambda_2) / gamma, about 49, and at 512 steps for T = 1
+    ETDRK4 (and ETDRK2) drift off it, where ETDRK4 at 1,024 steps and
+    ETDRK2 at 2,048 happen to stay.
 
     The flow owns its intermediates and forms every stage in the sine basis.
     u and N(u) share one (2, 3, n) buffer, so one DST call transforms both;
@@ -601,8 +602,9 @@ def solve_limit(u0: np.ndarray, params: LimitParams, basis: NoiseBasis, *,
     the |u_t|_H^2 of every step, started as the flow's `cubic_start` says.
     On an ETDRK4 flow that is the cubic: at its step the trapezoid's first
     step reads 4.5e-5 from the converged energy at the defaults, against
-    2.3e-6 for the cubic and 5.3e-6 on every later row.  The heat flow keeps the trapezoid
-    start, 5.4e-7 at its step, and with it the bits of its rows.
+    2.3e-6 for the cubic and 5.3e-6 on every later row.  The heat flow
+    keeps the trapezoid start, 5.4e-7 at its step, and with it the bits of
+    its rows.
     """
     n, rows = params.n_steps, output_rows(params.n_steps, stride)
     h1, defect, ut_sq, lap_sq, u_sq = (np.empty(n + 1) for _ in range(5))
