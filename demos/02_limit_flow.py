@@ -10,12 +10,11 @@ The solver steps the mobility form with ETDRK4: A_h/gamma exactly in the
 sine basis, the rest explicitly, each stage and each step projected back
 onto the sphere.  On the silent basis (phi = 0) the flow is the normalised
 heat flow, which the solver takes exactly instead.  There is no step bound;
-dt follows an accuracy rule, dt <= gamma / (50 lambda_{h,1}) for ETDRK4 and
-dt <= gamma / (200 lambda_{h,1}) on the silent basis, where the energy
-inequality's row gate sets it: its dissipation integral int |u_t|^2 is
-taken to fourth order (the trapezoid plus the Euler-Maclaurin end
-correction, and under ETDRK4 the cubic through the first four samples over
-the first step).  The divergence form is kept as a residual oracle.  This
+dt follows one accuracy rule on both flows, dt <= gamma / (50 lambda_{h,1}),
+which on the silent basis the energy inequality's row gate sets: its
+dissipation integral int |u_t|^2 is taken to fourth order (the trapezoid
+plus the Euler-Maclaurin end correction, and the cubic through the first
+four samples over the first step).  The divergence form is kept as a residual oracle.  This
 script demonstrates: the equivalence of the two forms, exact equilibria at
 discrete sine eigenfields, sphere invariance and the projection defect, the
 energy inequality, and the two-solution comparison bound.
@@ -32,7 +31,7 @@ from spherewave.limit import LimitParams
 def main():
     grid = sw.Grid1D(1.0, 127)
     basis = sw.build_basis(grid, m=16, p=2.0)
-    params = LimitParams.auto(grid, 1.0, basis, n_out=256)
+    params = LimitParams.auto(grid, 1.0, n_out=256)
     rng = np.random.default_rng(7)
 
     u = sw.normalize_sphere(grid, rng.standard_normal((3, grid.n)))
@@ -59,7 +58,7 @@ def main():
     w /= sw.norm_l2(grid, w)
     # the mode-8 part of |v1 - v2|^2 decays at 2 lambda_8 / gamma: a quarter
     # of the auto step resolves its integral
-    comp_params = LimitParams.auto(grid, 0.25, basis, n_out=64)
+    comp_params = LimitParams.auto(grid, 0.25, n_out=64)
     comp_params = replace(comp_params, dt=comp_params.dt / 4)
     print("\ntwo-solution comparison (perturbed initial data):")
     for eps in (1e-2, 1e-3):

@@ -240,7 +240,7 @@ def _check_mobility(rng) -> tuple[bool, str]:
 def _check_formulation(rng) -> tuple[bool, str]:
     grid = _grid()
     basis = build_basis(grid, 12, 2.0)
-    params = LimitParams.auto(grid, 0.1, basis)
+    params = LimitParams.auto(grid, 0.1)
     worst = 0.0
     for _ in range(100):
         u = normalize_sphere(grid, _random_field(grid, rng))
@@ -255,7 +255,7 @@ def _check_sphere_generator(rng) -> tuple[bool, str]:
     basis = build_basis(grid, 12, 2.0)
     worst = 0.0
     for gamma in (1.0, 2.5):
-        params = LimitParams.auto(grid, 0.1, basis, gamma=gamma)
+        params = LimitParams.auto(grid, 0.1, gamma=gamma)
         for _ in range(50):
             u = _random_field(grid, rng) * 0.5
             lhs = inner_l2(grid, u, limit_rhs(u, basis, params))
@@ -281,7 +281,7 @@ def _check_equilibrium(rng, mutate: bool) -> tuple[bool, str]:
         (float(np.abs(stepper.u - u0).max()), float(np.abs(stepper.v).max()))))
     drift_sup = max(drifts)
     # the flow's state is a new array at every row
-    states = [flow.u for _, flow in limit_rows(u0, LimitParams.auto(grid, 0.1, basis), basis)]
+    states = [flow.u for _, flow in limit_rows(u0, LimitParams.auto(grid, 0.1), basis)]
     limit_drift = float(np.abs(np.diff(states, axis=0)).max())
     passed = drift_sup <= 1e-12 and limit_drift <= 1e-12
     return passed, f"stepper drift {drift_sup:.2e}, limit per-step drift {limit_drift:.2e}"

@@ -81,7 +81,7 @@ def cmd_limit(args) -> int:
     grid = build_grid(cfg)
     basis = (build_basis(grid, 0, cfg["noise"]["p"]) if cfg["physics"]["parabolic"]
              else build_noise_basis(cfg, grid))
-    params = limit_params_from(cfg, grid, basis)
+    params = limit_params_from(cfg, grid)
     u0, _ = initial_fields_from(cfg, grid)
     out = output_directory(cfg)
     start = time.perf_counter()

@@ -201,12 +201,17 @@ def spde_params_from(cfg: dict, grid: Grid1D) -> SpdeParams:
                            dt=None if time["dt"] == "auto" else time["dt"])
 
 
-def limit_params_from(cfg: dict, grid: Grid1D, basis) -> LimitParams:
+def limit_params_from(cfg: dict, grid: Grid1D, _basis=None) -> LimitParams:
     """Limit-solver parameters: time.dt is the exact step, and the auto step is
-    the accuracy rule of `basis`'s flow (LimitParams.auto)."""
+    the one accuracy rule of both flows (LimitParams.auto).
+
+    The third slot, a noise basis, is read nowhere: the step rule no longer
+    depends on the basis, and it stays so that callers that still pass one
+    keep working.
+    """
     phys, time = cfg["physics"], cfg["time"]
     if time["dt"] == "auto":
-        return LimitParams.auto(grid, time["T"], basis, gamma=phys["gamma"], n_out=1)
+        return LimitParams.auto(grid, time["T"], gamma=phys["gamma"], n_out=1)
     return LimitParams(grid=grid, dt=time["dt"], T=time["T"], gamma=phys["gamma"])
 
 

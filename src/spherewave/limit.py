@@ -31,10 +31,12 @@ The parabolic flow needs no stepper: gamma u_t = A_h u + |u|_{H1}^2 u only
 rescales e^{t A_h / gamma} u0 onto the sphere, so its semi-discrete solution
 is that field at unit H-norm, the normalised heat flow (Bao & Du 2004).
 `limit_rows` solves it so, exactly in time, on the silent basis, and steps
-every other basis with ETDRK4; the two flows share their state (`_Flow`),
-and the heat flow's projection defect is 0.  A flow only steps: the
-quantities only `solve_limit` reports, |u_t|_H^2, its running integral and
-each row's worst projection defect, are formed there, from every step.
+every other basis with ETDRK4; the two flows share their state (`_Flow`)
+and their step rule (`LimitParams.auto`), and the heat flow's projection
+defect is 0.  Its step sets only the rows and how finely the energy
+integral samples |u_t|_H^2.  A flow only steps: the quantities only
+`solve_limit` reports, |u_t|_H^2, its running integral and each row's
+worst projection defect, are formed there, from every step.
 
 An ETDRK4 step works on one field (3, n), so its cost is Python calls, not
 arithmetic.  Each flow therefore builds one velocity kernel, `_Velocity`,
@@ -99,20 +101,19 @@ __all__ = [
     "comparison_experiment",
 ]
 
-# Steps per relaxation time gamma / lambda_{h,1} of the slowest sine mode
-# on the silent basis, whose exact heat flow has no step error.  One gate
-# sizes it: the energy inequality E_lhs <= E_rhs (1 + 1e-6) on the parabolic
-# flow, which has no dissipative slack, so its rows measure the fourth-order
-# quadrature of int |u_t|^2 alone: at the defaults (n = 127, T = 1) the
-# worst row reads 6.0e-8 here and 4.7e-7 at 100 steps.
-_RELAXATION_STEPS = 200
-# The same on every other basis, which ETDRK4 steps.  At the defaults (494
-# steps) the sup-in-time H^1 error against ETDRK4 at 4x the steps reads
-# 1.0e-6, against 1.4e-5 for ETDRK2 at 200 steps; the sup errors of the
-# u_h1, u_h2 and ut_h columns of solve_limit read 5.5e-9, 1.0e-7 and 3.4e-7
-# (ETDRK2: 5.2e-7, 1.1e-5, 2.3e-5), and of energy_lhs 5.3e-6 (ETDRK2:
-# 7.6e-6).  At 25 steps energy_lhs reads 2.9e-4.
-_ETD4_RELAXATION_STEPS = 50
+# Steps per relaxation time gamma / lambda_{h,1} of the slowest sine mode,
+# on every basis.  On the silent basis, whose exact heat flow has no step
+# error, one gate sizes it: the energy inequality E_lhs <= E_rhs (1 + 1e-6),
+# which has no dissipative slack there, so its rows measure the fourth-order
+# quadrature of int |u_t|^2 alone.  At the defaults (n = 127, T = 1, 494
+# steps) the worst row reads 1.2e-7 here with the cubic start, against
+# 3.7e-6 with the trapezoid start and 1.8e-6 at 25 steps.  On every other
+# basis, which ETDRK4 steps, the sup-in-time H^1 error against ETDRK4 at 4x
+# the steps reads 1.0e-6, against 1.4e-5 for ETDRK2 at 200 steps; the sup
+# errors of the u_h1, u_h2 and ut_h columns of solve_limit read 5.5e-9,
+# 1.0e-7 and 3.4e-7 (ETDRK2: 5.2e-7, 1.1e-5, 2.3e-5), and of energy_lhs
+# 5.3e-6 (ETDRK2: 7.6e-6).  At 25 steps energy_lhs reads 2.9e-4.
+_RELAXATION_STEPS = 50
 _CONTOUR_POINTS = 32
 # largest |A_h u0|_H accepted as initial data
 _H2_CAP = 1.0e6
@@ -123,11 +124,10 @@ class LimitParams:
     """Parameters of the deterministic solver.
 
     Neither solver has a stability bound, so dt only has to divide T.
-    `auto` picks an accuracy rule by the basis, with the step count a
-    multiple of n_out: dt <= gamma / (200 lambda_{h,1}) on the silent basis,
-    whose heat flow is sized by its energy quadrature, and
-    dt <= gamma / (50 lambda_{h,1}) on every other, which ETDRK4 steps.  For
-    T = 1 at the default grid that is 1,974 and 494 steps.
+    `auto` picks one accuracy rule for both flows, with the step count a
+    multiple of n_out: dt <= gamma / (50 lambda_{h,1}), which sizes the
+    ETDRK4 step and the heat flow's energy quadrature alike.  For T = 1 at
+    the default grid that is 494 steps.
     """
 
     grid: Grid1D
@@ -144,11 +144,10 @@ class LimitParams:
         return step_count(self.dt, self.T)
 
     @classmethod
-    def auto(cls, grid: Grid1D, T: float, basis: NoiseBasis, *, gamma: float = 1.0,
+    def auto(cls, grid: Grid1D, T: float, *, gamma: float = 1.0,
              n_out: int = 256) -> "LimitParams":
-        """The step rule of `basis`'s flow: 200 steps per relaxation time if silent, else 50."""
-        steps = _RELAXATION_STEPS if basis.m == 0 else _ETD4_RELAXATION_STEPS
-        dt = fitted_step(gamma / (steps * eigenvalue(grid, 1)), T, n_out)
+        """The step rule of both flows: 50 steps per relaxation time."""
+        dt = fitted_step(gamma / (_RELAXATION_STEPS * eigenvalue(grid, 1)), T, n_out)
         return cls(grid=grid, dt=dt, T=T, gamma=gamma)
 
 
@@ -295,15 +294,15 @@ def _phi_functions(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return tuple(phi.mean(axis=1).real for phi in (phi1, phi2, phi3))
 
 
-def _running_integral(samples: np.ndarray, dt: float, *, cubic_start: bool = False) -> np.ndarray:
+def _running_integral(samples: np.ndarray, dt: float) -> np.ndarray:
     """Running int_0^t f over samples f_0, f_1, ... spaced dt, to fourth order.
 
     The value after each sample: the trapezoid sum plus the Euler-Maclaurin
     end correction -(dt^2/12)(f'(t) - f'(0)), with f' from second-order
     one-sided differences of the samples; the plain trapezoid until three
     samples exist (with three it is Simpson's rule), 0 after the first.
-    With `cubic_start` and four samples or more, the value after the second
-    is instead the integral of the cubic through the first four,
+    With four samples or more, the value after the second is instead the
+    integral of the cubic through the first four,
     (dt/24)(9 f_0 + 19 f_1 - 5 f_2 + f_3), fourth order like the rest; the
     trapezoid's error there grows as dt^3.  The trapezoid sums in order,
     one np.cumsum.  All-zero samples give exactly 0.
@@ -315,7 +314,7 @@ def _running_integral(samples: np.ndarray, dt: float, *, cubic_start: bool = Fal
         # 2 dt f'(0) = -3 f_0 + 4 f_1 - f_2 and 2 dt f'(t) = 3 f_n - 4 f_{n-1} + f_{n-2}
         f0, f1, f2 = f[:3]
         out[2:] -= dt / 24.0 * (3.0 * (f[2:] + f0) - 4.0 * (f[1:-1] + f1) + f[:-2] + f2)
-    if cubic_start and len(f) >= 4:
+    if len(f) >= 4:
         out[1] = dt / 24.0 * (9.0 * f[0] + 19.0 * f[1] - 5.0 * f[2] + f[3])
     return out
 
@@ -329,14 +328,8 @@ class _Flow:
     shape of u0 is checked once, here, and `_repair_initial` refuses a
     non-finite, zero or over-rough field.  `_z` is the mode row
     -lambda_{h,k} dt / gamma, the exponent of the exact solution operator of
-    u_t = A_h u / gamma over one step.  `cubic_start` says how
-    `_running_integral` starts an integral over the flow's steps: with the
-    cubic through the first four samples under ETDRK4, whose step is 4x the
-    heat flow's, and with the trapezoid, and the bits that go with it, on the
-    heat flow.
+    u_t = A_h u / gamma over one step.
     """
-
-    cubic_start = False
 
     def __init__(self, u0: np.ndarray, params: LimitParams, basis: NoiseBasis):
         check_grid(basis, params.grid)
@@ -397,8 +390,6 @@ class _Etd4Flow(_Flow):
     shows in its norm, one scalar, and raises BlowUpError; u_next has unit
     norm, so the kernel does not test it for zero.
     """
-
-    cubic_start = True
 
     def __init__(self, u0: np.ndarray, params: LimitParams, basis: NoiseBasis):
         super().__init__(u0, params, basis)
@@ -599,12 +590,12 @@ def solve_limit(u0: np.ndarray, params: LimitParams, basis: NoiseBasis, *,
     |u|_H^2, each with the bits it gets alone.  The rows are then picked:
     a row's projection defect is the largest over its steps since the
     previous row, and the energy integral is `_running_integral` once over
-    the |u_t|_H^2 of every step, started as the flow's `cubic_start` says.
-    On an ETDRK4 flow that is the cubic: at its step the trapezoid's first
-    step reads 4.5e-5 from the converged energy at the defaults, against
-    2.3e-6 for the cubic and 5.3e-6 on every later row.  The heat flow
-    keeps the trapezoid start, 5.4e-7 at its step, and with it the bits of
-    its rows.
+    the |u_t|_H^2 of every step, started with the cubic through the first
+    four.  At the auto step the trapezoid's first step reads 4.5e-5 from
+    the converged energy on the corrected flow at the defaults, against
+    2.3e-6 for the cubic and 5.3e-6 on every later row; on the heat flow,
+    whose energy is exact, the cubic start keeps every row within 1.2e-7 of
+    it, where the trapezoid's first step reads 3.7e-6.
     """
     n, rows = params.n_steps, output_rows(params.n_steps, stride)
     h1, defect, ut_sq, lap_sq, u_sq = (np.empty(n + 1) for _ in range(5))
@@ -621,7 +612,7 @@ def solve_limit(u0: np.ndarray, params: LimitParams, basis: NoiseBasis, *,
     worst = np.zeros(len(rows))
     worst[1:] = np.maximum.reduceat(defect, np.add(rows[:-1], 1))
     # the integral is 0 at step 0, so energy_lhs[0] is |u(0)|_{H1}^2
-    integral = _running_integral(ut_sq, params.dt, cubic_start=flow.cubic_start)
+    integral = _running_integral(ut_sq, params.dt)
     energy_lhs = (h1 + 2.0 * params.gamma * integral)[rows]
     return LimitTrajectory(params=params, t=np.multiply(rows, params.dt),
                            u_h1=np.sqrt(np.maximum(h1[rows], 0.0)),
@@ -650,7 +641,7 @@ def comparison_experiment(u10: np.ndarray, u20: np.ndarray, params: LimitParams,
 
     The two flows advance in lockstep through `limit_rows` at stride 1;
     |v1-v2|_H^2 is kept at every step and integrated once, to fourth order,
-    by `_running_integral`, with the start that solve_limit's energy takes.
+    by `_running_integral`, started with the cubic as solve_limit's energy.
 
     Fits log(LHS(t)) = log(c1 |du0|_{H1}^2) + c2 t by least squares; for
     identical initial data the series is identically zero and the fitted
@@ -666,7 +657,7 @@ def comparison_experiment(u10: np.ndarray, u20: np.ndarray, params: LimitParams,
             dist.append(h1_seminorm_sq(grid, f1.u - f2.u))
 
     t, dist = np.multiply(rows, params.dt), np.array(dist)
-    int_dv = _running_integral(dv_sq, params.dt, cubic_start=f1.cubic_start)[rows]
+    int_dv = _running_integral(dv_sq, params.dt)[rows]
     lhs = dist + int_dv
     d0 = dist[0]
     if d0 > 0.0 and np.all(lhs > 0.0):

@@ -286,22 +286,21 @@ def _solve_targets(config: StudyConfig, targets: tuple) -> int:
 
     The targets advance one output row at a time, and row r of every target
     is published at once, so no block waits on one target while another
-    runs to T.  "parabolic" is the limit flow of the silent
-    basis, "corrected" that of the config's.  Each target takes the step
-    rule of its basis (LimitParams.auto); both step counts are multiples of
-    n_out, so every target has the same rows.
+    runs to T.  "parabolic" is the limit flow of the silent basis,
+    "corrected" that of the config's; every target takes the one step rule
+    of the limit flows (LimitParams.auto), so all have the same steps and
+    rows.
     """
     grid = config.grid()
     u0, _ = config.initial_data(grid)
-    bases = [build_basis(grid, 0, config.p) if name == "parabolic" else config.basis(grid)
-             for name in targets]
-    params = [LimitParams.auto(grid, config.T, basis, gamma=config.gamma, n_out=config.n_out)
-              for basis in bases]
-    solves = [limit_rows(u0, lp, basis, stride=lp.n_steps // config.n_out)
-              for lp, basis in zip(params, bases)]
+    params = LimitParams.auto(grid, config.T, gamma=config.gamma, n_out=config.n_out)
+    stride = params.n_steps // config.n_out
+    solves = [limit_rows(u0, params, build_basis(grid, 0, config.p) if name == "parabolic"
+                         else config.basis(grid), stride=stride)
+              for name in targets]
     for r, flows in enumerate(zip(*solves)):
         _target_rows.publish(r, [flow.u for _, flow in flows])
-    return sum(lp.n_steps for lp in params)
+    return len(targets) * params.n_steps
 
 
 def _blocks(config: StudyConfig) -> list[tuple[int, range]]:

@@ -118,7 +118,7 @@ def test_criterion_1_algebraic_oracles(grid, basis):
         back = (gamma + 0.5 * phi * uu) * x - 0.5 * phi * ux * u
         worst_mob = max(worst_mob, np.abs(back - r).max() / (1.0 + np.abs(r).max()))
 
-    params = LimitParams.auto(grid, 0.25, basis, n_out=64)
+    params = LimitParams.auto(grid, 0.25, n_out=64)
     worst_form = 0.0
     for _ in range(100):
         u = sw.normalize_sphere(grid, rng.standard_normal((3, grid.n)))
@@ -177,7 +177,7 @@ def test_criterion_4_exact_equilibria(grid, basis):
         prev = stepper.u
     spde_total = float(np.abs(stepper.u - u0).max())
 
-    lp = LimitParams.auto(grid, 1.0, basis, n_out=256)
+    lp = LimitParams.auto(grid, 1.0, n_out=256)
     limit_u = [flow.u for _, flow in limit_rows(u0, lp, basis)]
     limit_step = float(np.abs(np.diff(limit_u, axis=0)).max())
     limit_total = float(np.abs(limit_u[-1] - u0).max())
@@ -201,7 +201,7 @@ def test_criterion_5_limit_solver_structure(grid, basis):
         b = sw.build_basis(g, 16, 2.0)
         u0 = sw.normalize_sphere(g, sw.sine_field(g, 1, 1)
                                  + sw.sine_field(g, 2, 2, 0.1))
-        lp = LimitParams.auto(g, 1.0, b, n_out=128)
+        lp = LimitParams.auto(g, 1.0, n_out=128)
         traj, coarse = (sw.solve_limit(u0, p, b, stride=lp.n_steps // 128)
                         for p in (lp, replace(lp, dt=2.0 * lp.dt)))
         defect_ratios.append(float(coarse.projection_defect.max()
@@ -219,7 +219,7 @@ def test_criterion_5_limit_solver_structure(grid, basis):
     # the mode-8 part of |v1 - v2|^2 decays at 2 lambda_8 / gamma, which a
     # quarter of the auto step resolves (the auto step reads int |v1 - v2|^2
     # 4% high)
-    lp = LimitParams.auto(grid, 0.25, basis, n_out=64)
+    lp = LimitParams.auto(grid, 0.25, n_out=64)
     lp = replace(lp, dt=lp.dt / 4)
     curves = {}
     for eps in (1e-2, 1e-3):

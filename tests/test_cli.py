@@ -28,7 +28,6 @@ from spherewave.config import (
 )
 from spherewave.errors import BlowUpError, ConfigError
 from spherewave.limit import LimitParams
-from spherewave.noise import build_basis
 from spherewave.study import BLOCK_SIZE, MAX_ENERGY_DRIFT, StudyConfig
 
 
@@ -431,9 +430,9 @@ class TestLimitCommand:
         assert len({line.split(",")[-1] for line in lines[1:]}) == 1
 
     def test_manifest_work_counter(self, tmp_path):
-        # steps per relaxation time 1/lambda_{h,1}, 50 on the corrected flow and
-        # 200 on the parabolic one: ceil(50 * 9.8676 * 0.2), ceil(200 * 9.8676 * 0.2)
-        for parabolic, steps in ((False, 99), (True, 395)):
+        # 50 steps per relaxation time 1/lambda_{h,1} on both flows:
+        # ceil(50 * 9.8676 * 0.2)
+        for parabolic, steps in ((False, 99), (True, 99)):
             run = tmp_path / str(parabolic)
             run.mkdir()
             cfg = sim_config(run, time={"dt": "auto", "T": 0.2}, physics={"parabolic": parabolic})
@@ -534,11 +533,8 @@ class TestStudyCommand:
         assert work["sample_steps"] == 2 * sum(steps)
         assert work["helmholtz_solves"] == sum(steps)
         targets = json.loads((out / "study.json").read_text())["targets"]
-        grid = study.grid()
-        bases = {"corrected": study.basis(grid), "parabolic": build_basis(grid, 0, study.p)}
-        assert work["limit_steps"] == sum(LimitParams.auto(
-            grid, study.T, bases[name], gamma=study.gamma, n_out=study.n_out).n_steps
-            for name in targets)
+        assert work["limit_steps"] == len(targets) * LimitParams.auto(
+            study.grid(), study.T, gamma=study.gamma, n_out=study.n_out).n_steps
 
     def test_energy_gate_exit_code(self, tmp_path, monkeypatch):
         # deliberately coarse explicit step with a tight energy gate

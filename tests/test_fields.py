@@ -160,7 +160,7 @@ class TestLaplacian:
         engine = SpdeStepper(_spde_params(grid), sw.build_basis(grid, 4, 2.0), u, 0.0 * u)
         assert np.array_equal(engine.lap, padded_second_difference(grid, u))
         basis = sw.build_basis(grid, 4, 2.0)
-        velocity = _Velocity(LimitParams.auto(grid, 0.1, basis), basis)
+        velocity = _Velocity(LimitParams.auto(grid, 0.1), basis)
         for f in (u[-1], u):
             lap = np.empty(f.shape)
             velocity.into(f, np.empty(f.shape), lap)
@@ -178,7 +178,7 @@ class TestLaplacian:
             # limit_rhs takes the field's C copy, so the oracle does too
             c = np.ascontiguousarray(f)
             basis = sw.build_basis(grid, 4, 2.0)
-            params = LimitParams.auto(grid, 0.1, basis)
+            params = LimitParams.auto(grid, 0.1)
             r = lap + sw.h1_seminorm_sq(grid, c) * c
             assert np.array_equal(sw.limit_rhs(f, basis, params),
                                   sw.mobility_apply_inverse(c, basis.phi, params.gamma, r))
@@ -204,7 +204,7 @@ def test_field_helpers_round_alike_at_any_layout(grid, layout):
     g = np.asfortranarray(data[::-1, :grid.n])
     c, d = np.ascontiguousarray(f), np.ascontiguousarray(g)
     basis = sw.build_basis(grid, 4, 2.0)
-    params = LimitParams.auto(grid, 0.1, basis)
+    params = LimitParams.auto(grid, 0.1)
     helpers = {
         "inner_l2": lambda a, b: sw.inner_l2(grid, a, b),
         "norm_l2_sq": lambda a, b: sw.norm_l2_sq(grid, a),
@@ -486,7 +486,7 @@ NODE_MAJOR_CALLS = {
     "SpdeStepper-block": lambda g, b, f: SpdeStepper(_spde_params(g), b, np.stack([f] * 4),
                                                      np.stack([f] * 4)),
     "simulate": lambda g, b, f: sw.simulate(f, f, _spde_params(g), b),
-    "solve_limit": lambda g, b, f: sw.solve_limit(f, LimitParams.auto(g, 0.1, b), b),
+    "solve_limit": lambda g, b, f: sw.solve_limit(f, LimitParams.auto(g, 0.1), b),
 }
 
 

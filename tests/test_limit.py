@@ -34,8 +34,8 @@ def silent(grid):
 
 
 @pytest.fixture(scope="module")
-def params(grid, basis):
-    return LimitParams.auto(grid, 0.25, basis, n_out=128)
+def params(grid):
+    return LimitParams.auto(grid, 0.25, n_out=128)
 
 
 def rk4_oracle(u0, params, basis, n_out):
@@ -65,13 +65,12 @@ class ListIntegral:
     """The running fourth-order integral in lists; `_running_integral` matches it bit for bit.
 
     `add` takes the next sample and `values` holds the value after each
-    sample so far; with `cubic_start` the fourth sample rewrites the value
-    after the second.
+    sample so far; the fourth sample rewrites the value after the second
+    with the cubic start.
     """
 
-    def __init__(self, dt, cubic_start=False):
+    def __init__(self, dt):
         self.dt = dt
-        self.cubic_start = cubic_start
         self.values = []
         self._trapezoid = 0.0
         self._start = []
@@ -90,7 +89,7 @@ class ListIntegral:
         fn2, fn1, fn = self._end
         self.values.append(self._trapezoid - self.dt / 24.0
                            * (3.0 * (fn + f0) - 4.0 * (fn1 + f1) + fn2 + f2))
-        if self.cubic_start and len(self.values) == 4:
+        if len(self.values) == 4:
             self.values[1] = self.dt / 24.0 * (9.0 * f0 + 19.0 * f1 - 5.0 * f2 + fn)
 
 
@@ -144,7 +143,7 @@ def comparison_oracle(u10, u20, params, basis, stride):
     """
     grid, rows = params.grid, output_rows(params.n_steps, stride)
     f1, f2 = _Etd4Flow(u10, params, basis), _Etd4Flow(u20, params, basis)
-    quadrature = ListIntegral(params.dt, cubic_start=f1.cubic_start)
+    quadrature = ListIntegral(params.dt)
     quadrature.add(sw.norm_l2_sq(grid, f1.ut - f2.ut))
     t, dist = [0.0], [sw.h1_seminorm_sq(grid, f1.u - f2.u)]
     for row in rows[1:]:
@@ -220,7 +219,7 @@ class TestLimitRhs:
         for _ in range(2):
             for b in (basis, other, silent):
                 for gamma in (1.0, 2.5):
-                    p = LimitParams.auto(grid, 0.25, b, gamma=gamma, n_out=128)
+                    p = LimitParams.auto(grid, 0.25, gamma=gamma, n_out=128)
                     assert np.array_equal(sw.limit_rhs(u, b, p),
                                           sw.mobility_apply_inverse(u, b.phi, gamma, r))
 
@@ -247,7 +246,7 @@ class TestLimitRhs:
     def test_sphere_invariance_generator(self, grid, basis):
         # <u, du/dt> = |u|_{H1}^2 (|u|_H^2 - 1) / gamma, exactly in the algebra
         for gamma in (1.0, 2.5):
-            p = LimitParams.auto(grid, 0.25, basis, gamma=gamma, n_out=128)
+            p = LimitParams.auto(grid, 0.25, gamma=gamma, n_out=128)
             for _ in range(30):
                 u = 0.7 * random_field(grid)
                 lhs = sw.inner_l2(grid, u, sw.limit_rhs(u, basis, p))
@@ -278,7 +277,7 @@ class TestFormulationEquivalence:
 class TestSolveLimit:
     def test_eigenfield_is_stationary(self, grid, basis):
         u0 = sw.normalize_sphere(grid, sw.sine_field(grid, 1, 3))
-        p = LimitParams.auto(grid, 1.0, basis, n_out=128)
+        p = LimitParams.auto(grid, 1.0, n_out=128)
         traj = sw.solve_limit(u0, p, basis, stride=p.n_steps // 128)
         states = [flow.u for _, flow in limit_rows(u0, p, basis, stride=p.n_steps // 128)]
         assert np.abs(states[-1] - u0).max() <= 1e-10
@@ -291,7 +290,7 @@ class TestSolveLimit:
         u0 = sw.normalize_sphere(grid, sw.sine_field(grid, 1, 1)
                                  + sw.sine_field(grid, 2, 2, 0.1))
         for b in (basis, silent):
-            p = LimitParams.auto(grid, 0.5, b, n_out=128)
+            p = LimitParams.auto(grid, 0.5, n_out=128)
             traj = sw.solve_limit(u0, p, b, stride=p.n_steps // 128)
             assert traj.sphere_residual.max() <= 1e-13
             assert np.all(traj.energy_lhs <= traj.energy_rhs * (1.0 + 1e-6))
@@ -300,12 +299,12 @@ class TestSolveLimit:
         # the parabolic flow (the silent basis) has no dissipative slack and
         # is solved exactly in time, so its energy rows measure the quadrature
         # of |u_t|^2 alone: with the default initial data they hold at the
-        # auto step (5.9e-8) and fail at four times it (3.6e-6), and the plain
-        # trapezoid fails them at the auto step (2.1e-6)
+        # auto step (1.2e-7) and fail at twice it (1.8e-6), and the plain
+        # trapezoid fails them at the auto step (3.3e-5)
         u0 = sw.normalize_sphere(grid, sw.sine_field(grid, 1, 1)
                                  + sw.sine_field(grid, 2, 2, 0.1))
-        auto = LimitParams.auto(grid, 0.5, silent, n_out=4)
-        coarse_params = LimitParams(grid=grid, dt=4.0 * auto.dt, T=0.5)
+        auto = LimitParams.auto(grid, 0.5, n_out=4)
+        coarse_params = LimitParams(grid=grid, dt=2.0 * auto.dt, T=0.5)
         fine, coarse = (sw.solve_limit(u0, p, silent)
                         for p in (auto, coarse_params))
 
@@ -319,10 +318,24 @@ class TestSolveLimit:
             [[0.0], np.cumsum(0.5 * auto.dt * (ut_sq[1:] + ut_sq[:-1]))])
         assert worst(fine.u_h1 ** 2 + 2.0 * auto.gamma * trapezoid, fine) > 1e-6
 
+    @pytest.mark.parametrize("raw", [{}, {"grid": {"n": 63}, "physics": {"gamma": 0.7}}],
+                             ids=["defaults", "n63-gamma0.7"])
+    def test_parabolic_energy_column_is_exact_to_the_quadrature(self, raw):
+        # on the normalised heat flow 2 gamma int_0^t |u_t|^2 = h1(0) - h1(t)
+        # holds exactly, so every row's energy_lhs / energy_rhs - 1 is the
+        # quadrature's error alone, pinned here from both sides: 1.2e-7 in
+        # both cases at the auto step (the trapezoid start reads 3.7e-6)
+        cfg = config.resolve_config(raw)
+        g = config.build_grid(cfg)
+        u0, _ = config.initial_fields_from(cfg, g)
+        traj = sw.solve_limit(u0, config.limit_params_from(cfg, g),
+                              sw.build_basis(g, 0, cfg["noise"]["p"]))
+        assert np.abs(traj.energy_lhs / traj.energy_rhs - 1.0).max() <= 2.5e-7
+
     def test_h1_norm_nonincreasing(self, grid, basis):
         u0 = sw.normalize_sphere(grid, sw.sine_field(grid, 1, 1)
                                  + sw.sine_field(grid, 3, 2, 0.2))
-        p = LimitParams.auto(grid, 0.5, basis, n_out=128)
+        p = LimitParams.auto(grid, 0.5, n_out=128)
         traj = sw.solve_limit(u0, p, basis, stride=p.n_steps // 128)
         h1_sq = traj.u_h1 ** 2
         assert np.all(np.diff(h1_sq) <= 1e-8 * h1_sq[0])
@@ -332,7 +345,7 @@ class TestSolveLimit:
         # nonzero at the default step and about 400x larger at 4x the step
         u0 = sw.normalize_sphere(grid, sw.sine_field(grid, 1, 1)
                                  + sw.sine_field(grid, 2, 2, 0.1))
-        fine = LimitParams.auto(grid, 1.0, basis, n_out=4)   # 4 | n_steps, so 4 dt divides T
+        fine = LimitParams.auto(grid, 1.0, n_out=4)   # 4 | n_steps, so 4 dt divides T
         coarse = LimitParams(grid=grid, dt=4.0 * fine.dt, T=1.0)
         d_fine, d_coarse = (
             sw.solve_limit(u0, p, basis, stride=p.n_steps)
@@ -345,7 +358,7 @@ class TestSolveLimit:
         grid = sw.Grid1D(0.01, 127)
         rough = random_field(grid)
         basis = sw.build_basis(grid, 8, 2.0)
-        p = LimitParams.auto(grid, 1e-6, basis, n_out=1)
+        p = LimitParams.auto(grid, 1e-6, n_out=1)
         with pytest.raises(sw.ParameterError, match="too rough"):
             sw.solve_limit(rough, p, basis)
 
@@ -366,12 +379,12 @@ class TestSolveLimit:
 
     @pytest.mark.parametrize("other", [sw.Grid1D(2.0, 127), sw.Grid1D(1.0, 63)],
                              ids=["length", "nodes"])
-    def test_basis_on_another_grid_rejected(self, grid, basis, other):
+    def test_basis_on_another_grid_rejected(self, grid, other):
         # a basis sampled on another domain would silently bend the flow, and
         # one with another node count would fail inside numpy broadcasting;
         # the solver, the flow's velocity and the residual oracle all refuse it
         u0 = sw.normalize_sphere(grid, sw.sine_field(grid, 1, 1))
-        p = LimitParams.auto(grid, 0.01, basis, n_out=1)
+        p = LimitParams.auto(grid, 0.01, n_out=1)
         calls = (lambda b: sw.solve_limit(u0, p, b),
                  lambda b: sw.limit_rhs(u0, b, p),
                  lambda b: sw.explicit_form_residual(u0, u0, b, p))
@@ -392,7 +405,7 @@ class TestSolveLimit:
         u0 = sw.normalize_sphere(g, sw.sine_field(g, 1, 1)
                                  + sw.sine_field(g, 2, 2, 0.1))
         for b in (sw.build_basis(g, 16, 2.0), sw.build_basis(g, 0, 2.0)):
-            p = LimitParams.auto(g, 0.25, b, n_out=64)
+            p = LimitParams.auto(g, 0.25, n_out=64)
             states = [flow.u for _, flow in limit_rows(u0, p, b, stride=p.n_steps // 64)]
             ref = rk4_oracle(u0, p, b, 64)
             err = max(sw.sobolev_norm(g, a - r, 1.0) for a, r in zip(states, ref))
@@ -406,7 +419,7 @@ class TestSolveLimit:
         g = config.build_grid(cfg)
         b = config.build_noise_basis(cfg, g)
         u0, _ = config.initial_fields_from(cfg, g)
-        p = config.limit_params_from(cfg, g, b)
+        p = config.limit_params_from(cfg, g)
         fine = replace(p, dt=0.25 * p.dt)
         states = [flow.u for _, flow in limit_rows(u0, p, b)]
         ref = [flow.u for _, flow in limit_rows(u0, fine, b, stride=4)]
@@ -431,7 +444,7 @@ class TestSolveLimit:
                 g, dst_ortho(np.exp(-sw.eigenvalues(g) * t / gamma) * spectrum))
             return sw.sobolev_norm(g, u - exact, 1.0)
 
-        params = LimitParams.auto(g, 0.5, silent, gamma=gamma, n_out=4)
+        params = LimitParams.auto(g, 0.5, gamma=gamma, n_out=4)
         assert max(gap(flow.u, flow.steps * params.dt)
                    for _, flow in limit_rows(u0, params, silent)) <= 1e-13
 
@@ -459,7 +472,7 @@ class TestPhiFunctions:
         # the grid's largest lambda dt / gamma at the default rule, about 133, and
         # moderate z where the direct formulas lose at most a few digits
         g = sw.Grid1D(1.0, 127)
-        p = LimitParams.auto(g, 1.0, sw.build_basis(g, 16, 2.0), n_out=1)
+        p = LimitParams.auto(g, 1.0, n_out=1)
         z = np.array([-sw.eigenvalues(g)[-1] * p.dt / p.gamma, -20.0, -3.0, -1.0, 1.0])
         assert z[0] < -100.0
         for got, want in zip(_phi_functions(z), self.direct(z)):
@@ -488,7 +501,7 @@ class TestEtd2Step:
         u0 = sw.normalize_sphere(g, sw.sine_field(g, 1, 1) + sw.sine_field(g, 2, 2, 0.1)
                                  + sw.sine_field(g, 5, 3, 0.3))
         basis = sw.build_basis(g, m, 2.0)
-        params = LimitParams.auto(g, 0.5, basis, gamma=gamma, n_out=4)
+        params = LimitParams.auto(g, 0.5, gamma=gamma, n_out=4)
         flow = _Etd4Flow(u0, params, basis)
         oracle = etd4_oracle(u0, params, basis)
         for step in range(301):
@@ -508,7 +521,7 @@ class TestEtd2Step:
         # H-norm) moves more than that and leaves it for the ground state
         g = sw.Grid1D(1.0, 127)
         basis = sw.build_basis(g, m, 2.0)
-        params = LimitParams.auto(g, 0.5, basis, n_out=4)
+        params = LimitParams.auto(g, 0.5, n_out=4)
         u0 = sw.normalize_sphere(g, sw.sine_field(g, 3, 2))
         oracle = etd4_oracle(u0, params, basis)
         flow = _Etd4Flow(u0, params, basis)
@@ -526,7 +539,7 @@ class TestEtd2Step:
     @staticmethod
     def flow(grid, basis, flow_class=_Etd4Flow, steps=3):
         u0 = sw.normalize_sphere(grid, sw.sine_field(grid, 1, 1) + sw.sine_field(grid, 2, 2, 0.1))
-        flow = flow_class(u0, LimitParams.auto(grid, 0.5, basis, n_out=4), basis)
+        flow = flow_class(u0, LimitParams.auto(grid, 0.5, n_out=4), basis)
         for _ in range(steps):
             flow.advance()
         return flow
@@ -537,7 +550,7 @@ class TestEtd2Step:
         # through limit_rows or as flow.u, is a new array that later steps leave alone
         g = sw.Grid1D(1.0, 63)
         basis = sw.build_basis(g, m, 2.0)
-        params = LimitParams.auto(g, 0.5, basis, n_out=4)
+        params = LimitParams.auto(g, 0.5, n_out=4)
         u0 = sw.normalize_sphere(g, sw.sine_field(g, 1, 1) + sw.sine_field(g, 2, 2, 0.1))
         rows = [(flow.u, flow.u.copy())
                 for _, flow in limit_rows(u0, params, basis, stride=params.n_steps // 4)]
@@ -574,7 +587,7 @@ class TestEtd2Step:
         # and raises again if called again
         g = sw.Grid1D(1.0, 63)
         silent = sw.build_basis(g, 0, 2.0)
-        params = LimitParams.auto(g, 0.5, silent, n_out=4)
+        params = LimitParams.auto(g, 0.5, n_out=4)
         u0 = sw.normalize_sphere(g, sw.sine_field(g, 1, 1) + sw.sine_field(g, 2, 2, 0.1))
         clean = [flow.u for _, flow in islice(limit_rows(u0, params, silent), 10)]
         seen = []
@@ -598,7 +611,7 @@ class TestEtd2Step:
         # rescaled onto it, and a zero or over-rough one is refused
         g = sw.Grid1D(1.0, 63)
         basis = sw.build_basis(g, m, 2.0)
-        params = LimitParams.auto(g, 0.5, basis, n_out=4)
+        params = LimitParams.auto(g, 0.5, n_out=4)
         u0 = sw.sine_field(g, 1, 1) + sw.sine_field(g, 2, 2, 0.1)
         assert np.array_equal(flow_class(3.0 * u0, params, basis).u, sw.normalize_sphere(g, 3.0 * u0))
         with pytest.raises(sw.DegenerateFieldError):
@@ -606,7 +619,7 @@ class TestEtd2Step:
         short = sw.Grid1D(0.01, 127)
         with pytest.raises(sw.ParameterError, match="too rough"):
             short_basis = sw.build_basis(short, m, 2.0)
-            flow_class(random_field(short), LimitParams.auto(short, 1e-6, short_basis, n_out=1),
+            flow_class(random_field(short), LimitParams.auto(short, 1e-6, n_out=1),
                        short_basis)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
@@ -616,7 +629,7 @@ class TestEtd2Step:
         # warns: not a blow-up at step 1, and not a non-finite velocity
         g = sw.Grid1D(1.0, 63)
         basis = sw.build_basis(g, m, 2.0)
-        params = LimitParams.auto(g, 0.5, basis, n_out=4)
+        params = LimitParams.auto(g, 0.5, n_out=4)
         u0 = sw.sine_field(g, 1, 1) + sw.sine_field(g, 2, 2, 0.1)
         u0[0, 5] = bad
         calls = {"initial field u0": (lambda: flow_class(u0, params, basis),
@@ -732,14 +745,12 @@ class TestRowReads:
     def per_step_reads(u0, params, basis):
         """The COLUMNS at every step, read one field at a time from limit_rows at stride 1.
 
-        The integral is the list form over |u_t|_H^2 of every step, with
-        the cubic start on the corrected flow, and the defect is the step's own.
+        The integral is the list form over |u_t|_H^2 of every step, and
+        the defect is the step's own.
         """
         g = params.grid
-        quadrature, steps, h1 = None, [], []
+        quadrature, steps, h1 = ListIntegral(params.dt), [], []
         for _, flow in limit_rows(u0, params, basis):
-            if quadrature is None:
-                quadrature = ListIntegral(params.dt, cubic_start=flow.cubic_start)
             ut_sq = sw.norm_l2_sq(g, flow.ut)
             quadrature.add(ut_sq)
             h1.append(flow.h1)
@@ -811,13 +822,13 @@ class TestRunningIntegral:
             assert np.all(coarse >= 12.0 * fine)
 
     def test_value_after_every_sample(self):
-        # 0 after the first sample, the trapezoid after the second, Simpson
-        # after the third
+        # 0 after the first sample, the cubic through the first four after
+        # the second, Simpson after the third
         dt, samples = 0.1, [1.0, 2.0, 5.0, 3.0]
         values = _running_integral(samples, dt)
         assert len(values) == len(samples)
         assert values[0] == 0.0
-        assert values[1] == pytest.approx(0.15, rel=1e-15)
+        assert values[1] == pytest.approx(dt / 24.0 * (9.0 + 38.0 - 25.0 + 3.0), rel=1e-15)
         assert values[2] == pytest.approx(dt / 3.0 * (1.0 + 8.0 + 5.0), rel=1e-14)
 
     @pytest.mark.parametrize("count", [0, 1, 2, 3])
@@ -832,45 +843,43 @@ class TestRunningIntegral:
         assert values.shape == (count,)
         assert np.array_equal(values, reference.values)
         assert np.allclose(values, [0.0, 0.15, dt / 3.0 * 14.0][:count], rtol=1e-14, atol=0.0)
-        # the cubic start needs four samples
-        assert np.array_equal(_running_integral(samples, dt, cubic_start=True), values)
 
     def test_zero_samples_give_zero(self):
-        for cubic_start in (False, True):
-            assert np.all(_running_integral(np.zeros(50), 0.01, cubic_start=cubic_start) == 0.0)
+        assert np.all(_running_integral(np.zeros(50), 0.01) == 0.0)
 
     def test_same_bits_as_the_list_form(self):
         samples = np.random.default_rng(8).standard_normal(50)
-        for cubic_start in (False, True):
-            reference = ListIntegral(0.03, cubic_start)
-            for f in samples:
-                reference.add(f)
-            assert np.array_equal(_running_integral(samples, 0.03, cubic_start=cubic_start),
-                                  reference.values)
+        reference = ListIntegral(0.03)
+        for f in samples:
+            reference.add(f)
+        assert np.array_equal(_running_integral(samples, 0.03), reference.values)
 
     def test_cubic_start(self):
-        # the cubic start rewrites only the value after the second sample,
-        # whose error then falls about 32x per halving of dt, against 8x for
-        # the trapezoid
-        dt, samples = 0.1, [1.0, 2.0, 5.0, 3.0, 4.0]
-        values = _running_integral(samples, dt, cubic_start=True)
-        plain = _running_integral(samples, dt)
-        assert values[1] == pytest.approx(dt / 24.0 * (9.0 + 38.0 - 25.0 + 3.0), rel=1e-15)
-        assert np.array_equal(np.delete(values, 1), np.delete(plain, 1))
+        # with four samples the cubic rewrites only the value after the
+        # second, whose error then falls about 32x per halving of dt, against
+        # 8x for the trapezoid over the first step; every later value is the
+        # trapezoid sum with its Euler-Maclaurin end correction
+        dt, samples = 0.1, np.array([1.0, 2.0, 5.0, 3.0, 4.0])
+        values = _running_integral(samples, dt)
+        f0, f1, f2 = samples[:3]
+        for k in range(2, len(samples)):
+            trapezoid = dt * (samples[:k + 1].sum() - 0.5 * (f0 + samples[k]))
+            end = dt / 24.0 * (3.0 * (samples[k] + f0) - 4.0 * (samples[k - 1] + f1)
+                               + samples[k - 2] + f2)
+            assert values[k] == pytest.approx(trapezoid - end, rel=1e-14)
         # the cubic through four samples of a cubic integrates it exactly
         t = dt * np.arange(4)
-        assert _running_integral(1.0 - t + 2.0 * t ** 3, dt, cubic_start=True)[1] == pytest.approx(
+        assert _running_integral(1.0 - t + 2.0 * t ** 3, dt)[1] == pytest.approx(
             dt - dt ** 2 / 2.0 + dt ** 4 / 2.0, rel=1e-14)
-        errors = {False: [], True: []}
+        cubic, trapezoid = [], []
         for n in (32, 64, 128, 256):
             t = np.linspace(0.0, 1.0, n + 1)
-            for cubic_start, e in errors.items():
-                value = _running_integral(np.exp(-3.0 * t) * np.cos(5.0 * t), 1.0 / n,
-                                          cubic_start=cubic_start)[1]
-                e.append(abs(value - exact_integral(t[1])))
-        for coarse, fine in zip(errors[True], errors[True][1:]):
+            f = np.exp(-3.0 * t) * np.cos(5.0 * t)
+            cubic.append(abs(_running_integral(f, 1.0 / n)[1] - exact_integral(t[1])))
+            trapezoid.append(abs(0.5 / n * (f[0] + f[1]) - exact_integral(t[1])))
+        for coarse, fine in zip(cubic, cubic[1:]):
             assert coarse >= 28.0 * fine
-        for coarse, fine in zip(errors[False], errors[False][1:]):
+        for coarse, fine in zip(trapezoid, trapezoid[1:]):
             assert 7.0 <= coarse / fine <= 9.0
 
 
@@ -900,7 +909,7 @@ class TestComparison:
         u10 = sw.normalize_sphere(grid, sw.sine_field(grid, 1, 1)
                                   + sw.sine_field(grid, 2, 2, 0.1))
         w = smooth_perturbation(grid, np.random.default_rng(3))
-        p = LimitParams.auto(grid, 0.25, basis, n_out=64)
+        p = LimitParams.auto(grid, 0.25, n_out=64)
         results = {}
         for eps in (1e-2, 1e-3):
             u20 = sw.normalize_sphere(grid, u10 + eps * w)

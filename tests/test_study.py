@@ -34,9 +34,6 @@ from spherewave.study import (
     trend_check,
 )
 
-# the silent basis of the default grid, for the step rules' argument checks
-SILENT = sw.build_basis(sw.Grid1D(), 0, 2.0)
-
 
 @pytest.fixture(scope="module")
 def small_config():
@@ -106,8 +103,8 @@ class TestConfig:
         (lambda: step_count(math.nan, 1.0), "dt=nan"),
         (lambda: step_count(1e-3, math.inf), "T=inf"),
         (lambda: sw.LimitParams(sw.Grid1D(), math.nan, 1.0), "dt=nan"),
-        (lambda: sw.LimitParams.auto(sw.Grid1D(), 1.0, SILENT, gamma=math.nan), "dt_max=nan"),
-        (lambda: sw.LimitParams.auto(sw.Grid1D(), math.inf, SILENT), "T=inf"),
+        (lambda: sw.LimitParams.auto(sw.Grid1D(), 1.0, gamma=math.nan), "dt_max=nan"),
+        (lambda: sw.LimitParams.auto(sw.Grid1D(), math.inf), "T=inf"),
         (lambda: sw.SpdeParams.auto(sw.Grid1D(), 0.1, math.inf, dt=1 / 2048), "T=inf"),
     ], ids=["L-nan", "L-inf", "p-nan", "limit-gamma-nan", "limit-gamma-inf", "spde-gamma-nan",
             "spde-alpha-inf", "step-dt-nan", "step-T-inf", "limit-dt-nan", "limit-auto-gamma-nan",
@@ -121,7 +118,7 @@ class TestConfig:
         with pytest.raises(sw.ParameterError, match="n_out=0"):
             sw.SpdeParams.auto(sw.Grid1D(), 0.1, 1.0, n_out=0)
         with pytest.raises(sw.ParameterError, match="n_out=0"):
-            sw.LimitParams.auto(sw.Grid1D(), 1.0, SILENT, n_out=0)
+            sw.LimitParams.auto(sw.Grid1D(), 1.0, n_out=0)
         # a given step obeys the same rule as a fitted one, and so does the horizon
         with pytest.raises(sw.ParameterError, match="n_out=0"):
             sw.SpdeParams.auto(sw.Grid1D(), 0.1, 1.0, n_out=0, dt=1 / 2048)
@@ -131,7 +128,7 @@ class TestConfig:
             with pytest.raises(sw.ParameterError, match=f"T={T}"):
                 sw.SpdeParams.auto(sw.Grid1D(), 0.1, T, dt=1 / 2048)
             with pytest.raises(sw.ParameterError, match=f"T={T}"):
-                sw.LimitParams.auto(sw.Grid1D(), T, SILENT)
+                sw.LimitParams.auto(sw.Grid1D(), T)
 
     def test_initial_data_on_manifold(self):
         cfg = StudyConfig()
@@ -335,10 +332,10 @@ class TestBlockEngine:
         basis = config.basis(grid)
         u0, v0 = config.initial_data(grid)
         targets = {}
-        # the parabolic target is the limit flow of the silent basis, and each
-        # target takes the step rule of its own basis
+        # the parabolic target is the limit flow of the silent basis, and
+        # both targets take the one step rule of the limit flows
+        lp = sw.LimitParams.auto(grid, config.T, n_out=config.n_out)
         for name, b in (("corrected", basis), ("parabolic", sw.build_basis(grid, 0, config.p))):
-            lp = sw.LimitParams.auto(grid, config.T, b, n_out=config.n_out)
             targets[name] = [flow.u for _, flow in
                              limit_rows(u0, lp, b, stride=lp.n_steps // config.n_out)]
         for row in result.rows:
@@ -429,8 +426,7 @@ class TestBlockEngine:
             "block_size": BLOCK_SIZE,
             "sample_steps": config.ensemble * sum(steps),
             "helmholtz_solves": sum(steps),
-            "limit_steps": sum(sw.LimitParams.auto(grid, config.T, b, n_out=config.n_out).n_steps
-                               for b in (config.basis(grid), sw.build_basis(grid, 0, config.p))),
+            "limit_steps": 2 * sw.LimitParams.auto(grid, config.T, n_out=config.n_out).n_steps,
         }
 
     def test_default_levels_are_whole_blocks(self):
@@ -720,8 +716,7 @@ class TestTargetJobs:
                   for i, mu in enumerate(small_config.mu_values)]
         assert blocks[0][0].n_steps < blocks[1][0].n_steps
         limit_steps, results = _run(small_config, ("corrected",), blocks, workers=1)
-        grid = small_config.grid()
-        assert limit_steps == sw.LimitParams.auto(grid, small_config.T, small_config.basis(grid),
+        assert limit_steps == sw.LimitParams.auto(small_config.grid(), small_config.T,
                                                   n_out=small_config.n_out).n_steps
         assert len(results) == 2
         for (params, mu_index, *_), (rows, _) in zip(blocks, results):
