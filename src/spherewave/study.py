@@ -293,11 +293,11 @@ def _solve_targets(config: StudyConfig, targets: tuple) -> int:
     """
     grid = config.grid()
     u0, _ = config.initial_data(grid)
+    bases = [build_basis(grid, 0, config.p) if name == "parabolic" else config.basis(grid)
+             for name in targets]
     params = LimitParams.auto(grid, config.T, gamma=config.gamma, n_out=config.n_out)
-    stride = params.n_steps // config.n_out
-    solves = [limit_rows(u0, params, build_basis(grid, 0, config.p) if name == "parabolic"
-                         else config.basis(grid), stride=stride)
-              for name in targets]
+    solves = [limit_rows(u0, params, basis, stride=params.n_steps // config.n_out)
+              for basis in bases]
     for r, flows in enumerate(zip(*solves)):
         _target_rows.publish(r, [flow.u for _, flow in flows])
     return len(targets) * params.n_steps
