@@ -14,8 +14,8 @@ dt follows one accuracy rule on both flows, dt <= gamma / (50 lambda_{h,1}),
 which on the silent basis the energy inequality's row gate sets: its
 dissipation integral int |u_t|^2 is taken to fourth order (the trapezoid
 plus the Euler-Maclaurin end correction, and the cubic through the first
-four samples over the first step).  The divergence form is kept as a residual oracle.  This
-script demonstrates: the equivalence of the two forms, exact equilibria at
+four samples over the first step).  The divergence form is kept as a
+residual oracle.  This script demonstrates: the equivalence of the two forms, exact equilibria at
 discrete sine eigenfields, sphere invariance and the projection defect, the
 energy inequality, and the two-solution comparison bound.
 """
