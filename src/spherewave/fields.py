@@ -33,6 +33,7 @@ from dataclasses import dataclass
 from functools import cached_property, partial
 from importlib.machinery import EXTENSION_SUFFIXES
 from importlib.util import find_spec, module_from_spec, spec_from_file_location
+from itertools import chain
 from math import ceil, inf
 from pathlib import Path
 
@@ -107,7 +108,10 @@ _pttrf, _pttrs = _flapack.dpttrf, _flapack.dpttrs
 # recorded rows, the exact heat flow of limit computes its steps, and
 # solve_limit takes the norms of its steps, this many at a time on
 # (rows, 3, n) stacks; one row at a time, the numpy call overhead dominates
-# the arithmetic of a field
+# the arithmetic of a field.  It is also the one bound of every solver's
+# working memory: Brownian increments are drawn, and solve_limit and
+# comparison_experiment fold their per-step values into rows, this many
+# steps at a time, so no run holds memory in proportion to its step count
 ROW_CHUNK = 64
 
 
@@ -176,12 +180,14 @@ def fitted_step(dt_max: float, T: float, n_out: int) -> float:
 
 def output_rows(n_steps: int, stride: int) -> list[int]:
     """Step indices recorded at `stride`, plus the last step."""
+    return list(_row_steps(n_steps, stride))
+
+
+def _row_steps(n_steps: int, stride: int):
+    """The steps of output_rows one at a time, so a run of many rows need not hold them."""
     if stride < 1:
         raise ParameterError(f"stride must be >= 1, got {stride}")
-    rows = list(range(0, n_steps + 1, stride))
-    if rows[-1] != n_steps:
-        rows.append(n_steps)
-    return rows
+    return chain(range(0, n_steps, stride), (n_steps,))
 
 
 def _check_field(grid: Grid1D, f: np.ndarray) -> np.ndarray:

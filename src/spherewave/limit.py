@@ -36,7 +36,9 @@ and their step rule (`LimitParams.auto`), and the heat flow's projection
 defect is 0.  Its step sets only the rows and how finely the energy
 integral samples |u_t|_H^2.  A flow only steps: the quantities only
 `solve_limit` reports, |u_t|_H^2, its running integral and each row's
-worst projection defect, are formed there, from every step.
+worst projection defect, are formed there, from every step, and folded
+into the rows a chunk of steps at a time, so no solver holds memory in
+proportion to its step count.
 
 An ETDRK4 step works on one field (3, n), so its cost is Python calls, not
 arithmetic.  Each flow therefore builds one velocity kernel, `_Velocity`,
@@ -48,8 +50,9 @@ step of the heat flow depends on the arithmetic of the one before, so it
 computes ROW_CHUNK steps at a time: one DST, one batched H-norm and one
 evaluation of the same kernel on the stack (ROW_CHUNK, 3, n), which gives
 each field the bits it gets alone.  `solve_limit` reads the steps by the
-same rule, on either flow: it copies each step's u_t, A_h u and u into
-stacks of ROW_CHUNK and takes the H-norms of a stack in one call.
+same rule, on either flow: it takes the H-norms of a stack of steps in one
+call, on the heat flow's own chunk once per refill, and on ETDRK4 steps
+copied into stacks of ROW_CHUNK.
 `limit_rhs` and `mobility_apply_inverse` run the same kernel and the same
 Sherman-Morrison solve, so the public velocity and the solver's agree bit
 for bit.
@@ -73,6 +76,7 @@ from .fields import (
     _inner_sum,
     _laplacian_into,
     _node_dot,
+    _row_steps,
     dst_ortho,
     eigenvalue,
     eigenvalues,
@@ -294,29 +298,51 @@ def _phi_functions(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return tuple(phi.mean(axis=1).real for phi in (phi1, phi2, phi3))
 
 
-def _running_integral(samples: np.ndarray, dt: float) -> np.ndarray:
-    """Running int_0^t f over samples f_0, f_1, ... spaced dt, to fourth order.
+class _RunningIntegral:
+    """Running int_0^t f over samples f_0, f_1, ... spaced dt, to fourth order, a chunk at a time.
 
-    The value after each sample: the trapezoid sum plus the Euler-Maclaurin
-    end correction -(dt^2/12)(f'(t) - f'(0)), with f' from second-order
-    one-sided differences of the samples; the plain trapezoid until three
-    samples exist (with three it is Simpson's rule), 0 after the first.
-    With four samples or more, the value after the second is instead the
-    integral of the cubic through the first four,
-    (dt/24)(9 f_0 + 19 f_1 - 5 f_2 + f_3), fourth order like the rest; the
-    trapezoid's error there grows as dt^3.  The trapezoid sums in order,
-    one np.cumsum.  All-zero samples give exactly 0.
+    `extend` takes the next samples and returns the value after each: the
+    trapezoid sum plus the Euler-Maclaurin end correction
+    -(dt^2/12)(f'(t) - f'(0)), with f' from second-order one-sided
+    differences of the samples; the plain trapezoid until three samples
+    exist (with three it is Simpson's rule), 0 after the first.  With four
+    samples or more, the value after the second is instead the integral of
+    the cubic through the first four, (dt/24)(9 f_0 + 19 f_1 - 5 f_2 + f_3),
+    fourth order like the rest; the trapezoid's error there grows as dt^3.
+    Across chunks it carries the trapezoid sum, the first three samples and
+    the last two, and the trapezoid sums in order: one np.cumsum over the
+    sum so far followed by the chunk's terms.  So the values do not depend
+    on how the samples are chunked, provided the chunk that holds f_1 also
+    holds f_3 or is the last.  All-zero samples give exactly 0.
     """
-    f = np.asarray(samples, dtype=float)
-    out = np.zeros(len(f))
-    out[1:] = np.cumsum(0.5 * dt * (f[:-1] + f[1:]))
-    if len(f) >= 3:
-        # 2 dt f'(0) = -3 f_0 + 4 f_1 - f_2 and 2 dt f'(t) = 3 f_n - 4 f_{n-1} + f_{n-2}
-        f0, f1, f2 = f[:3]
-        out[2:] -= dt / 24.0 * (3.0 * (f[2:] + f0) - 4.0 * (f[1:-1] + f1) + f[:-2] + f2)
-    if len(f) >= 4:
-        out[1] = dt / 24.0 * (9.0 * f[0] + 19.0 * f[1] - 5.0 * f[2] + f[3])
-    return out
+
+    def __init__(self, dt: float):
+        self.dt = dt
+        self._count = 0            # samples so far
+        self._sum = 0.0            # their trapezoid sum
+        self._head = np.empty(0)   # the first three samples
+        self._tail = np.empty(0)   # the last two samples
+
+    def extend(self, samples) -> np.ndarray:
+        dt, seen, before = self.dt, self._count, len(self._tail)
+        # the last two samples so far, then the chunk's
+        f = np.concatenate((self._tail, np.asarray(samples, dtype=float)))
+        new = len(f) - before
+        first = max(before, 1)
+        run = np.cumsum(np.concatenate(([self._sum], 0.5 * dt * (f[first - 1:-1] + f[first:]))))
+        self._sum = run[-1]
+        values = run[len(run) - new:]
+        if seen < 3:
+            self._head = np.concatenate((self._head, f[before:]))[:3]
+        if len(f) >= 3:
+            # 2 dt f'(0) = -3 f_0 + 4 f_1 - f_2 and 2 dt f'(t) = 3 f_n - 4 f_{n-1} + f_{n-2}
+            f0, f1, f2 = self._head
+            values[2 - before:] -= dt / 24.0 * (3.0 * (f[2:] + f0) - 4.0 * (f[1:-1] + f1)
+                                                + f[:-2] + f2)
+            if seen <= 1 and seen + new >= 4:   # the chunk holds f_1 and f_3 (f[3] here)
+                values[1 - seen] = dt / 24.0 * (9.0 * f0 + 19.0 * f1 - 5.0 * f2 + f[3])
+        self._count, self._tail = seen + new, f[-2:].copy()
+        return values
 
 
 class _Flow:
@@ -484,7 +510,10 @@ class _HeatFlow(_Flow):
     of the velocity kernel on the stack gives their `ut`, `lap` and `h1`;
     the last field's spectrum, at unit norm, is the next `s`.
     `u`, `ut` and `lap` are views of arrays that each refill makes new, so
-    a held state keeps its values.  No projection is made, so `defect`
+    a held state keeps its values.  `chunk` holds those arrays, the stacks
+    (u, ut, lap, h1) of the steps the last refill computed, and of step 0
+    alone before the first refill; solve_limit reads them where the flow
+    stands at the end of a refill.  No projection is made, so `defect`
     stays 0.  A non-finite node of a field shows in its norm: the fields
     before it are handed out, and the advance that reaches it raises
     BlowUpError, naming its step, as does every advance after it.
@@ -499,6 +528,7 @@ class _HeatFlow(_Flow):
         self._powers = np.exp(np.arange(1, ROW_CHUNK + 1)[:, None] * z)
         self._n_steps = params.n_steps
         self._rows, self._next, self._count = [], 0, 0
+        self.chunk = (self.u[None], self.ut[None], self.lap[None], np.array([self.h1]))
 
     def _refill(self) -> None:
         """Compute the next chunk of steps from the spectrum of the last."""
@@ -514,6 +544,7 @@ class _HeatFlow(_Flow):
         np.divide(u, nrm[:, None, None], out=u)
         ut, lap = np.empty(u.shape), np.empty(u.shape)
         h1 = self.velocity.into(u, ut, lap)
+        self.chunk = u, ut, lap, h1
         self._rows = list(zip(u, ut, lap, h1.tolist()))
         self._next, self._count = 0, count
 
@@ -537,7 +568,7 @@ class LimitTrajectory:
     u* before projection over the steps since the previous row (0 at t = 0),
     and 0 at every row of the parabolic flow, which is solved exactly and
     not projected.  energy_lhs is |u(t)|_{H1}^2 + 2 gamma int_0^t |u_t|_H^2,
-    the integral taken over every step to fourth order (`_running_integral`),
+    the integral taken over every step to fourth order (`_RunningIntegral`),
     and energy_rhs is |u(0)|_{H1}^2; the energy inequality asks
     energy_lhs <= energy_rhs.
     """
@@ -568,58 +599,86 @@ def limit_rows(u0: np.ndarray, params: LimitParams, basis: NoiseBasis, *, stride
     its `ut` and `lap` are to be read before the generator resumes (see
     _Etd4Flow and _HeatFlow).
     """
-    rows = output_rows(params.n_steps, stride)
+    steps = _row_steps(params.n_steps, stride)
     flow = _HeatFlow(u0, params, basis) if basis.m == 0 else _Etd4Flow(u0, params, basis)
-    yield 0, flow
-    for r in range(1, len(rows)):
-        while flow.steps < rows[r]:
+    for r, step in enumerate(steps):
+        while flow.steps < step:
             flow.advance()
         yield r, flow
+
+
+def _chunks(u0: np.ndarray, params: LimitParams, basis: NoiseBasis):
+    """Every step of the limit flow, as (velocity, stacks) of consecutive steps from step 0.
+
+    The stacks are (u, u_t, A_h u, |u|_{H1}^2, defect), one entry per step.
+    On the heat flow they are the flow's own `chunk`: step 0, then each
+    refill, read where limit_rows stops every ROW_CHUNK steps, which is
+    where a refill ends; its defect is 0.  ETDRK4 steps are read at stride
+    1 and copied into stacks of ROW_CHUNK steps, which the next chunk
+    overwrites (the flow overwrites u_t and A_h u at the next step).
+    """
+    if basis.m == 0:
+        for _, flow in limit_rows(u0, params, basis, stride=ROW_CHUNK):
+            yield flow.velocity, flow.chunk + (np.zeros(len(flow.chunk[3])),)
+        return
+    n = params.n_steps
+    u, ut, lap = (np.empty((ROW_CHUNK, 3, params.grid.n)) for _ in range(3))
+    h1, defect = np.empty(ROW_CHUNK), np.empty(ROW_CHUNK)
+    for k, flow in limit_rows(u0, params, basis):
+        i = k % ROW_CHUNK
+        u[i], ut[i], lap[i], h1[i], defect[i] = flow.u, flow.ut, flow.lap, flow.h1, flow.defect
+        if i == ROW_CHUNK - 1 or k == n:
+            yield flow.velocity, tuple(stack[:i + 1] for stack in (u, ut, lap, h1, defect))
 
 
 def solve_limit(u0: np.ndarray, params: LimitParams, basis: NoiseBasis, *,
                 stride: int = 1) -> LimitTrajectory:
     """Run the limit flow to T, recording every `stride` steps plus the end.
 
-    One path serves both flows, and it reads every step.  At each step of
-    `limit_rows` the flow's |u|_{H1}^2 and projection defect go to their own
-    columns, and its u_t, A_h u and u are copied into three stacks of
-    ROW_CHUNK steps (the flow overwrites u_t and A_h u at the next step).
-    Whenever the stacks fill, and at the last step, one call of the
-    velocity's `norm_sq` on each gives the steps' |u_t|_H^2, |A_h u|_H^2 and
-    |u|_H^2, each with the bits it gets alone.  The rows are then picked:
-    a row's projection defect is the largest over its steps since the
-    previous row, and the energy integral is `_running_integral` once over
-    the |u_t|_H^2 of every step, started with the cubic through the first
-    four.  At the auto step the trapezoid's first step reads 4.5e-5 from
-    the converged energy on the corrected flow at the defaults, against
-    2.3e-6 for the cubic and 5.3e-6 on every later row; on the heat flow,
-    whose energy is exact, the cubic start keeps every row within 1.2e-7 of
-    it, where the trapezoid's first step reads 3.7e-6.
+    One path serves both flows, and it reads every step, a chunk of
+    consecutive steps at a time (`_chunks`): the heat flow's own chunk of
+    each refill, or ROW_CHUNK ETDRK4 steps copied into stacks.  Each chunk
+    is folded into the rows it holds and dropped, so the solve's memory is
+    bounded by the chunk and the rows, not by the step count.  One call of
+    the velocity's `norm_sq` on a stack gives the steps' |u_t|_H^2, and on
+    a chunk that holds rows their |A_h u|_H^2 and |u|_H^2, each with the
+    bits it gets alone.  A row's projection defect is the largest over its
+    steps since the previous row, carried across chunks as a running max,
+    and the energy integral is `_RunningIntegral` over the |u_t|_H^2 of
+    every step, extended by each chunk and started with the cubic through
+    the first four.  At the auto
+    step the trapezoid's first step reads 4.5e-5 from the converged energy
+    on the corrected flow at the defaults, against 2.3e-6 for the cubic and
+    5.3e-6 on every later row; on the heat flow, whose energy is exact, the
+    cubic start keeps every row within 1.2e-7 of it, where the trapezoid's
+    first step reads 3.7e-6.
     """
-    n, rows = params.n_steps, output_rows(params.n_steps, stride)
-    h1, defect, ut_sq, lap_sq, u_sq = (np.empty(n + 1) for _ in range(5))
-    ut, lap, u = (np.empty((ROW_CHUNK, 3, params.grid.n)) for _ in range(3))
-
-    for k, flow in limit_rows(u0, params, basis):
-        h1[k], defect[k] = flow.h1, flow.defect
-        i = k % ROW_CHUNK
-        ut[i], lap[i], u[i] = flow.ut, flow.lap, flow.u
-        if i == ROW_CHUNK - 1 or k == n:
-            for column, stack in ((ut_sq, ut), (lap_sq, lap), (u_sq, u)):
-                column[k - i:k + 1] = flow.velocity.norm_sq(stack[:i + 1])
-
-    worst = np.zeros(len(rows))
-    worst[1:] = np.maximum.reduceat(defect, np.add(rows[:-1], 1))
-    # the integral is 0 at step 0, so energy_lhs[0] is |u(0)|_{H1}^2
-    integral = _running_integral(ut_sq, params.dt)
-    energy_lhs = (h1 + 2.0 * params.gamma * integral)[rows]
-    return LimitTrajectory(params=params, t=np.multiply(rows, params.dt),
-                           u_h1=np.sqrt(np.maximum(h1[rows], 0.0)),
-                           u_h2=np.sqrt(lap_sq[rows]), ut_h=np.sqrt(ut_sq[rows]),
-                           sphere_residual=np.abs(np.sqrt(u_sq[rows]) - 1.0),
-                           projection_defect=worst, energy_lhs=energy_lhs,
-                           energy_rhs=float(energy_lhs[0]))
+    rows = np.array(output_rows(params.n_steps, stride))
+    u_h1, u_h2, ut_h, residual, worst, energy_lhs = np.empty((6, len(rows)))
+    integral = _RunningIntegral(params.dt)
+    first = r = 0
+    since = 0.0   # the worst defect of the steps since the last row
+    for velocity, (u, ut, lap, h1, defect) in _chunks(u0, params, basis):
+        ut_sq = velocity.norm_sq(ut)
+        integrals = integral.extend(ut_sq)
+        end = r + int(np.searchsorted(rows[r:], first + len(ut)))
+        carried = np.concatenate(([since], defect))
+        if end > r:   # the chunk holds rows r..end-1, at its steps `at`
+            at, picked = rows[r:end] - first, slice(r, end)
+            u_h1[picked] = np.sqrt(np.maximum(h1[at], 0.0))
+            u_h2[picked] = np.sqrt(velocity.norm_sq(lap)[at])
+            ut_h[picked] = np.sqrt(ut_sq[at])
+            residual[picked] = np.abs(np.sqrt(velocity.norm_sq(u)[at]) - 1.0)
+            energy_lhs[picked] = h1[at] + 2.0 * params.gamma * integrals[at]
+            # each row's segment of [since, defects...] ends at its step
+            worst[picked] = np.maximum.reduceat(carried[:at[-1] + 2],
+                                                np.concatenate(([0], at[:-1] + 2)))
+            carried = carried[at[-1] + 2:]
+        since = carried.max(initial=0.0)
+        first, r = first + len(ut), end
+    return LimitTrajectory(params=params, t=np.multiply(rows, params.dt), u_h1=u_h1, u_h2=u_h2,
+                           ut_h=ut_h, sphere_residual=residual, projection_defect=worst,
+                           energy_lhs=energy_lhs, energy_rhs=float(energy_lhs[0]))
 
 
 @dataclass
@@ -640,24 +699,31 @@ def comparison_experiment(u10: np.ndarray, u20: np.ndarray, params: LimitParams,
     """Evolve two initial fields and track |u1-u2|_{H1}^2 + int |v1-v2|_H^2.
 
     The two flows advance in lockstep through `limit_rows` at stride 1;
-    |v1-v2|_H^2 is kept at every step and integrated once, to fourth order,
-    by `_running_integral`, started with the cubic as solve_limit's energy.
+    |v1-v2|_H^2 is kept for the steps of a chunk of ROW_CHUNK and
+    integrated to fourth order, started with the cubic as solve_limit's
+    energy, by one `_RunningIntegral` that each full chunk extends; the
+    rows the chunk holds take their values, and the chunk is dropped.
 
     Fits log(LHS(t)) = log(c1 |du0|_{H1}^2) + c2 t by least squares; for
     identical initial data the series is identically zero and the fitted
     constants are NaN.
     """
-    grid = params.grid
-    rows = output_rows(params.n_steps, stride)
-    dv_sq = np.empty(params.n_steps + 1)
-    dist = []
+    grid, n = params.grid, params.n_steps
+    rows = np.array(output_rows(n, stride))
+    dv_sq, dist, int_dv = np.empty(ROW_CHUNK), np.empty(len(rows)), np.empty(len(rows))
+    integral = _RunningIntegral(params.dt)
+    done = r = 0   # the rows with their integral, and with their distance
     for (k, f1), (_, f2) in zip(limit_rows(u10, params, basis), limit_rows(u20, params, basis)):
-        dv_sq[k] = norm_l2_sq(grid, f1.ut - f2.ut)
-        if k == rows[len(dist)]:
-            dist.append(h1_seminorm_sq(grid, f1.u - f2.u))
+        i = k % ROW_CHUNK
+        dv_sq[i] = norm_l2_sq(grid, f1.ut - f2.ut)
+        if k == rows[r]:
+            dist[r] = h1_seminorm_sq(grid, f1.u - f2.u)
+            r += 1
+        if i == ROW_CHUNK - 1 or k == n:
+            int_dv[done:r] = integral.extend(dv_sq[:i + 1])[rows[done:r] - (k - i)]
+            done = r
 
-    t, dist = np.multiply(rows, params.dt), np.array(dist)
-    int_dv = _running_integral(dv_sq, params.dt)[rows]
+    t = np.multiply(rows, params.dt)
     lhs = dist + int_dv
     d0 = dist[0]
     if d0 > 0.0 and np.all(lhs > 0.0):

@@ -13,7 +13,9 @@ untruncated series needs p > 3/2; the constructor enforces p >= 2.
 
 The noise acts on the velocity as the scalar field sum_i xi_i(x) dB_i(t)
 multiplying the pointwise vector u x v; its Ito correction drift is the
-trace field phi * (u x (u x v)).
+trace field phi * (u x (u x v)).  The increments dB_i of every stochastic
+run come from one source, `brownian_increments`, which draws them
+ROW_CHUNK steps at a time, so a run holds a chunk of them, not its path.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from math import inf
 import numpy as np
 
 from .errors import AliasingError, HypothesisViolationError, ParameterError, ShapeError
-from .fields import Grid1D, cross, triple_cross
+from .fields import ROW_CHUNK, Grid1D, cross, triple_cross
 
 __all__ = [
     "NoiseBasis",
@@ -33,6 +35,7 @@ __all__ = [
     "strat_correction",
     "noise_field",
     "derive_stream",
+    "brownian_increments",
 ]
 
 
@@ -90,6 +93,29 @@ def derive_stream(master_seed: int, *key: int) -> np.random.Generator:
     statistically independent streams.
     """
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence((int(master_seed),) + tuple(int(k) for k in key))))
+
+
+def brownian_increments(streams, m: int, dt: float, n_steps: int, draws_per_step: int = 1):
+    """Yield the Brownian increments of each of n_steps steps, (S, m) for S streams.
+
+    Each stream is drawn as one N(0, 1) per mode on the grid of step
+    dt / draws_per_step, scaled by sqrt(dt / draws_per_step), and
+    draws_per_step consecutive draws are summed onto each step.  The draws
+    are made ROW_CHUNK steps at a time, into a new array per chunk: a
+    PCG64 stream drawn in chunks gives the numbers of one whole draw, bit
+    for bit, so the increments do not depend on the chunk, and a run holds
+    one chunk of them at a time.
+    """
+    scale = np.sqrt(dt / draws_per_step)
+    for start in range(0, n_steps, ROW_CHUNK):
+        count = min(ROW_CHUNK, n_steps - start)
+        draws = np.empty((count * draws_per_step, len(streams), m))
+        for pos, stream in enumerate(streams):
+            draws[:, pos] = stream.standard_normal((len(draws), m))
+        draws *= scale
+        if draws_per_step > 1:
+            draws = draws.reshape(count, draws_per_step, len(streams), m).sum(axis=1)
+        yield from draws
 
 
 def strat_correction(u: np.ndarray, v: np.ndarray, basis: NoiseBasis) -> np.ndarray:

@@ -25,7 +25,11 @@ sample's numbers do not depend on the block it shares.  A block keeps its
 shape: a sample is lost at the first step whose new state has non-finite
 norms, recorded as a BlowUpError with the diagnostics of the state before
 the blow-up step, and steps on as NaN, which leaves the other samples'
-numbers as they were.
+numbers as they were.  `SpdeStepper.run` reads the Brownian increments one
+step at a time, from an array or from noise.brownian_increments, which
+draws them ROW_CHUNK steps at a time, and simulate reduces its rows
+ROW_CHUNK at a time: the working memory of a run is bounded by that chunk,
+not by its step count.
 
 Structure diagnostics: the pathwise energy
 
@@ -55,6 +59,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from operator import itemgetter
 
 import numpy as np
@@ -79,7 +84,7 @@ from .fields import (
     step_count,
     weighted_norm,
 )
-from .noise import NoiseBasis, check_grid
+from .noise import NoiseBasis, brownian_increments, check_grid
 
 __all__ = [
     "SpdeParams",
@@ -493,19 +498,22 @@ class SpdeStepper:
         self._bind(self.u, self.v)
         return lost
 
-    def run(self, increments: np.ndarray | None, rows: list, on_row) -> None:
+    def run(self, increments, rows: list, on_row) -> None:
         """Step to rows[-1], calling on_row(r) once step rows[r] is reached.
 
-        rows starts at 0 (on_row(0) sees the initial state); increments has
-        shape (n_steps, m) for a field and (n_steps, S, m) for a block, or is
-        None for a noise-free run.  Stops early, without calling on_row, once
-        every sample has blown up.
+        rows starts at 0 (on_row(0) sees the initial state).  increments is
+        read once, in order, one step's increments at a time, (m,) for a
+        field and (S, m) for a block: an array (n_steps, m) or
+        (n_steps, S, m), or a sequence drawn as the run reads it, such as
+        noise.brownian_increments; None runs without noise.  Stops early,
+        without calling on_row, once every sample has blown up.
         """
         with np.errstate(all="ignore"):
+            steps = repeat(None) if increments is None else iter(increments)
             on_row(0)
             r = 1
             for k in range(1, rows[-1] + 1):
-                lost = self.step(None if increments is None else increments[k - 1])
+                lost = self.step(next(steps))
                 if lost and not self.alive.any():
                     return
                 if rows[r] == k:
@@ -520,35 +528,33 @@ class SpdeStepper:
         """Every scalar diagnostic of DIAGNOSTICS, per sample (see _diagnostics)."""
         return _diagnostics(self.params, self.u, self.v, self.acc_v2)
 
+    def _integrals(self, out: np.ndarray) -> np.ndarray:
+        """The six trapezoid integrals, stacked as REMAINDER_KEYS, into `out`.
+
+        Each is dt (sum - f_k / 2), its left sum started at f_0 / 2 and f_k
+        the latest integrand: the end correction the step leaves out.
+        """
+        np.multiply(0.5, self._last, out=out)
+        np.subtract(self._sums, out, out=out)
+        out *= self._dt
+        return out
+
     @property
     def remainder(self) -> dict:
         """The remainder accumulators by name (REMAINDER_KEYS and "j6"), each shaped as u.
 
-        Each read gives the six trapezoid integrals their end correction,
-        dt (sum - f_k / 2) from the left sums started at f_0 / 2, in new
-        arrays; the step itself only adds f_k to the sums.
+        Each read gives the six trapezoid integrals their end correction
+        (`_integrals`) in new arrays; the step itself only adds f_k to the
+        sums.
         """
         with np.errstate(all="ignore"):
-            return _accumulators(self._sums, self._last, self.params.dt, self.acc_noise)
+            acc = dict(zip(REMAINDER_KEYS, self._integrals(np.empty(self._last.shape))))
+        acc["j6"] = self.acc_noise
+        return acc
 
     def remainder_norms(self) -> tuple[np.ndarray, np.ndarray]:
         """The J norms (..., 6) and identity residuals (...) of the state (RemainderIdentity.norms)."""
         return self.identity.norms(self.u, self.v, self.remainder)
-
-
-def _accumulators(sums: np.ndarray, last: np.ndarray, dt: float, j6: np.ndarray) -> dict:
-    """The remainder accumulators by name from the left sums of the integrands.
-
-    sums and last stack REMAINDER_KEYS on their first axis; each trapezoid
-    integral is dt (sum - f_k / 2), its sum started at f_0 / 2 and f_k the
-    latest integrand.
-    """
-    trapezoid = 0.5 * last
-    np.subtract(sums, trapezoid, out=trapezoid)
-    trapezoid *= dt
-    acc = dict(zip(REMAINDER_KEYS, trapezoid))
-    acc["j6"] = j6
-    return acc
 
 
 class RemainderIdentity:
@@ -640,14 +646,18 @@ def simulate(u0: np.ndarray, v0: np.ndarray, params: SpdeParams, basis: NoiseBas
     """Integrate one trajectory (the engine stepping a field) and record diagnostics.
 
     The Brownian path comes from `increments` (shape (n_steps, m)) when
-    given, else from `rng`, drawn as one (n_steps, m) block (the same numbers
-    as n_steps draws of m); with neither, the run is noise-free.  Rows are
-    recorded at steps 0, stride, 2*stride, ... and always at the final step.
-    Each row's fields, its int |v|_H^2 ds and its remainder accumulators
-    are copied into a buffer of ROW_CHUNK rows; every row quantity
-    (DIAGNOSTICS, and the remainder series) is evaluated on the buffer
-    whenever it fills and at the final row, with the numbers of a per-row
-    evaluation.  A blow-up raises BlowUpError; a NaN or inf increment is
+    given, else from `rng`, drawn by noise.brownian_increments ROW_CHUNK
+    steps at a time (the numbers of one (n_steps, m) draw; a run that blows
+    up leaves the rest of its path undrawn); with neither, the run is
+    noise-free.  Rows are recorded at steps 0, stride,
+    2*stride, ... and always at the final step.  Each row's fields, its
+    int |v|_H^2 ds and j6 are copied into buffers of ROW_CHUNK rows, and
+    its six trapezoid integrals (SpdeStepper._integrals) into one more; every
+    row quantity (DIAGNOSTICS, and the remainder series) is evaluated on
+    the buffers whenever they fill and at the final row, with the numbers
+    of a per-row evaluation.  So the run's memory is bounded by ROW_CHUNK
+    rows and steps, whatever its step count; only the recorded series grow
+    with the rows.  A blow-up raises BlowUpError; a NaN or inf increment is
     bad input, refused with a ParameterError that names its step and mode.
     """
     grid = params.grid
@@ -661,15 +671,17 @@ def simulate(u0: np.ndarray, v0: np.ndarray, params: SpdeParams, basis: NoiseBas
         for k in np.flatnonzero(~np.isfinite(increments).all(axis=1))[:1]:
             _check_finite(increments[k], f"the increment of step {k + 1}", ("mode",))
     elif rng is not None and basis.m > 0:
-        increments = np.sqrt(params.dt) * rng.standard_normal((n_steps, basis.m))
+        increments = map(itemgetter(0), brownian_increments([rng], basis.m, params.dt, n_steps))
 
     n_rows = len(rows)
     engine = SpdeStepper(params, basis, u0, v0)
     scalars = {name: np.empty(n_rows) for name in ("t",) + DIAGNOSTICS}
     j_norms, residual = np.empty((n_rows, 6)), np.empty(n_rows)
     chunk = {key: np.empty((ROW_CHUNK, 3, grid.n)) for key in ("u", "v", "j6")}
-    # the integrands' left sums and latest values, read off as on the engine
-    sums, last = (np.empty((len(REMAINDER_KEYS), ROW_CHUNK, 3, grid.n)) for _ in range(2))
+    integrals = np.empty((len(REMAINDER_KEYS), ROW_CHUNK, 3, grid.n))
+    # a row's integrals are formed in one contiguous field each, then copied
+    # into their rows: ufuncs writing the strided rows cost twice as much
+    row_integrals = np.empty((len(REMAINDER_KEYS), 3, grid.n))
     acc_v2 = np.empty(ROW_CHUNK)
 
     def record(r: int):
@@ -678,12 +690,13 @@ def simulate(u0: np.ndarray, v0: np.ndarray, params: SpdeParams, basis: NoiseBas
         acc_v2[i] = engine.acc_v2
         chunk["u"][i], chunk["v"][i] = engine.u, engine.v
         chunk["j6"][i] = engine.acc_noise
-        sums[:, i], last[:, i] = engine._sums, engine._last
+        integrals[:, i] = engine._integrals(row_integrals)
         if i < ROW_CHUNK - 1 and r < n_rows - 1:
             return
         part = slice(r - i, r + 1)
         u, v = chunk["u"][:i + 1], chunk["v"][:i + 1]
-        acc = _accumulators(sums[:, :i + 1], last[:, :i + 1], params.dt, chunk["j6"][:i + 1])
+        acc = dict(zip(REMAINDER_KEYS, integrals[:, :i + 1]))
+        acc["j6"] = chunk["j6"][:i + 1]
         for name, values in _diagnostics(params, u, v, acc_v2[:i + 1]).items():
             scalars[name][part] = values
         j_norms[part], residual[part] = engine.identity.norms(u, v, acc)

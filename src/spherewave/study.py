@@ -31,11 +31,14 @@ into memory shared with the pool; a block reads row r only when it reaches
 it.  At each output row the block is reduced in place to running
 per-sample maxima (Sobolev errors against every target, the six J norms,
 the identity residual and the energy; the engine keeps the constraint
-residuals' sups over every step), so no field snapshots are kept.  A block keeps its shape when a
-sample blows up: the sample steps on as NaN, and its row records the
-blow-up step and the diagnostics of the state before the blow-up step in
-place of its maxima.  The split depends only on the configuration, so
-every worker count gives the same bytes.
+residuals' sups over every step), so no field snapshots are kept, and a
+block draws its Brownian increments ROW_CHUNK steps at a time as it steps
+(noise.brownian_increments): its memory does not grow with its step
+count.  A block keeps its shape when a sample blows up: the sample steps
+on as NaN, and its row records the blow-up step and the diagnostics of
+the state before the blow-up step in place of its maxima.  The split
+depends only on the configuration, so every worker count gives the same
+bytes.
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ import numpy as np
 from .errors import BlowUpError, ConfigError, DegenerateFieldError, ParameterError
 from .fields import Grid1D, dst_ortho, initial_pair, output_rows, spectral_weights, weighted_norm
 from .limit import LimitParams, limit_rows
-from .noise import NoiseBasis, build_basis, derive_stream
+from .noise import NoiseBasis, brownian_increments, build_basis, derive_stream
 from .spde import SpdeParams, SpdeStepper
 
 __all__ = [
@@ -315,24 +318,6 @@ def _blocks(config: StudyConfig) -> list[tuple[int, range]]:
             for lo, hi in zip(bounds, bounds[1:])]
 
 
-def _increments(config: StudyConfig, params: SpdeParams, samples: range,
-                stream: int, draws_per_step: int) -> np.ndarray:
-    """Brownian increments (n_steps, S, m) of a block.
-
-    Each sample's stream is drawn as one N(0, 1) per mode on the grid of
-    step dt / draws_per_step, and draws_per_step consecutive draws are
-    summed onto each step.
-    """
-    draws = np.empty((params.n_steps * draws_per_step, len(samples), config.m))
-    for pos, sample in enumerate(samples):
-        key = config.child_key(sample, stream)
-        draws[:, pos] = derive_stream(*key).standard_normal((len(draws), config.m))
-    draws *= np.sqrt(params.dt / draws_per_step)
-    if draws_per_step > 1:
-        draws = draws.reshape(params.n_steps, draws_per_step, len(samples), config.m).sum(axis=1)
-    return draws
-
-
 def _run_block(config: StudyConfig, params: SpdeParams, targets: tuple, mu_index: int,
                samples: range, stream: int, draws_per_step: int) -> tuple[list, dict]:
     """Step one block of a mass level and reduce it to one SampleRow per sample.
@@ -341,17 +326,21 @@ def _run_block(config: StudyConfig, params: SpdeParams, targets: tuple, mu_index
     params.  targets names the run's targets in their order in a published
     row; row r is read from the shared rows when the block reaches it, and
     a block without targets never reads them.  The increments are drawn
-    here, in the worker, from the samples' keys (master_seed, stream, j);
-    see _increments.  The error norms' mode
-    weights are computed once here, and the engine's RemainderIdentity holds
-    the identity's constant part, so a row recomputes neither.  A refused
+    here, in the worker, from the samples' keys (master_seed, stream, j),
+    by noise.brownian_increments: each sample's stream gives one N(0, 1)
+    per mode on the grid of step dt / draws_per_step, draws_per_step
+    consecutive draws are summed onto each step, and the draws are made
+    ROW_CHUNK steps at a time as the engine reads them.  The error norms'
+    mode weights are computed once here, and the engine's RemainderIdentity
+    holds the identity's constant part, so a row recomputes neither.  A refused
     start raises its BlowUpError, stamped with the mass level; a lost
     sample's row carries its blow-up step and last finite diagnostics.
     """
     grid, mu = params.grid, params.mu
     size = len(samples)
     u0, v0 = config.initial_data(grid)
-    increments = _increments(config, params, samples, stream, draws_per_step)
+    streams = [derive_stream(*config.child_key(j, stream)) for j in samples]
+    increments = brownian_increments(streams, config.m, params.dt, params.n_steps, draws_per_step)
     try:
         engine = SpdeStepper(params, config.basis(grid), np.broadcast_to(u0, (size,) + u0.shape),
                              np.broadcast_to(v0, (size,) + v0.shape), samples=samples)

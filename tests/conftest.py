@@ -1,6 +1,7 @@
 """Fixtures shared by every test module."""
 
 import multiprocessing
+import tracemalloc
 
 import pytest
 
@@ -11,3 +12,16 @@ def no_child_process_left():
     yield
     left = multiprocessing.active_children()
     assert not left, f"the test left child processes running: {left}"
+
+
+@pytest.fixture
+def traced_peak():
+    """The peak of the allocations traced while a call runs, in bytes (tracemalloc)."""
+    def peak(call):
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    return peak

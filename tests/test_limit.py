@@ -11,7 +11,7 @@ import pytest
 import spherewave as sw
 from spherewave import config
 from spherewave.fields import ROW_CHUNK, dst_ortho, output_rows
-from spherewave.limit import (LimitParams, _Etd4Flow, _HeatFlow, _phi_functions, _running_integral,
+from spherewave.limit import (LimitParams, _Etd4Flow, _HeatFlow, _phi_functions, _RunningIntegral,
                               _Velocity, limit_rows)
 
 RNG = np.random.default_rng(55)
@@ -62,7 +62,7 @@ def rk4_oracle(u0, params, basis, n_out):
 
 
 class ListIntegral:
-    """The running fourth-order integral in lists; `_running_integral` matches it bit for bit.
+    """The running fourth-order integral in lists; `_RunningIntegral` matches it bit for bit.
 
     `add` takes the next sample and `values` holds the value after each
     sample so far; the fourth sample rewrites the value after the second
@@ -91,6 +91,11 @@ class ListIntegral:
                            * (3.0 * (fn + f0) - 4.0 * (fn1 + f1) + fn2 + f2))
         if len(self.values) == 4:
             self.values[1] = self.dt / 24.0 * (9.0 * f0 + 19.0 * f1 - 5.0 * f2 + fn)
+
+
+def _running_integral(samples, dt):
+    """The value after each sample, from one `_RunningIntegral` extended once."""
+    return _RunningIntegral(dt).extend(samples)
 
 
 def etd4_oracle(u0, params, basis):
@@ -459,6 +464,21 @@ class TestSolveLimit:
         assert etd4[1] < etd4[0] <= 1e-3
         assert 14.0 <= etd4[0] / etd4[1] <= 18.0
 
+    def test_memory_does_not_grow_with_the_steps(self, traced_peak):
+        # solve_limit folds each chunk of steps into its rows and drops it: at
+        # one row per run, 10x the steps peak within 10% of the traced bytes
+        g = sw.Grid1D(1.0, 15)
+        u0 = sw.normalize_sphere(g, sw.sine_field(g, 1, 1) + sw.sine_field(g, 2, 2, 0.1))
+        silent = sw.build_basis(g, 0, 2.0)
+
+        def run(n_steps):
+            params = LimitParams(grid=g, dt=1.0 / n_steps, T=1.0)
+            return lambda: sw.solve_limit(u0, params, silent, stride=n_steps)
+
+        run(10 ** 3)()   # first calls fill caches
+        short, long = traced_peak(run(10 ** 4)), traced_peak(run(10 ** 5))
+        assert long <= 1.1 * short, (short, long)
+
 
 class TestPhiFunctions:
     """The contour means of `_phi_functions` against the direct formulas and the Taylor series."""
@@ -762,7 +782,8 @@ class TestRowReads:
 
     @pytest.mark.parametrize("n_steps, stride", [
         (ROW_CHUNK - 24, 1), (2 * ROW_CHUNK - 1, 1), (2 * ROW_CHUNK + 22, 1),
-        (7 * ROW_CHUNK + 3, 7)], ids=["below", "two-chunks", "tail", "stride"])
+        (7 * ROW_CHUNK + 3, 7), (7 * ROW_CHUNK + 3, 1), (7 * ROW_CHUNK + 3, 5000)],
+        ids=["below", "two-chunks", "tail", "stride", "long", "past-the-end"])
     @pytest.mark.parametrize("m", [0, 16], ids=["parabolic", "corrected"])
     def test_columns_are_the_per_row_reads(self, n_steps, stride, m):
         u0, params, basis = self.setup(n_steps, m)
@@ -806,7 +827,7 @@ def exact_integral(t):
 
 
 class TestRunningIntegral:
-    """`_running_integral`: the value after each sample, in one call."""
+    """`_RunningIntegral`: the value after each sample, in one call or chunk by chunk."""
 
     def test_fourth_order(self):
         # int_0^t e^{-3s} cos 5s ds at t = 1/4, 1/2, 1: the error falls about
@@ -843,6 +864,20 @@ class TestRunningIntegral:
         assert values.shape == (count,)
         assert np.array_equal(values, reference.values)
         assert np.allclose(values, [0.0, 0.15, dt / 3.0 * 14.0][:count], rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("sizes", [[ROW_CHUNK] * 5, [1] + [ROW_CHUNK] * 5, [4, 1, 2, 3, 290]],
+                             ids=["chunks", "step-0-alone", "uneven"])
+    def test_chunks_give_the_bits_of_one_call(self, sizes):
+        # one integral extended chunk by chunk, as solve_limit and
+        # comparison_experiment extend it, against the list form over all samples
+        samples = np.random.default_rng(9).standard_normal(300)
+        integral, values = _RunningIntegral(0.03), []
+        for lo, hi in zip(np.cumsum([0] + sizes[:-1]), np.cumsum(sizes)):
+            values += list(integral.extend(samples[lo:hi]))
+        reference = ListIntegral(0.03)
+        for f in samples:
+            reference.add(f)
+        assert np.array_equal(values, reference.values)
 
     def test_zero_samples_give_zero(self):
         assert np.all(_running_integral(np.zeros(50), 0.01) == 0.0)
@@ -893,6 +928,25 @@ class TestComparison:
             grid, np.random.default_rng(4)))
         comp = sw.comparison_experiment(u10, u20, params, basis, stride=stride)
         t, dist, int_dv, lhs, c1, c2 = comparison_oracle(u10, u20, params, basis, stride)
+        for got, want in ((comp.t, t), (comp.dist_h1_sq, dist), (comp.int_dv_sq, int_dv),
+                          (comp.lhs, lhs), (comp.c1, c1), (comp.c2, c2)):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("stride", [1, 7, 5000])
+    @pytest.mark.parametrize("n_steps", [ROW_CHUNK - 24, 2 * ROW_CHUNK + 22],
+                             ids=["below", "tail"])
+    def test_chunks_keep_the_bits_of_every_step(self, n_steps, stride):
+        # the series is folded ROW_CHUNK steps at a time; the oracle
+        # integrates every step's |v1 - v2|^2 in one list
+        grid = sw.Grid1D(1.0, 31)
+        basis = sw.build_basis(grid, 8, 2.0)
+        params = LimitParams(grid=grid, dt=5e-4, T=n_steps * 5e-4, gamma=0.7)
+        u10 = sw.normalize_sphere(grid, sw.sine_field(grid, 1, 1) + sw.sine_field(grid, 2, 2, 0.1))
+        u20 = sw.normalize_sphere(grid, u10 + 1e-2 * smooth_perturbation(
+            grid, np.random.default_rng(5)))
+        comp = sw.comparison_experiment(u10, u20, params, basis, stride=stride)
+        t, dist, int_dv, lhs, c1, c2 = comparison_oracle(u10, u20, params, basis, stride)
+        assert params.n_steps == n_steps
         for got, want in ((comp.t, t), (comp.dist_h1_sq, dist), (comp.int_dv_sq, int_dv),
                           (comp.lhs, lhs), (comp.c1, c1), (comp.c2, c2)):
             assert np.array_equal(got, want)

@@ -694,3 +694,36 @@ class TestRowChunks:
             assert np.array_equal(getattr(traj, name), oracle[name]), name
         assert np.array_equal(traj.j_norms, oracle["j"])
         assert np.array_equal(traj.identity_residual, oracle["res"])
+
+    def test_rng_path_is_one_whole_draw(self):
+        # the rng is drawn ROW_CHUNK steps at a time, and 810 steps end in a
+        # part chunk; the oracle draws the whole path at once and passes it in
+        grid = sw.Grid1D(1.0, 31)
+        basis = sw.build_basis(grid, 8, 2.0)
+        u0 = sw.normalize_sphere(grid, sw.sine_field(grid, 1, 1) + sw.sine_field(grid, 2, 2, 0.1))
+        v0 = sw.project_tangent(grid, u0, sw.sine_field(grid, 3, 3, 0.5))
+        dt = 2.0 ** -10
+        params = sw.SpdeParams(grid=grid, mu=0.1, dt=dt, T=810 * dt, projection=True)
+        chunked = sw.simulate(u0, v0, params, basis, rng=sw.derive_stream(6, 0), stride=3)
+        whole = np.sqrt(dt) * sw.derive_stream(6, 0).standard_normal((810, basis.m))
+        oracle = sw.simulate(u0, v0, params, basis, increments=whole, stride=3)
+        assert params.n_steps == 810 and len(chunked.t) == 271
+        for name in ("t",) + DIAGNOSTICS + ("j_norms", "identity_residual"):
+            assert np.array_equal(getattr(chunked, name), getattr(oracle, name)), name
+
+    def test_memory_does_not_grow_with_the_steps(self, traced_peak):
+        # simulate holds ROW_CHUNK rows and steps of increments, not its path:
+        # at one row per run, 10x the steps peak within 10% of the traced bytes
+        grid = sw.Grid1D(1.0, 15)
+        basis = sw.build_basis(grid, 15, 2.0)
+        u0 = sw.normalize_sphere(grid, sw.sine_field(grid, 1, 1) + sw.sine_field(grid, 2, 2, 0.1))
+        v0 = sw.project_tangent(grid, u0, sw.sine_field(grid, 3, 3, 0.5))
+
+        def run(T):
+            params = sw.SpdeParams(grid=grid, mu=0.5, dt=2.0 ** -8, T=T, projection=True)
+            return lambda: sw.simulate(u0, v0, params, basis, rng=sw.derive_stream(7, 0),
+                                       stride=params.n_steps)
+
+        run(1.0)()   # first calls fill caches
+        short, long = traced_peak(run(1.0)), traced_peak(run(10.0))
+        assert long <= 1.1 * short, (short, long)

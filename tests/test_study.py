@@ -1,5 +1,6 @@
 """Mass-sweep orchestration: remainder terms, coupling, determinism."""
 
+import collections
 import json
 import math
 import multiprocessing
@@ -20,19 +21,26 @@ import spherewave.study as study_module
 from spherewave.config import build_grid, resolve_config, spde_params_from
 from spherewave.fields import step_count
 from spherewave.limit import limit_rows
+from spherewave.noise import brownian_increments
 from spherewave.spde import BLOWUP_DIAGNOSTICS, SpdeStepper
 from spherewave.study import (
     BLOCK_SIZE,
     REFINEMENT_STREAM,
     StudyConfig,
     _blocks,
-    _increments,
     _run,
     _run_block,
     refinement_bias,
     run_study,
     trend_check,
 )
+
+
+def block_increments(config, params, samples, stream, draws_per_step):
+    """A block's increments (n_steps, S, m), all of them, as its run reads them."""
+    streams = [sw.derive_stream(*config.child_key(j, stream)) for j in samples]
+    return np.array(list(brownian_increments(streams, config.m, params.dt, params.n_steps,
+                                             draws_per_step)))
 
 
 @pytest.fixture(scope="module")
@@ -531,7 +539,7 @@ class TestConstraintDefects:
         grid = config.grid()
         basis = config.basis(grid)
         params = config.spde_params(row.mu, grid)
-        increments = _increments(config, params, range(row.sample, row.sample + 1), 0, 1)
+        increments = block_increments(config, params, range(row.sample, row.sample + 1), 0, 1)
         engine = SpdeStepper(params, basis, *config.initial_data(grid))
         for k in range(row.blowup_step - 1):
             engine.step(increments[k, 0])
@@ -542,16 +550,54 @@ class TestConstraintDefects:
         assert row.last_finite == {name: float(last[name]) for name in BLOWUP_DIAGNOSTICS}
 
 
+class TestBlockIncrements:
+    @pytest.mark.parametrize("draws_per_step", [1, 2])
+    def test_chunked_draws_are_one_whole_draw(self, small_config, monkeypatch, draws_per_step):
+        # a block reads its increments ROW_CHUNK steps at a time (320 steps
+        # end in a part chunk); the oracle draws each sample's stream whole
+        # and sums draws_per_step draws onto each step
+        def whole(streams, m, dt, n_steps, draws_per_step):
+            draws = np.empty((n_steps * draws_per_step, len(streams), m))
+            for pos, stream in enumerate(streams):
+                draws[:, pos] = stream.standard_normal((len(draws), m))
+            draws *= np.sqrt(dt / draws_per_step)
+            if draws_per_step > 1:
+                draws = draws.reshape(n_steps, draws_per_step, len(streams), m).sum(axis=1)
+            return draws
+
+        params = small_config.spde_params(small_config.mu_values[-1])
+        args = (small_config, params, (), 1, range(2), REFINEMENT_STREAM, draws_per_step)
+        chunked = _run_block(*args)
+        monkeypatch.setattr(study_module, "brownian_increments", whole)
+        assert params.n_steps == 320 and _run_block(*args) == chunked
+
+    def test_memory_does_not_grow_with_the_steps(self, traced_peak):
+        # the increments of a default block at the smallest mass, 1,792 steps,
+        # and at 10x the steps, drawn as a run reads them: one chunk at a time
+        config = StudyConfig()
+        dt = config.spde_params(config.mu_values[-1]).dt
+
+        def drain(T):
+            params = replace(config, T=T, dt=dt).spde_params(config.mu_values[-1])
+            streams = [sw.derive_stream(*config.child_key(j)) for j in range(BLOCK_SIZE)]
+            return lambda: collections.deque(
+                brownian_increments(streams, config.m, params.dt, params.n_steps), maxlen=0)
+
+        drain(1.0)()   # first calls fill caches
+        short, long = traced_peak(drain(1.0)), traced_peak(drain(10.0))
+        assert long <= 1.1 * short, (short, long)
+
+
 class TestRefinementBias:
     def test_coarse_path_sums_the_fine_one(self, small_config):
         grid = small_config.grid()
         params = small_config.spde_params(0.2, grid)
-        fine = _increments(small_config, replace(params, dt=params.dt / 2), range(2),
-                           REFINEMENT_STREAM, 1)
-        coarse = _increments(small_config, params, range(2), REFINEMENT_STREAM, 2)
+        fine = block_increments(small_config, replace(params, dt=params.dt / 2), range(2),
+                                REFINEMENT_STREAM, 1)
+        coarse = block_increments(small_config, params, range(2), REFINEMENT_STREAM, 2)
         assert np.array_equal(coarse, fine[0::2] + fine[1::2])
         # the study's own paths are another stream
-        study = _increments(small_config, params, range(2), 0, 1)
+        study = block_increments(small_config, params, range(2), 0, 1)
         assert not np.any(study == coarse)
 
     def test_default_step_passes(self):
@@ -564,13 +610,13 @@ class TestRefinementBias:
         # 16 samples: with 2 the SE is too wide to resolve a 10% louder noise
         config = replace(small_config, ensemble=16)
         assert all(lev["passed"] for lev in refinement_bias(config))
-        real = study_module._increments
+        real = study_module.brownian_increments
 
-        def inflated(config, params, samples, stream, draws_per_step):
-            increments = real(config, params, samples, stream, draws_per_step)
-            return 1.1 * increments if draws_per_step > 1 else increments
+        def inflated(streams, m, dt, n_steps, draws_per_step):
+            for dw in real(streams, m, dt, n_steps, draws_per_step):
+                yield 1.1 * dw if draws_per_step > 1 else dw
 
-        monkeypatch.setattr(study_module, "_increments", inflated)
+        monkeypatch.setattr(study_module, "brownian_increments", inflated)
         levels = refinement_bias(config)
         assert not any(lev["passed"] for lev in levels), levels
 
