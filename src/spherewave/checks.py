@@ -19,6 +19,7 @@ from __future__ import annotations
 import zlib
 from dataclasses import dataclass, replace
 from functools import cache
+from operator import itemgetter
 
 import numpy as np
 
@@ -46,7 +47,7 @@ from .limit import (
     limit_rows,
     mobility_apply_inverse,
 )
-from .noise import build_basis, derive_stream, noise_field, strat_correction
+from .noise import brownian_increments, build_basis, derive_stream, noise_field, strat_correction
 from .spde import SpdeParams, SpdeStepper, simulate
 
 __all__ = ["CheckResult", "CHECK_NAMES", "run_check", "run_all"]
@@ -275,7 +276,7 @@ def _check_equilibrium(rng, mutate: bool) -> tuple[bool, str]:
     u0 = normalize_sphere(grid, sine_field(grid, 3, 2))
     params = SpdeParams(grid=grid, mu=0.1, dt=1e-4, T=1e-3)
     stepper = SpdeStepper(params, _wave_basis(basis, mutate), u0, zero_field(grid))
-    increments = np.sqrt(params.dt) * rng.standard_normal((params.n_steps, basis.m))
+    increments = map(itemgetter(0), brownian_increments([rng], basis.m, params.dt, params.n_steps))
     drifts = []   # |u - u0| and |v| at every step, from the start (0 and 0)
     stepper.run(increments, range(params.n_steps + 1), lambda _r: drifts.extend(
         (float(np.abs(stepper.u - u0).max()), float(np.abs(stepper.v).max()))))

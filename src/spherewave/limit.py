@@ -50,9 +50,8 @@ step of the heat flow depends on the arithmetic of the one before, so it
 computes ROW_CHUNK steps at a time: one DST, one batched H-norm and one
 evaluation of the same kernel on the stack (ROW_CHUNK, 3, n), which gives
 each field the bits it gets alone.  `solve_limit` reads the steps by the
-same rule, on either flow: it takes the H-norms of a stack of steps in one
-call, on the heat flow's own chunk once per refill, and on ETDRK4 steps
-copied into stacks of ROW_CHUNK.
+same rule, on either flow: it copies each step's u, u_t and A_h u into
+stacks of ROW_CHUNK and takes the H-norms of a stack in one call.
 `limit_rhs` and `mobility_apply_inverse` run the same kernel and the same
 Sherman-Morrison solve, so the public velocity and the solver's agree bit
 for bit.
@@ -510,10 +509,7 @@ class _HeatFlow(_Flow):
     of the velocity kernel on the stack gives their `ut`, `lap` and `h1`;
     the last field's spectrum, at unit norm, is the next `s`.
     `u`, `ut` and `lap` are views of arrays that each refill makes new, so
-    a held state keeps its values.  `chunk` holds those arrays, the stacks
-    (u, ut, lap, h1) of the steps the last refill computed, and of step 0
-    alone before the first refill; solve_limit reads them where the flow
-    stands at the end of a refill.  No projection is made, so `defect`
+    a held state keeps its values.  No projection is made, so `defect`
     stays 0.  A non-finite node of a field shows in its norm: the fields
     before it are handed out, and the advance that reaches it raises
     BlowUpError, naming its step, as does every advance after it.
@@ -528,7 +524,6 @@ class _HeatFlow(_Flow):
         self._powers = np.exp(np.arange(1, ROW_CHUNK + 1)[:, None] * z)
         self._n_steps = params.n_steps
         self._rows, self._next, self._count = [], 0, 0
-        self.chunk = (self.u[None], self.ut[None], self.lap[None], np.array([self.h1]))
 
     def _refill(self) -> None:
         """Compute the next chunk of steps from the spectrum of the last."""
@@ -544,7 +539,6 @@ class _HeatFlow(_Flow):
         np.divide(u, nrm[:, None, None], out=u)
         ut, lap = np.empty(u.shape), np.empty(u.shape)
         h1 = self.velocity.into(u, ut, lap)
-        self.chunk = u, ut, lap, h1
         self._rows = list(zip(u, ut, lap, h1.tolist()))
         self._next, self._count = 0, count
 
@@ -611,16 +605,10 @@ def _chunks(u0: np.ndarray, params: LimitParams, basis: NoiseBasis):
     """Every step of the limit flow, as (velocity, stacks) of consecutive steps from step 0.
 
     The stacks are (u, u_t, A_h u, |u|_{H1}^2, defect), one entry per step.
-    On the heat flow they are the flow's own `chunk`: step 0, then each
-    refill, read where limit_rows stops every ROW_CHUNK steps, which is
-    where a refill ends; its defect is 0.  ETDRK4 steps are read at stride
-    1 and copied into stacks of ROW_CHUNK steps, which the next chunk
-    overwrites (the flow overwrites u_t and A_h u at the next step).
+    Either flow is read through limit_rows at stride 1, and each step is
+    copied into stacks of ROW_CHUNK steps, which the next chunk overwrites
+    (the flow overwrites u_t and A_h u at the next step).
     """
-    if basis.m == 0:
-        for _, flow in limit_rows(u0, params, basis, stride=ROW_CHUNK):
-            yield flow.velocity, flow.chunk + (np.zeros(len(flow.chunk[3])),)
-        return
     n = params.n_steps
     u, ut, lap = (np.empty((ROW_CHUNK, 3, params.grid.n)) for _ in range(3))
     h1, defect = np.empty(ROW_CHUNK), np.empty(ROW_CHUNK)
@@ -628,16 +616,18 @@ def _chunks(u0: np.ndarray, params: LimitParams, basis: NoiseBasis):
         i = k % ROW_CHUNK
         u[i], ut[i], lap[i], h1[i], defect[i] = flow.u, flow.ut, flow.lap, flow.h1, flow.defect
         if i == ROW_CHUNK - 1 or k == n:
-            yield flow.velocity, tuple(stack[:i + 1] for stack in (u, ut, lap, h1, defect))
+            # a list, not tuple() of a generator: that tuple is resized, not
+            # taken from CPython's free list, but is kept on it when freed, so
+            # one per chunk would hold up to 2,000 of them (160 kB)
+            yield flow.velocity, [stack[:i + 1] for stack in (u, ut, lap, h1, defect)]
 
 
 def solve_limit(u0: np.ndarray, params: LimitParams, basis: NoiseBasis, *,
                 stride: int = 1) -> LimitTrajectory:
     """Run the limit flow to T, recording every `stride` steps plus the end.
 
-    One path serves both flows, and it reads every step, a chunk of
-    consecutive steps at a time (`_chunks`): the heat flow's own chunk of
-    each refill, or ROW_CHUNK ETDRK4 steps copied into stacks.  Each chunk
+    One path serves both flows, and it reads every step, ROW_CHUNK
+    consecutive steps at a time copied into stacks (`_chunks`).  Each chunk
     is folded into the rows it holds and dropped, so the solve's memory is
     bounded by the chunk and the rows, not by the step count.  One call of
     the velocity's `norm_sq` on a stack gives the steps' |u_t|_H^2, and on
@@ -646,12 +636,11 @@ def solve_limit(u0: np.ndarray, params: LimitParams, basis: NoiseBasis, *,
     steps since the previous row, carried across chunks as a running max,
     and the energy integral is `_RunningIntegral` over the |u_t|_H^2 of
     every step, extended by each chunk and started with the cubic through
-    the first four.  At the auto
-    step the trapezoid's first step reads 4.5e-5 from the converged energy
-    on the corrected flow at the defaults, against 2.3e-6 for the cubic and
-    5.3e-6 on every later row; on the heat flow, whose energy is exact, the
-    cubic start keeps every row within 1.2e-7 of it, where the trapezoid's
-    first step reads 3.7e-6.
+    the first four.  At the auto step the trapezoid's first step reads
+    4.5e-5 from the converged energy on the corrected flow at the defaults,
+    against 2.3e-6 for the cubic and 5.3e-6 on every later row; on the heat
+    flow, whose energy is exact, the cubic start keeps every row within
+    1.2e-7 of it, where the trapezoid's first step reads 3.7e-6.
     """
     rows = np.array(output_rows(params.n_steps, stride))
     u_h1, u_h2, ut_h, residual, worst, energy_lhs = np.empty((6, len(rows)))
