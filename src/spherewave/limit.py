@@ -50,8 +50,9 @@ step of the heat flow depends on the arithmetic of the one before, so it
 computes ROW_CHUNK steps at a time: one DST, one batched H-norm and one
 evaluation of the same kernel on the stack (ROW_CHUNK, 3, n), which gives
 each field the bits it gets alone.  `solve_limit` reads the steps by the
-same rule, on either flow: it copies each step's u, u_t and A_h u into
-stacks of ROW_CHUNK and takes the H-norms of a stack in one call.
+same rule, on either flow: it takes the H-norms of a stack of steps in one
+call, on the heat flow's own chunk once per refill, and on ETDRK4 steps
+copied into stacks of ROW_CHUNK.
 `limit_rhs` and `mobility_apply_inverse` run the same kernel and the same
 Sherman-Morrison solve, so the public velocity and the solver's agree bit
 for bit.
@@ -509,10 +510,14 @@ class _HeatFlow(_Flow):
     of the velocity kernel on the stack gives their `ut`, `lap` and `h1`;
     the last field's spectrum, at unit norm, is the next `s`.
     `u`, `ut` and `lap` are views of arrays that each refill makes new, so
-    a held state keeps its values.  No projection is made, so `defect`
-    stays 0.  A non-finite node of a field shows in its norm: the fields
-    before it are handed out, and the advance that reaches it raises
-    BlowUpError, naming its step, as does every advance after it.
+    a held state keeps its values.  `chunk` holds those arrays, the stacks
+    (u, ut, lap, h1) of the steps the last refill computed, and of step 0
+    alone before the first refill; `advance` hands out their entries, and
+    solve_limit reads them whole where the flow stands at the end of a
+    refill.  No projection is made, so `defect` stays 0.  A non-finite
+    node of a field shows in its norm: the fields before it are handed out,
+    and the advance that reaches it raises BlowUpError, naming its step, as
+    does every advance after it.
     """
 
     def __init__(self, u0: np.ndarray, params: LimitParams, basis: NoiseBasis):
@@ -523,7 +528,8 @@ class _HeatFlow(_Flow):
         z = np.minimum(self._z - self._z[slowest], 0.0)
         self._powers = np.exp(np.arange(1, ROW_CHUNK + 1)[:, None] * z)
         self._n_steps = params.n_steps
-        self._rows, self._next, self._count = [], 0, 0
+        self._next = self._count = 0
+        self.chunk = (self.u[None], self.ut[None], self.lap[None], np.array([self.h1]))
 
     def _refill(self) -> None:
         """Compute the next chunk of steps from the spectrum of the last."""
@@ -538,16 +544,17 @@ class _HeatFlow(_Flow):
         u, nrm = u[:live], nrm[:live]
         np.divide(u, nrm[:, None, None], out=u)
         ut, lap = np.empty(u.shape), np.empty(u.shape)
-        h1 = self.velocity.into(u, ut, lap)
-        self._rows = list(zip(u, ut, lap, h1.tolist()))
+        self.chunk = u, ut, lap, self.velocity.into(u, ut, lap)
         self._next, self._count = 0, count
 
     def advance(self) -> None:
         if self._next == self._count:
             self._refill()
-        if self._next == len(self._rows):
+        u, ut, lap, h1 = self.chunk
+        i = self._next
+        if i == len(h1):
             raise BlowUpError(self.steps + 1)
-        self.u, self.ut, self.lap, self.h1 = self._rows[self._next]
+        self.u, self.ut, self.lap, self.h1 = u[i], ut[i], lap[i], h1.item(i)
         self._next += 1
         self.steps += 1
 
@@ -605,10 +612,20 @@ def _chunks(u0: np.ndarray, params: LimitParams, basis: NoiseBasis):
     """Every step of the limit flow, as (velocity, stacks) of consecutive steps from step 0.
 
     The stacks are (u, u_t, A_h u, |u|_{H1}^2, defect), one entry per step.
-    Either flow is read through limit_rows at stride 1, and each step is
-    copied into stacks of ROW_CHUNK steps, which the next chunk overwrites
-    (the flow overwrites u_t and A_h u at the next step).
+    On the heat flow they are the flow's own `chunk`: step 0, then each
+    refill, read where limit_rows stops every ROW_CHUNK steps, which is
+    where a refill ends (a refill computes ROW_CHUNK steps, fewer only up
+    to T); its defect is 0.  Reading the chunk spares the heat flow the
+    copy of every step and the three stacks it goes into, which cost the
+    benchmark's `limit` workload 1.8% of its wall time and 0.5 MB of its
+    peak RSS.  ETDRK4 steps are read at stride 1 and copied into stacks of
+    ROW_CHUNK steps, which the next chunk overwrites (the flow overwrites
+    u_t and A_h u at the next step).
     """
+    if basis.m == 0:
+        for _, flow in limit_rows(u0, params, basis, stride=ROW_CHUNK):
+            yield flow.velocity, [*flow.chunk, np.zeros(len(flow.chunk[3]))]
+        return
     n = params.n_steps
     u, ut, lap = (np.empty((ROW_CHUNK, 3, params.grid.n)) for _ in range(3))
     h1, defect = np.empty(ROW_CHUNK), np.empty(ROW_CHUNK)
@@ -626,8 +643,9 @@ def solve_limit(u0: np.ndarray, params: LimitParams, basis: NoiseBasis, *,
                 stride: int = 1) -> LimitTrajectory:
     """Run the limit flow to T, recording every `stride` steps plus the end.
 
-    One path serves both flows, and it reads every step, ROW_CHUNK
-    consecutive steps at a time copied into stacks (`_chunks`).  Each chunk
+    One path serves both flows, and it reads every step, a chunk of
+    consecutive steps at a time (`_chunks`): the heat flow's own chunk of
+    each refill, or ROW_CHUNK ETDRK4 steps copied into stacks.  Each chunk
     is folded into the rows it holds and dropped, so the solve's memory is
     bounded by the chunk and the rows, not by the step count.  One call of
     the velocity's `norm_sq` on a stack gives the steps' |u_t|_H^2, and on
