@@ -618,9 +618,9 @@ def _chunks(u0: np.ndarray, params: LimitParams, basis: NoiseBasis):
     to T); its defect is 0.  Reading the chunk spares the heat flow the
     copy of every step and the three stacks it goes into, which cost the
     benchmark's `limit` workload 1.8% of its wall time and 0.5 MB of its
-    peak RSS.  ETDRK4 steps are read at stride 1 and copied into stacks of
-    ROW_CHUNK steps, which the next chunk overwrites (the flow overwrites
-    u_t and A_h u at the next step).
+    peak RSS on a 2-core x86_64 host.  ETDRK4 steps are read at stride 1
+    and copied into stacks of ROW_CHUNK steps, which the next chunk
+    overwrites (the flow overwrites u_t and A_h u at the next step).
     """
     if basis.m == 0:
         for _, flow in limit_rows(u0, params, basis, stride=ROW_CHUNK):
