@@ -106,12 +106,13 @@ _pttrf, _pttrs = _flapack.dpttrf, _flapack.dpttrs
 
 # rows per batched evaluation along one trajectory: simulate reduces its
 # recorded rows, the exact heat flow of limit computes its steps, and
-# solve_limit takes the norms of its steps, this many at a time on
-# (rows, 3, n) stacks; one row at a time, the numpy call overhead dominates
-# the arithmetic of a field.  It is also the one bound of every solver's
-# working memory: Brownian increments are drawn, and solve_limit and
-# comparison_experiment fold their per-step values into rows, this many
-# steps at a time, so no run holds memory in proportion to its step count
+# solve_limit and comparison_experiment take the norms of a limit flow's
+# steps, this many at a time on (rows, 3, n) stacks; one row at a time, the
+# numpy call overhead dominates the arithmetic of a field.  It is also the
+# one bound of every solver's working memory: Brownian increments are
+# drawn, and both limit flows keep their steps in stacks that solve_limit
+# and comparison_experiment fold into rows, this many steps at a time, so
+# no run holds memory in proportion to its step count
 ROW_CHUNK = 64
 
 

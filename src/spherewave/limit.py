@@ -49,10 +49,12 @@ through one) and the kernel's four Laplacians that is the whole step.  No
 step of the heat flow depends on the arithmetic of the one before, so it
 computes ROW_CHUNK steps at a time: one DST, one batched H-norm and one
 evaluation of the same kernel on the stack (ROW_CHUNK, 3, n), which gives
-each field the bits it gets alone.  `solve_limit` reads the steps by the
-same rule, on either flow: it takes the H-norms of a stack of steps in one
-call, on the heat flow's own chunk once per refill, and on ETDRK4 steps
-copied into stacks of ROW_CHUNK.
+each field the bits it gets alone.  Both flows keep their steps in the
+same chunks (`_Flow.chunk`), stacks of ROW_CHUNK steps that ETDRK4 fills a
+step at a time and the heat flow computes whole, so `solve_limit` and
+`comparison_experiment` read every step of either flow one way: they stop
+`limit_rows` where each chunk ends and take the H-norms of its stacks in
+one call each.
 `limit_rhs` and `mobility_apply_inverse` run the same kernel and the same
 Sherman-Morrison solve, so the public velocity and the solver's agree bit
 for bit.
@@ -61,7 +63,7 @@ for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import inf, sqrt
+from math import inf, nan, sqrt
 
 import numpy as np
 
@@ -81,7 +83,7 @@ from .fields import (
     eigenvalue,
     eigenvalues,
     fitted_step,
-    h1_seminorm_sq,
+    inner_each,
     inner_l2,
     laplacian,
     norm_l2,
@@ -355,17 +357,33 @@ class _Flow:
     non-finite, zero or over-rough field.  `_z` is the mode row
     -lambda_{h,k} dt / gamma, the exponent of the exact solution operator of
     u_t = A_h u / gamma over one step.
+
+    Both flows keep their steps in `chunk`, the stacks (u, ut, lap, h1,
+    defect) of step 0 alone and then of steps 1..ROW_CHUNK,
+    ROW_CHUNK + 1..2 ROW_CHUNK and so on (`_chunk_steps`: fewer in the last
+    chunk before T, and one step a chunk past T), so their chunks end at
+    the same steps.  The state is entry `_at` of the stacks, and `u`, `ut` and `lap`
+    are views of arrays that each chunk makes new: a held state keeps its
+    values, and a caller that stands at the end of a chunk may read it whole.
+    `advance(to)` takes the next step and goes on to step `to`: ETDRK4 all
+    the way, one step at a time, and the heat flow, whose chunk is computed
+    ahead, as far as its chunk holds steps, by one index into it.
     """
 
     def __init__(self, u0: np.ndarray, params: LimitParams, basis: NoiseBasis):
         check_grid(basis, params.grid)
         self._z = -eigenvalues(params.grid) * (params.dt / params.gamma)
+        self._n_steps = params.n_steps
         self.velocity = _Velocity(params, basis)
         self.u = _repair_initial(params.grid, u0)
         self.ut, self.lap = np.empty(self.u.shape), np.empty(self.u.shape)
         self.h1 = self.velocity.into(self.u, self.ut, self.lap)
         self.defect = 0.0
-        self.steps = 0
+        self.steps = self._at = 0
+        self.chunk = (self.u[None], self.ut[None], self.lap[None], np.array([self.h1]), np.zeros(1))
+
+    def _chunk_steps(self) -> int:
+        return min(ROW_CHUNK, max(self._n_steps - self.steps, 1))
 
 
 class _Etd4Flow(_Flow):
@@ -385,11 +403,11 @@ class _Etd4Flow(_Flow):
     f3 = 4 phi3 - phi2, and `defect` is | |u*|_H - 1 | of the last step.
 
     A step result within sqrt(n) eps of u in H-norm is rounding, and the
-    flow stays at u: it keeps u, u_t, A_h u and h1 (evaluated again at u,
-    with the same bits), and `defect` is the step's own.  At a sine
-    eigenfield, an exact equilibrium, the step moves u by the rounding of
-    its DST round trip and normalisation alone, which grows with n: at most
-    0.6 sqrt(n) eps for modes 1 to 7 (n = 31 to 1,023, L = 0.2 to 3,
+    flow stays at u: it keeps the values of u, u_t, A_h u and h1 (evaluated
+    again at u, with the same bits), and `defect` is the step's own.  At a
+    sine eigenfield, an exact equilibrium, the step moves u by the rounding
+    of its DST round trip and normalisation alone, which grows with n: at
+    most 0.6 sqrt(n) eps for modes 1 to 7 (n = 31 to 1,023, L = 0.2 to 3,
     gamma = 0.1 to 10, 0 and 16 noise modes, one or three components),
     2.7 eps at n = 127 for modes 1 to 3.  A state d from an equilibrium
     that the flow leaves or nears at rate s moves about d (e^{s dt} - 1) a
@@ -407,14 +425,14 @@ class _Etd4Flow(_Flow):
     The flow owns its intermediates and forms every stage in the sine basis.
     u and N(u) share one (2, 3, n) buffer, so one DST call transforms both;
     each stage takes one DST to the nodes and one of its N back, and u* one,
-    so a step makes eight.  The velocity kernel evaluates each projected
-    stage and u_next into the flow's buffers `ut` and `lap`; the second is
-    also the A_h P x that L P x needs.  `u` is an array no step writes, so
-    a caller may keep it.  `ut` and `lap` are buffers that the next advance
-    overwrites: the callers of limit_rows read them before they resume it.
-    A zero stage raises DegenerateFieldError, and a non-finite node of u*
-    shows in its norm, one scalar, and raises BlowUpError; u_next has unit
-    norm, so the kernel does not test it for zero.
+    so a step makes eight.  A step writes into the next entry of its
+    chunk's stacks, which it makes once per chunk: u_next is divided into
+    the u entry, and the velocity kernel evaluates each projected stage,
+    then u_next, into the `ut` and `lap` entries (the second is also the
+    A_h P x that L P x needs), so no later step writes a state it has
+    handed out.  A zero stage raises DegenerateFieldError, and a non-finite
+    node of u* shows in its norm, one scalar, and raises BlowUpError;
+    u_next has unit norm, so the kernel does not test it for zero.
     """
 
     def __init__(self, u0: np.ndarray, params: LimitParams, basis: NoiseBasis):
@@ -446,48 +464,57 @@ class _Etd4Flow(_Flow):
         np.subtract(ut, lap, out=ut)
         _dst(ut, 1, (1,), 1, out, 1, None)
 
-    def advance(self) -> None:
-        velocity, pair, ut, lap = self.velocity, self._pair, self.ut, self.lap
+    def advance(self, to: int = 0) -> None:
+        velocity, pair = self.velocity, self._pair
         su, sn, sa, sna, snb, snc, half_u, tmp = self._spectra
         half_decay, half_phi1 = self._half_decay, self._half_phi1
         u, n0 = pair
-        u[...] = self.u
-        np.divide(lap, velocity.gamma, out=n0)
-        np.subtract(ut, n0, out=n0)
-        # orthonormal DST-I, as dst_ortho: of u and N(u) in one call
-        _dst(pair, 1, (2,), 1, self._spectra[:2], 1, None)
-        np.multiply(half_decay, su, out=half_u)
-        np.multiply(half_phi1, sn, out=tmp)
-        np.add(half_u, tmp, out=sa)
-        self._stage(sa, sna)
-        np.multiply(half_phi1, sna, out=tmp)
-        np.add(half_u, tmp, out=tmp)
-        self._stage(tmp, snb)
-        np.multiply(2.0, snb, out=tmp)
-        np.subtract(tmp, sn, out=tmp)
-        np.multiply(half_phi1, tmp, out=tmp)
-        np.multiply(half_decay, sa, out=sa)
-        np.add(sa, tmp, out=sa)
-        self._stage(sa, snc)
-        # the spectrum of u*, in half_u
-        np.multiply(self._decay, su, out=half_u)
-        np.multiply(self._f1, sn, out=tmp)
-        np.add(half_u, tmp, out=half_u)
-        np.add(sna, snb, out=tmp)
-        np.multiply(self._f2, tmp, out=tmp)
-        np.add(half_u, tmp, out=half_u)
-        np.multiply(self._f3, snc, out=tmp)
-        np.add(half_u, tmp, out=half_u)
-        u_star = _dst(half_u, 1, (1,), 1, self._x, 1, None)
-        nrm = sqrt(velocity.norm_sq(u_star))
-        if not nrm < inf:   # NaN or inf: some node of u* is not finite
-            raise BlowUpError(self.steps + 1)
-        self.defect = abs(nrm - 1.0)
-        u_next = u_star / nrm
-        if velocity.norm_sq(np.subtract(u_next, self.u, out=u_star)) > self._still_sq:
+        for _ in range(max(to - self.steps, 1)):
+            u[...] = self.u
+            np.divide(self.lap, velocity.gamma, out=n0)
+            np.subtract(self.ut, n0, out=n0)
+            if self._at + 1 == len(self.chunk[3]):
+                count = self._chunk_steps()
+                self.chunk = (*np.empty((3, count) + u.shape), *np.empty((2, count)))
+                self._at = -1
+            i = self._at + 1
+            stack, ut_stack, lap_stack, h1, defect = self.chunk
+            self.ut, self.lap = ut, lap = ut_stack[i], lap_stack[i]
+            # orthonormal DST-I, as dst_ortho: of u and N(u) in one call
+            _dst(pair, 1, (2,), 1, self._spectra[:2], 1, None)
+            np.multiply(half_decay, su, out=half_u)
+            np.multiply(half_phi1, sn, out=tmp)
+            np.add(half_u, tmp, out=sa)
+            self._stage(sa, sna)
+            np.multiply(half_phi1, sna, out=tmp)
+            np.add(half_u, tmp, out=tmp)
+            self._stage(tmp, snb)
+            np.multiply(2.0, snb, out=tmp)
+            np.subtract(tmp, sn, out=tmp)
+            np.multiply(half_phi1, tmp, out=tmp)
+            np.multiply(half_decay, sa, out=sa)
+            np.add(sa, tmp, out=sa)
+            self._stage(sa, snc)
+            # the spectrum of u*, in half_u
+            np.multiply(self._decay, su, out=half_u)
+            np.multiply(self._f1, sn, out=tmp)
+            np.add(half_u, tmp, out=half_u)
+            np.add(sna, snb, out=tmp)
+            np.multiply(self._f2, tmp, out=tmp)
+            np.add(half_u, tmp, out=half_u)
+            np.multiply(self._f3, snc, out=tmp)
+            np.add(half_u, tmp, out=half_u)
+            u_star = _dst(half_u, 1, (1,), 1, self._x, 1, None)
+            nrm = sqrt(velocity.norm_sq(u_star))
+            if not nrm < inf:   # NaN or inf: some node of u* is not finite
+                raise BlowUpError(self.steps + 1)
+            u_next = np.divide(u_star, nrm, out=stack[i])
+            if velocity.norm_sq(np.subtract(u_next, self.u, out=u_star)) <= self._still_sq:
+                u_next[...] = self.u
             self.u = u_next
-        self.h1 = velocity.into(self.u, ut, lap)
-        self.steps += 1
+            self.h1 = h1[i] = velocity.into(u_next, ut, lap)
+            self.defect = defect[i] = abs(nrm - 1.0)
+            self._at, self.steps = i, self.steps + 1
 
 
 class _HeatFlow(_Flow):
@@ -497,27 +524,23 @@ class _HeatFlow(_Flow):
     direction of e^{t A_h / gamma} u0 and only rescales it to the sphere, so
     its semi-discrete solution is that field at unit H-norm (the continuous
     normalised gradient flow of Bao & Du 2004).  No step depends on the
-    arithmetic of the one before, so the flow computes its steps ROW_CHUNK
-    at a time (fewer in the last chunk before T, one at a time past it), and
-    `advance` hands them out one by one.  From the sine spectrum `s` of the
-    last step computed, a refill forms the stack of spectra p_j s, with the
-    power rows p_j = e^{j (z - z*)}, j = 1..ROW_CHUNK, built once per flow:
-    z is the mode row -lambda_{h,k} dt / gamma and z* its entry at the
-    slowest mode of u0.  Normalisation removes the factor e^{-j z*}, which
-    holds the power of that mode, the one that survives longest, at 1, so
-    that no power underflows where the flow does not.  One DST gives the
-    fields, one batched H-norm puts them on the sphere, and one evaluation
-    of the velocity kernel on the stack gives their `ut`, `lap` and `h1`;
-    the last field's spectrum, at unit norm, is the next `s`.
-    `u`, `ut` and `lap` are views of arrays that each refill makes new, so
-    a held state keeps its values.  `chunk` holds those arrays, the stacks
-    (u, ut, lap, h1) of the steps the last refill computed, and of step 0
-    alone before the first refill; `advance` hands out their entries, and
-    solve_limit reads them whole where the flow stands at the end of a
-    refill.  No projection is made, so `defect` stays 0.  A non-finite
-    node of a field shows in its norm: the fields before it are handed out,
-    and the advance that reaches it raises BlowUpError, naming its step, as
-    does every advance after it.
+    arithmetic of the one before, so a refill computes the whole next chunk
+    of steps at once, and `advance(to)` stands at step `to`, or at the end
+    of the chunk if that comes first, by one index into it.  From the sine
+    spectrum `s` of the last step computed, a refill forms the stack of
+    spectra p_j s, with the power rows p_j = e^{j (z - z*)},
+    j = 1..ROW_CHUNK, built once per flow: z is the mode row
+    -lambda_{h,k} dt / gamma and z* its entry at the slowest mode of u0.
+    Normalisation removes the factor e^{-j z*}, which holds the power of
+    that mode, the one that survives longest, at 1, so that no power
+    underflows where the flow does not.  One DST gives the fields, one
+    batched H-norm puts them on the sphere, and one evaluation of the
+    velocity kernel on the stack gives their `ut`, `lap` and `h1`; the last
+    field's spectrum, at unit norm, is the next `s`.  No projection is
+    made, so every `defect` is 0.  A non-finite node of a field shows in
+    its norm: the chunk ends before that field, `s` becomes NaN, so every
+    later refill is empty, and the advance that reaches the field raises
+    BlowUpError, naming its step, as does every advance after it.
     """
 
     def __init__(self, u0: np.ndarray, params: LimitParams, basis: NoiseBasis):
@@ -527,36 +550,32 @@ class _HeatFlow(_Flow):
         # modes slower than u0's slowest are 0 in every spectrum: their power is 1
         z = np.minimum(self._z - self._z[slowest], 0.0)
         self._powers = np.exp(np.arange(1, ROW_CHUNK + 1)[:, None] * z)
-        self._n_steps = params.n_steps
-        self._next = self._count = 0
-        self.chunk = (self.u[None], self.ut[None], self.lap[None], np.array([self.h1]))
 
     def _refill(self) -> None:
         """Compute the next chunk of steps from the spectrum of the last."""
-        count = min(ROW_CHUNK, max(self._n_steps - self.steps, 1))
+        count = self._chunk_steps()
         u = self._powers[:count, None] * self._spectrum
         end = u[-1].copy()   # the last step's spectrum; the DST overwrites the stack
         _dst(u, 1, (2,), 1, u, 1, None)
         nrm = np.sqrt(self.velocity.norm_sq(u))
         finite = nrm < inf   # NaN or inf: some node of that field is not finite
         live = count if finite.all() else int(finite.argmin())
-        self._spectrum = np.divide(end, nrm[-1], out=end)   # no refill follows a non-finite field
+        self._spectrum = np.divide(end, nrm[-1] if live == count else nan, out=end)
         u, nrm = u[:live], nrm[:live]
         np.divide(u, nrm[:, None, None], out=u)
         ut, lap = np.empty(u.shape), np.empty(u.shape)
-        self.chunk = u, ut, lap, self.velocity.into(u, ut, lap)
-        self._next, self._count = 0, count
+        self.chunk = u, ut, lap, self.velocity.into(u, ut, lap), np.zeros(live)
+        self._at = -1
 
-    def advance(self) -> None:
-        if self._next == self._count:
+    def advance(self, to: int = 0) -> None:
+        if self._at + 1 == len(self.chunk[3]):
             self._refill()
-        u, ut, lap, h1 = self.chunk
-        i = self._next
-        if i == len(h1):
+        u, ut, lap, h1, _ = self.chunk
+        i = min(self._at + max(to - self.steps, 1), len(h1) - 1)
+        if i == self._at:   # the chunk ends before the next step: it is not finite
             raise BlowUpError(self.steps + 1)
         self.u, self.ut, self.lap, self.h1 = u[i], ut[i], lap[i], h1.item(i)
-        self._next += 1
-        self.steps += 1
+        self._at, self.steps = i, self.steps + i - self._at
 
 
 @dataclass
@@ -591,81 +610,50 @@ def limit_rows(u0: np.ndarray, params: LimitParams, basis: NoiseBasis, *, stride
     Yields (r, flow) once the flow stands at output row r.  The flow is
     _HeatFlow, the exact parabolic flow, on the silent basis (m = 0) and
     _Etd4Flow on every other.  The one driver of the limit flow: it only
-    steps and picks rows.  It is the step loop of solve_limit and of
-    comparison_experiment, which read every step (stride 1), and the row
-    loop of a study's targets, which advance together one row at a time.
-    The heat flow computes its steps a chunk at a time, but it stands at
-    each row as the stepper does, with the same bits at any stride.  The
-    flow's `u` is an array no later step writes, so a caller may keep it;
-    its `ut` and `lap` are to be read before the generator resumes (see
-    _Etd4Flow and _HeatFlow).
+    steps and picks rows.  At stride ROW_CHUNK it stops where each chunk of
+    steps ends, which is how solve_limit and comparison_experiment read
+    every step through `flow.chunk`; a study's targets advance together
+    one row at a time.  ETDRK4 takes its steps one at a time, and the heat
+    flow moves to each row by one index into its chunk, with the same bits
+    at any stride.  The flow's `u`, `ut` and `lap` are arrays no later step
+    writes, so a caller may keep them (see _Flow).
     """
     steps = _row_steps(params.n_steps, stride)
     flow = _HeatFlow(u0, params, basis) if basis.m == 0 else _Etd4Flow(u0, params, basis)
     for r, step in enumerate(steps):
         while flow.steps < step:
-            flow.advance()
+            flow.advance(step)
         yield r, flow
-
-
-def _chunks(u0: np.ndarray, params: LimitParams, basis: NoiseBasis):
-    """Every step of the limit flow, as (velocity, stacks) of consecutive steps from step 0.
-
-    The stacks are (u, u_t, A_h u, |u|_{H1}^2, defect), one entry per step.
-    On the heat flow they are the flow's own `chunk`: step 0, then each
-    refill, read where limit_rows stops every ROW_CHUNK steps, which is
-    where a refill ends (a refill computes ROW_CHUNK steps, fewer only up
-    to T); its defect is 0.  Reading the chunk spares the heat flow the
-    copy of every step and the three stacks it goes into, which cost the
-    benchmark's `limit` workload 1.8% of its wall time and 0.5 MB of its
-    peak RSS on a 2-core x86_64 host.  ETDRK4 steps are read at stride 1
-    and copied into stacks of ROW_CHUNK steps, which the next chunk
-    overwrites (the flow overwrites u_t and A_h u at the next step).
-    """
-    if basis.m == 0:
-        for _, flow in limit_rows(u0, params, basis, stride=ROW_CHUNK):
-            yield flow.velocity, [*flow.chunk, np.zeros(len(flow.chunk[3]))]
-        return
-    n = params.n_steps
-    u, ut, lap = (np.empty((ROW_CHUNK, 3, params.grid.n)) for _ in range(3))
-    h1, defect = np.empty(ROW_CHUNK), np.empty(ROW_CHUNK)
-    for k, flow in limit_rows(u0, params, basis):
-        i = k % ROW_CHUNK
-        u[i], ut[i], lap[i], h1[i], defect[i] = flow.u, flow.ut, flow.lap, flow.h1, flow.defect
-        if i == ROW_CHUNK - 1 or k == n:
-            # a list, not tuple() of a generator: that tuple is resized, not
-            # taken from CPython's free list, but is kept on it when freed, so
-            # one per chunk would hold up to 2,000 of them (160 kB)
-            yield flow.velocity, [stack[:i + 1] for stack in (u, ut, lap, h1, defect)]
 
 
 def solve_limit(u0: np.ndarray, params: LimitParams, basis: NoiseBasis, *,
                 stride: int = 1) -> LimitTrajectory:
     """Run the limit flow to T, recording every `stride` steps plus the end.
 
-    One path serves both flows, and it reads every step, a chunk of
-    consecutive steps at a time (`_chunks`): the heat flow's own chunk of
-    each refill, or ROW_CHUNK ETDRK4 steps copied into stacks.  Each chunk
-    is folded into the rows it holds and dropped, so the solve's memory is
-    bounded by the chunk and the rows, not by the step count.  One call of
-    the velocity's `norm_sq` on a stack gives the steps' |u_t|_H^2, and on
-    a chunk that holds rows their |A_h u|_H^2 and |u|_H^2, each with the
-    bits it gets alone.  A row's projection defect is the largest over its
-    steps since the previous row, carried across chunks as a running max,
-    and the energy integral is `_RunningIntegral` over the |u_t|_H^2 of
-    every step, extended by each chunk and started with the cubic through
-    the first four.  At the auto step the trapezoid's first step reads
-    4.5e-5 from the converged energy on the corrected flow at the defaults,
-    against 2.3e-6 for the cubic and 5.3e-6 on every later row; on the heat
-    flow, whose energy is exact, the cubic start keeps every row within
-    1.2e-7 of it, where the trapezoid's first step reads 3.7e-6.
+    It reads every step, a chunk of consecutive steps at a time: the flow's
+    own `chunk`, where limit_rows stops at its end, on either flow.  Each
+    chunk is folded into the rows it holds and dropped, so the solve's
+    memory is bounded by the chunk and the rows, not by the step count.
+    One call of the velocity's `norm_sq` on a stack gives the steps'
+    |u_t|_H^2, and on a chunk that holds rows their |A_h u|_H^2 and
+    |u|_H^2, each with the bits it gets alone.  A row's projection defect is
+    the largest over its steps since the previous row, carried across
+    chunks as a running max, and the energy integral is `_RunningIntegral`
+    over the |u_t|_H^2 of every step, extended by each chunk and started
+    with the cubic through the first four.  At the auto step the
+    trapezoid's first step reads 4.5e-5 from the converged energy on the
+    corrected flow at the defaults, against 2.3e-6 for the cubic and 5.3e-6
+    on every later row; on the heat flow, whose energy is exact, the cubic
+    start keeps every row within 1.2e-7 of it, where the trapezoid's first
+    step reads 3.7e-6.
     """
     rows = np.array(output_rows(params.n_steps, stride))
     u_h1, u_h2, ut_h, residual, worst, energy_lhs = np.empty((6, len(rows)))
     integral = _RunningIntegral(params.dt)
     first = r = 0
     since = 0.0   # the worst defect of the steps since the last row
-    for velocity, (u, ut, lap, h1, defect) in _chunks(u0, params, basis):
+    for _, flow in limit_rows(u0, params, basis, stride=ROW_CHUNK):
+        velocity, (u, ut, lap, h1, defect) = flow.velocity, flow.chunk
         ut_sq = velocity.norm_sq(ut)
         integrals = integral.extend(ut_sq)
         end = r + int(np.searchsorted(rows[r:], first + len(ut)))
@@ -705,30 +693,32 @@ def comparison_experiment(u10: np.ndarray, u20: np.ndarray, params: LimitParams,
                           basis: NoiseBasis, *, stride: int = 1) -> ComparisonResult:
     """Evolve two initial fields and track |u1-u2|_{H1}^2 + int |v1-v2|_H^2.
 
-    The two flows advance in lockstep through `limit_rows` at stride 1;
-    |v1-v2|_H^2 is kept for the steps of a chunk of ROW_CHUNK and
-    integrated to fourth order, started with the cubic as solve_limit's
-    energy, by one `_RunningIntegral` that each full chunk extends; the
-    rows the chunk holds take their values, and the chunk is dropped.
+    The two flows advance in lockstep through `limit_rows` at stride
+    ROW_CHUNK, and each stop reads their chunks, as solve_limit does:
+    |v1-v2|_H^2 of every step of the chunk, in one `norm_sq` on the stacks,
+    extends one `_RunningIntegral`, integrated to fourth order and started
+    with the cubic as solve_limit's energy, and the rows the chunk holds
+    take their integral and |u1-u2|_{H1}^2.
 
     Fits log(LHS(t)) = log(c1 |du0|_{H1}^2) + c2 t by least squares; for
     identical initial data the series is identically zero and the fitted
     constants are NaN.
     """
-    grid, n = params.grid, params.n_steps
-    rows = np.array(output_rows(n, stride))
-    dv_sq, dist, int_dv = np.empty(ROW_CHUNK), np.empty(len(rows)), np.empty(len(rows))
+    grid = params.grid
+    rows = np.array(output_rows(params.n_steps, stride))
+    dist, int_dv = np.empty(len(rows)), np.empty(len(rows))
     integral = _RunningIntegral(params.dt)
-    done = r = 0   # the rows with their integral, and with their distance
-    for (k, f1), (_, f2) in zip(limit_rows(u10, params, basis), limit_rows(u20, params, basis)):
-        i = k % ROW_CHUNK
-        dv_sq[i] = norm_l2_sq(grid, f1.ut - f2.ut)
-        if k == rows[r]:
-            dist[r] = h1_seminorm_sq(grid, f1.u - f2.u)
-            r += 1
-        if i == ROW_CHUNK - 1 or k == n:
-            int_dv[done:r] = integral.extend(dv_sq[:i + 1])[rows[done:r] - (k - i)]
-            done = r
+    first = r = 0
+    for (_, f1), (_, f2) in zip(limit_rows(u10, params, basis, stride=ROW_CHUNK),
+                                limit_rows(u20, params, basis, stride=ROW_CHUNK)):
+        (u1, ut1, *_), (u2, ut2, *_) = f1.chunk, f2.chunk
+        values = integral.extend(f1.velocity.norm_sq(ut1 - ut2))
+        end = r + int(np.searchsorted(rows[r:], first + len(ut1)))
+        at = rows[r:end] - first
+        du = u1[at] - u2[at]
+        dist[r:end] = -inner_each(grid, laplacian(grid, du), du)
+        int_dv[r:end] = values[at]
+        first, r = first + len(ut1), end
 
     t = np.multiply(rows, params.dt)
     lhs = dist + int_dv

@@ -147,7 +147,8 @@ def comparison_oracle(u10, u20, params, basis, stride):
     Returns (t, dist_h1_sq, int_dv_sq, lhs, c1, c2).
     """
     grid, rows = params.grid, output_rows(params.n_steps, stride)
-    f1, f2 = _Etd4Flow(u10, params, basis), _Etd4Flow(u20, params, basis)
+    flow = _HeatFlow if basis.m == 0 else _Etd4Flow   # the flow limit_rows builds
+    f1, f2 = flow(u10, params, basis), flow(u20, params, basis)
     quadrature = ListIntegral(params.dt)
     quadrature.add(sw.norm_l2_sq(grid, f1.ut - f2.ut))
     t, dist = [0.0], [sw.h1_seminorm_sq(grid, f1.u - f2.u)]
@@ -479,6 +480,22 @@ class TestSolveLimit:
         short, long = traced_peak(run(10 ** 4)), traced_peak(run(10 ** 5))
         assert long <= 1.1 * short, (short, long)
 
+    def test_corrected_memory_does_not_grow_with_the_steps(self, traced_peak):
+        # the ETDRK4 flow makes new stacks for each chunk of steps, and
+        # solve_limit drops each chunk once it is folded: as for the heat
+        # flow, 10x the steps peak within 10% of the traced bytes
+        g = sw.Grid1D(1.0, 15)
+        u0 = sw.normalize_sphere(g, sw.sine_field(g, 1, 1) + sw.sine_field(g, 2, 2, 0.1))
+        basis = sw.build_basis(g, 8, 2.0)
+
+        def run(n_steps):
+            params = LimitParams(grid=g, dt=1.0 / n_steps, T=1.0)
+            return lambda: sw.solve_limit(u0, params, basis, stride=n_steps)
+
+        run(100)()   # first calls fill caches
+        short, long = traced_peak(run(150)), traced_peak(run(1500))
+        assert long <= 1.1 * short, (short, long)
+
 
 class TestPhiFunctions:
     """The contour means of `_phi_functions` against the direct formulas and the Taylor series."""
@@ -567,21 +584,26 @@ class TestEtd2Step:
     @pytest.mark.parametrize("flow_class, m", FLOWS, ids=FLOW_IDS)
     def test_handed_out_states_keep_their_values(self, flow_class, m):
         # the flow steps on buffers it owns, but every state it hands out,
-        # through limit_rows or as flow.u, is a new array that later steps leave alone
+        # through limit_rows or as flow.u, flow.ut and flow.lap, is an array
+        # that later steps leave alone
         g = sw.Grid1D(1.0, 63)
         basis = sw.build_basis(g, m, 2.0)
         params = LimitParams.auto(g, 0.5, n_out=4)
         u0 = sw.normalize_sphere(g, sw.sine_field(g, 1, 1) + sw.sine_field(g, 2, 2, 0.1))
-        rows = [(flow.u, flow.u.copy())
-                for _, flow in limit_rows(u0, params, basis, stride=params.n_steps // 4)]
+
+        def hold(flow):
+            return [(a, a.copy()) for a in (flow.u, flow.ut, flow.lap)]
+
+        rows = [hold(flow) for _, flow in limit_rows(u0, params, basis,
+                                                     stride=params.n_steps // 4)]
         flow = flow_class(u0, params, basis)
-        held = [(flow.u, flow.u.copy())]
+        held = [hold(flow)]
         for _ in range(3):
             flow.advance()
-            held.append((flow.u, flow.u.copy()))
+            held.append(hold(flow))
         for states in (rows, held):
-            assert not np.array_equal(states[0][1], states[-1][1])
-            assert all(np.array_equal(u, kept) for u, kept in states)
+            assert not np.array_equal(states[0][0][1], states[-1][0][1])
+            assert all(np.array_equal(a, kept) for state in states for a, kept in state)
 
     @pytest.mark.parametrize("flow_class, m", FLOWS, ids=FLOW_IDS)
     def test_non_finite_state_is_a_blow_up(self, flow_class, m):
@@ -624,6 +646,19 @@ class TestEtd2Step:
         assert again.value.step == 10 and flow.steps == 9
         assert [r for r, _ in seen] == list(range(10))
         assert all(np.array_equal(u, want) for (_, u), want in zip(seen, clean))
+        # at stride 7 the jump from row 7 to row 14 crosses step 10: the flow
+        # stops at step 9 and raises there, and rows 0 and 7 keep their bits
+        seen = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(sw.BlowUpError) as info:
+                for r, flow in limit_rows(u0, params, silent, stride=7):
+                    if r == 0:
+                        flow._powers[9, 5] = np.nan
+                    seen.append((flow.steps, flow.u))
+        assert info.value.step == 10 and flow.steps == 9
+        assert [k for k, _ in seen] == [0, 7]
+        assert all(np.array_equal(u, clean[k]) for k, u in seen)
 
     @pytest.mark.parametrize("flow_class, m", FLOWS, ids=FLOW_IDS)
     def test_initial_field_is_repaired_or_refused(self, flow_class, m):
@@ -715,14 +750,17 @@ class TestHeatChunks:
         assert max(g for _, g in steps) <= 1e-13
 
     def test_strides_share_their_steps_bit_for_bit(self):
+        # a stride jumps through the chunk by index, and 100 and n_steps - 1
+        # jump across refills
         u0, params, silent = self.setup(2 * ROW_CHUNK + 22)
         every = {flow.steps: (flow.u, flow.ut, flow.lap, flow.h1)
                  for _, flow in limit_rows(u0, params, silent)}
-        strided = [(flow.steps, flow.u, flow.ut, flow.lap, flow.h1)
-                   for _, flow in limit_rows(u0, params, silent, stride=8)]
-        assert [k for k, *_ in strided] == output_rows(params.n_steps, 8)
-        for k, *state in strided:
-            assert all(np.array_equal(a, b) for a, b in zip(state, every[k]))
+        for stride in (8, 7, 100, params.n_steps - 1):
+            strided = [(flow.steps, flow.u, flow.ut, flow.lap, flow.h1)
+                       for _, flow in limit_rows(u0, params, silent, stride=stride)]
+            assert [k for k, *_ in strided] == output_rows(params.n_steps, stride)
+            for k, *state in strided:
+                assert all(np.array_equal(a, b) for a, b in zip(state, every[k])), (stride, k)
 
     def test_every_step_is_the_public_helpers(self):
         # each field of a refill's stack gets the bits of the field helpers on it alone
@@ -933,13 +971,15 @@ class TestComparison:
             assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("stride", [1, 7, 5000])
-    @pytest.mark.parametrize("n_steps", [ROW_CHUNK - 24, 2 * ROW_CHUNK + 22],
-                             ids=["below", "tail"])
-    def test_chunks_keep_the_bits_of_every_step(self, n_steps, stride):
-        # the series is folded ROW_CHUNK steps at a time; the oracle
+    @pytest.mark.parametrize("n_steps, m", [
+        (ROW_CHUNK - 24, 8), (2 * ROW_CHUNK + 22, 8), (ROW_CHUNK - 24, 0), (2 * ROW_CHUNK + 22, 0)],
+        ids=["below", "tail", "below-parabolic", "tail-parabolic"])
+    def test_chunks_keep_the_bits_of_every_step(self, n_steps, m, stride):
+        # the series is folded ROW_CHUNK steps at a time from the chunks of
+        # either flow; the oracle steps the flows one step at a time and
         # integrates every step's |v1 - v2|^2 in one list
         grid = sw.Grid1D(1.0, 31)
-        basis = sw.build_basis(grid, 8, 2.0)
+        basis = sw.build_basis(grid, m, 2.0)
         params = LimitParams(grid=grid, dt=5e-4, T=n_steps * 5e-4, gamma=0.7)
         u10 = sw.normalize_sphere(grid, sw.sine_field(grid, 1, 1) + sw.sine_field(grid, 2, 2, 0.1))
         u20 = sw.normalize_sphere(grid, u10 + 1e-2 * smooth_perturbation(

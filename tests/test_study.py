@@ -637,10 +637,12 @@ from spherewave.study import StudyConfig, run_study
 
 real = limit._Etd4Flow.advance
 
-def advance(self):
-    if self.steps == 50:
+def advance(self, to=0):
+    # the steps up to the 50th, then the 51st blows up
+    if self.steps < 50:
+        real(self, min(to, 50))
+    if self.steps == 50 and to > 50:
         raise BlowUpError(self.steps + 1)
-    real(self)
 
 limit._Etd4Flow.advance = advance
 workers = int(sys.argv[2])
